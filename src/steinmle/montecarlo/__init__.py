@@ -1,11 +1,11 @@
-"""Monte Carlo verification harness with selectable sampling kernels."""
+"""Monte Carlo verification harness: per-trial statistics drawn from their laws."""
 
-from .backends import active_backend, available_backends, get_backend
 from .harness import (
     ConditionalCheckResult,
     CoverageResult,
     SimulationConfig,
     SimulationReport,
+    active_backend,
     ci_coverage,
     conditional_expectation_check,
     mle,
@@ -22,8 +22,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "active_backend",
-    "available_backends",
-    "get_backend",
     "ci_coverage",
     "conditional_expectation_check",
     "mle",

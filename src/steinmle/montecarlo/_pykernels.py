@@ -1,20 +1,30 @@
-"""Pure numpy trial kernels: the fallback backend.
+"""Trial kernels: each trial's sufficient statistic, drawn from its law.
 
-Both backends implement the same draw protocol so that a given
-(seed, trial) pair produces the same sample stream:
+Every harness estimator reads a sample only through one statistic: the
+sample mean for the exponential and Poisson models, and the mean
+log-observation for the Beta model.  Where that statistic has a closed-form
+law, each trial draws it directly:
 
-* the stream for trial t is Philox4x64 keyed by the master seed and jumped
-  t times (2^128 steps per jump), consumed one ``next_double`` per uniform;
-* exponential draws invert the CDF: x = -log1p(-u) / rate;
-* Poisson draws use sequential CDF search (one uniform per draw) for mean
-  <= 30 and transformed rejection (PTRS, two uniforms per attempt) above;
-* Beta draws take two uniforms and map them through inverse-CDF Gamma
-  variates: B = G1/(G1 + G2) with G = gammaincinv(shape, u).
+* exp-canonical (rate theta0): the mean is Gamma(n, scale 1/theta0) / n;
+* exp-noncanonical (mean theta0): the mean is Gamma(n, scale theta0) / n;
+* poisson: the mean is Poisson(n theta0) / n;
+* beta with known shape 1: -log X ~ Exp(rate theta0), so the mean log is
+  -Gamma(n, scale 1/theta0) / n.
 
-Within one backend results are bit-reproducible.  Across backends the
-samples agree to a few ulps (numpy's SIMD log1p is not bit-identical to the
-scalar libm used by the compiled kernel) and trial statistics to ~1e-13
-relative (pairwise vs sequential summation); the parity test pins this.
+Beta with another known shape has no such law.  Its trials draw raw samples
+with ``Generator.beta`` in blocks of ``block_trials(n)`` whole trials, which
+hold at most ``BLOCK_OBS`` observations when n allows.
+
+Stream layout.  A call covering trials [trial_start, trial_stop) draws its
+closed-form statistics in order from one stream: Philox4x64 keyed by the
+seed and jumped trial_start times (2^128 steps per jump).  A raw-sample block
+whose first trial is t draws from the stream jumped t times, and blocks start
+at trial_start plus multiples of ``block_trials(n)``.  The harness gives rows
+disjoint trial ranges, so rows and blocks get disjoint streams, and a row's
+output does not depend on how its blocks are spread over processes.
+
+Raw draws (``draw``) use numpy's own samplers: ``exponential``, ``poisson``
+(inversion below mean 10, Hoermann's PTRS above) and ``beta``.
 """
 
 from __future__ import annotations
@@ -23,106 +33,108 @@ import math
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaincinv
 
 from ..errors import DomainError, UnknownModelError
 
 BACKEND_NAME = "python"
 
-RNG_ALGORITHM = "philox4x64:jumped-per-trial"
-
-# Uniforms of exactly 0.0 (probability 2^-53 per draw) would map to a
-# boundary Beta observation; they are clamped to the smallest stream value.
-_TINY_U = 2.0**-64
-
-POISSON_INVERSION_CUT = 30.0
+RNG_ALGORITHM = "philox4x64:jumped-per-row-and-per-raw-block"
 
 MODELS = ("exp-canonical", "exp-noncanonical", "poisson", "beta")
 
+# Raw Beta draws of exactly 0.0 (Generator.beta returns them for a small
+# first shape) would make the log-observation -inf; they are clamped here.
+_TINY_X = 2.0**-64
+
+# Largest Poisson mean drawn in one piece; numpy refuses means above ~9.2e18.
+_POISSON_LAM_MAX = 2.0**62
+# A Poisson draw takes at most this many pieces, so its cost stays bounded.
+_POISSON_PIECES_MAX = 2**16
+
+# Observations per raw-sample block, when n allows more than one trial.
+BLOCK_OBS = 2**16
+
 
 def make_generator(seed: int, trial: int) -> Generator:
-    """The per-trial random stream: Philox keyed by seed, jumped per trial."""
+    """The stream that starts at a given trial: Philox keyed by seed, jumped per trial."""
     return Generator(Philox(key=seed).jumped(trial))
 
 
-def _poisson_inversion(rng: Generator, lam: float, n: int) -> np.ndarray:
-    u = rng.random(n)
-    k = np.zeros(n)
-    p = np.full(n, math.exp(-lam))
-    cum = p.copy()
-    active = u >= cum
-    # Hard cap on the search depth; reaching it has probability ~1e-15.
-    cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 100.0)
-    steps = 0
-    while active.any() and steps < cap:
-        steps += 1
-        ka = k[active] + 1.0
-        k[active] = ka
-        pa = p[active] * (lam / ka)
-        p[active] = pa
-        cum[active] = cum[active] + pa
-        active = active & (u >= cum)
-    return k
+def block_trials(n: int) -> int:
+    """Trials per raw-sample block at sample size n."""
+    return max(1, BLOCK_OBS // n)
 
 
-def _poisson_ptrs(rng: Generator, lam: float, n: int) -> np.ndarray:
-    # Hoermann's transformed rejection with squeeze; the envelope comes from
-    # a normal-shaped transformation, valid for lam >= 10 (used above 30).
-    out = np.empty(n)
-    loglam = math.log(lam)
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    for i in range(n):
-        while True:
-            u = rng.random() - 0.5
-            v = rng.random()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-            if us >= 0.07 and v <= v_r:
-                break
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            if math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b) <= (
-                k * loglam - lam - math.lgamma(k + 1.0)
-            ):
-                break
-        out[i] = k
-    return out
+def raw_sampled(model: str, beta: float) -> bool:
+    """Whether the model's statistic is computed from raw samples, in blocks."""
+    return model == "beta" and beta != 1.0
+
+
+def _poisson(lam: float, size: int, rng: Generator) -> np.ndarray:
+    """size Poisson(lam) draws, as floats.
+
+    A mean beyond numpy's range is drawn as the sum of independent Poisson
+    pieces of equal mean, which has the same law.
+    """
+    if not lam <= _POISSON_LAM_MAX * _POISSON_PIECES_MAX:
+        raise DomainError(
+            f"poisson: mean {lam!r} exceeds the sampler's range "
+            f"{_POISSON_LAM_MAX * _POISSON_PIECES_MAX:.3g}"
+        )
+    pieces = max(1, math.ceil(lam / _POISSON_LAM_MAX))
+    total = np.zeros(size)
+    for _ in range(pieces):
+        total += rng.poisson(lam / pieces, size)
+    return total
 
 
 def draw(model: str, theta0: float, beta: float, n: int, rng: Generator) -> np.ndarray:
     """n draws from the named model, consuming the given stream in order."""
     if model == "exp-canonical":
-        u = rng.random(n)
-        return -np.log1p(-u) / theta0
+        return rng.exponential(1.0 / theta0, n)
     if model == "exp-noncanonical":
-        u = rng.random(n)
-        return -theta0 * np.log1p(-u)
+        return rng.exponential(theta0, n)
     if model == "poisson":
-        if theta0 == 0.0:
-            return np.zeros(n)
-        if theta0 <= POISSON_INVERSION_CUT:
-            return _poisson_inversion(rng, theta0, n)
-        return _poisson_ptrs(rng, theta0, n)
+        return _poisson(theta0, n, rng)
     if model == "beta":
-        u = rng.random(2 * n)
-        u1 = np.maximum(u[0::2], _TINY_U)
-        u2 = np.maximum(u[1::2], _TINY_U)
-        g1 = gammaincinv(theta0, u1)
-        g2 = gammaincinv(beta, u2)
-        return g1 / (g1 + g2)
+        return np.maximum(rng.beta(theta0, beta, n), _TINY_X)
     raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
-def draw_sample(
-    model: str, theta0: float, beta: float, n: int, seed: int, trial: int = 0
+def _raw_mean_log(theta0: float, beta: float, n: int, count: int, rng: Generator) -> np.ndarray:
+    # Blocks of whole trials hold at most BLOCK_OBS observations; a trial
+    # larger than that is drawn in pieces of BLOCK_OBS.
+    per_block = block_trials(n)
+    out = np.empty(count)
+    for lo in range(0, count, per_block):
+        hi = min(lo + per_block, count)
+        if n <= BLOCK_OBS:
+            x = draw("beta", theta0, beta, (hi - lo) * n, rng)
+            out[lo:hi] = np.log(x).reshape(hi - lo, n).mean(axis=1)
+        else:
+            sums = [
+                float(np.log(draw("beta", theta0, beta, min(BLOCK_OBS, n - k), rng)).sum())
+                for k in range(0, n, BLOCK_OBS)
+            ]
+            out[lo] = math.fsum(sums) / n
+    return out
+
+
+def sample_stats(
+    model: str, theta0: float, beta: float, n: int, count: int, rng: Generator
 ) -> np.ndarray:
-    """The sample a given (seed, trial) pair produces."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    return draw(model, theta0, beta, n, make_generator(seed, trial))
+    """count independent draws of the per-trial statistic, from one stream."""
+    if model == "exp-canonical":
+        return rng.standard_gamma(n, count) / n / theta0
+    if model == "exp-noncanonical":
+        return theta0 * (rng.standard_gamma(n, count) / n)
+    if model == "poisson":
+        return _poisson(n * theta0, count, rng) / n
+    if model == "beta":
+        if raw_sampled(model, beta):
+            return _raw_mean_log(theta0, beta, n, count, rng)
+        return -(rng.standard_gamma(n, count) / n) / theta0
+    raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
 def trial_stats(
@@ -134,20 +146,22 @@ def trial_stats(
     trial_start: int,
     trial_stop: int,
 ) -> np.ndarray:
-    """Per-trial sufficient statistic for trials [trial_start, trial_stop).
+    """Per-trial statistic for trials [trial_start, trial_stop).
 
-    The statistic is the sample mean for the exponential and Poisson models
-    and the mean log-observation for the Beta model; estimators are derived
-    from it by the caller so both backends share that code path.
+    Closed-form statistics come from the stream at trial_start; raw-sample
+    blocks each from the stream at their first trial (see the module
+    docstring).  Estimators are derived from the statistic by the caller.
     """
     count = trial_stop - trial_start
     if count < 0:
         raise DomainError("trial_stop must be >= trial_start")
-    out = np.empty(count)
-    is_beta = model == "beta"
     if model not in MODELS:
         raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
-    for j in range(count):
-        x = draw(model, theta0, beta, n, make_generator(seed, trial_start + j))
-        out[j] = float(np.log(x).mean()) if is_beta else float(x.mean())
-    return out
+    if not raw_sampled(model, beta):
+        return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
+    step = block_trials(n)
+    parts = [
+        sample_stats(model, theta0, beta, n, min(step, trial_stop - t), make_generator(seed, t))
+        for t in range(trial_start, trial_stop, step)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0)

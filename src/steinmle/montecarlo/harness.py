@@ -9,11 +9,14 @@ by quadrature.  The reported "empirical distance" is that h-specific
 discrepancy; it is a lower proxy of the class-supremum distance that the
 attached bound controls, never an estimate of the supremum itself.
 
-Reproducibility: trial t consumes the dedicated stream Philox(seed) jumped
-t times, so results are independent of how trials are scheduled; trial
-summaries are reduced with exactly-rounded summation (fsum), which is
-permutation-invariant.  Identical config therefore yields byte-identical
-serialised reports at any worker count.
+Reproducibility: each trial's sufficient statistic is drawn from its exact
+law (see ``_pykernels``).  A row of trials draws from one Philox stream keyed
+by the seed, and the Beta model with known shape other than 1 draws raw
+samples in blocks with a stream each; which stream a row or block uses does
+not depend on the worker count, which only spreads those blocks over
+processes.  Trial summaries are reduced with exactly-rounded summation
+(fsum), which is permutation-invariant.  Identical config therefore yields
+byte-identical serialised reports at any worker count.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from ..steincore import (
     inv_quadratic_test_function,
     kolmogorov_from_bw,
 )
-from . import backends
-from ._pykernels import RNG_ALGORITHM
+from . import _pykernels
+from ._pykernels import BACKEND_NAME, RNG_ALGORITHM
 
 __all__ = [
     "SimulationConfig",
@@ -82,7 +85,6 @@ class SimulationConfig:
     epsilon: Optional[float] = None
     c: object = "auto"  # Poisson perturbation constant
     workers: int = 1
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.model not in registry.MODEL_NAMES:
@@ -120,7 +122,7 @@ class SimulationReport:
     expected_h: float
     target: str = "distance"
     rng_algorithm: str = RNG_ALGORITHM
-    backend: str = "python"
+    backend: str = BACKEND_NAME
 
     @property
     def empirical(self) -> float:
@@ -172,6 +174,11 @@ def reports_to_csv(reports: Sequence[SimulationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def active_backend() -> str:
+    """Name of the sampling kernels, as every report records it."""
+    return BACKEND_NAME
+
+
 def sample(model: str, theta0: float, n: int, rng, *, beta: float = 1.0) -> np.ndarray:
     """n independent draws from a registered model.
 
@@ -182,12 +189,13 @@ def sample(model: str, theta0: float, n: int, rng, *, beta: float = 1.0) -> np.n
     entry.validate_theta0(theta0)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    backend = backends.get_backend()
-    if isinstance(rng, np.random.Generator):
-        return backend.draw(model, theta0, beta, n, rng)
-    if isinstance(rng, bool) or not isinstance(rng, int) or rng < 0:
-        raise DomainError(f"rng must be a seed (nonnegative int) or a numpy Generator, got {rng!r}")
-    return backend.draw_sample(model, theta0, beta, n, rng, 0)
+    if not isinstance(rng, np.random.Generator):
+        if isinstance(rng, bool) or not isinstance(rng, int) or rng < 0:
+            raise DomainError(
+                f"rng must be a seed (nonnegative int) or a numpy Generator, got {rng!r}"
+            )
+        rng = _pykernels.make_generator(rng, 0)
+    return _pykernels.draw(model, theta0, beta, n, rng)
 
 
 def mle(model: str, sample_values, *, beta: float = 1.0) -> float:
@@ -197,9 +205,7 @@ def mle(model: str, sample_values, *, beta: float = 1.0) -> float:
 
 
 def _stats_chunk(args):
-    backend_name, model, theta0, beta, n, seed, t0, t1 = args
-    backend = backends.get_backend(backend_name)
-    return backend.trial_stats(model, theta0, beta, n, seed, t0, t1)
+    return _pykernels.trial_stats(*args)
 
 
 def _collect_stats(
@@ -211,24 +217,20 @@ def _collect_stats(
     trial_start: int,
     trials: int,
     workers: int,
-    backend_name: Optional[str],
 ) -> np.ndarray:
-    resolved = backends.active_backend(backend_name)
-    if workers <= 1:
-        return _stats_chunk((resolved, model, theta0, beta, n, seed, trial_start, trial_start + trials))
-    chunk = max(1, math.ceil(trials / (workers * 4)))
-    tasks = []
-    t = trial_start
-    while t < trial_start + trials:
-        hi = min(t + chunk, trial_start + trials)
-        tasks.append((resolved, model, theta0, beta, n, seed, t, hi))
-        t = hi
-    out = np.empty(trials)
+    stop = trial_start + trials
+    step = _pykernels.block_trials(n)
+    if workers <= 1 or trials <= step or not _pykernels.raw_sampled(model, beta):
+        return _pykernels.trial_stats(model, theta0, beta, n, seed, trial_start, stop)
+    # Raw-sample blocks are the unit of work; their streams do not depend on
+    # which process draws them.
+    tasks = [
+        (model, theta0, beta, n, seed, t, min(t + step, stop))
+        for t in range(trial_start, stop, step)
+    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for task, res in zip(tasks, pool.map(_stats_chunk, tasks)):
-            lo = task[6] - trial_start
-            out[lo : lo + len(res)] = res
-    return out
+        chunksize = max(1, len(tasks) // (workers * 4))
+        return np.concatenate(list(pool.map(_stats_chunk, tasks, chunksize=chunksize)))
 
 
 def _theta_hats(entry, stats: np.ndarray, n: int) -> np.ndarray:
@@ -253,7 +255,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     )
 
     stats = _collect_stats(
-        cfg.model, theta0, cfg.beta, cfg.n, cfg.seed, 0, cfg.trials, cfg.workers, cfg.backend
+        cfg.model, theta0, cfg.beta, cfg.n, cfg.seed, 0, cfg.trials, cfg.workers
     )
     theta_hats = _theta_hats(entry, stats, cfg.n)
     standardized = entry.standardize_scale(theta0, cfg.n) * (theta_hats - theta0)
@@ -276,7 +278,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
         standard_error=se,
         expected_h=expected_h,
         target="distance",
-        backend=backends.active_backend(cfg.backend),
     )
 
 
@@ -286,7 +287,6 @@ def run_mse_sweep(
     trials: int = 10000,
     seed: int = 0,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> list:
     """Empirical MSE against its bound over a range of Beta sample sizes.
 
@@ -309,7 +309,7 @@ def run_mse_sweep(
     reports = []
     for row, n in enumerate(n_list):
         stats = _collect_stats(
-            "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers, backend
+            "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers
         )
         theta_hats = _theta_hats(entry, stats, n)
         scale = entry.standardize_scale(params.theta0, n)
@@ -331,7 +331,6 @@ def run_mse_sweep(
                 standard_error=stdev(h_values) / math.sqrt(trials) if trials > 1 else None,
                 expected_h=expected_h,
                 target="mse",
-                backend=backends.active_backend(backend),
             )
         )
     return reports
@@ -356,7 +355,6 @@ def ci_coverage(
     *,
     beta: float = 1.0,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> CoverageResult:
     """Fraction of conservative intervals containing the true parameter.
 
@@ -379,7 +377,7 @@ def ci_coverage(
     if b_k >= alpha / 2.0:
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
     fisher = entry.fisher_info(theta0)
-    stats = _collect_stats(model, theta0, beta, n, seed, 0, trials, workers, backend)
+    stats = _collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
     theta_hats = _theta_hats(entry, stats, n)
     covered = 0
     for th in theta_hats:
@@ -450,16 +448,11 @@ def mle_abs_error_sampler(
     model: str, theta0: float, n: int, *, beta: float = 1.0
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Sampler of M = |theta_hat - theta0| for use with the conditional check."""
-    backend = backends.get_backend()
     entry = registry.get_model(model, beta=beta)
     entry.validate_theta0(theta0)
 
     def draw_m(rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.empty(size)
-        for i in range(size):
-            x = backend.draw(model, theta0, beta, n, rng)
-            stat = float(np.log(x).mean()) if entry.stat_kind == "mean-log" else float(x.mean())
-            out[i] = abs(entry.mle_from_stat(stat, n) - theta0)
-        return out
+        stats = _pykernels.sample_stats(model, theta0, beta, n, size, rng)
+        return np.abs(_theta_hats(entry, stats, n) - theta0)
 
     return draw_m

@@ -43,7 +43,6 @@ class RegistryEntry:
 
     name: str = ""
     closed_form_mle: bool = True
-    stat_kind: str = "mean"  # per-trial sufficient statistic
     supports_ci: bool = True
 
     def validate_theta0(self, theta0: float) -> float:
@@ -179,7 +178,6 @@ class _Poisson(RegistryEntry):
 class _Beta(RegistryEntry):
     name = "beta"
     closed_form_mle = False
-    stat_kind = "mean-log"
 
     def __init__(self, beta: float = 1.0):
         if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):

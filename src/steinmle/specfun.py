@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -284,6 +282,9 @@ def normal_expectation(h, scale=1.0):
         raise DomainError(f"scale must be a finite nonnegative real, got {scale!r}")
     if scale == 0.0:
         return evaluator(0.0)
+    # Imported here: scipy.integrate dominates the import time of the CLI,
+    # and only this function needs it.
+    from scipy.integrate import quad
 
     def integrand(t):
         return evaluator(scale * t) * std_normal_pdf(t)

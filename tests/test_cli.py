@@ -1,10 +1,14 @@
 """CLI surface: verbs, formats, exit codes, environment seed."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import steinmle
 from steinmle.cli import main
 
 
@@ -15,6 +19,18 @@ def runner():
 
 def _json_out(result):
     return json.loads(result.output)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on first use only, so a verb that computes no
+    # Gaussian expectation does not pay its import time
+    src = os.path.dirname(os.path.dirname(steinmle.__file__))
+    code = "import sys, steinmle.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestBoundCommand:

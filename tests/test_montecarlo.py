@@ -11,7 +11,6 @@ from scipy.stats import ks_2samp
 from steinmle.errors import DegenerateSampleError, DomainError, UnknownModelError
 from steinmle.montecarlo import (
     SimulationConfig,
-    available_backends,
     ci_coverage,
     conditional_expectation_check,
     mle,
@@ -21,11 +20,16 @@ from steinmle.montecarlo import (
     run_simulation,
     sample,
 )
-from steinmle.montecarlo import backends
+from steinmle.montecarlo import _pykernels
 from steinmle.msebound import BetaParams
 from steinmle.registry import get_model
+from steinmle.specfun import polygamma
 
-HAVE_CYTHON = "cython" in available_backends()
+
+def _se_var(x):
+    # standard error of the sample variance: sqrt((m4 - m2^2) / N)
+    c = x - x.mean()
+    return math.sqrt((float(np.mean(c**4)) - float(np.mean(c**2)) ** 2) / len(x))
 
 
 class TestSamplers:
@@ -88,6 +92,68 @@ class TestSamplers:
         with pytest.raises(UnknownModelError):
             sample("weibull", 1.0, 10, 0)
 
+    def test_beta_small_shape_draws_stay_positive(self):
+        # Generator.beta(0.01, b) returns exact zeros (about 6 in 10^4);
+        # they are clamped so the log-observation stays finite
+        for beta in (1.0, 2.0):
+            x = sample("beta", 0.01, 10**5, 3, beta=beta)
+            assert float(x.min()) > 0.0
+        stats = _pykernels.trial_stats("beta", 0.01, 2.0, 50, 3, 0, 2000)
+        assert np.all(np.isfinite(stats))
+
+    def test_poisson_mean_beyond_numpy_range(self):
+        # n * theta0 = 1e20 is past numpy's Poisson limit (~9.2e18); the sum
+        # is drawn in independent pieces
+        rng = np.random.Generator(np.random.Philox(key=4))
+        stats = _pykernels.sample_stats("poisson", 1e17, 1.0, 1000, 2000, rng)
+        assert abs(float(stats.mean()) - 1e17) < 5.0 * math.sqrt(1e17 / 1000 / 2000)
+        rep = run_simulation(
+            SimulationConfig(model="poisson", theta0=1e17, n=1000, trials=20, seed=1)
+        )
+        assert 0.2 < rep.empirical_mse / (1e17 / 1000) < 3.0
+
+    def test_poisson_mean_beyond_sampler_range_rejected(self):
+        cfg = SimulationConfig(model="poisson", theta0=1e30, n=1000, trials=5, seed=1)
+        with pytest.raises(DomainError, match="sampler's range"):
+            run_simulation(cfg)
+
+
+class TestStatisticLaws:
+    """Each per-trial statistic sampler against the statistic of raw draws."""
+
+    @pytest.mark.parametrize("n", [5, 50])
+    @pytest.mark.parametrize(
+        "model,theta0,beta",
+        [
+            ("exp-canonical", 1.0, 1.0),
+            ("exp-noncanonical", 2.0, 1.0),
+            ("poisson", 3.5, 1.0),
+            ("beta", 1.5, 1.0),
+            ("beta", 1.5, 2.0),
+        ],
+    )
+    def test_matches_raw_sample_statistic(self, model, theta0, beta, n):
+        trials = 4000
+        direct = _pykernels.sample_stats(
+            model, theta0, beta, n, trials, _pykernels.make_generator(31, 0)
+        )
+        x = _pykernels.draw(model, theta0, beta, trials * n, _pykernels.make_generator(31, 1))
+        raw = (np.log(x) if model == "beta" else x).reshape(trials, n).mean(axis=1)
+        assert ks_2samp(direct, raw).pvalue > 1e-3
+        se_mean = math.sqrt((direct.var(ddof=1) + raw.var(ddof=1)) / trials)
+        assert abs(float(direct.mean() - raw.mean())) < 5.0 * se_mean
+        se_var = math.hypot(_se_var(direct), _se_var(raw))
+        assert abs(float(direct.var(ddof=1) - raw.var(ddof=1))) < 5.0 * se_var
+
+    def test_raw_trial_larger_than_a_block(self):
+        # a Beta(1.5, 2) trial above BLOCK_OBS observations is drawn in pieces;
+        # its mean log has mean psi(a) - psi(a + b), variance psi1(a) - psi1(a + b) over n
+        n, trials = _pykernels.BLOCK_OBS + 1000, 3
+        stats = _pykernels.trial_stats("beta", 1.5, 2.0, n, 8, 0, trials)
+        mean = polygamma(0, 1.5) - polygamma(0, 3.5)
+        se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 3.5)) / n / trials)
+        assert abs(float(stats.mean()) - mean) < 5.0 * se
+
 
 class TestMleOp:
     def test_closed_forms(self):
@@ -141,48 +207,20 @@ class TestDeterminism:
             reps.append(reports_to_csv([run_simulation(cfg)]))
         assert reps[0] == reps[1]
 
+    def test_raw_block_sweep_identical_across_worker_counts(self):
+        # Beta(1.5, 2) draws raw samples in blocks of 5 (n=11848) and 4
+        # (n=13848) trials; two workers split each row at those blocks
+        csv = [
+            reports_to_csv(
+                run_mse_sweep(BetaParams(1.5, 2.0), [11848, 13848], trials=12, seed=5, workers=w)
+            )
+            for w in (1, 2)
+        ]
+        assert csv[0] == csv[1]
+
     def test_csv_identical_across_runs(self):
         cfg = SimulationConfig(model="poisson", theta0=2.0, n=150, trials=200, seed=17)
         assert reports_to_csv([run_simulation(cfg)]) == reports_to_csv([run_simulation(cfg)])
-
-
-@pytest.mark.skipif(not HAVE_CYTHON, reason="compiled kernels unavailable")
-class TestBackendParity:
-    def test_sample_streams_agree(self):
-        pk = backends.get_backend("python")
-        ck = backends.get_backend("cython")
-        for model, theta0 in [
-            ("exp-canonical", 1.0),
-            ("exp-noncanonical", 2.0),
-            ("poisson", 3.5),
-            ("poisson", 45.0),
-            ("beta", 1.5),
-        ]:
-            a = pk.draw_sample(model, theta0, 1.0, 3000, 42, 7)
-            b = ck.draw_sample(model, theta0, 1.0, 3000, 42, 7)
-            # integer-valued and inverse-cdf draws are bit-identical; the
-            # exponential paths may differ by SIMD-vs-scalar log rounding
-            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
-
-    def test_trial_stats_agree(self):
-        pk = backends.get_backend("python")
-        ck = backends.get_backend("cython")
-        for model, theta0 in [("exp-canonical", 1.0), ("beta", 1.5), ("poisson", 2.0)]:
-            a = pk.trial_stats(model, theta0, 1.0, 250, 11, 0, 40)
-            b = ck.trial_stats(model, theta0, 1.0, 250, 11, 0, 40)
-            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
-
-    def test_reports_agree_across_backends(self):
-        reps = {}
-        for backend in ("python", "cython"):
-            cfg = SimulationConfig(
-                model="exp-canonical", theta0=1.0, n=100, trials=200, seed=3, backend=backend
-            )
-            reps[backend] = run_simulation(cfg)
-        assert reps["python"].empirical_distance == pytest.approx(
-            reps["cython"].empirical_distance, rel=1e-9, abs=1e-12
-        )
-        assert reps["python"].bound_total == reps["cython"].bound_total
 
 
 class TestRunSimulation:
@@ -229,7 +267,7 @@ class TestRunSimulation:
         trials, n = 1500, 10**5
         cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=n, trials=trials, seed=29)
         entry = get_model("exp-canonical")
-        stats = backends.get_backend().trial_stats("exp-canonical", 1.0, 1.0, n, 29, 0, trials)
+        stats = _pykernels.trial_stats("exp-canonical", 1.0, 1.0, n, 29, 0, trials)
         standardized = entry.standardize_scale(1.0, n) * (1.0 / stats - 1.0)
         mean = float(standardized.mean())
         var = float(standardized.var(ddof=1))
