@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from statistics import stdev
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -237,6 +236,23 @@ def _theta_hats(entry, stats: np.ndarray, n: int) -> np.ndarray:
     return np.array([entry.mle_from_stat(float(s), n) for s in stats])
 
 
+def _summarise(h_values, theta_hats: np.ndarray, theta0: float, trials: int):
+    """Mean of h, empirical MSE, and the standard error of the mean of h.
+
+    Every sum is an fsum, so no result depends on the order of the trials.
+    The standard error takes two passes (the mean, then the squared
+    deviations from it) and is None for a single trial.
+    """
+    mean_h = math.fsum(h_values) / trials
+    empirical_mse = math.fsum(((theta_hats - theta0) ** 2).tolist()) / trials
+    se = None
+    if trials > 1:
+        deviations = np.asarray(h_values) - mean_h
+        variance = math.fsum((deviations * deviations).tolist()) / (trials - 1)
+        se = math.sqrt(variance) / math.sqrt(trials)
+    return mean_h, empirical_mse, se
+
+
 def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     """Run one distance experiment and attach the model's bound.
 
@@ -261,10 +277,8 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     standardized = entry.standardize_scale(theta0, cfg.n) * (theta_hats - theta0)
     h_values = [h.evaluator(float(v)) for v in standardized]
     expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
-    mean_h = math.fsum(h_values) / cfg.trials
+    mean_h, empirical_mse, se = _summarise(h_values, theta_hats, theta0, cfg.trials)
     empirical_distance = abs(mean_h - expected_h)
-    empirical_mse = math.fsum((t - theta0) ** 2 for t in theta_hats) / cfg.trials
-    se = stdev(h_values) / math.sqrt(cfg.trials) if cfg.trials > 1 else None
     return SimulationReport(
         model=cfg.model,
         theta0=theta0,
@@ -314,8 +328,7 @@ def run_mse_sweep(
         theta_hats = _theta_hats(entry, stats, n)
         scale = entry.standardize_scale(params.theta0, n)
         h_values = [h.evaluator(float(scale * (t - params.theta0))) for t in theta_hats]
-        mean_h = math.fsum(h_values) / trials
-        empirical_mse = math.fsum((t - params.theta0) ** 2 for t in theta_hats) / trials
+        mean_h, empirical_mse, se = _summarise(h_values, theta_hats, params.theta0, trials)
         mse_bound = entry.mse_bound(params.theta0, n)
         reports.append(
             SimulationReport(
@@ -328,7 +341,7 @@ def run_mse_sweep(
                 empirical_mse=empirical_mse,
                 bound_total=mse_bound,
                 bound_terms=BoundBreakdown(terms=(("mse_bound", mse_bound),)),
-                standard_error=stdev(h_values) / math.sqrt(trials) if trials > 1 else None,
+                standard_error=se,
                 expected_h=expected_h,
                 target="mse",
             )

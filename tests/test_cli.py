@@ -33,6 +33,28 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "1", "--trials", "10", "--format", "json"],
+        ["simulate", "--model", "poisson", "--theta0", "5", "--n", "20", "--trials", "50",
+         "--format", "json"],
+        ["mse-sweep", "--n-from", "7460", "--n-to", "7461", "--trials", "5", "--format", "json"],
+    ],
+    ids=["table", "simulate", "mse-sweep"],
+)
+def test_verbs_computing_gaussian_expectations_run_without_scipy(args):
+    # a None entry in sys.modules makes every scipy import fail
+    src = os.path.dirname(os.path.dirname(steinmle.__file__))
+    code = "import sys; sys.modules['scipy'] = None; from steinmle.cli import main; main()"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    json.loads(out.stdout)
+
+
 class TestBoundCommand:
     def test_table1_last_row(self, runner):
         result = runner.invoke(

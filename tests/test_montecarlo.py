@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -237,6 +238,18 @@ class TestRunSimulation:
         assert rep.standard_error is None
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["standard_error"] is None
+
+    @pytest.mark.parametrize("trials", [2, 500, 10000])
+    def test_standard_error_matches_stdev(self, trials):
+        cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=5, trials=trials, seed=4)
+        rep = run_simulation(cfg)
+        entry = get_model("exp-canonical")
+        stats = _pykernels.trial_stats("exp-canonical", 1.0, 1.0, 5, 4, 0, trials)
+        scale = entry.standardize_scale(1.0, 5)
+        h = cfg.test_function.evaluator
+        h_values = [h(scale * (entry.mle_from_stat(float(s), 5) - 1.0)) for s in stats]
+        expected = statistics.stdev(h_values) / math.sqrt(trials)
+        assert rep.standard_error == pytest.approx(expected, rel=1e-14)
 
     def test_poisson_degenerate_case(self):
         cfg = SimulationConfig(model="poisson", theta0=0.0, n=50, trials=100, seed=1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinmle.errors import DomainError
+from steinmle.errors import ConvergenceError, DomainError
 from steinmle.specfun import (
     EULER_GAMMA,
     log_gamma,
@@ -157,10 +157,15 @@ class TestNormalExpectation:
         assert value == pytest.approx(0.379, abs=5e-4)  # the 3-decimal reference
         assert value == pytest.approx(0.37893607807065605, abs=1e-9)
 
-    def test_scaled_target(self):
+    # sqrt(0.5), sqrt(5) and sqrt(60) are the Poisson target sigmas the
+    # benchmark's small-n rows integrate against.
+    @pytest.mark.parametrize(
+        "sigma",
+        [1e-4, 0.1, 1.0, 1.7, math.sqrt(0.5), math.sqrt(5.0), math.sqrt(60.0), 100.0, 1e4],
+    )
+    def test_scaled_target(self, sigma):
         # E[h(sigma Z)] against a direct high-precision quadrature
         h = inv_quadratic_test_function()
-        sigma = 1.7
         with mp.workdps(30):
             ref = float(
                 mp.quad(lambda t: 1.0 / ((sigma * t) ** 2 + 2) * mp.npdf(t), [-mp.inf, 0, mp.inf])
@@ -180,6 +185,18 @@ class TestNormalExpectation:
             normal_expectation(3.0)
         with pytest.raises(DomainError):
             normal_expectation(lambda x: 1.0, scale=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_h_raises(self, bad):
+        with pytest.raises(ConvergenceError) as info:
+            normal_expectation(lambda x: bad)
+        assert "achieved_error" in info.value.details
+
+    def test_unmet_budget_raises_with_achieved_error(self):
+        # far too many oscillations for 300 intervals of the 21-point rule
+        with pytest.raises(ConvergenceError) as info:
+            normal_expectation(lambda x: math.cos(1e4 * x))
+        assert info.value.details["achieved_error"] > 1e-8
 
     def test_pdf_normalised(self):
         assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14)
