@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
-from .steincore import BoundBreakdown
+from .steincore import BoundBreakdown, check_sample_size
 
 __all__ = [
     "DEGENERATE_FISHER_INFO",
@@ -86,8 +86,7 @@ class PerturbationSpec:
             raise DomainError("interval endpoints must not be NaN")
         if not a < b:
             raise DomainError(f"interval endpoints must satisfy a < b, got [{a!r}, {b!r}]")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", check_sample_size(self.n))
         if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
             raise DomainError(f"c must be a finite positive real, got {self.c!r}")
         if math.isfinite(a) and math.isfinite(b) and not self.c < self.n * (b - a) / 2.0:
@@ -193,8 +192,7 @@ def general_perturbed_bound(
     normalisation here is 1/(sqrt(n) * i(theta0*)) -- the target is
     N(0, 1/i), not the unit normal.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     if not (isinstance(mle_gap_expectation, (int, float)) and mle_gap_expectation >= 0.0):
         raise DomainError(
             f"mle_gap_expectation must be nonnegative, got {mle_gap_expectation!r}"
@@ -341,8 +339,7 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     """
     if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 >= 0.0):
         raise DomainError(f"theta0 must be a finite nonnegative real, got {theta0!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     theta0 = float(theta0)
     if theta0 == 0.0:
         zero_terms = tuple(
@@ -374,6 +371,5 @@ def poisson_direct_bound(theta0: float, n: int) -> float:
     """
     if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 > 0.0):
         raise DomainError(f"theta0 must be a finite positive real, got {theta0!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     return (2.0 + (3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75) / math.sqrt(n)

@@ -20,14 +20,6 @@ import click
 from . import registry
 from .errors import ConvergenceError, DomainError, SteinMLEError
 from .expfam import exp_noncanonical_ingredients
-from .montecarlo import (
-    SimulationConfig,
-    ci_coverage,
-    reports_to_csv,
-    run_mse_sweep,
-    run_simulation,
-)
-from .montecarlo.harness import REPORT_CSV_COLUMNS
 from .msebound import BetaParams
 from .steincore import inv_quadratic_test_function, kolmogorov_from_bw, score_bound
 
@@ -47,6 +39,24 @@ _TABLE_SPECS = {
 }
 
 
+def _echo(message: str, nl: bool = True, err: bool = False):
+    """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` if err).
+
+    Left to find the stream itself, click caches it in a weak-key table
+    whose value, for an in-memory stream such as a redirected StringIO, is
+    the key itself; that entry never dies and keeps every call's output.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
+def _harness():
+    """The Monte Carlo harness, imported by the verbs that run it: it loads
+    numpy, which the bound and constants verbs never need."""
+    from .montecarlo import harness
+
+    return harness
+
+
 def _emit_error(fmt: str, exc: Exception, code: int):
     if fmt == "json":
         payload = {
@@ -54,9 +64,9 @@ def _emit_error(fmt: str, exc: Exception, code: int):
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        click.echo(json.dumps(payload), err=True)
+        _echo(json.dumps(payload), err=True)
     else:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
     sys.exit(code)
 
 
@@ -114,7 +124,7 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta, fmt):
         )
         b_k = kolmogorov_from_bw(breakdown.total)
         if fmt == "json":
-            click.echo(
+            _echo(
                 json.dumps(
                     {
                         "schema": "steinmle/bound/v1",
@@ -129,16 +139,16 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta, fmt):
                 )
             )
         elif fmt == "csv":
-            click.echo("label,value")
+            _echo("label,value")
             for label, value in breakdown.to_csv_rows():
-                click.echo(f"{label},{value}")
-            click.echo(f"kolmogorov_bound,{b_k!r}")
+                _echo(f"{label},{value}")
+            _echo(f"kolmogorov_bound,{b_k!r}")
         else:
             width = max(len(label) for label, _ in breakdown.terms)
             for label, value in breakdown.terms:
-                click.echo(f"{label:<{width}}  {value:.6g}")
-            click.echo(f"{'total':<{width}}  {breakdown.total:.6g}")
-            click.echo(f"{'kolmogorov':<{width}}  {b_k:.6g}")
+                _echo(f"{label:<{width}}  {value:.6g}")
+            _echo(f"{'total':<{width}}  {breakdown.total:.6g}")
+            _echo(f"{'kolmogorov':<{width}}  {b_k:.6g}")
 
     _guard(fmt, run)
 
@@ -172,10 +182,11 @@ def cmd_table(which, trials, seed, workers, fmt):
     """
 
     def run():
+        mc = _harness()
         spec = _TABLE_SPECS[which]
         seed_val = _seed_default() if seed is None else seed
         if which == 3:
-            reports = run_mse_sweep(
+            reports = mc.run_mse_sweep(
                 BetaParams(spec["theta0"], spec["beta"]),
                 spec["ns"],
                 trials=trials,
@@ -185,7 +196,7 @@ def cmd_table(which, trials, seed, workers, fmt):
         else:
             reports = []
             for row, n in enumerate(spec["ns"]):
-                cfg = SimulationConfig(
+                cfg = mc.SimulationConfig(
                     model=spec["model"],
                     theta0=spec["theta0"],
                     n=n,
@@ -194,7 +205,7 @@ def cmd_table(which, trials, seed, workers, fmt):
                     test_function=_TABLE_H,
                     workers=workers,
                 )
-                reports.append(run_simulation(cfg))
+                reports.append(mc.run_simulation(cfg))
         if fmt == "json":
             payload = {
                 "schema": "steinmle/table/v1",
@@ -204,14 +215,14 @@ def cmd_table(which, trials, seed, workers, fmt):
             if which == 2:
                 for row, rep in zip(payload["rows"], reports):
                     row["direct_bound"] = _direct_bound_column(rep.n)
-            click.echo(json.dumps(payload))
+            _echo(json.dumps(payload))
         elif fmt == "csv":
             if which == 2:
-                click.echo(",".join(REPORT_CSV_COLUMNS + ("direct_bound",)))
+                _echo(",".join(mc.REPORT_CSV_COLUMNS + ("direct_bound",)))
                 for rep in reports:
-                    click.echo(",".join(rep.csv_row() + (repr(_direct_bound_column(rep.n)),)))
+                    _echo(",".join(rep.csv_row() + (repr(_direct_bound_column(rep.n)),)))
             else:
-                click.echo(reports_to_csv(reports), nl=False)
+                _echo(mc.reports_to_csv(reports), nl=False)
         else:
             digits = 4 if which == 3 else 3
             headers = ["n", "empirical_mse" if which == 3 else "empirical", "bound", "error"]
@@ -228,7 +239,7 @@ def cmd_table(which, trials, seed, workers, fmt):
                 if which == 2:
                     row.append(f"{_direct_bound_column(rep.n):.3f}")
                 rows.append(row)
-            click.echo(_render_reports_text(rows, headers))
+            _echo(_render_reports_text(rows, headers))
 
     _guard(fmt, run)
 
@@ -248,7 +259,8 @@ def cmd_simulate(model, theta0, n, trials, seed, beta, epsilon, c, workers, fmt)
     """Empirical h-discrepancy and MSE for one configuration, with its bound."""
 
     def run():
-        cfg = SimulationConfig(
+        mc = _harness()
+        cfg = mc.SimulationConfig(
             model=model,
             theta0=theta0,
             n=n,
@@ -259,24 +271,24 @@ def cmd_simulate(model, theta0, n, trials, seed, beta, epsilon, c, workers, fmt)
             c="auto" if c is None else c,
             workers=workers,
         )
-        rep = run_simulation(cfg)
+        rep = mc.run_simulation(cfg)
         if fmt == "json":
-            click.echo(json.dumps(rep.to_dict()))
+            _echo(json.dumps(rep.to_dict()))
         elif fmt == "csv":
-            click.echo(reports_to_csv([rep]), nl=False)
+            _echo(mc.reports_to_csv([rep]), nl=False)
         else:
-            click.echo(f"model             {rep.model}")
-            click.echo(f"theta0            {rep.theta0:g}")
-            click.echo(f"n                 {rep.n}")
-            click.echo(f"trials            {rep.trials}")
-            click.echo(f"seed              {rep.seed}")
-            click.echo(f"empirical         {rep.empirical_distance:.6g}")
-            click.echo(f"empirical_mse     {rep.empirical_mse:.6g}")
-            click.echo(f"bound             {rep.bound_total:.6g}")
-            click.echo(f"error             {rep.error:.6g}")
+            _echo(f"model             {rep.model}")
+            _echo(f"theta0            {rep.theta0:g}")
+            _echo(f"n                 {rep.n}")
+            _echo(f"trials            {rep.trials}")
+            _echo(f"seed              {rep.seed}")
+            _echo(f"empirical         {rep.empirical_distance:.6g}")
+            _echo(f"empirical_mse     {rep.empirical_mse:.6g}")
+            _echo(f"bound             {rep.bound_total:.6g}")
+            _echo(f"error             {rep.error:.6g}")
             se = "n/a" if rep.standard_error is None else f"{rep.standard_error:.3g}"
-            click.echo(f"standard_error    {se}")
-            click.echo(f"backend           {rep.backend}")
+            _echo(f"standard_error    {se}")
+            _echo(f"backend           {rep.backend}")
 
     _guard(fmt, run)
 
@@ -295,7 +307,7 @@ def cmd_ci(model, theta0, n, alpha, trials, seed, beta, workers, fmt):
     """Coverage of the conservative (Kolmogorov-widened) confidence interval."""
 
     def run():
-        res = ci_coverage(
+        res = _harness().ci_coverage(
             model,
             theta0,
             n,
@@ -306,7 +318,7 @@ def cmd_ci(model, theta0, n, alpha, trials, seed, beta, workers, fmt):
             workers=workers,
         )
         if fmt == "json":
-            click.echo(
+            _echo(
                 json.dumps(
                     {
                         "schema": "steinmle/coverage/v1",
@@ -322,15 +334,15 @@ def cmd_ci(model, theta0, n, alpha, trials, seed, beta, workers, fmt):
                 )
             )
         elif fmt == "csv":
-            click.echo("model,theta0,n,alpha,trials,b_k,degenerate,coverage")
-            click.echo(
+            _echo("model,theta0,n,alpha,trials,b_k,degenerate,coverage")
+            _echo(
                 f"{model},{theta0!r},{n},{alpha!r},{res.trials},"
                 f"{res.b_k!r},{res.degenerate},{res.coverage!r}"
             )
         else:
-            click.echo(f"b_k         {res.b_k:.6g}")
-            click.echo(f"degenerate  {res.degenerate}")
-            click.echo(f"coverage    {res.coverage:.4f}")
+            _echo(f"b_k         {res.b_k:.6g}")
+            _echo(f"degenerate  {res.degenerate}")
+            _echo(f"coverage    {res.coverage:.4f}")
 
     _guard(fmt, run)
 
@@ -352,7 +364,8 @@ def cmd_mse_sweep(theta0, beta, n_from, n_to, n_step, trials, seed, workers, fmt
         if n_step < 1 or n_to < n_from:
             raise DomainError("need n-from <= n-to and n-step >= 1")
         ns = list(range(n_from, n_to + 1, n_step))
-        reports = run_mse_sweep(
+        mc = _harness()
+        reports = mc.run_mse_sweep(
             BetaParams(theta0, beta),
             ns,
             trials=trials,
@@ -360,19 +373,19 @@ def cmd_mse_sweep(theta0, beta, n_from, n_to, n_step, trials, seed, workers, fmt
             workers=workers,
         )
         if fmt == "json":
-            click.echo(
+            _echo(
                 json.dumps(
                     {"schema": "steinmle/table/v1", "table": "mse-sweep", "rows": [r.to_dict() for r in reports]}
                 )
             )
         elif fmt == "csv":
-            click.echo(reports_to_csv(reports), nl=False)
+            _echo(mc.reports_to_csv(reports), nl=False)
         else:
             rows = [
                 [str(r.n), f"{r.empirical_mse:.4g}", f"{r.bound_total:.4f}", f"{r.error:.4g}"]
                 for r in reports
             ]
-            click.echo(_render_reports_text(rows, ["n", "empirical_mse", "bound", "error"]))
+            _echo(_render_reports_text(rows, ["n", "empirical_mse", "bound", "error"]))
 
     _guard(fmt, run)
 
@@ -401,15 +414,15 @@ def cmd_constants(model, theta0, n, beta, epsilon, fmt):
             payload = entry.audit(theta0, n)
         payload = {"schema": "steinmle/constants/v1", **payload}
         if fmt == "json":
-            click.echo(json.dumps(payload))
+            _echo(json.dumps(payload))
         elif fmt == "csv":
             flat = _flatten(payload)
-            click.echo("key,value")
+            _echo("key,value")
             for k, v in flat:
-                click.echo(f"{k},{v}")
+                _echo(f"{k},{v}")
         else:
             for k, v in _flatten(payload):
-                click.echo(f"{k} = {v}")
+                _echo(f"{k} = {v}")
 
     _guard(fmt, run)
 

@@ -19,18 +19,17 @@ polygamma values at theta0 and theta0 + beta.
 Numerical note: the Beta combination B3 divides by a difference of
 nearly-equal terms (inner denominator ~0.0019 at theta0=1.5, n=7500), so the
 constants are produced by the high-accuracy polygamma path and the final
-combination is carried out in extended precision (mpmath, 50 digits) before
-rounding once to float.  That caps the assembly error near 1e-13, far inside
-the +-5e-4 acceptance band for the tabulated values.
+combination is carried out in extended precision (stdlib ``decimal``, 50
+digits) before rounding once to float.  That caps the assembly error near
+1e-13, far inside the +-5e-4 acceptance band for the tabulated values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Optional, Sequence
-
-import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
 from .specfun import polygamma
@@ -40,6 +39,7 @@ from .steincore import (
     TERM_SCORE,
     TERM_TAYLOR,
     BoundBreakdown,
+    check_sample_size,
 )
 
 __all__ = [
@@ -57,7 +57,9 @@ __all__ = [
     "beta_score",
 ]
 
-_MP_DPS = 50
+# Decimal(float) is exact and + - * / sqrt round correctly, so each result is
+# the float nearest a 50-digit value, whatever the caller's decimal context.
+_EXTENDED = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
 def _checked_positive(value, what):
@@ -123,20 +125,14 @@ class BetaParams:
         _checked_positive(self.beta, "beta")
 
 
-def _check_n(n):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return n
-
-
-def _d1_mp(ing: ImplicitModelIngredients, n) -> mp.mpf:
-    with mp.workdps(_MP_DPS):
-        nn = mp.mpf(n)
-        i = mp.mpf(ing.fisher_info)
+def _d1_dec(ing: ImplicitModelIngredients, n: int) -> Decimal:
+    with localcontext(_EXTENDED):
+        nn = Decimal(n)
+        i = Decimal(ing.fisher_info)
         return (
             1
-            - 2 * mp.mpf(ing.sup_x2_norm) / (nn * i * mp.mpf(ing.epsilon) ** 2)
-            - mp.mpf(ing.sup_x_norm) * mp.mpf(ing.c1_const) / (mp.sqrt(nn) * i**mp.mpf("1.5"))
+            - 2 * Decimal(ing.sup_x2_norm) / (nn * i * Decimal(ing.epsilon) ** 2)
+            - Decimal(ing.sup_x_norm) * Decimal(ing.c1_const) / (nn.sqrt() * i * i.sqrt())
         )
 
 
@@ -146,8 +142,7 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     May be <= 0 below the minimal sample size; the sign is the caller's
     signal, no exception is raised here.
     """
-    _check_n(n)
-    return float(_d1_mp(ing, n))
+    return float(_d1_dec(ing, check_sample_size(n)))
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
@@ -156,19 +151,16 @@ def minimal_n(ing: ImplicitModelIngredients) -> int:
     Closed form from the quadratic in sqrt(n):
     ceil( ||x||^2 [C1 eps + sqrt((C1 eps)^2 + 8 i^2)]^2 / (4 i^3 eps^2) ).
     """
-    with mp.workdps(_MP_DPS):
-        i = mp.mpf(ing.fisher_info)
-        eps = mp.mpf(ing.epsilon)
-        ce = mp.mpf(ing.c1_const) * eps
-        rhs = (
-            mp.mpf(ing.sup_x_norm) ** 2
-            * (ce + mp.sqrt(ce**2 + 8 * i**2)) ** 2
-            / (4 * i**3 * eps**2)
-        )
+    with localcontext(_EXTENDED):
+        i = Decimal(ing.fisher_info)
+        eps = Decimal(ing.epsilon)
+        ce = Decimal(ing.c1_const) * eps
+        x2 = Decimal(ing.sup_x_norm) ** 2
+        rhs = x2 * (ce + (ce**2 + 8 * i**2).sqrt()) ** 2 / (4 * i**3 * eps**2)
         # The closed form assumes ||x^2|| = ||x||^2 (true for supports inside
         # [-1, 1] and for the Beta case); fall back to a scan otherwise.
-        if abs(mp.mpf(ing.sup_x2_norm) - mp.mpf(ing.sup_x_norm) ** 2) < mp.mpf("1e-30"):
-            return int(mp.ceil(rhs))
+        if abs(Decimal(ing.sup_x2_norm) - x2) < Decimal("1e-30"):
+            return int(rhs.to_integral_value(ROUND_CEILING))
     n = max(1, int(rhs))
     while d1(ing, n) <= 0.0:
         n += 1
@@ -184,23 +176,24 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     inequality has no positive solution and a DomainError names the minimal
     sample size.
     """
-    _check_n(n)
-    with mp.workdps(_MP_DPS):
-        dd = _d1_mp(ing, n)
+    n = check_sample_size(n)
+    with localcontext(_EXTENDED):
+        dd = _d1_dec(ing, n)
         if dd <= 0:
             raise DomainError(
                 f"n below minimal n = {minimal_n(ing)} (quadratic coefficient D1 <= 0)"
             )
-        nn = mp.mpf(n)
-        i = mp.mpf(ing.fisher_info)
-        x = mp.mpf(ing.sup_x_norm)
-        var = mp.mpf(ing.var_l2)
-        third = mp.mpf(ing.third_abs_score_moment)
-        lin = 2 * x * mp.sqrt(var) / (nn * i**mp.mpf("1.5"))
+        nn = Decimal(n)
+        i = Decimal(ing.fisher_info)
+        i32 = i * i.sqrt()
+        x = Decimal(ing.sup_x_norm)
+        var = Decimal(ing.var_l2)
+        third = Decimal(ing.third_abs_score_moment)
+        lin = 2 * x * var.sqrt() / (nn * i32)
         rad = 4 * x**2 * var / (nn**2 * i**3) + (4 * dd / (nn * i)) * (
-            1 + (2 * x / mp.sqrt(nn)) * (2 + third / i**mp.mpf("1.5"))
+            1 + (2 * x / nn.sqrt()) * (2 + third / i32)
         )
-        return float((lin + mp.sqrt(rad)) / (2 * dd))
+        return float((lin + rad.sqrt()) / (2 * dd))
 
 
 def implicit_distance_bound(
@@ -212,7 +205,7 @@ def implicit_distance_bound(
     remainder sqrt(n) C1 A1^2 / (2 sqrt(i)); and the R2 term
     sqrt(Var l'') A1 / sqrt(i) (zero whenever l'' is deterministic).
     """
-    _check_n(n)
+    n = check_sample_size(n)
     a1 = _checked_nonneg(a1, "a1")
     t_score = (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5) / math.sqrt(n)
     t_markov = 2.0 * a1**2 / ing.epsilon**2
@@ -228,14 +221,17 @@ def implicit_distance_bound(
     )
 
 
-def _beta_b1(theta0: float, beta: float) -> float:
-    """Fourth-moment bound for the Beta shape score, from polygammas."""
-    return 8.0 * (
+def _beta_fisher_b1(theta0: float, beta: float):
+    """The information psi_1(theta0) - psi_1(theta0 + beta), and B1, the
+    fourth-moment bound for the shape score: four polygamma values in all."""
+    psi1, psi1_beta = polygamma(1, theta0), polygamma(1, theta0 + beta)
+    b1 = 8.0 * (
         polygamma(3, theta0)
         + polygamma(3, theta0 + beta)
-        + 3.0 * polygamma(1, theta0) ** 2
-        + 3.0 * polygamma(1, theta0 + beta) ** 2
+        + 3.0 * psi1**2
+        + 3.0 * psi1_beta**2
     )
+    return psi1 - psi1_beta, b1
 
 
 def beta_ingredients(
@@ -254,8 +250,7 @@ def beta_ingredients(
     eps = theta0 / 2.0 if epsilon is None else float(epsilon)
     if not (0.0 < eps < theta0):
         raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
-    fisher = polygamma(1, theta0) - polygamma(1, theta0 + beta)
-    b1 = _beta_b1(theta0, beta)
+    fisher, b1 = _beta_fisher_b1(theta0, beta)
     # sup |l'''| <= 6 beta / (theta0 - eps)^4 + 6.6 beta  per observation
     # (the 6.6 absorbs the zeta(4) tail of the order-3 polygamma series).
     c1 = 6.0 * beta / (theta0 - eps) ** 4 + 6.6 * beta
@@ -278,7 +273,7 @@ def beta_b_constants(p: BetaParams) -> dict:
     """
     ing = beta_ingredients(p)
     return {
-        "B1": _beta_b1(p.theta0, p.beta),
+        "B1": _beta_fisher_b1(p.theta0, p.beta)[1],
         "B2": ing.c1_const,
         "D_psi1": ing.fisher_info,
         "minimal_n": minimal_n(ing),
@@ -292,18 +287,19 @@ def beta_b3(p: BetaParams, n: int) -> float:
     precision: the denominator subtracts nearly-equal quantities.  Rejects n
     below the minimal admissible size (nonpositive denominator).
     """
-    _check_n(n)
-    ing = beta_ingredients(p)
-    with mp.workdps(_MP_DPS):
-        dd = _d1_mp(ing, n)
+    n = check_sample_size(n)
+    return _beta_b3(beta_ingredients(p), n)
+
+
+def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
+    with localcontext(_EXTENDED):
+        dd = _d1_dec(ing, n)
         if dd <= 0:
             raise DomainError(f"n below minimal n = {minimal_n(ing)}")
-        nn = mp.mpf(n)
-        dpsi = mp.mpf(ing.fisher_info)
-        b1_34 = mp.mpf(ing.third_abs_score_moment)  # already B1^(3/4)
-        num = mp.sqrt((4 + (8 / mp.sqrt(nn)) * (2 + b1_34 / dpsi**mp.mpf("1.5"))) * dd)
-        den = 2 * mp.sqrt(dpsi) * dd
-        return float(num / den)
+        dpsi = Decimal(ing.fisher_info)
+        b1_34 = Decimal(ing.third_abs_score_moment)  # already B1^(3/4)
+        num = ((4 + (8 / Decimal(n).sqrt()) * (2 + b1_34 / (dpsi * dpsi.sqrt()))) * dd).sqrt()
+        return float(num / (2 * dpsi.sqrt() * dd))
 
 
 def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
@@ -313,11 +309,9 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     (8/(n theta0^2)) B3^2; Taylor remainder B2 B3^2/(2 sqrt(n) sqrt(D_psi1)).
     The R2 term is identically zero (Var l'' = 0) and is reported as such.
     """
-    _check_n(n)
+    n = check_sample_size(n)
     ing = beta_ingredients(p)
-    b3 = beta_b3(p, n)  # validates n
-    a1 = b3 / math.sqrt(n)
-    return implicit_distance_bound(ing, n, a1)
+    return implicit_distance_bound(ing, n, _beta_b3(ing, n) / math.sqrt(n))
 
 
 def beta_score(theta: float, beta: float, n: int, sum_log: float) -> float:

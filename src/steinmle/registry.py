@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import boundary, expfam, msebound
 from .errors import DegenerateSampleError, DomainError, UnknownModelError
 from .expfam import ModelDescriptor
@@ -29,7 +27,9 @@ __all__ = ["MODEL_NAMES", "get_model", "RegistryEntry"]
 MODEL_NAMES = ("exp-canonical", "exp-noncanonical", "poisson", "beta")
 
 
-def _as_clean_sample(sample) -> np.ndarray:
+def _as_clean_sample(sample):
+    import numpy as np  # here, so that the bound verbs never load numpy
+
     arr = np.asarray(list(sample), dtype=float)
     if arr.size == 0:
         raise DegenerateSampleError("sample must be nonempty")

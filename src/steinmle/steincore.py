@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -67,6 +69,13 @@ def _check_nonneg(value, what, allow_inf=True):
     if not allow_inf and math.isinf(v):
         raise DomainError(f"{what} must be finite, got {v!r}")
     return v
+
+
+def check_sample_size(n) -> int:
+    """n as a plain int: any integer type but bool (numpy's too), at least 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    return operator.index(n)
 
 
 @dataclass(frozen=True)
@@ -329,8 +338,7 @@ def conservative_ci(
     """
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     fisher = _check_nonneg(fisher_info, "fisher_info", allow_inf=False)
     if fisher <= 0.0:
         raise DomainError(f"fisher_info must be positive, got {fisher!r}")
@@ -356,8 +364,7 @@ def direct_sum_bound(sigma: float, third_abs_moment: float, n: int) -> float:
     if s <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
     m3 = _check_nonneg(third_abs_moment, "third_abs_moment")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     return (2.0 + m3 / s**3) / math.sqrt(n)
 
 

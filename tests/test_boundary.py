@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -310,3 +311,35 @@ class TestPoissonDirectBound:
             poisson_direct_bound(0.0, 10)
         with pytest.raises(DomainError):
             poisson_direct_bound(-1.0, 10)
+
+
+class TestIntegerTypesForN:
+    """numpy integers are integers: every n check takes them, bool it rejects."""
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_integers_give_the_plain_int_result(self, int_type):
+        n = int_type(100)
+        assert poisson_bound(1.0, n).total == poisson_bound(1.0, 100).total
+        assert poisson_bound(1.0, n, 2.0).total == poisson_bound(1.0, 100, 2.0).total
+        assert poisson_direct_bound(1.0, n) == poisson_direct_bound(1.0, 100)
+        spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=n)
+        assert type(spec.n) is int and spec.n == 100
+        stats = PerturbedScoreStats(w1=0.0, w2=0.01, third_abs_central=4.0**0.75 / 1000.0)
+        ing = poisson_perturbed_ingredients(1.0, 100, 1.0)
+        got = general_perturbed_bound(1.0, n, spec, stats, 1.0, 0.01, ing)
+        want = general_perturbed_bound(1.0, 100, spec, stats, 1.0, 0.01, ing)
+        assert got.total == want.total
+
+    def test_bool_rejected(self):
+        with pytest.raises(DomainError):
+            poisson_bound(1.0, True)
+        with pytest.raises(DomainError):
+            poisson_direct_bound(1.0, True)
+        with pytest.raises(DomainError):
+            PerturbationSpec(a=0.0, b=INF, c=0.5, n=True)
+        spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=1)
+        stats = PerturbedScoreStats(w1=0.0, w2=1.0, third_abs_central=1.0)
+        with pytest.raises(DomainError):
+            general_perturbed_bound(
+                1.0, True, spec, stats, 1.0, 1.0, poisson_perturbed_ingredients(1.0, 1, 1.0)
+            )

@@ -1,9 +1,12 @@
 """CLI surface: verbs, formats, exit codes, environment seed."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -21,18 +24,6 @@ def _json_out(result):
     return json.loads(result.output)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported on first use only, so a verb that computes no
-    # Gaussian expectation does not pay its import time
-    src = os.path.dirname(os.path.dirname(steinmle.__file__))
-    code = "import sys, steinmle.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
-    )
-    assert out.stdout.strip() == "[]"
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -44,9 +35,13 @@ def test_cli_import_loads_no_scipy():
     ids=["table", "simulate", "mse-sweep"],
 )
 def test_verbs_computing_gaussian_expectations_run_without_scipy(args):
-    # a None entry in sys.modules makes every scipy import fail
+    # a None entry in sys.modules makes every import of that module fail;
+    # mpmath, like scipy, is a test-only dependency
     src = os.path.dirname(os.path.dirname(steinmle.__file__))
-    code = "import sys; sys.modules['scipy'] = None; from steinmle.cli import main; main()"
+    code = (
+        "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
+        "from steinmle.cli import main; main()"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
@@ -130,6 +125,27 @@ class TestBoundCommand:
         assert lines[0] == "label,value"
         labels = [ln.split(",")[0] for ln in lines[1:]]
         assert labels == ["score", "markov_tail", "r2", "taylor_remainder", "total", "kolmogorov_bound"]
+
+
+def test_in_process_calls_keep_no_output_alive():
+    # click caches the stream it resolves for echo; for a redirected
+    # StringIO that cache entry would hold every call's output for good
+    args = ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "100", "--format", "json"]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(args, standalone_mode=False)
+
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            call()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 50_000
 
 
 class TestTableCommand:

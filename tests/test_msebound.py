@@ -335,3 +335,72 @@ class TestIngredientValidation:
             _synthetic_ingredients(var_l2=-1.0)
         with pytest.raises(DomainError):
             _synthetic_ingredients(epsilon=-0.1)
+
+
+class TestIntegerTypesForN:
+    """numpy integers are integers: every n check takes them, bool it rejects."""
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_integers_give_the_plain_int_result(self, int_type):
+        ing = beta_ingredients(P)
+        n = int_type(7500)
+        assert beta_b3(P, n) == beta_b3(P, 7500)
+        assert d1(ing, n) == d1(ing, 7500)
+        assert mse_upper_bound_a1(ing, n) == mse_upper_bound_a1(ing, 7500)
+        assert beta_distance_bound(P, n).total == beta_distance_bound(P, 7500).total
+        assert (
+            implicit_distance_bound(ing, n, 0.01).total
+            == implicit_distance_bound(ing, 7500, 0.01).total
+        )
+
+    def test_bool_rejected(self):
+        ing = beta_ingredients(P)
+        for call in (
+            lambda: beta_b3(P, True),
+            lambda: beta_distance_bound(P, True),
+            lambda: d1(ing, True),
+            lambda: mse_upper_bound_a1(ing, True),
+            lambda: implicit_distance_bound(ing, True, 0.01),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+
+def _mpmath_reference(ing, n):
+    """D1, B3 and A1 at n, and the minimal n, in mpmath at 50 digits.
+
+    The same formulas as the package, in a different extended-precision
+    arithmetic (binary, ~169 bits, against the package's 50-digit decimal).
+    """
+    with mp.workdps(50):
+        nn, i = mp.mpf(n), mp.mpf(ing.fisher_info)
+        eps, c1 = mp.mpf(ing.epsilon), mp.mpf(ing.c1_const)
+        x, x2, var = mp.mpf(ing.sup_x_norm), mp.mpf(ing.sup_x2_norm), mp.mpf(ing.var_l2)
+        third = mp.mpf(ing.third_abs_score_moment)
+        i32 = i ** mp.mpf("1.5")
+        dd = 1 - 2 * x2 / (nn * i * eps**2) - x * c1 / (mp.sqrt(nn) * i32)
+        b3 = mp.sqrt((4 + (8 / mp.sqrt(nn)) * (2 + third / i32)) * dd) / (2 * mp.sqrt(i) * dd)
+        lin = 2 * x * mp.sqrt(var) / (nn * i32)
+        rad = 4 * x**2 * var / (nn**2 * i**3) + (4 * dd / (nn * i)) * (
+            1 + (2 * x / mp.sqrt(nn)) * (2 + third / i32)
+        )
+        a1 = (lin + mp.sqrt(rad)) / (2 * dd)
+        ce = c1 * eps
+        floor = mp.ceil(x**2 * (ce + mp.sqrt(ce**2 + 8 * i**2)) ** 2 / (4 * i**3 * eps**2))
+        return float(dd), float(b3), float(a1), int(floor)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+def test_decimal_combination_equals_mpmath(theta0, beta):
+    # the bound-grid Beta lattice: every float must be the same bit for bit
+    p = BetaParams(theta0, beta)
+    ing = beta_ingredients(p)
+    floor = minimal_n(ing)
+    for offset in (0, 1, 10, 300):
+        n = floor + offset
+        want_d1, want_b3, want_a1, want_floor = _mpmath_reference(ing, n)
+        assert floor == want_floor
+        assert d1(ing, n) == want_d1
+        assert beta_b3(p, n) == want_b3
+        assert mse_upper_bound_a1(ing, n) == want_a1
