@@ -75,7 +75,8 @@ def _guard(fmt: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (DomainError, click.UsageError) as exc:
         _emit_error(fmt, exc, EXIT_VALIDATION)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
+        # overflow or division by zero at an extreme input is a numerical failure
         _emit_error(fmt, exc, EXIT_NUMERICAL)
     except SteinMLEError as exc:
         _emit_error(fmt, exc, EXIT_VALIDATION)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .steincore import BoundIngredients
+from .steincore import BoundIngredients, check_sample_size
 
 __all__ = [
     "ExpFamilySpec",
@@ -153,8 +153,7 @@ def exp_canonical_ingredients(
     it is unused on the deterministic route and stored as +inf below that.
     """
     theta0, eps = _check_theta0_eps(theta0, epsilon)
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"n must be an integer, got {n!r}")
+    n = check_sample_size(n)
     if n < 3:
         raise DomainError(f"canonical exponential MSE requires n >= 3, got {n}")
     mse = (n + 2) * theta0**2 / ((n - 1) * (n - 2))
@@ -192,8 +191,7 @@ def exp_noncanonical_ingredients(
     Cauchy-Schwarz Taylor route is used.
     """
     theta0, eps = _check_theta0_eps(theta0, epsilon)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     return BoundIngredients(
         theta0=theta0,
         n=n,

@@ -8,20 +8,25 @@ law, each trial draws it directly:
 * exp-canonical (rate theta0): the mean is Gamma(n, scale 1/theta0) / n;
 * exp-noncanonical (mean theta0): the mean is Gamma(n, scale theta0) / n;
 * poisson: the mean is Poisson(n theta0) / n;
-* beta with known shape 1: -log X ~ Exp(rate theta0), so the mean log is
-  -Gamma(n, scale 1/theta0) / n.
+* beta with integer known shape m <= n: Beta(theta0, m) has the law of
+  prod_{k<m} Beta(theta0 + k, 1), and -log Beta(c, 1) ~ Exp(rate c), so the
+  mean log is -sum_{k<m} Gamma(n, scale 1/(theta0 + k)) / n (m = 1 is the
+  exponential case).
 
-Beta with another known shape has no such law.  Its trials draw raw samples
-with ``Generator.beta`` in blocks of ``block_trials(n)`` whole trials, which
-hold at most ``BLOCK_OBS`` observations when n allows.
+Beta with a non-integer known shape has no such law, and one above n costs
+more through it than raw sampling does.  Those trials draw raw samples with
+``Generator.beta`` in blocks of ``block_trials(n)`` whole trials, which hold
+at most ``BLOCK_OBS`` observations when n allows.
 
 Stream layout.  A call covering trials [trial_start, trial_stop) draws its
 closed-form statistics in order from one stream: Philox4x64 keyed by the
-seed and jumped trial_start times (2^128 steps per jump).  A raw-sample block
-whose first trial is t draws from the stream jumped t times, and blocks start
-at trial_start plus multiples of ``block_trials(n)``.  The harness gives rows
-disjoint trial ranges, so rows and blocks get disjoint streams, and a row's
-output does not depend on how its blocks are spread over processes.
+seed and jumped trial_start times (2^128 steps per jump); the integer-shape
+Beta law takes its m gamma arrays from it one after another, k = 0 first.
+A raw-sample block whose first trial is t draws from the stream jumped t
+times, and blocks start at trial_start plus multiples of
+``block_trials(n)``.  The harness gives rows disjoint trial ranges, so rows
+and blocks get disjoint streams, and a row's output does not depend on how
+its blocks are spread over processes.
 
 Raw draws (``draw``) use numpy's own samplers: ``exponential``, ``poisson``
 (inversion below mean 10, Hoermann's PTRS above) and ``beta``.
@@ -65,9 +70,12 @@ def block_trials(n: int) -> int:
     return max(1, BLOCK_OBS // n)
 
 
-def raw_sampled(model: str, beta: float) -> bool:
-    """Whether the model's statistic is computed from raw samples, in blocks."""
-    return model == "beta" and beta != 1.0
+def raw_sampled(model: str, beta: float, n: int) -> bool:
+    """Whether the model's statistic is computed from raw samples, in blocks.
+
+    The integer-shape law draws beta gammas a trial, raw sampling n betas.
+    """
+    return model == "beta" and not (float(beta).is_integer() and 0 < beta <= n)
 
 
 def _poisson(lam: float, size: int, rng: Generator) -> np.ndarray:
@@ -131,9 +139,12 @@ def sample_stats(
     if model == "poisson":
         return _poisson(n * theta0, count, rng) / n
     if model == "beta":
-        if raw_sampled(model, beta):
+        if raw_sampled(model, beta, n):
             return _raw_mean_log(theta0, beta, n, count, rng)
-        return -(rng.standard_gamma(n, count) / n) / theta0
+        total = 0.0
+        for k in range(int(beta)):
+            total = total + (rng.standard_gamma(n, count) / n) / (theta0 + k)
+        return -total
     raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
 
 
@@ -157,7 +168,7 @@ def trial_stats(
         raise DomainError("trial_stop must be >= trial_start")
     if model not in MODELS:
         raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
-    if not raw_sampled(model, beta):
+    if not raw_sampled(model, beta, n):
         return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
     step = block_trials(n)
     parts = [

@@ -11,12 +11,13 @@ attached bound controls, never an estimate of the supremum itself.
 
 Reproducibility: each trial's sufficient statistic is drawn from its exact
 law (see ``_pykernels``).  A row of trials draws from one Philox stream keyed
-by the seed, and the Beta model with known shape other than 1 draws raw
-samples in blocks with a stream each; which stream a row or block uses does
-not depend on the worker count, which only spreads those blocks over
-processes.  Trial summaries are reduced with exactly-rounded summation
-(fsum), which is permutation-invariant.  Identical config therefore yields
-byte-identical serialised reports at any worker count.
+by the seed, and the Beta model with a non-integer known shape, or one above
+n, draws raw samples in blocks with a stream each; which stream a row or
+block uses does not depend on the worker count, which only spreads those
+blocks over processes.  Each row's statistics map to its estimates in one
+``mle_from_stat`` call.  Trial summaries are reduced with exactly-rounded
+summation (fsum), which is permutation-invariant.  Identical config
+therefore yields byte-identical serialised reports at any worker count.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ..specfun import normal_expectation
 from ..steincore import (
     BoundBreakdown,
     TestFunction,
+    check_sample_size,
     conservative_ci,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
@@ -91,9 +93,7 @@ class SimulationConfig:
                 f"model must be one of {registry.MODEL_NAMES}, got {self.model!r}"
             )
         for name in ("n", "trials", "workers"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, check_sample_size(getattr(self, name), name))
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -186,8 +186,7 @@ def sample(model: str, theta0: float, n: int, rng, *, beta: float = 1.0) -> np.n
     """
     entry = registry.get_model(model, beta=beta)
     entry.validate_theta0(theta0)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_sample_size(n)
     if not isinstance(rng, np.random.Generator):
         if isinstance(rng, bool) or not isinstance(rng, int) or rng < 0:
             raise DomainError(
@@ -219,7 +218,7 @@ def _collect_stats(
 ) -> np.ndarray:
     stop = trial_start + trials
     step = _pykernels.block_trials(n)
-    if workers <= 1 or trials <= step or not _pykernels.raw_sampled(model, beta):
+    if workers <= 1 or trials <= step or not _pykernels.raw_sampled(model, beta, n):
         return _pykernels.trial_stats(model, theta0, beta, n, seed, trial_start, stop)
     # Raw-sample blocks are the unit of work; their streams do not depend on
     # which process draws them.
@@ -230,10 +229,6 @@ def _collect_stats(
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunksize = max(1, len(tasks) // (workers * 4))
         return np.concatenate(list(pool.map(_stats_chunk, tasks, chunksize=chunksize)))
-
-
-def _theta_hats(entry, stats: np.ndarray, n: int) -> np.ndarray:
-    return np.array([entry.mle_from_stat(float(s), n) for s in stats])
 
 
 def _summarise(h_values, theta_hats: np.ndarray, theta0: float, trials: int):
@@ -273,7 +268,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     stats = _collect_stats(
         cfg.model, theta0, cfg.beta, cfg.n, cfg.seed, 0, cfg.trials, cfg.workers
     )
-    theta_hats = _theta_hats(entry, stats, cfg.n)
+    theta_hats = entry.mle_from_stat(stats, cfg.n)
     standardized = entry.standardize_scale(theta0, cfg.n) * (theta_hats - theta0)
     h_values = [h.evaluator(float(v)) for v in standardized]
     expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
@@ -316,8 +311,7 @@ def run_mse_sweep(
     bad = [n for n in n_list if n < floor_n]
     if bad:
         raise DomainError(f"n below minimal n = {floor_n}: {bad}")
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    trials = check_sample_size(trials, "trials")
     h = inv_quadratic_test_function()
     expected_h = normal_expectation(h, scale=1.0)
     reports = []
@@ -325,7 +319,7 @@ def run_mse_sweep(
         stats = _collect_stats(
             "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers
         )
-        theta_hats = _theta_hats(entry, stats, n)
+        theta_hats = entry.mle_from_stat(stats, n)
         scale = entry.standardize_scale(params.theta0, n)
         h_values = [h.evaluator(float(scale * (t - params.theta0))) for t in theta_hats]
         mean_h, empirical_mse, se = _summarise(h_values, theta_hats, params.theta0, trials)
@@ -391,7 +385,7 @@ def ci_coverage(
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
     fisher = entry.fisher_info(theta0)
     stats = _collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
-    theta_hats = _theta_hats(entry, stats, n)
+    theta_hats = entry.mle_from_stat(stats, n)
     covered = 0
     for th in theta_hats:
         ci = conservative_ci(float(th), n, fisher, alpha, b_k)
@@ -466,6 +460,6 @@ def mle_abs_error_sampler(
 
     def draw_m(rng: np.random.Generator, size: int) -> np.ndarray:
         stats = _pykernels.sample_stats(model, theta0, beta, n, size, rng)
-        return np.abs(_theta_hats(entry, stats, n) - theta0)
+        return np.abs(entry.mle_from_stat(stats, n) - theta0)
 
     return draw_m

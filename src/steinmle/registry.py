@@ -38,6 +38,11 @@ def _as_clean_sample(sample):
     return arr
 
 
+def _anywhere(mask) -> bool:
+    """Whether a comparison holds: for a scalar, or at any element of an array."""
+    return bool(mask.any()) if hasattr(mask, "any") else bool(mask)
+
+
 class RegistryEntry:
     """Base behaviour shared by all registered models."""
 
@@ -63,7 +68,9 @@ class RegistryEntry:
     def mle(self, sample: Sequence[float]) -> float:
         raise NotImplementedError
 
-    def mle_from_stat(self, stat: float, n: int) -> float:
+    def mle_from_stat(self, stat, n: int):
+        """Estimates from per-trial statistics: a float for a float, and an
+        array for a float64 array (a row of trials, mapped in one call)."""
         raise NotImplementedError
 
     def distance_bound(
@@ -93,7 +100,7 @@ class _ExpCanonical(RegistryEntry):
         return 1.0 / mean
 
     def mle_from_stat(self, stat, n):
-        if stat == 0.0:
+        if _anywhere(stat == 0.0):
             raise DegenerateSampleError("exp-canonical estimator needs a nonzero sample mean")
         return 1.0 / stat
 
@@ -192,11 +199,16 @@ class _Beta(RegistryEntry):
         return msebound.beta_mle(list(sample), self.beta)
 
     def mle_from_stat(self, stat, n):
-        if stat >= 0.0:
+        if _anywhere(stat >= 0.0):
             raise DegenerateSampleError("beta estimator needs a negative mean log-observation")
         if self.beta == 1.0:
             return -1.0 / stat
-        return msebound._beta_mle_from_stats(n, stat * n, self.beta)
+        import numpy as np  # here, so that the bound verbs never load numpy
+
+        if np.ndim(stat) == 0:
+            return msebound._beta_mle_from_stats(n, stat * n, self.beta)
+        roots = [msebound._beta_mle_from_stats(n, s * n, self.beta) for s in stat.tolist()]
+        return np.array(roots)
 
     def distance_bound(self, theta0, n, h_weights=(1.0, 1.0), epsilon=None, c="auto"):
         # Weights are absorbed at their class ceiling, as for Poisson.

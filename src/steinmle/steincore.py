@@ -71,10 +71,12 @@ def _check_nonneg(value, what, allow_inf=True):
     return v
 
 
-def check_sample_size(n) -> int:
+def check_sample_size(n, name: str = "n") -> int:
     """n as a plain int: any integer type but bool (numpy's too), at least 1."""
+    if type(n) is int and n >= 1:  # the common case, without the ABC check
+        return n
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
     return operator.index(n)
 
 
@@ -149,10 +151,9 @@ class BoundIngredients:
     sup_third_is_deterministic: bool = False
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise DomainError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        n = check_sample_size(self.n)
+        if n is not self.n:  # store a plain int, which json.dumps accepts
+            object.__setattr__(self, "n", n)
         if not (isinstance(self.theta0, (int, float)) and math.isfinite(self.theta0)):
             raise DomainError(f"theta0 must be a finite real, got {self.theta0!r}")
         fisher = _check_nonneg(self.fisher_info, "fisher_info", allow_inf=False)

@@ -7,12 +7,25 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import steinmle
 from steinmle.cli import main
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
+
+
+def _run_cli(args):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = os.path.dirname(os.path.dirname(steinmle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "steinmle.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -320,6 +333,31 @@ class TestMseSweepCommand:
         )
         assert result.exit_code == 2
 
+    def test_integer_shape_identical_across_worker_counts(self, runner):
+        base = ["mse-sweep", "--theta0", "1.5", "--beta", "2", "--n-from", "11848",
+                "--n-to", "12848", "--n-step", "1000", "--trials", "12", "--seed", "3",
+                "--format", "csv"]
+        out = [runner.invoke(main, base + ["--workers", w]).stdout for w in ("1", "2")]
+        assert out[0].count("\n") == 3
+        assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("table3", ["table", "3", "--trials", "40", "--seed", "11"]),
+        ("sweep1", ["mse-sweep", "--theta0", "1.5", "--beta", "1", "--n-from", "7460",
+                    "--n-to", "7860", "--n-step", "200", "--trials", "40", "--seed", "11"]),
+    ],
+)
+def test_unit_shape_beta_output_matches_snapshot(runner, name, args, fmt):
+    # recorded from the raw-statistic sampler the integer-shape law replaced;
+    # shape 1 draws the same numbers from the same stream
+    result = runner.invoke(main, args + ["--format", fmt])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (SNAPSHOTS / f"{name}.{fmt}").read_bytes()
+
 
 class TestConstantsCommand:
     def test_beta_constants(self, runner):
@@ -379,6 +417,24 @@ class TestValidation:
         with pytest.raises(SystemExit) as excinfo:
             _guard("text", boom)
         assert excinfo.value.code == 3
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--model", "poisson", "--theta0", "1e300", "--n", "10"],
+            ["bound", "--model", "exp-canonical", "--theta0", "1e-300", "--n", "10"],
+            ["simulate", "--model", "exp-canonical", "--theta0", "1e300", "--n", "10",
+             "--trials", "5"],
+        ],
+        ids=["poisson-overflow", "exp-zero-division", "simulate-overflow"],
+    )
+    def test_arithmetic_error_maps_to_exit_3(self, args):
+        out = _run_cli(args + ["--format", "json"])
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        err = json.loads(out.stderr)
+        assert err["schema"] == "steinmle/error/v1"
+        assert err["error"] in ("OverflowError", "ZeroDivisionError")
 
     def test_poisson_constants_audit(self, runner):
         result = runner.invoke(

@@ -4,6 +4,7 @@ import json
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from steinmle.errors import DomainError
@@ -299,3 +300,22 @@ class TestDescriptors:
         assert can.mle([0.5, 0.5]) == pytest.approx(2.0)
         non = get_model("exp-noncanonical").descriptor(1.0)
         assert non.mle([1.0, 3.0]) == pytest.approx(2.0)
+
+
+class TestIntegerTypesForN:
+    """numpy integers are integers for the ingredient builders; bool is refused."""
+
+    BUILDERS = [exp_canonical_ingredients, exp_noncanonical_ingredients]
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_numpy_integers_give_the_plain_int_ingredients(self, build, int_type):
+        ing = build(1.0, int_type(10))
+        assert type(ing.n) is int
+        assert ing == build(1.0, 10)
+        json.dumps(ing.to_dict())
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_bool_rejected(self, build):
+        with pytest.raises(DomainError):
+            build(1.0, True)

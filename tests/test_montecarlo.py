@@ -119,6 +119,19 @@ class TestSamplers:
             run_simulation(cfg)
 
 
+def _assert_matches_raw_statistic(model, theta0, beta, n, trials=4000):
+    direct = _pykernels.sample_stats(
+        model, theta0, beta, n, trials, _pykernels.make_generator(31, 0)
+    )
+    x = _pykernels.draw(model, theta0, beta, trials * n, _pykernels.make_generator(31, 1))
+    raw = (np.log(x) if model == "beta" else x).reshape(trials, n).mean(axis=1)
+    assert ks_2samp(direct, raw).pvalue > 1e-3
+    se_mean = math.sqrt((direct.var(ddof=1) + raw.var(ddof=1)) / trials)
+    assert abs(float(direct.mean() - raw.mean())) < 5.0 * se_mean
+    se_var = math.hypot(_se_var(direct), _se_var(raw))
+    assert abs(float(direct.var(ddof=1) - raw.var(ddof=1))) < 5.0 * se_var
+
+
 class TestStatisticLaws:
     """Each per-trial statistic sampler against the statistic of raw draws."""
 
@@ -131,28 +144,38 @@ class TestStatisticLaws:
             ("poisson", 3.5, 1.0),
             ("beta", 1.5, 1.0),
             ("beta", 1.5, 2.0),
+            ("beta", 1.5, 3.0),
         ],
     )
     def test_matches_raw_sample_statistic(self, model, theta0, beta, n):
-        trials = 4000
-        direct = _pykernels.sample_stats(
-            model, theta0, beta, n, trials, _pykernels.make_generator(31, 0)
+        _assert_matches_raw_statistic(model, theta0, beta, n)
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0])
+    def test_integer_shape_law_has_the_exact_moments(self, beta):
+        # the mean log of n Beta(a, b) draws has mean psi(a) - psi(a + b)
+        # and variance (psi1(a) - psi1(a + b)) / n
+        theta0, n, trials = 1.5, 7, 20000
+        assert not _pykernels.raw_sampled("beta", beta, n)
+        stats = _pykernels.sample_stats(
+            "beta", theta0, beta, n, trials, _pykernels.make_generator(5, 0)
         )
-        x = _pykernels.draw(model, theta0, beta, trials * n, _pykernels.make_generator(31, 1))
-        raw = (np.log(x) if model == "beta" else x).reshape(trials, n).mean(axis=1)
-        assert ks_2samp(direct, raw).pvalue > 1e-3
-        se_mean = math.sqrt((direct.var(ddof=1) + raw.var(ddof=1)) / trials)
-        assert abs(float(direct.mean() - raw.mean())) < 5.0 * se_mean
-        se_var = math.hypot(_se_var(direct), _se_var(raw))
-        assert abs(float(direct.var(ddof=1) - raw.var(ddof=1))) < 5.0 * se_var
+        mean = polygamma(0, theta0) - polygamma(0, theta0 + beta)
+        var = (polygamma(1, theta0) - polygamma(1, theta0 + beta)) / n
+        assert abs(float(stats.mean()) - mean) < 5.0 * math.sqrt(var / trials)
+        assert abs(float(stats.var(ddof=1)) - var) < 5.0 * _se_var(stats)
+
+    def test_integer_shape_above_n_draws_raw_samples(self):
+        assert _pykernels.raw_sampled("beta", 4.0, 3)
+        _assert_matches_raw_statistic("beta", 1.5, 4.0, 3)
 
     def test_raw_trial_larger_than_a_block(self):
-        # a Beta(1.5, 2) trial above BLOCK_OBS observations is drawn in pieces;
+        # a Beta(1.5, 2.5) trial above BLOCK_OBS observations is drawn in pieces;
         # its mean log has mean psi(a) - psi(a + b), variance psi1(a) - psi1(a + b) over n
         n, trials = _pykernels.BLOCK_OBS + 1000, 3
-        stats = _pykernels.trial_stats("beta", 1.5, 2.0, n, 8, 0, trials)
-        mean = polygamma(0, 1.5) - polygamma(0, 3.5)
-        se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 3.5)) / n / trials)
+        assert _pykernels.raw_sampled("beta", 2.5, n)
+        stats = _pykernels.trial_stats("beta", 1.5, 2.5, n, 8, 0, trials)
+        mean = polygamma(0, 1.5) - polygamma(0, 4.0)
+        se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 4.0)) / n / trials)
         assert abs(float(stats.mean()) - mean) < 5.0 * se
 
 
@@ -182,6 +205,34 @@ class TestMleOp:
         with pytest.raises(DegenerateSampleError):
             mle("exp-canonical", [])
 
+    @pytest.mark.parametrize(
+        "model,beta,sign",
+        [
+            ("exp-canonical", 1.0, 1.0),
+            ("exp-noncanonical", 1.0, 1.0),
+            ("poisson", 1.0, 1.0),
+            ("beta", 1.0, -1.0),
+            ("beta", 2.0, -1.0),
+            ("beta", 2.5, -1.0),
+        ],
+    )
+    def test_row_of_statistics_equals_the_per_trial_estimates(self, model, beta, sign):
+        entry = get_model(model, beta=beta)
+        stats = sign * np.random.default_rng(8).gamma(7.0, 1.0, 200) / 7.0
+        row = entry.mle_from_stat(stats, 7)
+        per_trial = [entry.mle_from_stat(float(s), 7) for s in stats]
+        assert all(type(t) is float for t in per_trial)
+        assert row.tolist() == per_trial
+
+    @pytest.mark.parametrize(
+        "model,beta,bad", [("exp-canonical", 1.0, 0.0), ("beta", 1.0, 0.0), ("beta", 2.0, 0.5)]
+    )
+    def test_one_degenerate_statistic_in_a_row_raises(self, model, beta, bad):
+        stats = np.full(5, -0.5 if model == "beta" else 0.5)
+        stats[3] = bad
+        with pytest.raises(DegenerateSampleError):
+            get_model(model, beta=beta).mle_from_stat(stats, 7)
+
 
 class TestDeterminism:
     def test_identical_config_identical_report(self):
@@ -209,11 +260,12 @@ class TestDeterminism:
         assert reps[0] == reps[1]
 
     def test_raw_block_sweep_identical_across_worker_counts(self):
-        # Beta(1.5, 2) draws raw samples in blocks of 5 (n=11848) and 4
-        # (n=13848) trials; two workers split each row at those blocks
+        # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
+        # (n=22000) trials; two workers split each row at those blocks
+        assert _pykernels.raw_sampled("beta", 2.5, 14816)
         csv = [
             reports_to_csv(
-                run_mse_sweep(BetaParams(1.5, 2.0), [11848, 13848], trials=12, seed=5, workers=w)
+                run_mse_sweep(BetaParams(1.5, 2.5), [14816, 22000], trials=12, seed=5, workers=w)
             )
             for w in (1, 2)
         ]
@@ -310,6 +362,36 @@ class TestRunSimulation:
         ):
             assert key in payload
         json.dumps(payload)  # fully serialisable
+
+
+class TestIntegerTypesForN:
+    """numpy integers are integers for n, trials and workers; bool is refused."""
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_integers_give_the_plain_int_report(self, int_type):
+        cfg = SimulationConfig(
+            model="exp-canonical",
+            theta0=1.0,
+            n=int_type(30),
+            trials=int_type(50),
+            seed=4,
+            workers=int_type(1),
+        )
+        assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.workers))
+        plain = SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=4)
+        payload = json.dumps(run_simulation(cfg).to_dict())
+        assert payload == json.dumps(run_simulation(plain).to_dict())
+        drawn = sample("poisson", 2.0, int_type(10), 3)
+        assert drawn.tolist() == sample("poisson", 2.0, 10, 3).tolist()
+
+    @pytest.mark.parametrize("field_name", ["n", "trials", "workers"])
+    def test_bool_rejected(self, field_name):
+        kwargs = dict(model="exp-canonical", theta0=1.0, n=30, trials=50)
+        kwargs[field_name] = True
+        with pytest.raises(DomainError, match=field_name):
+            SimulationConfig(**kwargs)
+        with pytest.raises(DomainError):
+            sample("poisson", 2.0, True, 3)
 
 
 class TestMseSweep:
