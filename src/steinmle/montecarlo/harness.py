@@ -4,10 +4,11 @@ Protocol for the distance experiments: draw ``trials`` independent samples
 of size n, evaluate the estimator on each, standardise (by
 sqrt(n i(theta0)) toward Z, or by sqrt(n) toward N(0, theta0) on the
 boundary route), push the standardised values through the test function h,
-and compare the trial mean of h with the Gaussian expectation of h computed
-by quadrature.  The reported "empirical distance" is that h-specific
-discrepancy; it is a lower proxy of the class-supremum distance that the
-attached bound controls, never an estimate of the supremum itself.
+and compare the trial mean of h with the Gaussian expectation of h (exact
+for the default h, by quadrature for any other).  The reported "empirical
+distance" is that h-specific discrepancy; it is a lower proxy of the
+class-supremum distance that the attached bound controls, never an estimate
+of the supremum itself.
 
 Reproducibility: each trial's sufficient statistic is drawn from its exact
 law (see ``_pykernels``).  A row of trials draws from one Philox stream keyed
@@ -23,6 +24,8 @@ therefore yields byte-identical serialised reports at any worker count.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -31,7 +34,7 @@ import numpy as np
 
 from .. import registry
 from ..errors import DegenerateSampleError, DomainError
-from ..msebound import BetaParams, beta_ingredients, minimal_n
+from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
 from ..specfun import normal_expectation
 from ..steincore import (
     BoundBreakdown,
@@ -72,6 +75,13 @@ REPORT_CSV_COLUMNS = (
 )
 
 
+def _check_seed(seed, name: str) -> int:
+    """A master seed as a plain int: any integer type but bool, at least 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {seed!r}")
+    return operator.index(seed)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One distance experiment: model, true parameter, sizes, seed, h."""
@@ -94,8 +104,7 @@ class SimulationConfig:
             )
         for name in ("n", "trials", "workers"):
             object.__setattr__(self, name, check_sample_size(getattr(self, name), name))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -188,11 +197,7 @@ def sample(model: str, theta0: float, n: int, rng, *, beta: float = 1.0) -> np.n
     entry.validate_theta0(theta0)
     n = check_sample_size(n)
     if not isinstance(rng, np.random.Generator):
-        if isinstance(rng, bool) or not isinstance(rng, int) or rng < 0:
-            raise DomainError(
-                f"rng must be a seed (nonnegative int) or a numpy Generator, got {rng!r}"
-            )
-        rng = _pykernels.make_generator(rng, 0)
+        rng = _pykernels.make_generator(_check_seed(rng, "rng seed"), 0)
     return _pykernels.draw(model, theta0, beta, n, rng)
 
 
@@ -307,11 +312,13 @@ def run_mse_sweep(
     n_list = [int(n) for n in n_values]
     if not n_list:
         raise DomainError("n_values must be nonempty")
-    floor_n = minimal_n(beta_ingredients(params))
+    ing = beta_ingredients(params)
+    floor_n = minimal_n(ing)
     bad = [n for n in n_list if n < floor_n]
     if bad:
         raise DomainError(f"n below minimal n = {floor_n}: {bad}")
     trials = check_sample_size(trials, "trials")
+    seed = _check_seed(seed, "seed")
     h = inv_quadratic_test_function()
     expected_h = normal_expectation(h, scale=1.0)
     reports = []
@@ -320,10 +327,10 @@ def run_mse_sweep(
             "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers
         )
         theta_hats = entry.mle_from_stat(stats, n)
-        scale = entry.standardize_scale(params.theta0, n)
+        scale = math.sqrt(n * ing.fisher_info)  # entry.standardize_scale, from ing
         h_values = [h.evaluator(float(scale * (t - params.theta0))) for t in theta_hats]
         mean_h, empirical_mse, se = _summarise(h_values, theta_hats, params.theta0, trials)
-        mse_bound = entry.mse_bound(params.theta0, n)
+        mse_bound = _beta_mse_bound(ing, n)
         reports.append(
             SimulationReport(
                 model="beta",
@@ -377,6 +384,7 @@ def ci_coverage(
             "unit-normal standardisation; the boundary route targets N(0, theta0)"
         )
     theta0 = entry.validate_theta0(theta0)
+    seed = _check_seed(seed, "seed")
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     bound = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0))
@@ -428,7 +436,7 @@ def conditional_expectation_check(
         raise DomainError(f"eps must be positive, got {eps!r}")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 2:
         raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed, "seed")))
     m_draws = np.asarray(dist(rng, trials), dtype=float)
     if m_draws.shape != (trials,):
         raise DomainError(f"dist must return {trials} draws, got shape {m_draws.shape}")

@@ -32,7 +32,7 @@ from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localconte
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .specfun import polygamma
+from .specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
 from .steincore import (
     TERM_MARKOV,
     TERM_R2,
@@ -54,7 +54,7 @@ __all__ = [
     "beta_b3",
     "beta_distance_bound",
     "beta_mle",
-    "beta_score",
+    "beta_shape_roots",
 ]
 
 # Decimal(float) is exact and + - * / sqrt round correctly, so each result is
@@ -302,6 +302,12 @@ def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
         return float(num / (2 * dpsi.sqrt() * dd))
 
 
+def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:
+    """The Beta estimator's MSE bound (B3/sqrt(n))^2 = B3^2/n."""
+    b3 = _beta_b3(ing, check_sample_size(n))
+    return b3 * b3 / n
+
+
 def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     """Three-term distance bound for the standardised Beta-shape estimator.
 
@@ -314,17 +320,13 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     return implicit_distance_bound(ing, n, _beta_b3(ing, n) / math.sqrt(n))
 
 
-def beta_score(theta: float, beta: float, n: int, sum_log: float) -> float:
-    """Shape score at theta: n (psi(theta + beta) - psi(theta)) + sum log x."""
-    return n * (polygamma(0, theta + beta) - polygamma(0, theta)) + sum_log
-
-
 def beta_mle(sample: Sequence[float], beta: float, *, rel_tol: float = 1e-12) -> float:
     """Maximum-likelihood shape for Beta(theta, beta) observations.
 
-    Solves n(psi(theta+beta) - psi(theta)) + sum log x = 0 by bisection-
-    safeguarded Newton; the score is strictly decreasing in theta, so the
-    root is unique.  For beta = 1 this coincides with -n / sum log x.
+    Solves n(psi(theta+beta) - psi(theta)) + sum log x = 0, whose root is
+    unique because the score strictly decreases in theta: the one-trial case
+    of :func:`beta_shape_roots`.  For beta = 1 it coincides with
+    -n / sum log x.
     """
     beta = _checked_positive(beta, "beta")
     xs = list(sample)
@@ -333,59 +335,101 @@ def beta_mle(sample: Sequence[float], beta: float, *, rel_tol: float = 1e-12) ->
     for v in xs:
         if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
             raise DomainError(f"observations must lie strictly in (0, 1), got {v!r}")
-    n = len(xs)
-    sum_log = math.fsum(math.log(v) for v in xs)
-    return _beta_mle_from_stats(n, sum_log, beta, rel_tol=rel_tol)
+    mean_log = math.fsum(math.log(v) for v in xs) / len(xs)
+    return float(beta_shape_roots([mean_log], beta, rel_tol=rel_tol)[0])
 
 
-def _beta_mle_from_stats(
-    n: int, sum_log: float, beta: float, *, rel_tol: float = 1e-12
-) -> float:
-    if sum_log >= 0.0:
-        raise DomainError("sum of log-observations must be negative")
+# Shift steps that take any theta > 0 to the asymptotic cut; a lane needing
+# fewer adds exact zeros for the rest.
+_SHIFTS = int(_ASYMPTOTIC_CUT)
+# Asymptotic-series coefficients, innermost first: psi's B_2k/(2k) and
+# psi_1's B_2k, paired.
+_TAIL_COEFFS = tuple(
+    ((b2k / (2.0 * (k + 1)),), (b2k,)) for k, b2k in reversed(list(enumerate(_BERNOULLI)))
+)
 
-    def score(theta):
-        return beta_score(theta, beta, n, sum_log)
 
-    lo, hi = 1e-8, 1e8
-    f_lo, f_hi = score(lo), score(hi)
-    for _ in range(60):
-        if f_lo > 0.0:
-            break
-        lo /= 16.0
-        f_lo = score(lo)
-    for _ in range(60):
-        if f_hi < 0.0:
-            break
-        hi *= 16.0
-        f_hi = score(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise ConvergenceError(
-            "could not bracket the shape-score root",
-            bracket=(lo, hi),
-            score_values=(f_lo, f_hi),
-        )
+def _shape_score_slope(theta, beta):
+    """psi(theta + beta) - psi(theta) and its theta-derivative, lane by lane.
 
-    theta = -n / sum_log  # exact for beta = 1, good start otherwise
-    if not (lo < theta < hi):
-        theta = math.sqrt(lo * hi)
-    for _ in range(200):
-        f = score(theta)
-        if f > 0.0:
-            lo = theta
-        else:
-            hi = theta
-        deriv = n * (polygamma(1, theta + beta) - polygamma(1, theta))
-        step_ok = deriv < 0.0
-        if step_ok:
-            candidate = theta - f / deriv
-            step_ok = lo < candidate < hi
-        new_theta = candidate if step_ok else 0.5 * (lo + hi)
-        if abs(new_theta - theta) <= rel_tol * abs(new_theta):
-            return new_theta
-        theta = new_theta
+    theta and theta + beta shift up together by the recurrence until theta
+    >= 16, then the Bernoulli asymptotic series of ``specfun`` finishes both.
+    Every lane sums the same 16 shift increments in the same order (zeros
+    past its own shift count), so no lane's value depends on the others in
+    its row.  The differences are taken term by term (log1p for the
+    logarithms), which keeps them free of cancellation for large theta.
+    """
+    import numpy as np  # here, so that the bound verbs never load numpy
+
+    n = theta.size
+    a = theta + np.arange(float(_SHIFTS))[:, None]  # row j: theta + j
+    low = a < _ASYMPTOTIC_CUT
+    b = a + beta
+    inv_ab = low / (a * b)
+    # Row j adds 1/a - 1/b = beta/(ab) to the score and 1/b^2 - 1/a^2 =
+    # -beta (a + b)/(ab)^2 to the slope; cumsum adds the rows in order.
+    shifts = np.concatenate((inv_ab, (a + b) * (inv_ab * inv_ab)), axis=1)
+    shifts = beta * shifts.cumsum(axis=0)[-1]
+    a = theta + low.sum(axis=0)
+    b = a + beta
+    # psi(y) ~ log y - 1/(2y) - sum_k B_2k/(2k) y^-2k and
+    # psi_1(y) ~ 1/y + 1/(2y^2) + sum_k B_2k y^-(2k+1), both for y >= 16.
+    y = np.concatenate((a, b))
+    z = 1.0 / (y * y)
+    tails = 0.0
+    for coeffs in np.array(_TAIL_COEFFS):
+        tails = (tails + coeffs) * z
+    tails[1] /= y
+    inv_ab = 1.0 / (a * b)
+    # log(b/a) + (1/a - 1/b)/2 and (1/b - 1/a) + (1/b^2 - 1/a^2)/2, rewritten
+    # with b - a = beta so that nothing cancels.
+    score = shifts[:n] + np.log1p(beta / a) + 0.5 * beta * inv_ab + (tails[0, :n] - tails[0, n:])
+    slope = (tails[1, n:] - tails[1, :n]) - beta * inv_ab * (1.0 + 0.5 * (a + b) * inv_ab)
+    return score, slope - shifts[n:]
+
+
+_NEWTON_MAX_STEPS = 100
+
+
+def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
+    """Beta(theta, beta) shape MLEs for a row of mean log-observations.
+
+    Each lane solves psi(theta + beta) - psi(theta) = -mean_log by Newton's
+    method on the reciprocal of both sides, which is nearly linear in theta
+    (exactly, for beta = 1), starting from theta = -1/mean_log, the beta = 1
+    root.  A step that would leave theta <= 0 halves theta instead.  A lane
+    is frozen once its step falls to rel_tol of theta, so its root does not
+    depend on the rest of its row: a one-element row gives the same root.
+    Returns a float64 array; raises ConvergenceError if a lane has not
+    converged after 100 steps.
+    """
+    import numpy as np  # here, so that the bound verbs never load numpy
+
+    beta = _checked_positive(beta, "beta")
+    stats = np.asarray(mean_logs, dtype=float)
+    if stats.ndim != 1 or not np.all((stats < 0.0) & np.isfinite(stats)):
+        raise DomainError("mean log-observations must be a row of finite negative numbers")
+    roots = -1.0 / stats
+    active = np.arange(stats.size)
+    theta = roots.copy()
+    # Far out (|mean_log| below ~1e-150) a*b overflows; such a lane stops
+    # making finite steps and ends in ConvergenceError, without warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_STEPS):
+            if active.size == 0:
+                return roots
+            score, slope = _shape_score_slope(theta, beta)
+            target = -stats[active]
+            # Newton for 1/score = 1/target: the plain step times score/target.
+            new = theta + (target - score) / slope * (score / target)
+            new = np.where((new > 0.0) & np.isfinite(new), new, 0.5 * theta)
+            done = np.abs(new - theta) <= rel_tol * new
+            roots[active] = new
+            active, theta = active[~done], new[~done]
+    if active.size == 0:
+        return roots
     raise ConvergenceError(
-        "shape MLE root refinement did not converge",
-        bracket=(lo, hi),
-        last_theta=theta,
+        "shape MLE Newton iteration did not converge",
+        lanes=int(active.size),
+        last_theta=float(theta[0]),
     )

@@ -206,9 +206,8 @@ class _Beta(RegistryEntry):
         import numpy as np  # here, so that the bound verbs never load numpy
 
         if np.ndim(stat) == 0:
-            return msebound._beta_mle_from_stats(n, stat * n, self.beta)
-        roots = [msebound._beta_mle_from_stats(n, s * n, self.beta) for s in stat.tolist()]
-        return np.array(roots)
+            return float(msebound.beta_shape_roots([stat], self.beta)[0])
+        return msebound.beta_shape_roots(stat, self.beta)
 
     def distance_bound(self, theta0, n, h_weights=(1.0, 1.0), epsilon=None, c="auto"):
         # Weights are absorbed at their class ceiling, as for Poisson.
@@ -217,8 +216,7 @@ class _Beta(RegistryEntry):
 
     def mse_bound(self, theta0, n):
         p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
-        b3 = msebound.beta_b3(p, n)
-        return b3 * b3 / n
+        return msebound._beta_mse_bound(msebound.beta_ingredients(p), n)
 
     def audit(self, theta0, n, epsilon=None):
         p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)

@@ -8,16 +8,13 @@ argument upward by the recurrence
     psi_m(x) = psi_m(x+1) + (-1)^m m! / x^(m+1)
 
 until x >= 16 and then evaluates the de Moivre (Bernoulli-number) asymptotic
-expansion.  The defining series
-
-    psi_m(x) = (-1)^(m+1) m! * sum_{k>=0} (x+k)^(-(m+1))      (m >= 1)
-
-is retained in ``polygamma_series`` as a slow, independent cross-check used
-by the test suite; it is deliberately a different algorithm (partial sum plus
-Euler-Maclaurin tail) so the two paths share no code.
+expansion.
 
 Normal-distribution utilities (cdf, quantile, Gaussian expectations) live
-here too because the quantile refinement reuses the cdf.
+here too because the quantile refinement reuses the cdf.  A Gaussian
+expectation is exact where the test function carries its closed form (the
+harness default h(x) = 1/(x^2 + 2) does, through
+``inv_quadratic_expectation``) and adaptive quadrature otherwise.
 
 All functions are pure and reentrant; there is no shared state.
 """
@@ -26,20 +23,19 @@ from __future__ import annotations
 
 import heapq
 import math
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "log_gamma",
     "polygamma",
-    "polygamma_series",
     "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_quantile",
     "normal_expectation",
+    "inv_quadratic_expectation",
 ]
-
-EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Bernoulli numbers B_2, B_4, ..., B_20.  Ten terms behind the x >= 16
 # shift leave the truncation error near 1e-24, far below double rounding.
@@ -178,34 +174,6 @@ def polygamma(order, x):
         increments.append(-sign * fac / y ** (order + 1))
         y += 1.0
     return _polygamma_asymptotic(order, y) + math.fsum(increments)
-
-
-def polygamma_series(order, x, terms=20000):
-    """Direct-series evaluation of psi / psi_m: the slow cross-check oracle.
-
-    Partial sum of the defining series plus a two-term Euler-Maclaurin tail
-    estimate.  Good to ~1e-12 relative at the default term count; kept
-    algorithmically independent of :func:`polygamma`.
-    """
-    if order not in (0, 1, 2, 3):
-        raise DomainError(f"polygamma order must be an integer in [0, 3], got {order!r}")
-    x = _require_positive(x, "polygamma argument")
-    kk = float(terms)
-    if order == 0:
-        # psi(x) = -gamma + sum_{k>=0} [ 1/(k+1) - 1/(k+x) ]
-        partial = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(terms))
-        # tail of g(t) = (x-1)/((t+1)(t+x)):  integral + g/2 - g'/12
-        tail_int = math.log((kk + x) / (kk + 1.0))
-        g = (x - 1.0) / ((kk + 1.0) * (kk + x))
-        gp = -(x - 1.0) * (2.0 * kk + 1.0 + x) / (((kk + 1.0) * (kk + x)) ** 2)
-        return -EULER_GAMMA + partial + tail_int + 0.5 * g - gp / 12.0
-    m = order
-    partial = math.fsum((x + k) ** (-(m + 1)) for k in range(terms))
-    f = (x + kk) ** (-(m + 1))
-    fp = -(m + 1.0) * (x + kk) ** (-(m + 2))
-    tail = (x + kk) ** (-m) / m + 0.5 * f - fp / 12.0
-    sign = 1.0 if (m + 1) % 2 == 0 else -1.0  # (-1)^(m+1)
-    return sign * math.factorial(m) * (partial + tail)
 
 
 def std_normal_pdf(x):
@@ -352,16 +320,65 @@ def _adaptive_gauss_kronrod(f, breakpoints):
             heapq.heappush(heap, (-part_error, lo, hi, part))
 
 
+# sqrt(pi)/2 to 60 digits, more than any precision used below.
+_HALF_SQRT_PI = Decimal("0.886226925452758013649083741670572591398774728061193564106903895")
+_LOG10_E = math.log10(math.e)
+# Significant digits the exact expectation carries into its one rounding to
+# float: a value within 1e-25 relative of a rounding midpoint is the only
+# way to round it wrongly.
+_EXACT_DIGITS = 28
+# Below this x = 1/scale the Taylor series is used, above it the continued
+# fraction; 30 levels of the fraction are exact to < 1e-28 for x >= 6.
+_SERIES_CUT = 6.0
+_CF_DEPTH = 30
+
+
+def inv_quadratic_expectation(scale):
+    """E[1/((scale Z)^2 + 2)] for Z ~ N(0,1), correctly rounded for scale > 0.
+
+    With x = 1/scale the value is x (sqrt(pi)/2) exp(x^2) erfc(x).  For
+    x <= 6 it is x [(sqrt(pi)/2) exp(x^2) - sum_k 2^k x^(2k+1)/(2k+1)!!]
+    (the series of exp(x^2) erf(x)); the difference cancels about
+    x^2 log10(e) digits, which the working precision adds back.  Above 6 it
+    is x/2 over Laplace's continued fraction x + (1/2)/(x + 1/(x + (3/2)/(x
+    + ...))).  Both run in stdlib ``decimal`` and round to float once.
+    """
+    xf = 1.0 / _require_positive(scale, "scale")
+    if xf <= _SERIES_CUT:
+        prec = _EXACT_DIGITS + int(_LOG10_E * xf * xf)
+        # Series terms 2^k x^(2k+1)/(2k+1)!!, relative to x: stop below 10^-prec.
+        ratio, term, last = 2.0 * xf * xf, 1.0, 0
+        while term >= 10.0**-prec:
+            last += 1
+            term *= ratio / (2 * last + 1)
+        with localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN)):
+            x = 1 / Decimal(scale)
+            x2 = x * x
+            two_x2 = 2 * x2
+            series = Decimal(1)
+            for odd in range(2 * last + 1, 1, -2):  # Horner, innermost term first
+                series = series * two_x2 / odd + 1
+            return float(x * (_HALF_SQRT_PI * x2.exp() - x * series))
+    with localcontext(Context(prec=_EXACT_DIGITS, rounding=ROUND_HALF_EVEN)):
+        x = 1 / Decimal(scale)
+        fraction = x
+        for k in range(_CF_DEPTH, 0, -1):
+            fraction = x + Decimal(k) / 2 / fraction
+        return float(x / (2 * fraction))
+
+
 def normal_expectation(h, scale=1.0):
-    """E[h(scale * Z)] for Z ~ N(0,1) by adaptive quadrature on [-12, 12].
+    """E[h(scale * Z)] for Z ~ N(0,1): exact where h carries it, else quadrature.
 
     `h` may be a bare callable or any object with an ``evaluator`` attribute
     (the TestFunction type).  `scale` >= 0 selects the target N(0, scale^2);
-    scale 0 is point mass at 0 and returns h(0) exactly.  The integral over
-    [-12, 0] and [0, 12] is refined by bisection with the 21-point
-    Gauss-Kronrod rule.  Raises ConvergenceError, reporting the achieved
-    estimate, when the Gauss-Kronrod error estimate exceeds the 1e-8 budget
-    or when the value or the estimate is not finite (h returned NaN or inf).
+    scale 0 is point mass at 0 and returns h(0) exactly.  An h whose
+    ``gaussian_expectation`` is set (a callable of the scale) returns its
+    value.  Otherwise the integral over [-12, 0] and [0, 12] is refined by
+    bisection with the 21-point Gauss-Kronrod rule, raising
+    ConvergenceError, with the achieved estimate, when the Gauss-Kronrod
+    error estimate exceeds the 1e-8 budget or when the value or the estimate
+    is not finite (h returned NaN or inf).
     """
     evaluator = getattr(h, "evaluator", h)
     if not callable(evaluator):
@@ -370,6 +387,9 @@ def normal_expectation(h, scale=1.0):
         raise DomainError(f"scale must be a finite nonnegative real, got {scale!r}")
     if scale == 0.0:
         return evaluator(0.0)
+    exact = getattr(h, "gaussian_expectation", None)
+    if exact is not None:
+        return exact(scale)
 
     def integrand(t):
         return evaluator(scale * t) * std_normal_pdf(t)

@@ -33,10 +33,10 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import DomainError
-from .specfun import std_normal_quantile
+from .specfun import inv_quadratic_expectation, std_normal_quantile
 
 __all__ = [
     "TestFunction",
@@ -87,7 +87,9 @@ class TestFunction:
     ``sup_norm + lip_norm <= 1`` puts h inside the bounded-Lipschitz class
     over which the bounded Wasserstein distance takes its supremum; the
     harness relies on that containment when comparing h-discrepancies to
-    whole-class bounds.
+    whole-class bounds.  ``gaussian_expectation``, when set, maps a scale
+    s > 0 to the exact E h(s Z), Z ~ N(0,1); ``normal_expectation`` then
+    returns it instead of integrating.
     """
 
     __test__ = False  # keep pytest collection away from the Test* name
@@ -96,10 +98,13 @@ class TestFunction:
     sup_norm: float
     lip_norm: float
     label: str = ""
+    gaussian_expectation: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not callable(self.evaluator):
             raise DomainError("TestFunction.evaluator must be callable")
+        if self.gaussian_expectation is not None and not callable(self.gaussian_expectation):
+            raise DomainError("TestFunction.gaussian_expectation must be callable")
         _check_nonneg(self.sup_norm, "sup_norm", allow_inf=False)
         _check_nonneg(self.lip_norm, "lip_norm", allow_inf=False)
 
@@ -116,13 +121,15 @@ def inv_quadratic_test_function() -> TestFunction:
 
     Exact norms: sup 1/2 at x = 0, Lipschitz constant 3*sqrt(1.5)/16
     (attained at x = sqrt(2/3)).  sup + lip ~= 0.7296 < 1, so h lies in the
-    bounded-Lipschitz class.
+    bounded-Lipschitz class.  Its Gaussian expectation is exact (see
+    ``specfun.inv_quadratic_expectation``).
     """
     return TestFunction(
         evaluator=lambda x: 1.0 / (x * x + 2.0),
         sup_norm=0.5,
         lip_norm=3.0 * math.sqrt(1.5) / 16.0,
         label="inv-quadratic",
+        gaussian_expectation=inv_quadratic_expectation,
     )
 
 

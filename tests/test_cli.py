@@ -407,6 +407,20 @@ class TestValidation:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "3", "--trials", "5"],
+            ["mse-sweep", "--beta", "1", "--n-from", "7500", "--n-to", "7500", "--trials", "5"],
+            ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10", "--trials", "5"],
+        ],
+        ids=["table-3", "mse-sweep", "ci"],
+    )
+    def test_negative_seed_exits_2(self, runner, args):
+        result = runner.invoke(main, args + ["--seed", "-1"])
+        assert result.exit_code == 2
+        assert "seed" in result.output
+
     def test_numerical_failure_maps_to_exit_3(self):
         from steinmle.cli import _guard
         from steinmle.errors import ConvergenceError

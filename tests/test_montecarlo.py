@@ -22,7 +22,7 @@ from steinmle.montecarlo import (
     sample,
 )
 from steinmle.montecarlo import _pykernels
-from steinmle.msebound import BetaParams
+from steinmle.msebound import BetaParams, beta_ingredients, minimal_n
 from steinmle.registry import get_model
 from steinmle.specfun import polygamma
 
@@ -42,6 +42,17 @@ class TestSamplers:
     def test_exp_noncanonical_mean(self):
         x = sample("exp-noncanonical", 2.0, 10**6, 7)
         assert abs(float(x.mean()) - 2.0) < 4.0 * 2.0 / math.sqrt(10**6)
+
+    @pytest.mark.parametrize("trial", [0, 1, 7, 12345, 2**64 + 5])
+    def test_trial_stream_is_the_jumped_stream(self, trial):
+        for seed in (0, 11, 2**100):
+            made = _pykernels.make_generator(seed, trial)
+            jumped = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
+            made_state, jumped_state = made.bit_generator.state, jumped.bit_generator.state
+            for part in ("counter", "key"):
+                assert (made_state["state"][part] == jumped_state["state"][part]).all()
+            assert made.random(6).tolist() == jumped.random(6).tolist()
+            assert made.standard_gamma(7.0, 5).tolist() == jumped.standard_gamma(7.0, 5).tolist()
 
     def test_poisson_zero_is_degenerate(self):
         x = sample("poisson", 0.0, 500, 3)
@@ -374,17 +385,17 @@ class TestIntegerTypesForN:
             theta0=1.0,
             n=int_type(30),
             trials=int_type(50),
-            seed=4,
+            seed=int_type(4),
             workers=int_type(1),
         )
-        assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.workers))
+        assert all(type(v) is int for v in (cfg.n, cfg.trials, cfg.seed, cfg.workers))
         plain = SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=4)
         payload = json.dumps(run_simulation(cfg).to_dict())
         assert payload == json.dumps(run_simulation(plain).to_dict())
-        drawn = sample("poisson", 2.0, int_type(10), 3)
+        drawn = sample("poisson", 2.0, int_type(10), int_type(3))
         assert drawn.tolist() == sample("poisson", 2.0, 10, 3).tolist()
 
-    @pytest.mark.parametrize("field_name", ["n", "trials", "workers"])
+    @pytest.mark.parametrize("field_name", ["n", "trials", "workers", "seed"])
     def test_bool_rejected(self, field_name):
         kwargs = dict(model="exp-canonical", theta0=1.0, n=30, trials=50)
         kwargs[field_name] = True
@@ -392,6 +403,25 @@ class TestIntegerTypesForN:
             SimulationConfig(**kwargs)
         with pytest.raises(DomainError):
             sample("poisson", 2.0, True, 3)
+
+    @pytest.mark.parametrize("bad", [-1, np.int64(-1), 1.0, "3", True])
+    def test_seed_must_be_a_nonnegative_integer(self, bad):
+        with pytest.raises(DomainError, match="seed"):
+            SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=bad)
+        with pytest.raises(DomainError, match="rng"):
+            sample("poisson", 2.0, 10, bad)
+        with pytest.raises(DomainError, match="seed"):
+            run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=5, seed=bad)
+        with pytest.raises(DomainError, match="seed"):
+            ci_coverage("exp-canonical", 1.0, 100, 0.5, 5, seed=bad)
+        with pytest.raises(DomainError, match="seed"):
+            conditional_expectation_check(lambda g, k: g.random(k), abs, 0.5, 10, seed=bad)
+
+    def test_numpy_integer_seed_gives_the_plain_int_sweep(self):
+        reports = run_mse_sweep(BetaParams(1.5, 2.0), [11848], trials=5, seed=np.int64(3))
+        assert type(reports[0].seed) is int
+        plain = run_mse_sweep(BetaParams(1.5, 2.0), [11848], trials=5, seed=3)
+        assert json.dumps(reports[0].to_dict()) == json.dumps(plain[0].to_dict())
 
 
 class TestMseSweep:
@@ -402,6 +432,19 @@ class TestMseSweep:
         assert rep.bound_total == pytest.approx(0.2520483938871623, rel=1e-9)
         assert rep.empirical_mse <= rep.bound_total
         assert rep.error == rep.bound_total - rep.empirical_mse
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
+    def test_rows_carry_the_registry_bound_and_scale(self, beta):
+        n_values = [minimal_n(beta_ingredients(BetaParams(1.5, beta))) + k for k in (0, 700)]
+        reports = run_mse_sweep(BetaParams(1.5, beta), n_values, trials=20, seed=3)
+        entry = get_model("beta", beta=beta)
+        for row, (rep, n) in enumerate(zip(reports, n_values)):
+            assert rep.bound_total == entry.mse_bound(1.5, n)
+            stats = _pykernels.trial_stats("beta", 1.5, beta, n, 3, 20 * row, 20 * (row + 1))
+            theta_hats = entry.mle_from_stat(stats, n)
+            z = entry.standardize_scale(1.5, n) * (theta_hats - 1.5)
+            mean_h = math.fsum(1.0 / (v * v + 2.0) for v in z.tolist()) / 20
+            assert rep.empirical_distance == abs(mean_h - rep.expected_h)
 
     def test_rejects_below_minimal(self):
         with pytest.raises(DomainError, match="minimal n"):

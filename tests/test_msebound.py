@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import beta_score, bracketed_beta_root
 from scipy.special import gammaln
 
-from steinmle.errors import DomainError
+from steinmle.errors import ConvergenceError, DomainError
 from steinmle.msebound import (
     BetaParams,
     ImplicitModelIngredients,
@@ -22,7 +23,7 @@ from steinmle.msebound import (
     beta_distance_bound,
     beta_ingredients,
     beta_mle,
-    beta_score,
+    beta_shape_roots,
     d1,
     implicit_distance_bound,
     minimal_n,
@@ -325,6 +326,65 @@ class TestBetaMle:
             beta_mle([0.0, 0.5], 1.0)
         with pytest.raises(DomainError):
             beta_mle([0.5], 0.0)
+
+
+def _mean_logs(theta0, beta, n, trials, seed=1):
+    xs = np.random.default_rng(seed).beta(theta0, beta, size=(trials, n))
+    return np.log(xs).mean(axis=1)
+
+
+class TestBetaShapeRoots:
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [5, 7, 50, 12000])
+    @pytest.mark.parametrize("theta0", [0.3, 1.5, 8.0])
+    def test_matches_the_bracketed_scalar_root(self, theta0, beta, n):
+        stats = _mean_logs(theta0, beta, n, 20 if n > 1000 else 60)
+        roots = beta_shape_roots(stats, beta)
+        for stat, root in zip(stats.tolist(), roots.tolist()):
+            assert root == pytest.approx(bracketed_beta_root(n, stat * n, beta), rel=1e-12)
+
+    def test_a_lane_does_not_depend_on_its_row(self):
+        # lanes converging after different step counts, in one row
+        stats = np.concatenate([_mean_logs(t, 2.5, 7, 30) for t in (0.05, 1.5, 40.0)])
+        row = beta_shape_roots(stats, 2.5)
+        assert row.tolist() == [beta_shape_roots([s], 2.5)[0] for s in stats.tolist()]
+        assert beta_shape_roots(stats[::-1], 2.5).tolist() == row[::-1].tolist()
+
+    @pytest.mark.parametrize(
+        "theta0,beta", [(1.5, 0.1), (8.0, 0.1), (400.0, 0.1), (400.0, 0.5), (0.05, 17.0)]
+    )
+    def test_within_a_few_ulps_of_the_exact_root(self, theta0, beta):
+        # where cancellation in psi(theta + beta) - psi(theta) put the scalar
+        # root up to ~5e-10 off
+        stats = _mean_logs(theta0, beta, 5, 10)
+        for stat, root in zip(stats.tolist(), beta_shape_roots(stats, beta).tolist()):
+            with mp.workdps(40):
+                exact = mp.findroot(
+                    lambda t: mp.digamma(t + beta) - mp.digamma(t) + mp.mpf(stat), root
+                )
+            assert root == pytest.approx(float(exact), rel=4e-16)
+
+    def test_beta_one_is_the_closed_form(self):
+        stats = _mean_logs(1.5, 1.0, 50, 40)
+        assert beta_shape_roots(stats, 1.0) == pytest.approx(-1.0 / stats, rel=4e-16)
+
+    def test_far_statistics(self):
+        # roots near beta/|mean_log| and 1/|mean_log|; beyond ~1e150 a*b
+        # overflows and the iteration reports that it did not converge
+        assert beta_shape_roots([-1e-100], 2.0)[0] == pytest.approx(2e100, rel=1e-12)
+        assert beta_shape_roots([-1e300], 0.5)[0] == pytest.approx(1e-300, rel=1e-12)
+        with pytest.raises(ConvergenceError):
+            beta_shape_roots([-1e-300], 2.0)
+
+    @pytest.mark.parametrize(
+        "bad", [[0.0], [-0.5, 0.1], [-math.inf], [math.nan], [[-0.5]]]
+    )
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            beta_shape_roots(bad, 2.0)
+
+    def test_empty_row(self):
+        assert beta_shape_roots([], 2.0).size == 0
 
 
 class TestIngredientValidation:

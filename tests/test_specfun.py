@@ -6,19 +6,19 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import EULER_GAMMA, polygamma_series
 
 from steinmle.errors import ConvergenceError, DomainError
 from steinmle.specfun import (
-    EULER_GAMMA,
+    inv_quadratic_expectation,
     log_gamma,
     normal_expectation,
     polygamma,
-    polygamma_series,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
-from steinmle.steincore import inv_quadratic_test_function
+from steinmle.steincore import TestFunction, inv_quadratic_test_function
 
 # log-spaced accuracy grid spanning the contractual domain
 ACCURACY_GRID = [10.0 ** (-3 + 9 * k / 40) for k in range(41)]
@@ -171,6 +171,51 @@ class TestNormalExpectation:
                 mp.quad(lambda t: 1.0 / ((sigma * t) ** 2 + 2) * mp.npdf(t), [-mp.inf, 0, mp.inf])
             )
         assert normal_expectation(h, scale=sigma) == pytest.approx(ref, abs=1e-9)
+
+    # 201 log-spaced scales over [1e-4, 1e4], the Poisson target sigmas, and
+    # both sides of the series / continued-fraction cut at 1/scale = 6.
+    EXACT_SCALES = [10.0 ** (-4 + 8 * k / 200) for k in range(201)] + [
+        1.0,
+        math.sqrt(0.5),
+        math.sqrt(5.0),
+        math.sqrt(60.0),
+        1.0 / 6.0,
+        1.0 / 5.999,
+        1.0 / 6.001,
+    ]
+
+    def test_exact_expectation_is_correctly_rounded(self):
+        def reference(sigma):
+            with mp.workdps(50):
+                x = 1 / mp.mpf(sigma)
+                return float(x * mp.sqrt(mp.pi) / 2 * mp.exp(x * x) * mp.erfc(x))
+
+        h = inv_quadratic_test_function()
+        wrong = [
+            s for s in self.EXACT_SCALES if normal_expectation(h, scale=s) != reference(s)
+        ]
+        assert wrong == []
+
+    def test_exact_expectation_equals_the_quadrature_at_unit_scale(self):
+        h = inv_quadratic_test_function()
+        assert normal_expectation(h) == 0.37893607807065605
+        assert normal_expectation(h.evaluator) == 0.37893607807065605
+
+    def test_exact_expectation_is_used_only_when_carried(self):
+        marker = TestFunction(
+            evaluator=lambda x: 1.0, sup_norm=1.0, lip_norm=0.0, gaussian_expectation=lambda s: s
+        )
+        assert normal_expectation(marker, scale=3.0) == 3.0
+        assert normal_expectation(marker, scale=0.0) == 1.0  # point mass: h(0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "1"])
+    def test_exact_expectation_domain(self, bad):
+        with pytest.raises(DomainError):
+            inv_quadratic_expectation(bad)
+
+    def test_gaussian_expectation_must_be_callable(self):
+        with pytest.raises(DomainError):
+            TestFunction(evaluator=abs, sup_norm=1.0, lip_norm=1.0, gaussian_expectation=0.5)
 
     def test_zero_scale_is_point_mass(self):
         h = inv_quadratic_test_function()
