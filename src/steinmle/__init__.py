@@ -13,7 +13,6 @@ from .boundary import (
     perturb,
     perturbed_theta,
     poisson_bound,
-    poisson_direct_bound,
 )
 from .errors import (
     ConvergenceError,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .expfam import (
     ExpFamilySpec,
-    ModelDescriptor,
     exp_canonical_family,
     exp_canonical_ingredients,
     exp_noncanonical_family,
@@ -47,7 +45,6 @@ from .msebound import (
 )
 from .registry import MODEL_NAMES, get_model
 from .specfun import (
-    log_gamma,
     normal_expectation,
     polygamma,
     std_normal_cdf,
@@ -59,8 +56,6 @@ from .steincore import (
     ConfidenceInterval,
     TestFunction,
     conservative_ci,
-    direct_sum_bound,
-    holder_third_from_fourth,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
     mle_bound_general,
@@ -78,7 +73,6 @@ __all__ = [
     "DegenerateSampleError",
     "ConvergenceError",
     # special functions
-    "log_gamma",
     "polygamma",
     "std_normal_cdf",
     "std_normal_quantile",
@@ -93,11 +87,8 @@ __all__ = [
     "mle_bound_general",
     "kolmogorov_from_bw",
     "conservative_ci",
-    "direct_sum_bound",
-    "holder_third_from_fourth",
     # exponential families
     "ExpFamilySpec",
-    "ModelDescriptor",
     "exp_canonical_family",
     "exp_noncanonical_family",
     "expfam_fisher_info",
@@ -112,7 +103,6 @@ __all__ = [
     "perturbed_theta",
     "general_perturbed_bound",
     "poisson_bound",
-    "poisson_direct_bound",
     # implicit-MLE MSE bounds
     "ImplicitModelIngredients",
     "BetaParams",

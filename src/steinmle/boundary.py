@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError
-from .steincore import BoundBreakdown, check_sample_size
+from .steincore import BoundBreakdown, _score_term, check_sample_size
 
 __all__ = [
     "DEGENERATE_FISHER_INFO",
@@ -38,7 +38,6 @@ __all__ = [
     "perturbed_theta",
     "general_perturbed_bound",
     "poisson_bound",
-    "poisson_direct_bound",
     "minimize_poisson_c",
 ]
 
@@ -107,10 +106,6 @@ class PerturbationSpec:
         if right:
             return "right-closed"  # (-inf, b]: push left by c/n
         return "unbounded"
-
-    def shift_magnitude(self, x: float) -> float:
-        """|q(x) - x| at the point x (for reporting; sup is c/n)."""
-        return abs(perturb(self, x) - x)
 
 
 def _apply_map(spec: PerturbationSpec, x: float, what: str) -> float:
@@ -236,15 +231,11 @@ def general_perturbed_bound(
         t_mismatch = abs(1.0 - 1.0 / math.sqrt(w2 * n * i0)) * math.sqrt(
             n * w2 + (n * w1) ** 2
         ) + root_n * abs(w1) / math.sqrt(w2 * i0)
-        t_score = (2.0 + stats.third_abs_central / w2**1.5) / root_n
+        t_score = _score_term(stats.third_abs_central, w2, n)
 
     ing = perturbed_ingredients
     t_markov = 2.0 * ing.mse / ing.epsilon**2
-    if ing.sup_third_is_deterministic:
-        taylor_factor = ing.sup_third_deriv * ing.mse
-    else:
-        taylor_factor = ing.sup_third_deriv * math.sqrt(ing.fourth_mle_moment)
-    t_taylor = (ing.r2_conditional_bound + 0.5 * taylor_factor) / (
+    t_taylor = (ing.r2_conditional_bound + 0.5 * ing.taylor_factor) / (
         root_n * ing.fisher_info
     )
 
@@ -260,8 +251,16 @@ def general_perturbed_bound(
     )
 
 
-def _poisson_terms(theta0: float, n: int, c: float):
-    """The closed-form Poisson term values at perturbation constant c.
+def _poisson_score(theta0: float, n: int) -> float:
+    """The perturbed-score term of the Poisson bound, which does not depend on c."""
+    # Holder: E|X - theta0|^3 <= (theta0 + 3 theta0^2)^(3/4), passed already
+    # divided by theta0^(3/2), so against a unit variance.
+    return _score_term((3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75, 1.0, n)
+
+
+def _poisson_terms(theta0: float, n: int, c: float, t_score: float):
+    """The closed-form Poisson term values at perturbation constant c, with
+    the perturbed-score term t_score from ``_poisson_score``.
 
     Mapping to the six-label schema: the combined 2c/sqrt(n) cost splits
     into the parameter shift c/sqrt(n) and the estimator gap
@@ -275,7 +274,6 @@ def _poisson_terms(theta0: float, n: int, c: float):
     t_shift = c / root_n
     t_gap = c / root_n
     t_mismatch = 0.0
-    t_score = (2.0 + (3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75) / root_n
     t_markov = 8.0 * theta0 / (n * tp * tp)
     t_taylor = theta0 / (root_n * tp) + 12.0 / (root_n * tp) * math.sqrt(
         theta0 / n + 3.0 * theta0**2
@@ -290,8 +288,8 @@ def _poisson_terms(theta0: float, n: int, c: float):
     )
 
 
-def _poisson_total(theta0: float, n: int, c: float) -> float:
-    return math.fsum(v for _, v in _poisson_terms(theta0, n, c))
+def _poisson_total(theta0: float, n: int, c: float, t_score: float) -> float:
+    return math.fsum(v for _, v in _poisson_terms(theta0, n, c, t_score))
 
 
 def minimize_poisson_c(theta0: float, n: int, tol: float = 1e-10) -> float:
@@ -301,29 +299,30 @@ def minimize_poisson_c(theta0: float, n: int, tol: float = 1e-10) -> float:
     misbehaves the final answer is cross-checked against a log-grid minimum
     and the better of the two is returned.
     """
+    t_score = _poisson_score(theta0, n)
     hi = n * theta0
     lo = min(1e-12, hi / 2.0)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1 = _poisson_total(theta0, n, x1)
-    f2 = _poisson_total(theta0, n, x2)
+    f1 = _poisson_total(theta0, n, x1, t_score)
+    f2 = _poisson_total(theta0, n, x2, t_score)
     while b - a > tol:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = _poisson_total(theta0, n, x1)
+            f1 = _poisson_total(theta0, n, x1, t_score)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = _poisson_total(theta0, n, x2)
+            f2 = _poisson_total(theta0, n, x2, t_score)
     c_golden = 0.5 * (a + b)
-    best_c, best_val = c_golden, _poisson_total(theta0, n, c_golden)
+    best_c, best_val = c_golden, _poisson_total(theta0, n, c_golden, t_score)
     # Safety net: coarse log-grid scan.
     for k in range(61):
         c_grid = 10.0 ** (math.log10(lo) + k * (math.log10(hi) - math.log10(lo)) / 60.0)
-        val = _poisson_total(theta0, n, c_grid)
+        val = _poisson_total(theta0, n, c_grid, t_score)
         if val < best_val:
             best_c, best_val = c_grid, val
     return best_c
@@ -360,16 +359,4 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
             raise DomainError(f"c must be a finite positive real or 'auto', got {c!r}")
         c_val = float(c)
-    return BoundBreakdown(terms=_poisson_terms(theta0, n, c_val))
-
-
-def poisson_direct_bound(theta0: float, n: int) -> float:
-    """Normalised-sum route for the Poisson mean against N(0, theta0).
-
-    (1/sqrt(n)) (2 + (3 theta0 + 1)^(3/4) / theta0^(3/4)); the third moment
-    enters through its fourth-moment Holder bound.  Needs theta0 > 0.
-    """
-    if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 > 0.0):
-        raise DomainError(f"theta0 must be a finite positive real, got {theta0!r}")
-    n = check_sample_size(n)
-    return (2.0 + (3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75) / math.sqrt(n)
+    return BoundBreakdown(terms=_poisson_terms(theta0, n, c_val, _poisson_score(theta0, n)))

@@ -106,7 +106,7 @@ def main():
 @click.option("--n", type=int, required=True)
 @click.option("--h-sup", type=float, default=1.0, show_default=True, help="sup-norm weight of the test function")
 @click.option("--h-lip", type=float, default=1.0, show_default=True, help="Lipschitz-norm weight")
-@click.option("--epsilon", type=float, default=None, help="localisation radius override (default theta0/2)")
+@click.option("--epsilon", type=float, default=None, help="exponential models' localisation radius (default theta0/2)")
 @click.option("--c", type=float, default=None, help="Poisson perturbation constant (default: minimise)")
 @click.option("--beta", type=float, default=1.0, show_default=True, help="Beta model's known shape")
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
@@ -115,7 +115,9 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta, fmt):
 
     The exponential models weight each term by the given test-function
     norms; the poisson and beta closed forms absorb the norms at the class
-    ceiling (sup <= 1, Lipschitz <= 1) and ignore the h options.
+    ceiling (sup <= 1, Lipschitz <= 1) and ignore the h options.  --epsilon
+    applies to the exponential models only and --c to poisson only; given
+    to another model, either is a validation error.
     """
 
     def run():
@@ -403,17 +405,9 @@ def cmd_constants(model, theta0, n, beta, epsilon, fmt):
 
     def run():
         entry = registry.get_model(model, beta=beta)
-        if model in ("exp-canonical", "exp-noncanonical"):
-            if n is None:
-                raise DomainError(f"{model}: --n is required for the ingredient audit")
-            payload = entry.audit(theta0, n, epsilon)
-        elif model == "poisson":
-            if n is None:
-                raise DomainError("poisson: --n is required for the bound audit")
-            payload = entry.audit(theta0, n)
-        else:
-            payload = entry.audit(theta0, n)
-        payload = {"schema": "steinmle/constants/v1", **payload}
+        if n is None and model != "beta":
+            raise DomainError(f"{model}: --n is required for the audit")
+        payload = {"schema": "steinmle/constants/v1", **entry.audit(theta0, n, epsilon)}
         if fmt == "json":
             _echo(json.dumps(payload))
         elif fmt == "csv":

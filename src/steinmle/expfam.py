@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import DomainError
 from .steincore import BoundIngredients, check_sample_size
 
 __all__ = [
     "ExpFamilySpec",
-    "ModelDescriptor",
     "EXP_THIRD_ABS_BOUND",
     "exp_canonical_family",
     "exp_noncanonical_family",
@@ -44,21 +43,15 @@ EXP_THIRD_ABS_BOUND = 2.41456
 
 @dataclass(frozen=True)
 class ExpFamilySpec:
-    """Structural description of a one-parameter exponential family.
+    """What the ingredient formulas read of a one-parameter exponential family.
 
-    ``support`` and ``theta_space`` are (low, high) interval endpoints; the
-    support must not depend on theta.  ``k_prime`` must be nonvanishing on
-    the parameter space, which makes D(theta) = A'(theta)/k'(theta)
+    ``theta_space`` is the (low, high) open parameter interval.  ``k_prime``
+    must be nonvanishing on it, which makes D(theta) = A'(theta)/k'(theta)
     well-defined.
     """
 
-    k: Callable[[float], float]
     k_prime: Callable[[float], float]
-    A: Callable[[float], float]
     A_prime: Callable[[float], float]
-    T: Callable[[float], float]
-    S: Callable[[float], float]
-    support: Tuple[float, float]
     theta_space: Tuple[float, float]
 
     def D(self, theta: float) -> float:
@@ -79,13 +72,8 @@ class ExpFamilySpec:
 def exp_canonical_family() -> ExpFamilySpec:
     """Exponential distribution with rate theta: k(theta)=theta, T(x)=-x."""
     return ExpFamilySpec(
-        k=lambda t: t,
         k_prime=lambda t: 1.0,
-        A=lambda t: -math.log(t),
         A_prime=lambda t: -1.0 / t,
-        T=lambda x: -x,
-        S=lambda x: 0.0,
-        support=(0.0, math.inf),
         theta_space=(0.0, math.inf),
     )
 
@@ -93,13 +81,8 @@ def exp_canonical_family() -> ExpFamilySpec:
 def exp_noncanonical_family() -> ExpFamilySpec:
     """Exponential distribution with mean theta: k(theta)=1/theta, T(x)=-x."""
     return ExpFamilySpec(
-        k=lambda t: 1.0 / t,
         k_prime=lambda t: -1.0 / (t * t),
-        A=lambda t: math.log(t),
         A_prime=lambda t: 1.0 / t,
-        T=lambda x: -x,
-        S=lambda x: 0.0,
-        support=(0.0, math.inf),
         theta_space=(0.0, math.inf),
     )
 
@@ -204,23 +187,3 @@ def exp_noncanonical_ingredients(
         epsilon=eps,
         sup_third_is_deterministic=False,
     )
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    """A registered model at a fixed true parameter.
-
-    ``mle`` maps a raw sample to the estimate; ``ingredients_for`` produces
-    the bound ingredients at (theta0, n, epsilon).  Used by the registry and
-    serialised (via the ingredients) for audit output.
-    """
-
-    name: str
-    theta0: float
-    closed_form_mle: bool
-    mle: Callable[[Sequence[float]], float]
-    ingredients_for: Callable[[float, int, Optional[float]], BoundIngredients]
-
-    def audit(self, n: int, epsilon: Optional[float] = None) -> dict:
-        ing = self.ingredients_for(self.theta0, n, epsilon)
-        return {"model": self.name, "ingredients": ing.to_dict()}

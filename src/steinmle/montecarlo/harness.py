@@ -384,6 +384,8 @@ def ci_coverage(
             "unit-normal standardisation; the boundary route targets N(0, theta0)"
         )
     theta0 = entry.validate_theta0(theta0)
+    n = check_sample_size(n)
+    trials = check_sample_size(trials, "trials")
     seed = _check_seed(seed, "seed")
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")

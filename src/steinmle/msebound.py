@@ -16,11 +16,11 @@ instance: its score involves only digammas, its log-likelihood second
 derivative is deterministic (Var l'' = 0), and every constant reduces to
 polygamma values at theta0 and theta0 + beta.
 
-Numerical note: the Beta combination B3 divides by a difference of
-nearly-equal terms (inner denominator ~0.0019 at theta0=1.5, n=7500), so the
-constants are produced by the high-accuracy polygamma path and the final
-combination is carried out in extended precision (stdlib ``decimal``, 50
-digits) before rounding once to float.  That caps the assembly error near
+Numerical note: the root A1, and with it the Beta constant B3 = sqrt(n) A1,
+divides by D1, a difference of nearly-equal terms (~0.0019 at theta0=1.5,
+n=7500), so the constants are produced by the high-accuracy polygamma path
+and D1 and A1 are computed once, in extended precision (stdlib ``decimal``,
+50 digits), before rounding once to float.  That caps the assembly error near
 1e-13, far inside the +-5e-4 acceptance band for the tabulated values.
 """
 
@@ -39,6 +39,7 @@ from .steincore import (
     TERM_SCORE,
     TERM_TAYLOR,
     BoundBreakdown,
+    _score_term,
     check_sample_size,
 )
 
@@ -169,14 +170,8 @@ def minimal_n(ing: ImplicitModelIngredients) -> int:
     return n
 
 
-def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
-    """A1, the positive root of the root-MSE quadratic: bounds sqrt(MSE).
-
-    Requires d1 > 0 (n at least ``minimal_n``); below that the quadratic
-    inequality has no positive solution and a DomainError names the minimal
-    sample size.
-    """
-    n = check_sample_size(n)
+def _a1_dec(ing: ImplicitModelIngredients, n: int) -> Decimal:
+    """A1 to 50 digits; DomainError, naming the minimal n, if d1 <= 0."""
     with localcontext(_EXTENDED):
         dd = _d1_dec(ing, n)
         if dd <= 0:
@@ -193,7 +188,17 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
         rad = 4 * x**2 * var / (nn**2 * i**3) + (4 * dd / (nn * i)) * (
             1 + (2 * x / nn.sqrt()) * (2 + third / i32)
         )
-        return float((lin + rad.sqrt()) / (2 * dd))
+        return (lin + rad.sqrt()) / (2 * dd)
+
+
+def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
+    """A1, the positive root of the root-MSE quadratic: bounds sqrt(MSE).
+
+    Requires d1 > 0 (n at least ``minimal_n``); below that the quadratic
+    inequality has no positive solution and a DomainError names the minimal
+    sample size.  Solved in 50-digit ``decimal`` and rounded once.
+    """
+    return float(_a1_dec(ing, check_sample_size(n)))
 
 
 def implicit_distance_bound(
@@ -207,7 +212,7 @@ def implicit_distance_bound(
     """
     n = check_sample_size(n)
     a1 = _checked_nonneg(a1, "a1")
-    t_score = (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5) / math.sqrt(n)
+    t_score = _score_term(ing.third_abs_score_moment, ing.fisher_info, n)
     t_markov = 2.0 * a1**2 / ing.epsilon**2
     t_taylor = math.sqrt(n) * ing.c1_const * a1**2 / (2.0 * math.sqrt(ing.fisher_info))
     t_r2 = math.sqrt(ing.var_l2) * a1 / math.sqrt(ing.fisher_info)
@@ -293,13 +298,7 @@ def beta_b3(p: BetaParams, n: int) -> float:
 
 def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
     with localcontext(_EXTENDED):
-        dd = _d1_dec(ing, n)
-        if dd <= 0:
-            raise DomainError(f"n below minimal n = {minimal_n(ing)}")
-        dpsi = Decimal(ing.fisher_info)
-        b1_34 = Decimal(ing.third_abs_score_moment)  # already B1^(3/4)
-        num = ((4 + (8 / Decimal(n).sqrt()) * (2 + b1_34 / (dpsi * dpsi.sqrt()))) * dd).sqrt()
-        return float(num / (2 * dpsi.sqrt() * dd))
+        return float(Decimal(n).sqrt() * _a1_dec(ing, n))
 
 
 def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:

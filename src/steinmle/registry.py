@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from . import boundary, expfam, msebound
 from .errors import DegenerateSampleError, DomainError, UnknownModelError
-from .expfam import ModelDescriptor
 from .steincore import BoundBreakdown, mle_bound_general
 
 __all__ = ["MODEL_NAMES", "get_model", "RegistryEntry"]
@@ -47,7 +46,6 @@ class RegistryEntry:
     """Base behaviour shared by all registered models."""
 
     name: str = ""
-    closed_form_mle: bool = True
     supports_ci: bool = True
 
     def validate_theta0(self, theta0: float) -> float:
@@ -85,6 +83,13 @@ class RegistryEntry:
     def audit(self, theta0: float, n: int, epsilon: Optional[float] = None) -> dict:
         raise NotImplementedError
 
+    def _reject_unused(self, epsilon=None, c="auto"):
+        """Refuse a value other than the default for an option the model ignores."""
+        if epsilon is not None:
+            raise DomainError(f"{self.name}: the model takes no epsilon, got {epsilon!r}")
+        if c != "auto":
+            raise DomainError(f"{self.name}: c applies to the poisson model only, got {c!r}")
+
 
 class _ExpCanonical(RegistryEntry):
     name = "exp-canonical"
@@ -104,21 +109,14 @@ class _ExpCanonical(RegistryEntry):
             raise DegenerateSampleError("exp-canonical estimator needs a nonzero sample mean")
         return 1.0 / stat
 
-    def descriptor(self, theta0) -> ModelDescriptor:
-        return ModelDescriptor(
-            name=self.name,
-            theta0=self.validate_theta0(theta0),
-            closed_form_mle=True,
-            mle=self.mle,
-            ingredients_for=expfam.exp_canonical_ingredients,
-        )
-
     def distance_bound(self, theta0, n, h_weights=(1.0, 1.0), epsilon=None, c="auto"):
+        self._reject_unused(c=c)
         ing = expfam.exp_canonical_ingredients(theta0, n, epsilon)
         return mle_bound_general(ing, h_weights)
 
     def audit(self, theta0, n, epsilon=None):
-        return self.descriptor(theta0).audit(n, epsilon)
+        ing = expfam.exp_canonical_ingredients(self.validate_theta0(theta0), n, epsilon)
+        return {"model": self.name, "ingredients": ing.to_dict()}
 
 
 class _ExpNonCanonical(_ExpCanonical):
@@ -130,18 +128,14 @@ class _ExpNonCanonical(_ExpCanonical):
     def mle_from_stat(self, stat, n):
         return stat
 
-    def descriptor(self, theta0) -> ModelDescriptor:
-        return ModelDescriptor(
-            name=self.name,
-            theta0=self.validate_theta0(theta0),
-            closed_form_mle=True,
-            mle=self.mle,
-            ingredients_for=expfam.exp_noncanonical_ingredients,
-        )
-
     def distance_bound(self, theta0, n, h_weights=(1.0, 1.0), epsilon=None, c="auto"):
+        self._reject_unused(c=c)
         ing = expfam.exp_noncanonical_ingredients(theta0, n, epsilon)
         return mle_bound_general(ing, h_weights)
+
+    def audit(self, theta0, n, epsilon=None):
+        ing = expfam.exp_noncanonical_ingredients(self.validate_theta0(theta0), n, epsilon)
+        return {"model": self.name, "ingredients": ing.to_dict()}
 
 
 class _Poisson(RegistryEntry):
@@ -175,16 +169,16 @@ class _Poisson(RegistryEntry):
         # The closed-form Poisson bound already absorbs the test-function
         # norms at their class ceiling (sup <= 1, Lipschitz <= 1), so it
         # dominates the h-discrepancy for any h in the class.
+        self._reject_unused(epsilon=epsilon)
         return boundary.poisson_bound(theta0, n, c)
 
     def audit(self, theta0, n, epsilon=None):
-        bd = self.distance_bound(theta0, n)
+        bd = self.distance_bound(theta0, n, epsilon=epsilon)
         return {"model": self.name, "theta0": theta0, "n": n, "bound": bd.to_dict()}
 
 
 class _Beta(RegistryEntry):
     name = "beta"
-    closed_form_mle = False
 
     def __init__(self, beta: float = 1.0):
         if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
@@ -211,6 +205,7 @@ class _Beta(RegistryEntry):
 
     def distance_bound(self, theta0, n, h_weights=(1.0, 1.0), epsilon=None, c="auto"):
         # Weights are absorbed at their class ceiling, as for Poisson.
+        self._reject_unused(epsilon, c)
         p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
         return msebound.beta_distance_bound(p, n)
 
@@ -219,6 +214,7 @@ class _Beta(RegistryEntry):
         return msebound._beta_mse_bound(msebound.beta_ingredients(p), n)
 
     def audit(self, theta0, n, epsilon=None):
+        self._reject_unused(epsilon)
         p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
         out = {"model": self.name, "theta0": theta0, "beta": self.beta}
         out.update(msebound.beta_b_constants(p))

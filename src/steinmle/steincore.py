@@ -9,7 +9,9 @@ where the score term alone bounds the distance for the standardised score
 statistic, and the remaining terms price the Taylor expansion of the score
 around the estimator.  Model-specific moments enter through
 :class:`BoundIngredients`; the assemblers are pure arithmetic so every model
-shares one audited code path.
+shares one audited code path.  The score term (2 + E|xi|^3 / i^{3/2})/sqrt(n)
+is written once, in ``_score_term``, which the boundary-perturbed and
+implicit-MLE bounds call too.
 
 Conventions
 -----------
@@ -48,8 +50,6 @@ __all__ = [
     "mle_bound_general",
     "kolmogorov_from_bw",
     "conservative_ci",
-    "direct_sum_bound",
-    "holder_third_from_fourth",
 ]
 
 TERM_SCORE = "score"
@@ -175,6 +175,14 @@ class BoundIngredients:
         if eps <= 0.0:
             raise DomainError(f"epsilon must be positive, got {eps!r}")
 
+    @property
+    def taylor_factor(self) -> float:
+        """sup_third_deriv * MSE when the sup bound is sample-free, else
+        sup_third_deriv * sqrt(fourth moment) (the Cauchy-Schwarz route)."""
+        if self.sup_third_is_deterministic:
+            return self.sup_third_deriv * self.mse
+        return self.sup_third_deriv * math.sqrt(self.fourth_mle_moment)
+
     def to_dict(self):
         return {
             "theta0": self.theta0,
@@ -273,18 +281,22 @@ def _validate_weights(h_weights):
     )
 
 
+def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
+    """(2 + E|xi|^3 / Var(xi)^{3/2}) / sqrt(n): the Stein bound for the
+    standardised sum of n i.i.d. copies of xi, the leading term of every bound."""
+    return (2.0 + third_abs_moment / variance**1.5) / math.sqrt(n)
+
+
 def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     """Distance bound for the standardised score statistic.
 
     Single term  lip * (1/sqrt(n)) * (2 + third_moment / fisher^{3/2}).
-    With weights (1, 1) this is the bounded Wasserstein bound for the score.
+    With weights (1, 1) this is the bounded Wasserstein bound for the score;
+    when the estimator already is a normalised i.i.d. sum it bounds the
+    estimator's distance directly, with no Taylor expansion.
     """
     _, lip = _validate_weights(h_weights)
-    value = (
-        lip
-        / math.sqrt(ing.n)
-        * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)
-    )
+    value = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     return BoundBreakdown(terms=((TERM_SCORE, value),))
 
 
@@ -292,27 +304,18 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     """Four-term distance bound for sqrt(n * i(theta0)) (theta_hat - theta0).
 
     Terms: the score bound; a Markov tail term 2*sup*MSE/eps^2; the
-    conditional R2 term; and the Taylor remainder term, which uses
-    sup_third_deriv * sqrt(fourth moment) via Cauchy-Schwarz, or
-    sup_third_deriv * MSE when the sup bound is sample-free.
+    conditional R2 term; and the Taylor remainder term, which scales
+    ``BoundIngredients.taylor_factor``.
 
     Non-finite ingredient values propagate into a non-finite total rather
     than raising; check ``BoundBreakdown.is_finite``.
     """
     sup, lip = _validate_weights(h_weights)
     root_ni = math.sqrt(ing.n * ing.fisher_info)
-    t_score = (
-        lip
-        / math.sqrt(ing.n)
-        * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)
-    )
+    t_score = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     t_markov = 2.0 * sup * ing.mse / ing.epsilon**2
     t_r2 = lip / root_ni * ing.r2_conditional_bound
-    if ing.sup_third_is_deterministic:
-        taylor_factor = ing.sup_third_deriv * ing.mse
-    else:
-        taylor_factor = ing.sup_third_deriv * math.sqrt(ing.fourth_mle_moment)
-    t_taylor = lip / root_ni * 0.5 * taylor_factor
+    t_taylor = lip / root_ni * 0.5 * ing.taylor_factor
     return BoundBreakdown(
         terms=(
             (TERM_SCORE, t_score),
@@ -359,24 +362,3 @@ def conservative_ci(
     lower = theta_hat - std_normal_quantile(hi_arg) / scale
     upper = theta_hat - std_normal_quantile(lo_arg) / scale
     return ConfidenceInterval(lower, upper, degenerate=False)
-
-
-def direct_sum_bound(sigma: float, third_abs_moment: float, n: int) -> float:
-    """Distance bound for a normalised i.i.d. sum against N(0, sigma^2).
-
-    (1/sqrt(n)) * (2 + third_abs_moment / sigma^3), for W = n^{-1/2} sum Y_i
-    with E Y = 0, Var Y = sigma^2.  This is the route that skips the Taylor
-    expansion entirely when the estimator already is a normalised sum.
-    """
-    s = _check_nonneg(sigma, "sigma", allow_inf=False)
-    if s <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    m3 = _check_nonneg(third_abs_moment, "third_abs_moment")
-    n = check_sample_size(n)
-    return (2.0 + m3 / s**3) / math.sqrt(n)
-
-
-def holder_third_from_fourth(fourth_moment: float) -> float:
-    """Holder upper bound for a third absolute moment: fourth^(3/4)."""
-    m4 = _check_nonneg(fourth_moment, "fourth_moment")
-    return m4**0.75

@@ -16,7 +16,6 @@ from steinmle.boundary import (
     perturb,
     perturbed_theta,
     poisson_bound,
-    poisson_direct_bound,
 )
 from steinmle.errors import DomainError
 from steinmle.steincore import BoundIngredients
@@ -292,25 +291,33 @@ class TestAutoC:
 
 
 class TestPoissonDirectBound:
+    """The normalised-sum bound (2 + (3 theta0 + 1)^(3/4) / theta0^(3/4))/sqrt(n)
+    for the Poisson mean: the perturbed-score term of ``poisson_bound``."""
+
+    @staticmethod
+    def direct(theta0, n, c="auto"):
+        return poisson_bound(theta0, n, c).term("perturbed_score")
+
     def test_reference_values(self):
-        assert poisson_direct_bound(1.0, 100) == pytest.approx(0.4828427125, abs=1e-9)
+        assert self.direct(1.0, 100) == pytest.approx(0.4828427125, abs=1e-9)
         third = (2.0 + 2.0**0.75 * 3.0**0.75) / math.sqrt(25)
-        assert poisson_direct_bound(1.0 / 3.0, 25) == pytest.approx(third, rel=1e-12)
+        assert self.direct(1.0 / 3.0, 25) == pytest.approx(third, rel=1e-12)
 
     def test_dominated_by_perturbed_bound(self):
         for theta0 in (0.2, 1.0, 4.0):
             for n in (5, 50, 500, 5000):
-                direct = poisson_direct_bound(theta0, n)
+                direct = self.direct(theta0, n)
                 assert direct <= poisson_bound(theta0, n, "auto").total
                 for c in (0.5, 2.0):
                     if c < n * theta0:
+                        assert self.direct(theta0, n, c) == direct
                         assert direct <= poisson_bound(theta0, n, c).total
 
     def test_validation(self):
+        # theta0 = 0 is the degenerate case, where the term is exactly zero
+        assert self.direct(0.0, 10) == 0.0
         with pytest.raises(DomainError):
-            poisson_direct_bound(0.0, 10)
-        with pytest.raises(DomainError):
-            poisson_direct_bound(-1.0, 10)
+            self.direct(-1.0, 10)
 
 
 class TestIntegerTypesForN:
@@ -321,7 +328,6 @@ class TestIntegerTypesForN:
         n = int_type(100)
         assert poisson_bound(1.0, n).total == poisson_bound(1.0, 100).total
         assert poisson_bound(1.0, n, 2.0).total == poisson_bound(1.0, 100, 2.0).total
-        assert poisson_direct_bound(1.0, n) == poisson_direct_bound(1.0, 100)
         spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=n)
         assert type(spec.n) is int and spec.n == 100
         stats = PerturbedScoreStats(w1=0.0, w2=0.01, third_abs_central=4.0**0.75 / 1000.0)
@@ -333,8 +339,6 @@ class TestIntegerTypesForN:
     def test_bool_rejected(self):
         with pytest.raises(DomainError):
             poisson_bound(1.0, True)
-        with pytest.raises(DomainError):
-            poisson_direct_bound(1.0, True)
         with pytest.raises(DomainError):
             PerturbationSpec(a=0.0, b=INF, c=0.5, n=True)
         spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=1)

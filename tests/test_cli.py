@@ -296,6 +296,21 @@ class TestCiCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "1000", "--trials", "0"],
+            ["--n", "1000", "--trials", "-5"],
+            ["--n", "10000000", "--alpha", "0.9", "--trials", "0"],
+        ],
+        ids=["degenerate-0", "degenerate-negative", "interval-0"],
+    )
+    def test_nonpositive_trials_exit_2(self, runner, args):
+        base = ["ci", "--model", "exp-canonical", "--theta0", "1", "--format", "json"]
+        result = runner.invoke(main, base + args)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["message"].startswith("trials must")
+
 
 class TestMseSweepCommand:
     def test_rows(self, runner):
@@ -420,6 +435,30 @@ class TestValidation:
         result = runner.invoke(main, args + ["--seed", "-1"])
         assert result.exit_code == 2
         assert "seed" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--model", "beta", "--theta0", "1.5", "--n", "7460", "--epsilon", "0.1"],
+            ["bound", "--model", "poisson", "--theta0", "5", "--n", "50", "--epsilon", "0.1"],
+            ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "100", "--c", "2"],
+            ["bound", "--model", "beta", "--theta0", "1.5", "--n", "7460", "--c", "2"],
+            ["simulate", "--model", "poisson", "--theta0", "5", "--n", "20", "--trials", "5",
+             "--epsilon", "0.1"],
+            ["simulate", "--model", "exp-noncanonical", "--theta0", "2", "--n", "20",
+             "--trials", "5", "--c", "2"],
+            ["constants", "--model", "poisson", "--theta0", "5", "--n", "50", "--epsilon", "0.1"],
+            ["constants", "--model", "beta", "--theta0", "1.5", "--epsilon", "0.1"],
+        ],
+        ids=["bound-beta-epsilon", "bound-poisson-epsilon", "bound-exp-c", "bound-beta-c",
+             "simulate-poisson-epsilon", "simulate-exp-c", "constants-poisson-epsilon",
+             "constants-beta-epsilon"],
+    )
+    def test_option_the_model_ignores_exits_2(self, runner, args):
+        result = runner.invoke(main, args + ["--format", "json"])
+        assert result.exit_code == 2
+        option = "epsilon" if "--epsilon" in args else "c applies"
+        assert option in json.loads(result.stderr)["message"]
 
     def test_numerical_failure_maps_to_exit_3(self):
         from steinmle.cli import _guard

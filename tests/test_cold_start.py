@@ -1,6 +1,7 @@
 """Cold start: what a fresh interpreter loads for each verb.
 
-``bound`` and ``constants`` must not load numpy or mpmath, no verb may load
+``bound`` and ``constants`` must not load numpy, mpmath or ``statistics``
+(the normal quantile's module, which only ``ci`` needs), no verb may load
 mpmath or scipy, and every third-party module a verb loads must be a
 declared runtime dependency.  Each test starts its own interpreter, since
 the test process has long since imported all of them.
@@ -76,6 +77,42 @@ def test_bound_verbs_run_without_numpy_or_mpmath(args):
     )
     assert out.returncode == 0, out.stderr
     json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[]]
+    + [["bound", "--model", m, "--theta0", "1.5", "--n", "7460"] for m in MODEL_NAMES]
+    + [["constants", "--model", m, "--theta0", "1.5", "--n", "7460"] for m in MODEL_NAMES],
+    ids=["import"] + [f"bound-{m}" for m in MODEL_NAMES] + [f"constants-{m}" for m in MODEL_NAMES],
+)
+def test_cli_import_and_bound_verbs_load_no_statistics(args):
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "from steinmle.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(sys.argv[1:], standalone_mode=False)\n"
+        "print('statistics' in sys.modules)",
+        *args,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_ci_loads_statistics():
+    # the check above is live: the verb that needs the quantile does load it
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "from steinmle.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:], standalone_mode=False)\n"
+        "print('statistics' in sys.modules)",
+        "ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000", "--alpha", "0.9",
+        "--trials", "2",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))

@@ -19,7 +19,7 @@ from steinmle.expfam import (
     expfam_third_score_moment,
 )
 from steinmle.registry import get_model
-from steinmle.steincore import mle_bound_general
+from steinmle.steincore import mle_bound_general, score_bound
 
 
 def exp_third_abs_central(theta0):
@@ -36,15 +36,12 @@ def exp_third_abs_central(theta0):
 class TestFamilySpecs:
     def test_canonical_structure(self):
         fam = exp_canonical_family()
-        assert fam.k(3.0) == 3.0
         assert fam.k_prime(3.0) == 1.0
         assert fam.D(2.0) == pytest.approx(-0.5)
-        assert fam.T(1.5) == -1.5
-        assert fam.support == (0.0, math.inf)
+        assert fam.theta_space == (0.0, math.inf)
 
     def test_noncanonical_structure(self):
         fam = exp_noncanonical_family()
-        assert fam.k(2.0) == 0.5
         assert fam.k_prime(2.0) == -0.25
         assert fam.D(2.0) == pytest.approx(-2.0)
 
@@ -66,13 +63,8 @@ class TestGenericOps:
 
     def test_fisher_scaling_quadratic_in_k_prime(self):
         doubled = ExpFamilySpec(
-            k=lambda t: 2 * t,
             k_prime=lambda t: 2.0,
-            A=lambda t: -2 * math.log(t),
             A_prime=lambda t: -2.0 / t,
-            T=lambda x: -x,
-            S=lambda x: 0.0,
-            support=(0.0, math.inf),
             theta_space=(0.0, math.inf),
         )
         base = expfam_fisher_info(exp_canonical_family(), 1.0, 0.7)
@@ -241,14 +233,12 @@ class TestModelLevelInvariants:
             assert non > can
 
     def test_direct_sum_bound_dominated_by_general(self):
-        from steinmle.steincore import direct_sum_bound
-
+        # the sample mean is a normalised sum: its direct bound is the score bound
         for n in [1, 2, 3, 10, 100, 10**4, 10**6]:
-            direct = direct_sum_bound(1.0, 2.41456, n)
-            general = mle_bound_general(
-                exp_noncanonical_ingredients(3.0, n), (1.0, 1.0)
-            ).total
-            assert direct <= general
+            ing = exp_noncanonical_ingredients(3.0, n)
+            direct = score_bound(ing, (1.0, 1.0)).total
+            assert direct == pytest.approx((2.0 + 2.41456) / math.sqrt(n), rel=1e-15)
+            assert direct <= mle_bound_general(ing, (1.0, 1.0)).total
 
 
 class TestGenericFamilyRoute:
@@ -285,21 +275,18 @@ class TestGenericFamilyRoute:
 
 
 class TestDescriptors:
+    """The registry entries' audit and estimator for the exponential models."""
+
     def test_audit_serialises(self):
         for name in ("exp-canonical", "exp-noncanonical"):
-            entry = get_model(name)
-            desc = entry.descriptor(1.5)
-            payload = desc.audit(20)
+            payload = get_model(name).audit(1.5, 20)
             text = json.dumps(payload)
             assert json.loads(text)["model"] == name
             assert payload["ingredients"]["n"] == 20
 
     def test_descriptor_mle_closed_forms(self):
-        can = get_model("exp-canonical").descriptor(1.0)
-        assert can.closed_form_mle
-        assert can.mle([0.5, 0.5]) == pytest.approx(2.0)
-        non = get_model("exp-noncanonical").descriptor(1.0)
-        assert non.mle([1.0, 3.0]) == pytest.approx(2.0)
+        assert get_model("exp-canonical").mle([0.5, 0.5]) == pytest.approx(2.0)
+        assert get_model("exp-noncanonical").mle([1.0, 3.0]) == pytest.approx(2.0)
 
 
 class TestIntegerTypesForN:

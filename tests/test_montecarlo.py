@@ -494,6 +494,53 @@ class TestCiCoverage:
         with pytest.raises(DomainError):
             ci_coverage("exp-canonical", 1.0, 100, 1.2, trials=10, seed=0)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.9], ids=["degenerate", "interval"])
+    @pytest.mark.parametrize("trials", [0, -5, 2.0, True])
+    def test_trials_validated_before_any_interval(self, trials, alpha):
+        # n = 10^7 and alpha 0.9 leave a proper interval; alpha 0.05 swallows the tails
+        with pytest.raises(DomainError, match="trials"):
+            ci_coverage("exp-canonical", 1.0, 10**7, alpha, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.9], ids=["degenerate", "interval"])
+    def test_numpy_integer_trials_accepted(self, alpha):
+        res = ci_coverage("exp-canonical", 1.0, 10**7, alpha, trials=np.int64(20), seed=3)
+        assert type(res.trials) is int and res.trials == 20
+        assert res == ci_coverage("exp-canonical", 1.0, 10**7, alpha, trials=20, seed=3)
+
+
+class TestUnusedOptionsRejected:
+    """Each model refuses a non-default value for an option it does not use."""
+
+    @pytest.mark.parametrize(
+        "model, option",
+        [
+            ("exp-canonical", {"c": 1.0}),
+            ("exp-noncanonical", {"c": 1.0}),
+            ("poisson", {"epsilon": 0.1}),
+            ("beta", {"epsilon": 0.1}),
+            ("beta", {"c": 1.0}),
+        ],
+    )
+    def test_distance_bound(self, model, option):
+        with pytest.raises(DomainError, match=next(iter(option))):
+            get_model(model).distance_bound(1.5, 7460, **option)
+
+    @pytest.mark.parametrize("model", ["poisson", "beta"])
+    def test_audit(self, model):
+        with pytest.raises(DomainError, match="epsilon"):
+            get_model(model).audit(1.5, 7460, 0.1)
+
+    def test_defaults_and_used_options_accepted(self):
+        for model in ("exp-canonical", "exp-noncanonical", "poisson", "beta"):
+            get_model(model).distance_bound(1.5, 7460, epsilon=None, c="auto")
+        get_model("exp-canonical").distance_bound(1.5, 100, epsilon=0.5)
+        get_model("poisson").distance_bound(1.5, 100, c=2.0)
+
+    def test_simulation_config(self):
+        cfg = SimulationConfig(model="beta", theta0=1.5, n=7460, trials=2, epsilon=0.1)
+        with pytest.raises(DomainError, match="epsilon"):
+            run_simulation(cfg)
+
 
 class TestConditionalExpectationCheck:
     def test_increasing_function_inequality(self):

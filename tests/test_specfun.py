@@ -11,7 +11,6 @@ from oracles import EULER_GAMMA, polygamma_series
 from steinmle.errors import ConvergenceError, DomainError
 from steinmle.specfun import (
     inv_quadratic_expectation,
-    log_gamma,
     normal_expectation,
     polygamma,
     std_normal_cdf,
@@ -22,27 +21,6 @@ from steinmle.steincore import TestFunction, inv_quadratic_test_function
 
 # log-spaced accuracy grid spanning the contractual domain
 ACCURACY_GRID = [10.0 ** (-3 + 9 * k / 40) for k in range(41)]
-
-
-class TestLogGamma:
-    def test_integer_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_half(self):
-        # log Gamma(1/2) = log(pi)/2
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-
-    def test_recurrence(self):
-        for x in ACCURACY_GRID:
-            lhs = log_gamma(x + 1.0)
-            rhs = log_gamma(x) + math.log(x)
-            assert lhs == pytest.approx(rhs, abs=1e-11 * max(1.0, abs(lhs)))
 
 
 class TestPolygamma:

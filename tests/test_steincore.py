@@ -20,8 +20,6 @@ from steinmle.steincore import (
     BoundIngredients,
     TestFunction,
     conservative_ci,
-    direct_sum_bound,
-    holder_third_from_fourth,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
     mle_bound_general,
@@ -275,32 +273,29 @@ class TestConservativeCI:
 
 
 class TestDirectSumBound:
+    """(2 + E|Y|^3 / sigma^3)/sqrt(n) for a normalised i.i.d. sum of Y with
+    variance sigma^2: ``score_bound`` with fisher_info = sigma^2."""
+
+    @staticmethod
+    def direct(sigma, third_abs_moment, n):
+        ing = _ingredients(fisher_info=sigma**2, third_abs_score_moment=third_abs_moment, n=n)
+        return score_bound(ing).total
+
     def test_reference_values(self):
-        assert direct_sum_bound(1.0, 2.41456, 100) == pytest.approx(0.441456, abs=1e-9)
-        assert direct_sum_bound(1.0, 0.0, 4) == pytest.approx(1.0, rel=1e-15)
+        assert self.direct(1.0, 2.41456, 100) == pytest.approx(0.441456, abs=1e-9)
+        assert self.direct(1.0, 0.0, 4) == pytest.approx(1.0, rel=1e-15)
 
     def test_poisson_holder_route(self):
         # sigma = sqrt(theta0), third moment bounded by (3 theta0 + 1)^(3/4) theta0^(3/4)
         theta0 = 1.0
         m3 = (3.0 * theta0 + 1.0) ** 0.75 * theta0**0.75
-        got = direct_sum_bound(math.sqrt(theta0), m3, 100)
+        got = self.direct(math.sqrt(theta0), m3, 100)
         assert got == pytest.approx(0.4828427125, abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            direct_sum_bound(0.0, 1.0, 10)
+            self.direct(0.0, 1.0, 10)
         with pytest.raises(DomainError):
-            direct_sum_bound(1.0, -1.0, 10)
+            self.direct(1.0, -1.0, 10)
         with pytest.raises(DomainError):
-            direct_sum_bound(1.0, 1.0, 0)
-
-
-class TestHolder:
-    def test_reference_values(self):
-        assert holder_third_from_fourth(0.0) == 0.0
-        assert holder_third_from_fourth(1.0) == 1.0
-        assert holder_third_from_fourth(9.0) == pytest.approx(5.196152422706632, rel=1e-13)
-
-    @given(st.floats(min_value=0.0, max_value=1e12))
-    def test_matches_power(self, m4):
-        assert holder_third_from_fourth(m4) == m4**0.75
+            self.direct(1.0, 1.0, 0)
