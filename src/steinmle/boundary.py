@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, float_range, is_real
 from .steincore import BoundBreakdown, _score_term, check_sample_size
 
 __all__ = [
@@ -328,6 +328,7 @@ def minimize_poisson_c(theta0: float, n: int, tol: float = 1e-10) -> float:
     return best_c
 
 
+@float_range
 def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     """Distance bound for sqrt(n)(mean - theta0) against N(0, theta0).
 
@@ -336,7 +337,7 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     applies at perturbation constant c; ``c="auto"`` picks the c minimising
     the total numerically.
     """
-    if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 >= 0.0):
+    if not (is_real(theta0) and math.isfinite(theta0) and theta0 >= 0.0):
         raise DomainError(f"theta0 must be a finite nonnegative real, got {theta0!r}")
     n = check_sample_size(n)
     theta0 = float(theta0)
@@ -356,7 +357,7 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     if c == "auto":
         c_val = minimize_poisson_c(theta0, n)
     else:
-        if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
+        if not (is_real(c) and math.isfinite(c) and c > 0.0):
             raise DomainError(f"c must be a finite positive real or 'auto', got {c!r}")
         c_val = float(c)
     return BoundBreakdown(terms=_poisson_terms(theta0, n, c_val, _poisson_score(theta0, n)))

@@ -197,9 +197,8 @@ def cmd_table(which, trials, seed, workers, fmt):
                 workers=workers,
             )
         else:
-            reports = []
-            for row, n in enumerate(spec["ns"]):
-                cfg = mc.SimulationConfig(
+            cfgs = [
+                mc.SimulationConfig(
                     model=spec["model"],
                     theta0=spec["theta0"],
                     n=n,
@@ -208,7 +207,11 @@ def cmd_table(which, trials, seed, workers, fmt):
                     test_function=_TABLE_H,
                     workers=workers,
                 )
-                reports.append(mc.run_simulation(cfg))
+                for n in spec["ns"]
+            ]
+            # the rows share h and theta0, so they share E h(Z)
+            expected_h = mc.expected_h(cfgs[0])
+            reports = [mc.run_simulation(cfg, expected_h=expected_h) for cfg in cfgs]
         if fmt == "json":
             payload = {
                 "schema": "steinmle/table/v1",

@@ -4,6 +4,9 @@ Public functions raise these instead of bare ValueError/RuntimeError so the
 CLI can map failure classes to exit codes (validation -> 2, numerical -> 3).
 """
 
+import functools
+import numbers
+
 
 class SteinMLEError(Exception):
     """Base class for all package errors."""
@@ -31,3 +34,33 @@ class ConvergenceError(SteinMLEError, RuntimeError):
     def __init__(self, message, **details):
         super().__init__(message)
         self.details = details
+
+
+class FloatRangeError(SteinMLEError, ArithmeticError):
+    """An intermediate value left the float range at an extreme input: a
+    power overflowed, or a value underflowed to zero and was divided by."""
+
+
+def float_range(fn):
+    """Raise FloatRangeError where ``fn`` meets OverflowError or ZeroDivisionError."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            what = "overflowed" if isinstance(exc, OverflowError) else "underflowed to 0"
+            raise FloatRangeError(
+                f"{fn.__name__}: an intermediate value {what}; the input lies outside "
+                "the float range of this computation"
+            ) from exc
+
+    return guarded
+
+
+def is_real(x) -> bool:
+    """Whether x is a real number: a Python int or float, or any other
+    ``numbers.Real`` such as a numpy floating or integer scalar."""
+    if type(x) is float or type(x) is int:  # the common case, without the ABC check
+        return True
+    return isinstance(x, numbers.Real)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, float_range, is_real
 from .steincore import BoundIngredients, check_sample_size
 
 __all__ = [
@@ -112,7 +112,7 @@ def expfam_third_score_moment(
 
 
 def _check_theta0_eps(theta0, epsilon):
-    if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 > 0):
+    if not (is_real(theta0) and math.isfinite(theta0) and theta0 > 0):
         raise DomainError(f"theta0 must be a finite positive real, got {theta0!r}")
     theta0 = float(theta0)
     eps = theta0 / 2.0 if epsilon is None else float(epsilon)
@@ -124,6 +124,7 @@ def _check_theta0_eps(theta0, epsilon):
     return theta0, eps
 
 
+@float_range
 def exp_canonical_ingredients(
     theta0: float, n: int, epsilon: Optional[float] = None
 ) -> BoundIngredients:
@@ -162,6 +163,7 @@ def exp_canonical_ingredients(
     )
 
 
+@float_range
 def exp_noncanonical_ingredients(
     theta0: float, n: int, epsilon: Optional[float] = None
 ) -> BoundIngredients:

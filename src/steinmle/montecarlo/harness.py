@@ -15,10 +15,17 @@ law (see ``_pykernels``).  A row of trials draws from one Philox stream keyed
 by the seed, and the Beta model with a non-integer known shape, or one above
 n, draws raw samples in blocks with a stream each; which stream a row or
 block uses does not depend on the worker count, which only spreads those
-blocks over processes.  Each row's statistics map to its estimates in one
-``mle_from_stat`` call.  Trial summaries are reduced with exactly-rounded
+blocks over processes.  Trial summaries are reduced with exactly-rounded
 summation (fsum), which is permutation-invariant.  Identical config
 therefore yields byte-identical serialised reports at any worker count.
+
+Batching: a row's statistics map to its estimates in one ``mle_from_stat``
+call, and its standardised estimates go through h in one call of
+``TestFunction.evaluator`` on the whole float64 row.  Work that rows share
+is done once: ``run_simulation`` takes E h as ``expected_h`` (``table 1|2``
+computes it once for its five rows), and ``run_mse_sweep`` solves the Beta
+shape root for consecutive rows in one call.  Neither changes a value: the
+estimators and the shape root act on each trial alone, and h elementwise.
 """
 
 from __future__ import annotations
@@ -33,14 +40,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .. import registry
-from ..errors import DegenerateSampleError, DomainError
+from ..errors import DegenerateSampleError, DomainError, SteinMLEError
 from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
 from ..specfun import normal_expectation
 from ..steincore import (
     BoundBreakdown,
     TestFunction,
+    _ci_offsets,
     check_sample_size,
-    conservative_ci,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
 )
@@ -54,6 +61,7 @@ __all__ = [
     "ConditionalCheckResult",
     "sample",
     "mle",
+    "expected_h",
     "run_simulation",
     "run_mse_sweep",
     "ci_coverage",
@@ -73,6 +81,12 @@ REPORT_CSV_COLUMNS = (
     "bound_total",
     "error",
 )
+
+
+# A sweep solves the shape root for at most this many trials a call (one row
+# if a row holds more), so the root's (16 x trials) shift block grows no
+# larger than that of one such row.
+_ROOT_LANES = 16384
 
 
 def _check_seed(seed, name: str) -> int:
@@ -236,24 +250,51 @@ def _collect_stats(
         return np.concatenate(list(pool.map(_stats_chunk, tasks, chunksize=chunksize)))
 
 
-def _summarise(h_values, theta_hats: np.ndarray, theta0: float, trials: int):
+def _h_row(h: TestFunction, standardized: np.ndarray) -> np.ndarray:
+    """h at every standardised estimate of a row, in one evaluator call."""
+    contract = "TestFunction.evaluator must act elementwise on a float64 array"
+    try:
+        values = np.asarray(h.evaluator(standardized), dtype=float)
+    except SteinMLEError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{contract}; it raised {type(exc).__name__}: {exc}") from exc
+    if values.shape != standardized.shape:
+        raise DomainError(
+            f"{contract}; it returned shape {values.shape} for shape {standardized.shape}"
+        )
+    return values
+
+
+def _summarise(h_values: np.ndarray, theta_hats: np.ndarray, theta0: float, trials: int):
     """Mean of h, empirical MSE, and the standard error of the mean of h.
 
     Every sum is an fsum, so no result depends on the order of the trials.
     The standard error takes two passes (the mean, then the squared
     deviations from it) and is None for a single trial.
     """
-    mean_h = math.fsum(h_values) / trials
+    mean_h = math.fsum(h_values.tolist()) / trials
     empirical_mse = math.fsum(((theta_hats - theta0) ** 2).tolist()) / trials
     se = None
     if trials > 1:
-        deviations = np.asarray(h_values) - mean_h
+        deviations = h_values - mean_h
         variance = math.fsum((deviations * deviations).tolist()) / (trials - 1)
         se = math.sqrt(variance) / math.sqrt(trials)
     return mean_h, empirical_mse, se
 
 
-def run_simulation(cfg: SimulationConfig) -> SimulationReport:
+def expected_h(cfg: SimulationConfig) -> float:
+    """E h(sigma Z), Z ~ N(0, 1), for the config's test function and the
+    normal its standardised estimator targets: what a row's mean of h is
+    compared with.  Rows with the same h, model and theta0 share it."""
+    entry = registry.get_model(cfg.model, beta=cfg.beta)
+    theta0 = entry.validate_theta0(cfg.theta0)
+    return normal_expectation(cfg.test_function, scale=entry.target_sigma(theta0))
+
+
+def run_simulation(
+    cfg: SimulationConfig, *, expected_h: Optional[float] = None
+) -> SimulationReport:
     """Run one distance experiment and attach the model's bound.
 
     The bound is h-weighted for the exponential models (their assembler
@@ -261,7 +302,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     closed forms absorb the norms at the class ceiling and dominate any h in
     the bounded-Lipschitz class.  Raises the underlying validation error if
     the bound is undefined at (theta0, n), e.g. a Beta sample size below the
-    minimal admissible n.
+    minimal admissible n.  ``expected_h``, when given, must be
+    ``expected_h(cfg)``, computed once for rows that share it; None computes
+    it here.
     """
     entry = registry.get_model(cfg.model, beta=cfg.beta)
     theta0 = entry.validate_theta0(cfg.theta0)
@@ -275,8 +318,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     )
     theta_hats = entry.mle_from_stat(stats, cfg.n)
     standardized = entry.standardize_scale(theta0, cfg.n) * (theta_hats - theta0)
-    h_values = [h.evaluator(float(v)) for v in standardized]
-    expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
+    h_values = _h_row(h, standardized)
+    if expected_h is None:
+        expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
     mean_h, empirical_mse, se = _summarise(h_values, theta_hats, theta0, cfg.trials)
     empirical_distance = abs(mean_h - expected_h)
     return SimulationReport(
@@ -306,7 +350,11 @@ def run_mse_sweep(
 
     Every n must be at least the minimal admissible size.  Row r uses trial
     streams [r * trials, (r+1) * trials) off the master seed, so rows are
-    independent and any row subset is reproducible in isolation.
+    independent and any row subset is reproducible in isolation.  The rows
+    share E h(Z) and the Beta ingredients.  Consecutive rows, up to
+    max(trials, 16384) trials in all, are drawn and then mapped to their
+    estimates in one ``mle_from_stat`` call: the shape root solves each
+    trial on its own, so each row gets the estimates it would get alone.
     """
     entry = registry.get_model("beta", beta=params.beta)
     n_list = [int(n) for n in n_values]
@@ -322,31 +370,39 @@ def run_mse_sweep(
     h = inv_quadratic_test_function()
     expected_h = normal_expectation(h, scale=1.0)
     reports = []
-    for row, n in enumerate(n_list):
-        stats = _collect_stats(
-            "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers
-        )
-        theta_hats = entry.mle_from_stat(stats, n)
-        scale = math.sqrt(n * ing.fisher_info)  # entry.standardize_scale, from ing
-        h_values = [h.evaluator(float(scale * (t - params.theta0))) for t in theta_hats]
-        mean_h, empirical_mse, se = _summarise(h_values, theta_hats, params.theta0, trials)
-        mse_bound = _beta_mse_bound(ing, n)
-        reports.append(
-            SimulationReport(
-                model="beta",
-                theta0=params.theta0,
-                n=n,
-                trials=trials,
-                seed=seed,
-                empirical_distance=abs(mean_h - expected_h),
-                empirical_mse=empirical_mse,
-                bound_total=mse_bound,
-                bound_terms=BoundBreakdown(terms=(("mse_bound", mse_bound),)),
-                standard_error=se,
-                expected_h=expected_h,
-                target="mse",
+    rows_per_call = max(trials, _ROOT_LANES) // trials
+    for first in range(0, len(n_list), rows_per_call):
+        group = n_list[first : first + rows_per_call]
+        stats = [
+            _collect_stats(
+                "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers
             )
-        )
+            for row, n in enumerate(group, start=first)
+        ]
+        # The Beta estimator reads only the mean log-observation, never n.
+        group_hats = entry.mle_from_stat(np.concatenate(stats), group[0])
+        for k, n in enumerate(group):
+            theta_hats = group_hats[k * trials : (k + 1) * trials]
+            scale = math.sqrt(n * ing.fisher_info)  # entry.standardize_scale, from ing
+            h_values = _h_row(h, scale * (theta_hats - params.theta0))
+            mean_h, empirical_mse, se = _summarise(h_values, theta_hats, params.theta0, trials)
+            mse_bound = _beta_mse_bound(ing, n)
+            reports.append(
+                SimulationReport(
+                    model="beta",
+                    theta0=params.theta0,
+                    n=n,
+                    trials=trials,
+                    seed=seed,
+                    empirical_distance=abs(mean_h - expected_h),
+                    empirical_mse=empirical_mse,
+                    bound_total=mse_bound,
+                    bound_terms=BoundBreakdown(terms=(("mse_bound", mse_bound),)),
+                    standard_error=se,
+                    expected_h=expected_h,
+                    target="mse",
+                )
+            )
     return reports
 
 
@@ -393,14 +449,16 @@ def ci_coverage(
     b_k = kolmogorov_from_bw(bound.total)
     if b_k >= alpha / 2.0:
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
-    fisher = entry.fisher_info(theta0)
+    offsets = _ci_offsets(n, entry.fisher_info(theta0), alpha, b_k)
     stats = _collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
     theta_hats = entry.mle_from_stat(stats, n)
-    covered = 0
-    for th in theta_hats:
-        ci = conservative_ci(float(th), n, fisher, alpha, b_k)
-        if ci.degenerate or ci.contains(theta0):
-            covered += 1
+    if offsets is None:  # the whole line
+        covered = trials
+    else:
+        # conservative_ci's endpoints and ConfidenceInterval.contains' closed
+        # rule, for the whole row at once
+        lower, upper = theta_hats - offsets[0], theta_hats - offsets[1]
+        covered = int(np.count_nonzero((lower <= theta0) & (theta0 <= upper)))
     return CoverageResult(
         coverage=covered / trials, trials=trials, b_k=b_k, degenerate=False, alpha=alpha
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Optional, Sequence
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, float_range, is_real
 from .specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
 from .steincore import (
     TERM_MARKOV,
@@ -64,13 +64,13 @@ _EXTENDED = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
 def _checked_positive(value, what):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+    if not (is_real(value) and math.isfinite(value) and value > 0.0):
         raise DomainError(f"{what} must be a finite positive real, got {value!r}")
     return float(value)
 
 
 def _checked_nonneg(value, what):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
+    if not (is_real(value) and math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{what} must be a finite nonnegative real, got {value!r}")
     return float(value)
 
@@ -121,19 +121,26 @@ class BetaParams:
     theta0: float
     beta: float
 
-    def __post_init__(self):
-        _checked_positive(self.theta0, "theta0")
-        _checked_positive(self.beta, "beta")
+    def __post_init__(self):  # stored as plain floats, whatever real type came in
+        object.__setattr__(self, "theta0", _checked_positive(self.theta0, "theta0"))
+        object.__setattr__(self, "beta", _checked_positive(self.beta, "beta"))
 
 
-def _d1_dec(ing: ImplicitModelIngredients, n: int) -> Decimal:
+def _roots_dec(ing: ImplicitModelIngredients, n: int):
+    """sqrt(n) and sqrt(i) to 50 digits, taken once for D1, A1 and B3."""
+    with localcontext(_EXTENDED):
+        return Decimal(n).sqrt(), Decimal(ing.fisher_info).sqrt()
+
+
+def _d1_dec(ing: ImplicitModelIngredients, n: int, roots) -> Decimal:
+    root_n, root_i = roots
     with localcontext(_EXTENDED):
         nn = Decimal(n)
         i = Decimal(ing.fisher_info)
         return (
             1
             - 2 * Decimal(ing.sup_x2_norm) / (nn * i * Decimal(ing.epsilon) ** 2)
-            - Decimal(ing.sup_x_norm) * Decimal(ing.c1_const) / (nn.sqrt() * i * i.sqrt())
+            - Decimal(ing.sup_x_norm) * Decimal(ing.c1_const) / (root_n * i * root_i)
         )
 
 
@@ -143,7 +150,8 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     May be <= 0 below the minimal sample size; the sign is the caller's
     signal, no exception is raised here.
     """
-    return float(_d1_dec(ing, check_sample_size(n)))
+    n = check_sample_size(n)
+    return float(_d1_dec(ing, n, _roots_dec(ing, n)))
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
@@ -170,23 +178,25 @@ def minimal_n(ing: ImplicitModelIngredients) -> int:
     return n
 
 
-def _a1_dec(ing: ImplicitModelIngredients, n: int) -> Decimal:
-    """A1 to 50 digits; DomainError, naming the minimal n, if d1 <= 0."""
+def _a1_dec(ing: ImplicitModelIngredients, n: int, roots) -> Decimal:
+    """A1 to 50 digits; DomainError, naming the minimal n, if d1 <= 0.
+    ``roots`` is ``_roots_dec(ing, n)``."""
     with localcontext(_EXTENDED):
-        dd = _d1_dec(ing, n)
+        dd = _d1_dec(ing, n, roots)
         if dd <= 0:
             raise DomainError(
                 f"n below minimal n = {minimal_n(ing)} (quadratic coefficient D1 <= 0)"
             )
+        root_n, root_i = roots
         nn = Decimal(n)
         i = Decimal(ing.fisher_info)
-        i32 = i * i.sqrt()
+        i32 = i * root_i
         x = Decimal(ing.sup_x_norm)
         var = Decimal(ing.var_l2)
         third = Decimal(ing.third_abs_score_moment)
         lin = 2 * x * var.sqrt() / (nn * i32)
         rad = 4 * x**2 * var / (nn**2 * i**3) + (4 * dd / (nn * i)) * (
-            1 + (2 * x / nn.sqrt()) * (2 + third / i32)
+            1 + (2 * x / root_n) * (2 + third / i32)
         )
         return (lin + rad.sqrt()) / (2 * dd)
 
@@ -198,7 +208,8 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     inequality has no positive solution and a DomainError names the minimal
     sample size.  Solved in 50-digit ``decimal`` and rounded once.
     """
-    return float(_a1_dec(ing, check_sample_size(n)))
+    n = check_sample_size(n)
+    return float(_a1_dec(ing, n, _roots_dec(ing, n)))
 
 
 def implicit_distance_bound(
@@ -239,6 +250,7 @@ def _beta_fisher_b1(theta0: float, beta: float):
     return psi1 - psi1_beta, b1
 
 
+@float_range
 def beta_ingredients(
     p: BetaParams, epsilon: Optional[float] = None
 ) -> ImplicitModelIngredients:
@@ -285,6 +297,7 @@ def beta_b_constants(p: BetaParams) -> dict:
     }
 
 
+@float_range
 def beta_b3(p: BetaParams, n: int) -> float:
     """The scaled root-MSE bound B3 = sqrt(n) * A1 for the Beta model.
 
@@ -297,8 +310,9 @@ def beta_b3(p: BetaParams, n: int) -> float:
 
 
 def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
+    roots = _roots_dec(ing, n)
     with localcontext(_EXTENDED):
-        return float(Decimal(n).sqrt() * _a1_dec(ing, n))
+        return float(roots[0] * _a1_dec(ing, n, roots))
 
 
 def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:
@@ -307,6 +321,7 @@ def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:
     return b3 * b3 / n
 
 
+@float_range
 def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     """Three-term distance bound for the standardised Beta-shape estimator.
 

@@ -18,7 +18,7 @@ import math
 from typing import Optional, Sequence
 
 from . import boundary, expfam, msebound
-from .errors import DegenerateSampleError, DomainError, UnknownModelError
+from .errors import DegenerateSampleError, DomainError, UnknownModelError, is_real
 from .steincore import BoundBreakdown, mle_bound_general
 
 __all__ = ["MODEL_NAMES", "get_model", "RegistryEntry"]
@@ -49,7 +49,7 @@ class RegistryEntry:
     supports_ci: bool = True
 
     def validate_theta0(self, theta0: float) -> float:
-        if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 > 0):
+        if not (is_real(theta0) and math.isfinite(theta0) and theta0 > 0):
             raise DomainError(f"{self.name}: theta0 must be a finite positive real, got {theta0!r}")
         return float(theta0)
 
@@ -143,7 +143,7 @@ class _Poisson(RegistryEntry):
     supports_ci = False  # boundary route targets N(0, theta0), not Z
 
     def validate_theta0(self, theta0):
-        if not (isinstance(theta0, (int, float)) and math.isfinite(theta0) and theta0 >= 0):
+        if not (is_real(theta0) and math.isfinite(theta0) and theta0 >= 0):
             raise DomainError(f"poisson: theta0 must be finite and >= 0, got {theta0!r}")
         return float(theta0)
 
@@ -181,7 +181,7 @@ class _Beta(RegistryEntry):
     name = "beta"
 
     def __init__(self, beta: float = 1.0):
-        if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0):
+        if not (is_real(beta) and math.isfinite(beta) and beta > 0):
             raise DomainError(f"beta: known shape must be a finite positive real, got {beta!r}")
         self.beta = float(beta)
 

@@ -26,7 +26,7 @@ import heapq
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, float_range, is_real
 
 __all__ = [
     "polygamma",
@@ -105,7 +105,7 @@ _G10_WEIGHTS = (
 
 
 def _require_positive(x, what):
-    if not isinstance(x, (int, float)):
+    if not is_real(x):
         raise DomainError(f"{what} must be a real number, got {type(x).__name__}")
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"{what} must be a finite positive real, got {x!r}")
@@ -139,6 +139,7 @@ def _polygamma_asymptotic(m, y):
     return val if m % 2 == 1 else -val
 
 
+@float_range
 def polygamma(order, x):
     """psi(x) for order 0, psi_m(x) for order m in {1, 2, 3}.
 
@@ -265,7 +266,8 @@ def inv_quadratic_expectation(scale):
     is x/2 over Laplace's continued fraction x + (1/2)/(x + 1/(x + (3/2)/(x
     + ...))).  Both run in stdlib ``decimal`` and round to float once.
     """
-    xf = 1.0 / _require_positive(scale, "scale")
+    scale = _require_positive(scale, "scale")
+    xf = 1.0 / scale
     if xf <= _SERIES_CUT:
         prec = _EXACT_DIGITS + int(_LOG10_E * xf * xf)
         # Series terms 2^k x^(2k+1)/(2k+1)!!, relative to x: stop below 10^-prec.
@@ -305,8 +307,9 @@ def normal_expectation(h, scale=1.0):
     evaluator = getattr(h, "evaluator", h)
     if not callable(evaluator):
         raise DomainError("h must be callable or carry a callable 'evaluator'")
-    if not (isinstance(scale, (int, float)) and math.isfinite(scale) and scale >= 0.0):
+    if not (is_real(scale) and math.isfinite(scale) and scale >= 0.0):
         raise DomainError(f"scale must be a finite nonnegative real, got {scale!r}")
+    scale = float(scale)
     if scale == 0.0:
         return evaluator(0.0)
     exact = getattr(h, "gaussian_expectation", None)

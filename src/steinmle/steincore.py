@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, float_range
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
 __all__ = [
@@ -90,11 +90,17 @@ class TestFunction:
     whole-class bounds.  ``gaussian_expectation``, when set, maps a scale
     s > 0 to the exact E h(s Z), Z ~ N(0,1); ``normal_expectation`` then
     returns it instead of integrating.
+
+    ``evaluator`` acts elementwise: a float gives a float, and a float64
+    array gives the array of the values at its elements, of the same shape
+    (arithmetic on numpy arrays does both).  The harness evaluates each row
+    of trials in one call and raises DomainError for an evaluator that
+    cannot; quadrature calls it on floats.
     """
 
     __test__ = False  # keep pytest collection away from the Test* name
 
-    evaluator: Callable[[float], float]
+    evaluator: Callable  # float -> float, and float64 array -> same-shape array
     sup_norm: float
     lip_norm: float
     label: str = ""
@@ -287,6 +293,7 @@ def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
     return (2.0 + third_abs_moment / variance**1.5) / math.sqrt(n)
 
 
+@float_range
 def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     """Distance bound for the standardised score statistic.
 
@@ -300,6 +307,7 @@ def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     return BoundBreakdown(terms=((TERM_SCORE, value),))
 
 
+@float_range
 def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     """Four-term distance bound for sqrt(n * i(theta0)) (theta_hat - theta0).
 
@@ -347,6 +355,17 @@ def conservative_ci(
     When b_k >= alpha/2 both quantile arguments leave (0, 1) and the interval
     degenerates to the whole line (coverage trivially 1).
     """
+    offsets = _ci_offsets(n, fisher_info, alpha, b_k)
+    if offsets is None:
+        return ConfidenceInterval(-math.inf, math.inf, degenerate=True)
+    return ConfidenceInterval(theta_hat - offsets[0], theta_hat - offsets[1], degenerate=False)
+
+
+def _ci_offsets(n: int, fisher_info: float, alpha: float, b_k: float):
+    """(PhiInv(1 - alpha/2 + b_k), PhiInv(alpha/2 - b_k)) / sqrt(n i): the
+    conservative interval is theta_hat minus each, in that order.  None when
+    the interval degenerates to the whole line.  They do not depend on
+    theta_hat, so a row of trials needs them once."""
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     n = check_sample_size(n)
@@ -357,8 +376,6 @@ def conservative_ci(
     lo_arg = alpha / 2.0 - bk
     hi_arg = 1.0 - alpha / 2.0 + bk
     if lo_arg <= 0.0 or hi_arg >= 1.0:
-        return ConfidenceInterval(-math.inf, math.inf, degenerate=True)
+        return None
     scale = math.sqrt(n * fisher)
-    lower = theta_hat - std_normal_quantile(hi_arg) / scale
-    upper = theta_hat - std_normal_quantile(lo_arg) / scale
-    return ConfidenceInterval(lower, upper, degenerate=False)
+    return std_normal_quantile(hi_arg) / scale, std_normal_quantile(lo_arg) / scale

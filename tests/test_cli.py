@@ -374,6 +374,49 @@ def test_unit_shape_beta_output_matches_snapshot(runner, name, args, fmt):
     assert result.stdout_bytes == (SNAPSHOTS / f"{name}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "snapshot,args",
+    [
+        ("table1.json", ["table", "1", "--trials", "40", "--seed", "7", "--format", "json"]),
+        ("table2.csv", ["table", "2", "--trials", "40", "--seed", "7", "--format", "csv"]),
+        ("sweep-beta2.json", ["mse-sweep", "--theta0", "1.5", "--beta", "2", "--n-from", "11848",
+                              "--n-to", "12848", "--n-step", "1000", "--trials", "20",
+                              "--seed", "7", "--format", "json"]),
+        ("sweep-beta2.5.json", ["mse-sweep", "--theta0", "1.5", "--beta", "2.5", "--n-from",
+                                "14816", "--n-to", "15816", "--n-step", "1000", "--trials",
+                                "20", "--seed", "7", "--format", "json"]),
+    ],
+)
+def test_batched_rows_output_matches_snapshot(runner, snapshot, args):
+    # recorded with every row run on its own: one E h(Z), one shape root and
+    # one h call per row; sharing them across rows changes no byte
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (SNAPSHOTS / snapshot).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args,count",
+    [(["table", "1"], 1), (["table", "2"], 1), (["table", "3"], 1),
+     (["mse-sweep", "--n-from", "7460", "--n-to", "7470", "--n-step", "5"], 1)],
+    ids=["table-1", "table-2", "table-3", "mse-sweep"],
+)
+def test_gaussian_expectation_computed_once_per_invocation(runner, monkeypatch, args, count):
+    from steinmle.montecarlo import harness
+
+    calls = []
+    original = harness.normal_expectation
+
+    def counted(*a, **k):
+        calls.append(a)
+        return original(*a, **k)
+
+    monkeypatch.setattr(harness, "normal_expectation", counted)
+    result = runner.invoke(main, args + ["--trials", "5"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == count
+
+
 class TestConstantsCommand:
     def test_beta_constants(self, runner):
         result = runner.invoke(
@@ -478,16 +521,25 @@ class TestValidation:
             ["bound", "--model", "exp-canonical", "--theta0", "1e-300", "--n", "10"],
             ["simulate", "--model", "exp-canonical", "--theta0", "1e300", "--n", "10",
              "--trials", "5"],
+            ["bound", "--model", "poisson", "--theta0", "1e-300", "--n", "10"],
+            ["bound", "--model", "exp-canonical", "--theta0", "1e300", "--n", "10"],
+            ["bound", "--model", "beta", "--theta0", "1e300", "--n", "10"],
+            ["constants", "--model", "exp-noncanonical", "--theta0", "1e-300", "--n", "10"],
         ],
-        ids=["poisson-overflow", "exp-zero-division", "simulate-overflow"],
+        ids=["poisson-overflow", "exp-zero-division", "simulate-overflow",
+             "poisson-zero-division", "exp-overflow", "beta-overflow", "constants-zero-division"],
     )
     def test_arithmetic_error_maps_to_exit_3(self, args):
+        # a value leaving the float range is a numerical failure of the package's own kind
         out = _run_cli(args + ["--format", "json"])
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
         err = json.loads(out.stderr)
         assert err["schema"] == "steinmle/error/v1"
-        assert err["error"] in ("OverflowError", "ZeroDivisionError")
+        assert err["error"] == "FloatRangeError"
+        text = _run_cli(args)
+        assert text.returncode == 3
+        assert text.stderr.startswith("error: ") and "Traceback" not in text.stderr
 
     def test_poisson_constants_audit(self, runner):
         result = runner.invoke(
