@@ -1,0 +1,53 @@
+"""The two input checks behind every public entry point.
+
+``real`` takes any ``numbers.Real`` (numpy floating and integer scalars
+included) and returns a plain float; ``integer`` takes any
+``numbers.Integral`` and returns a plain int.  Both refuse ``bool``, which is
+a flag passed in the wrong place rather than the number 1, and anything that
+is not a number, such as the string ``"0.5"``.  A refusal is a DomainError
+whose message starts with the parameter's name.  Ranges particular to one
+model, such as 0 < epsilon < theta0, are checked where the model is.
+
+Neither check imports numpy, so the bound verbs start without it.
+"""
+
+import math
+import numbers
+import operator
+
+from .errors import DomainError
+
+_INF = math.inf
+
+
+def real(x, name, *, gt=None, ge=None, inf=False) -> float:
+    """x as a float: a real number, not NaN, finite unless ``inf``, and
+    above ``gt`` or at least ``ge`` where either is given."""
+    v = x
+    if type(v) is not float:  # the common case skips the ABC checks
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            v = math.nan
+        else:
+            try:
+                v = float(x)
+            except OverflowError:  # an int beyond the float range
+                v = _INF if x > 0 else -_INF
+    # v - v is 0.0 for a finite v and NaN for an infinite one (or NaN).
+    if not (
+        (v == v if inf else v - v == 0.0)
+        and (gt is None or v > gt)
+        and (ge is None or v >= ge)
+    ):
+        limit = f" > {gt:g}" if gt is not None else f" >= {ge:g}" if ge is not None else ""
+        kind = "real" if inf else "finite real"
+        raise DomainError(f"{name} must be a {kind}{limit}, got {x if v != v else v!r}")
+    return v
+
+
+def integer(x, name, *, ge=1) -> int:
+    """x as an int: an integral number, not bool, at least ``ge``."""
+    if type(x) is int and x >= ge:  # the common case skips the ABC checks
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < ge:
+        raise DomainError(f"{name} must be an integer >= {ge}, got {x!r}")
+    return operator.index(x)

@@ -27,8 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError, float_range, is_real
-from .steincore import BoundBreakdown, _score_term, check_sample_size
+from ._validate import integer, real
+from .errors import DomainError, float_range
+from .steincore import BoundBreakdown, _score_term
 
 __all__ = [
     "DEGENERATE_FISHER_INFO",
@@ -80,21 +81,14 @@ class PerturbationSpec:
     n: int
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        if math.isnan(a) or math.isnan(b):
-            raise DomainError("interval endpoints must not be NaN")
+        a, b = real(self.a, "a", inf=True), real(self.b, "b", inf=True)
         if not a < b:
             raise DomainError(f"interval endpoints must satisfy a < b, got [{a!r}, {b!r}]")
-        object.__setattr__(self, "n", check_sample_size(self.n))
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-            raise DomainError(f"c must be a finite positive real, got {self.c!r}")
-        if math.isfinite(a) and math.isfinite(b) and not self.c < self.n * (b - a) / 2.0:
-            raise DomainError(
-                f"c must satisfy 0 < c < n(b-a)/2 = {self.n * (b - a) / 2.0!r}, got {self.c!r}"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
+        n, c = integer(self.n, "n"), real(self.c, "c", gt=0.0)
+        if math.isfinite(a) and math.isfinite(b) and not c < n * (b - a) / 2.0:
+            raise DomainError(f"c must satisfy 0 < c < n(b-a)/2 = {n * (b - a) / 2.0!r}, got {c!r}")
+        for name, value in (("a", a), ("b", b), ("c", c), ("n", n)):
+            object.__setattr__(self, name, value)
 
     @property
     def kind(self) -> str:
@@ -109,9 +103,7 @@ class PerturbationSpec:
 
 
 def _apply_map(spec: PerturbationSpec, x: float, what: str) -> float:
-    if not (isinstance(x, (int, float)) and not math.isnan(x)):
-        raise DomainError(f"{what} must be a real number, got {x!r}")
-    x = float(x)
+    x = real(x, what, inf=True)
     if not (spec.a <= x <= spec.b):
         raise DomainError(f"{what}={x!r} outside the interval [{spec.a!r}, {spec.b!r}]")
     step = spec.c / spec.n
@@ -152,13 +144,11 @@ class PerturbedScoreStats:
     w2: float
     third_abs_central: float
 
-    def __post_init__(self):
-        for name in ("w1", "w2", "third_abs_central"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be a finite real, got {v!r}")
-        if self.third_abs_central < 0.0:
-            raise DomainError(f"third_abs_central must be nonnegative, got {self.third_abs_central!r}")
+    def __post_init__(self):  # stored as plain floats, whatever real type came in
+        object.__setattr__(self, "w1", real(self.w1, "w1"))
+        object.__setattr__(self, "w2", real(self.w2, "w2"))
+        third = real(self.third_abs_central, "third_abs_central", ge=0.0)
+        object.__setattr__(self, "third_abs_central", third)
 
 
 FisherLike = Union[float, _DegenerateFisherInfo]
@@ -187,22 +177,12 @@ def general_perturbed_bound(
     normalisation here is 1/(sqrt(n) * i(theta0*)) -- the target is
     N(0, 1/i), not the unit normal.
     """
-    n = check_sample_size(n)
-    if not (isinstance(mle_gap_expectation, (int, float)) and mle_gap_expectation >= 0.0):
-        raise DomainError(
-            f"mle_gap_expectation must be nonnegative, got {mle_gap_expectation!r}"
-        )
+    theta0 = real(theta0, "theta0")
+    n = integer(n, "n")
+    mle_gap_expectation = real(mle_gap_expectation, "mle_gap_expectation", ge=0.0, inf=True)
     degenerate = isinstance(fisher_at_theta0, _DegenerateFisherInfo)
     if not degenerate:
-        if not (
-            isinstance(fisher_at_theta0, (int, float))
-            and math.isfinite(fisher_at_theta0)
-            and fisher_at_theta0 > 0.0
-        ):
-            raise DomainError(
-                "fisher_at_theta0 must be a positive real or DEGENERATE_FISHER_INFO, "
-                f"got {fisher_at_theta0!r}"
-            )
+        fisher_at_theta0 = real(fisher_at_theta0, "fisher_at_theta0", gt=0.0)
         if stats.w2 <= 0.0:
             raise DomainError(
                 f"perturbed score variance w2 must be positive when 1/i(theta0) > 0, got {stats.w2!r}"
@@ -226,7 +206,7 @@ def general_perturbed_bound(
         t_mismatch = 0.0
         t_score = 0.0
     else:
-        i0 = float(fisher_at_theta0)
+        i0 = fisher_at_theta0
         w1, w2 = stats.w1, stats.w2
         t_mismatch = abs(1.0 - 1.0 / math.sqrt(w2 * n * i0)) * math.sqrt(
             n * w2 + (n * w1) ** 2
@@ -337,10 +317,8 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     applies at perturbation constant c; ``c="auto"`` picks the c minimising
     the total numerically.
     """
-    if not (is_real(theta0) and math.isfinite(theta0) and theta0 >= 0.0):
-        raise DomainError(f"theta0 must be a finite nonnegative real, got {theta0!r}")
-    n = check_sample_size(n)
-    theta0 = float(theta0)
+    theta0 = real(theta0, "theta0", ge=0.0)
+    n = integer(n, "n")
     if theta0 == 0.0:
         zero_terms = tuple(
             (label, 0.0)
@@ -357,7 +335,5 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     if c == "auto":
         c_val = minimize_poisson_c(theta0, n)
     else:
-        if not (is_real(c) and math.isfinite(c) and c > 0.0):
-            raise DomainError(f"c must be a finite positive real or 'auto', got {c!r}")
-        c_val = float(c)
+        c_val = real(c, "c", gt=0.0)
     return BoundBreakdown(terms=_poisson_terms(theta0, n, c_val, _poisson_score(theta0, n)))

@@ -2,10 +2,15 @@
 
 Public functions raise these instead of bare ValueError/RuntimeError so the
 CLI can map failure classes to exit codes (validation -> 2, numerical -> 3).
+
+Inputs are checked by ``_validate``: a bad real number or count is a
+DomainError naming the parameter.  A valid input whose computation leaves the
+float range (an overflow, a value that underflows to 0 and is divided by, or
+a difference that cancels to 0 where it must be positive) is a
+FloatRangeError, a numerical failure.
 """
 
 import functools
-import numbers
 
 
 class SteinMLEError(Exception):
@@ -38,7 +43,8 @@ class ConvergenceError(SteinMLEError, RuntimeError):
 
 class FloatRangeError(SteinMLEError, ArithmeticError):
     """An intermediate value left the float range at an extreme input: a
-    power overflowed, or a value underflowed to zero and was divided by."""
+    power overflowed, a value underflowed to zero and was divided by, or a
+    difference that must be positive cancelled to zero."""
 
 
 def float_range(fn):
@@ -57,10 +63,3 @@ def float_range(fn):
 
     return guarded
 
-
-def is_real(x) -> bool:
-    """Whether x is a real number: a Python int or float, or any other
-    ``numbers.Real`` such as a numpy floating or integer scalar."""
-    if type(x) is float or type(x) is int:  # the common case, without the ABC check
-        return True
-    return isinstance(x, numbers.Real)

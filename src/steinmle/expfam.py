@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .errors import DomainError, float_range, is_real
-from .steincore import BoundIngredients, check_sample_size
+from ._validate import integer, real
+from .errors import DomainError, float_range
+from .steincore import BoundIngredients
 
 __all__ = [
     "ExpFamilySpec",
@@ -60,14 +61,6 @@ class ExpFamilySpec:
             raise DomainError(f"k'(theta) vanishes at theta={theta!r}")
         return self.A_prime(theta) / kp
 
-    def _check_theta(self, theta: float) -> float:
-        lo, hi = self.theta_space
-        if not (lo < theta < hi):
-            raise DomainError(
-                f"theta={theta!r} outside the open parameter space ({lo!r}, {hi!r})"
-            )
-        return float(theta)
-
 
 def exp_canonical_family() -> ExpFamilySpec:
     """Exponential distribution with rate theta: k(theta)=theta, T(x)=-x."""
@@ -89,13 +82,13 @@ def exp_noncanonical_family() -> ExpFamilySpec:
 
 def expfam_fisher_info(spec: ExpFamilySpec, theta0: float, var_T: float) -> float:
     """Expected information of one observation: k'(theta0)^2 * Var T."""
-    theta0 = spec._check_theta(theta0)
-    if not (isinstance(var_T, (int, float)) and math.isfinite(var_T)):
-        raise DomainError(f"var_T must be a finite real, got {var_T!r}")
+    theta0 = real(theta0, "theta0")
+    lo, hi = spec.theta_space
+    if not lo < theta0 < hi:
+        raise DomainError(f"theta0={theta0!r} outside the open parameter space ({lo!r}, {hi!r})")
+    var_T = real(var_T, "var_T")
     if var_T <= 0.0:
-        raise DomainError(
-            f"degenerate family: Var T(X) must be positive, got {var_T!r}"
-        )
+        raise DomainError(f"degenerate family: Var T(X) must be positive, got {var_T!r}")
     return spec.k_prime(theta0) ** 2 * var_T
 
 
@@ -103,25 +96,12 @@ def expfam_third_score_moment(
     spec: ExpFamilySpec, theta0: float, third_abs_central_T: float
 ) -> float:
     """Third absolute score moment: |k'(theta0)|^3 * E|T(X) - D(theta0)|^3."""
-    theta0 = spec._check_theta(theta0)
-    if not (isinstance(third_abs_central_T, (int, float)) and third_abs_central_T >= 0.0):
-        raise DomainError(
-            f"third_abs_central_T must be nonnegative, got {third_abs_central_T!r}"
-        )
-    return abs(spec.k_prime(theta0)) ** 3 * third_abs_central_T
-
-
-def _check_theta0_eps(theta0, epsilon):
-    if not (is_real(theta0) and math.isfinite(theta0) and theta0 > 0):
-        raise DomainError(f"theta0 must be a finite positive real, got {theta0!r}")
-    theta0 = float(theta0)
-    eps = theta0 / 2.0 if epsilon is None else float(epsilon)
-    if not (0.0 < eps < theta0):
-        # Theta = (0, inf): the epsilon-ball around theta0 must stay inside.
-        raise DomainError(
-            f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}"
-        )
-    return theta0, eps
+    theta0 = real(theta0, "theta0")
+    lo, hi = spec.theta_space
+    if not lo < theta0 < hi:
+        raise DomainError(f"theta0={theta0!r} outside the open parameter space ({lo!r}, {hi!r})")
+    third = real(third_abs_central_T, "third_abs_central_T", ge=0.0, inf=True)
+    return abs(spec.k_prime(theta0)) ** 3 * third
 
 
 @float_range
@@ -136,8 +116,11 @@ def exp_canonical_ingredients(
     route applies.  The fourth estimator moment is finite only for n >= 5;
     it is unused on the deterministic route and stored as +inf below that.
     """
-    theta0, eps = _check_theta0_eps(theta0, epsilon)
-    n = check_sample_size(n)
+    theta0 = real(theta0, "theta0", gt=0.0)
+    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
+    if not eps < theta0:  # Theta = (0, inf): the epsilon-ball must stay inside
+        raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
+    n = integer(n, "n")
     if n < 3:
         raise DomainError(f"canonical exponential MSE requires n >= 3, got {n}")
     mse = (n + 2) * theta0**2 / ((n - 1) * (n - 2))
@@ -175,8 +158,11 @@ def exp_noncanonical_ingredients(
     4n(2 theta0 + eps)/(theta0 - eps)^4, which is sample-dependent, so the
     Cauchy-Schwarz Taylor route is used.
     """
-    theta0, eps = _check_theta0_eps(theta0, epsilon)
-    n = check_sample_size(n)
+    theta0 = real(theta0, "theta0", gt=0.0)
+    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
+    if not eps < theta0:  # Theta = (0, inf): the epsilon-ball must stay inside
+        raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
+    n = integer(n, "n")
     return BoundIngredients(
         theta0=theta0,
         n=n,

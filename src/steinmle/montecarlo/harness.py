@@ -31,8 +31,6 @@ estimators and the shape root act on each trial alone, and h elementwise.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,6 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .. import registry
+from .._validate import integer, real
 from ..errors import DegenerateSampleError, DomainError, SteinMLEError
 from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
 from ..specfun import normal_expectation
@@ -47,7 +46,6 @@ from ..steincore import (
     BoundBreakdown,
     TestFunction,
     _ci_offsets,
-    check_sample_size,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
 )
@@ -89,13 +87,6 @@ REPORT_CSV_COLUMNS = (
 _ROOT_LANES = 16384
 
 
-def _check_seed(seed, name: str) -> int:
-    """A master seed as a plain int: any integer type but bool, at least 0."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {seed!r}")
-    return operator.index(seed)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """One distance experiment: model, true parameter, sizes, seed, h."""
@@ -117,8 +108,8 @@ class SimulationConfig:
                 f"model must be one of {registry.MODEL_NAMES}, got {self.model!r}"
             )
         for name in ("n", "trials", "workers"):
-            object.__setattr__(self, name, check_sample_size(getattr(self, name), name))
-        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", ge=0))
 
 
 @dataclass(frozen=True)
@@ -208,10 +199,10 @@ def sample(model: str, theta0: float, n: int, rng, *, beta: float = 1.0) -> np.n
     or a numpy Generator to consume in place.
     """
     entry = registry.get_model(model, beta=beta)
-    entry.validate_theta0(theta0)
-    n = check_sample_size(n)
+    theta0 = real(theta0, "theta0", **entry.theta0_limit)
+    n = integer(n, "n")
     if not isinstance(rng, np.random.Generator):
-        rng = _pykernels.make_generator(_check_seed(rng, "rng seed"), 0)
+        rng = _pykernels.make_generator(integer(rng, "rng seed", ge=0), 0)
     return _pykernels.draw(model, theta0, beta, n, rng)
 
 
@@ -288,7 +279,7 @@ def expected_h(cfg: SimulationConfig) -> float:
     normal its standardised estimator targets: what a row's mean of h is
     compared with.  Rows with the same h, model and theta0 share it."""
     entry = registry.get_model(cfg.model, beta=cfg.beta)
-    theta0 = entry.validate_theta0(cfg.theta0)
+    theta0 = real(cfg.theta0, "theta0", **entry.theta0_limit)
     return normal_expectation(cfg.test_function, scale=entry.target_sigma(theta0))
 
 
@@ -307,7 +298,7 @@ def run_simulation(
     it here.
     """
     entry = registry.get_model(cfg.model, beta=cfg.beta)
-    theta0 = entry.validate_theta0(cfg.theta0)
+    theta0 = real(cfg.theta0, "theta0", **entry.theta0_limit)
     h = cfg.test_function
     bound = entry.distance_bound(
         theta0, cfg.n, h_weights=h.weights, epsilon=cfg.epsilon, c=cfg.c
@@ -357,7 +348,7 @@ def run_mse_sweep(
     trial on its own, so each row gets the estimates it would get alone.
     """
     entry = registry.get_model("beta", beta=params.beta)
-    n_list = [int(n) for n in n_values]
+    n_list = [integer(n, "n") for n in n_values]
     if not n_list:
         raise DomainError("n_values must be nonempty")
     ing = beta_ingredients(params)
@@ -365,8 +356,8 @@ def run_mse_sweep(
     bad = [n for n in n_list if n < floor_n]
     if bad:
         raise DomainError(f"n below minimal n = {floor_n}: {bad}")
-    trials = check_sample_size(trials, "trials")
-    seed = _check_seed(seed, "seed")
+    trials = integer(trials, "trials")
+    seed = integer(seed, "seed", ge=0)
     h = inv_quadratic_test_function()
     expected_h = normal_expectation(h, scale=1.0)
     reports = []
@@ -439,17 +430,16 @@ def ci_coverage(
             f"{model}: the conservative interval construction requires the "
             "unit-normal standardisation; the boundary route targets N(0, theta0)"
         )
-    theta0 = entry.validate_theta0(theta0)
-    n = check_sample_size(n)
-    trials = check_sample_size(trials, "trials")
-    seed = _check_seed(seed, "seed")
-    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    theta0 = real(theta0, "theta0", **entry.theta0_limit)
+    n = integer(n, "n")
+    trials = integer(trials, "trials")
+    seed = integer(seed, "seed", ge=0)
     bound = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0))
     b_k = kolmogorov_from_bw(bound.total)
+    offsets = _ci_offsets(n, entry.fisher_info(theta0), alpha, b_k)  # checks alpha
+    alpha = float(alpha)
     if b_k >= alpha / 2.0:
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
-    offsets = _ci_offsets(n, entry.fisher_info(theta0), alpha, b_k)
     stats = _collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
     theta_hats = entry.mle_from_stat(stats, n)
     if offsets is None:  # the whole line
@@ -492,11 +482,9 @@ def conditional_expectation_check(
     combined standard error.  ``dist`` draws M values: a callable
     (generator, size) -> array.  An empty conditioning event is an error.
     """
-    if not (isinstance(eps, (int, float)) and eps > 0.0):
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 2:
-        raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
-    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed, "seed")))
+    eps = real(eps, "eps", gt=0.0)
+    trials = integer(trials, "trials", ge=2)
+    rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed", ge=0)))
     m_draws = np.asarray(dist(rng, trials), dtype=float)
     if m_draws.shape != (trials,):
         raise DomainError(f"dist must return {trials} draws, got shape {m_draws.shape}")
@@ -524,7 +512,8 @@ def mle_abs_error_sampler(
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Sampler of M = |theta_hat - theta0| for use with the conditional check."""
     entry = registry.get_model(model, beta=beta)
-    entry.validate_theta0(theta0)
+    theta0 = real(theta0, "theta0", **entry.theta0_limit)
+    n = integer(n, "n")
 
     def draw_m(rng: np.random.Generator, size: int) -> np.ndarray:
         stats = _pykernels.sample_stats(model, theta0, beta, n, size, rng)

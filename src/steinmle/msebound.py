@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Optional, Sequence
 
-from .errors import ConvergenceError, DomainError, float_range, is_real
+from ._validate import integer, real
+from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
 from .specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
 from .steincore import (
     TERM_MARKOV,
@@ -40,7 +41,6 @@ from .steincore import (
     TERM_TAYLOR,
     BoundBreakdown,
     _score_term,
-    check_sample_size,
 )
 
 __all__ = [
@@ -63,18 +63,6 @@ __all__ = [
 _EXTENDED = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
-def _checked_positive(value, what):
-    if not (is_real(value) and math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{what} must be a finite positive real, got {value!r}")
-    return float(value)
-
-
-def _checked_nonneg(value, what):
-    if not (is_real(value) and math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{what} must be a finite nonnegative real, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ImplicitModelIngredients:
     """Inputs to the implicit-MLE MSE bound.
@@ -94,13 +82,22 @@ class ImplicitModelIngredients:
     epsilon: float
 
     def __post_init__(self):
-        _checked_positive(self.fisher_info, "fisher_info")
-        _checked_positive(self.third_abs_score_moment, "third_abs_score_moment")
-        _checked_nonneg(self.var_l2, "var_l2")
-        _checked_positive(self.c1_const, "c1_const")
-        _checked_positive(self.sup_x_norm, "sup_x_norm")
-        _checked_positive(self.sup_x2_norm, "sup_x2_norm")
-        _checked_positive(self.epsilon, "epsilon")
+        fisher = real(self.fisher_info, "fisher_info", gt=0.0)
+        third = real(self.third_abs_score_moment, "third_abs_score_moment", gt=0.0)
+        var_l2 = real(self.var_l2, "var_l2", ge=0.0)
+        c1 = real(self.c1_const, "c1_const", gt=0.0)
+        x_norm = real(self.sup_x_norm, "sup_x_norm", gt=0.0)
+        x2_norm = real(self.sup_x2_norm, "sup_x2_norm", gt=0.0)
+        eps = real(self.epsilon, "epsilon", gt=0.0)
+        # Plain floats, rewritten only where a field came in as another type
+        # (the checks return a float argument itself).
+        if not (fisher is self.fisher_info and third is self.third_abs_score_moment
+                and var_l2 is self.var_l2 and c1 is self.c1_const and x_norm is self.sup_x_norm
+                and x2_norm is self.sup_x2_norm and eps is self.epsilon):
+            vars(self).update(
+                fisher_info=fisher, third_abs_score_moment=third, var_l2=var_l2, c1_const=c1,
+                sup_x_norm=x_norm, sup_x2_norm=x2_norm, epsilon=eps,
+            )
 
     def to_dict(self):
         return {
@@ -122,8 +119,8 @@ class BetaParams:
     beta: float
 
     def __post_init__(self):  # stored as plain floats, whatever real type came in
-        object.__setattr__(self, "theta0", _checked_positive(self.theta0, "theta0"))
-        object.__setattr__(self, "beta", _checked_positive(self.beta, "beta"))
+        object.__setattr__(self, "theta0", real(self.theta0, "theta0", gt=0.0))
+        object.__setattr__(self, "beta", real(self.beta, "beta", gt=0.0))
 
 
 def _roots_dec(ing: ImplicitModelIngredients, n: int):
@@ -150,7 +147,7 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     May be <= 0 below the minimal sample size; the sign is the caller's
     signal, no exception is raised here.
     """
-    n = check_sample_size(n)
+    n = integer(n, "n")
     return float(_d1_dec(ing, n, _roots_dec(ing, n)))
 
 
@@ -208,7 +205,7 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     inequality has no positive solution and a DomainError names the minimal
     sample size.  Solved in 50-digit ``decimal`` and rounded once.
     """
-    n = check_sample_size(n)
+    n = integer(n, "n")
     return float(_a1_dec(ing, n, _roots_dec(ing, n)))
 
 
@@ -221,8 +218,8 @@ def implicit_distance_bound(
     remainder sqrt(n) C1 A1^2 / (2 sqrt(i)); and the R2 term
     sqrt(Var l'') A1 / sqrt(i) (zero whenever l'' is deterministic).
     """
-    n = check_sample_size(n)
-    a1 = _checked_nonneg(a1, "a1")
+    n = integer(n, "n")
+    a1 = real(a1, "a1", ge=0.0)
     t_score = _score_term(ing.third_abs_score_moment, ing.fisher_info, n)
     t_markov = 2.0 * a1**2 / ing.epsilon**2
     t_taylor = math.sqrt(n) * ing.c1_const * a1**2 / (2.0 * math.sqrt(ing.fisher_info))
@@ -264,10 +261,17 @@ def beta_ingredients(
     B2 = 96 beta/theta0^4 + 6.6 beta.  Support [0, 1] gives unit sup norms.
     """
     theta0, beta = p.theta0, p.beta
-    eps = theta0 / 2.0 if epsilon is None else float(epsilon)
-    if not (0.0 < eps < theta0):
+    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
+    if not eps < theta0:
         raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
     fisher, b1 = _beta_fisher_b1(theta0, beta)
+    if not fisher > 0.0:
+        # psi_1 strictly decreases, so only rounding makes the difference <= 0:
+        # theta0 + beta rounds to (nearly) theta0.
+        raise FloatRangeError(
+            f"beta_ingredients: the information psi_1(theta0) - psi_1(theta0 + beta) "
+            f"cancelled to {fisher!r} in float at theta0 = {theta0!r}, beta = {beta!r}"
+        )
     # sup |l'''| <= 6 beta / (theta0 - eps)^4 + 6.6 beta  per observation
     # (the 6.6 absorbs the zeta(4) tail of the order-3 polygamma series).
     c1 = 6.0 * beta / (theta0 - eps) ** 4 + 6.6 * beta
@@ -305,7 +309,7 @@ def beta_b3(p: BetaParams, n: int) -> float:
     precision: the denominator subtracts nearly-equal quantities.  Rejects n
     below the minimal admissible size (nonpositive denominator).
     """
-    n = check_sample_size(n)
+    n = integer(n, "n")
     return _beta_b3(beta_ingredients(p), n)
 
 
@@ -317,7 +321,7 @@ def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
 
 def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:
     """The Beta estimator's MSE bound (B3/sqrt(n))^2 = B3^2/n."""
-    b3 = _beta_b3(ing, check_sample_size(n))
+    b3 = _beta_b3(ing, integer(n, "n"))
     return b3 * b3 / n
 
 
@@ -329,7 +333,7 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     (8/(n theta0^2)) B3^2; Taylor remainder B2 B3^2/(2 sqrt(n) sqrt(D_psi1)).
     The R2 term is identically zero (Var l'' = 0) and is reported as such.
     """
-    n = check_sample_size(n)
+    n = integer(n, "n")
     ing = beta_ingredients(p)
     return implicit_distance_bound(ing, n, _beta_b3(ing, n) / math.sqrt(n))
 
@@ -342,12 +346,12 @@ def beta_mle(sample: Sequence[float], beta: float, *, rel_tol: float = 1e-12) ->
     of :func:`beta_shape_roots`.  For beta = 1 it coincides with
     -n / sum log x.
     """
-    beta = _checked_positive(beta, "beta")
-    xs = list(sample)
+    beta = real(beta, "beta", gt=0.0)
+    xs = [real(v, "observations") for v in sample]
     if not xs:
         raise DomainError("sample must be nonempty")
     for v in xs:
-        if not (isinstance(v, (int, float)) and 0.0 < v < 1.0):
+        if not 0.0 < v < 1.0:
             raise DomainError(f"observations must lie strictly in (0, 1), got {v!r}")
     mean_log = math.fsum(math.log(v) for v in xs) / len(xs)
     return float(beta_shape_roots([mean_log], beta, rel_tol=rel_tol)[0])
@@ -419,7 +423,7 @@ def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
     """
     import numpy as np  # here, so that the bound verbs never load numpy
 
-    beta = _checked_positive(beta, "beta")
+    beta = real(beta, "beta", gt=0.0)
     stats = np.asarray(mean_logs, dtype=float)
     if stats.ndim != 1 or not np.all((stats < 0.0) & np.isfinite(stats)):
         raise DomainError("mean log-observations must be a row of finite negative numbers")

@@ -18,7 +18,8 @@ import math
 from typing import Optional, Sequence
 
 from . import boundary, expfam, msebound
-from .errors import DegenerateSampleError, DomainError, UnknownModelError, is_real
+from ._validate import integer, real
+from .errors import DegenerateSampleError, DomainError, UnknownModelError
 from .steincore import BoundBreakdown, mle_bound_general
 
 __all__ = ["MODEL_NAMES", "get_model", "RegistryEntry"]
@@ -47,11 +48,9 @@ class RegistryEntry:
 
     name: str = ""
     supports_ci: bool = True
-
-    def validate_theta0(self, theta0: float) -> float:
-        if not (is_real(theta0) and math.isfinite(theta0) and theta0 > 0):
-            raise DomainError(f"{self.name}: theta0 must be a finite positive real, got {theta0!r}")
-        return float(theta0)
+    # theta0's lower limit, as keywords of ``_validate.real``: positive here,
+    # nonnegative for the Poisson mean.
+    theta0_limit = {"gt": 0.0}
 
     def fisher_info(self, theta0: float) -> float:
         raise NotImplementedError
@@ -95,7 +94,7 @@ class _ExpCanonical(RegistryEntry):
     name = "exp-canonical"
 
     def fisher_info(self, theta0):
-        return 1.0 / self.validate_theta0(theta0) ** 2
+        return 1.0 / real(theta0, "theta0", gt=0.0) ** 2
 
     def mle(self, sample):
         arr = _as_clean_sample(sample)
@@ -115,7 +114,7 @@ class _ExpCanonical(RegistryEntry):
         return mle_bound_general(ing, h_weights)
 
     def audit(self, theta0, n, epsilon=None):
-        ing = expfam.exp_canonical_ingredients(self.validate_theta0(theta0), n, epsilon)
+        ing = expfam.exp_canonical_ingredients(theta0, n, epsilon)
         return {"model": self.name, "ingredients": ing.to_dict()}
 
 
@@ -134,21 +133,17 @@ class _ExpNonCanonical(_ExpCanonical):
         return mle_bound_general(ing, h_weights)
 
     def audit(self, theta0, n, epsilon=None):
-        ing = expfam.exp_noncanonical_ingredients(self.validate_theta0(theta0), n, epsilon)
+        ing = expfam.exp_noncanonical_ingredients(theta0, n, epsilon)
         return {"model": self.name, "ingredients": ing.to_dict()}
 
 
 class _Poisson(RegistryEntry):
     name = "poisson"
     supports_ci = False  # boundary route targets N(0, theta0), not Z
-
-    def validate_theta0(self, theta0):
-        if not (is_real(theta0) and math.isfinite(theta0) and theta0 >= 0):
-            raise DomainError(f"poisson: theta0 must be finite and >= 0, got {theta0!r}")
-        return float(theta0)
+    theta0_limit = {"ge": 0.0}
 
     def fisher_info(self, theta0):
-        theta0 = self.validate_theta0(theta0)
+        theta0 = real(theta0, "theta0", ge=0.0)
         if theta0 == 0.0:
             raise DomainError("poisson: the information number degenerates at theta0 = 0")
         return 1.0 / theta0
@@ -157,7 +152,7 @@ class _Poisson(RegistryEntry):
         return math.sqrt(n)
 
     def target_sigma(self, theta0):
-        return math.sqrt(self.validate_theta0(theta0))
+        return math.sqrt(real(theta0, "theta0", ge=0.0))
 
     def mle(self, sample):
         return float(_as_clean_sample(sample).mean())
@@ -173,6 +168,7 @@ class _Poisson(RegistryEntry):
         return boundary.poisson_bound(theta0, n, c)
 
     def audit(self, theta0, n, epsilon=None):
+        theta0, n = real(theta0, "theta0", ge=0.0), integer(n, "n")
         bd = self.distance_bound(theta0, n, epsilon=epsilon)
         return {"model": self.name, "theta0": theta0, "n": n, "bound": bd.to_dict()}
 
@@ -181,12 +177,10 @@ class _Beta(RegistryEntry):
     name = "beta"
 
     def __init__(self, beta: float = 1.0):
-        if not (is_real(beta) and math.isfinite(beta) and beta > 0):
-            raise DomainError(f"beta: known shape must be a finite positive real, got {beta!r}")
-        self.beta = float(beta)
+        self.beta = real(beta, "beta", gt=0.0)  # the known second shape
 
     def fisher_info(self, theta0):
-        p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
+        p = msebound.BetaParams(theta0, self.beta)
         return msebound.beta_ingredients(p).fisher_info
 
     def mle(self, sample):
@@ -206,20 +200,20 @@ class _Beta(RegistryEntry):
     def distance_bound(self, theta0, n, h_weights=(1.0, 1.0), epsilon=None, c="auto"):
         # Weights are absorbed at their class ceiling, as for Poisson.
         self._reject_unused(epsilon, c)
-        p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
+        p = msebound.BetaParams(theta0, self.beta)
         return msebound.beta_distance_bound(p, n)
 
     def mse_bound(self, theta0, n):
-        p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
+        p = msebound.BetaParams(theta0, self.beta)
         return msebound._beta_mse_bound(msebound.beta_ingredients(p), n)
 
     def audit(self, theta0, n, epsilon=None):
         self._reject_unused(epsilon)
-        p = msebound.BetaParams(self.validate_theta0(theta0), self.beta)
-        out = {"model": self.name, "theta0": theta0, "beta": self.beta}
+        p = msebound.BetaParams(theta0, self.beta)
+        out = {"model": self.name, "theta0": p.theta0, "beta": self.beta}
         out.update(msebound.beta_b_constants(p))
         if n is not None:
-            out["n"] = n
+            out["n"] = n = integer(n, "n")
             out["B3"] = msebound.beta_b3(p, n)
         return out
 

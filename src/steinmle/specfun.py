@@ -26,7 +26,8 @@ import heapq
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-from .errors import ConvergenceError, DomainError, float_range, is_real
+from ._validate import real
+from .errors import ConvergenceError, DomainError, float_range
 
 __all__ = [
     "polygamma",
@@ -104,14 +105,6 @@ _G10_WEIGHTS = (
 )
 
 
-def _require_positive(x, what):
-    if not is_real(x):
-        raise DomainError(f"{what} must be a real number, got {type(x).__name__}")
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{what} must be a finite positive real, got {x!r}")
-    return float(x)
-
-
 def _digamma_asymptotic(y):
     # psi(y) ~ ln y - 1/(2y) - sum_k B_2k / (2k y^2k), valid for y >= 16.
     z = 1.0 / (y * y)
@@ -150,7 +143,7 @@ def polygamma(order, x):
     """
     if order not in (0, 1, 2, 3):
         raise DomainError(f"polygamma order must be an integer in [0, 3], got {order!r}")
-    x = _require_positive(x, "polygamma argument")
+    x = real(x, "polygamma argument", gt=0.0)
 
     increments = []
     y = x
@@ -177,11 +170,7 @@ def std_normal_cdf(x):
 
     erfc-based so both tails stay accurate; saturates cleanly at 0/1.
     """
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DomainError(f"std_normal_cdf argument must be a real number, got {x!r}")
-    if math.isnan(x):
-        raise DomainError("std_normal_cdf argument must not be NaN")
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return 0.5 * math.erfc(-real(x, "std_normal_cdf argument", inf=True) / _SQRT2)
 
 
 def std_normal_quantile(p):
@@ -191,9 +180,8 @@ def std_normal_quantile(p):
     approximations): within ~1e-15 relative of a 50-digit root for p in
     [1e-300, 1/2], and 1 - p is exact above 1/2.
     """
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise DomainError(f"quantile argument must be a real number, got {p!r}")
-    if not (0.0 < p < 1.0):
+    p = real(p, "quantile argument")
+    if not 0.0 < p < 1.0:
         raise DomainError(f"quantile argument must lie strictly in (0, 1), got {p!r}")
     from statistics import NormalDist  # here, so that the bound verbs never load it
 
@@ -266,7 +254,7 @@ def inv_quadratic_expectation(scale):
     is x/2 over Laplace's continued fraction x + (1/2)/(x + 1/(x + (3/2)/(x
     + ...))).  Both run in stdlib ``decimal`` and round to float once.
     """
-    scale = _require_positive(scale, "scale")
+    scale = real(scale, "scale", gt=0.0)
     xf = 1.0 / scale
     if xf <= _SERIES_CUT:
         prec = _EXACT_DIGITS + int(_LOG10_E * xf * xf)
@@ -307,9 +295,7 @@ def normal_expectation(h, scale=1.0):
     evaluator = getattr(h, "evaluator", h)
     if not callable(evaluator):
         raise DomainError("h must be callable or carry a callable 'evaluator'")
-    if not (is_real(scale) and math.isfinite(scale) and scale >= 0.0):
-        raise DomainError(f"scale must be a finite nonnegative real, got {scale!r}")
-    scale = float(scale)
+    scale = real(scale, "scale", ge=0.0)
     if scale == 0.0:
         return evaluator(0.0)
     exact = getattr(h, "gaussian_expectation", None)

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
+from ._validate import integer, real
 from .errors import DomainError, float_range
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
@@ -56,28 +55,6 @@ TERM_SCORE = "score"
 TERM_MARKOV = "markov_tail"
 TERM_R2 = "r2"
 TERM_TAYLOR = "taylor_remainder"
-
-
-def _check_nonneg(value, what, allow_inf=True):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{what} must be a real number, got {value!r}")
-    v = float(value)
-    if math.isnan(v):
-        raise DomainError(f"{what} must not be NaN")
-    if v < 0.0:
-        raise DomainError(f"{what} must be nonnegative, got {v!r}")
-    if not allow_inf and math.isinf(v):
-        raise DomainError(f"{what} must be finite, got {v!r}")
-    return v
-
-
-def check_sample_size(n, name: str = "n") -> int:
-    """n as a plain int: any integer type but bool (numpy's too), at least 1."""
-    if type(n) is int and n >= 1:  # the common case, without the ABC check
-        return n
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n!r}")
-    return operator.index(n)
 
 
 @dataclass(frozen=True)
@@ -111,8 +88,8 @@ class TestFunction:
             raise DomainError("TestFunction.evaluator must be callable")
         if self.gaussian_expectation is not None and not callable(self.gaussian_expectation):
             raise DomainError("TestFunction.gaussian_expectation must be callable")
-        _check_nonneg(self.sup_norm, "sup_norm", allow_inf=False)
-        _check_nonneg(self.lip_norm, "lip_norm", allow_inf=False)
+        object.__setattr__(self, "sup_norm", real(self.sup_norm, "sup_norm", ge=0.0))
+        object.__setattr__(self, "lip_norm", real(self.lip_norm, "lip_norm", ge=0.0))
 
     @property
     def weights(self) -> Tuple[float, float]:
@@ -164,22 +141,27 @@ class BoundIngredients:
     sup_third_is_deterministic: bool = False
 
     def __post_init__(self):
-        n = check_sample_size(self.n)
-        if n is not self.n:  # store a plain int, which json.dumps accepts
-            object.__setattr__(self, "n", n)
-        if not (isinstance(self.theta0, (int, float)) and math.isfinite(self.theta0)):
-            raise DomainError(f"theta0 must be a finite real, got {self.theta0!r}")
-        fisher = _check_nonneg(self.fisher_info, "fisher_info", allow_inf=False)
-        if fisher <= 0.0:
-            raise DomainError(f"fisher_info must be positive, got {fisher!r}")
-        _check_nonneg(self.third_abs_score_moment, "third_abs_score_moment")
-        _check_nonneg(self.mse, "mse")
-        _check_nonneg(self.fourth_mle_moment, "fourth_mle_moment")
-        _check_nonneg(self.sup_third_deriv, "sup_third_deriv")
-        _check_nonneg(self.r2_conditional_bound, "r2_conditional_bound")
-        eps = _check_nonneg(self.epsilon, "epsilon", allow_inf=False)
-        if eps <= 0.0:
-            raise DomainError(f"epsilon must be positive, got {eps!r}")
+        n = integer(self.n, "n")
+        theta0 = real(self.theta0, "theta0")
+        fisher = real(self.fisher_info, "fisher_info", gt=0.0)
+        third = real(self.third_abs_score_moment, "third_abs_score_moment", ge=0.0, inf=True)
+        mse = real(self.mse, "mse", ge=0.0, inf=True)
+        fourth = real(self.fourth_mle_moment, "fourth_mle_moment", ge=0.0, inf=True)
+        sup3 = real(self.sup_third_deriv, "sup_third_deriv", ge=0.0, inf=True)
+        r2 = real(self.r2_conditional_bound, "r2_conditional_bound", ge=0.0, inf=True)
+        eps = real(self.epsilon, "epsilon", gt=0.0)
+        # Store a plain int and plain floats, which json.dumps accepts.  The
+        # checks return an int or float argument itself, so the fields are
+        # rewritten only when one came in as another type.
+        if not (n is self.n and theta0 is self.theta0 and fisher is self.fisher_info
+                and third is self.third_abs_score_moment and mse is self.mse
+                and fourth is self.fourth_mle_moment and sup3 is self.sup_third_deriv
+                and r2 is self.r2_conditional_bound and eps is self.epsilon):
+            vars(self).update(
+                n=n, theta0=theta0, fisher_info=fisher, third_abs_score_moment=third, mse=mse,
+                fourth_mle_moment=fourth, sup_third_deriv=sup3, r2_conditional_bound=r2,
+                epsilon=eps,
+            )
 
     @property
     def taylor_factor(self) -> float:
@@ -275,18 +257,6 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
-def _validate_weights(h_weights):
-    try:
-        sup, lip = h_weights
-    except (TypeError, ValueError) as exc:
-        raise DomainError(
-            f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}"
-        ) from exc
-    return _check_nonneg(sup, "sup weight", allow_inf=False), _check_nonneg(
-        lip, "lip weight", allow_inf=False
-    )
-
-
 def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
     """(2 + E|xi|^3 / Var(xi)^{3/2}) / sqrt(n): the Stein bound for the
     standardised sum of n i.i.d. copies of xi, the leading term of every bound."""
@@ -302,7 +272,11 @@ def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     when the estimator already is a normalised i.i.d. sum it bounds the
     estimator's distance directly, with no Taylor expansion.
     """
-    _, lip = _validate_weights(h_weights)
+    try:
+        sup, lip = h_weights
+    except (TypeError, ValueError):
+        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}") from None
+    sup, lip = real(sup, "sup weight", ge=0.0), real(lip, "lip weight", ge=0.0)
     value = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     return BoundBreakdown(terms=((TERM_SCORE, value),))
 
@@ -318,7 +292,11 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     Non-finite ingredient values propagate into a non-finite total rather
     than raising; check ``BoundBreakdown.is_finite``.
     """
-    sup, lip = _validate_weights(h_weights)
+    try:
+        sup, lip = h_weights
+    except (TypeError, ValueError):
+        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}") from None
+    sup, lip = real(sup, "sup weight", ge=0.0), real(lip, "lip weight", ge=0.0)
     root_ni = math.sqrt(ing.n * ing.fisher_info)
     t_score = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     t_markov = 2.0 * sup * ing.mse / ing.epsilon**2
@@ -336,8 +314,7 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
 
 def kolmogorov_from_bw(bw_bound: float) -> float:
     """Kolmogorov-distance bound from a bounded-Wasserstein bound: 2*sqrt(b)."""
-    b = _check_nonneg(bw_bound, "bounded Wasserstein bound")
-    return 2.0 * math.sqrt(b)
+    return 2.0 * math.sqrt(real(bw_bound, "bounded Wasserstein bound", ge=0.0, inf=True))
 
 
 def conservative_ci(
@@ -355,6 +332,7 @@ def conservative_ci(
     When b_k >= alpha/2 both quantile arguments leave (0, 1) and the interval
     degenerates to the whole line (coverage trivially 1).
     """
+    theta_hat = real(theta_hat, "theta_hat")
     offsets = _ci_offsets(n, fisher_info, alpha, b_k)
     if offsets is None:
         return ConfidenceInterval(-math.inf, math.inf, degenerate=True)
@@ -366,13 +344,12 @@ def _ci_offsets(n: int, fisher_info: float, alpha: float, b_k: float):
     conservative interval is theta_hat minus each, in that order.  None when
     the interval degenerates to the whole line.  They do not depend on
     theta_hat, so a row of trials needs them once."""
-    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
+    alpha = real(alpha, "alpha")
+    if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    n = check_sample_size(n)
-    fisher = _check_nonneg(fisher_info, "fisher_info", allow_inf=False)
-    if fisher <= 0.0:
-        raise DomainError(f"fisher_info must be positive, got {fisher!r}")
-    bk = _check_nonneg(b_k, "b_k", allow_inf=False)
+    n = integer(n, "n")
+    fisher = real(fisher_info, "fisher_info", gt=0.0)
+    bk = real(b_k, "b_k", ge=0.0)
     lo_arg = alpha / 2.0 - bk
     hi_arg = 1.0 - alpha / 2.0 + bk
     if lo_arg <= 0.0 or hi_arg >= 1.0:

@@ -1,18 +1,42 @@
-"""Extreme magnitudes and numpy scalars at the bound entry points.
+"""The error contract at every public entry point.
 
 A value that leaves the float range raises ``FloatRangeError``, which is a
-``SteinMLEError`` and an ``ArithmeticError`` (the CLI's exit 3); a numpy
-floating scalar is a real number like any other.
+``SteinMLEError`` and an ``ArithmeticError`` (the CLI's exit 3).  A numpy
+scalar is a number like any other and gives what the plain-Python call gives;
+``bool`` and ``str`` are not numbers and raise ``DomainError`` (exit 2).  The
+CLI answers every input with exit 0, 2 or 3 and, with ``--format json``, a
+``steinmle/error/v1`` object for each error.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from steinmle.boundary import poisson_bound
-from steinmle.errors import FloatRangeError, SteinMLEError
-from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
-from steinmle.msebound import BetaParams, beta_b3
+from steinmle.boundary import PerturbationSpec, PerturbedScoreStats, poisson_bound
+from steinmle.cli import main
+from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
+from steinmle.expfam import (
+    exp_canonical_family,
+    exp_canonical_ingredients,
+    exp_noncanonical_ingredients,
+    expfam_fisher_info,
+)
+from steinmle.montecarlo import ci_coverage, conditional_expectation_check
+from steinmle.msebound import (
+    BetaParams,
+    ImplicitModelIngredients,
+    beta_b3,
+    beta_ingredients,
+    beta_mle,
+)
 from steinmle.registry import MODEL_NAMES, get_model
+from steinmle.specfun import polygamma, std_normal_cdf, std_normal_quantile
+from steinmle.steincore import BoundIngredients, TestFunction, conservative_ci
 
 
 @pytest.mark.parametrize("fn", [poisson_bound, exp_canonical_ingredients,
@@ -37,16 +61,154 @@ def test_registry_bounds_raise_only_package_errors(model, theta0, n):
         pass
 
 
+def _uniform(rng, size):
+    return rng.random(size)
+
+
+# Each case calls one entry point with its real arguments passed through
+# ``to``: a numpy scalar must give exactly what a plain float gives.  Every
+# argument is exact in float16.
+SCALAR_CASES = {
+    "exp-canonical-theta0": lambda to: exp_canonical_ingredients(to(1.0), 10),
+    "exp-noncanonical-theta0": lambda to: exp_noncanonical_ingredients(to(2.0), 10),
+    "poisson-theta0": lambda to: poisson_bound(to(5.0), 20),
+    "poisson-c": lambda to: poisson_bound(5.0, 20, c=to(2.0)),
+    "beta-params": lambda to: beta_b3(BetaParams(to(1.5), to(2.0)), 12000),
+    "registry-exp-canonical": lambda to: get_model("exp-canonical").distance_bound(to(1.5), 10),
+    "registry-exp-noncanonical":
+        lambda to: get_model("exp-noncanonical").distance_bound(to(1.5), 10),
+    "registry-poisson": lambda to: get_model("poisson").distance_bound(to(1.5), 20),
+    "registry-beta": lambda to: get_model("beta", beta=to(2.0)).distance_bound(to(1.5), 12000),
+    "conservative_ci-alpha": lambda to: conservative_ci(0.5, 100, 1.0, to(0.25), 0.0625),
+    "ci_coverage-alpha":
+        lambda to: ci_coverage("exp-canonical", 1.0, 10**7, to(0.5), trials=10, seed=3),
+    "std_normal_cdf": lambda to: std_normal_cdf(to(0.75)),
+    "std_normal_quantile": lambda to: std_normal_quantile(to(0.25)),
+    "beta_mle-observations": lambda to: beta_mle([to(0.25), to(0.5), to(0.75)], 2.0),
+}
+
+
 @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.float64, np.longdouble])
-def test_numpy_floating_theta0_is_accepted(scalar):
-    assert exp_canonical_ingredients(scalar(1.0), 10) == exp_canonical_ingredients(1.0, 10)
-    assert exp_noncanonical_ingredients(scalar(2.0), 10) == exp_noncanonical_ingredients(2.0, 10)
-    assert poisson_bound(scalar(5.0), 20) == poisson_bound(5.0, 20)
-    assert poisson_bound(5.0, 20, c=scalar(2.0)) == poisson_bound(5.0, 20, c=2.0)
-    params = BetaParams(scalar(1.5), scalar(2.0))
-    assert type(params.theta0) is float and type(params.beta) is float
-    assert beta_b3(params, 12000) == beta_b3(BetaParams(1.5, 2.0), 12000)
-    for model, n in [("exp-canonical", 10), ("exp-noncanonical", 10), ("poisson", 20)]:
-        assert get_model(model).distance_bound(scalar(1.5), n) == get_model(model).distance_bound(1.5, n)
-    beta = get_model("beta", beta=scalar(2.0))
-    assert beta.distance_bound(scalar(1.5), 12000) == get_model("beta", beta=2.0).distance_bound(1.5, 12000)
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_numpy_floating_scalar_gives_the_float_result(case, scalar):
+    assert SCALAR_CASES[case](scalar) == SCALAR_CASES[case](float)
+
+
+@pytest.mark.parametrize("int_type", [np.int8, np.int64, np.uint16])
+def test_numpy_integer_trials_give_the_int_result(int_type):
+    check = lambda trials: conditional_expectation_check(_uniform, abs, 0.5, trials, seed=1)  # noqa: E731
+    res = check(int_type(50))
+    assert type(res.trials) is int
+    assert res == check(50)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_numpy_scalar_audit_is_the_plain_json(model):
+    n = 8000 if model == "beta" else 20
+    audit = get_model(model, beta=np.float32(1.0)).audit(np.float32(1.5), np.int64(n))
+    assert json.dumps(audit) == json.dumps(get_model(model).audit(1.5, n))
+
+
+def test_dataclasses_store_plain_floats():
+    f32 = np.float32
+    spec = vars(PerturbationSpec(f32(0.0), f32(1.0), f32(0.5), np.int64(10))).copy()
+    ing = vars(BoundIngredients(f32(1.0), np.int64(10), *map(f32, (1, 2, 0.5, 1, 4, 0, 0.5)))).copy()
+    assert type(spec.pop("n")) is int and type(ing.pop("n")) is int
+    del ing["sup_third_is_deterministic"]
+    h = TestFunction(abs, f32(0.5), 1)
+    values = [
+        *vars(BetaParams(f32(1.5), f32(2.0))).values(),
+        *spec.values(),
+        *vars(PerturbedScoreStats(f32(0.0), f32(1.0), f32(2.0))).values(),
+        *vars(ImplicitModelIngredients(*map(f32, (1, 2, 0, 3, 1, 1, 0.5)))).values(),
+        *ing.values(),
+        h.sup_norm,
+        h.lip_norm,
+    ]
+    assert len(values) == 25 and all(type(v) is float for v in values)
+
+
+# Each case passes a bool or a str where a real number goes; all raise DomainError.
+REJECTED = {
+    "theta0-True-exp": lambda: exp_canonical_ingredients(True, 10),
+    "theta0-True-poisson": lambda: poisson_bound(True, 20),
+    "theta0-True-beta": lambda: BetaParams(True, 2.0),
+    "theta0-True-registry": lambda: get_model("exp-noncanonical").distance_bound(True, 10),
+    "c-True-poisson": lambda: poisson_bound(5.0, 20, c=True),
+    "c-True-spec": lambda: PerturbationSpec(0.0, 1.0, True, 10),
+    "epsilon-True-exp": lambda: exp_canonical_ingredients(2.0, 10, True),
+    "epsilon-True-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), True),
+    "eps-True": lambda: conditional_expectation_check(_uniform, abs, True, 10),
+    "eps-inf": lambda: conditional_expectation_check(_uniform, abs, math.inf, 10),
+    "beta-True": lambda: BetaParams(1.5, True),
+    "beta-True-registry": lambda: get_model("beta", beta=True),
+    "polygamma-True": lambda: polygamma(1, True),
+    "epsilon-str-exp": lambda: exp_canonical_ingredients(1.0, 10, "0.5"),
+    "epsilon-str-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), "0.5"),
+    "endpoint-str-a": lambda: PerturbationSpec("0.5", 1.0, 0.5, 10),
+    "endpoint-str-b": lambda: PerturbationSpec(0.0, "0.5", 0.5, 10),
+    "expfam-theta0-str": lambda: expfam_fisher_info(exp_canonical_family(), "1", 1.0),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_bool_and_str_are_not_numbers(case):
+    with pytest.raises(DomainError):
+        REJECTED[case]()
+
+
+# -- the CLI ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("verb", ["bound", "constants"])
+@pytest.mark.parametrize("beta", ["1e-17", "1e-300"])
+def test_beta_information_cancelling_to_zero_exits_3(verb, beta):
+    # theta0 + beta rounds to theta0, so psi_1(theta0) - psi_1(theta0 + beta)
+    # is 0 in float: a numerical failure, although every input is valid
+    args = [verb, "--model", "beta", "--theta0", "1.5", "--beta", beta, "--n", "100000000"]
+    result = CliRunner().invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 3
+    err = json.loads(result.stderr)
+    assert err["schema"] == "steinmle/error/v1"
+    assert err["error"] == "FloatRangeError"
+    assert "cancelled" in err["message"]
+
+
+# +-0, nan, +-inf, and magnitudes log-uniform on [1e-300, 1e300] of either sign
+_REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)),
+)
+_OPTIONAL = st.none() | _REALS
+_NS = st.sampled_from([1, 2, 3, 10, 10**6, 10**18])
+
+
+def _invoke(args, fmt):
+    result = CliRunner().invoke(main, args + ["--format", fmt])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 2, 3), (args, result.output)
+    if fmt == "json" and result.exit_code:
+        assert json.loads(result.stderr)["schema"] == "steinmle/error/v1"
+
+
+def _options(**values):
+    return [f"--{name.replace('_', '-')}={value!r}" for name, value in values.items()
+            if value is not None]
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@given(theta0=_REALS, n=_NS, beta=_OPTIONAL, c=_OPTIONAL, epsilon=_OPTIONAL,
+       h_sup=_OPTIONAL, h_lip=_OPTIONAL, fmt=st.sampled_from(["text", "json"]))
+def test_bound_keeps_the_exit_code_contract(model, theta0, n, beta, c, epsilon, h_sup, h_lip, fmt):
+    args = ["bound", "--model", model, f"--n={n}"] + _options(
+        theta0=theta0, beta=beta, c=c, epsilon=epsilon, h_sup=h_sup, h_lip=h_lip
+    )
+    _invoke(args, fmt)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@given(theta0=_REALS, n=st.none() | _NS, beta=_OPTIONAL, epsilon=_OPTIONAL,
+       fmt=st.sampled_from(["text", "json"]))
+def test_constants_keeps_the_exit_code_contract(model, theta0, n, beta, epsilon, fmt):
+    args = ["constants", "--model", model] + _options(theta0=theta0, n=n, beta=beta, epsilon=epsilon)
+    _invoke(args, fmt)
