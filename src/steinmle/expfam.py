@@ -125,11 +125,8 @@ def exp_canonical_ingredients(
         raise DomainError(f"canonical exponential MSE requires n >= 3, got {n}")
     mse = (n + 2) * theta0**2 / ((n - 1) * (n - 2))
     if n >= 5:
-        # E[(1/mean)^k] = (n theta0)^k (n-1-k)!.../(n-1)! for k < n.
-        mu = [1.0]
-        for k in range(1, 5):
-            mu.append((n * theta0) * mu[k - 1] / (n - k))
-        fourth = mu[4] - 4 * theta0 * mu[3] + 6 * theta0**2 * mu[2] - 4 * theta0**3 * mu[1] + theta0**4
+        # E(1/mean - theta0)^4 in closed form; the ratio of integers rounds once.
+        fourth = theta0**4 * ((3 * n * n + 46 * n + 24) / ((n - 1) * (n - 2) * (n - 3) * (n - 4)))
     else:
         fourth = math.inf
     return BoundIngredients(

@@ -19,13 +19,17 @@ polygamma values at theta0 and theta0 + beta.
 Numerical note: the root A1, and with it the Beta constant B3 = sqrt(n) A1,
 divides by D1, a difference of nearly-equal terms (~0.0019 at theta0=1.5,
 n=7500), so the constants are produced by the high-accuracy polygamma path
-and D1 and A1 are computed once, in extended precision (stdlib ``decimal``,
-50 digits), before rounding once to float.  That caps the assembly error near
-1e-13, far inside the +-5e-4 acceptance band for the tabulated values.
+(psi_1 and psi_3 at each argument from one shared shift pass) and D1 and A1
+are computed once, in extended precision (stdlib ``decimal``, 50 digits),
+before rounding once to float.  That caps the assembly error near 1e-13, far
+inside the +-5e-4 acceptance band for the tabulated values.  The parts of D1,
+A1 and B3 that do not depend on n are converted and combined once per
+ingredients set, so a sweep over n builds them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localcontext
@@ -33,7 +37,7 @@ from typing import Optional, Sequence
 
 from ._validate import integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
-from .specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
+from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
 from .steincore import (
     TERM_MARKOV,
     TERM_R2,
@@ -99,6 +103,11 @@ class ImplicitModelIngredients:
                 sup_x_norm=x_norm, sup_x2_norm=x2_norm, epsilon=eps,
             )
 
+    @functools.cached_property
+    def _decimals(self):
+        """The n-free parts of the 50-digit D1/A1 pass, built on first use."""
+        return _NFreeParts(self)
+
     def to_dict(self):
         return {
             "fisher_info": self.fisher_info,
@@ -123,22 +132,39 @@ class BetaParams:
         object.__setattr__(self, "beta", real(self.beta, "beta", gt=0.0))
 
 
-def _roots_dec(ing: ImplicitModelIngredients, n: int):
-    """sqrt(n) and sqrt(i) to 50 digits, taken once for D1, A1 and B3."""
-    with localcontext(_EXTENDED):
-        return Decimal(n).sqrt(), Decimal(ing.fisher_info).sqrt()
+class _NFreeParts:
+    """Every ingredient field as a 50-digit Decimal, converted once, and the
+    combinations of them that D1, A1 and B3 use at every n."""
+
+    def __init__(self, ing: ImplicitModelIngredients):
+        with localcontext(_EXTENDED):
+            i = Decimal(ing.fisher_info)
+            x = Decimal(ing.sup_x_norm)
+            var = Decimal(ing.var_l2)
+            self.i = i
+            self.root_i = i.sqrt()
+            self.i32 = i * self.root_i
+            self.i3 = i**3
+            self.two_x2 = 2 * Decimal(ing.sup_x2_norm)
+            self.eps2 = Decimal(ing.epsilon) ** 2
+            self.x_c1 = x * Decimal(ing.c1_const)
+            self.two_x = 2 * x
+            self.lin = self.two_x * var.sqrt()
+            self.rad = 4 * x**2 * var
+            self.skew = 2 + Decimal(ing.third_abs_score_moment) / self.i32
 
 
-def _d1_dec(ing: ImplicitModelIngredients, n: int, roots) -> Decimal:
-    root_n, root_i = roots
-    with localcontext(_EXTENDED):
-        nn = Decimal(n)
-        i = Decimal(ing.fisher_info)
-        return (
-            1
-            - 2 * Decimal(ing.sup_x2_norm) / (nn * i * Decimal(ing.epsilon) ** 2)
-            - Decimal(ing.sup_x_norm) * Decimal(ing.c1_const) / (root_n * i * root_i)
-        )
+def _d1_dec(p: _NFreeParts, n: int):
+    """n, sqrt(n), n i and D1 to 50 digits, in the caller's ``_EXTENDED``
+    context.
+
+    D1 = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i sqrt(i)), grouped
+    as written: (n i) eps^2 and (sqrt(n) i) sqrt(i) are rounded in that order.
+    """
+    nn = Decimal(n)
+    root_n = nn.sqrt()
+    ni = nn * p.i
+    return nn, root_n, ni, 1 - p.two_x2 / (ni * p.eps2) - p.x_c1 / (root_n * p.i * p.root_i)
 
 
 def d1(ing: ImplicitModelIngredients, n: int) -> float:
@@ -148,7 +174,9 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     signal, no exception is raised here.
     """
     n = integer(n, "n")
-    return float(_d1_dec(ing, n, _roots_dec(ing, n)))
+    p = ing._decimals
+    with localcontext(_EXTENDED):
+        return float(_d1_dec(p, n)[3])
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
@@ -175,27 +203,20 @@ def minimal_n(ing: ImplicitModelIngredients) -> int:
     return n
 
 
-def _a1_dec(ing: ImplicitModelIngredients, n: int, roots) -> Decimal:
-    """A1 to 50 digits; DomainError, naming the minimal n, if d1 <= 0.
-    ``roots`` is ``_roots_dec(ing, n)``."""
+def _a1_dec(ing: ImplicitModelIngredients, n: int):
+    """A1 and B3 = sqrt(n) A1, both to 50 digits, in one pass: DomainError,
+    naming the minimal n, if D1 <= 0."""
+    p = ing._decimals
     with localcontext(_EXTENDED):
-        dd = _d1_dec(ing, n, roots)
+        nn, root_n, ni, dd = _d1_dec(p, n)
         if dd <= 0:
             raise DomainError(
                 f"n below minimal n = {minimal_n(ing)} (quadratic coefficient D1 <= 0)"
             )
-        root_n, root_i = roots
-        nn = Decimal(n)
-        i = Decimal(ing.fisher_info)
-        i32 = i * root_i
-        x = Decimal(ing.sup_x_norm)
-        var = Decimal(ing.var_l2)
-        third = Decimal(ing.third_abs_score_moment)
-        lin = 2 * x * var.sqrt() / (nn * i32)
-        rad = 4 * x**2 * var / (nn**2 * i**3) + (4 * dd / (nn * i)) * (
-            1 + (2 * x / root_n) * (2 + third / i32)
-        )
-        return (lin + rad.sqrt()) / (2 * dd)
+        lin = p.lin / (nn * p.i32)
+        rad = p.rad / (nn**2 * p.i3) + (4 * dd / ni) * (1 + (p.two_x / root_n) * p.skew)
+        a1 = (lin + rad.sqrt()) / (2 * dd)
+        return a1, root_n * a1
 
 
 def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
@@ -206,7 +227,7 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     sample size.  Solved in 50-digit ``decimal`` and rounded once.
     """
     n = integer(n, "n")
-    return float(_a1_dec(ing, n, _roots_dec(ing, n)))
+    return float(_a1_dec(ing, n)[0])
 
 
 def implicit_distance_bound(
@@ -236,14 +257,11 @@ def implicit_distance_bound(
 
 def _beta_fisher_b1(theta0: float, beta: float):
     """The information psi_1(theta0) - psi_1(theta0 + beta), and B1, the
-    fourth-moment bound for the shape score: four polygamma values in all."""
-    psi1, psi1_beta = polygamma(1, theta0), polygamma(1, theta0 + beta)
-    b1 = 8.0 * (
-        polygamma(3, theta0)
-        + polygamma(3, theta0 + beta)
-        + 3.0 * psi1**2
-        + 3.0 * psi1_beta**2
-    )
+    fourth-moment bound for the shape score: psi_1 and psi_3 at theta0 and
+    at theta0 + beta, from one shift pass each."""
+    psi1, psi3 = _polygammas(theta0, (1, 3))
+    psi1_beta, psi3_beta = _polygammas(theta0 + beta, (1, 3))
+    b1 = 8.0 * (psi3 + psi3_beta + 3.0 * psi1**2 + 3.0 * psi1_beta**2)
     return psi1 - psi1_beta, b1
 
 
@@ -314,9 +332,7 @@ def beta_b3(p: BetaParams, n: int) -> float:
 
 
 def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
-    roots = _roots_dec(ing, n)
-    with localcontext(_EXTENDED):
-        return float(roots[0] * _a1_dec(ing, n, roots))
+    return float(_a1_dec(ing, n)[1])
 
 
 def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:
@@ -362,9 +378,7 @@ def beta_mle(sample: Sequence[float], beta: float, *, rel_tol: float = 1e-12) ->
 _SHIFTS = int(_ASYMPTOTIC_CUT)
 # Asymptotic-series coefficients, innermost first: psi's B_2k/(2k) and
 # psi_1's B_2k, paired.
-_TAIL_COEFFS = tuple(
-    ((b2k / (2.0 * (k + 1)),), (b2k,)) for k, b2k in reversed(list(enumerate(_BERNOULLI)))
-)
+_TAIL_COEFFS = tuple(((c0,), (c1,)) for c0, c1 in zip(*_ASYMPTOTIC_COEFFS[:2]))
 
 
 def _shape_score_slope(theta, beta):

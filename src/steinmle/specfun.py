@@ -2,13 +2,15 @@
 
 The polygamma evaluator is the accuracy-critical piece of this package: the
 Beta-model constants downstream subtract nearly-equal polygamma combinations,
-so ``polygamma`` targets <=1e-13 relative error on (0, 1e6].  It shifts the
-argument upward by the recurrence
+so ``polygamma`` targets <=1e-12 relative error on [1e-3, 1e6].  It shifts
+the argument upward by the recurrence
 
-    psi_m(x) = psi_m(x+1) + (-1)^m m! / x^(m+1)
+    psi_m(x) = psi_m(x+1) - (-1)^m m! / x^(m+1)
 
 until x >= 16 and then evaluates the de Moivre (Bernoulli-number) asymptotic
-expansion.
+expansion, whose coefficients are tabulated once at import.  One shift pass
+serves several orders: the Beta constants take psi_1 and psi_3 at the same
+argument from one pass.
 
 Normal-distribution utilities (density, cdf, quantile, Gaussian
 expectations) live here too.  The quantile is the standard library's
@@ -105,31 +107,58 @@ _G10_WEIGHTS = (
 )
 
 
-def _digamma_asymptotic(y):
-    # psi(y) ~ ln y - 1/(2y) - sum_k B_2k / (2k y^2k), valid for y >= 16.
-    z = 1.0 / (y * y)
-    s = 0.0
-    for k in range(len(_BERNOULLI) - 1, -1, -1):
-        s = (s + _BERNOULLI[k] / (2.0 * (k + 1))) * z
-    return math.log(y) - 0.5 / y - s
-
-
-def _polygamma_asymptotic(m, y):
-    # psi_m(y) ~ (-1)^(m-1) [ (m-1)!/y^m + m!/(2 y^(m+1))
-    #                         + sum_k B_2k (2k+m-1)!/(2k)! / y^(2k+m) ]
-    z = 1.0 / (y * y)
-    s = 0.0
+def _asymptotic_coeffs(m):
+    # B_2k (2k+m-1)!/(2k)!, k = 10 down to 1 (innermost Horner term first);
+    # for m = 0 that is B_2k/(2k).
+    if m == 0:
+        return tuple(_BERNOULLI[k - 1] / (2.0 * k) for k in range(len(_BERNOULLI), 0, -1))
+    coeffs = []
     for k in range(len(_BERNOULLI), 0, -1):
-        two_k = 2 * k
         rising = 1.0
         for j in range(1, m):
-            rising *= two_k + j
-        s = s * z + _BERNOULLI[k - 1] * rising
-    s *= z  # sum over k>=1 of B_2k (...) y^(-2k)
-    fac_m1 = math.factorial(m - 1)
-    ym = y**m
-    val = fac_m1 / ym + fac_m1 * m / (2.0 * ym * y) + s / ym
-    return val if m % 2 == 1 else -val
+            rising *= 2 * k + j
+        coeffs.append(_BERNOULLI[k - 1] * rising)
+    return tuple(coeffs)
+
+
+_ASYMPTOTIC_COEFFS = tuple(_asymptotic_coeffs(m) for m in range(4))
+# psi_m(x) = psi_m(x+1) + _SHIFT_NUMERATORS[m] / x^(m+1), with the numerator
+# (-1)^(m+1) m!.
+_SHIFT_NUMERATORS = (-1.0, 1.0, -2.0, 6.0)
+
+
+def _polygammas(x, orders):
+    """psi_m(x) for each m in ``orders``, all from one upward shift of x > 0.
+
+    The shift to x + j >= 16 is shared; each order sums its own increments
+    (fsum, exactly rounded, because the Beta constants downstream are
+    cancellation-sensitive) and finishes with its own asymptotic series.
+    """
+    steps = []
+    y = x
+    while y < _ASYMPTOTIC_CUT:
+        steps.append(y)
+        y += 1.0
+    z = 1.0 / (y * y)
+    values = []
+    for m in orders:
+        num, power = _SHIFT_NUMERATORS[m], m + 1
+        shift = math.fsum([num / t**power for t in steps])
+        s = 0.0
+        for c in _ASYMPTOTIC_COEFFS[m]:
+            s = s * z + c
+        s *= z  # sum over k >= 1 of B_2k (2k+m-1)!/(2k)! y^(-2k)
+        if m == 0:
+            # psi(y) ~ ln y - 1/(2y) - sum_k B_2k / (2k y^2k)
+            values.append(math.log(y) - 0.5 / y - s + shift)
+            continue
+        # psi_m(y) ~ (-1)^(m-1) [ (m-1)!/y^m + m!/(2 y^(m+1))
+        #                         + sum_k B_2k (2k+m-1)!/(2k)! / y^(2k+m) ]
+        fac_m1 = math.factorial(m - 1)
+        ym = y**m
+        value = fac_m1 / ym + fac_m1 * m / (2.0 * ym * y) + s / ym
+        values.append((value if m % 2 else -value) + shift)
+    return values
 
 
 @float_range
@@ -143,26 +172,16 @@ def polygamma(order, x):
     """
     if order not in (0, 1, 2, 3):
         raise DomainError(f"polygamma order must be an integer in [0, 3], got {order!r}")
-    x = real(x, "polygamma argument", gt=0.0)
+    return _polygammas(real(x, "polygamma argument", gt=0.0), (order,))[0]
 
-    increments = []
-    y = x
-    if order == 0:
-        while y < _ASYMPTOTIC_CUT:
-            increments.append(-1.0 / y)
-            y += 1.0
-        return _digamma_asymptotic(y) + math.fsum(increments)
-    sign = 1.0 if order % 2 == 0 else -1.0  # psi_m(x) = psi_m(x+1) - (-1)^m m!/x^(m+1)
-    fac = float(math.factorial(order))
-    while y < _ASYMPTOTIC_CUT:
-        increments.append(-sign * fac / y ** (order + 1))
-        y += 1.0
-    return _polygamma_asymptotic(order, y) + math.fsum(increments)
+
+def _normal_pdf(x):
+    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def std_normal_pdf(x):
     """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    return _normal_pdf(real(x, "std_normal_pdf argument", inf=True))
 
 
 def std_normal_cdf(x):
@@ -303,7 +322,7 @@ def normal_expectation(h, scale=1.0):
         return exact(scale)
 
     def integrand(t):
-        return evaluator(scale * t) * std_normal_pdf(t)
+        return evaluator(scale * t) * _normal_pdf(t)
 
     value, abserr = _adaptive_gauss_kronrod(
         integrand, (-_QUAD_HALF_WIDTH, 0.0, _QUAD_HALF_WIDTH)

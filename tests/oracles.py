@@ -1,7 +1,8 @@
 """Slow reference implementations the tests compare the package against.
 
 Each is deliberately a different algorithm from the code it checks, so the
-two share no code path.
+two share no code path, except ``scalar_polygamma``: a verbatim copy of the
+loop the package replaced, against which the new code must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 
 from steinmle.errors import ConvergenceError
-from steinmle.specfun import polygamma
+from steinmle.specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -40,6 +41,58 @@ def polygamma_series(order, x, terms=20000):
     tail = (x + kk) ** (-m) / m + 0.5 * f - fp / 12.0
     sign = 1.0 if (m + 1) % 2 == 0 else -1.0  # (-1)^(m+1)
     return sign * math.factorial(m) * (partial + tail)
+
+
+def scalar_polygamma(order, x):
+    """psi_m(x) by the scalar shift loop ``specfun.polygamma`` used before
+    one shift pass served several orders, kept verbatim as its reference.
+
+    The same algorithm as the package, not an independent one: the shared
+    pass must reproduce these floats bit for bit.
+    """
+    increments = []
+    y = x
+    if order == 0:
+        while y < _ASYMPTOTIC_CUT:
+            increments.append(-1.0 / y)
+            y += 1.0
+        z = 1.0 / (y * y)
+        s = 0.0
+        for k in range(len(_BERNOULLI) - 1, -1, -1):
+            s = (s + _BERNOULLI[k] / (2.0 * (k + 1))) * z
+        return math.log(y) - 0.5 / y - s + math.fsum(increments)
+    sign = 1.0 if order % 2 == 0 else -1.0
+    fac = float(math.factorial(order))
+    while y < _ASYMPTOTIC_CUT:
+        increments.append(-sign * fac / y ** (order + 1))
+        y += 1.0
+    z = 1.0 / (y * y)
+    s = 0.0
+    for k in range(len(_BERNOULLI), 0, -1):
+        two_k = 2 * k
+        rising = 1.0
+        for j in range(1, order):
+            rising *= two_k + j
+        s = s * z + _BERNOULLI[k - 1] * rising
+    s *= z
+    fac_m1 = math.factorial(order - 1)
+    ym = y**order
+    val = fac_m1 / ym + fac_m1 * order / (2.0 * ym * y) + s / ym
+    return (val if order % 2 == 1 else -val) + math.fsum(increments)
+
+
+def scalar_asymptotic_coeffs(order):
+    """The Horner coefficients of ``scalar_polygamma``'s asymptotic series, in
+    the order its loop forms them (for order 0, the digamma loop's addends)."""
+    if order == 0:
+        return [_BERNOULLI[k] / (2.0 * (k + 1)) for k in range(len(_BERNOULLI) - 1, -1, -1)]
+    coeffs = []
+    for k in range(len(_BERNOULLI), 0, -1):
+        rising = 1.0
+        for j in range(1, order):
+            rising *= 2 * k + j
+        coeffs.append(_BERNOULLI[k - 1] * rising)
+    return coeffs
 
 
 def beta_score(theta, beta, n, sum_log):

@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from steinmle import msebound
 from steinmle.errors import DomainError
 from steinmle.montecarlo import SimulationConfig, ci_coverage, harness, run_mse_sweep, run_simulation
 from steinmle.montecarlo import _pykernels
-from steinmle.msebound import BetaParams, beta_ingredients, minimal_n
+from steinmle.msebound import BetaParams, beta_b3, beta_ingredients, minimal_n
 from steinmle.registry import get_model
 from steinmle.steincore import TestFunction, conservative_ci, inv_quadratic_test_function
 
@@ -88,6 +89,24 @@ class TestSweepBatch:
                             lambda self, stat, n: calls.append(n) or original(self, stat, n))
         run_mse_sweep(BetaParams(1.5, 1.0), [7500, 7700, 7900, 8100, 8300], trials=5, seed=1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
+    def test_row_bounds_equal_b3_squared_over_n(self, monkeypatch, beta):
+        # the n-free 50-digit parts are built once a sweep, and each row's
+        # bound is still B3^2/n as beta_b3 gives it for that n alone
+        params = BetaParams(1.5, beta)
+        floor = minimal_n(beta_ingredients(params))
+        n_values = [floor, floor + 1, floor + 999, 3 * floor]
+        built = []
+        original = msebound._NFreeParts
+        monkeypatch.setattr(msebound, "_NFreeParts", lambda ing: built.append(ing) or original(ing))
+        reports = run_mse_sweep(params, n_values, trials=3, seed=4)
+        assert len(built) == 1
+        monkeypatch.undo()
+        for rep, n in zip(reports, n_values):
+            b3 = beta_b3(params, n)
+            assert rep.bound_total == b3 * b3 / n
+            assert rep.bound_terms.terms == (("mse_bound", b3 * b3 / n),)
 
 
 class TestExpectedH:

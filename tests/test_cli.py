@@ -524,10 +524,13 @@ class TestValidation:
             ["bound", "--model", "poisson", "--theta0", "1e-300", "--n", "10"],
             ["bound", "--model", "exp-canonical", "--theta0", "1e300", "--n", "10"],
             ["bound", "--model", "beta", "--theta0", "1e300", "--n", "10"],
+            ["bound", "--model", "beta", "--theta0", "1e300", "--beta", "1.7976931348623157e308",
+             "--n", "10"],
             ["constants", "--model", "exp-noncanonical", "--theta0", "1e-300", "--n", "10"],
         ],
         ids=["poisson-overflow", "exp-zero-division", "simulate-overflow",
-             "poisson-zero-division", "exp-overflow", "beta-overflow", "constants-zero-division"],
+             "poisson-zero-division", "exp-overflow", "beta-overflow", "beta-sum-overflow",
+             "constants-zero-division"],
     )
     def test_arithmetic_error_maps_to_exit_3(self, args):
         # a value leaving the float range is a numerical failure of the package's own kind

@@ -35,7 +35,7 @@ from steinmle.msebound import (
     beta_mle,
 )
 from steinmle.registry import MODEL_NAMES, get_model
-from steinmle.specfun import polygamma, std_normal_cdf, std_normal_quantile
+from steinmle.specfun import polygamma, std_normal_cdf, std_normal_pdf, std_normal_quantile
 from steinmle.steincore import BoundIngredients, TestFunction, conservative_ci
 
 
@@ -84,6 +84,7 @@ SCALAR_CASES = {
         lambda to: ci_coverage("exp-canonical", 1.0, 10**7, to(0.5), trials=10, seed=3),
     "std_normal_cdf": lambda to: std_normal_cdf(to(0.75)),
     "std_normal_quantile": lambda to: std_normal_quantile(to(0.25)),
+    "std_normal_pdf": lambda to: std_normal_pdf(to(0.75)),
     "beta_mle-observations": lambda to: beta_mle([to(0.25), to(0.5), to(0.75)], 2.0),
 }
 
@@ -143,6 +144,8 @@ REJECTED = {
     "beta-True": lambda: BetaParams(1.5, True),
     "beta-True-registry": lambda: get_model("beta", beta=True),
     "polygamma-True": lambda: polygamma(1, True),
+    "std_normal_pdf-str": lambda: std_normal_pdf("1"),
+    "std_normal_pdf-True": lambda: std_normal_pdf(True),
     "epsilon-str-exp": lambda: exp_canonical_ingredients(1.0, 10, "0.5"),
     "epsilon-str-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), "0.5"),
     "endpoint-str-a": lambda: PerturbationSpec("0.5", 1.0, 0.5, 10),
@@ -172,6 +175,15 @@ def test_beta_information_cancelling_to_zero_exits_3(verb, beta):
     assert err["schema"] == "steinmle/error/v1"
     assert err["error"] == "FloatRangeError"
     assert "cancelled" in err["message"]
+
+
+def test_exp_canonical_fourth_moment_at_large_n_exits_0():
+    # the fourth central moment of 1/mean is a closed form: it no longer
+    # cancels below 0 where theta0 is tiny and n huge
+    args = ["bound", "--model", "exp-canonical", "--theta0", "1e-20", "--n", str(10**18)]
+    result = CliRunner().invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["breakdown"]["total"] > 0.0
 
 
 # +-0, nan, +-inf, and magnitudes log-uniform on [1e-300, 1e300] of either sign
@@ -211,4 +223,28 @@ def test_bound_keeps_the_exit_code_contract(model, theta0, n, beta, c, epsilon, 
        fmt=st.sampled_from(["text", "json"]))
 def test_constants_keeps_the_exit_code_contract(model, theta0, n, beta, epsilon, fmt):
     args = ["constants", "--model", model] + _options(theta0=theta0, n=n, beta=beta, epsilon=epsilon)
+    _invoke(args, fmt)
+
+
+# For Beta, integer shapes: the exact-law statistic costs the same at any n,
+# and raw observations are drawn only where n < beta.
+_SIM_BETAS = st.sampled_from([1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@given(theta0=_REALS, n=_NS, beta=_SIM_BETAS, fmt=st.sampled_from(["text", "json", "csv"]))
+def test_simulate_keeps_the_exit_code_contract(model, theta0, n, beta, fmt):
+    args = ["simulate", "--model", model, f"--n={n}", "--trials=2"] + _options(
+        theta0=theta0, beta=beta if model == "beta" else None
+    )
+    _invoke(args, fmt)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@given(theta0=_REALS, n=_NS, beta=_SIM_BETAS, alpha=_OPTIONAL,
+       fmt=st.sampled_from(["text", "json", "csv"]))
+def test_ci_keeps_the_exit_code_contract(model, theta0, n, beta, alpha, fmt):
+    args = ["ci", "--model", model, f"--n={n}", "--trials=2"] + _options(
+        theta0=theta0, beta=beta if model == "beta" else None, alpha=alpha
+    )
     _invoke(args, fmt)

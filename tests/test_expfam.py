@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -154,6 +155,20 @@ class TestCanonicalIngredients:
         assert exp_canonical_ingredients(theta0, n).fourth_mle_moment == pytest.approx(
             ref, rel=1e-9
         )
+
+    @pytest.mark.parametrize("n", [5, 10, 1000, 10**6, 10**18])
+    @pytest.mark.parametrize("theta0", [1.0, 1.3, 1e-20])
+    def test_fourth_moment_against_exact_fractions(self, theta0, n):
+        # E(1/mean - theta0)^4 from the raw moments E(1/mean)^k =
+        # (n theta0)^k / ((n-1)...(n-k)), in exact rational arithmetic;
+        # the float is within 4 ulp and never negative
+        t = Fraction(theta0)
+        raw = [Fraction(1)]
+        for k in range(1, 5):
+            raw.append(raw[-1] * n * t / (n - k))
+        exact = raw[4] - 4 * t * raw[3] + 6 * t**2 * raw[2] - 4 * t**3 * raw[1] + t**4
+        got = exp_canonical_ingredients(theta0, n).fourth_mle_moment
+        assert abs(Fraction(got) - exact) <= exact / 2**50
 
     def test_fourth_moment_infinite_below_n5(self):
         assert math.isinf(exp_canonical_ingredients(1.0, 4).fourth_mle_moment)

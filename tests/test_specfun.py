@@ -1,15 +1,18 @@
 """Special-function accuracy: frozen values, recurrences, independent oracles."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import EULER_GAMMA, polygamma_series
+from oracles import EULER_GAMMA, polygamma_series, scalar_asymptotic_coeffs, scalar_polygamma
 
 from steinmle.errors import ConvergenceError, DomainError
 from steinmle.specfun import (
+    _ASYMPTOTIC_COEFFS,
+    _polygammas,
     inv_quadratic_expectation,
     normal_expectation,
     polygamma,
@@ -61,6 +64,22 @@ class TestPolygamma:
         values = [polygamma(order, x) for x in ACCURACY_GRID]
         assert all(v > 0.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_coefficient_table_equals_the_loop_products(self, order):
+        assert list(_ASYMPTOTIC_COEFFS[order]) == scalar_asymptotic_coeffs(order)
+
+    def test_shared_shift_pass_equals_the_scalar_loop(self):
+        # 10^4 log-uniform arguments on [1e-3, 1e6], the cut itself and the
+        # float just below it, where the shift takes one step
+        rng = random.Random(20261018)
+        xs = [10.0 ** rng.uniform(-3.0, 6.0) for _ in range(10_000)]
+        xs += [16.0, math.nextafter(16.0, 0.0), 1e-3, 1e6]
+        for x in xs:
+            expected = [scalar_polygamma(m, x) for m in range(4)]
+            assert _polygammas(x, (0, 1, 2, 3)) == expected, x
+            assert _polygammas(x, (1, 3)) == expected[1::2], x
+            assert [polygamma(m, x) for m in range(4)] == expected, x
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
