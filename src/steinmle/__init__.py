@@ -21,15 +21,7 @@ from .errors import (
     SteinMLEError,
     UnknownModelError,
 )
-from .expfam import (
-    ExpFamilySpec,
-    exp_canonical_family,
-    exp_canonical_ingredients,
-    exp_noncanonical_family,
-    exp_noncanonical_ingredients,
-    expfam_fisher_info,
-    expfam_third_score_moment,
-)
+from .expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
 from .msebound import (
     BetaParams,
     ImplicitModelIngredients,
@@ -37,19 +29,13 @@ from .msebound import (
     beta_b_constants,
     beta_distance_bound,
     beta_ingredients,
-    beta_mle,
     d1,
     implicit_distance_bound,
     minimal_n,
     mse_upper_bound_a1,
 )
 from .registry import MODEL_NAMES, get_model
-from .specfun import (
-    normal_expectation,
-    polygamma,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+from .specfun import normal_expectation, polygamma, std_normal_quantile
 from .steincore import (
     BoundBreakdown,
     BoundIngredients,
@@ -74,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     # special functions
     "polygamma",
-    "std_normal_cdf",
     "std_normal_quantile",
     "normal_expectation",
     # core bound assembly
@@ -88,11 +73,6 @@ __all__ = [
     "kolmogorov_from_bw",
     "conservative_ci",
     # exponential families
-    "ExpFamilySpec",
-    "exp_canonical_family",
-    "exp_noncanonical_family",
-    "expfam_fisher_info",
-    "expfam_third_score_moment",
     "exp_canonical_ingredients",
     "exp_noncanonical_ingredients",
     # boundary perturbation
@@ -114,7 +94,6 @@ __all__ = [
     "beta_b_constants",
     "beta_b3",
     "beta_distance_bound",
-    "beta_mle",
     # registry
     "MODEL_NAMES",
     "get_model",

@@ -47,8 +47,10 @@ class FloatRangeError(SteinMLEError, ArithmeticError):
     difference that must be positive cancelled to zero."""
 
 
-def float_range(fn):
-    """Raise FloatRangeError where ``fn`` meets OverflowError or ZeroDivisionError."""
+def float_range(fn, name=None):
+    """Raise FloatRangeError, naming ``name`` (by default ``fn``'s own), where
+    ``fn`` meets OverflowError or ZeroDivisionError."""
+    name = name or fn.__name__
 
     @functools.wraps(fn)
     def guarded(*args, **kwargs):
@@ -57,7 +59,7 @@ def float_range(fn):
         except (OverflowError, ZeroDivisionError) as exc:
             what = "overflowed" if isinstance(exc, OverflowError) else "underflowed to 0"
             raise FloatRangeError(
-                f"{fn.__name__}: an intermediate value {what}; the input lies outside "
+                f"{name}: an intermediate value {what}; the input lies outside "
                 "the float range of this computation"
             ) from exc
 

@@ -1,17 +1,17 @@
-"""One-parameter exponential families and the two exponential worked models.
+"""The two exponential worked models' bound ingredients.
 
-A density of the form exp{ k(theta) T(x) - A(theta) + S(x) } on a support
-that does not depend on theta.  The score of one observation is
-k'(theta) (T(x) - D(theta)) with D = A'/k', which gives the two generic
-ingredient formulas implemented here:
+A one-parameter exponential family has density exp{ k(theta) T(x) -
+A(theta) + S(x) } on a support that does not depend on theta.  The score of
+one observation is k'(theta) (T(x) - D(theta)) with D = A'/k', so
 
     fisher_info        = k'(theta0)^2 * Var T(X)
     third score moment = |k'(theta0)|^3 * E|T(X) - D(theta0)|^3
 
-The exponential distribution enters twice: parametrised by its rate (the
-canonical case, estimator 1/sample-mean) and by its mean (non-canonical,
-estimator the sample mean).  Both ship closed-form ingredient generators;
-everything downstream of the moments is assembled by ``steincore``.
+The exponential distribution enters twice, with T(x) = -x: parametrised by
+its rate (the canonical case, k(theta) = theta, estimator 1/sample-mean) and
+by its mean (non-canonical, k(theta) = 1/theta, estimator the sample mean).
+Each builder states both formulas in closed form; everything downstream of
+the moments is assembled by ``steincore``.
 
 The constant ``EXP_THIRD_ABS_BOUND`` (2.41456) is a slightly rounded-up
 bound on theta^3 * E|1/theta - X|^3 for X ~ Exp(theta); the exact value is
@@ -21,87 +21,19 @@ bound on theta^3 * E|1/theta - X|^3 for X ~ Exp(theta); the exact value is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 from ._validate import integer, real
 from .errors import DomainError, float_range
 from .steincore import BoundIngredients
 
 __all__ = [
-    "ExpFamilySpec",
     "EXP_THIRD_ABS_BOUND",
-    "exp_canonical_family",
-    "exp_noncanonical_family",
-    "expfam_fisher_info",
-    "expfam_third_score_moment",
     "exp_canonical_ingredients",
     "exp_noncanonical_ingredients",
 ]
 
 EXP_THIRD_ABS_BOUND = 2.41456
-
-
-@dataclass(frozen=True)
-class ExpFamilySpec:
-    """What the ingredient formulas read of a one-parameter exponential family.
-
-    ``theta_space`` is the (low, high) open parameter interval.  ``k_prime``
-    must be nonvanishing on it, which makes D(theta) = A'(theta)/k'(theta)
-    well-defined.
-    """
-
-    k_prime: Callable[[float], float]
-    A_prime: Callable[[float], float]
-    theta_space: Tuple[float, float]
-
-    def D(self, theta: float) -> float:
-        kp = self.k_prime(theta)
-        if kp == 0.0:
-            raise DomainError(f"k'(theta) vanishes at theta={theta!r}")
-        return self.A_prime(theta) / kp
-
-
-def exp_canonical_family() -> ExpFamilySpec:
-    """Exponential distribution with rate theta: k(theta)=theta, T(x)=-x."""
-    return ExpFamilySpec(
-        k_prime=lambda t: 1.0,
-        A_prime=lambda t: -1.0 / t,
-        theta_space=(0.0, math.inf),
-    )
-
-
-def exp_noncanonical_family() -> ExpFamilySpec:
-    """Exponential distribution with mean theta: k(theta)=1/theta, T(x)=-x."""
-    return ExpFamilySpec(
-        k_prime=lambda t: -1.0 / (t * t),
-        A_prime=lambda t: 1.0 / t,
-        theta_space=(0.0, math.inf),
-    )
-
-
-def expfam_fisher_info(spec: ExpFamilySpec, theta0: float, var_T: float) -> float:
-    """Expected information of one observation: k'(theta0)^2 * Var T."""
-    theta0 = real(theta0, "theta0")
-    lo, hi = spec.theta_space
-    if not lo < theta0 < hi:
-        raise DomainError(f"theta0={theta0!r} outside the open parameter space ({lo!r}, {hi!r})")
-    var_T = real(var_T, "var_T")
-    if var_T <= 0.0:
-        raise DomainError(f"degenerate family: Var T(X) must be positive, got {var_T!r}")
-    return spec.k_prime(theta0) ** 2 * var_T
-
-
-def expfam_third_score_moment(
-    spec: ExpFamilySpec, theta0: float, third_abs_central_T: float
-) -> float:
-    """Third absolute score moment: |k'(theta0)|^3 * E|T(X) - D(theta0)|^3."""
-    theta0 = real(theta0, "theta0")
-    lo, hi = spec.theta_space
-    if not lo < theta0 < hi:
-        raise DomainError(f"theta0={theta0!r} outside the open parameter space ({lo!r}, {hi!r})")
-    third = real(third_abs_central_T, "third_abs_central_T", ge=0.0, inf=True)
-    return abs(spec.k_prime(theta0)) ** 3 * third
 
 
 @float_range

@@ -40,12 +40,11 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from ..errors import DomainError, UnknownModelError
+from ..registry import MODEL_NAMES
 
 BACKEND_NAME = "python"
 
 RNG_ALGORITHM = "philox4x64:jumped-per-row-and-per-raw-block"
-
-MODELS = ("exp-canonical", "exp-noncanonical", "poisson", "beta")
 
 # Raw Beta draws of exactly 0.0 (Generator.beta returns them for a small
 # first shape) would make the log-observation -inf; they are clamped here.
@@ -111,7 +110,7 @@ def draw(model: str, theta0: float, beta: float, n: int, rng: Generator) -> np.n
         return _poisson(theta0, n, rng)
     if model == "beta":
         return np.maximum(rng.beta(theta0, beta, n), _TINY_X)
-    raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
+    raise UnknownModelError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
 def _raw_mean_log(theta0: float, beta: float, n: int, count: int, rng: Generator) -> np.ndarray:
@@ -150,7 +149,7 @@ def sample_stats(
         for k in range(int(beta)):
             total = total + (rng.standard_gamma(n, count) / n) / (theta0 + k)
         return -total
-    raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
+    raise UnknownModelError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
 def trial_stats(
@@ -171,8 +170,6 @@ def trial_stats(
     count = trial_stop - trial_start
     if count < 0:
         raise DomainError("trial_stop must be >= trial_start")
-    if model not in MODELS:
-        raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
     if not raw_sampled(model, beta, n):
         return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
     step = block_trials(n)

@@ -31,15 +31,14 @@ estimators and the shape root act on each trial alone, and h elementwise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .. import registry
 from .._validate import integer, real
-from ..errors import DegenerateSampleError, DomainError, SteinMLEError
+from ..errors import DomainError, SteinMLEError
 from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
 from ..specfun import normal_expectation
 from ..steincore import (
@@ -56,16 +55,10 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "CoverageResult",
-    "ConditionalCheckResult",
-    "sample",
-    "mle",
     "expected_h",
     "run_simulation",
     "run_mse_sweep",
     "ci_coverage",
-    "conditional_expectation_check",
-    "mle_abs_error_sampler",
-    "reports_to_csv",
 ]
 
 REPORT_CSV_COLUMNS = (
@@ -166,50 +159,15 @@ class SimulationReport:
         }
 
     def csv_row(self) -> tuple:
-        return (
-            self.model,
-            repr(self.theta0),
-            str(self.n),
-            str(self.trials),
-            str(self.seed),
-            repr(self.empirical_distance),
-            repr(self.empirical_mse),
-            repr(self.bound_total),
-            repr(self.error),
-        )
-
-
-def reports_to_csv(reports: Sequence[SimulationReport]) -> str:
-    """Render reports in the fixed CSV schema (comma, UTF-8, header row)."""
-    lines = [",".join(REPORT_CSV_COLUMNS)]
-    for rep in reports:
-        lines.append(",".join(rep.csv_row()))
-    return "\n".join(lines) + "\n"
+        """The row's cells under ``REPORT_CSV_COLUMNS``: the model name as it
+        is, every number as its repr."""
+        cells = (getattr(self, column) for column in REPORT_CSV_COLUMNS)
+        return tuple(cell if isinstance(cell, str) else repr(cell) for cell in cells)
 
 
 def active_backend() -> str:
     """Name of the sampling kernels, as every report records it."""
     return BACKEND_NAME
-
-
-def sample(model: str, theta0: float, n: int, rng, *, beta: float = 1.0) -> np.ndarray:
-    """n independent draws from a registered model.
-
-    ``rng`` is either a master seed (the draws come from the trial-0 stream)
-    or a numpy Generator to consume in place.
-    """
-    entry = registry.get_model(model, beta=beta)
-    theta0 = real(theta0, "theta0", **entry.theta0_limit)
-    n = integer(n, "n")
-    if not isinstance(rng, np.random.Generator):
-        rng = _pykernels.make_generator(integer(rng, "rng seed", ge=0), 0)
-    return _pykernels.draw(model, theta0, beta, n, rng)
-
-
-def mle(model: str, sample_values, *, beta: float = 1.0) -> float:
-    """The registered model's maximum-likelihood estimate for a raw sample."""
-    entry = registry.get_model(model, beta=beta)
-    return entry.mle(sample_values)
 
 
 def _stats_chunk(args):
@@ -236,6 +194,9 @@ def _collect_stats(
         (model, theta0, beta, n, seed, t, min(t + step, stop))
         for t in range(trial_start, stop, step)
     ]
+    # Imported here: it loads multiprocessing, which no other path needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunksize = max(1, len(tasks) // (workers * 4))
         return np.concatenate(list(pool.map(_stats_chunk, tasks, chunksize=chunksize)))
@@ -452,71 +413,3 @@ def ci_coverage(
     return CoverageResult(
         coverage=covered / trials, trials=trials, b_k=b_k, degenerate=False, alpha=alpha
     )
-
-
-@dataclass(frozen=True)
-class ConditionalCheckResult:
-    lhs: float  # E[f(M) | M <= eps] estimate
-    rhs: float  # E[f(M)] estimate
-    lhs_se: float
-    rhs_se: float
-    conditioned_count: int
-    trials: int
-
-    @property
-    def combined_se(self) -> float:
-        return math.hypot(self.lhs_se, self.rhs_se)
-
-
-def conditional_expectation_check(
-    dist: Callable[[np.random.Generator, int], np.ndarray],
-    f: Callable[[float], float],
-    eps: float,
-    trials: int,
-    seed: int = 0,
-) -> ConditionalCheckResult:
-    """Monte Carlo estimates of E[f(M) | M <= eps] and E[f(M)].
-
-    For increasing nonnegative f the conditioned mean cannot exceed the
-    unconditioned one; the test suite asserts the estimated gap against the
-    combined standard error.  ``dist`` draws M values: a callable
-    (generator, size) -> array.  An empty conditioning event is an error.
-    """
-    eps = real(eps, "eps", gt=0.0)
-    trials = integer(trials, "trials", ge=2)
-    rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed", ge=0)))
-    m_draws = np.asarray(dist(rng, trials), dtype=float)
-    if m_draws.shape != (trials,):
-        raise DomainError(f"dist must return {trials} draws, got shape {m_draws.shape}")
-    if np.any(m_draws < 0.0):
-        raise DomainError("dist must produce nonnegative draws")
-    f_all = np.array([f(float(m)) for m in m_draws])
-    inside = m_draws <= eps
-    count = int(inside.sum())
-    if count == 0:
-        raise DegenerateSampleError(
-            f"empty conditioning event: no draws with M <= {eps!r} in {trials} trials"
-        )
-    f_in = f_all[inside]
-    lhs = float(math.fsum(f_in) / count)
-    rhs = float(math.fsum(f_all) / trials)
-    lhs_se = float(f_in.std(ddof=1) / math.sqrt(count)) if count > 1 else float("inf")
-    rhs_se = float(f_all.std(ddof=1) / math.sqrt(trials))
-    return ConditionalCheckResult(
-        lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, conditioned_count=count, trials=trials
-    )
-
-
-def mle_abs_error_sampler(
-    model: str, theta0: float, n: int, *, beta: float = 1.0
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Sampler of M = |theta_hat - theta0| for use with the conditional check."""
-    entry = registry.get_model(model, beta=beta)
-    theta0 = real(theta0, "theta0", **entry.theta0_limit)
-    n = integer(n, "n")
-
-    def draw_m(rng: np.random.Generator, size: int) -> np.ndarray:
-        stats = _pykernels.sample_stats(model, theta0, beta, n, size, rng)
-        return np.abs(entry.mle_from_stat(stats, n) - theta0)
-
-    return draw_m

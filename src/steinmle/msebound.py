@@ -33,7 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localcontext
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._validate import integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
@@ -58,7 +58,6 @@ __all__ = [
     "beta_b_constants",
     "beta_b3",
     "beta_distance_bound",
-    "beta_mle",
     "beta_shape_roots",
 ]
 
@@ -265,19 +264,11 @@ def _beta_fisher_b1(theta0: float, beta: float):
     return psi1 - psi1_beta, b1
 
 
-@float_range
-def beta_ingredients(
-    p: BetaParams, epsilon: Optional[float] = None
-) -> ImplicitModelIngredients:
-    """Implicit-model ingredients for Beta(theta0, beta), beta known.
-
-    fisher = psi_1(theta0) - psi_1(theta0 + beta) (positive: psi_1 strictly
-    decreases); the third score moment enters through the Holder bound
-    B1^(3/4) with B1 the fourth-moment bound built from polygammas of orders
-    1 and 3; Var l'' = 0 because l'' is a polygamma difference free of the
-    data; the third-derivative constant at eps = theta0/2 is
-    B2 = 96 beta/theta0^4 + 6.6 beta.  Support [0, 1] gives unit sup norms.
-    """
+# Its float-range errors name the public builder, whichever caller meets them.
+@functools.partial(float_range, name="beta_ingredients")
+def _beta_ingredients_b1(p: BetaParams, epsilon: Optional[float] = None):
+    """``beta_ingredients(p, epsilon)`` and B1, from one polygamma shift pass
+    at each argument."""
     theta0, beta = p.theta0, p.beta
     eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
     if not eps < theta0:
@@ -293,7 +284,7 @@ def beta_ingredients(
     # sup |l'''| <= 6 beta / (theta0 - eps)^4 + 6.6 beta  per observation
     # (the 6.6 absorbs the zeta(4) tail of the order-3 polygamma series).
     c1 = 6.0 * beta / (theta0 - eps) ** 4 + 6.6 * beta
-    return ImplicitModelIngredients(
+    ing = ImplicitModelIngredients(
         fisher_info=fisher,
         third_abs_score_moment=b1**0.75,
         var_l2=0.0,
@@ -302,6 +293,34 @@ def beta_ingredients(
         sup_x2_norm=1.0,
         epsilon=eps,
     )
+    return ing, b1
+
+
+def beta_ingredients(
+    p: BetaParams, epsilon: Optional[float] = None
+) -> ImplicitModelIngredients:
+    """Implicit-model ingredients for Beta(theta0, beta), beta known.
+
+    fisher = psi_1(theta0) - psi_1(theta0 + beta) (positive: psi_1 strictly
+    decreases); the third score moment enters through the Holder bound
+    B1^(3/4) with B1 the fourth-moment bound built from polygammas of orders
+    1 and 3; Var l'' = 0 because l'' is a polygamma difference free of the
+    data; the third-derivative constant at eps = theta0/2 is
+    B2 = 96 beta/theta0^4 + 6.6 beta.  Support [0, 1] gives unit sup norms.
+    """
+    return _beta_ingredients_b1(p, epsilon)[0]
+
+
+def _beta_constants(p: BetaParams):
+    """The ingredients and ``beta_b_constants``, from one polygamma shift
+    pass at each argument."""
+    ing, b1 = _beta_ingredients_b1(p)
+    return ing, {
+        "B1": b1,
+        "B2": ing.c1_const,
+        "D_psi1": ing.fisher_info,
+        "minimal_n": minimal_n(ing),
+    }
 
 
 def beta_b_constants(p: BetaParams) -> dict:
@@ -310,13 +329,7 @@ def beta_b_constants(p: BetaParams) -> dict:
     B1 (fourth-moment bound), B2 (third-derivative constant at eps =
     theta0/2), D_psi1 (the information), and the minimal admissible n.
     """
-    ing = beta_ingredients(p)
-    return {
-        "B1": _beta_fisher_b1(p.theta0, p.beta)[1],
-        "B2": ing.c1_const,
-        "D_psi1": ing.fisher_info,
-        "minimal_n": minimal_n(ing),
-    }
+    return _beta_constants(p)[1]
 
 
 @float_range
@@ -352,25 +365,6 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     n = integer(n, "n")
     ing = beta_ingredients(p)
     return implicit_distance_bound(ing, n, _beta_b3(ing, n) / math.sqrt(n))
-
-
-def beta_mle(sample: Sequence[float], beta: float, *, rel_tol: float = 1e-12) -> float:
-    """Maximum-likelihood shape for Beta(theta, beta) observations.
-
-    Solves n(psi(theta+beta) - psi(theta)) + sum log x = 0, whose root is
-    unique because the score strictly decreases in theta: the one-trial case
-    of :func:`beta_shape_roots`.  For beta = 1 it coincides with
-    -n / sum log x.
-    """
-    beta = real(beta, "beta", gt=0.0)
-    xs = [real(v, "observations") for v in sample]
-    if not xs:
-        raise DomainError("sample must be nonempty")
-    for v in xs:
-        if not 0.0 < v < 1.0:
-            raise DomainError(f"observations must lie strictly in (0, 1), got {v!r}")
-    mean_log = math.fsum(math.log(v) for v in xs) / len(xs)
-    return float(beta_shape_roots([mean_log], beta, rel_tol=rel_tol)[0])
 
 
 # Shift steps that take any theta > 0 to the asymptotic cut; a lane needing

@@ -12,12 +12,11 @@ expansion, whose coefficients are tabulated once at import.  One shift pass
 serves several orders: the Beta constants take psi_1 and psi_3 at the same
 argument from one pass.
 
-Normal-distribution utilities (density, cdf, quantile, Gaussian
-expectations) live here too.  The quantile is the standard library's
-``statistics.NormalDist``.  A Gaussian expectation is exact where the test
-function carries its closed form (the harness default h(x) = 1/(x^2 + 2)
-does, through ``inv_quadratic_expectation``) and adaptive quadrature
-otherwise.
+The normal quantile and Gaussian expectations live here too.  The quantile
+is the standard library's ``statistics.NormalDist``.  A Gaussian expectation
+is exact where the test function carries its closed form (the harness
+default h(x) = 1/(x^2 + 2) does, through ``inv_quadratic_expectation``) and
+adaptive quadrature otherwise.
 
 All functions are pure and reentrant; there is no shared state.
 """
@@ -33,8 +32,6 @@ from .errors import ConvergenceError, DomainError, float_range
 
 __all__ = [
     "polygamma",
-    "std_normal_pdf",
-    "std_normal_cdf",
     "std_normal_quantile",
     "normal_expectation",
     "inv_quadratic_expectation",
@@ -56,7 +53,6 @@ _BERNOULLI = (
 )
 _ASYMPTOTIC_CUT = 16.0
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Gaussian mass outside [-12, 12] is below 1e-32: truncating Gaussian
@@ -179,21 +175,8 @@ def _normal_pdf(x):
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def std_normal_pdf(x):
-    """Standard normal density."""
-    return _normal_pdf(real(x, "std_normal_pdf argument", inf=True))
-
-
-def std_normal_cdf(x):
-    """Standard normal distribution function, absolute error <= 1e-12.
-
-    erfc-based so both tails stay accurate; saturates cleanly at 0/1.
-    """
-    return 0.5 * math.erfc(-real(x, "std_normal_cdf argument", inf=True) / _SQRT2)
-
-
 def std_normal_quantile(p):
-    """Inverse of :func:`std_normal_cdf` on (0, 1).
+    """The standard normal quantile: the inverse distribution function on (0, 1).
 
     ``statistics.NormalDist().inv_cdf`` (Wichura's AS241 rational
     approximations): within ~1e-15 relative of a 50-digit root for p in

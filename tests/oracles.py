@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from steinmle.errors import ConvergenceError
+from steinmle.montecarlo import _pykernels
+from steinmle.registry import get_model
 from steinmle.specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -145,3 +149,34 @@ def bracketed_beta_root(n, sum_log, beta, rel_tol=1e-12):
             return new_theta
         theta = new_theta
     raise ConvergenceError("shape MLE root refinement did not converge")
+
+
+def expfam_fisher_info(k_prime, var_T):
+    """One observation's information in a one-parameter exponential family
+    exp{k(theta) T(x) - A(theta) + S(x)}: k'(theta0)^2 Var T(X)."""
+    return k_prime**2 * var_T
+
+
+def expfam_third_score_moment(k_prime, third_abs_central_T):
+    """Its third absolute score moment: |k'(theta0)|^3 E|T(X) - D(theta0)|^3."""
+    return abs(k_prime) ** 3 * third_abs_central_T
+
+
+def conditioned_mean(model, theta0, n, f, eps, trials, seed):
+    """Monte Carlo E[f(M) | M <= eps] and E[f(M)] for M = |theta_hat - theta0|.
+
+    theta_hat is the registered estimator at sample size n, from ``trials``
+    statistics drawn off one Philox stream keyed by ``seed``.  Returns the
+    two means, their combined standard error and the number of draws with
+    M <= eps.  For increasing nonnegative f the conditioned mean cannot
+    exceed the unconditioned one.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    stats = _pykernels.sample_stats(model, theta0, 1.0, n, trials, rng)
+    m_draws = np.abs(get_model(model).mle_from_stat(stats, n) - theta0)
+    f_all = np.array([f(float(m)) for m in m_draws])
+    f_in = f_all[m_draws <= eps]
+    count = f_in.size
+    lhs_se = float(f_in.std(ddof=1) / math.sqrt(count)) if count > 1 else math.inf
+    rhs_se = float(f_all.std(ddof=1) / math.sqrt(trials))
+    return math.fsum(f_in) / count, math.fsum(f_all) / trials, math.hypot(lhs_se, rhs_se), count

@@ -13,17 +13,10 @@ import os
 import time
 
 import numpy as np
+from oracles import conditioned_mean
 
 import steinmle as sm
-from steinmle.montecarlo import (
-    SimulationConfig,
-    ci_coverage,
-    conditional_expectation_check,
-    mle_abs_error_sampler,
-    reports_to_csv,
-    run_mse_sweep,
-    run_simulation,
-)
+from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
 from steinmle.msebound import BetaParams, beta_ingredients, d1, mse_upper_bound_a1
 
 SEED = int(os.environ.get("STEINMLE_ACCEPTANCE_SEED", "1729"))
@@ -212,7 +205,8 @@ def test_criterion_6_property_suites():
     rng = np.random.default_rng(SEED)
     xs = rng.beta(1.5, 1.0, size=500)
     closed = -len(xs) / float(np.log(xs).sum())
-    if abs(sm.beta_mle(list(xs), 1.0) - closed) > 1e-10 * closed:
+    theta_hat = sm.get_model("beta", beta=1.0).mle_from_stat(math.fsum(np.log(xs)) / len(xs), len(xs))
+    if abs(theta_hat - closed) > 1e-10 * closed:
         violations.append("beta MLE disagrees with the closed form at beta = 1")
     xs2 = rng.beta(1.2, 2.0, size=300)
     from scipy.special import gammaln
@@ -222,7 +216,8 @@ def test_criterion_6_property_suites():
         np.log(xs2).sum()
     )
     best = float(grid[int(np.argmax(loglik))])
-    if abs(sm.beta_mle(list(xs2), 2.0) - best) > float(grid[1] - grid[0]):
+    theta_hat = sm.get_model("beta", beta=2.0).mle_from_stat(math.fsum(np.log(xs2)) / len(xs2), len(xs2))
+    if abs(theta_hat - best) > float(grid[1] - grid[0]):
         violations.append("beta MLE disagrees with the grid-search oracle at beta = 2")
 
     # A1 solves its quadratic to 1e-9 relative
@@ -237,10 +232,8 @@ def test_criterion_6_property_suites():
             violations.append(f"A1 quadratic residual too large at n={n}")
 
     # conditioned-mean inequality for an increasing function, 3-sigma gate
-    res = conditional_expectation_check(
-        mle_abs_error_sampler("exp-canonical", 1.0, 50), lambda m: m * m, 0.15, 4000, seed=SEED
-    )
-    if res.lhs > res.rhs + 3.0 * res.combined_se:
+    lhs, rhs, se, _ = conditioned_mean("exp-canonical", 1.0, 50, lambda m: m * m, 0.15, 4000, SEED)
+    if lhs > rhs + 3.0 * se:
         violations.append("conditioned second moment exceeds unconditioned beyond 3 sigma")
 
     # Kolmogorov conversion: monotone with value 0 at 0
@@ -283,13 +276,14 @@ def test_criterion_7_reproducibility():
                 seed=SEED,
                 workers=workers,
             )
-            outputs.append(reports_to_csv([run_simulation(cfg)]))
+            outputs.append(run_simulation(cfg).csv_row())
     if len(set(outputs)) != 1:
         violations.append("CSV output differs across runs or worker counts")
-    sweep1 = reports_to_csv(run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=60, seed=SEED))
-    sweep2 = reports_to_csv(
-        run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=60, seed=SEED, workers=2)
-    )
+    sweep1 = [r.csv_row() for r in run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=60, seed=SEED)]
+    sweep2 = [
+        r.csv_row()
+        for r in run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=60, seed=SEED, workers=2)
+    ]
     if sweep1 != sweep2:
         violations.append("MSE sweep CSV differs across worker counts")
     _report(7, "byte-identical seeded CSV output", violations)

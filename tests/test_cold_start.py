@@ -115,6 +115,24 @@ def test_ci_loads_statistics():
     assert out.stdout.strip() == "True"
 
 
+@pytest.mark.parametrize("verb", ["table", "simulate", "mse-sweep"])
+def test_simulation_verbs_at_one_worker_load_no_process_pool(verb):
+    # concurrent.futures loads multiprocessing; only raw-sample blocks spread
+    # over several workers use it
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "from steinmle.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:], standalone_mode=False)\n"
+        "print('concurrent.futures' in sys.modules)",
+        *VERB_ARGS[verb],
+        "--workers",
+        "1",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
 def test_verb_loads_only_declared_dependencies(verb):
     tomllib = pytest.importorskip("tomllib")

@@ -20,22 +20,11 @@ from hypothesis import strategies as st
 from steinmle.boundary import PerturbationSpec, PerturbedScoreStats, poisson_bound
 from steinmle.cli import main
 from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
-from steinmle.expfam import (
-    exp_canonical_family,
-    exp_canonical_ingredients,
-    exp_noncanonical_ingredients,
-    expfam_fisher_info,
-)
-from steinmle.montecarlo import ci_coverage, conditional_expectation_check
-from steinmle.msebound import (
-    BetaParams,
-    ImplicitModelIngredients,
-    beta_b3,
-    beta_ingredients,
-    beta_mle,
-)
+from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
+from steinmle.montecarlo import ci_coverage
+from steinmle.msebound import BetaParams, ImplicitModelIngredients, beta_b3, beta_ingredients
 from steinmle.registry import MODEL_NAMES, get_model
-from steinmle.specfun import polygamma, std_normal_cdf, std_normal_pdf, std_normal_quantile
+from steinmle.specfun import polygamma, std_normal_quantile
 from steinmle.steincore import BoundIngredients, TestFunction, conservative_ci
 
 
@@ -61,10 +50,6 @@ def test_registry_bounds_raise_only_package_errors(model, theta0, n):
         pass
 
 
-def _uniform(rng, size):
-    return rng.random(size)
-
-
 # Each case calls one entry point with its real arguments passed through
 # ``to``: a numpy scalar must give exactly what a plain float gives.  Every
 # argument is exact in float16.
@@ -82,10 +67,7 @@ SCALAR_CASES = {
     "conservative_ci-alpha": lambda to: conservative_ci(0.5, 100, 1.0, to(0.25), 0.0625),
     "ci_coverage-alpha":
         lambda to: ci_coverage("exp-canonical", 1.0, 10**7, to(0.5), trials=10, seed=3),
-    "std_normal_cdf": lambda to: std_normal_cdf(to(0.75)),
     "std_normal_quantile": lambda to: std_normal_quantile(to(0.25)),
-    "std_normal_pdf": lambda to: std_normal_pdf(to(0.75)),
-    "beta_mle-observations": lambda to: beta_mle([to(0.25), to(0.5), to(0.75)], 2.0),
 }
 
 
@@ -93,14 +75,6 @@ SCALAR_CASES = {
 @pytest.mark.parametrize("case", SCALAR_CASES)
 def test_numpy_floating_scalar_gives_the_float_result(case, scalar):
     assert SCALAR_CASES[case](scalar) == SCALAR_CASES[case](float)
-
-
-@pytest.mark.parametrize("int_type", [np.int8, np.int64, np.uint16])
-def test_numpy_integer_trials_give_the_int_result(int_type):
-    check = lambda trials: conditional_expectation_check(_uniform, abs, 0.5, trials, seed=1)  # noqa: E731
-    res = check(int_type(50))
-    assert type(res.trials) is int
-    assert res == check(50)
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -139,18 +113,14 @@ REJECTED = {
     "c-True-spec": lambda: PerturbationSpec(0.0, 1.0, True, 10),
     "epsilon-True-exp": lambda: exp_canonical_ingredients(2.0, 10, True),
     "epsilon-True-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), True),
-    "eps-True": lambda: conditional_expectation_check(_uniform, abs, True, 10),
-    "eps-inf": lambda: conditional_expectation_check(_uniform, abs, math.inf, 10),
     "beta-True": lambda: BetaParams(1.5, True),
     "beta-True-registry": lambda: get_model("beta", beta=True),
     "polygamma-True": lambda: polygamma(1, True),
-    "std_normal_pdf-str": lambda: std_normal_pdf("1"),
-    "std_normal_pdf-True": lambda: std_normal_pdf(True),
     "epsilon-str-exp": lambda: exp_canonical_ingredients(1.0, 10, "0.5"),
     "epsilon-str-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), "0.5"),
     "endpoint-str-a": lambda: PerturbationSpec("0.5", 1.0, 0.5, 10),
     "endpoint-str-b": lambda: PerturbationSpec(0.0, "0.5", 0.5, 10),
-    "expfam-theta0-str": lambda: expfam_fisher_info(exp_canonical_family(), "1", 1.0),
+    "expfam-theta0-str": lambda: exp_noncanonical_ingredients("1", 10),
 }
 
 
@@ -229,10 +199,13 @@ def test_constants_keeps_the_exit_code_contract(model, theta0, n, beta, epsilon,
 # For Beta, integer shapes: the exact-law statistic costs the same at any n,
 # and raw observations are drawn only where n < beta.
 _SIM_BETAS = st.sampled_from([1.0, 2.0, 3.0, 4.0])
+# Besides _REALS, theta0 log-uniform on [1e-3, 1e3], where most draws pass
+# the checks and reach the samplers and estimators.
+_SIM_THETA0 = st.one_of(_REALS, st.builds(lambda e: 10.0**e, st.floats(-3.0, 3.0)))
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
-@given(theta0=_REALS, n=_NS, beta=_SIM_BETAS, fmt=st.sampled_from(["text", "json", "csv"]))
+@given(theta0=_SIM_THETA0, n=_NS, beta=_SIM_BETAS, fmt=st.sampled_from(["text", "json", "csv"]))
 def test_simulate_keeps_the_exit_code_contract(model, theta0, n, beta, fmt):
     args = ["simulate", "--model", model, f"--n={n}", "--trials=2"] + _options(
         theta0=theta0, beta=beta if model == "beta" else None
@@ -241,7 +214,7 @@ def test_simulate_keeps_the_exit_code_contract(model, theta0, n, beta, fmt):
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
-@given(theta0=_REALS, n=_NS, beta=_SIM_BETAS, alpha=_OPTIONAL,
+@given(theta0=_SIM_THETA0, n=_NS, beta=_SIM_BETAS, alpha=_OPTIONAL,
        fmt=st.sampled_from(["text", "json", "csv"]))
 def test_ci_keeps_the_exit_code_contract(model, theta0, n, beta, alpha, fmt):
     args = ["ci", "--model", model, f"--n={n}", "--trials=2"] + _options(

@@ -7,17 +7,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import expfam_fisher_info, expfam_third_score_moment
 
 from steinmle.errors import DomainError
 from steinmle.expfam import (
     EXP_THIRD_ABS_BOUND,
-    ExpFamilySpec,
-    exp_canonical_family,
     exp_canonical_ingredients,
-    exp_noncanonical_family,
     exp_noncanonical_ingredients,
-    expfam_fisher_info,
-    expfam_third_score_moment,
 )
 from steinmle.registry import get_model
 from steinmle.steincore import mle_bound_general, score_bound
@@ -34,58 +30,37 @@ def exp_third_abs_central(theta0):
         return float(val)
 
 
-class TestFamilySpecs:
-    def test_canonical_structure(self):
-        fam = exp_canonical_family()
-        assert fam.k_prime(3.0) == 1.0
-        assert fam.D(2.0) == pytest.approx(-0.5)
-        assert fam.theta_space == (0.0, math.inf)
-
-    def test_noncanonical_structure(self):
-        fam = exp_noncanonical_family()
-        assert fam.k_prime(2.0) == -0.25
-        assert fam.D(2.0) == pytest.approx(-2.0)
-
-    def test_theta_space_enforced(self):
-        fam = exp_canonical_family()
-        with pytest.raises(DomainError):
-            expfam_fisher_info(fam, -1.0, 1.0)
-
-
 class TestGenericOps:
+    """Both builders against the generic formulas with T(x) = -x: the
+    canonical k(theta) = theta has k' = 1, the mean parametrisation
+    k(theta) = 1/theta has k' = -1/theta^2."""
+
     def test_fisher_info_canonical(self):
-        fam = exp_canonical_family()
-        assert expfam_fisher_info(fam, 1.0, 1.0) == pytest.approx(1.0)
+        # Var T = 1/theta^2 at rate theta
+        for theta0 in (0.5, 1.0, 2.0):
+            want = expfam_fisher_info(1.0, 1.0 / theta0**2)
+            assert exp_canonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14)
 
     def test_fisher_info_noncanonical(self):
         # k'(2) = -1/4, Var(-X) = 4 at mean 2: fisher = 1/16 * 4 = 1/4
-        fam = exp_noncanonical_family()
-        assert expfam_fisher_info(fam, 2.0, 4.0) == pytest.approx(0.25)
-
-    def test_fisher_scaling_quadratic_in_k_prime(self):
-        doubled = ExpFamilySpec(
-            k_prime=lambda t: 2.0,
-            A_prime=lambda t: -2.0 / t,
-            theta_space=(0.0, math.inf),
-        )
-        base = expfam_fisher_info(exp_canonical_family(), 1.0, 0.7)
-        assert expfam_fisher_info(doubled, 1.0, 0.7) == pytest.approx(4.0 * base)
-
-    def test_degenerate_variance_rejected(self):
-        with pytest.raises(DomainError):
-            expfam_fisher_info(exp_canonical_family(), 1.0, 0.0)
+        assert expfam_fisher_info(-0.25, 4.0) == pytest.approx(0.25)
+        for theta0 in (0.5, 1.0, 2.0):
+            want = expfam_fisher_info(-1.0 / theta0**2, theta0**2)
+            assert exp_noncanonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14)
 
     def test_third_moment_canonical(self):
-        fam = exp_canonical_family()
-        got = expfam_third_score_moment(fam, 1.0, 2.41456)
-        assert got == pytest.approx(2.41456)
-        assert expfam_third_score_moment(fam, 1.0, 0.0) == 0.0
+        # E|T - D|^3 = E|X - 1/theta|^3 <= EXP_THIRD_ABS_BOUND / theta^3
+        for theta0 in (0.5, 1.0, 2.0):
+            want = expfam_third_score_moment(1.0, EXP_THIRD_ABS_BOUND / theta0**3)
+            got = exp_canonical_ingredients(theta0, 10).third_abs_score_moment
+            assert got == pytest.approx(want, rel=1e-14)
 
-    def test_third_moment_holder_route(self):
-        # E(T - D)^4 = 9/theta^4 for the exponential: Holder gives 9^(3/4)/theta^3
-        fam = exp_canonical_family()
-        got = expfam_third_score_moment(fam, 1.0, 9.0**0.75)
-        assert got == pytest.approx(5.196152422706632, rel=1e-12)
+    def test_third_moment_noncanonical(self):
+        # E|T - D|^3 = E|X - theta|^3 <= EXP_THIRD_ABS_BOUND * theta^3 at mean theta
+        for theta0 in (0.5, 1.0, 2.0):
+            want = expfam_third_score_moment(-1.0 / theta0**2, EXP_THIRD_ABS_BOUND * theta0**3)
+            got = exp_noncanonical_ingredients(theta0, 10).third_abs_score_moment
+            assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestThirdMomentConstant:
@@ -259,14 +234,13 @@ class TestModelLevelInvariants:
 class TestGenericFamilyRoute:
     def test_user_supplied_family_reproduces_builtin_bound(self):
         # assemble the rate-parametrised exponential through the generic
-        # family ops (caller supplies the T-moments and the conditional
-        # bounds) and compare with the shipped ingredient generator
-        fam = exp_canonical_family()
+        # family formulas (k' = 1; the T-moments and the conditional bounds
+        # supplied here) and compare with the shipped ingredient generator
         theta0, n = 1.7, 40
         var_T = 1.0 / theta0**2  # Var(-X) for Exp(theta0)
         third_T = EXP_THIRD_ABS_BOUND / theta0**3
-        fisher = expfam_fisher_info(fam, theta0, var_T)
-        third = expfam_third_score_moment(fam, theta0, third_T)
+        fisher = expfam_fisher_info(1.0, var_T)
+        third = expfam_third_score_moment(1.0, third_T)
         builtin = exp_canonical_ingredients(theta0, n)
         assert fisher == pytest.approx(builtin.fisher_info, rel=1e-14)
         assert third == pytest.approx(builtin.third_abs_score_moment, rel=1e-14)
@@ -290,7 +264,7 @@ class TestGenericFamilyRoute:
 
 
 class TestDescriptors:
-    """The registry entries' audit and estimator for the exponential models."""
+    """The registered models' audit and estimator for the exponential models."""
 
     def test_audit_serialises(self):
         for name in ("exp-canonical", "exp-noncanonical"):
@@ -300,8 +274,9 @@ class TestDescriptors:
             assert payload["ingredients"]["n"] == 20
 
     def test_descriptor_mle_closed_forms(self):
-        assert get_model("exp-canonical").mle([0.5, 0.5]) == pytest.approx(2.0)
-        assert get_model("exp-noncanonical").mle([1.0, 3.0]) == pytest.approx(2.0)
+        # sample means 0.5 and 2.0
+        assert get_model("exp-canonical").mle_from_stat(0.5, 2) == pytest.approx(2.0)
+        assert get_model("exp-noncanonical").mle_from_stat(2.0, 2) == pytest.approx(2.0)
 
 
 class TestIntegerTypesForN:

@@ -6,25 +6,21 @@ import statistics
 
 import numpy as np
 import pytest
+from oracles import bracketed_beta_root, conditioned_mean
 from scipy.special import betaincinv
 from scipy.stats import ks_2samp
 
 from steinmle.errors import DegenerateSampleError, DomainError, UnknownModelError
-from steinmle.montecarlo import (
-    SimulationConfig,
-    ci_coverage,
-    conditional_expectation_check,
-    mle,
-    mle_abs_error_sampler,
-    reports_to_csv,
-    run_mse_sweep,
-    run_simulation,
-    sample,
-)
+from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
 from steinmle.montecarlo import _pykernels
 from steinmle.msebound import BetaParams, beta_ingredients, minimal_n
-from steinmle.registry import get_model
+from steinmle.registry import MODEL_NAMES, get_model
 from steinmle.specfun import polygamma
+
+
+def _draw(model, theta0, n, seed, beta=1.0):
+    """n raw draws from the stream that trial 0 of ``seed`` starts."""
+    return _pykernels.draw(model, theta0, beta, n, _pykernels.make_generator(seed, 0))
 
 
 def _se_var(x):
@@ -35,12 +31,12 @@ def _se_var(x):
 
 class TestSamplers:
     def test_exp_canonical_law_of_large_numbers(self):
-        x = sample("exp-canonical", 1.0, 10**6, 7)
+        x = _draw("exp-canonical", 1.0, 10**6, 7)
         assert abs(float(x.mean()) - 1.0) < 4.0 / math.sqrt(10**6)
         assert float(x.min()) > 0.0
 
     def test_exp_noncanonical_mean(self):
-        x = sample("exp-noncanonical", 2.0, 10**6, 7)
+        x = _draw("exp-noncanonical", 2.0, 10**6, 7)
         assert abs(float(x.mean()) - 2.0) < 4.0 * 2.0 / math.sqrt(10**6)
 
     @pytest.mark.parametrize("trial", [0, 1, 7, 12345, 2**64 + 5])
@@ -55,24 +51,24 @@ class TestSamplers:
             assert made.standard_gamma(7.0, 5).tolist() == jumped.standard_gamma(7.0, 5).tolist()
 
     def test_poisson_zero_is_degenerate(self):
-        x = sample("poisson", 0.0, 500, 3)
+        x = _draw("poisson", 0.0, 500, 3)
         assert np.all(x == 0.0)
 
     def test_poisson_inversion_moments(self):
-        x = sample("poisson", 3.5, 4 * 10**5, 11)
+        x = _draw("poisson", 3.5, 4 * 10**5, 11)
         se = math.sqrt(3.5 / len(x))
         assert abs(float(x.mean()) - 3.5) < 5 * se
         assert np.all(x == np.floor(x)) and np.all(x >= 0.0)
 
     def test_poisson_rejection_moments(self):
         # mean above the inversion cut exercises the transformed-rejection path
-        x = sample("poisson", 45.0, 10**5, 13)
+        x = _draw("poisson", 45.0, 10**5, 13)
         se = math.sqrt(45.0 / len(x))
         assert abs(float(x.mean()) - 45.0) < 5 * se
         assert np.all(x == np.floor(x))
 
     def test_beta_mean(self):
-        x = sample("beta", 1.5, 10**6, 5, beta=1.0)
+        x = _draw("beta", 1.5, 10**6, 5, beta=1.0)
         # Beta(1.5, 1) has mean 0.6, variance 1.5/(2.5^2*3.5)
         se = math.sqrt(1.5 / (2.5**2 * 3.5) / len(x))
         assert abs(float(x.mean()) - 0.6) < 4 * se
@@ -82,7 +78,7 @@ class TestSamplers:
         # same law as inverting the Beta cdf directly: two-sample KS below
         # the 1% critical value at 1e5 draws a side
         n = 10**5
-        ours = sample("beta", 1.5, n, 21, beta=1.0)
+        ours = _draw("beta", 1.5, n, 21, beta=1.0)
         rng = np.random.Generator(np.random.Philox(key=99))
         reference = betaincinv(1.5, 1.0, rng.random(n))
         stat = ks_2samp(ours, reference).statistic
@@ -91,24 +87,26 @@ class TestSamplers:
 
     def test_generator_input_consumes_stream(self):
         rng = np.random.Generator(np.random.Philox(key=5))
-        a = sample("exp-canonical", 1.0, 100, rng)
-        b = sample("exp-canonical", 1.0, 100, rng)
+        a = _pykernels.draw("exp-canonical", 1.0, 1.0, 100, rng)
+        b = _pykernels.draw("exp-canonical", 1.0, 1.0, 100, rng)
         assert not np.array_equal(a, b)
 
     def test_seed_input_reproducible(self):
         assert np.array_equal(
-            sample("exp-canonical", 1.0, 50, 42), sample("exp-canonical", 1.0, 50, 42)
+            _draw("exp-canonical", 1.0, 50, 42), _draw("exp-canonical", 1.0, 50, 42)
         )
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModelError):
-            sample("weibull", 1.0, 10, 0)
+            _draw("weibull", 1.0, 10, 0)
+        with pytest.raises(UnknownModelError, match="exp-canonical"):
+            _pykernels.trial_stats("weibull", 1.0, 1.0, 10, 0, 0, 5)
 
     def test_beta_small_shape_draws_stay_positive(self):
         # Generator.beta(0.01, b) returns exact zeros (about 6 in 10^4);
         # they are clamped so the log-observation stays finite
         for beta in (1.0, 2.0):
-            x = sample("beta", 0.01, 10**5, 3, beta=beta)
+            x = _draw("beta", 0.01, 10**5, 3, beta=beta)
             assert float(x.min()) > 0.0
         stats = _pykernels.trial_stats("beta", 0.01, 2.0, 50, 3, 0, 2000)
         assert np.all(np.isfinite(stats))
@@ -190,14 +188,19 @@ class TestStatisticLaws:
         assert abs(float(stats.mean()) - mean) < 5.0 * se
 
 
+def test_registry_is_one_class():
+    assert len({type(get_model(m)) for m in MODEL_NAMES}) == 1
+
+
 class TestMleOp:
     def test_closed_forms(self):
-        assert mle("exp-canonical", [0.5, 0.5]) == pytest.approx(2.0)
-        assert mle("exp-noncanonical", [1.0, 3.0]) == pytest.approx(2.0)
-        assert mle("poisson", [0, 1, 2, 5]) == pytest.approx(2.0)
+        assert get_model("exp-canonical").mle_from_stat(0.5, 2) == pytest.approx(2.0)
+        assert get_model("exp-noncanonical").mle_from_stat(2.0, 2) == pytest.approx(2.0)
+        assert get_model("poisson").mle_from_stat(2.0, 4) == pytest.approx(2.0)
         # beta with unit known shape: -n / sum(log x)
         xs = [0.2, 0.5, 0.9]
-        assert mle("beta", xs, beta=1.0) == pytest.approx(
+        mean_log = math.fsum(math.log(v) for v in xs) / 3
+        assert get_model("beta", beta=1.0).mle_from_stat(mean_log, 3) == pytest.approx(
             -3.0 / math.fsum(math.log(v) for v in xs), rel=1e-10
         )
 
@@ -207,14 +210,12 @@ class TestMleOp:
         entry = get_model("beta", beta=2.0)
         stat = float(np.log(xs).mean())
         assert entry.mle_from_stat(stat, len(xs)) == pytest.approx(
-            mle("beta", list(xs), beta=2.0), rel=1e-10
+            bracketed_beta_root(len(xs), float(np.log(xs).sum()), 2.0), rel=1e-10
         )
 
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateSampleError):
-            mle("exp-canonical", [0.0, 0.0])
-        with pytest.raises(DegenerateSampleError):
-            mle("exp-canonical", [])
+            get_model("exp-canonical").mle_from_stat(0.0, 2)
 
     @pytest.mark.parametrize(
         "model,beta,sign",
@@ -267,7 +268,7 @@ class TestDeterminism:
             cfg = SimulationConfig(
                 model="exp-noncanonical", theta0=2.0, n=200, trials=400, seed=5, workers=workers
             )
-            reps.append(reports_to_csv([run_simulation(cfg)]))
+            reps.append(run_simulation(cfg).csv_row())
         assert reps[0] == reps[1]
 
     def test_raw_block_sweep_identical_across_worker_counts(self):
@@ -275,16 +276,19 @@ class TestDeterminism:
         # (n=22000) trials; two workers split each row at those blocks
         assert _pykernels.raw_sampled("beta", 2.5, 14816)
         csv = [
-            reports_to_csv(
-                run_mse_sweep(BetaParams(1.5, 2.5), [14816, 22000], trials=12, seed=5, workers=w)
-            )
+            [
+                rep.csv_row()
+                for rep in run_mse_sweep(
+                    BetaParams(1.5, 2.5), [14816, 22000], trials=12, seed=5, workers=w
+                )
+            ]
             for w in (1, 2)
         ]
         assert csv[0] == csv[1]
 
     def test_csv_identical_across_runs(self):
         cfg = SimulationConfig(model="poisson", theta0=2.0, n=150, trials=200, seed=17)
-        assert reports_to_csv([run_simulation(cfg)]) == reports_to_csv([run_simulation(cfg)])
+        assert run_simulation(cfg).csv_row() == run_simulation(cfg).csv_row()
 
 
 class TestRunSimulation:
@@ -392,8 +396,6 @@ class TestIntegerTypesForN:
         plain = SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=4)
         payload = json.dumps(run_simulation(cfg).to_dict())
         assert payload == json.dumps(run_simulation(plain).to_dict())
-        drawn = sample("poisson", 2.0, int_type(10), int_type(3))
-        assert drawn.tolist() == sample("poisson", 2.0, 10, 3).tolist()
 
     @pytest.mark.parametrize("field_name", ["n", "trials", "workers", "seed"])
     def test_bool_rejected(self, field_name):
@@ -401,21 +403,15 @@ class TestIntegerTypesForN:
         kwargs[field_name] = True
         with pytest.raises(DomainError, match=field_name):
             SimulationConfig(**kwargs)
-        with pytest.raises(DomainError):
-            sample("poisson", 2.0, True, 3)
 
     @pytest.mark.parametrize("bad", [-1, np.int64(-1), 1.0, "3", True])
     def test_seed_must_be_a_nonnegative_integer(self, bad):
         with pytest.raises(DomainError, match="seed"):
             SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=bad)
-        with pytest.raises(DomainError, match="rng"):
-            sample("poisson", 2.0, 10, bad)
         with pytest.raises(DomainError, match="seed"):
             run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=5, seed=bad)
         with pytest.raises(DomainError, match="seed"):
             ci_coverage("exp-canonical", 1.0, 100, 0.5, 5, seed=bad)
-        with pytest.raises(DomainError, match="seed"):
-            conditional_expectation_check(lambda g, k: g.random(k), abs, 0.5, 10, seed=bad)
 
     def test_numpy_integer_seed_gives_the_plain_int_sweep(self):
         reports = run_mse_sweep(BetaParams(1.5, 2.0), [11848], trials=5, seed=np.int64(3))
@@ -544,23 +540,15 @@ class TestUnusedOptionsRejected:
 
 class TestConditionalExpectationCheck:
     def test_increasing_function_inequality(self):
-        sampler = mle_abs_error_sampler("exp-canonical", 1.0, 50)
-        res = conditional_expectation_check(sampler, lambda m: m * m, 0.15, 4000, seed=2)
-        assert res.lhs <= res.rhs + 3.0 * res.combined_se
-        assert 0 < res.conditioned_count < res.trials
+        lhs, rhs, se, count = conditioned_mean("exp-canonical", 1.0, 50, lambda m: m * m, 0.15, 4000, 2)
+        assert lhs <= rhs + 3.0 * se
+        assert 0 < count < 4000
 
     def test_constant_function_equal(self):
-        sampler = mle_abs_error_sampler("exp-canonical", 1.0, 40)
-        res = conditional_expectation_check(sampler, lambda m: 2.5, 0.2, 500, seed=3)
-        assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
+        lhs, rhs, _, _ = conditioned_mean("exp-canonical", 1.0, 40, lambda m: 2.5, 0.2, 500, 3)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_infinite_eps_equal(self):
-        sampler = mle_abs_error_sampler("exp-noncanonical", 2.0, 40)
-        res = conditional_expectation_check(sampler, lambda m: m, 1e12, 500, seed=4)
-        assert res.conditioned_count == res.trials
-        assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
-
-    def test_empty_event_reported(self):
-        sampler = mle_abs_error_sampler("exp-canonical", 1.0, 10)
-        with pytest.raises(DegenerateSampleError, match="empty conditioning event"):
-            conditional_expectation_check(sampler, lambda m: m, 1e-13, 200, seed=5)
+        lhs, rhs, _, count = conditioned_mean("exp-noncanonical", 2.0, 40, lambda m: m, 1e12, 500, 4)
+        assert count == 500
+        assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from oracles import beta_score, bracketed_beta_root
 from scipy.special import gammaln
 
+from steinmle import msebound
 from steinmle.errors import ConvergenceError, DomainError
+from steinmle.registry import get_model
 from steinmle.msebound import (
     BetaParams,
     ImplicitModelIngredients,
@@ -22,7 +24,6 @@ from steinmle.msebound import (
     beta_b_constants,
     beta_distance_bound,
     beta_ingredients,
-    beta_mle,
     beta_shape_roots,
     d1,
     implicit_distance_bound,
@@ -280,23 +281,44 @@ class TestBetaDistanceBound:
         )
 
 
+def test_beta_audit_takes_one_polygamma_pass_per_argument(monkeypatch):
+    # psi_1 and psi_3 at theta0 and at theta0 + beta, shared by the
+    # ingredients, the constants and B3
+    calls = []
+
+    def counted(x, orders):
+        calls.append(x)
+        return polygammas(x, orders)
+
+    polygammas = msebound._polygammas
+    monkeypatch.setattr(msebound, "_polygammas", counted)
+    audit = get_model("beta", beta=2.0).audit(1.5, 12000)
+    assert calls == [1.5, 3.5]
+    assert audit["B3"] == beta_b3(BetaParams(1.5, 2.0), 12000)
+
+
+def _beta_mle(xs, beta):
+    """The registered Beta estimator at the sample's mean log-observation."""
+    return get_model("beta", beta=beta).mle_from_stat(math.fsum(np.log(xs)) / len(xs), len(xs))
+
+
 class TestBetaMle:
     def test_closed_form_beta_one(self):
         rng = np.random.default_rng(7)
         xs = rng.beta(1.5, 1.0, size=400)
-        theta = beta_mle(list(xs), 1.0)
+        theta = _beta_mle(xs, 1.0)
         closed = -len(xs) / math.fsum(math.log(v) for v in xs)
         assert theta == pytest.approx(closed, rel=1e-10)
 
     def test_constant_sample_identity(self):
         theta_star = 2.7
         xs = [math.exp(-1.0 / theta_star)] * 25
-        assert beta_mle(xs, 1.0) == pytest.approx(theta_star, rel=1e-10)
+        assert _beta_mle(xs, 1.0) == pytest.approx(theta_star, rel=1e-10)
 
     def test_score_residual_beta_two(self):
         rng = np.random.default_rng(11)
         xs = rng.beta(1.3, 2.0, size=300)
-        theta = beta_mle(list(xs), 2.0)
+        theta = _beta_mle(xs, 2.0)
         n = len(xs)
         sum_log = math.fsum(math.log(v) for v in xs)
         assert abs(beta_score(theta, 2.0, n, sum_log)) < 1e-9 * n
@@ -315,17 +337,7 @@ class TestBetaMle:
         )
         best = float(grid[int(np.argmax(loglik))])
         spacing = float(grid[1] - grid[0])
-        assert abs(beta_mle(list(xs), 2.0) - best) <= spacing
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            beta_mle([], 1.0)
-        with pytest.raises(DomainError):
-            beta_mle([0.5, 1.0], 1.0)
-        with pytest.raises(DomainError):
-            beta_mle([0.0, 0.5], 1.0)
-        with pytest.raises(DomainError):
-            beta_mle([0.5], 0.0)
+        assert abs(_beta_mle(xs, 2.0) - best) <= spacing
 
 
 def _mean_logs(theta0, beta, n, trials, seed=1):

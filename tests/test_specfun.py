@@ -16,8 +16,6 @@ from steinmle.specfun import (
     inv_quadratic_expectation,
     normal_expectation,
     polygamma,
-    std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
 )
 from steinmle.steincore import TestFunction, inv_quadratic_test_function
@@ -92,23 +90,6 @@ class TestPolygamma:
             polygamma(1.5, 1.0)
 
 
-class TestNormalCdf:
-    def test_symmetry_point(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_tail_saturation(self):
-        assert std_normal_cdf(8.0) == pytest.approx(1.0, abs=1e-12)
-        assert std_normal_cdf(-40.0) >= 0.0
-        assert std_normal_cdf(40.0) <= 1.0
-
-    def test_reference_value(self):
-        assert std_normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-13)
-
-    def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            std_normal_cdf(math.nan)
-
-
 class TestNormalQuantile:
     def test_median(self):
         assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
@@ -133,7 +114,9 @@ class TestNormalQuantile:
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_roundtrip(self, x):
-        assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-8)
+        # the erfc form keeps the upper tail to an ulp of 1; NormalDist().cdf
+        # (erf-based) rounds one ulp further there, ~1.7e-8 in x at x = 6
+        assert std_normal_quantile(0.5 * math.erfc(-x / math.sqrt(2.0))) == pytest.approx(x, abs=1e-8)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.4, math.nan])
     def test_domain(self, bad):
@@ -239,6 +222,3 @@ class TestNormalExpectation:
         with pytest.raises(ConvergenceError) as info:
             normal_expectation(lambda x: math.cos(1e4 * x))
         assert info.value.details["achieved_error"] > 1e-8
-
-    def test_pdf_normalised(self):
-        assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14)
