@@ -24,7 +24,12 @@ from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredie
 from steinmle.montecarlo import ci_coverage
 from steinmle.msebound import BetaParams, ImplicitModelIngredients, beta_b3, beta_ingredients
 from steinmle.registry import MODEL_NAMES, get_model
-from steinmle.specfun import polygamma, std_normal_quantile
+from steinmle.specfun import (
+    inv_quadratic_expectation,
+    normal_expectation,
+    polygamma,
+    std_normal_quantile,
+)
 from steinmle.steincore import BoundIngredients, TestFunction, conservative_ci
 
 
@@ -68,6 +73,9 @@ SCALAR_CASES = {
     "ci_coverage-alpha":
         lambda to: ci_coverage("exp-canonical", 1.0, 10**7, to(0.5), trials=10, seed=3),
     "std_normal_quantile": lambda to: std_normal_quantile(to(0.25)),
+    "polygamma-x": lambda to: polygamma(1, to(0.75)),
+    "inv_quadratic_expectation-scale": lambda to: inv_quadratic_expectation(to(0.5)),
+    "beta-mle_from_stat": lambda to: get_model("beta", beta=2.0).mle_from_stat(to(-0.75), 3),
 }
 
 
@@ -75,6 +83,14 @@ SCALAR_CASES = {
 @pytest.mark.parametrize("case", SCALAR_CASES)
 def test_numpy_floating_scalar_gives_the_float_result(case, scalar):
     assert SCALAR_CASES[case](scalar) == SCALAR_CASES[case](float)
+
+
+@pytest.mark.parametrize("int_type", [np.int8, np.int64, np.uint16])
+def test_numpy_integer_trials_give_the_int_result(int_type):
+    check = lambda trials: ci_coverage("exp-canonical", 1.0, 10**7, 0.5, trials=trials, seed=3)  # noqa: E731
+    res = check(int_type(50))
+    assert type(res.trials) is int
+    assert res == check(50)
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -113,6 +129,14 @@ REJECTED = {
     "c-True-spec": lambda: PerturbationSpec(0.0, 1.0, True, 10),
     "epsilon-True-exp": lambda: exp_canonical_ingredients(2.0, 10, True),
     "epsilon-True-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), True),
+    "epsilon-True-noncanonical": lambda: exp_noncanonical_ingredients(2.0, 10, True),
+    "epsilon-inf-exp": lambda: exp_canonical_ingredients(2.0, 10, math.inf),
+    "n-True-exp": lambda: exp_canonical_ingredients(1.0, True),
+    "alpha-True-ci": lambda: conservative_ci(0.5, 100, 1.0, True, 0.0625),
+    "trials-True-coverage":
+        lambda: ci_coverage("exp-canonical", 1.0, 10**7, 0.5, trials=True, seed=3),
+    "quantile-str": lambda: std_normal_quantile("0.5"),
+    "scale-True-expectation": lambda: normal_expectation(abs, True),
     "beta-True": lambda: BetaParams(1.5, True),
     "beta-True-registry": lambda: get_model("beta", beta=True),
     "polygamma-True": lambda: polygamma(1, True),

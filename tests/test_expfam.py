@@ -35,6 +35,11 @@ class TestGenericOps:
     canonical k(theta) = theta has k' = 1, the mean parametrisation
     k(theta) = 1/theta has k' = -1/theta^2."""
 
+    def test_theta_space_enforced(self):
+        for build in (exp_canonical_ingredients, exp_noncanonical_ingredients):
+            with pytest.raises(DomainError):
+                build(-1.0, 10)
+
     def test_fisher_info_canonical(self):
         # Var T = 1/theta^2 at rate theta
         for theta0 in (0.5, 1.0, 2.0):

@@ -15,7 +15,7 @@ from oracles import beta_score, bracketed_beta_root
 from scipy.special import gammaln
 
 from steinmle import msebound
-from steinmle.errors import ConvergenceError, DomainError
+from steinmle.errors import ConvergenceError, DegenerateSampleError, DomainError
 from steinmle.registry import get_model
 from steinmle.msebound import (
     BetaParams,
@@ -338,6 +338,15 @@ class TestBetaMle:
         best = float(grid[int(np.argmax(loglik))])
         spacing = float(grid[1] - grid[0])
         assert abs(_beta_mle(xs, 2.0) - best) <= spacing
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            get_model("beta", beta=0.0)
+        for beta in (1.0, 2.0):
+            model = get_model("beta", beta=beta)
+            for mean_log in (0.0, 0.5):
+                with pytest.raises(DegenerateSampleError):
+                    model.mle_from_stat(mean_log, 3)
 
 
 def _mean_logs(theta0, beta, n, trials, seed=1):

@@ -12,6 +12,7 @@ from oracles import EULER_GAMMA, polygamma_series, scalar_asymptotic_coeffs, sca
 from steinmle.errors import ConvergenceError, DomainError
 from steinmle.specfun import (
     _ASYMPTOTIC_COEFFS,
+    _normal_pdf,
     _polygammas,
     inv_quadratic_expectation,
     normal_expectation,
@@ -222,3 +223,6 @@ class TestNormalExpectation:
         with pytest.raises(ConvergenceError) as info:
             normal_expectation(lambda x: math.cos(1e4 * x))
         assert info.value.details["achieved_error"] > 1e-8
+
+    def test_pdf_normalised(self):
+        assert _normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14)
