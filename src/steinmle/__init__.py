@@ -39,9 +39,7 @@ from .specfun import normal_expectation, polygamma, std_normal_quantile
 from .steincore import (
     BoundBreakdown,
     BoundIngredients,
-    ConfidenceInterval,
     TestFunction,
-    conservative_ci,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
     mle_bound_general,
@@ -67,11 +65,9 @@ __all__ = [
     "inv_quadratic_test_function",
     "BoundIngredients",
     "BoundBreakdown",
-    "ConfidenceInterval",
     "score_bound",
     "mle_bound_general",
     "kolmogorov_from_bw",
-    "conservative_ci",
     # exponential families
     "exp_canonical_ingredients",
     "exp_noncanonical_ingredients",

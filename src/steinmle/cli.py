@@ -8,9 +8,10 @@ seeded empirical columns), ``simulate``, ``ci``, ``mse-sweep`` and
 Each verb computes its result and returns it in all three formats: a JSON
 payload, CSV rows and text lines; ``_emit`` prints the chosen one.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  With
-``--format json`` errors are emitted as JSON objects on stderr.  The default
-seed comes from the STEINMLE_SEED environment variable when set.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (a size too
+large to allocate included).  With ``--format json`` errors are emitted as
+JSON objects on stderr.  The default seed comes from the STEINMLE_SEED
+environment variable when set.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ def _guard(fmt: str, fn, *args, **kwargs):
     except (ConvergenceError, ArithmeticError) as exc:
         # overflow or division by zero at an extreme input is a numerical failure
         _emit_error(fmt, exc, EXIT_NUMERICAL)
+    except MemoryError as exc:
+        # named MemoryError, not numpy's subclass; a bare one has no message
+        message = str(exc) or "not enough memory for the requested size"
+        _emit_error(fmt, MemoryError(message), EXIT_NUMERICAL)
     except SteinMLEError as exc:
         _emit_error(fmt, exc, EXIT_VALIDATION)
 

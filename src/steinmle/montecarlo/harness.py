@@ -316,7 +316,9 @@ def run_mse_sweep(
     floor_n = minimal_n(ing)
     bad = [n for n in n_list if n < floor_n]
     if bad:
-        raise DomainError(f"n below minimal n = {floor_n}: {bad}")
+        raise DomainError(
+            f"n below minimal n = {floor_n}: {len(bad)} of the n values, the smallest {min(bad)}"
+        )
     trials = integer(trials, "trials")
     seed = integer(seed, "seed", ge=0)
     h = inv_quadratic_test_function()
@@ -406,8 +408,6 @@ def ci_coverage(
     if offsets is None:  # the whole line
         covered = trials
     else:
-        # conservative_ci's endpoints and ConfidenceInterval.contains' closed
-        # rule, for the whole row at once
         lower, upper = theta_hats - offsets[0], theta_hats - offsets[1]
         covered = int(np.count_nonzero((lower <= theta0) & (theta0 <= upper)))
     return CoverageResult(

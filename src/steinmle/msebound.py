@@ -10,11 +10,12 @@ Positivity of the leading quadratic coefficient
 
     D1 = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i^{3/2})
 
-is what makes the root meaningful; ``minimal_n`` inverts that condition in
-closed form.  The Beta distribution with one unknown shape is the worked
-instance: its score involves only digammas, its log-likelihood second
-derivative is deterministic (Var l'' = 0), and every constant reduces to
-polygamma values at theta0 and theta0 + beta.
+is what makes the root meaningful.  For any ingredients, n D1 is a quadratic
+in sqrt(n) with one positive root, so ``minimal_n`` inverts the condition in
+closed form, with no search.  The Beta distribution with one unknown shape
+is the worked instance: its score involves only digammas, its
+log-likelihood second derivative is deterministic (Var l'' = 0), and every
+constant reduces to polygamma values at theta0 and theta0 + beta.
 
 Numerical note: the root A1, and with it the Beta constant B3 = sqrt(n) A1,
 divides by D1, a difference of nearly-equal terms (~0.0019 at theta0=1.5,
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Optional
 
 from ._validate import integer, real
@@ -179,27 +180,24 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
-    """Smallest integer sample size with d1 > 0.
+    """Smallest integer sample size with D1 > 0 in 50 digits.
 
-    Closed form from the quadratic in sqrt(n):
-    ceil( ||x||^2 [C1 eps + sqrt((C1 eps)^2 + 8 i^2)]^2 / (4 i^3 eps^2) ).
+    With s = sqrt(n), n D1 = s^2 - b s - a for a = 2 ||x^2|| / (i eps^2) and
+    b = ||x|| C1 / i^{3/2}, so D1 > 0 exactly above the positive root
+    s* = (b + sqrt(b^2 + 4a)) / 2: the answer is floor(s*^2) + 1, for any
+    ingredients.  One 50-digit D1 step each way absorbs the rounding of s*^2
+    (an exact root, where D1 = 0, is excluded).
     """
+    p = ing._decimals
     with localcontext(_EXTENDED):
-        i = Decimal(ing.fisher_info)
-        eps = Decimal(ing.epsilon)
-        ce = Decimal(ing.c1_const) * eps
-        x2 = Decimal(ing.sup_x_norm) ** 2
-        rhs = x2 * (ce + (ce**2 + 8 * i**2).sqrt()) ** 2 / (4 * i**3 * eps**2)
-        # The closed form assumes ||x^2|| = ||x||^2 (true for supports inside
-        # [-1, 1] and for the Beta case); fall back to a scan otherwise.
-        if abs(Decimal(ing.sup_x2_norm) - x2) < Decimal("1e-30"):
-            return int(rhs.to_integral_value(ROUND_CEILING))
-    n = max(1, int(rhs))
-    while d1(ing, n) <= 0.0:
-        n += 1
-    while n > 1 and d1(ing, n - 1) > 0.0:
-        n -= 1
-    return n
+        a = p.two_x2 / (p.i * p.eps2)
+        b = p.x_c1 / (p.i * p.root_i)
+        n = int(((b + (b * b + 4 * a).sqrt()) / 2) ** 2) + 1
+        if _d1_dec(p, n)[3] <= 0:
+            return n + 1
+        if n > 1 and _d1_dec(p, n - 1)[3] > 0:
+            return n - 1
+        return n
 
 
 def _a1_dec(ing: ImplicitModelIngredients, n: int):

@@ -44,11 +44,9 @@ __all__ = [
     "inv_quadratic_test_function",
     "BoundIngredients",
     "BoundBreakdown",
-    "ConfidenceInterval",
     "score_bound",
     "mle_bound_general",
     "kolmogorov_from_bw",
-    "conservative_ci",
 ]
 
 TERM_SCORE = "score"
@@ -236,27 +234,6 @@ class BoundBreakdown:
         return rows
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """A (possibly degenerate) two-sided interval.
-
-    When the Kolmogorov widening swallows the whole alpha/2 tail the interval
-    is the real line; ``degenerate`` marks that case and both endpoints are
-    infinite.
-    """
-
-    lower: float
-    upper: float
-    degenerate: bool = False
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
 def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
     """(2 + E|xi|^3 / Var(xi)^{3/2}) / sqrt(n): the Stein bound for the
     standardised sum of n i.i.d. copies of xi, the leading term of every bound."""
@@ -317,33 +294,12 @@ def kolmogorov_from_bw(bw_bound: float) -> float:
     return 2.0 * math.sqrt(real(bw_bound, "bounded Wasserstein bound", ge=0.0, inf=True))
 
 
-def conservative_ci(
-    theta_hat: float,
-    n: int,
-    fisher_info: float,
-    alpha: float,
-    b_k: float,
-) -> ConfidenceInterval:
-    """Conservative 100(1-alpha)% interval widening normal quantiles by b_k.
-
-    ( theta_hat - PhiInv(1 - alpha/2 + b_k)/sqrt(n i),
-      theta_hat - PhiInv(alpha/2 - b_k)/sqrt(n i) ).
-
-    When b_k >= alpha/2 both quantile arguments leave (0, 1) and the interval
-    degenerates to the whole line (coverage trivially 1).
-    """
-    theta_hat = real(theta_hat, "theta_hat")
-    offsets = _ci_offsets(n, fisher_info, alpha, b_k)
-    if offsets is None:
-        return ConfidenceInterval(-math.inf, math.inf, degenerate=True)
-    return ConfidenceInterval(theta_hat - offsets[0], theta_hat - offsets[1], degenerate=False)
-
-
 def _ci_offsets(n: int, fisher_info: float, alpha: float, b_k: float):
     """(PhiInv(1 - alpha/2 + b_k), PhiInv(alpha/2 - b_k)) / sqrt(n i): the
-    conservative interval is theta_hat minus each, in that order.  None when
-    the interval degenerates to the whole line.  They do not depend on
-    theta_hat, so a row of trials needs them once."""
+    conservative 100(1-alpha)% interval, the normal quantiles widened by the
+    Kolmogorov bound b_k, is theta_hat minus each, in that order.  None when
+    b_k >= alpha/2 and the interval degenerates to the whole line.  They do
+    not depend on theta_hat, so a row of trials needs them once."""
     alpha = real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")

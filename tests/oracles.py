@@ -13,8 +13,9 @@ import numpy as np
 
 from steinmle.errors import ConvergenceError
 from steinmle.montecarlo import _pykernels
+from steinmle.msebound import d1
 from steinmle.registry import get_model
-from steinmle.specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma
+from steinmle.specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma, std_normal_quantile
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -180,3 +181,38 @@ def conditioned_mean(model, theta0, n, f, eps, trials, seed):
     lhs_se = float(f_in.std(ddof=1) / math.sqrt(count)) if count > 1 else math.inf
     rhs_se = float(f_all.std(ddof=1) / math.sqrt(trials))
     return math.fsum(f_in) / count, math.fsum(f_all) / trials, math.hypot(lhs_se, rhs_se), count
+
+
+def bisected_minimal_n(ing):
+    """Smallest n >= 1 with D1 > 0, by doubling and then bisection on the
+    sign of the 50-digit D1 (``msebound.d1`` rounds it to float, which keeps
+    its sign): D1 increases in n, so the sign changes once."""
+    if d1(ing, 1) > 0.0:
+        return 1
+    lo, hi = 1, 2  # d1(lo) <= 0 throughout; d1(hi) > 0 once doubling stops
+    while d1(ing, hi) <= 0.0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if d1(ing, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def per_trial_coverage(theta_hats, theta0, n, fisher_info, alpha, b_k):
+    """Share of the conservative intervals that contain theta0, one trial at
+    a time: (theta_hat - PhiInv(1 - alpha/2 + b_k)/sqrt(n i),
+    theta_hat - PhiInv(alpha/2 - b_k)/sqrt(n i)), closed, and the whole line
+    once b_k >= alpha/2."""
+    lo_arg, hi_arg = alpha / 2.0 - b_k, 1.0 - alpha / 2.0 + b_k
+    if lo_arg <= 0.0 or hi_arg >= 1.0:
+        return 1.0
+    scale = math.sqrt(n * fisher_info)
+    covered = 0
+    for th in theta_hats:
+        lower = float(th) - std_normal_quantile(hi_arg) / scale
+        upper = float(th) - std_normal_quantile(lo_arg) / scale
+        covered += lower <= theta0 <= upper
+    return covered / len(theta_hats)

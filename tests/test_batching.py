@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import per_trial_coverage
 
 from steinmle import msebound
 from steinmle.errors import DomainError
@@ -17,7 +18,7 @@ from steinmle.montecarlo import SimulationConfig, ci_coverage, harness, run_mse_
 from steinmle.montecarlo import _pykernels
 from steinmle.msebound import BetaParams, beta_b3, beta_ingredients, minimal_n
 from steinmle.registry import get_model
-from steinmle.steincore import TestFunction, conservative_ci, inv_quadratic_test_function
+from steinmle.steincore import TestFunction, inv_quadratic_test_function
 
 
 def _per_trial_row(params, n, trials, seed, row):
@@ -154,17 +155,12 @@ class TestEvaluatorContract:
 
 
 def _per_trial_coverage(model, theta0, n, alpha, trials, seed, beta=1.0, workers=1):
-    """Coverage with one conservative_ci and one contains() per trial."""
+    """Coverage with one interval and one containment test per trial."""
     res = ci_coverage(model, theta0, n, alpha, trials, seed, beta=beta, workers=workers)
     entry = get_model(model, beta=beta)
     stats = harness._collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
-    fisher = entry.fisher_info(theta0)
-    covered = 0
-    for th in entry.mle_from_stat(stats, n):
-        ci = conservative_ci(float(th), n, fisher, alpha, res.b_k)
-        if ci.degenerate or ci.contains(theta0):
-            covered += 1
-    return res, covered / trials
+    theta_hats = entry.mle_from_stat(stats, n)
+    return res, per_trial_coverage(theta_hats, theta0, n, entry.fisher_info(theta0), alpha, res.b_k)
 
 
 class TestCoverageVectorised:

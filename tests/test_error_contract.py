@@ -30,7 +30,7 @@ from steinmle.specfun import (
     polygamma,
     std_normal_quantile,
 )
-from steinmle.steincore import BoundIngredients, TestFunction, conservative_ci
+from steinmle.steincore import BoundIngredients, TestFunction, _ci_offsets
 
 
 @pytest.mark.parametrize("fn", [poisson_bound, exp_canonical_ingredients,
@@ -69,7 +69,7 @@ SCALAR_CASES = {
         lambda to: get_model("exp-noncanonical").distance_bound(to(1.5), 10),
     "registry-poisson": lambda to: get_model("poisson").distance_bound(to(1.5), 20),
     "registry-beta": lambda to: get_model("beta", beta=to(2.0)).distance_bound(to(1.5), 12000),
-    "conservative_ci-alpha": lambda to: conservative_ci(0.5, 100, 1.0, to(0.25), 0.0625),
+    "ci_offsets-alpha": lambda to: _ci_offsets(100, 1.0, to(0.25), 0.0625),
     "ci_coverage-alpha":
         lambda to: ci_coverage("exp-canonical", 1.0, 10**7, to(0.5), trials=10, seed=3),
     "std_normal_quantile": lambda to: std_normal_quantile(to(0.25)),
@@ -132,7 +132,9 @@ REJECTED = {
     "epsilon-True-noncanonical": lambda: exp_noncanonical_ingredients(2.0, 10, True),
     "epsilon-inf-exp": lambda: exp_canonical_ingredients(2.0, 10, math.inf),
     "n-True-exp": lambda: exp_canonical_ingredients(1.0, True),
-    "alpha-True-ci": lambda: conservative_ci(0.5, 100, 1.0, True, 0.0625),
+    "alpha-True-ci": lambda: _ci_offsets(100, 1.0, True, 0.0625),
+    "alpha-True-coverage":
+        lambda: ci_coverage("exp-canonical", 1.0, 10**7, True, trials=10, seed=3),
     "trials-True-coverage":
         lambda: ci_coverage("exp-canonical", 1.0, 10**7, 0.5, trials=True, seed=3),
     "quantile-str": lambda: std_normal_quantile("0.5"),
@@ -178,6 +180,42 @@ def test_exp_canonical_fourth_moment_at_large_n_exits_0():
     result = CliRunner().invoke(main, args + ["--format", "json"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["breakdown"]["total"] > 0.0
+
+
+# Sizes whose first array, or the sweep's list of n, cannot be allocated: each
+# fails at once.  (Non-integer-shape Beta and --workers > 1 draw block by
+# block, so at such sizes they would fill memory first; they are not run.)
+_HUGE = str(10**18)
+TOO_LARGE = {
+    "simulate": ["simulate", "--model", "exp-canonical", "--theta0", "1", "--n", "10",
+                 "--trials", _HUGE],
+    "table-1": ["table", "1", "--trials", _HUGE],
+    "ci": ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000",
+           "--alpha", "0.9", "--trials", _HUGE],
+    "mse-sweep": ["mse-sweep", "--n-from", "1", "--n-to", _HUGE],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", TOO_LARGE)
+def test_size_too_large_to_allocate_exits_3(case, fmt):
+    result = CliRunner().invoke(main, TOO_LARGE[case] + ["--format", fmt])
+    assert result.exit_code == 3, result.output
+    if fmt == "json":
+        err = json.loads(result.stderr)
+        assert err["schema"] == "steinmle/error/v1"
+        assert err["error"] == "MemoryError"
+        assert err["message"]
+    else:
+        assert result.stderr.startswith("error: ") and result.stderr.strip() != "error:"
+
+
+def test_sweep_below_minimal_n_names_the_first_and_the_count():
+    args = ["mse-sweep", "--n-from", "1", "--n-to", "7460", "--trials", "2", "--format", "json"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    message = json.loads(result.stderr)["message"]
+    assert message == "n below minimal n = 7460: 7459 of the n values, the smallest 1"
 
 
 # +-0, nan, +-inf, and magnitudes log-uniform on [1e-300, 1e300] of either sign
@@ -237,11 +275,35 @@ def test_simulate_keeps_the_exit_code_contract(model, theta0, n, beta, fmt):
     _invoke(args, fmt)
 
 
+# Besides _OPTIONAL, alpha uniform on (0, 1), where the interval is defined.
+_ALPHAS = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _OPTIONAL)
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
-@given(theta0=_SIM_THETA0, n=_NS, beta=_SIM_BETAS, alpha=_OPTIONAL,
+@given(theta0=_SIM_THETA0, n=_NS, beta=_SIM_BETAS, alpha=_ALPHAS,
        fmt=st.sampled_from(["text", "json", "csv"]))
 def test_ci_keeps_the_exit_code_contract(model, theta0, n, beta, alpha, fmt):
     args = ["ci", "--model", model, f"--n={n}", "--trials=2"] + _options(
         theta0=theta0, beta=beta if model == "beta" else None, alpha=alpha
     )
+    _invoke(args, fmt)
+
+
+# Sweep starts per known shape: the Beta(1.5, beta) minimal n, and for the
+# integer shapes (whose statistic costs the same at any n) 10^6 and 10^18.  A
+# non-integer shape draws n raw observations a trial, so it stays near its
+# minimal n.
+_SWEEP_STARTS = {1.0: (7460, 10**6, 10**18), 2.0: (11848, 10**6, 10**18), 2.5: (14816,)}
+
+
+@given(theta0=_SIM_THETA0, beta=st.sampled_from(sorted(_SWEEP_STARTS)), start=st.integers(0, 2),
+       steps=st.sampled_from([0, 1, 2, -1]), n_step=st.sampled_from([1, 10, 1000, 10**6, 0]),
+       fmt=st.sampled_from(["text", "json", "csv"]))
+def test_mse_sweep_keeps_the_exit_code_contract(theta0, beta, start, steps, n_step, fmt):
+    # n-to lies 0 to 2 steps past n-from (at most three rows) or one below it
+    starts = _SWEEP_STARTS[beta]
+    n_from = starts[start % len(starts)]
+    n_to = n_from + steps * max(n_step, 1)
+    args = ["mse-sweep", f"--n-from={n_from}", f"--n-to={n_to}", f"--n-step={n_step}",
+            "--trials=2"] + _options(theta0=theta0, beta=beta)
     _invoke(args, fmt)

@@ -5,13 +5,15 @@ mpmath's own polygamma (a different algorithm from the package's evaluator).
 """
 
 import math
+import random
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import beta_score, bracketed_beta_root
+from oracles import beta_score, bisected_minimal_n, bracketed_beta_root
 from scipy.special import gammaln
 
 from steinmle import msebound
@@ -144,6 +146,59 @@ class TestMinimalN:
             assert d1(ing, m) > 0.0
             if m > 1:
                 assert d1(ing, m - 1) <= 0.0
+
+    def test_equals_bisection_over_random_ingredients(self):
+        # Every field log-uniform, so ||x^2|| and ||x||^2 almost never agree;
+        # epsilon down to 1e-4 puts the minimal n up to ~1e19.
+        rng = random.Random(20141108)
+        u = lambda lo, hi: 10.0 ** rng.uniform(lo, hi)  # noqa: E731
+        for _ in range(500):
+            ing = ImplicitModelIngredients(u(-3, 3), u(-2, 2), rng.choice([0.0, u(-3, 2)]),
+                                           u(-3, 3), u(-3, 3), u(-3, 3), u(-4, 0))
+            m = minimal_n(ing)
+            assert m == bisected_minimal_n(ing), ing
+            assert mse_upper_bound_a1(ing, m) > 0.0
+            if m > 1:
+                with pytest.raises(DomainError, match=f"minimal n = {m} "):
+                    mse_upper_bound_a1(ing, m - 1)
+
+    def test_exact_root_is_excluded(self):
+        # i = ||x|| = C1 = ||x^2|| = eps = 1: D1 = 1 - 2/n - 1/sqrt(n) is 0 at n = 4
+        ing = ImplicitModelIngredients(1, 1, 0, 1, 1, 1, 1)
+        assert d1(ing, 4) == 0.0
+        assert minimal_n(ing) == 5
+        mse_upper_bound_a1(ing, 5)
+        with pytest.raises(DomainError, match="minimal n = 5 "):
+            mse_upper_bound_a1(ing, 4)
+
+    def test_one_when_d1_is_positive_at_one(self):
+        ing = _synthetic_ingredients(c1_const=1e-3, sup_x2_norm=1e-3, epsilon=1.0)
+        assert d1(ing, 1) > 0.0
+        assert minimal_n(ing) == 1 == bisected_minimal_n(ing)
+
+    @staticmethod
+    def _fastest(call, repeats=5):
+        """The fastest of a few calls, each on freshly built ingredients, so
+        every call converts the fields to 50 digits anew."""
+        times = []
+        for _ in range(repeats):
+            ing = ImplicitModelIngredients(1, 1, 0, 1, 1e-6, 1, 1e-6)
+            start = time.perf_counter()
+            call(ing)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def test_tiny_epsilon_is_closed_form(self):
+        # n* ~ 2 ||x^2|| / (i eps^2) = 2e12: a scan over n could not finish
+        assert minimal_n(ImplicitModelIngredients(1, 1, 0, 1, 1e-6, 1, 1e-6)) == 2 * 10**12 + 2
+        assert self._fastest(minimal_n) < 1e-3
+
+    def test_tiny_epsilon_error_path_is_closed_form(self):
+        def below(ing):
+            with pytest.raises(DomainError, match=f"minimal n = {2 * 10**12 + 2} "):
+                mse_upper_bound_a1(ing, 2 * 10**12 + 1)
+
+        assert self._fastest(below) < 1e-3
 
 
 class TestA1:

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from steinmle.errors import DomainError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
+from steinmle.montecarlo import ci_coverage
 from steinmle.steincore import (
     BoundBreakdown,
     BoundIngredients,
     TestFunction,
-    conservative_ci,
+    _ci_offsets,
     inv_quadratic_test_function,
     kolmogorov_from_bw,
     mle_bound_general,
@@ -239,37 +240,47 @@ class TestKolmogorovConversion:
 
 
 class TestConservativeCI:
+    """The interval theta_hat - offsets, from ``_ci_offsets``: the one copy
+    ``ci_coverage`` applies to a whole row."""
+
+    @staticmethod
+    def interval(theta_hat, n, fisher_info, alpha, b_k):
+        hi, lo = _ci_offsets(n, fisher_info, alpha, b_k)
+        return theta_hat - hi, theta_hat - lo
+
     def test_reduces_to_normal_interval(self):
-        ci = conservative_ci(0.0, 1, 1.0, 0.05, 0.0)
-        assert not ci.degenerate
-        assert ci.lower == pytest.approx(-1.9599639845, abs=1e-8)
-        assert ci.upper == pytest.approx(1.9599639845, abs=1e-8)
+        lower, upper = self.interval(0.0, 1, 1.0, 0.05, 0.0)
+        assert lower == pytest.approx(-1.9599639845, abs=1e-8)
+        assert upper == pytest.approx(1.9599639845, abs=1e-8)
 
     def test_degenerate_when_widening_swallows_tail(self):
-        ci = conservative_ci(0.0, 10, 1.0, 0.05, 0.025)
-        assert ci.degenerate
-        assert ci.lower == -math.inf and ci.upper == math.inf
-        assert ci.contains(123456.0)
+        assert _ci_offsets(10, 1.0, 0.05, 0.025) is None
+        res = ci_coverage("exp-canonical", 1.0, 10, 0.05, trials=5)
+        assert res.degenerate and res.coverage == 1.0 and res.b_k >= 0.025
 
     def test_worked_example(self):
         # theta_hat 1, n 100, i 1, alpha 0.05, b_k 0.01: quantiles at 0.985/0.015
-        ci = conservative_ci(1.0, 100, 1.0, 0.05, 0.01)
-        assert ci.lower == pytest.approx(0.782990962242, abs=1e-6)
-        assert ci.upper == pytest.approx(1.217009037758, abs=1e-6)
+        lower, upper = self.interval(1.0, 100, 1.0, 0.05, 0.01)
+        assert lower == pytest.approx(0.782990962242, abs=1e-6)
+        assert upper == pytest.approx(1.217009037758, abs=1e-6)
 
     def test_width_monotone_in_n_and_bk(self):
-        widths_n = [conservative_ci(0.0, n, 1.0, 0.05, 0.001).width for n in (10, 100, 1000)]
+        def width(n, bk):
+            hi, lo = _ci_offsets(n, 1.0, 0.05, bk)
+            return hi - lo
+
+        widths_n = [width(n, 0.001) for n in (10, 100, 1000)]
         assert widths_n[0] >= widths_n[1] >= widths_n[2]
-        widths_bk = [conservative_ci(0.0, 50, 1.0, 0.05, bk).width for bk in (0.0, 0.005, 0.02)]
+        widths_bk = [width(50, bk) for bk in (0.0, 0.005, 0.02)]
         assert widths_bk[0] <= widths_bk[1] <= widths_bk[2]
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            conservative_ci(0.0, 10, 1.0, 1.5, 0.0)
+            _ci_offsets(10, 1.0, 1.5, 0.0)
         with pytest.raises(DomainError):
-            conservative_ci(0.0, 0, 1.0, 0.05, 0.0)
+            _ci_offsets(0, 1.0, 0.05, 0.0)
         with pytest.raises(DomainError):
-            conservative_ci(0.0, 10, 0.0, 0.05, 0.0)
+            _ci_offsets(10, 0.0, 0.05, 0.0)
 
 
 class TestDirectSumBound:
