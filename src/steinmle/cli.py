@@ -5,7 +5,8 @@ Verbs: ``bound`` (term-by-term bound for one model/configuration), ``table``
 seeded empirical columns), ``simulate``, ``ci``, ``mse-sweep`` and
 ``constants`` (ingredient/constant audit).
 
-Each verb computes its result and returns it in all three formats: a JSON
+One ``argparse`` parser, built at import, holds a subparser per verb.  Each
+verb computes its result and returns it in all three formats: a JSON
 payload, CSV rows and text lines; ``_emit`` prints the chosen one.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a size too
@@ -16,13 +17,11 @@ environment variable when set.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 
-import click
-
-from . import registry
+from . import __version__, registry
 from .errors import ConvergenceError, DomainError, SteinMLEError
 from .expfam import exp_noncanonical_ingredients
 from .msebound import BetaParams
@@ -31,20 +30,18 @@ from .steincore import inv_quadratic_test_function, kolmogorov_from_bw, score_bo
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_FORMATS = click.Choice(["text", "json", "csv"])
-_MODELS = click.Choice(list(registry.MODEL_NAMES))
-
-# The options more than one verb takes.
-_MODEL = click.option("--model", type=_MODELS, required=True)
-_THETA0 = click.option("--theta0", type=float, required=True)
-_N = click.option("--n", type=int, required=True)
-_BETA = click.option("--beta", type=float, default=1.0, show_default=True, help="Beta model's known shape")
-_EPSILON = click.option("--epsilon", type=float, default=None, help="exponential models' localisation radius (default theta0/2)")
-_C = click.option("--c", type=float, default=None, help="Poisson perturbation constant (default: minimise)")
-_TRIALS = click.option("--trials", type=int, default=10000, show_default=True)
-_SEED = click.option("--seed", type=int, default=None, help="master seed (default: STEINMLE_SEED or 0)")
-_WORKERS = click.option("--workers", type=int, default=1, show_default=True)
-_FORMAT = click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
+# The options more than one verb takes, by flag.
+_SHARED = {
+    "--model": dict(choices=registry.MODEL_NAMES, required=True),
+    "--theta0": dict(type=float, required=True),
+    "--n": dict(type=int, required=True),
+    "--beta": dict(type=float, default=1.0, help="Beta model's known shape (default %(default)s)"),
+    "--epsilon": dict(type=float, help="exponential models' localisation radius (default theta0/2)"),
+    "--c": dict(type=float, help="Poisson perturbation constant (default: minimise)"),
+    "--trials": dict(type=int, default=10000, help="default %(default)s"),
+    "--seed": dict(type=int, help="master seed (default: STEINMLE_SEED or 0)"),
+    "--workers": dict(type=int, default=1, help="default %(default)s"),
+}
 
 # The empirical protocol's test function: sup norm 1/2, Lipschitz 3*sqrt(1.5)/16.
 _TABLE_H = inv_quadratic_test_function()
@@ -56,26 +53,16 @@ _TABLE_SPECS = {
 }
 
 
-def _echo(message: str, err: bool = False):
-    """``click.echo`` to the current ``sys.stdout`` (``sys.stderr`` if err).
-
-    Left to find the stream itself, click caches it in a weak-key table
-    whose value, for an in-memory stream such as a redirected StringIO, is
-    the key itself; that entry never dies and keeps every call's output.
-    """
-    click.echo(message, file=sys.stderr if err else sys.stdout)
-
-
 def _emit(fmt: str, payload: dict, csv_rows, text_lines):
     """Print a verb's result in the chosen format: the JSON payload on one
     line, the CSV rows comma-separated, or the text lines.  The rows and
     lines may be generators, so that only the chosen format is formatted."""
     if fmt == "json":
-        _echo(json.dumps(payload))
+        print(json.dumps(payload))
     elif fmt == "csv":
-        _echo("\n".join(",".join(row) for row in csv_rows))
+        print("\n".join(",".join(row) for row in csv_rows))
     else:
-        _echo("\n".join(text_lines))
+        print("\n".join(text_lines))
 
 
 def _harness():
@@ -93,16 +80,16 @@ def _emit_error(fmt: str, exc: Exception, code: int):
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        _echo(json.dumps(payload), err=True)
+        print(json.dumps(payload), file=sys.stderr)
     else:
-        _echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
     sys.exit(code)
 
 
 def _guard(fmt: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (DomainError, click.UsageError) as exc:
+    except DomainError as exc:
         _emit_error(fmt, exc, EXIT_VALIDATION)
     except (ConvergenceError, ArithmeticError) as exc:
         # overflow or division by zero at an extreme input is a numerical failure
@@ -127,27 +114,36 @@ def _seed(seed):
     try:
         return int(raw)
     except ValueError as exc:
-        raise click.UsageError(f"STEINMLE_SEED must be an integer, got {raw!r}") from exc
+        raise DomainError(f"STEINMLE_SEED must be an integer, got {raw!r}") from exc
 
 
-@click.group()
-@click.version_option()
-def main():
-    """Finite-sample normal-approximation bounds for MLEs."""
+# allow_abbrev=False: an option is matched by its full name only.
+_PARSER = argparse.ArgumentParser(
+    prog="steinmle",
+    description="Finite-sample normal-approximation bounds for MLEs.",
+    allow_abbrev=False,
+)
+_PARSER.add_argument("--version", action="version", version=f"steinmle, version {__version__}")
+_VERBS = _PARSER.add_subparsers(title="verbs", metavar="VERB", required=True)
 
 
-def _verb(name: str):
-    """Register ``body`` as verb ``name``.  The body returns its result as
-    (JSON payload, CSV rows, text lines); it runs, and ``_emit`` prints the
-    chosen format, under ``_guard``."""
+def _verb(name: str, *options):
+    """Register ``body`` as verb ``name``, with ``--format`` and the given
+    options: each a flag of ``_SHARED``, or a flag and its ``add_argument``
+    keywords.  The body returns its result as (JSON payload, CSV rows, text
+    lines); ``main`` runs it, and ``_emit`` prints the chosen format, under
+    ``_guard``."""
 
     def register(body):
-        @main.command(name)
-        @functools.wraps(body)
-        def command(fmt, **options):
-            _guard(fmt, lambda: _emit(fmt, *body(**options)))
-
-        return command
+        summary = body.__doc__.split("\n", 1)[0]
+        verb = _VERBS.add_parser(name, help=summary, description=body.__doc__, allow_abbrev=False)
+        for option in options:
+            flag, spec = (option, _SHARED[option]) if isinstance(option, str) else option
+            verb.add_argument(flag, **spec)
+        verb.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text",
+                          help="default %(default)s")
+        verb.set_defaults(body=body)
+        return body
 
     return register
 
@@ -167,16 +163,11 @@ def _report_rows(mc, reports):
         yield rep.csv_row()
 
 
-@_verb("bound")
-@_MODEL
-@_THETA0
-@_N
-@click.option("--h-sup", type=float, default=1.0, show_default=True, help="sup-norm weight of the test function")
-@click.option("--h-lip", type=float, default=1.0, show_default=True, help="Lipschitz-norm weight")
-@_EPSILON
-@_C
-@_BETA
-@_FORMAT
+@_verb("bound", "--model", "--theta0", "--n",
+       ("--h-sup", dict(type=float, default=1.0,
+                        help="sup-norm weight of the test function (default %(default)s)")),
+       ("--h-lip", dict(type=float, default=1.0, help="Lipschitz-norm weight (default %(default)s)")),
+       "--epsilon", "--c", "--beta")
 def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
     """Term-by-term distance bound and its Kolmogorov conversion.
 
@@ -215,12 +206,8 @@ def _direct_bound_column(n: int) -> float:
     return score_bound(ing, _TABLE_H.weights).total
 
 
-@_verb("table")
-@click.argument("which", type=click.IntRange(1, 3))
-@_TRIALS
-@_SEED
-@_WORKERS
-@_FORMAT
+@_verb("table", ("which", dict(type=int, choices=(1, 2, 3), metavar="WHICH")),
+       "--trials", "--seed", "--workers")
 def cmd_table(which, trials, seed, workers):
     """Reproduce benchmark table WHICH (1, 2 or 3).
 
@@ -277,17 +264,8 @@ def cmd_table(which, trials, seed, workers):
     return payload, csv_rows, _columns(headers, text_rows)
 
 
-@_verb("simulate")
-@_MODEL
-@_THETA0
-@_N
-@_TRIALS
-@_SEED
-@_BETA
-@_EPSILON
-@_C
-@_WORKERS
-@_FORMAT
+@_verb("simulate", "--model", "--theta0", "--n", "--trials", "--seed", "--beta", "--epsilon", "--c",
+       "--workers")
 def cmd_simulate(model, theta0, n, trials, seed, beta, epsilon, c, workers):
     """Empirical h-discrepancy and MSE for one configuration, with its bound."""
     mc = _harness()
@@ -320,16 +298,9 @@ def cmd_simulate(model, theta0, n, trials, seed, beta, epsilon, c, workers):
     return rep.to_dict(), _report_rows(mc, [rep]), text
 
 
-@_verb("ci")
-@_MODEL
-@_THETA0
-@_N
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@_TRIALS
-@_SEED
-@_BETA
-@_WORKERS
-@_FORMAT
+@_verb("ci", "--model", "--theta0", "--n",
+       ("--alpha", dict(type=float, default=0.05, help="default %(default)s")),
+       "--trials", "--seed", "--beta", "--workers")
 def cmd_ci(model, theta0, n, alpha, trials, seed, beta, workers):
     """Coverage of the conservative (Kolmogorov-widened) confidence interval."""
     res = _harness().ci_coverage(
@@ -359,16 +330,9 @@ def cmd_ci(model, theta0, n, alpha, trials, seed, beta, workers):
     return payload, csv_rows, text
 
 
-@_verb("mse-sweep")
-@click.option("--theta0", type=float, default=1.5, show_default=True)
-@_BETA
-@click.option("--n-from", type=int, required=True)
-@click.option("--n-to", type=int, required=True)
-@click.option("--n-step", type=int, default=1, show_default=True)
-@_TRIALS
-@_SEED
-@_WORKERS
-@_FORMAT
+@_verb("mse-sweep", ("--theta0", dict(type=float, default=1.5, help="default %(default)s")), "--beta",
+       ("--n-from", dict(type=int, required=True)), ("--n-to", dict(type=int, required=True)),
+       ("--n-step", dict(type=int, default=1, help="default %(default)s")), "--trials", "--seed", "--workers")
 def cmd_mse_sweep(theta0, beta, n_from, n_to, n_step, trials, seed, workers):
     """Empirical estimator MSE against its bound over a Beta sample-size range."""
     if n_step < 1 or n_to < n_from:
@@ -390,13 +354,8 @@ def cmd_mse_sweep(theta0, beta, n_from, n_to, n_step, trials, seed, workers):
     return payload, _report_rows(mc, reports), _columns(["n", "empirical_mse", "bound", "error"], text_rows)
 
 
-@_verb("constants")
-@_MODEL
-@_THETA0
-@click.option("--n", type=int, default=None, help="sample size for n-dependent quantities")
-@_BETA
-@_EPSILON
-@_FORMAT
+@_verb("constants", "--model", "--theta0",
+       ("--n", dict(type=int, help="sample size for n-dependent quantities")), "--beta", "--epsilon")
 def cmd_constants(model, theta0, n, beta, epsilon):
     """Audit dump of a model's bound ingredients/constants."""
     entry = registry.get_model(model, beta=beta)
@@ -416,6 +375,24 @@ def _flatten(obj, prefix=""):
     for k, v in items:
         rows.extend(_flatten(v, f"{prefix}{k}." if isinstance(v, (dict, list)) else f"{prefix}{k}"))
     return rows
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run the verb named by ``args`` (default ``sys.argv[1:]``).
+
+    A usage error exits 2, as a validation error does; a numerical failure
+    exits 3 (see ``_guard``).  ``prog_name``, ``standalone_mode`` and
+    ``main.main`` accept the calls of a click command,
+    ``main.main(args=..., prog_name=..., standalone_mode=...)``, and change
+    nothing: the program is always named steinmle, and every error exits.
+    """
+    options = vars(_PARSER.parse_args(args))
+    body, fmt = options.pop("body"), options.pop("fmt")
+    _guard(fmt, lambda: _emit(fmt, *body(**options)))
+
+
+main.main = main
+main.name = "steinmle"
 
 
 if __name__ == "__main__":

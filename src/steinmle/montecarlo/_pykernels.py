@@ -16,7 +16,8 @@ law, each trial draws it directly:
 Beta with a non-integer known shape has no such law, and one above n costs
 more through it than raw sampling does.  Those trials draw raw samples with
 ``Generator.beta`` in blocks of ``block_trials(n)`` whole trials, which hold
-at most ``BLOCK_OBS`` observations when n allows.
+at most ``BLOCK_OBS`` observations when n allows; ``trial_stats`` refuses a
+trial of more than 2^16 such pieces (n > 2^32).
 
 Stream layout.  A call covering trials [trial_start, trial_stop) draws its
 closed-form statistics in order from one stream: Philox4x64 keyed by the
@@ -52,8 +53,9 @@ _TINY_X = 2.0**-64
 
 # Largest Poisson mean drawn in one piece; numpy refuses means above ~9.2e18.
 _POISSON_LAM_MAX = 2.0**62
-# A Poisson draw takes at most this many pieces, so its cost stays bounded.
-_POISSON_PIECES_MAX = 2**16
+# A Poisson draw, or a raw-sample trial, takes at most this many pieces, so
+# its cost stays bounded.
+_PIECES_MAX = 2**16
 
 # Observations per raw-sample block, when n allows more than one trial.
 BLOCK_OBS = 2**16
@@ -88,10 +90,10 @@ def _poisson(lam: float, size: int, rng: Generator) -> np.ndarray:
     A mean beyond numpy's range is drawn as the sum of independent Poisson
     pieces of equal mean, which has the same law.
     """
-    if not lam <= _POISSON_LAM_MAX * _POISSON_PIECES_MAX:
+    if not lam <= _POISSON_LAM_MAX * _PIECES_MAX:
         raise DomainError(
             f"poisson: mean {lam!r} exceeds the sampler's range "
-            f"{_POISSON_LAM_MAX * _POISSON_PIECES_MAX:.3g}"
+            f"{_POISSON_LAM_MAX * _PIECES_MAX:.3g}"
         )
     pieces = max(1, math.ceil(lam / _POISSON_LAM_MAX))
     total = np.zeros(size)
@@ -172,6 +174,11 @@ def trial_stats(
         raise DomainError("trial_stop must be >= trial_start")
     if not raw_sampled(model, beta, n):
         return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
+    if n > BLOCK_OBS * _PIECES_MAX:
+        raise DomainError(
+            f"beta: with known shape {beta!r} a trial draws n raw observations, and "
+            f"n = {n} exceeds the sampler's range {BLOCK_OBS * _PIECES_MAX}"
+        )
     step = block_trials(n)
     parts = [
         sample_stats(model, theta0, beta, n, min(step, trial_stop - t), make_generator(seed, t))

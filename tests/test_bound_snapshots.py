@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 from steinmle.cli import main
 from steinmle.expfam import exp_noncanonical_ingredients

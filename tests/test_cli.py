@@ -10,7 +10,6 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import steinmle
 from steinmle.cli import main
@@ -28,13 +27,15 @@ def _run_cli(args):
     )
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def _json_out(result):
     return json.loads(result.output)
+
+
+def test_version_from_a_source_checkout():
+    out = _run_cli(["--version"])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"steinmle, version {steinmle.__version__}\n"
+    assert out.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -141,8 +142,8 @@ class TestBoundCommand:
 
 
 def test_in_process_calls_keep_no_output_alive():
-    # click caches the stream it resolves for echo; for a redirected
-    # StringIO that cache entry would hold every call's output for good
+    # nothing may keep a reference to a redirected StringIO (a cache of the
+    # stream each call wrote to, say): it would hold every call's output for good
     args = ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "100", "--format", "json"]
 
     def call():
@@ -261,6 +262,14 @@ class TestSimulateCommand:
         assert with_env.exit_code == explicit.exit_code == 0
         assert _json_out(with_env)["empirical_distance"] == _json_out(explicit)["empirical_distance"]
         assert _json_out(with_env)["seed"] == 31
+
+    def test_non_integer_env_seed_is_a_validation_error(self, runner):
+        args = ["table", "1", "--trials", "2", "--format", "json"]
+        result = runner.invoke(main, args, env={"STEINMLE_SEED": "x"})
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        assert err["error"] == "DomainError"
+        assert err["message"] == "STEINMLE_SEED must be an integer, got 'x'"
 
 
 class TestCiCommand:
@@ -455,9 +464,32 @@ class TestConstantsCommand:
 
 
 class TestValidation:
-    def test_unknown_model_rejected_by_click(self, runner):
-        result = runner.invoke(main, ["bound", "--model", "weibull", "--theta0", "1", "--n", "10"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--model", "weibull", "--theta0", "1", "--n", "10"],
+            ["bound", "--model", "poisson", "--theta0", "1"],
+            ["table", "4"],
+            ["bound", "--mod", "poisson", "--theta0", "1", "--n", "10"],
+            ["bound", "--model", "poisson", "--theta0", "1", "--n", "1.5"],
+            ["weibull"],
+            [],
+        ],
+        ids=["unknown-model", "missing-option", "table-4", "abbreviated-option", "non-integer-n",
+             "unknown-verb", "no-verb"],
+    )
+    def test_usage_error_exits_2(self, runner, args):
+        # options match by their full names only, and every verb states its usage
+        result = runner.invoke(main, args + ["--format", "json"])
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "usage: steinmle" in result.stderr
+
+    @pytest.mark.parametrize("verb", ["bound", "table", "simulate", "ci", "mse-sweep", "constants"])
+    def test_every_verb_has_help(self, runner, verb):
+        result = runner.invoke(main, [verb, "--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"usage: steinmle {verb} ")
 
     def test_bad_theta0_domain_error(self, runner):
         result = runner.invoke(

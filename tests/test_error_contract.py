@@ -10,10 +10,11 @@ CLI answers every input with exit 0, 2 or 3 and, with ``--format json``, a
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -216,6 +217,29 @@ def test_sweep_below_minimal_n_names_the_first_and_the_count():
     assert result.exit_code == 2
     message = json.loads(result.stderr)["message"]
     assert message == "n below minimal n = 7460: 7459 of the n values, the smallest 1"
+
+
+# A non-integer-shape Beta trial draws its n observations in pieces of
+# BLOCK_OBS; past 2^16 pieces (n > 2^32) it is refused before any draw.
+_RAW_TOO_LARGE = {
+    "simulate": ["simulate", "--model", "beta", "--theta0", "1.5", "--beta", "2.5",
+                 "--n", str(10**12), "--trials", "1"],
+    "ci": ["ci", "--model", "beta", "--theta0", "1.5", "--beta", "2.5", "--n", str(10**12),
+           "--trials", "1"],
+    "mse-sweep": ["mse-sweep", "--beta", "2.5", "--n-from", str(2**32 + 1),
+                  "--n-to", str(2**32 + 1), "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("case", _RAW_TOO_LARGE)
+def test_raw_sample_trial_beyond_the_sampler_range_exits_2(case):
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, _RAW_TOO_LARGE[case] + ["--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.stderr)
+    assert err["error"] == "DomainError"
+    assert "exceeds the sampler's range 4294967296" in err["message"]
 
 
 # +-0, nan, +-inf, and magnitudes log-uniform on [1e-300, 1e300] of either sign
