@@ -1,4 +1,5 @@
-"""The two input checks behind every public entry point.
+"""The two input checks behind every public entry point, and the base of
+the value types that store what they checked.
 
 ``real`` takes any ``numbers.Real`` (numpy floating and integer scalars
 included) and returns a plain float; ``integer`` takes any
@@ -8,7 +9,10 @@ is not a number, such as the string ``"0.5"``.  A refusal is a DomainError
 whose message starts with the parameter's name.  Ranges particular to one
 model, such as 0 < epsilon < theta0, are checked where the model is.
 
-Neither check imports numpy, so the bound verbs start without it.
+Neither check imports numpy, so the bound verbs start without it.  For the
+same reason the value types are plain classes on ``Value``, not dataclasses:
+``dataclasses`` and the ``inspect`` it loads took longer to import than the
+rest of the package.
 """
 
 import math
@@ -51,3 +55,31 @@ def integer(x, name, *, ge=1) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < ge:
         raise DomainError(f"{name} must be an integer >= {ge}, got {x!r}")
     return operator.index(x)
+
+
+class Value:
+    """A frozen value: ``__init__`` checks its fields and stores them once,
+    with ``vars(self).update``.  Equality, hash and repr read the public
+    attributes in the order they were stored (a name starting with ``_`` is
+    a cache, not a field); assignment and deletion are refused."""
+
+    def _field_items(self):
+        return [(name, value) for name, value in vars(self).items() if name[0] != "_"]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_items() == other._field_items()
+
+    def __hash__(self):
+        return hash(tuple(value for _, value in self._field_items()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._field_items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

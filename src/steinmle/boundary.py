@@ -24,10 +24,8 @@ or undefined at the boundary is carried by the explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
-from ._validate import integer, real
+from ._validate import Value, integer, real
 from .errors import DomainError, float_range
 from .steincore import BoundBreakdown, _score_term
 
@@ -67,28 +65,21 @@ class _DegenerateFisherInfo:
 DEGENERATE_FISHER_INFO = _DegenerateFisherInfo()
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(Value):
     """An interval [a, b] (endpoints may be infinite) with constant c and n.
 
     For two finite endpoints the admissibility constraint is
     0 < c < n(b-a)/2, which keeps the perturbed endpoints inside (a, b).
     """
 
-    a: float
-    b: float
-    c: float
-    n: int
-
-    def __post_init__(self):
-        a, b = real(self.a, "a", inf=True), real(self.b, "b", inf=True)
+    def __init__(self, a: float, b: float, c: float, n: int):
+        a, b = real(a, "a", inf=True), real(b, "b", inf=True)
         if not a < b:
             raise DomainError(f"interval endpoints must satisfy a < b, got [{a!r}, {b!r}]")
-        n, c = integer(self.n, "n"), real(self.c, "c", gt=0.0)
+        n, c = integer(n, "n"), real(c, "c", gt=0.0)
         if math.isfinite(a) and math.isfinite(b) and not c < n * (b - a) / 2.0:
             raise DomainError(f"c must satisfy 0 < c < n(b-a)/2 = {n * (b - a) / 2.0!r}, got {c!r}")
-        for name, value in (("a", a), ("b", b), ("c", c), ("n", n)):
-            object.__setattr__(self, name, value)
+        vars(self).update(a=a, b=b, c=c, n=n)
 
     @property
     def kind(self) -> str:
@@ -132,26 +123,20 @@ def perturbed_theta(theta0: float, spec: PerturbationSpec) -> float:
     return _apply_map(spec, theta0, "theta0")
 
 
-@dataclass(frozen=True)
-class PerturbedScoreStats:
+class PerturbedScoreStats(Value):
     """Moments of Y_i = l'(theta0*; q(X_i)) / (sqrt(n) i(theta0*)).
 
     w1/w2 are the mean and variance; third_abs_central is E|Y_1 - w1|^3 or
     an upper bound for it.
     """
 
-    w1: float
-    w2: float
-    third_abs_central: float
-
-    def __post_init__(self):  # stored as plain floats, whatever real type came in
-        object.__setattr__(self, "w1", real(self.w1, "w1"))
-        object.__setattr__(self, "w2", real(self.w2, "w2"))
-        third = real(self.third_abs_central, "third_abs_central", ge=0.0)
-        object.__setattr__(self, "third_abs_central", third)
-
-
-FisherLike = Union[float, _DegenerateFisherInfo]
+    def __init__(self, w1: float, w2: float, third_abs_central: float):
+        # stored as plain floats, whatever real type came in
+        vars(self).update(
+            w1=real(w1, "w1"),
+            w2=real(w2, "w2"),
+            third_abs_central=real(third_abs_central, "third_abs_central", ge=0.0),
+        )
 
 
 def general_perturbed_bound(
@@ -159,7 +144,7 @@ def general_perturbed_bound(
     n: int,
     spec_param: PerturbationSpec,
     stats: PerturbedScoreStats,
-    fisher_at_theta0: FisherLike,
+    fisher_at_theta0: float | _DegenerateFisherInfo,
     mle_gap_expectation: float,
     perturbed_ingredients,
 ) -> BoundBreakdown:

@@ -21,7 +21,6 @@ bound on theta^3 * E|1/theta - X|^3 for X ~ Exp(theta); the exact value is
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ._validate import integer, real
 from .errors import DomainError, float_range
@@ -38,7 +37,7 @@ EXP_THIRD_ABS_BOUND = 2.41456
 
 @float_range
 def exp_canonical_ingredients(
-    theta0: float, n: int, epsilon: Optional[float] = None
+    theta0: float, n: int, epsilon: float | None = None
 ) -> BoundIngredients:
     """Bound ingredients for the rate-parametrised exponential model.
 
@@ -77,7 +76,7 @@ def exp_canonical_ingredients(
 
 @float_range
 def exp_noncanonical_ingredients(
-    theta0: float, n: int, epsilon: Optional[float] = None
+    theta0: float, n: int, epsilon: float | None = None
 ) -> BoundIngredients:
     """Bound ingredients for the mean-parametrised exponential model.
 

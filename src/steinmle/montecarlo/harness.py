@@ -31,13 +31,12 @@ estimators and the shape root act on each trial alone, and h elementwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .. import registry
-from .._validate import integer, real
+from .._validate import Value, integer, real
 from ..errors import DomainError, SteinMLEError
 from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
 from ..specfun import normal_expectation
@@ -80,33 +79,31 @@ REPORT_CSV_COLUMNS = (
 _ROOT_LANES = 16384
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """One distance experiment: model, true parameter, sizes, seed, h."""
+class SimulationConfig(Value):
+    """One distance experiment: model, true parameter, sizes, seed, h.
 
-    model: str
-    theta0: float
-    n: int
-    trials: int = 10000
-    seed: int = 0
-    test_function: TestFunction = field(default_factory=inv_quadratic_test_function)
-    beta: float = 1.0  # Beta model's known second shape
-    epsilon: Optional[float] = None
-    c: object = "auto"  # Poisson perturbation constant
-    workers: int = 1
+    ``test_function`` None is the default h, ``inv_quadratic_test_function()``.
+    """
 
-    def __post_init__(self):
-        if self.model not in registry.MODEL_NAMES:
-            raise DomainError(
-                f"model must be one of {registry.MODEL_NAMES}, got {self.model!r}"
-            )
-        for name in ("n", "trials", "workers"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
-        object.__setattr__(self, "seed", integer(self.seed, "seed", ge=0))
+    def __init__(
+        self, model: str, theta0: float, n: int, trials: int = 10000, seed: int = 0,
+        test_function: TestFunction | None = None,
+        beta: float = 1.0,  # Beta model's known second shape
+        epsilon: float | None = None,
+        c: object = "auto",  # Poisson perturbation constant
+        workers: int = 1,
+    ):
+        if model not in registry.MODEL_NAMES:
+            raise DomainError(f"model must be one of {registry.MODEL_NAMES}, got {model!r}")
+        n, trials, workers = integer(n, "n"), integer(trials, "trials"), integer(workers, "workers")
+        vars(self).update(
+            model=model, theta0=theta0, n=n, trials=trials, seed=integer(seed, "seed", ge=0),
+            test_function=inv_quadratic_test_function() if test_function is None else test_function,
+            beta=beta, epsilon=epsilon, c=c, workers=workers,
+        )
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Value):
     """Outcome of one experiment row.
 
     ``target`` records which quantity ``bound_total`` controls: the
@@ -115,20 +112,18 @@ class SimulationReport:
     empirical value.
     """
 
-    model: str
-    theta0: float
-    n: int
-    trials: int
-    seed: int
-    empirical_distance: float
-    empirical_mse: float
-    bound_total: float
-    bound_terms: BoundBreakdown
-    standard_error: Optional[float]
-    expected_h: float
-    target: str = "distance"
-    rng_algorithm: str = RNG_ALGORITHM
-    backend: str = BACKEND_NAME
+    def __init__(
+        self, model: str, theta0: float, n: int, trials: int, seed: int,
+        empirical_distance: float, empirical_mse: float, bound_total: float,
+        bound_terms: BoundBreakdown, standard_error: float | None, expected_h: float,
+        target: str = "distance", rng_algorithm: str = RNG_ALGORITHM, backend: str = BACKEND_NAME,
+    ):
+        vars(self).update(
+            model=model, theta0=theta0, n=n, trials=trials, seed=seed,
+            empirical_distance=empirical_distance, empirical_mse=empirical_mse,
+            bound_total=bound_total, bound_terms=bound_terms, standard_error=standard_error,
+            expected_h=expected_h, target=target, rng_algorithm=rng_algorithm, backend=backend,
+        )
 
     @property
     def empirical(self) -> float:
@@ -245,7 +240,7 @@ def expected_h(cfg: SimulationConfig) -> float:
 
 
 def run_simulation(
-    cfg: SimulationConfig, *, expected_h: Optional[float] = None
+    cfg: SimulationConfig, *, expected_h: float | None = None
 ) -> SimulationReport:
     """Run one distance experiment and attach the model's bound.
 
@@ -360,13 +355,15 @@ def run_mse_sweep(
     return reports
 
 
-@dataclass(frozen=True)
-class CoverageResult:
-    coverage: float
-    trials: int
-    b_k: float
-    degenerate: bool
-    alpha: float
+class CoverageResult(Value):
+    """Outcome of ``ci_coverage``: the fraction of intervals that covered
+    theta0, the Kolmogorov bound b_k that widened them, and whether b_k >=
+    alpha/2 made every interval the whole line."""
+
+    def __init__(self, coverage: float, trials: int, b_k: float, degenerate: bool, alpha: float):
+        vars(self).update(
+            coverage=coverage, trials=trials, b_k=b_k, degenerate=degenerate, alpha=alpha
+        )
 
 
 def ci_coverage(

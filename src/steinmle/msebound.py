@@ -32,11 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
-from typing import Optional
 
-from ._validate import integer, real
+from ._validate import Value, integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
 from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
 from .steincore import (
@@ -67,8 +65,7 @@ __all__ = [
 _EXTENDED = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
-@dataclass(frozen=True)
-class ImplicitModelIngredients:
+class ImplicitModelIngredients(Value):
     """Inputs to the implicit-MLE MSE bound.
 
     ``c1_const`` is the per-observation deterministic bound on the third
@@ -77,31 +74,20 @@ class ImplicitModelIngredients:
     the (bounded) support -- both 1 for distributions on [0, 1].
     """
 
-    fisher_info: float
-    third_abs_score_moment: float
-    var_l2: float
-    c1_const: float
-    sup_x_norm: float
-    sup_x2_norm: float
-    epsilon: float
-
-    def __post_init__(self):
-        fisher = real(self.fisher_info, "fisher_info", gt=0.0)
-        third = real(self.third_abs_score_moment, "third_abs_score_moment", gt=0.0)
-        var_l2 = real(self.var_l2, "var_l2", ge=0.0)
-        c1 = real(self.c1_const, "c1_const", gt=0.0)
-        x_norm = real(self.sup_x_norm, "sup_x_norm", gt=0.0)
-        x2_norm = real(self.sup_x2_norm, "sup_x2_norm", gt=0.0)
-        eps = real(self.epsilon, "epsilon", gt=0.0)
-        # Plain floats, rewritten only where a field came in as another type
-        # (the checks return a float argument itself).
-        if not (fisher is self.fisher_info and third is self.third_abs_score_moment
-                and var_l2 is self.var_l2 and c1 is self.c1_const and x_norm is self.sup_x_norm
-                and x2_norm is self.sup_x2_norm and eps is self.epsilon):
-            vars(self).update(
-                fisher_info=fisher, third_abs_score_moment=third, var_l2=var_l2, c1_const=c1,
-                sup_x_norm=x_norm, sup_x2_norm=x2_norm, epsilon=eps,
-            )
+    def __init__(
+        self, fisher_info: float, third_abs_score_moment: float, var_l2: float,
+        c1_const: float, sup_x_norm: float, sup_x2_norm: float, epsilon: float,
+    ):
+        # stored as plain floats, whatever real type came in
+        vars(self).update(
+            fisher_info=real(fisher_info, "fisher_info", gt=0.0),
+            third_abs_score_moment=real(third_abs_score_moment, "third_abs_score_moment", gt=0.0),
+            var_l2=real(var_l2, "var_l2", ge=0.0),
+            c1_const=real(c1_const, "c1_const", gt=0.0),
+            sup_x_norm=real(sup_x_norm, "sup_x_norm", gt=0.0),
+            sup_x2_norm=real(sup_x2_norm, "sup_x2_norm", gt=0.0),
+            epsilon=real(epsilon, "epsilon", gt=0.0),
+        )
 
     @functools.cached_property
     def _decimals(self):
@@ -109,27 +95,15 @@ class ImplicitModelIngredients:
         return _NFreeParts(self)
 
     def to_dict(self):
-        return {
-            "fisher_info": self.fisher_info,
-            "third_abs_score_moment": self.third_abs_score_moment,
-            "var_l2": self.var_l2,
-            "c1_const": self.c1_const,
-            "sup_x_norm": self.sup_x_norm,
-            "sup_x2_norm": self.sup_x2_norm,
-            "epsilon": self.epsilon,
-        }
+        return dict(self._field_items())  # without the cached ``_decimals``
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Value):
     """Beta(theta0, beta) with the first shape unknown and beta known."""
 
-    theta0: float
-    beta: float
-
-    def __post_init__(self):  # stored as plain floats, whatever real type came in
-        object.__setattr__(self, "theta0", real(self.theta0, "theta0", gt=0.0))
-        object.__setattr__(self, "beta", real(self.beta, "beta", gt=0.0))
+    def __init__(self, theta0: float, beta: float):
+        # stored as plain floats, whatever real type came in
+        vars(self).update(theta0=real(theta0, "theta0", gt=0.0), beta=real(beta, "beta", gt=0.0))
 
 
 class _NFreeParts:
@@ -264,7 +238,7 @@ def _beta_fisher_b1(theta0: float, beta: float):
 
 # Its float-range errors name the public builder, whichever caller meets them.
 @functools.partial(float_range, name="beta_ingredients")
-def _beta_ingredients_b1(p: BetaParams, epsilon: Optional[float] = None):
+def _beta_ingredients_b1(p: BetaParams, epsilon: float | None = None):
     """``beta_ingredients(p, epsilon)`` and B1, from one polygamma shift pass
     at each argument."""
     theta0, beta = p.theta0, p.beta
@@ -295,7 +269,7 @@ def _beta_ingredients_b1(p: BetaParams, epsilon: Optional[float] = None):
 
 
 def beta_ingredients(
-    p: BetaParams, epsilon: Optional[float] = None
+    p: BetaParams, epsilon: float | None = None
 ) -> ImplicitModelIngredients:
     """Implicit-model ingredients for Beta(theta0, beta), beta known.
 

@@ -22,7 +22,6 @@ call.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from . import boundary, expfam, msebound
 from ._validate import integer, real
@@ -106,7 +105,7 @@ class Model:
         return msebound.beta_shape_roots(stat, self.beta)
 
     def distance_bound(
-        self, theta0: float, n: int, h_weights=(1.0, 1.0), epsilon: Optional[float] = None, c="auto"
+        self, theta0: float, n: int, h_weights=(1.0, 1.0), epsilon: float | None = None, c="auto"
     ) -> BoundBreakdown:
         # The Poisson and Beta closed forms already absorb the test-function
         # norms at their class ceiling (sup <= 1, Lipschitz <= 1), so they
@@ -127,7 +126,7 @@ class Model:
         p = msebound.BetaParams(theta0, self.beta)
         return msebound._beta_mse_bound(msebound.beta_ingredients(p), n)
 
-    def audit(self, theta0: float, n: int, epsilon: Optional[float] = None) -> dict:
+    def audit(self, theta0: float, n: int, epsilon: float | None = None) -> dict:
         if self.name == "poisson":
             theta0, n = real(theta0, "theta0", ge=0.0), integer(n, "n")
             bd = self.distance_bound(theta0, n, epsilon=epsilon)

@@ -23,7 +23,6 @@ All functions are pure and reentrant; there is no shared state.
 
 from __future__ import annotations
 
-import heapq
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
@@ -212,6 +211,8 @@ def _adaptive_gauss_kronrod(f, breakpoints):
     estimate meets the target, reaches the interval limit, or stops being
     finite; the caller judges the returned estimate against its budget.
     """
+    import heapq  # here: only a test function without an exact E h(Z) gets here
+
     heap = []  # (-error, a, b, value): the worst interval on top
     for a, b in zip(breakpoints, breakpoints[1:]):
         value, error = _gauss_kronrod_21(f, a, b)
@@ -241,18 +242,23 @@ _LOG10_E = math.log10(math.e)
 # way to round it wrongly.
 _EXACT_DIGITS = 28
 # Below this x = 1/scale the Taylor series is used, above it the continued
-# fraction; 30 levels of the fraction are exact to < 1e-28 for x >= 6.
-_SERIES_CUT = 6.0
-_CF_DEPTH = 30
+# fraction: 80 levels of the fraction are exact to < 3e-29 for x >= 3 (the
+# series there needs ~x^2 log10(e) more digits and ~2x^2 more terms, so the
+# cut caps the cost of both sides).
+_SERIES_CUT = 3.0
+_CF_DEPTH = 80
+# The fraction's numerators k/2, k = _CF_DEPTH down to 1: exact as floats,
+# so exact as Decimals whatever the decimal context.
+_CF_HALVES = tuple(Decimal(k / 2) for k in range(_CF_DEPTH, 0, -1))
 
 
 def inv_quadratic_expectation(scale):
     """E[1/((scale Z)^2 + 2)] for Z ~ N(0,1), correctly rounded for scale > 0.
 
     With x = 1/scale the value is x (sqrt(pi)/2) exp(x^2) erfc(x).  For
-    x <= 6 it is x [(sqrt(pi)/2) exp(x^2) - sum_k 2^k x^(2k+1)/(2k+1)!!]
+    x <= 3 it is x [(sqrt(pi)/2) exp(x^2) - sum_k 2^k x^(2k+1)/(2k+1)!!]
     (the series of exp(x^2) erf(x)); the difference cancels about
-    x^2 log10(e) digits, which the working precision adds back.  Above 6 it
+    x^2 log10(e) digits, which the working precision adds back.  Above 3 it
     is x/2 over Laplace's continued fraction x + (1/2)/(x + 1/(x + (3/2)/(x
     + ...))).  Both run in stdlib ``decimal`` and round to float once.
     """
@@ -276,8 +282,8 @@ def inv_quadratic_expectation(scale):
     with localcontext(Context(prec=_EXACT_DIGITS, rounding=ROUND_HALF_EVEN)):
         x = 1 / Decimal(scale)
         fraction = x
-        for k in range(_CF_DEPTH, 0, -1):
-            fraction = x + Decimal(k) / 2 / fraction
+        for half_k in _CF_HALVES:
+            fraction = x + half_k / fraction
         return float(x / (2 * fraction))
 
 

@@ -30,12 +30,10 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from collections.abc import Callable
 
-from ._validate import integer, real
+from ._validate import Value, integer, real
 from .errors import DomainError, float_range
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
@@ -55,8 +53,7 @@ TERM_R2 = "r2"
 TERM_TAYLOR = "taylor_remainder"
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(Value):
     """A test function h with its sup norm and Lipschitz constant.
 
     ``sup_norm + lip_norm <= 1`` puts h inside the bounded-Lipschitz class
@@ -75,22 +72,28 @@ class TestFunction:
 
     __test__ = False  # keep pytest collection away from the Test* name
 
-    evaluator: Callable  # float -> float, and float64 array -> same-shape array
-    sup_norm: float
-    lip_norm: float
-    label: str = ""
-    gaussian_expectation: Optional[Callable[[float], float]] = None
-
-    def __post_init__(self):
-        if not callable(self.evaluator):
+    def __init__(
+        self,
+        evaluator: Callable,  # float -> float, and float64 array -> same-shape array
+        sup_norm: float,
+        lip_norm: float,
+        label: str = "",
+        gaussian_expectation: Callable[[float], float] | None = None,
+    ):
+        if not callable(evaluator):
             raise DomainError("TestFunction.evaluator must be callable")
-        if self.gaussian_expectation is not None and not callable(self.gaussian_expectation):
+        if gaussian_expectation is not None and not callable(gaussian_expectation):
             raise DomainError("TestFunction.gaussian_expectation must be callable")
-        object.__setattr__(self, "sup_norm", real(self.sup_norm, "sup_norm", ge=0.0))
-        object.__setattr__(self, "lip_norm", real(self.lip_norm, "lip_norm", ge=0.0))
+        vars(self).update(
+            evaluator=evaluator,
+            sup_norm=real(sup_norm, "sup_norm", ge=0.0),
+            lip_norm=real(lip_norm, "lip_norm", ge=0.0),
+            label=label,
+            gaussian_expectation=gaussian_expectation,
+        )
 
     @property
-    def weights(self) -> Tuple[float, float]:
+    def weights(self) -> tuple[float, float]:
         return (self.sup_norm, self.lip_norm)
 
     def in_bounded_lipschitz_class(self, tol=1e-12) -> bool:
@@ -114,8 +117,7 @@ def inv_quadratic_test_function() -> TestFunction:
     )
 
 
-@dataclass(frozen=True)
-class BoundIngredients:
+class BoundIngredients(Value):
     """Per-model moment inputs for the general estimator bound.
 
     fisher_info is the expected information of a single observation;
@@ -127,39 +129,26 @@ class BoundIngredients:
     the epsilon-neighbourhood (full n-dependent form).
     """
 
-    theta0: float
-    n: int
-    fisher_info: float
-    third_abs_score_moment: float
-    mse: float
-    fourth_mle_moment: float
-    sup_third_deriv: float
-    r2_conditional_bound: float
-    epsilon: float
-    sup_third_is_deterministic: bool = False
-
-    def __post_init__(self):
-        n = integer(self.n, "n")
-        theta0 = real(self.theta0, "theta0")
-        fisher = real(self.fisher_info, "fisher_info", gt=0.0)
-        third = real(self.third_abs_score_moment, "third_abs_score_moment", ge=0.0, inf=True)
-        mse = real(self.mse, "mse", ge=0.0, inf=True)
-        fourth = real(self.fourth_mle_moment, "fourth_mle_moment", ge=0.0, inf=True)
-        sup3 = real(self.sup_third_deriv, "sup_third_deriv", ge=0.0, inf=True)
-        r2 = real(self.r2_conditional_bound, "r2_conditional_bound", ge=0.0, inf=True)
-        eps = real(self.epsilon, "epsilon", gt=0.0)
-        # Store a plain int and plain floats, which json.dumps accepts.  The
-        # checks return an int or float argument itself, so the fields are
-        # rewritten only when one came in as another type.
-        if not (n is self.n and theta0 is self.theta0 and fisher is self.fisher_info
-                and third is self.third_abs_score_moment and mse is self.mse
-                and fourth is self.fourth_mle_moment and sup3 is self.sup_third_deriv
-                and r2 is self.r2_conditional_bound and eps is self.epsilon):
-            vars(self).update(
-                n=n, theta0=theta0, fisher_info=fisher, third_abs_score_moment=third, mse=mse,
-                fourth_mle_moment=fourth, sup_third_deriv=sup3, r2_conditional_bound=r2,
-                epsilon=eps,
-            )
+    def __init__(
+        self, theta0: float, n: int, fisher_info: float, third_abs_score_moment: float,
+        mse: float, fourth_mle_moment: float, sup_third_deriv: float,
+        r2_conditional_bound: float, epsilon: float, sup_third_is_deterministic: bool = False,
+    ):
+        n = integer(n, "n")
+        theta0 = real(theta0, "theta0")
+        fisher = real(fisher_info, "fisher_info", gt=0.0)
+        third = real(third_abs_score_moment, "third_abs_score_moment", ge=0.0, inf=True)
+        mse = real(mse, "mse", ge=0.0, inf=True)
+        fourth = real(fourth_mle_moment, "fourth_mle_moment", ge=0.0, inf=True)
+        sup3 = real(sup_third_deriv, "sup_third_deriv", ge=0.0, inf=True)
+        r2 = real(r2_conditional_bound, "r2_conditional_bound", ge=0.0, inf=True)
+        eps = real(epsilon, "epsilon", gt=0.0)
+        # A plain int and plain floats, which json.dumps accepts.
+        vars(self).update(
+            theta0=theta0, n=n, fisher_info=fisher, third_abs_score_moment=third, mse=mse,
+            fourth_mle_moment=fourth, sup_third_deriv=sup3, r2_conditional_bound=r2,
+            epsilon=eps, sup_third_is_deterministic=sup_third_is_deterministic,
+        )
 
     @property
     def taylor_factor(self) -> float:
@@ -170,40 +159,24 @@ class BoundIngredients:
         return self.sup_third_deriv * math.sqrt(self.fourth_mle_moment)
 
     def to_dict(self):
-        return {
-            "theta0": self.theta0,
-            "n": self.n,
-            "fisher_info": self.fisher_info,
-            "third_abs_score_moment": self.third_abs_score_moment,
-            "mse": self.mse,
-            "fourth_mle_moment": self.fourth_mle_moment,
-            "sup_third_deriv": self.sup_third_deriv,
-            "r2_conditional_bound": self.r2_conditional_bound,
-            "epsilon": self.epsilon,
-            "sup_third_is_deterministic": self.sup_third_is_deterministic,
-        }
+        return dict(self._field_items())
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(Value):
     """A labelled term-by-term decomposition of a bound and its total.
 
     The total is the exactly-rounded (fsum) sum of the term values, so
-    permuting terms cannot change it.
+    permuting terms cannot change it; a ``total`` passed in is ignored.
     """
 
-    terms: Tuple[Tuple[str, float], ...]
-    total: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        terms = tuple((str(label), float(value)) for label, value in self.terms)
+    def __init__(self, terms: tuple[tuple[str, float], ...], total: float | None = None):
+        terms = tuple((str(label), float(value)) for label, value in terms)
         for label, value in terms:
             if math.isnan(value):
                 raise DomainError(f"breakdown term {label!r} is NaN")
             if value < 0.0:
                 raise DomainError(f"breakdown term {label!r} is negative: {value!r}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "total", math.fsum(v for _, v in terms))
+        vars(self).update(terms=terms, total=math.fsum(v for _, v in terms))
 
     @property
     def labels(self):
@@ -224,9 +197,6 @@ class BoundBreakdown:
             "terms": [{"label": lab, "value": val} for lab, val in self.terms],
             "total": self.total,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def to_csv_rows(self):
         rows = [(lab, repr(val)) for lab, val in self.terms]

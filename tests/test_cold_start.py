@@ -1,7 +1,8 @@
 """Cold start: what a fresh interpreter loads for each verb.
 
 ``bound`` and ``constants`` must not load numpy, mpmath or ``statistics``
-(the normal quantile's module, which only ``ci`` needs), no verb may load
+(the normal quantile's module, which only ``ci`` needs), neither the
+package's import nor ``bound`` may load ``dataclasses``, no verb may load
 mpmath or scipy, and every third-party module a verb loads must be a
 declared runtime dependency.  Each test starts its own interpreter, since
 the test process has long since imported all of them.
@@ -55,6 +56,31 @@ def test_import_loads_no_numpy_mpmath_or_scipy(module):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import steinmle",
+        "import steinmle.cli",
+        "from steinmle.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:], standalone_mode=False)",
+    ],
+    ids=["import", "import-cli", "bound-beta"],
+)
+def test_no_dataclasses_loaded(code):
+    # the value types are plain classes: importing dataclasses, with the
+    # inspect it loads, took longer than the rest of the package
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print('dataclasses' in set(sys.modules) - before)",
+        *VERB_ARGS["bound"],
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

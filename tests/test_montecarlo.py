@@ -306,6 +306,11 @@ class TestRunSimulation:
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["standard_error"] is None
 
+    def test_no_test_function_is_the_default_h(self):
+        cfg = SimulationConfig("poisson", 5.0, 20, trials=50, seed=1, test_function=None)
+        assert cfg.test_function.label == "inv-quadratic"
+        assert run_simulation(cfg) == run_simulation(SimulationConfig("poisson", 5.0, 20, 50, 1))
+
     @pytest.mark.parametrize("trials", [2, 500, 10000])
     def test_standard_error_matches_stdev(self, trials):
         cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=5, trials=trials, seed=4)

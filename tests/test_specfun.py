@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import EULER_GAMMA, polygamma_series, scalar_asymptotic_coeffs, scalar_polygamma
 
+from steinmle import specfun
 from steinmle.errors import ConvergenceError, DomainError
 from steinmle.specfun import (
     _ASYMPTOTIC_COEFFS,
@@ -154,16 +155,23 @@ class TestNormalExpectation:
         assert normal_expectation(h, scale=sigma) == pytest.approx(ref, abs=1e-9)
 
     # 201 log-spaced scales over [1e-4, 1e4], the Poisson target sigmas, and
-    # both sides of the series / continued-fraction cut at 1/scale = 6.
+    # both sides of the series / continued-fraction cut at 1/scale = 3 and of
+    # the earlier cut at 6.
     EXACT_SCALES = [10.0 ** (-4 + 8 * k / 200) for k in range(201)] + [
         1.0,
         math.sqrt(0.5),
         math.sqrt(5.0),
         math.sqrt(60.0),
+        1.0 / 3.0,
+        1.0 / 2.999,
+        1.0 / 3.001,
         1.0 / 6.0,
         1.0 / 5.999,
         1.0 / 6.001,
     ]
+    # 1/scale every 0.001 over [3, 6], where the continued fraction took
+    # over from the series when the cut moved down from 6.
+    MOVED_SCALES = [1.0 / (3.0 + k / 1000) for k in range(3001)]
 
     def test_exact_expectation_is_correctly_rounded(self):
         def reference(sigma):
@@ -173,9 +181,17 @@ class TestNormalExpectation:
 
         h = inv_quadratic_test_function()
         wrong = [
-            s for s in self.EXACT_SCALES if normal_expectation(h, scale=s) != reference(s)
+            s
+            for s in self.EXACT_SCALES + self.MOVED_SCALES
+            if normal_expectation(h, scale=s) != reference(s)
         ]
         assert wrong == []
+
+    def test_fraction_gives_the_series_value_where_the_cut_moved(self, monkeypatch):
+        fraction = [inv_quadratic_expectation(s) for s in self.MOVED_SCALES]
+        monkeypatch.setattr(specfun, "_SERIES_CUT", 6.0)
+        series = [inv_quadratic_expectation(s) for s in self.MOVED_SCALES]
+        assert fraction == series
 
     def test_exact_expectation_equals_the_quadrature_at_unit_scale(self):
         h = inv_quadratic_test_function()

@@ -114,7 +114,7 @@ class TestBoundBreakdown:
 
     def test_json_round_trip(self):
         bd = BoundBreakdown(terms=(("score", 0.25), ("markov_tail", 0.5)))
-        parsed = json.loads(bd.to_json())
+        parsed = json.loads(json.dumps(bd.to_dict()))
         assert parsed == {
             "terms": [
                 {"label": "score", "value": 0.25},
