@@ -5,15 +5,7 @@ discrete models, implicit-MLE MSE bounds) plus a seeded Monte Carlo harness
 that checks the bounds against empirical estimator behaviour.
 """
 
-from .boundary import (
-    DEGENERATE_FISHER_INFO,
-    PerturbationSpec,
-    PerturbedScoreStats,
-    general_perturbed_bound,
-    perturb,
-    perturbed_theta,
-    poisson_bound,
-)
+from .boundary import PerturbationSpec, perturb, poisson_bound
 from .errors import (
     ConvergenceError,
     DegenerateSampleError,
@@ -72,12 +64,8 @@ __all__ = [
     "exp_canonical_ingredients",
     "exp_noncanonical_ingredients",
     # boundary perturbation
-    "DEGENERATE_FISHER_INFO",
     "PerturbationSpec",
-    "PerturbedScoreStats",
     "perturb",
-    "perturbed_theta",
-    "general_perturbed_bound",
     "poisson_bound",
     # implicit-MLE MSE bounds
     "ImplicitModelIngredients",

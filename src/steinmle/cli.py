@@ -18,7 +18,6 @@ environment variable when set.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__, registry
@@ -56,8 +55,11 @@ _TABLE_SPECS = {
 def _emit(fmt: str, payload: dict, csv_rows, text_lines):
     """Print a verb's result in the chosen format: the JSON payload on one
     line, the CSV rows comma-separated, or the text lines.  The rows and
-    lines may be generators, so that only the chosen format is formatted."""
+    lines may be generators, so that only the chosen format is formatted.
+    ``json`` is imported here, so that text and CSV output never load it."""
     if fmt == "json":
+        import json
+
         print(json.dumps(payload))
     elif fmt == "csv":
         print("\n".join(",".join(row) for row in csv_rows))
@@ -75,6 +77,8 @@ def _harness():
 
 def _emit_error(fmt: str, exc: Exception, code: int):
     if fmt == "json":
+        import json
+
         payload = {
             "schema": "steinmle/error/v1",
             "error": type(exc).__name__,

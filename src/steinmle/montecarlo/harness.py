@@ -96,10 +96,15 @@ class SimulationConfig(Value):
         if model not in registry.MODEL_NAMES:
             raise DomainError(f"model must be one of {registry.MODEL_NAMES}, got {model!r}")
         n, trials, workers = integer(n, "n"), integer(trials, "trials"), integer(workers, "workers")
+        seed = integer(seed, "seed", ge=0)
+        entry = registry.get_model(model, beta)
+        theta0 = real(theta0, "theta0", **entry.theta0_limit)
         vars(self).update(
-            model=model, theta0=theta0, n=n, trials=trials, seed=integer(seed, "seed", ge=0),
+            model=model, theta0=theta0, n=n, trials=trials, seed=seed,
             test_function=inv_quadratic_test_function() if test_function is None else test_function,
-            beta=beta, epsilon=epsilon, c=c, workers=workers,
+            beta=entry.beta,
+            epsilon=None if epsilon is None else real(epsilon, "epsilon", gt=0.0),
+            c=c if c == "auto" else real(c, "c", gt=0.0), workers=workers,
         )
 
 
@@ -235,8 +240,7 @@ def expected_h(cfg: SimulationConfig) -> float:
     normal its standardised estimator targets: what a row's mean of h is
     compared with.  Rows with the same h, model and theta0 share it."""
     entry = registry.get_model(cfg.model, beta=cfg.beta)
-    theta0 = real(cfg.theta0, "theta0", **entry.theta0_limit)
-    return normal_expectation(cfg.test_function, scale=entry.target_sigma(theta0))
+    return normal_expectation(cfg.test_function, scale=entry.target_sigma(cfg.theta0))
 
 
 def run_simulation(
@@ -254,7 +258,7 @@ def run_simulation(
     it here.
     """
     entry = registry.get_model(cfg.model, beta=cfg.beta)
-    theta0 = real(cfg.theta0, "theta0", **entry.theta0_limit)
+    theta0 = cfg.theta0
     h = cfg.test_function
     bound = entry.distance_bound(
         theta0, cfg.n, h_weights=h.weights, epsilon=cfg.epsilon, c=cfg.c

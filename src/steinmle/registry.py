@@ -47,7 +47,7 @@ class Model:
         if name not in MODEL_NAMES:
             raise UnknownModelError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
         self.name = name
-        self.beta = real(beta, "beta", gt=0.0) if name == "beta" else beta
+        self.beta = real(beta, "beta", gt=0.0)
 
     @property
     def supports_ci(self) -> bool:

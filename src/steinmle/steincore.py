@@ -100,16 +100,21 @@ class TestFunction(Value):
         return self.sup_norm + self.lip_norm <= 1.0 + tol
 
 
+def _inv_quadratic(x):
+    return 1.0 / (x * x + 2.0)
+
+
 def inv_quadratic_test_function() -> TestFunction:
     """The harness default h(x) = 1/(x^2 + 2).
 
     Exact norms: sup 1/2 at x = 0, Lipschitz constant 3*sqrt(1.5)/16
     (attained at x = sqrt(2/3)).  sup + lip ~= 0.7296 < 1, so h lies in the
     bounded-Lipschitz class.  Its Gaussian expectation is exact (see
-    ``specfun.inv_quadratic_expectation``).
+    ``specfun.inv_quadratic_expectation``).  Every call gives an equal
+    value: the evaluator is one module-level function, not a new lambda.
     """
     return TestFunction(
-        evaluator=lambda x: 1.0 / (x * x + 2.0),
+        evaluator=_inv_quadratic,
         sup_norm=0.5,
         lip_norm=3.0 * math.sqrt(1.5) / 16.0,
         label="inv-quadratic",
@@ -210,6 +215,15 @@ def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
     return (2.0 + third_abs_moment / variance**1.5) / math.sqrt(n)
 
 
+def _weights(h_weights) -> tuple:
+    """The (sup_norm, lip_norm) pair of a bound's ``h_weights``, checked."""
+    try:
+        sup, lip = h_weights
+    except (TypeError, ValueError):
+        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}") from None
+    return real(sup, "sup weight", ge=0.0), real(lip, "lip weight", ge=0.0)
+
+
 @float_range
 def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     """Distance bound for the standardised score statistic.
@@ -219,11 +233,7 @@ def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     when the estimator already is a normalised i.i.d. sum it bounds the
     estimator's distance directly, with no Taylor expansion.
     """
-    try:
-        sup, lip = h_weights
-    except (TypeError, ValueError):
-        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}") from None
-    sup, lip = real(sup, "sup weight", ge=0.0), real(lip, "lip weight", ge=0.0)
+    sup, lip = _weights(h_weights)
     value = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     return BoundBreakdown(terms=((TERM_SCORE, value),))
 
@@ -239,11 +249,7 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     Non-finite ingredient values propagate into a non-finite total rather
     than raising; check ``BoundBreakdown.is_finite``.
     """
-    try:
-        sup, lip = h_weights
-    except (TypeError, ValueError):
-        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}") from None
-    sup, lip = real(sup, "sup weight", ge=0.0), real(lip, "lip weight", ge=0.0)
+    sup, lip = _weights(h_weights)
     root_ni = math.sqrt(ing.n * ing.fisher_info)
     t_score = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     t_markov = 2.0 * sup * ing.mse / ing.epsilon**2

@@ -216,3 +216,48 @@ def per_trial_coverage(theta_hats, theta0, n, fisher_info, alpha, b_k):
         upper = float(th) - std_normal_quantile(lo_arg) / scale
         covered += lower <= theta0 <= upper
     return covered / len(theta_hats)
+
+
+def half_line_perturbed_bound(n, c, score, fisher, gap, star):
+    """The paper's six-term distance bound for sqrt(n)(theta_hat - theta0)
+    against N(0, 1/i(theta0)), for a parameter on a half-line perturbed
+    inward by c/n to theta0* = theta0 +- c/n.
+
+    ``score`` is (w1, w2, E|Y_1 - w1|^3) for the perturbed scores
+    Y_i = l'(theta0*; q(X_i)) / (sqrt(n) i(theta0*)), ``fisher`` is i(theta0),
+    ``gap`` is E|theta_hat - theta_hat*|, and ``star`` is (i, MSE, epsilon,
+    R2 bound, Taylor factor) at theta0*.  Returns the six terms in the order
+    of ``poisson_bound``'s labels.  Only ``c``, ``gap`` and ``star`` may be
+    numpy arrays, which makes every term an array over c.
+    """
+    root_n = math.sqrt(n)
+    w1, w2, third = score
+    mismatch = abs(1.0 - 1.0 / math.sqrt(w2 * n * fisher)) * math.sqrt(n * w2 + (n * w1) ** 2)
+    mismatch += root_n * abs(w1) / math.sqrt(w2 * fisher)
+    i_star, mse, eps, r2, taylor = star
+    return (
+        c / root_n,
+        root_n * gap,
+        mismatch,
+        (2.0 + third / w2**1.5) / root_n,
+        2.0 * mse / eps**2,
+        (r2 + 0.5 * taylor) / (root_n * i_star),
+    )
+
+
+def poisson_perturbed_terms(theta0, n, c):
+    """``half_line_perturbed_bound`` for the Poisson mean from its moments:
+    Y_i = (X_i - theta0)/sqrt(n), the third absolute central moment by
+    Holder from the fourth, both estimators means (so the gap is c/n), and at
+    theta0* information 1/theta0*, epsilon theta0*/2, R2 bound theta0/theta0*^2
+    and |l'''| <= 24n/theta0*^2 against the mean's fourth central moment."""
+    tp = theta0 + c / n
+    fourth = theta0 / n**3 + 3.0 * theta0**2 / n**2
+    return half_line_perturbed_bound(
+        n,
+        c,
+        (0.0, theta0 / n, (theta0 + 3.0 * theta0**2) ** 0.75 / n**1.5),
+        1.0 / theta0,
+        c / n,
+        (1.0 / tp, theta0 / n, tp / 2.0, theta0 / tp**2, 24.0 * n / tp**2 * math.sqrt(fourth)),
+    )

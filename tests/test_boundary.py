@@ -1,4 +1,5 @@
-"""Perturbation map, general perturbed bound, and the Poisson closed form."""
+"""Perturbation map, and the Poisson closed form against the paper's general
+six-term perturbed bound."""
 
 import math
 
@@ -7,18 +8,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from steinmle.boundary import (
-    DEGENERATE_FISHER_INFO,
-    PerturbationSpec,
-    PerturbedScoreStats,
-    general_perturbed_bound,
-    minimize_poisson_c,
-    perturb,
-    perturbed_theta,
-    poisson_bound,
-)
+from oracles import poisson_perturbed_terms
+
+from steinmle.boundary import PerturbationSpec, minimize_poisson_c, perturb, poisson_bound
 from steinmle.errors import DomainError
-from steinmle.steincore import BoundIngredients
 
 INF = math.inf
 
@@ -120,109 +113,36 @@ class TestPerturbMap:
 
 
 class TestPerturbedTheta:
+    """The map moves the parameter as it moves the data."""
+
     def test_boundary_pushed_inward(self):
         spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=10)
-        assert perturbed_theta(0.0, spec) == pytest.approx(0.1)
+        assert perturb(spec, 0.0) == pytest.approx(0.1)
 
     def test_midpoint_fixed(self):
         for c in (0.1, 1.0, 4.9):
             spec = PerturbationSpec(a=0.0, b=1.0, c=c, n=10)
-            assert perturbed_theta(0.5, spec) == pytest.approx(0.5)
+            assert perturb(spec, 0.5) == pytest.approx(0.5)
 
     def test_half_line_interior_point(self):
         spec = PerturbationSpec(a=0.0, b=INF, c=2.0, n=100)
-        assert perturbed_theta(1.5, spec) == pytest.approx(1.52)
+        assert perturb(spec, 1.5) == pytest.approx(1.52)
 
 
-def poisson_perturbed_ingredients(theta0, n, c):
-    """Closed-form perturbed ingredients for the Poisson mean estimator."""
-    tp = theta0 + c / n
-    return BoundIngredients(
-        theta0=tp,
-        n=n,
-        fisher_info=1.0 / tp,
-        third_abs_score_moment=1.0,  # unused by the perturbed assembler
-        mse=theta0 / n,
-        fourth_mle_moment=theta0 / n**3 + 3.0 * theta0**2 / n**2,
-        sup_third_deriv=24.0 * n / tp**2,
-        r2_conditional_bound=theta0 / tp**2,
-        epsilon=tp / 2.0,
-        sup_third_is_deterministic=False,
-    )
+class TestAgainstGeneralPerturbedBound:
+    """``poisson_bound`` is the paper's general six-term perturbed bound
+    instantiated for the Poisson mean: term by term, it equals the general
+    formula fed the Poisson moments (``oracles.half_line_perturbed_bound``)."""
 
-
-class TestGeneralPerturbedBound:
-    def test_degenerate_information_leaves_only_param_shift(self):
-        n = 25
-        spec = PerturbationSpec(a=0.0, b=INF, c=2.0, n=n)
-        stats = PerturbedScoreStats(w1=0.0, w2=1.0, third_abs_central=0.0)
-        ing = BoundIngredients(
-            theta0=0.1,
-            n=n,
-            fisher_info=1.0,
-            third_abs_score_moment=0.0,
-            mse=0.0,
-            fourth_mle_moment=0.0,
-            sup_third_deriv=0.0,
-            r2_conditional_bound=0.0,
-            epsilon=0.05,
-        )
-        bd = general_perturbed_bound(
-            0.0, n, spec, stats, DEGENERATE_FISHER_INFO, 0.0, ing
-        )
-        assert bd.term("param_shift") == pytest.approx(2.0 / math.sqrt(n))
-        for label in POISSON_LABELS[1:]:
-            assert bd.term(label) == 0.0
-
-    def test_half_line_param_shift(self):
-        n = 49
-        spec = PerturbationSpec(a=0.0, b=INF, c=3.0, n=n)
-        stats = PerturbedScoreStats(w1=0.0, w2=0.5, third_abs_central=0.1)
-        ing = poisson_perturbed_ingredients(1.0, n, 3.0)
-        bd = general_perturbed_bound(1.0, n, spec, stats, 1.0, 0.0, ing)
-        assert bd.term("param_shift") == pytest.approx(3.0 / 7.0)
-
-    def test_finite_interval_param_shift_bracket(self):
-        n = 16
-        spec = PerturbationSpec(a=0.0, b=1.0, c=1.0, n=n)
-        stats = PerturbedScoreStats(w1=0.0, w2=0.5, third_abs_central=0.0)
-        ing = poisson_perturbed_ingredients(1.0, n, 1.0)
-        bd = general_perturbed_bound(0.25, n, spec, stats, 1.0, 0.0, ing)
-        assert bd.term("param_shift") == pytest.approx((1.0 / 4.0) * abs(1.0 - 0.5))
-
-    def test_reproduces_poisson_closed_form(self):
-        theta0, n, c = 1.0, 100, 1.0
-        spec = PerturbationSpec(a=0.0, b=INF, c=c, n=n)
-        tp = theta0 + c / n
-        # perturbed score Y = (X - theta0)/sqrt(n): mean 0, variance theta0/n,
-        # third absolute moment bounded via the fourth-moment route
-        stats = PerturbedScoreStats(
-            w1=0.0,
-            w2=theta0 / n,
-            third_abs_central=(theta0 + 3.0 * theta0**2) ** 0.75 / n**1.5,
-        )
-        bd = general_perturbed_bound(
-            theta0,
-            n,
-            spec,
-            stats,
-            1.0 / theta0,
-            c / n,  # both estimators are means: the gap is exactly c/n
-            poisson_perturbed_ingredients(theta0, n, c),
-        )
+    @pytest.mark.parametrize("theta0", [1e-6, 1e-3, 0.5, 1.0, 5.0, 60.0, 1e4])
+    @pytest.mark.parametrize("n", [1, 3, 20, 1000, 10**8])
+    @pytest.mark.parametrize("c", ["auto", 0.5, 1e-3])
+    def test_terms_match(self, theta0, n, c):
         closed = poisson_bound(theta0, n, c)
-        assert bd.labels == closed.labels
-        for label in POISSON_LABELS:
-            assert bd.term(label) == pytest.approx(closed.term(label), rel=1e-12, abs=1e-15)
-        assert bd.total == pytest.approx(closed.total, rel=1e-12)
-
-    def test_w2_must_be_positive_with_finite_information(self):
-        n = 9
-        spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=n)
-        stats = PerturbedScoreStats(w1=0.0, w2=0.0, third_abs_central=0.0)
-        ing = poisson_perturbed_ingredients(1.0, n, 1.0)
-        with pytest.raises(DomainError):
-            general_perturbed_bound(1.0, n, spec, stats, 1.0, 0.0, ing)
+        c_val = minimize_poisson_c(theta0, n) if c == "auto" else c
+        assert closed.labels == POISSON_LABELS
+        for (label, value), want in zip(closed.terms, poisson_perturbed_terms(theta0, n, c_val)):
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0), label
 
 
 class TestPoissonBound:
@@ -289,6 +209,17 @@ class TestAutoC:
         total_star = poisson_bound(0.01, 4, c_star).total
         assert total_star < poisson_bound(0.01, 4, 1e-9).total
 
+    @pytest.mark.parametrize("theta0", [1e-9, 1e-6, 1e-3, 0.01, 0.3, 1.0, 5.0, 60.0, 1e3, 1e6])
+    def test_auto_matches_dense_scan(self, theta0):
+        # the minimum over 20,001 log-spaced c in [min(1e-12, n theta0/2), n theta0],
+        # each total from the general formula; the auto c is never worse
+        for n in (1, 2, 5, 20, 100, 1000, 10**6, 10**12):
+            hi = n * theta0
+            grid = np.logspace(math.log10(min(1e-12, hi / 2.0)), math.log10(hi), 20001)
+            terms = poisson_perturbed_terms(theta0, n, grid)
+            totals = sum(np.broadcast_to(term, grid.shape) for term in terms)
+            assert poisson_bound(theta0, n).total <= totals.min() * (1.0 + 1e-12), n
+
 
 class TestPoissonDirectBound:
     """The normalised-sum bound (2 + (3 theta0 + 1)^(3/4) / theta0^(3/4))/sqrt(n)
@@ -330,20 +261,9 @@ class TestIntegerTypesForN:
         assert poisson_bound(1.0, n, 2.0).total == poisson_bound(1.0, 100, 2.0).total
         spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=n)
         assert type(spec.n) is int and spec.n == 100
-        stats = PerturbedScoreStats(w1=0.0, w2=0.01, third_abs_central=4.0**0.75 / 1000.0)
-        ing = poisson_perturbed_ingredients(1.0, 100, 1.0)
-        got = general_perturbed_bound(1.0, n, spec, stats, 1.0, 0.01, ing)
-        want = general_perturbed_bound(1.0, 100, spec, stats, 1.0, 0.01, ing)
-        assert got.total == want.total
 
     def test_bool_rejected(self):
         with pytest.raises(DomainError):
             poisson_bound(1.0, True)
         with pytest.raises(DomainError):
             PerturbationSpec(a=0.0, b=INF, c=0.5, n=True)
-        spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=1)
-        stats = PerturbedScoreStats(w1=0.0, w2=1.0, third_abs_central=1.0)
-        with pytest.raises(DomainError):
-            general_perturbed_bound(
-                1.0, True, spec, stats, 1.0, 1.0, poisson_perturbed_ingredients(1.0, 1, 1.0)
-            )

@@ -1,10 +1,10 @@
 """Cold start: what a fresh interpreter loads for each verb.
 
 ``bound`` and ``constants`` must not load numpy, mpmath or ``statistics``
-(the normal quantile's module, which only ``ci`` needs), neither the
-package's import nor ``bound`` may load ``dataclasses``, no verb may load
-mpmath or scipy, and every third-party module a verb loads must be a
-declared runtime dependency.  Each test starts its own interpreter, since
+(the normal quantile's module, which only ``ci`` needs), only JSON output
+may load ``json``, neither the package's import nor ``bound`` may load
+``dataclasses``, no verb may load mpmath or scipy, and every third-party
+module a verb loads must be a declared runtime dependency.  Each test starts its own interpreter, since
 the test process has long since imported all of them.
 """
 
@@ -103,6 +103,27 @@ def test_bound_verbs_run_without_numpy_or_mpmath(args):
     )
     assert out.returncode == 0, out.stderr
     json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "args,loaded",
+    [([], False), (VERB_ARGS["bound"], False), (VERB_ARGS["bound"] + ["--format", "csv"], False),
+     (VERB_ARGS["bound"] + ["--format", "json"], True)],
+    ids=["import", "bound-text", "bound-csv", "bound-json"],
+)
+def test_only_json_output_loads_json(args, loaded):
+    # json is imported by the emitters for --format json alone
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "from steinmle.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(sys.argv[1:], standalone_mode=False)\n"
+        "print('json' in sys.modules)",
+        *args,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(loaded)
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,11 @@ from conftest import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinmle.boundary import PerturbationSpec, PerturbedScoreStats, poisson_bound
+from steinmle.boundary import PerturbationSpec, poisson_bound
 from steinmle.cli import main
 from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
-from steinmle.montecarlo import ci_coverage
+from steinmle.montecarlo import SimulationConfig, ci_coverage
 from steinmle.msebound import BetaParams, ImplicitModelIngredients, beta_b3, beta_ingredients
 from steinmle.registry import MODEL_NAMES, get_model
 from steinmle.specfun import (
@@ -111,13 +111,16 @@ def test_dataclasses_store_plain_floats():
     values = [
         *vars(BetaParams(f32(1.5), f32(2.0))).values(),
         *spec.values(),
-        *vars(PerturbedScoreStats(f32(0.0), f32(1.0), f32(2.0))).values(),
         *vars(ImplicitModelIngredients(*map(f32, (1, 2, 0, 3, 1, 1, 0.5)))).values(),
         *ing.values(),
         h.sup_norm,
         h.lip_norm,
     ]
-    assert len(values) == 25 and all(type(v) is float for v in values)
+    assert len(values) == 22 and all(type(v) is float for v in values)
+    cfg = SimulationConfig("beta", f32(1.5), 12000, beta=f32(2.0), epsilon=f32(0.5), c=f32(2.0))
+    assert all(type(v) is float for v in (cfg.theta0, cfg.beta, cfg.epsilon, cfg.c))
+    # so a config equals the one built from the equal Python floats
+    assert cfg == SimulationConfig("beta", 1.5, 12000, beta=2.0, epsilon=0.5, c=2.0)
 
 
 # Each case passes a bool or a str where a real number goes; all raise DomainError.
@@ -142,12 +145,14 @@ REJECTED = {
     "scale-True-expectation": lambda: normal_expectation(abs, True),
     "beta-True": lambda: BetaParams(1.5, True),
     "beta-True-registry": lambda: get_model("beta", beta=True),
+    "beta-str-poisson-registry": lambda: get_model("poisson", beta="2"),
     "polygamma-True": lambda: polygamma(1, True),
     "epsilon-str-exp": lambda: exp_canonical_ingredients(1.0, 10, "0.5"),
     "epsilon-str-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), "0.5"),
     "endpoint-str-a": lambda: PerturbationSpec("0.5", 1.0, 0.5, 10),
     "endpoint-str-b": lambda: PerturbationSpec(0.0, "0.5", 0.5, 10),
     "expfam-theta0-str": lambda: exp_noncanonical_ingredients("1", 10),
+    "theta0-str-config": lambda: SimulationConfig(model="poisson", theta0="abc", n=10),
 }
 
 

@@ -1,4 +1,4 @@
-"""The ten value types: construction, repr, equality, hashing, immutability,
+"""The nine value types: construction, repr, equality, hashing, immutability,
 pickling, what ``vars()`` holds and the order their fields are checked in.
 
 Each type is pinned by one fixed instance, built once by position and once
@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from steinmle.boundary import PerturbationSpec, PerturbedScoreStats
+from steinmle.boundary import PerturbationSpec
 from steinmle.errors import DomainError
 from steinmle.montecarlo import CoverageResult, SimulationConfig, SimulationReport
 from steinmle.montecarlo._pykernels import BACKEND_NAME, RNG_ALGORITHM
@@ -49,10 +49,6 @@ CASES = {
     PerturbationSpec: (
         dict(a=0.0, b=math.inf, c=0.5, n=10),
         "PerturbationSpec(a=0.0, b=inf, c=0.5, n=10)",
-    ),
-    PerturbedScoreStats: (
-        dict(w1=0.0, w2=1.0, third_abs_central=2.0),
-        "PerturbedScoreStats(w1=0.0, w2=1.0, third_abs_central=2.0)",
     ),
     ImplicitModelIngredients: (
         dict(
@@ -152,7 +148,6 @@ CHANGED = {
     BoundIngredients: ("sup_third_is_deterministic", False),
     BoundBreakdown: ("terms", (("a", 0.25),)),
     PerturbationSpec: ("c", 0.75),
-    PerturbedScoreStats: ("w1", 0.5),
     ImplicitModelIngredients: ("epsilon", 0.25),
     BetaParams: ("beta", 3.0),
     SimulationConfig: ("seed", 4),
@@ -264,14 +259,6 @@ ALL_INVALID = {
             ("c", 0.5, "c must satisfy 0 < c < n(b-a)/2 = 5.0, got 6.0"),
         ],
     ),
-    PerturbedScoreStats: (
-        dict(w1=math.inf, w2=math.inf, third_abs_central=-1.0),
-        [
-            ("w1", 0.0, "w1 must be a finite real, got inf"),
-            ("w2", 1.0, "w2 must be a finite real, got inf"),
-            ("third_abs_central", 2.0, "third_abs_central must be a finite real >= 0"),
-        ],
-    ),
     ImplicitModelIngredients: (
         dict(
             fisher_info=0.0, third_abs_score_moment=0.0, var_l2=-1.0, c1_const=0.0,
@@ -295,13 +282,19 @@ ALL_INVALID = {
         ],
     ),
     SimulationConfig: (
-        dict(model="weibull", theta0=1.0, n=0, trials=0, seed=-1, workers=0),
+        dict(model="weibull", theta0="1", n=0, trials=0, seed=-1, beta=0.0, epsilon=math.inf,
+             c=True, workers=0),
         [
             ("model", "poisson", "model must be one of"),
             ("n", 20, "n must be an integer >= 1, got 0"),
             ("trials", 10, "trials must be an integer >= 1, got 0"),
             ("workers", 1, "workers must be an integer >= 1, got 0"),
             ("seed", 0, "seed must be an integer >= 0, got -1"),
+            ("beta", 1.0, "beta must be a finite real > 0, got 0.0"),
+            ("theta0", -1.0, "theta0 must be a finite real >= 0, got '1'"),
+            ("theta0", 1.0, "theta0 must be a finite real >= 0, got -1.0"),
+            ("epsilon", None, "epsilon must be a finite real > 0, got inf"),
+            ("c", "auto", "c must be a finite real > 0, got True"),
         ],
     ),
 }
