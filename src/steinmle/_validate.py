@@ -1,15 +1,16 @@
-"""The two input checks behind every public entry point, and the base of
-the value types that store what they checked.
+"""The input checks behind every public entry point, and the base of the
+value types that store what they checked.
 
 ``real`` takes any ``numbers.Real`` (numpy floating and integer scalars
 included) and returns a plain float; ``integer`` takes any
-``numbers.Integral`` and returns a plain int.  Both refuse ``bool``, which is
-a flag passed in the wrong place rather than the number 1, and anything that
+``numbers.Integral`` and returns a plain int, and ``master_seed`` an integer
+in the range of the trial streams' key.  All refuse ``bool``, which is a
+flag passed in the wrong place rather than the number 1, and anything that
 is not a number, such as the string ``"0.5"``.  A refusal is a DomainError
 whose message starts with the parameter's name.  Ranges particular to one
 model, such as 0 < epsilon < theta0, are checked where the model is.
 
-Neither check imports numpy, so the bound verbs start without it.  For the
+No check imports numpy, so the bound verbs start without it.  For the
 same reason the value types are plain classes on ``Value``, not dataclasses:
 ``dataclasses`` and the ``inspect`` it loads took longer to import than the
 rest of the package.
@@ -55,6 +56,15 @@ def integer(x, name, *, ge=1) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < ge:
         raise DomainError(f"{name} must be an integer >= {ge}, got {x!r}")
     return operator.index(x)
+
+
+def master_seed(x, name="seed") -> int:
+    """x as a master seed: an integer in [0, 2^128), the range of the
+    128-bit Philox key that the trial streams take."""
+    v = integer(x, name, ge=0)
+    if v >= 2**128:
+        raise DomainError(f"{name} must be an integer < 2**128, got {x!r}")
+    return v
 
 
 class Value:

@@ -21,7 +21,8 @@ import argparse
 import sys
 
 from . import __version__, registry
-from .errors import ConvergenceError, DomainError, SteinMLEError
+from ._validate import master_seed
+from .errors import ConvergenceError, DomainError, FloatRangeError, SteinMLEError
 from .expfam import exp_noncanonical_ingredients
 from .msebound import BetaParams
 from .steincore import inv_quadratic_test_function, kolmogorov_from_bw, score_bound
@@ -56,11 +57,17 @@ def _emit(fmt: str, payload: dict, csv_rows, text_lines):
     """Print a verb's result in the chosen format: the JSON payload on one
     line, the CSV rows comma-separated, or the text lines.  The rows and
     lines may be generators, so that only the chosen format is formatted.
-    ``json`` is imported here, so that text and CSV output never load it."""
+    The JSON is strict: an infinity or NaN in the payload, which it cannot
+    carry, is a FloatRangeError.  ``json`` is imported here, so that text
+    and CSV output never load it."""
     if fmt == "json":
         import json
 
-        print(json.dumps(payload))
+        try:
+            text = json.dumps(payload, allow_nan=False)
+        except ValueError as exc:
+            raise FloatRangeError(f"an output value is not finite, so not JSON: {exc}") from exc
+        print(text)
     elif fmt == "csv":
         print("\n".join(",".join(row) for row in csv_rows))
     else:
@@ -107,18 +114,20 @@ def _guard(fmt: str, fn, *args, **kwargs):
 
 
 def _seed(seed):
-    """The given master seed, else STEINMLE_SEED, else 0."""
+    """The given master seed, else STEINMLE_SEED, else 0, checked as the
+    harness checks it."""
     if seed is not None:
-        return seed
+        return master_seed(seed)
     import os
 
     raw = os.environ.get("STEINMLE_SEED")
     if raw is None:
         return 0
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise DomainError(f"STEINMLE_SEED must be an integer, got {raw!r}") from exc
+    return master_seed(value, "STEINMLE_SEED")
 
 
 # allow_abbrev=False: an option is matched by its full name only.
@@ -177,14 +186,19 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
 
     The exponential models weight each term by the given test-function
     norms; the poisson and beta closed forms absorb the norms at the class
-    ceiling (sup <= 1, Lipschitz <= 1) and ignore the h options.  --epsilon
-    applies to the exponential models only and --c to poisson only; given
-    to another model, either is a validation error.
+    ceiling (sup <= 1, Lipschitz <= 1) and ignore the h options.  The
+    Kolmogorov distance does not depend on h, so its bound converts the
+    unit-weight total whatever the h options.  --epsilon applies to the
+    exponential models only and --c to poisson only; given to another
+    model, either is a validation error.
     """
-    breakdown = registry.get_model(model, beta=beta).distance_bound(
-        theta0, n, h_weights=(h_sup, h_lip), epsilon=epsilon, c="auto" if c is None else c
-    )
-    b_k = kolmogorov_from_bw(breakdown.total)
+    entry = registry.get_model(model, beta=beta)
+    c = "auto" if c is None else c
+    breakdown = entry.distance_bound(theta0, n, h_weights=(h_sup, h_lip), epsilon=epsilon, c=c)
+    unit = breakdown
+    if (h_sup, h_lip) != (1.0, 1.0):
+        unit = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0), epsilon=epsilon, c=c)
+    b_k = kolmogorov_from_bw(unit.total)
     payload = {
         "schema": "steinmle/bound/v1",
         "model": model,
@@ -381,6 +395,24 @@ def _flatten(obj, prefix=""):
     return rows
 
 
+def _parse(args):
+    """The options of the verb that ``args`` names.
+
+    A known verb's own parser reads the arguments after it, which skips the
+    top-level parser's pass over them; what it does not recognise is
+    refused through the top-level parser, as a full parse refuses it.
+    Anything else (-h, --version, no verb or an unknown one) is a full
+    parse, so usage, messages and exit codes are those of ``_PARSER``.
+    """
+    verb = _VERBS.choices.get(args[0]) if args else None
+    if verb is None:
+        return _PARSER.parse_args(args)
+    options, extra = verb.parse_known_args(args[1:])
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    return options
+
+
 def main(args=None, prog_name=None, standalone_mode=True):
     """Run the verb named by ``args`` (default ``sys.argv[1:]``).
 
@@ -390,7 +422,7 @@ def main(args=None, prog_name=None, standalone_mode=True):
     ``main.main(args=..., prog_name=..., standalone_mode=...)``, and change
     nothing: the program is always named steinmle, and every error exits.
     """
-    options = vars(_PARSER.parse_args(args))
+    options = vars(_parse(sys.argv[1:] if args is None else list(args)))
     body, fmt = options.pop("body"), options.pop("fmt")
     _guard(fmt, lambda: _emit(fmt, *body(**options)))
 

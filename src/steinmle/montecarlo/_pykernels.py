@@ -27,7 +27,9 @@ A raw-sample block whose first trial is t draws from the stream jumped t
 times, and blocks start at trial_start plus multiples of
 ``block_trials(n)``.  The harness gives rows disjoint trial ranges, so rows
 and blocks get disjoint streams, and a row's output does not depend on how
-its blocks are spread over processes.
+its blocks are spread over processes.  Each thread keeps one Philox and
+re-keys it to each stream in turn (``make_generator``), which changes no
+stream.
 
 Raw draws (``draw``) use numpy's own samplers: ``exponential``, ``poisson``
 (inversion below mean 10, Hoermann's PTRS above) and ``beta``.
@@ -36,6 +38,7 @@ Raw draws (``draw``) use numpy's own samplers: ``exponential``, ``poisson``
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -60,15 +63,44 @@ _PIECES_MAX = 2**16
 # Observations per raw-sample block, when n allows more than one trial.
 BLOCK_OBS = 2**16
 
+_WORD = 2**64 - 1
+
+
+class _Stream(threading.local):
+    """A thread's one Philox and the Generator on it, re-keyed by every
+    ``make_generator`` call in that thread, so threads share no stream."""
+
+    def __init__(self):
+        self.bit_generator = Philox(0)
+        self.generator = Generator(self.bit_generator)
+
+
+_STREAM = _Stream()
+
 
 def make_generator(seed: int, trial: int) -> Generator:
     """The stream that starts at a given trial: Philox keyed by seed, jumped per trial.
 
     A jump advances the 256-bit counter by 2^128, so the stream jumped
-    ``trial`` times (0 <= trial < 2^128) starts at counter ``trial << 128``;
-    it is built there directly, which costs a third of ``.jumped(trial)``.
+    ``trial`` times (0 <= trial < 2^128) starts at counter ``trial << 128``.
+    The key (0 <= seed < 2^128) and the counter are set, as 64-bit words
+    with the low word first, on the calling thread's one Philox, and its
+    buffer is emptied.  That costs a fifth of building a new Philox, whose
+    seeding draws OS entropy that the key then overrides.  The returned
+    generator is therefore valid only until the thread's next call.
     """
-    return Generator(Philox(key=seed, counter=trial << 128))
+    _STREAM.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, trial & _WORD, trial >> 64], dtype=np.uint64),
+            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _STREAM.generator
 
 
 def block_trials(n: int) -> int:

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .. import registry
-from .._validate import Value, integer, real
+from .._validate import Value, integer, master_seed, real
 from ..errors import DomainError, SteinMLEError
 from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
 from ..specfun import normal_expectation
@@ -96,7 +96,7 @@ class SimulationConfig(Value):
         if model not in registry.MODEL_NAMES:
             raise DomainError(f"model must be one of {registry.MODEL_NAMES}, got {model!r}")
         n, trials, workers = integer(n, "n"), integer(trials, "trials"), integer(workers, "workers")
-        seed = integer(seed, "seed", ge=0)
+        seed = master_seed(seed)
         entry = registry.get_model(model, beta)
         theta0 = real(theta0, "theta0", **entry.theta0_limit)
         vars(self).update(
@@ -222,15 +222,17 @@ def _summarise(h_values: np.ndarray, theta_hats: np.ndarray, theta0: float, tria
     """Mean of h, empirical MSE, and the standard error of the mean of h.
 
     Every sum is an fsum, so no result depends on the order of the trials.
-    The standard error takes two passes (the mean, then the squared
-    deviations from it) and is None for a single trial.
+    fsum reads each float64 array through a memoryview, which hands it the
+    same floats as ``.tolist()`` without building the list.  The standard
+    error takes two passes (the mean, then the squared deviations from it)
+    and is None for a single trial.
     """
-    mean_h = math.fsum(h_values.tolist()) / trials
-    empirical_mse = math.fsum(((theta_hats - theta0) ** 2).tolist()) / trials
+    mean_h = math.fsum(memoryview(h_values)) / trials
+    empirical_mse = math.fsum(memoryview((theta_hats - theta0) ** 2)) / trials
     se = None
     if trials > 1:
         deviations = h_values - mean_h
-        variance = math.fsum((deviations * deviations).tolist()) / (trials - 1)
+        variance = math.fsum(memoryview(deviations * deviations)) / (trials - 1)
         se = math.sqrt(variance) / math.sqrt(trials)
     return mean_h, empirical_mse, se
 
@@ -319,7 +321,7 @@ def run_mse_sweep(
             f"n below minimal n = {floor_n}: {len(bad)} of the n values, the smallest {min(bad)}"
         )
     trials = integer(trials, "trials")
-    seed = integer(seed, "seed", ge=0)
+    seed = master_seed(seed)
     h = inv_quadratic_test_function()
     expected_h = normal_expectation(h, scale=1.0)
     reports = []
@@ -397,7 +399,7 @@ def ci_coverage(
     theta0 = real(theta0, "theta0", **entry.theta0_limit)
     n = integer(n, "n")
     trials = integer(trials, "trials")
-    seed = integer(seed, "seed", ge=0)
+    seed = master_seed(seed)
     bound = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0))
     b_k = kolmogorov_from_bw(bound.total)
     offsets = _ci_offsets(n, entry.fisher_info(theta0), alpha, b_k)  # checks alpha

@@ -163,11 +163,15 @@ def polygamma(order, x):
     Relative error <= 1e-12 on [1e-3, 1e6].  Arguments below the asymptotic
     cut are shifted upward by the recurrence; the shift increments are
     accumulated with exact (fsum) rounding because the Beta constants
-    downstream are cancellation-sensitive.
+    downstream are cancellation-sensitive.  An x so small that a shift
+    increment overflows raises FloatRangeError, at every order.
     """
     if order not in (0, 1, 2, 3):
         raise DomainError(f"polygamma order must be an integer in [0, 3], got {order!r}")
-    return _polygammas(real(x, "polygamma argument", gt=0.0), (order,))[0]
+    value = _polygammas(real(x, "polygamma argument", gt=0.0), (order,))[0]
+    if math.isinf(value):
+        raise OverflowError  # float_range reports it as FloatRangeError
+    return value
 
 
 def _normal_pdf(x):

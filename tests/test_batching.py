@@ -141,6 +141,23 @@ class TestEvaluatorContract:
         assert rep.empirical_distance == abs(mean_h - rep.expected_h)
 
     @pytest.mark.parametrize(
+        "strided",
+        [lambda row: np.ascontiguousarray(row[::-1])[::-1],  # a reversed view: stride -8
+         lambda row: np.repeat(row, 2)[::2]],  # every other element: stride 16
+        ids=["reversed", "every-other"],
+    )
+    def test_strided_evaluator_result_gives_the_same_report(self, strided):
+        # the reductions read h's values through the buffer, strides and all
+        h = inv_quadratic_test_function()
+        view = TestFunction(evaluator=lambda x: strided(h.evaluator(x)), sup_norm=h.sup_norm,
+                            lip_norm=h.lip_norm, gaussian_expectation=h.gaussian_expectation)
+        assert not strided(np.zeros(4)).flags.c_contiguous
+        for model, theta0 in [("exp-canonical", 1.0), ("poisson", 5.0)]:
+            kwargs = dict(model=model, theta0=theta0, n=25, trials=300, seed=8)
+            contiguous = run_simulation(SimulationConfig(**kwargs, test_function=h)).to_dict()
+            assert run_simulation(SimulationConfig(**kwargs, test_function=view)).to_dict() == contiguous
+
+    @pytest.mark.parametrize(
         "evaluator",
         [lambda x: 1.0 / (math.exp(x) + 1.0),  # math functions take no array
          lambda x: 0.5 if x > 0 else 0.25,  # truth of an array is ambiguous

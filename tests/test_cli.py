@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import steinmle
+from steinmle import cli
 from steinmle.cli import main
+from steinmle.registry import get_model
+from steinmle.steincore import kolmogorov_from_bw
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
@@ -29,6 +33,15 @@ def _run_cli(args):
 
 def _json_out(result):
     return json.loads(result.output)
+
+
+def _strict_json(text):
+    """``text`` parsed as strict JSON, which has no Infinity or NaN."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_version_from_a_source_checkout():
@@ -88,9 +101,39 @@ class TestBoundCommand:
         payload = _json_out(result)
         assert payload["schema"] == "steinmle/bound/v1"
         assert payload["breakdown"]["total"] == pytest.approx(0.009, abs=1e-3)
-        assert payload["kolmogorov_bound"] == pytest.approx(
-            2.0 * payload["breakdown"]["total"] ** 0.5, rel=1e-12
-        )
+        # the Kolmogorov bound converts the unit-weight total, not the weighted one
+        unit = get_model("exp-canonical").distance_bound(1.0, 100000, h_weights=(1.0, 1.0))
+        assert payload["kolmogorov_bound"] == pytest.approx(2.0 * unit.total**0.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model,theta0,n",
+        [("exp-canonical", "1", "100000"), ("exp-noncanonical", "2", "1000"),
+         ("poisson", "5", "50"), ("beta", "1.5", "7500")],
+    )
+    def test_kolmogorov_bound_does_not_depend_on_the_h_weights(self, runner, model, theta0, n):
+        # the Kolmogorov distance involves no h, so neither may its bound
+        base = ["bound", "--model", model, "--theta0", theta0, "--n", n, "--format", "json"]
+        unit = _json_out(runner.invoke(main, base))
+        assert unit["kolmogorov_bound"] == kolmogorov_from_bw(unit["breakdown"]["total"])
+        for sup, lip in [("0.5", "0.2296401"), ("0.01", "0.01"), ("1", "0.1"), ("2", "3")]:
+            weighted = _json_out(runner.invoke(main, base + ["--h-sup", sup, "--h-lip", lip]))
+            assert weighted["kolmogorov_bound"] == unit["kolmogorov_bound"]
+
+    @pytest.mark.parametrize(
+        "model,flag",
+        [("exp-canonical", "--h-lip=1e308"), ("exp-canonical", "--h-sup=1e308"),
+         ("exp-noncanonical", "--h-sup=1e308")],
+    )
+    def test_json_output_is_strict(self, runner, model, flag):
+        # an infinite total has no strict JSON form: a numerical failure, not "Infinity"
+        args = ["bound", "--model", model, "--theta0", "1", "--n", "10", flag, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert _strict_json(result.stderr)["error"] == "FloatRangeError"
+        finite = runner.invoke(main, args[:-3] + ["--format", "json"])
+        assert finite.exit_code == 0
+        assert math.isfinite(_strict_json(finite.stdout)["breakdown"]["total"])
 
     def test_poisson_zero_total(self, runner):
         result = runner.invoke(
@@ -463,6 +506,49 @@ class TestConstantsCommand:
         assert result.exit_code == 2
 
 
+def _parse_outcome(parse, argv):
+    """What one parse of ``argv`` gives: the options (None if it exits), the
+    exit code (0 if it returns), and what it printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    options, code = None, 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            options = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return options, code, out.getvalue(), err.getvalue()
+
+
+class TestParsing:
+    """``main`` hands a named verb's arguments to that verb's parser; each
+    argv must give what the top-level parser, reading all of it, gives."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["bound", "-h"],
+            ["--version"],
+            [],
+            ["weibull", "--n", "3"],
+            ["bound", "--model", "poisson", "--theta0", "1"],
+            ["bound", "--model", "poisson", "--theta0", "1", "--n", "5", "extra", "--bogus=1"],
+            ["simulate", "--model=poisson", "--theta0=5", "--n=20", "--trials=10", "--format=json"],
+            ["bound", "--model", "weibull", "--theta0", "1", "--n", "3"],
+            ["table", "4"],
+            ["table", "1", "--trials", "5", "--seed", "3"],
+            ["bound", "--version"],
+        ],
+        ids=["help", "verb-help", "version", "no-verb", "unknown-verb", "missing-option",
+             "unrecognized-extra", "opt=value", "bad-choice", "bad-positional", "positional",
+             "version-after-verb"],
+    )
+    def test_verb_parser_matches_the_top_level_parser(self, argv):
+        direct = _parse_outcome(cli._parse, argv)
+        assert direct == _parse_outcome(cli._PARSER.parse_args, argv)
+        assert direct[1] in (0, 2)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "args",
@@ -510,6 +596,41 @@ class TestValidation:
         result = runner.invoke(main, args + ["--seed", "-1"])
         assert result.exit_code == 2
         assert "seed" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--model", "exp-canonical", "--theta0", "1", "--n", "10", "--trials", "5"],
+            ["table", "1", "--trials", "5"],
+            ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10", "--trials", "5"],
+            ["mse-sweep", "--beta", "1", "--n-from", "7500", "--n-to", "7500", "--trials", "5"],
+        ],
+        ids=["simulate", "table", "ci", "mse-sweep"],
+    )
+    def test_seed_beyond_the_philox_key_exits_2(self, runner, args):
+        # the trial streams are keyed by the seed, and a Philox key has 128 bits
+        result = runner.invoke(main, args + ["--seed", str(2**128), "--format", "json"])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        assert err["error"] == "DomainError"
+        assert err["message"] == f"seed must be an integer < 2**128, got {2**128}"
+
+    def test_env_seed_beyond_the_philox_key_exits_2(self, runner):
+        args = ["table", "1", "--trials", "2", "--format", "json"]
+        result = runner.invoke(main, args, env={"STEINMLE_SEED": str(2**128)})
+        assert result.exit_code == 2
+        err = json.loads(result.stderr)
+        assert err["error"] == "DomainError"
+        assert err["message"] == f"STEINMLE_SEED must be an integer < 2**128, got {2**128}"
+
+    def test_largest_seed_runs(self, runner):
+        args = ["simulate", "--model", "poisson", "--theta0", "5", "--n", "20", "--trials", "5",
+                "--format", "json"]
+        explicit = runner.invoke(main, args + ["--seed", str(2**128 - 1)])
+        from_env = runner.invoke(main, args, env={"STEINMLE_SEED": str(2**128 - 1)})
+        assert explicit.exit_code == from_env.exit_code == 0
+        assert explicit.stdout == from_env.stdout
+        assert _json_out(explicit)["seed"] == 2**128 - 1
 
     @pytest.mark.parametrize(
         "args",

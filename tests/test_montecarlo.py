@@ -3,6 +3,8 @@
 import json
 import math
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +51,48 @@ class TestSamplers:
                 assert (made_state["state"][part] == jumped_state["state"][part]).all()
             assert made.random(6).tolist() == jumped.random(6).tolist()
             assert made.standard_gamma(7.0, 5).tolist() == jumped.standard_gamma(7.0, 5).tolist()
+
+    @pytest.mark.parametrize("seed,trial", [(7, 3), (2**64, 2**64 - 1), (2**128 - 1, 2**128 - 1)])
+    def test_re_keyed_stream_forgets_the_previous_one(self, seed, trial):
+        # draws that leave a half-used 32-bit word and a part-used block of
+        # the previous stream must not leak into the next one
+        used = _pykernels.make_generator(11, 0)
+        used.integers(0, 2**32, 3, dtype=np.uint32)
+        used.random(1)
+        made = _pykernels.make_generator(seed, trial)
+        fresh = np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))
+        assert made.integers(0, 2**32, 5, dtype=np.uint32).tolist() == (
+            fresh.integers(0, 2**32, 5, dtype=np.uint32).tolist()
+        )
+        assert made.standard_gamma(3.0, 4).tolist() == fresh.standard_gamma(3.0, 4).tolist()
+
+    def test_threads_share_no_stream(self):
+        # each thread re-keys its own generator, so rows drawn at once in
+        # several threads are the rows each draws alone
+        def row(seed):
+            return _pykernels.trial_stats("exp-canonical", 1.0, 1.0, 5, seed, 0, 64).tolist()
+
+        alone = {seed: row(seed) for seed in range(6)}
+        wrong = []
+
+        def work(seed):
+            for _ in range(300):
+                if row(seed) != alone[seed]:
+                    wrong.append(seed)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in alone]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_poisson_zero_is_degenerate(self):
         x = _draw("poisson", 0.0, 500, 3)
@@ -409,7 +453,7 @@ class TestIntegerTypesForN:
         with pytest.raises(DomainError, match=field_name):
             SimulationConfig(**kwargs)
 
-    @pytest.mark.parametrize("bad", [-1, np.int64(-1), 1.0, "3", True])
+    @pytest.mark.parametrize("bad", [-1, np.int64(-1), 1.0, "3", True, 2**128])
     def test_seed_must_be_a_nonnegative_integer(self, bad):
         with pytest.raises(DomainError, match="seed"):
             SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=bad)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import EULER_GAMMA, polygamma_series, scalar_asymptotic_coeffs, scalar_polygamma
 
 from steinmle import specfun
-from steinmle.errors import ConvergenceError, DomainError
+from steinmle.errors import ConvergenceError, DomainError, FloatRangeError
 from steinmle.specfun import (
     _ASYMPTOTIC_COEFFS,
     _normal_pdf,
@@ -90,6 +90,14 @@ class TestPolygamma:
             polygamma(4, 1.0)
         with pytest.raises(DomainError):
             polygamma(1.5, 1.0)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310])
+    def test_argument_too_small_for_floats_is_a_range_error(self, order, x):
+        # 1/x overflows for order 0 and 1/x^(m+1) underflows or overflows for
+        # m >= 1: every order refuses alike, none returns an infinity
+        with pytest.raises(FloatRangeError, match="polygamma"):
+            polygamma(order, x)
 
 
 class TestNormalQuantile:
