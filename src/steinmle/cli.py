@@ -196,7 +196,7 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
     c = "auto" if c is None else c
     breakdown = entry.distance_bound(theta0, n, h_weights=(h_sup, h_lip), epsilon=epsilon, c=c)
     unit = breakdown
-    if (h_sup, h_lip) != (1.0, 1.0):
+    if entry.uses_h_weights and (h_sup, h_lip) != (1.0, 1.0):
         unit = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0), epsilon=epsilon, c=c)
     b_k = kolmogorov_from_bw(unit.total)
     payload = {

@@ -74,8 +74,9 @@ REPORT_CSV_COLUMNS = (
 
 
 # A sweep solves the shape root for at most this many trials a call (one row
-# if a row holds more), so the root's (16 x trials) shift block grows no
-# larger than that of one such row.
+# if a row holds more), so the root's block of terms grows no larger than that
+# of one such row: (m x trials) for an integer shape m <= 16, and the series
+# path's (16 x trials) shift block for any other shape.
 _ROOT_LANES = 16384
 
 
@@ -306,8 +307,10 @@ def run_mse_sweep(
     independent and any row subset is reproducible in isolation.  The rows
     share E h(Z) and the Beta ingredients.  Consecutive rows, up to
     max(trials, 16384) trials in all, are drawn and then mapped to their
-    estimates in one ``mle_from_stat`` call: the shape root solves each
-    trial on its own, so each row gets the estimates it would get alone.
+    estimates in one ``mle_from_stat`` call: the shape root
+    (``msebound.beta_shape_roots``, an exact finite-sum score for an integer
+    shape up to 16) solves each trial on its own, so each row gets the
+    estimates it would get alone.
     """
     entry = registry.get_model("beta", beta=params.beta)
     n_list = [integer(n, "n") for n in n_values]

@@ -340,34 +340,72 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
 
 
 # Shift steps that take any theta > 0 to the asymptotic cut; a lane needing
-# fewer adds exact zeros for the rest.
+# fewer adds exact zeros for the rest.  An integer beta up to this many takes
+# the exact finite sum instead, with no shift block and no series.
 _SHIFTS = int(_ASYMPTOTIC_CUT)
 # Asymptotic-series coefficients, innermost first: psi's B_2k/(2k) and
 # psi_1's B_2k, paired.
 _TAIL_COEFFS = tuple(((c0,), (c1,)) for c0, c1 in zip(*_ASYMPTOTIC_COEFFS[:2]))
 
 
-def _shape_score_slope(theta, beta):
-    """psi(theta + beta) - psi(theta) and its theta-derivative, lane by lane.
+def _finite_sum_score_slope(theta, target, ks):
+    """target - score, the score psi(theta + m) - psi(theta) and its
+    theta-derivative for an integer beta = m, lane by lane, from the exact
+    finite sums
 
-    theta and theta + beta shift up together by the recurrence until theta
-    >= 16, then the Bernoulli asymptotic series of ``specfun`` finishes both.
-    Every lane sums the same 16 shift increments in the same order (zeros
-    past its own shift count), so no lane's value depends on the others in
-    its row.  The differences are taken term by term (log1p for the
-    logarithms), which keeps them free of cancellation for large theta.
+        sum_{k<m} 1/(theta + k)  and  -sum_{k<m} 1/(theta + k)^2,
+
+    ``ks`` being the column 0, 1, ..., m - 1.  The score's rounding errors
+    are recovered and subtracted from the residual separately (Ogita, Rump
+    and Oishi's Sum2, SIAM J. Sci. Comput. 26, 2005), so the residual, whose
+    zero is the root, is as if summed in twice the working precision.  Every
+    term is positive, so nothing cancels at any theta.  Each sum adds its
+    terms in order, whatever the row length, so no lane's value depends on
+    the others in its row.
     """
     import numpy as np  # here, so that the bound verbs never load numpy
 
     n = theta.size
-    a = theta + np.arange(float(_SHIFTS))[:, None]  # row j: theta + j
+    inv = 1.0 / (theta + ks)
+    # partial[k]: the running sum of the first k terms
+    partial = np.zeros((len(ks) + 1, n))
+    np.add.accumulate(inv, axis=0, out=partial[1:])
+    # The terms fall with k, so each running sum is at least the next term,
+    # and Dekker's fast two-sum gives each step's rounding error exactly.
+    errors = inv - (partial[1:] - partial[:-1])
+    # Two columns a lane, so the reduction adds whole rows, in order (over a
+    # single column it could add pairwise).
+    sums = np.add.reduce(np.concatenate((errors, inv * inv), axis=1), axis=0)
+    total, error = partial[-1], sums[:n]
+    return (target - total) - error, total + error, -sums[n:]
+
+
+def _shape_score_slope(theta, target, beta, js, tail_coeffs):
+    """target - score, the score psi(theta + beta) - psi(theta) and its
+    theta-derivative, lane by lane, for a beta that
+    ``_finite_sum_score_slope`` does not take.
+
+    theta and theta + beta shift up together by the recurrence until theta
+    >= 16, then the Bernoulli asymptotic series of ``specfun`` finishes both.
+    ``js`` is the column 0, 1, ..., 15 of shift steps and ``tail_coeffs`` the
+    array of ``_TAIL_COEFFS``, both built once per solve.  Every lane sums the
+    same 16 shift increments in the same order (zeros past its own shift
+    count), so no lane's value depends on the others in its row.  The
+    differences are taken term by term (log1p for the logarithms), which
+    keeps them free of cancellation for large theta.
+    """
+    import numpy as np  # here, so that the bound verbs never load numpy
+
+    n = theta.size
+    a = theta + js  # row j: theta + j
     low = a < _ASYMPTOTIC_CUT
     b = a + beta
     inv_ab = low / (a * b)
     # Row j adds 1/a - 1/b = beta/(ab) to the score and 1/b^2 - 1/a^2 =
-    # -beta (a + b)/(ab)^2 to the slope; cumsum adds the rows in order.
+    # -beta (a + b)/(ab)^2 to the slope.  The block has two columns a lane,
+    # so the reduction adds whole rows, in order.
     shifts = np.concatenate((inv_ab, (a + b) * (inv_ab * inv_ab)), axis=1)
-    shifts = beta * shifts.cumsum(axis=0)[-1]
+    shifts = beta * np.add.reduce(shifts, axis=0)
     a = theta + low.sum(axis=0)
     b = a + beta
     # psi(y) ~ log y - 1/(2y) - sum_k B_2k/(2k) y^-2k and
@@ -375,7 +413,7 @@ def _shape_score_slope(theta, beta):
     y = np.concatenate((a, b))
     z = 1.0 / (y * y)
     tails = 0.0
-    for coeffs in np.array(_TAIL_COEFFS):
+    for coeffs in tail_coeffs:
         tails = (tails + coeffs) * z
     tails[1] /= y
     inv_ab = 1.0 / (a * b)
@@ -383,7 +421,21 @@ def _shape_score_slope(theta, beta):
     # with b - a = beta so that nothing cancels.
     score = shifts[:n] + np.log1p(beta / a) + 0.5 * beta * inv_ab + (tails[0, :n] - tails[0, n:])
     slope = (tails[1, n:] - tails[1, :n]) - beta * inv_ab * (1.0 + 0.5 * (a + b) * inv_ab)
-    return score, slope - shifts[n:]
+    return target - score, score, slope - shifts[n:]
+
+
+def _finite_sum_start(t, m):
+    """The Newton start max(1/t, m/t - (m - 1)/2) for an integer beta = m,
+    t being -mean_log.
+
+    The root solves sum_{k<m} 1/(theta + k) = t.  That sum is at least its
+    k = 0 term 1/theta, and by the harmonic-arithmetic mean inequality at
+    least m/(theta + (m - 1)/2); so both terms lie at or below the root (up
+    to rounding), and neither below 1/t, the other path's start.
+    """
+    import numpy as np  # here, so that the bound verbs never load numpy
+
+    return np.maximum(1.0 / t, m / t - 0.5 * (m - 1.0))
 
 
 _NEWTON_MAX_STEPS = 100
@@ -394,12 +446,16 @@ def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
 
     Each lane solves psi(theta + beta) - psi(theta) = -mean_log by Newton's
     method on the reciprocal of both sides, which is nearly linear in theta
-    (exactly, for beta = 1), starting from theta = -1/mean_log, the beta = 1
-    root.  A step that would leave theta <= 0 halves theta instead.  A lane
-    is frozen once its step falls to rel_tol of theta, so its root does not
-    depend on the rest of its row: a one-element row gives the same root.
-    Returns a float64 array; raises ConvergenceError if a lane has not
-    converged after 100 steps.
+    (exactly, for beta = 1).  For an integer beta = m <= 16 the score is the
+    finite sum sum_{k<m} 1/(theta + k), computed exactly up to rounding
+    (``_finite_sum_score_slope``), and Newton starts from
+    ``_finite_sum_start``, at or below the root.  Every other beta takes the
+    shift-and-series score (``_shape_score_slope``) from theta =
+    -1/mean_log, the beta = 1 root.  A step that would leave theta <= 0
+    halves theta instead.  A lane is frozen once its step falls to rel_tol
+    of theta, so its root does not depend on the rest of its row: a
+    one-element row gives the same root.  Returns a float64 array; raises
+    ConvergenceError if a lane has not converged after 100 steps.
     """
     import numpy as np  # here, so that the bound verbs never load numpy
 
@@ -407,23 +463,35 @@ def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
     stats = np.asarray(mean_logs, dtype=float)
     if stats.ndim != 1 or not np.all((stats < 0.0) & np.isfinite(stats)):
         raise DomainError("mean log-observations must be a row of finite negative numbers")
-    roots = -1.0 / stats
+    target = -stats
     active = np.arange(stats.size)
-    theta = roots.copy()
-    # Far out (|mean_log| below ~1e-150) a*b overflows; such a lane stops
-    # making finite steps and ends in ConvergenceError, without warnings.
+    # Far out (|mean_log| below ~1e-150) the squared terms underflow or a*b
+    # overflows; such a lane stops making finite steps and ends in
+    # ConvergenceError, without warnings.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if beta.is_integer() and beta <= _SHIFTS:
+            roots = _finite_sum_start(target, beta)
+            residual_score_slope = functools.partial(
+                _finite_sum_score_slope, ks=np.arange(beta)[:, None]
+            )
+        else:
+            roots = 1.0 / target
+            residual_score_slope = functools.partial(
+                _shape_score_slope, beta=beta, js=np.arange(float(_SHIFTS))[:, None],
+                tail_coeffs=np.array(_TAIL_COEFFS),
+            )
+        theta = roots.copy()
         for _ in range(_NEWTON_MAX_STEPS):
             if active.size == 0:
                 return roots
-            score, slope = _shape_score_slope(theta, beta)
-            target = -stats[active]
+            residual, score, slope = residual_score_slope(theta, target)
             # Newton for 1/score = 1/target: the plain step times score/target.
-            new = theta + (target - score) / slope * (score / target)
+            new = theta + residual / slope * (score / target)
             new = np.where((new > 0.0) & np.isfinite(new), new, 0.5 * theta)
-            done = np.abs(new - theta) <= rel_tol * new
+            # not a plain >, so that a NaN step keeps its lane going
+            going = ~(np.abs(new - theta) <= rel_tol * new)
             roots[active] = new
-            active, theta = active[~done], new[~done]
+            active, theta, target = active[going], new[going], target[going]
     if active.size == 0:
         return roots
     raise ConvergenceError(

@@ -56,6 +56,12 @@ class Model:
         return self.name != "poisson"
 
     @property
+    def uses_h_weights(self) -> bool:
+        """Whether ``distance_bound`` reads its ``h_weights``: the poisson and
+        beta closed forms hold for the whole unit class and ignore them."""
+        return self.name not in ("poisson", "beta")
+
+    @property
     def theta0_limit(self) -> dict:
         """theta0's lower limit, as keywords of ``_validate.real``."""
         return {"ge": 0.0} if self.name == "poisson" else {"gt": 0.0}
@@ -86,7 +92,9 @@ class Model:
         array for a float64 array (a row of trials, mapped in one call).
 
         The statistic is the sample mean, or the mean log-observation for
-        the Beta model.
+        the Beta model.  The Beta estimate is -1/mean_log for beta = 1 and
+        otherwise the Newton root of ``msebound.beta_shape_roots``, whose
+        score is an exact finite sum for an integer beta up to 16.
         """
         if self.name == "exp-canonical":
             if _anywhere(stat == 0.0):

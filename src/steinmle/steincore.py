@@ -34,7 +34,7 @@ import math
 from collections.abc import Callable
 
 from ._validate import Value, integer, real
-from .errors import DomainError, float_range
+from .errors import DomainError, FloatRangeError, float_range
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
 __all__ = [
@@ -95,9 +95,6 @@ class TestFunction(Value):
     @property
     def weights(self) -> tuple[float, float]:
         return (self.sup_norm, self.lip_norm)
-
-    def in_bounded_lipschitz_class(self, tol=1e-12) -> bool:
-        return self.sup_norm + self.lip_norm <= 1.0 + tol
 
 
 def _inv_quadratic(x):
@@ -171,7 +168,9 @@ class BoundBreakdown(Value):
     """A labelled term-by-term decomposition of a bound and its total.
 
     The total is the exactly-rounded (fsum) sum of the term values, so
-    permuting terms cannot change it; a ``total`` passed in is ignored.
+    permuting terms cannot change it; a ``total`` passed in is ignored.  A
+    NaN or negative term is a DomainError; an infinite term, or a total that
+    overflows, is a FloatRangeError, so no bound is ever reported as inf.
     """
 
     def __init__(self, terms: tuple[tuple[str, float], ...], total: float | None = None):
@@ -181,21 +180,18 @@ class BoundBreakdown(Value):
                 raise DomainError(f"breakdown term {label!r} is NaN")
             if value < 0.0:
                 raise DomainError(f"breakdown term {label!r} is negative: {value!r}")
-        vars(self).update(terms=terms, total=math.fsum(v for _, v in terms))
-
-    @property
-    def labels(self):
-        return tuple(label for label, _ in self.terms)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.total)
-
-    def term(self, label: str) -> float:
-        for lab, value in self.terms:
-            if lab == label:
-                return value
-        raise KeyError(label)
+            if value == math.inf:
+                raise FloatRangeError(
+                    f"breakdown term {label!r} overflowed to inf; the input lies outside "
+                    "the float range of this bound"
+                )
+        try:
+            total = math.fsum(v for _, v in terms)
+        except OverflowError:
+            raise FloatRangeError(
+                "the bound total overflowed; the input lies outside the float range of this bound"
+            ) from None
+        vars(self).update(terms=terms, total=total)
 
     def to_dict(self):
         return {
@@ -245,9 +241,6 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     Terms: the score bound; a Markov tail term 2*sup*MSE/eps^2; the
     conditional R2 term; and the Taylor remainder term, which scales
     ``BoundIngredients.taylor_factor``.
-
-    Non-finite ingredient values propagate into a non-finite total rather
-    than raising; check ``BoundBreakdown.is_finite``.
     """
     sup, lip = _weights(h_weights)
     root_ni = math.sqrt(ing.n * ing.fisher_info)

@@ -140,7 +140,7 @@ class TestAgainstGeneralPerturbedBound:
     def test_terms_match(self, theta0, n, c):
         closed = poisson_bound(theta0, n, c)
         c_val = minimize_poisson_c(theta0, n) if c == "auto" else c
-        assert closed.labels == POISSON_LABELS
+        assert tuple(dict(closed.terms)) == POISSON_LABELS
         for (label, value), want in zip(closed.terms, poisson_perturbed_terms(theta0, n, c_val)):
             assert value == pytest.approx(want, rel=1e-12, abs=0.0), label
 
@@ -149,16 +149,17 @@ class TestPoissonBound:
     def test_degenerate_parameter_is_exactly_zero(self):
         bd = poisson_bound(0.0, 50)
         assert bd.total == 0.0
-        assert bd.labels == POISSON_LABELS
+        assert tuple(dict(bd.terms)) == POISSON_LABELS
 
     def test_reference_value(self):
         # independent 50-digit evaluation of the five-term closed form
         bd = poisson_bound(1.0, 100, 1.0)
         assert bd.total == pytest.approx(2.92158539519, abs=1e-9)
-        assert bd.term("param_shift") + bd.term("mle_gap") == pytest.approx(0.2)
-        assert bd.term("perturbed_score") == pytest.approx(0.4828427125, abs=1e-9)
-        assert bd.term("markov_tail") == pytest.approx(0.0784236839, abs=1e-9)
-        assert bd.term("perturbed_taylor") == pytest.approx(
+        terms = dict(bd.terms)
+        assert terms["param_shift"] + terms["mle_gap"] == pytest.approx(0.2)
+        assert terms["perturbed_score"] == pytest.approx(0.4828427125, abs=1e-9)
+        assert terms["markov_tail"] == pytest.approx(0.0784236839, abs=1e-9)
+        assert terms["perturbed_taylor"] == pytest.approx(
             0.0990099010 + 2.0613090977, abs=1e-8
         )
 
@@ -227,7 +228,7 @@ class TestPoissonDirectBound:
 
     @staticmethod
     def direct(theta0, n, c="auto"):
-        return poisson_bound(theta0, n, c).term("perturbed_score")
+        return dict(poisson_bound(theta0, n, c).terms)["perturbed_score"]
 
     def test_reference_values(self):
         assert self.direct(1.0, 100) == pytest.approx(0.4828427125, abs=1e-9)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import steinmle
-from steinmle import cli
+from steinmle import boundary, cli, registry
 from steinmle.cli import main
 from steinmle.registry import get_model
 from steinmle.steincore import kolmogorov_from_bw
@@ -122,7 +122,7 @@ class TestBoundCommand:
     @pytest.mark.parametrize(
         "model,flag",
         [("exp-canonical", "--h-lip=1e308"), ("exp-canonical", "--h-sup=1e308"),
-         ("exp-noncanonical", "--h-sup=1e308")],
+         ("exp-noncanonical", "--h-lip=1e308"), ("exp-noncanonical", "--h-sup=1e308")],
     )
     def test_json_output_is_strict(self, runner, model, flag):
         # an infinite total has no strict JSON form: a numerical failure, not "Infinity"
@@ -134,6 +134,41 @@ class TestBoundCommand:
         finite = runner.invoke(main, args[:-3] + ["--format", "json"])
         assert finite.exit_code == 0
         assert math.isfinite(_strict_json(finite.stdout)["breakdown"]["total"])
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("flag", ["--h-lip=1e308", "--h-sup=1e308"])
+    @pytest.mark.parametrize("model", ["exp-canonical", "exp-noncanonical"])
+    def test_infinite_term_exits_3_as_in_json(self, runner, model, flag, fmt):
+        # no format prints inf for a bound term: the exit code JSON gives
+        args = ["bound", "--model", model, "--theta0", "1", "--n", "10", flag, "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: breakdown term ")
+
+    @pytest.mark.parametrize("model,args", [("poisson", ["--theta0", "5", "--n", "50"]),
+                                            ("beta", ["--theta0", "1.5", "--n", "7500"])])
+    def test_weight_free_route_computes_one_bound(self, runner, monkeypatch, model, args):
+        # poisson and beta ignore the h weights, so the unit-weight total that
+        # the Kolmogorov bound converts is the bound already computed
+        calls, searches = [], []
+        bound, search = registry.Model.distance_bound, boundary.minimize_poisson_c
+        monkeypatch.setattr(registry.Model, "distance_bound",
+                            lambda *a, **k: calls.append(a) or bound(*a, **k))
+        monkeypatch.setattr(boundary, "minimize_poisson_c",
+                            lambda *a: searches.append(a) or search(*a))
+        base = ["bound", "--model", model, *args]
+        for fmt in ("text", "csv", "json"):
+            unit = runner.invoke(main, base + ["--format", fmt])
+            del calls[:], searches[:]
+            weighted = runner.invoke(main, base + ["--h-sup", "0.5", "--format", fmt])
+            assert weighted.exit_code == unit.exit_code == 0
+            assert len(calls) == 1
+            assert len(searches) == (model == "poisson")
+            if fmt == "json":
+                assert _json_out(weighted) == dict(_json_out(unit), h_sup=0.5)
+            else:
+                assert weighted.stdout == unit.stdout
 
     def test_poisson_zero_total(self, runner):
         result = runner.invoke(

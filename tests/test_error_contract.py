@@ -247,13 +247,18 @@ def test_raw_sample_trial_beyond_the_sampler_range_exits_2(case):
     assert "exceeds the sampler's range 4294967296" in err["message"]
 
 
-# +-0, nan, +-inf, and magnitudes log-uniform on [1e-300, 1e300] of either sign
+# +-0, nan, +-inf, the float edges +-1.797e308 and 5e-324, and magnitudes
+# log-uniform on [1e-300, 1e300] of either sign
 _REALS = st.one_of(
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.797e308, -1.797e308, 5e-324]),
     st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)),
 )
 _OPTIONAL = st.none() | _REALS
 _NS = st.sampled_from([1, 2, 3, 10, 10**6, 10**18])
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in the JSON output, which strict JSON cannot carry")
 
 
 def _invoke(args, fmt):
@@ -262,6 +267,8 @@ def _invoke(args, fmt):
     assert result.exit_code in (0, 2, 3), (args, result.output)
     if fmt == "json" and result.exit_code:
         assert json.loads(result.stderr)["schema"] == "steinmle/error/v1"
+    elif fmt == "json":
+        json.loads(result.stdout, parse_constant=_refuse_constant)
 
 
 def _options(**values):

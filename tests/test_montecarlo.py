@@ -389,7 +389,7 @@ class TestRunSimulation:
         rep = run_simulation(cfg)
         assert rep.target == "distance"
         assert rep.empirical_distance <= rep.bound_total
-        assert rep.bound_terms.labels == ("score", "markov_tail", "taylor_remainder", "r2")
+        assert tuple(dict(rep.bound_terms.terms)) == ("score", "markov_tail", "taylor_remainder", "r2")
 
     def test_standardised_moments_converge(self):
         # mean of sqrt(n i)(theta_hat - theta0) near 0, variance near 1

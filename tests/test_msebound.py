@@ -262,10 +262,11 @@ class TestImplicitDistanceBound:
     def test_reduces_to_score_term(self):
         ing = beta_ingredients(P)
         bd = implicit_distance_bound(ing, 8000, 0.0)
-        assert bd.term("markov_tail") == 0.0
-        assert bd.term("taylor_remainder") == 0.0
-        assert bd.term("r2") == 0.0
-        assert bd.total == bd.term("score")
+        terms = dict(bd.terms)
+        assert terms["markov_tail"] == 0.0
+        assert terms["taylor_remainder"] == 0.0
+        assert terms["r2"] == 0.0
+        assert bd.total == terms["score"]
 
     def test_monotone_in_a1(self):
         ing = beta_ingredients(P)
@@ -275,7 +276,7 @@ class TestImplicitDistanceBound:
     def test_var_l2_feeds_r2_term(self):
         ing = _synthetic_ingredients(var_l2=0.25)
         bd = implicit_distance_bound(ing, 400, 0.2)
-        assert bd.term("r2") == pytest.approx(0.5 * 0.2 / math.sqrt(ing.fisher_info))
+        assert dict(bd.terms)["r2"] == pytest.approx(0.5 * 0.2 / math.sqrt(ing.fisher_info))
 
 
 class TestBetaB3:
@@ -301,10 +302,11 @@ class TestBetaB3:
 class TestBetaDistanceBound:
     def test_term_structure_at_7500(self):
         bd = beta_distance_bound(P, 7500)
-        assert bd.term("score") == pytest.approx(0.64070543372, abs=1e-8)
-        assert bd.term("markov_tail") == pytest.approx(0.89617206715, abs=1e-7)
-        assert bd.term("taylor_remainder") == pytest.approx(418.49186501, abs=1e-4)
-        assert bd.term("r2") == 0.0
+        terms = dict(bd.terms)
+        assert terms["score"] == pytest.approx(0.64070543372, abs=1e-8)
+        assert terms["markov_tail"] == pytest.approx(0.89617206715, abs=1e-7)
+        assert terms["taylor_remainder"] == pytest.approx(418.49186501, abs=1e-4)
+        assert terms["r2"] == 0.0
         assert bd.total == pytest.approx(420.02874251, abs=1e-4)
 
     def test_matches_closed_form_combination(self):
@@ -419,12 +421,15 @@ class TestBetaShapeRoots:
         for stat, root in zip(stats.tolist(), roots.tolist()):
             assert root == pytest.approx(bracketed_beta_root(n, stat * n, beta), rel=1e-12)
 
-    def test_a_lane_does_not_depend_on_its_row(self):
-        # lanes converging after different step counts, in one row
-        stats = np.concatenate([_mean_logs(t, 2.5, 7, 30) for t in (0.05, 1.5, 40.0)])
-        row = beta_shape_roots(stats, 2.5)
-        assert row.tolist() == [beta_shape_roots([s], 2.5)[0] for s in stats.tolist()]
-        assert beta_shape_roots(stats[::-1], 2.5).tolist() == row[::-1].tolist()
+    @pytest.mark.parametrize("beta", [2.5, 2.0, 16.0])
+    def test_a_lane_does_not_depend_on_its_row(self, beta):
+        # lanes converging after different step counts, in one row; at beta =
+        # 16 a one-lane sum of 16 terms would add pairwise if it were a
+        # reduction, and a wider row's in order
+        stats = np.concatenate([_mean_logs(t, beta, 7, 100) for t in (0.05, 1.5, 40.0)])
+        row = beta_shape_roots(stats, beta)
+        assert row.tolist() == [beta_shape_roots([s], beta)[0] for s in stats.tolist()]
+        assert beta_shape_roots(stats[::-1], beta).tolist() == row[::-1].tolist()
 
     @pytest.mark.parametrize(
         "theta0,beta", [(1.5, 0.1), (8.0, 0.1), (400.0, 0.1), (400.0, 0.5), (0.05, 17.0)]
@@ -438,11 +443,37 @@ class TestBetaShapeRoots:
                 exact = mp.findroot(
                     lambda t: mp.digamma(t + beta) - mp.digamma(t) + mp.mpf(stat), root
                 )
-            assert root == pytest.approx(float(exact), rel=4e-16)
+            assert root == pytest.approx(float(exact), rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 16.0])
+    def test_integer_shape_within_4e16_of_the_exact_root(self, beta):
+        # the exact root of sum_{k<beta} 1/(theta + k) = -mean_log: 40-digit
+        # Newton from the float root, which squares a ~1e-16 error each step
+        stats = np.concatenate(
+            [_mean_logs(t, beta, n, 50) for t in (0.05, 0.3, 1.5, 8.0, 40.0) for n in (5, 20)]
+        )
+        ks = range(int(beta))
+        with mp.workdps(40):
+            for stat, root in zip(stats.tolist(), beta_shape_roots(stats, beta).tolist()):
+                t, exact = -mp.mpf(stat), mp.mpf(root)
+                for _ in range(3):
+                    score = mp.fsum(1 / (exact + k) for k in ks)
+                    exact += (score - t) / mp.fsum(1 / (exact + k) ** 2 for k in ks)
+                assert root == pytest.approx(float(exact), rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 16.0])
+    def test_integer_shape_start_is_at_most_the_root(self, beta):
+        stats = np.concatenate(
+            [_mean_logs(t, beta, n, 20) for t in (0.05, 1.5, 40.0, 400.0) for n in (5, 12000)]
+        )
+        start = msebound._finite_sum_start(-stats, beta)
+        assert np.all(start <= beta_shape_roots(stats, beta))
+        # never below -1/mean_log, where the series path starts
+        assert np.all(start >= -1.0 / stats)
 
     def test_beta_one_is_the_closed_form(self):
         stats = _mean_logs(1.5, 1.0, 50, 40)
-        assert beta_shape_roots(stats, 1.0) == pytest.approx(-1.0 / stats, rel=4e-16)
+        assert beta_shape_roots(stats, 1.0) == pytest.approx(-1.0 / stats, rel=4e-16, abs=0.0)
 
     def test_far_statistics(self):
         # roots near beta/|mean_log| and 1/|mean_log|; beyond ~1e150 a*b

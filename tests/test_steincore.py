@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinmle.errors import DomainError
+from steinmle.errors import DomainError, FloatRangeError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
 from steinmle.montecarlo import ci_coverage
 from steinmle.steincore import (
@@ -52,7 +52,7 @@ class TestTestFunction:
         h = inv_quadratic_test_function()
         assert h.sup_norm == 0.5
         assert h.lip_norm == pytest.approx(0.22963966338592295, rel=1e-14)
-        assert h.in_bounded_lipschitz_class()
+        assert h.sup_norm + h.lip_norm <= 1.0  # inside the bounded-Lipschitz class
         # numerical check that the declared norms actually dominate h
         xs = [k / 500.0 - 5.0 for k in range(5001)]
         values = [h.evaluator(x) for x in xs]
@@ -102,15 +102,21 @@ class TestBoundBreakdown:
     def test_total_is_exact_sum(self):
         bd = BoundBreakdown(terms=(("a", 0.1), ("b", 0.2), ("c", 0.3)))
         assert bd.total == math.fsum([0.1, 0.2, 0.3])
-        assert bd.term("b") == 0.2
-        with pytest.raises(KeyError):
-            bd.term("zzz")
+        assert dict(bd.terms)["b"] == 0.2
 
     def test_rejects_bad_terms(self):
         with pytest.raises(DomainError):
             BoundBreakdown(terms=(("a", -0.1),))
         with pytest.raises(DomainError):
             BoundBreakdown(terms=(("a", math.nan),))
+
+    def test_no_bound_is_inf(self):
+        # an infinite term, or finite terms whose total overflows, is a
+        # numerical failure, not a bound
+        with pytest.raises(FloatRangeError, match="'b'"):
+            BoundBreakdown(terms=(("a", 0.1), ("b", math.inf)))
+        with pytest.raises(FloatRangeError, match="total"):
+            BoundBreakdown(terms=(("a", 1e308), ("b", 1e308)))
 
     def test_json_round_trip(self):
         bd = BoundBreakdown(terms=(("score", 0.25), ("markov_tail", 0.5)))
@@ -146,7 +152,7 @@ class TestScoreBound:
     def test_single_term_labelled_score(self):
         ing = exp_canonical_ingredients(1.0, 10)
         bd = score_bound(ing)
-        assert bd.labels == ("score",)
+        assert tuple(dict(bd.terms)) == ("score",)
 
 
 class TestMleBoundGeneral:
@@ -160,18 +166,17 @@ class TestMleBoundGeneral:
 
     def test_canonical_unit_weights_terms(self):
         bd = mle_bound_general(exp_canonical_ingredients(1.0, 10), (1.0, 1.0))
-        assert bd.labels == ("score", "markov_tail", "r2", "taylor_remainder")
-        assert bd.term("score") == pytest.approx(1.3960064468, abs=1e-9)
-        assert bd.term("markov_tail") == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert bd.term("r2") == 0.0
-        assert bd.term("taylor_remainder") == pytest.approx(4.2163702136, abs=1e-9)
+        terms = dict(bd.terms)
+        assert tuple(terms) == ("score", "markov_tail", "r2", "taylor_remainder")
+        assert terms["score"] == pytest.approx(1.3960064468, abs=1e-9)
+        assert terms["markov_tail"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert terms["r2"] == 0.0
+        assert terms["taylor_remainder"] == pytest.approx(4.2163702136, abs=1e-9)
         assert bd.total == pytest.approx(6.9457, abs=1e-4)
 
-    def test_non_finite_ingredients_report_non_finite_total(self):
-        ing = _ingredients(mse=math.inf)
-        bd = mle_bound_general(ing, (1.0, 1.0))
-        assert not bd.is_finite
-        assert math.isinf(bd.total)
+    def test_non_finite_ingredients_raise_float_range_error(self):
+        with pytest.raises(FloatRangeError, match="markov_tail"):
+            mle_bound_general(_ingredients(mse=math.inf), (1.0, 1.0))
 
     @given(
         sup=st.floats(min_value=0.0, max_value=3.0),
@@ -180,19 +185,19 @@ class TestMleBoundGeneral:
     )
     def test_weight_linearity(self, sup, lip, scale):
         ing = exp_noncanonical_ingredients(2.0, 25)
-        base = mle_bound_general(ing, (sup, lip))
-        scaled_sup = mle_bound_general(ing, (scale * sup, lip))
-        scaled_lip = mle_bound_general(ing, (sup, scale * lip))
+        base = dict(mle_bound_general(ing, (sup, lip)).terms)
+        scaled_sup = dict(mle_bound_general(ing, (scale * sup, lip)).terms)
+        scaled_lip = dict(mle_bound_general(ing, (sup, scale * lip)).terms)
         # markov term scales with the sup weight, the rest with the lip weight
-        assert scaled_sup.term("markov_tail") == pytest.approx(
-            scale * base.term("markov_tail"), rel=1e-12, abs=1e-300
+        assert scaled_sup["markov_tail"] == pytest.approx(
+            scale * base["markov_tail"], rel=1e-12, abs=1e-300
         )
         for label in ("score", "r2", "taylor_remainder"):
-            assert scaled_sup.term(label) == base.term(label)
-            assert scaled_lip.term(label) == pytest.approx(
-                scale * base.term(label), rel=1e-12, abs=1e-300
+            assert scaled_sup[label] == base[label]
+            assert scaled_lip[label] == pytest.approx(
+                scale * base[label], rel=1e-12, abs=1e-300
             )
-        assert scaled_lip.term("markov_tail") == base.term("markov_tail")
+        assert scaled_lip["markov_tail"] == base["markov_tail"]
 
     @pytest.mark.parametrize("maker,n_lo", [(exp_canonical_ingredients, 3), (exp_noncanonical_ingredients, 1)])
     def test_total_non_increasing_in_n(self, maker, n_lo):
