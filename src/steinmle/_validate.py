@@ -7,8 +7,9 @@ included) and returns a plain float; ``integer`` takes any
 in the range of the trial streams' key.  All refuse ``bool``, which is a
 flag passed in the wrong place rather than the number 1, and anything that
 is not a number, such as the string ``"0.5"``.  A refusal is a DomainError
-whose message starts with the parameter's name.  Ranges particular to one
-model, such as 0 < epsilon < theta0, are checked where the model is.
+whose message starts with the parameter's name.  ``ball_radius`` checks the
+epsilon that every model on Theta = (0, inf) takes; other ranges particular
+to one model are checked where the model is.
 
 No check imports numpy, so the bound verbs start without it.  For the
 same reason the value types are plain classes on ``Value``, not dataclasses:
@@ -65,6 +66,15 @@ def master_seed(x, name="seed") -> int:
     if v >= 2**128:
         raise DomainError(f"{name} must be an integer < 2**128, got {x!r}")
     return v
+
+
+def ball_radius(epsilon, theta0: float) -> float:
+    """epsilon (theta0/2 if None) as a float in (0, theta0): the radius of an
+    epsilon-ball around theta0 inside Theta = (0, inf)."""
+    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
+    if not eps < theta0:
+        raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
+    return eps
 
 
 class Value:

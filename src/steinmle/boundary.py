@@ -47,6 +47,8 @@ _LABELS = (
     TERM_MARKOV,
     TERM_PERTURBED_TAYLOR,
 )
+# Golden-section stopping width of the c search.
+_C_TOL = 1e-10
 
 
 class PerturbationSpec(Value):
@@ -139,7 +141,7 @@ def _poisson_total(theta0: float, n: int, c: float, t_score: float) -> float:
     return math.fsum(v for _, v in _poisson_terms(theta0, n, c, t_score))
 
 
-def minimize_poisson_c(theta0: float, n: int, tol: float = 1e-10) -> float:
+def minimize_poisson_c(theta0: float, n: int) -> float:
     """Golden-section minimiser of the Poisson bound over c in (0, n*theta0].
 
     The total is strictly convex in c: with u = theta0 + c/n > 0, the shift
@@ -160,7 +162,7 @@ def minimize_poisson_c(theta0: float, n: int, tol: float = 1e-10) -> float:
     x2 = a + invphi * (b - a)
     f1 = _poisson_total(theta0, n, x1, t_score)
     f2 = _poisson_total(theta0, n, x2, t_score)
-    while b - a > tol:
+    while b - a > _C_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from ._validate import integer, real
+from ._validate import ball_radius, integer, real
 from .errors import DomainError, float_range
 from .steincore import BoundIngredients
 
@@ -48,9 +48,7 @@ def exp_canonical_ingredients(
     it is unused on the deterministic route and stored as +inf below that.
     """
     theta0 = real(theta0, "theta0", gt=0.0)
-    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
-    if not eps < theta0:  # Theta = (0, inf): the epsilon-ball must stay inside
-        raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
+    eps = ball_radius(epsilon, theta0)
     n = integer(n, "n")
     if n < 3:
         raise DomainError(f"canonical exponential MSE requires n >= 3, got {n}")
@@ -87,9 +85,7 @@ def exp_noncanonical_ingredients(
     Cauchy-Schwarz Taylor route is used.
     """
     theta0 = real(theta0, "theta0", gt=0.0)
-    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
-    if not eps < theta0:  # Theta = (0, inf): the epsilon-ball must stay inside
-        raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
+    eps = ball_radius(epsilon, theta0)
     n = integer(n, "n")
     return BoundIngredients(
         theta0=theta0,

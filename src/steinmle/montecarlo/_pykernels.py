@@ -26,10 +26,11 @@ Beta law takes its m gamma arrays from it one after another, k = 0 first.
 A raw-sample block whose first trial is t draws from the stream jumped t
 times, and blocks start at trial_start plus multiples of
 ``block_trials(n)``.  The harness gives rows disjoint trial ranges, so rows
-and blocks get disjoint streams, and a row's output does not depend on how
-its blocks are spread over processes.  Each thread keeps one Philox and
-re-keys it to each stream in turn (``make_generator``), which changes no
-stream.
+and blocks get disjoint streams.  ``trial_stats``, the one entry point that
+draws a row, lays out its blocks once and draws them in order or over
+min(workers, blocks, CPUs) processes, which changes no stream.  Each thread
+keeps one Philox and re-keys it to each stream in turn (``make_generator``),
+which changes no stream.
 
 Raw draws (``draw``) use numpy's own samplers: ``exponential``, ``poisson``
 (inversion below mean 10, Hoermann's PTRS above) and ``beta``.
@@ -37,7 +38,9 @@ Raw draws (``draw``) use numpy's own samplers: ``exponential``, ``poisson``
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import threading
 
 import numpy as np
@@ -147,29 +150,27 @@ def draw(model: str, theta0: float, beta: float, n: int, rng: Generator) -> np.n
     raise UnknownModelError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
-def _raw_mean_log(theta0: float, beta: float, n: int, count: int, rng: Generator) -> np.ndarray:
-    # Blocks of whole trials hold at most BLOCK_OBS observations; a trial
-    # larger than that is drawn in pieces of BLOCK_OBS.
-    per_block = block_trials(n)
-    out = np.empty(count)
-    for lo in range(0, count, per_block):
-        hi = min(lo + per_block, count)
-        if n <= BLOCK_OBS:
-            x = draw("beta", theta0, beta, (hi - lo) * n, rng)
-            out[lo:hi] = np.log(x).reshape(hi - lo, n).mean(axis=1)
-        else:
-            sums = [
-                float(np.log(draw("beta", theta0, beta, min(BLOCK_OBS, n - k), rng)).sum())
-                for k in range(0, n, BLOCK_OBS)
-            ]
-            out[lo] = math.fsum(sums) / n
-    return out
+def _raw_block(theta0: float, beta: float, n: int, seed: int, trial_stop: int, first: int):
+    """Mean log of each Beta trial of the raw-sample block that starts at trial
+    ``first`` (``block_trials(n)`` trials, none from trial_stop on), drawn from
+    the stream at ``first``; a trial above ``BLOCK_OBS`` observations is drawn
+    in pieces of ``BLOCK_OBS``."""
+    rng = make_generator(seed, first)
+    if n > BLOCK_OBS:
+        sums = [
+            float(np.log(draw("beta", theta0, beta, min(BLOCK_OBS, n - k), rng)).sum())
+            for k in range(0, n, BLOCK_OBS)
+        ]
+        return np.array([math.fsum(sums) / n])
+    count = min(block_trials(n), trial_stop - first)
+    return np.log(draw("beta", theta0, beta, count * n, rng)).reshape(count, n).mean(axis=1)
 
 
 def sample_stats(
     model: str, theta0: float, beta: float, n: int, count: int, rng: Generator
 ) -> np.ndarray:
-    """count independent draws of the per-trial statistic, from one stream."""
+    """count independent draws of the per-trial statistic, from one stream, by
+    its closed-form law; ``trial_stats`` draws what ``raw_sampled`` marks."""
     if model == "exp-canonical":
         return rng.standard_gamma(n, count) / n / theta0
     if model == "exp-noncanonical":
@@ -178,7 +179,10 @@ def sample_stats(
         return _poisson(n * theta0, count, rng) / n
     if model == "beta":
         if raw_sampled(model, beta, n):
-            return _raw_mean_log(theta0, beta, n, count, rng)
+            raise DomainError(
+                f"beta: known shape {beta!r} at n = {n} has no closed-form law; "
+                "trial_stats draws it from raw samples"
+            )
         total = 0.0
         for k in range(int(beta)):
             total = total + (rng.standard_gamma(n, count) / n) / (theta0 + k)
@@ -194,12 +198,14 @@ def trial_stats(
     seed: int,
     trial_start: int,
     trial_stop: int,
+    workers: int = 1,
 ) -> np.ndarray:
     """Per-trial statistic for trials [trial_start, trial_stop).
 
     Closed-form statistics come from the stream at trial_start; raw-sample
     blocks each from the stream at their first trial (see the module
-    docstring).  Estimators are derived from the statistic by the caller.
+    docstring), in order or over min(workers, blocks, CPUs) processes alike.
+    Estimators are derived from the statistic by the caller.
     """
     count = trial_stop - trial_start
     if count < 0:
@@ -211,9 +217,15 @@ def trial_stats(
             f"beta: with known shape {beta!r} a trial draws n raw observations, and "
             f"n = {n} exceeds the sampler's range {BLOCK_OBS * _PIECES_MAX}"
         )
-    step = block_trials(n)
-    parts = [
-        sample_stats(model, theta0, beta, n, min(step, trial_stop - t), make_generator(seed, t))
-        for t in range(trial_start, trial_stop, step)
-    ]
+    firsts = range(trial_start, trial_stop, block_trials(n))
+    block = functools.partial(_raw_block, theta0, beta, n, seed, trial_stop)
+    procs = min(workers, len(firsts), os.cpu_count() or 1)
+    if procs > 1:
+        # Imported here: it loads multiprocessing, which no other path needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(block, firsts, chunksize=max(1, len(firsts) // (procs * 4))))
+    else:
+        parts = list(map(block, firsts))
     return np.concatenate(parts) if parts else np.empty(0)

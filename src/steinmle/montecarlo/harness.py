@@ -10,14 +10,14 @@ distance" is that h-specific discrepancy; it is a lower proxy of the
 class-supremum distance that the attached bound controls, never an estimate
 of the supremum itself.
 
-Reproducibility: each trial's sufficient statistic is drawn from its exact
-law (see ``_pykernels``).  A row of trials draws from one Philox stream keyed
-by the seed, and the Beta model with a non-integer known shape, or one above
-n, draws raw samples in blocks with a stream each; which stream a row or
-block uses does not depend on the worker count, which only spreads those
-blocks over processes.  Trial summaries are reduced with exactly-rounded
-summation (fsum), which is permutation-invariant.  Identical config
-therefore yields byte-identical serialised reports at any worker count.
+Reproducibility: a row's statistics come from one ``_pykernels.trial_stats``
+call, from one Philox stream keyed by the seed; the Beta model with a
+non-integer known shape, or one above n, draws raw samples in blocks with a
+stream each.  No stream depends on the worker count, which is checked here;
+``trial_stats`` caps the pool at the row's blocks and the CPUs.  Trial
+summaries are reduced with exactly-rounded summation (fsum), which is
+permutation-invariant.  Identical config therefore yields byte-identical
+serialised reports at any worker count.
 
 Batching: a row's statistics map to its estimates in one ``mle_from_stat``
 call, and its standardised estimates go through h in one call of
@@ -171,38 +171,6 @@ def active_backend() -> str:
     return BACKEND_NAME
 
 
-def _stats_chunk(args):
-    return _pykernels.trial_stats(*args)
-
-
-def _collect_stats(
-    model: str,
-    theta0: float,
-    beta: float,
-    n: int,
-    seed: int,
-    trial_start: int,
-    trials: int,
-    workers: int,
-) -> np.ndarray:
-    stop = trial_start + trials
-    step = _pykernels.block_trials(n)
-    if workers <= 1 or trials <= step or not _pykernels.raw_sampled(model, beta, n):
-        return _pykernels.trial_stats(model, theta0, beta, n, seed, trial_start, stop)
-    # Raw-sample blocks are the unit of work; their streams do not depend on
-    # which process draws them.
-    tasks = [
-        (model, theta0, beta, n, seed, t, min(t + step, stop))
-        for t in range(trial_start, stop, step)
-    ]
-    # Imported here: it loads multiprocessing, which no other path needs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = max(1, len(tasks) // (workers * 4))
-        return np.concatenate(list(pool.map(_stats_chunk, tasks, chunksize=chunksize)))
-
-
 def _h_row(h: TestFunction, standardized: np.ndarray) -> np.ndarray:
     """h at every standardised estimate of a row, in one evaluator call."""
     contract = "TestFunction.evaluator must act elementwise on a float64 array"
@@ -267,7 +235,7 @@ def run_simulation(
         theta0, cfg.n, h_weights=h.weights, epsilon=cfg.epsilon, c=cfg.c
     )
 
-    stats = _collect_stats(
+    stats = _pykernels.trial_stats(
         cfg.model, theta0, cfg.beta, cfg.n, cfg.seed, 0, cfg.trials, cfg.workers
     )
     theta_hats = entry.mle_from_stat(stats, cfg.n)
@@ -323,7 +291,7 @@ def run_mse_sweep(
         raise DomainError(
             f"n below minimal n = {floor_n}: {len(bad)} of the n values, the smallest {min(bad)}"
         )
-    trials = integer(trials, "trials")
+    trials, workers = integer(trials, "trials"), integer(workers, "workers")
     seed = master_seed(seed)
     h = inv_quadratic_test_function()
     expected_h = normal_expectation(h, scale=1.0)
@@ -332,8 +300,9 @@ def run_mse_sweep(
     for first in range(0, len(n_list), rows_per_call):
         group = n_list[first : first + rows_per_call]
         stats = [
-            _collect_stats(
-                "beta", params.theta0, params.beta, n, seed, row * trials, trials, workers
+            _pykernels.trial_stats(
+                "beta", params.theta0, params.beta, n, seed, row * trials, (row + 1) * trials,
+                workers,
             )
             for row, n in enumerate(group, start=first)
         ]
@@ -400,8 +369,7 @@ def ci_coverage(
             "unit-normal standardisation; the boundary route targets N(0, theta0)"
         )
     theta0 = real(theta0, "theta0", **entry.theta0_limit)
-    n = integer(n, "n")
-    trials = integer(trials, "trials")
+    n, trials, workers = integer(n, "n"), integer(trials, "trials"), integer(workers, "workers")
     seed = master_seed(seed)
     bound = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0))
     b_k = kolmogorov_from_bw(bound.total)
@@ -409,7 +377,7 @@ def ci_coverage(
     alpha = float(alpha)
     if b_k >= alpha / 2.0:
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
-    stats = _collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
+    stats = _pykernels.trial_stats(model, theta0, beta, n, seed, 0, trials, workers)
     theta_hats = entry.mle_from_stat(stats, n)
     if offsets is None:  # the whole line
         covered = trials

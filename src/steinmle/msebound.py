@@ -34,7 +34,7 @@ import functools
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-from ._validate import Value, integer, real
+from ._validate import Value, ball_radius, integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
 from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
 from .steincore import (
@@ -145,12 +145,16 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     """Leading coefficient of the root-MSE quadratic; positive iff solvable.
 
     May be <= 0 below the minimal sample size; the sign is the caller's
-    signal, no exception is raised here.
+    signal, no exception is raised for it.  A D1 beyond the float range is a
+    FloatRangeError.
     """
     n = integer(n, "n")
     p = ing._decimals
     with localcontext(_EXTENDED):
-        return float(_d1_dec(p, n)[3])
+        value = float(_d1_dec(p, n)[3])
+    if not math.isfinite(value):
+        raise FloatRangeError(f"d1: D1 lies beyond the float range at n = {n}")
+    return value
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
@@ -242,9 +246,7 @@ def _beta_ingredients_b1(p: BetaParams, epsilon: float | None = None):
     """``beta_ingredients(p, epsilon)`` and B1, from one polygamma shift pass
     at each argument."""
     theta0, beta = p.theta0, p.beta
-    eps = theta0 / 2.0 if epsilon is None else real(epsilon, "epsilon", gt=0.0)
-    if not eps < theta0:
-        raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
+    eps = ball_radius(epsilon, theta0)
     fisher, b1 = _beta_fisher_b1(theta0, beta)
     if not fisher > 0.0:
         # psi_1 strictly decreases, so only rounding makes the difference <= 0:
@@ -439,9 +441,11 @@ def _finite_sum_start(t, m):
 
 
 _NEWTON_MAX_STEPS = 100
+# A lane is frozen once its Newton step falls to this fraction of theta.
+_NEWTON_REL_TOL = 1e-12
 
 
-def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
+def beta_shape_roots(mean_logs, beta: float):
     """Beta(theta, beta) shape MLEs for a row of mean log-observations.
 
     Each lane solves psi(theta + beta) - psi(theta) = -mean_log by Newton's
@@ -452,10 +456,11 @@ def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
     ``_finite_sum_start``, at or below the root.  Every other beta takes the
     shift-and-series score (``_shape_score_slope``) from theta =
     -1/mean_log, the beta = 1 root.  A step that would leave theta <= 0
-    halves theta instead.  A lane is frozen once its step falls to rel_tol
+    halves theta instead.  A lane is frozen once its step falls to 1e-12
     of theta, so its root does not depend on the rest of its row: a
-    one-element row gives the same root.  Returns a float64 array; raises
-    ConvergenceError if a lane has not converged after 100 steps.
+    one-element row gives the same root.  Returns a float64 array of finite
+    positive roots; raises ConvergenceError if a lane has not converged after
+    100 steps, and FloatRangeError if a root is not finite and positive.
     """
     import numpy as np  # here, so that the bound verbs never load numpy
 
@@ -483,19 +488,24 @@ def beta_shape_roots(mean_logs, beta: float, *, rel_tol: float = 1e-12):
         theta = roots.copy()
         for _ in range(_NEWTON_MAX_STEPS):
             if active.size == 0:
-                return roots
+                break
             residual, score, slope = residual_score_slope(theta, target)
             # Newton for 1/score = 1/target: the plain step times score/target.
             new = theta + residual / slope * (score / target)
             new = np.where((new > 0.0) & np.isfinite(new), new, 0.5 * theta)
             # not a plain >, so that a NaN step keeps its lane going
-            going = ~(np.abs(new - theta) <= rel_tol * new)
+            going = ~(np.abs(new - theta) <= _NEWTON_REL_TOL * new)
             roots[active] = new
             active, theta, target = active[going], new[going], target[going]
-    if active.size == 0:
-        return roots
-    raise ConvergenceError(
-        "shape MLE Newton iteration did not converge",
-        lanes=int(active.size),
-        last_theta=float(theta[0]),
-    )
+    if active.size:
+        raise ConvergenceError(
+            "shape MLE Newton iteration did not converge",
+            lanes=int(active.size),
+            last_theta=float(theta[0]),
+        )
+    if not np.all((roots > 0.0) & np.isfinite(roots)):  # halving can reach 0
+        raise FloatRangeError(
+            "beta_shape_roots: a root left (0, inf); the mean log-observation lies "
+            "outside the float range of this computation"
+        )
+    return roots

@@ -175,7 +175,7 @@ def _per_trial_coverage(model, theta0, n, alpha, trials, seed, beta=1.0, workers
     """Coverage with one interval and one containment test per trial."""
     res = ci_coverage(model, theta0, n, alpha, trials, seed, beta=beta, workers=workers)
     entry = get_model(model, beta=beta)
-    stats = harness._collect_stats(model, theta0, beta, n, seed, 0, trials, workers)
+    stats = _pykernels.trial_stats(model, theta0, beta, n, seed, 0, trials, workers)
     theta_hats = entry.mle_from_stat(stats, n)
     return res, per_trial_coverage(theta_hats, theta0, n, entry.fisher_info(theta0), alpha, res.b_k)
 

@@ -103,7 +103,7 @@ class TestBoundCommand:
         assert payload["breakdown"]["total"] == pytest.approx(0.009, abs=1e-3)
         # the Kolmogorov bound converts the unit-weight total, not the weighted one
         unit = get_model("exp-canonical").distance_bound(1.0, 100000, h_weights=(1.0, 1.0))
-        assert payload["kolmogorov_bound"] == pytest.approx(2.0 * unit.total**0.5, rel=1e-12)
+        assert payload["kolmogorov_bound"] == pytest.approx(2.0 * unit.total**0.5, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "model,theta0,n",
@@ -533,7 +533,7 @@ class TestConstantsCommand:
         )
         assert result.exit_code == 0
         ing = _json_out(result)["ingredients"]
-        assert ing["mse"] == pytest.approx(12.0 / 72.0, rel=1e-12)
+        assert ing["mse"] == pytest.approx(12.0 / 72.0, rel=1e-12, abs=0.0)
         assert ing["sup_third_is_deterministic"] is True
 
     def test_missing_n_is_validation_error(self, runner):

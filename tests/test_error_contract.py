@@ -247,6 +247,28 @@ def test_raw_sample_trial_beyond_the_sampler_range_exits_2(case):
     assert "exceeds the sampler's range 4294967296" in err["message"]
 
 
+# Every verb that takes --workers refuses a count below 1 before drawing.
+_WORKERS_ARGS = {
+    "simulate": ["simulate", "--model", "beta", "--theta0", "1.5", "--beta", "2.5",
+                 "--n", "14816", "--trials", "12"],
+    "table-3": ["table", "3"],
+    "ci": ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000",
+           "--alpha", "0.9", "--trials", "10"],
+    "mse-sweep": ["mse-sweep", "--beta", "2.5", "--n-from", "14816", "--n-to", "14816",
+                  "--trials", "12"],
+}
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("case", _WORKERS_ARGS)
+def test_workers_below_one_exits_2(case, workers):
+    result = CliRunner().invoke(main, _WORKERS_ARGS[case] + ["--workers", workers, "--format", "json"])
+    assert result.exit_code == 2, result.output
+    err = json.loads(result.stderr)
+    assert err["error"] == "DomainError"
+    assert err["message"] == f"workers must be an integer >= 1, got {workers}"
+
+
 # +-0, nan, +-inf, the float edges +-1.797e308 and 5e-324, and magnitudes
 # log-uniform on [1e-300, 1e300] of either sign
 _REALS = st.one_of(

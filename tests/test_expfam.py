@@ -44,28 +44,28 @@ class TestGenericOps:
         # Var T = 1/theta^2 at rate theta
         for theta0 in (0.5, 1.0, 2.0):
             want = expfam_fisher_info(1.0, 1.0 / theta0**2)
-            assert exp_canonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14)
+            assert exp_canonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_fisher_info_noncanonical(self):
         # k'(2) = -1/4, Var(-X) = 4 at mean 2: fisher = 1/16 * 4 = 1/4
         assert expfam_fisher_info(-0.25, 4.0) == pytest.approx(0.25)
         for theta0 in (0.5, 1.0, 2.0):
             want = expfam_fisher_info(-1.0 / theta0**2, theta0**2)
-            assert exp_noncanonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14)
+            assert exp_noncanonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_third_moment_canonical(self):
         # E|T - D|^3 = E|X - 1/theta|^3 <= EXP_THIRD_ABS_BOUND / theta^3
         for theta0 in (0.5, 1.0, 2.0):
             want = expfam_third_score_moment(1.0, EXP_THIRD_ABS_BOUND / theta0**3)
             got = exp_canonical_ingredients(theta0, 10).third_abs_score_moment
-            assert got == pytest.approx(want, rel=1e-14)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_third_moment_noncanonical(self):
         # E|T - D|^3 = E|X - theta|^3 <= EXP_THIRD_ABS_BOUND * theta^3 at mean theta
         for theta0 in (0.5, 1.0, 2.0):
             want = expfam_third_score_moment(-1.0 / theta0**2, EXP_THIRD_ABS_BOUND * theta0**3)
             got = exp_noncanonical_ingredients(theta0, 10).third_abs_score_moment
-            assert got == pytest.approx(want, rel=1e-14)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestThirdMomentConstant:
@@ -77,7 +77,7 @@ class TestThirdMomentConstant:
             bound = EXP_THIRD_ABS_BOUND / theta0**3
             assert exact <= bound
             assert bound - exact < 1e-3
-        assert exp_third_abs_central(1.0) == pytest.approx(12.0 / math.e - 2.0, rel=1e-12)
+        assert exp_third_abs_central(1.0) == pytest.approx(12.0 / math.e - 2.0, rel=1e-12, abs=0.0)
 
 
 class TestCanonicalIngredients:
@@ -116,7 +116,7 @@ class TestCanonicalIngredients:
                     [0, 1 / theta0, mp.inf],
                 )
             )
-        assert exp_canonical_ingredients(theta0, n).mse == pytest.approx(ref, rel=1e-9)
+        assert exp_canonical_ingredients(theta0, n).mse == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_fourth_moment_against_quadrature(self):
         n, theta0 = 6, 1.3
@@ -193,7 +193,7 @@ class TestClosedFormTotals:
             + 8.0 * (n + 2) / ((n - 1) * (n - 2))
             + 8.0 * math.sqrt(n) * (n + 2) / ((n - 1) * (n - 2))
         )
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 10, 100, 10**4])
     @pytest.mark.parametrize("theta0", [0.5, 1.0, 4.0])
@@ -207,7 +207,7 @@ class TestClosedFormTotals:
             + 2.0 / math.sqrt(n)
             + 80.0 * math.sqrt(3.0 * (2.0 / n + 1.0)) / math.sqrt(n)
         )
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestModelLevelInvariants:
@@ -232,7 +232,7 @@ class TestModelLevelInvariants:
         for n in [1, 2, 3, 10, 100, 10**4, 10**6]:
             ing = exp_noncanonical_ingredients(3.0, n)
             direct = score_bound(ing, (1.0, 1.0)).total
-            assert direct == pytest.approx((2.0 + 2.41456) / math.sqrt(n), rel=1e-15)
+            assert direct == pytest.approx((2.0 + 2.41456) / math.sqrt(n), rel=1e-15, abs=0.0)
             assert direct <= mle_bound_general(ing, (1.0, 1.0)).total
 
 
@@ -247,8 +247,8 @@ class TestGenericFamilyRoute:
         fisher = expfam_fisher_info(1.0, var_T)
         third = expfam_third_score_moment(1.0, third_T)
         builtin = exp_canonical_ingredients(theta0, n)
-        assert fisher == pytest.approx(builtin.fisher_info, rel=1e-14)
-        assert third == pytest.approx(builtin.third_abs_score_moment, rel=1e-14)
+        assert fisher == pytest.approx(builtin.fisher_info, rel=1e-14, abs=0.0)
+        assert third == pytest.approx(builtin.third_abs_score_moment, rel=1e-14, abs=0.0)
         from steinmle.steincore import BoundIngredients
 
         generic = BoundIngredients(
@@ -265,7 +265,7 @@ class TestGenericFamilyRoute:
         )
         got = mle_bound_general(generic, (1.0, 1.0)).total
         want = mle_bound_general(builtin, (1.0, 1.0)).total
-        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestDescriptors:

@@ -173,9 +173,7 @@ class TestSamplers:
 
 
 def _assert_matches_raw_statistic(model, theta0, beta, n, trials=4000):
-    direct = _pykernels.sample_stats(
-        model, theta0, beta, n, trials, _pykernels.make_generator(31, 0)
-    )
+    direct = _pykernels.trial_stats(model, theta0, beta, n, 31, 0, trials)
     x = _pykernels.draw(model, theta0, beta, trials * n, _pykernels.make_generator(31, 1))
     raw = (np.log(x) if model == "beta" else x).reshape(trials, n).mean(axis=1)
     assert ks_2samp(direct, raw).pvalue > 1e-3
@@ -230,6 +228,75 @@ class TestStatisticLaws:
         mean = polygamma(0, 1.5) - polygamma(0, 4.0)
         se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 4.0)) / n / trials)
         assert abs(float(stats.mean()) - mean) < 5.0 * se
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records each pool's size and
+    maps in the calling process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestRawBlockPool:
+    """trial_stats sizes its pool by the blocks it has and the CPUs there are."""
+
+    # n = 22000 makes blocks of 2 trials, so 6 trials are 3 blocks
+    N, TRIALS = 22000, 6
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool.sizes
+
+    def _stats(self, trials, workers):
+        return _pykernels.trial_stats("beta", 1.5, 2.5, self.N, 9, 0, trials, workers)
+
+    def test_pool_is_no_larger_than_the_block_list(self, sizes, monkeypatch):
+        monkeypatch.setattr(_pykernels.os, "cpu_count", lambda: 64)
+        assert _pykernels.block_trials(self.N) == 2
+        stats = self._stats(self.TRIALS, 10**6)
+        assert sizes == [3]
+        assert stats.tolist() == self._stats(self.TRIALS, 1).tolist()
+
+    def test_pool_is_no_larger_than_the_cpu_count(self, sizes, monkeypatch):
+        monkeypatch.setattr(_pykernels.os, "cpu_count", lambda: 2)
+        self._stats(self.TRIALS, 10**6)
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_starts_no_pool(self, sizes, monkeypatch, cpus):
+        monkeypatch.setattr(_pykernels.os, "cpu_count", lambda: cpus)
+        self._stats(self.TRIALS, 10**6)
+        assert sizes == []
+
+    def test_one_block_or_a_closed_form_law_starts_no_pool(self, sizes, monkeypatch):
+        monkeypatch.setattr(_pykernels.os, "cpu_count", lambda: 64)
+        self._stats(2, 10**6)
+        _pykernels.trial_stats("beta", 1.5, 2.0, self.N, 9, 0, self.TRIALS, 10**6)
+        _pykernels.trial_stats("exp-canonical", 1.0, 1.0, 5, 9, 0, 10**5, 10**6)
+        assert sizes == []
+
+    @pytest.mark.parametrize("beta,n", [(2.5, 50), (4.0, 3)])
+    def test_sample_stats_refuses_a_raw_sampled_config(self, beta, n):
+        # int(2.5) is 2: without the check this would draw the Beta(theta0, 2) law
+        assert _pykernels.raw_sampled("beta", beta, n)
+        with pytest.raises(DomainError, match="raw samples"):
+            _pykernels.sample_stats("beta", 1.5, beta, n, 10, _pykernels.make_generator(0, 0))
 
 
 def test_registry_is_one_class():
@@ -365,7 +432,7 @@ class TestRunSimulation:
         h = cfg.test_function.evaluator
         h_values = [h(scale * (entry.mle_from_stat(float(s), 5) - 1.0)) for s in stats]
         expected = statistics.stdev(h_values) / math.sqrt(trials)
-        assert rep.standard_error == pytest.approx(expected, rel=1e-14)
+        assert rep.standard_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_poisson_degenerate_case(self):
         cfg = SimulationConfig(model="poisson", theta0=0.0, n=50, trials=100, seed=1)
@@ -474,7 +541,7 @@ class TestMseSweep:
         reports = run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=200, seed=42)
         rep = reports[0]
         assert rep.target == "mse"
-        assert rep.bound_total == pytest.approx(0.2520483938871623, rel=1e-9)
+        assert rep.bound_total == pytest.approx(0.2520483938871623, rel=1e-9, abs=0.0)
         assert rep.empirical_mse <= rep.bound_total
         assert rep.error == rep.bound_total - rep.empirical_mse
 
@@ -494,6 +561,11 @@ class TestMseSweep:
     def test_rejects_below_minimal(self):
         with pytest.raises(DomainError, match="minimal n"):
             run_mse_sweep(BetaParams(1.5, 1.0), [7000], trials=10, seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_workers_validated(self, workers):
+        with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+            run_mse_sweep(BetaParams(1.5, 2.5), [14816], trials=4, seed=0, workers=workers)
 
     def test_rows_use_disjoint_streams(self):
         reports = run_mse_sweep(BetaParams(1.5, 1.0), [7500, 7500], trials=50, seed=42)
@@ -547,6 +619,12 @@ class TestCiCoverage:
             ci_coverage("exp-canonical", 1.0, 10**7, alpha, trials=trials, seed=0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.9], ids=["degenerate", "interval"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_workers_validated_before_any_interval(self, workers, alpha):
+        with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+            ci_coverage("exp-canonical", 1.0, 10**7, alpha, trials=10, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.9], ids=["degenerate", "interval"])
     def test_numpy_integer_trials_accepted(self, alpha):
         res = ci_coverage("exp-canonical", 1.0, 10**7, alpha, trials=np.int64(20), seed=3)
         assert type(res.trials) is int and res.trials == 20
@@ -595,9 +673,9 @@ class TestConditionalExpectationCheck:
 
     def test_constant_function_equal(self):
         lhs, rhs, _, _ = conditioned_mean("exp-canonical", 1.0, 40, lambda m: 2.5, 0.2, 500, 3)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
     def test_infinite_eps_equal(self):
         lhs, rhs, _, count = conditioned_mean("exp-noncanonical", 2.0, 40, lambda m: m, 1e12, 500, 4)
         assert count == 500
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)

@@ -17,7 +17,7 @@ from oracles import beta_score, bisected_minimal_n, bracketed_beta_root
 from scipy.special import gammaln
 
 from steinmle import msebound
-from steinmle.errors import ConvergenceError, DegenerateSampleError, DomainError
+from steinmle.errors import ConvergenceError, DegenerateSampleError, DomainError, FloatRangeError
 from steinmle.registry import get_model
 from steinmle.msebound import (
     BetaParams,
@@ -72,13 +72,13 @@ class TestBetaIngredients:
     def test_fisher_is_polygamma_difference(self):
         ing = beta_ingredients(P)
         # beta = 1 identity: psi_1(t) - psi_1(t+1) = 1/t^2 exactly
-        assert ing.fisher_info == pytest.approx(1.0 / 1.5**2, rel=1e-12)
+        assert ing.fisher_info == pytest.approx(1.0 / 1.5**2, rel=1e-12, abs=0.0)
 
     def test_b_constants(self):
         consts = beta_b_constants(P)
-        assert consts["B2"] == pytest.approx(25.562962962962963, rel=1e-12)
-        assert consts["B1"] == pytest.approx(39.807316257217488, rel=1e-9)
-        assert consts["D_psi1"] == pytest.approx(4.0 / 9.0, rel=1e-12)
+        assert consts["B2"] == pytest.approx(25.562962962962963, rel=1e-12, abs=0.0)
+        assert consts["B1"] == pytest.approx(39.807316257217488, rel=1e-9, abs=0.0)
+        assert consts["D_psi1"] == pytest.approx(4.0 / 9.0, rel=1e-12, abs=0.0)
         assert consts["minimal_n"] == 7460
 
     def test_b1_against_independent_polygamma(self):
@@ -92,7 +92,7 @@ class TestBetaIngredients:
                     + 3 * mp.polygamma(1, mp.mpf("2.5")) ** 2
                 )
             )
-        assert beta_b_constants(P)["B1"] == pytest.approx(ref, rel=1e-12)
+        assert beta_b_constants(P)["B1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_var_l2_zero_and_unit_sup_norms(self):
         ing = beta_ingredients(P)
@@ -124,6 +124,12 @@ class TestD1:
         assert d1(ing, 7460) > 0.0
         assert d1(ing, 7459) <= 0.0
         assert d1(ing, 7000) <= 0.0
+
+    def test_beyond_the_float_range_is_a_float_range_error(self):
+        # D1 ~ -2e312 in 50 digits, which rounds to -inf in float
+        ing = ImplicitModelIngredients(1e-300, 1e6, 6e4, 1.5, 1e17, 1e6, 1e300)
+        with pytest.raises(FloatRangeError, match="d1"):
+            d1(ing, 1)
 
 
 class TestMinimalN:
@@ -221,12 +227,12 @@ class TestA1:
                 )
             )
         )
-        assert mse_upper_bound_a1(ing, n) == pytest.approx(expected, rel=1e-10)
+        assert mse_upper_bound_a1(ing, n) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("n,ref", sorted(B3SQ_OVER_N.items()))
     def test_squared_matches_frozen_table(self, n, ref):
         a1 = mse_upper_bound_a1(beta_ingredients(P), n)
-        assert a1 * a1 == pytest.approx(ref, rel=1e-9)
+        assert a1 * a1 == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_rejects_below_minimal_n(self):
         with pytest.raises(DomainError, match="minimal n"):
@@ -283,7 +289,7 @@ class TestBetaB3:
     @pytest.mark.parametrize("n,ref", sorted(B3SQ_OVER_N.items()))
     def test_frozen_table(self, n, ref):
         b3 = beta_b3(P, n)
-        assert b3 * b3 / n == pytest.approx(ref, rel=1e-9)
+        assert b3 * b3 / n == pytest.approx(ref, rel=1e-9, abs=0.0)
         # published 4-decimal values within their rounding tolerance
         published = {7500: 0.2517, 7700: 0.0416, 7900: 0.0223, 8100: 0.0151, 8300: 0.0112}
         assert b3 * b3 / n == pytest.approx(published[n], abs=5e-4)
@@ -320,7 +326,7 @@ class TestBetaDistanceBound:
                 + 8.0 * b3**2 / (n * 1.5**2)
                 + b2 * b3**2 / (2.0 * math.sqrt(n) * math.sqrt(dpsi))
             )
-            assert beta_distance_bound(P, n).total == pytest.approx(expected, rel=1e-10)
+            assert beta_distance_bound(P, n).total == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_strictly_decreasing_in_n(self):
         ns = [7460, 7500, 7700, 8000, 8459, 10**4, 10**5, 10**6]
@@ -365,12 +371,12 @@ class TestBetaMle:
         xs = rng.beta(1.5, 1.0, size=400)
         theta = _beta_mle(xs, 1.0)
         closed = -len(xs) / math.fsum(math.log(v) for v in xs)
-        assert theta == pytest.approx(closed, rel=1e-10)
+        assert theta == pytest.approx(closed, rel=1e-10, abs=0.0)
 
     def test_constant_sample_identity(self):
         theta_star = 2.7
         xs = [math.exp(-1.0 / theta_star)] * 25
-        assert _beta_mle(xs, 1.0) == pytest.approx(theta_star, rel=1e-10)
+        assert _beta_mle(xs, 1.0) == pytest.approx(theta_star, rel=1e-10, abs=0.0)
 
     def test_score_residual_beta_two(self):
         rng = np.random.default_rng(11)
@@ -419,7 +425,7 @@ class TestBetaShapeRoots:
         stats = _mean_logs(theta0, beta, n, 20 if n > 1000 else 60)
         roots = beta_shape_roots(stats, beta)
         for stat, root in zip(stats.tolist(), roots.tolist()):
-            assert root == pytest.approx(bracketed_beta_root(n, stat * n, beta), rel=1e-12)
+            assert root == pytest.approx(bracketed_beta_root(n, stat * n, beta), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("beta", [2.5, 2.0, 16.0])
     def test_a_lane_does_not_depend_on_its_row(self, beta):
@@ -478,10 +484,17 @@ class TestBetaShapeRoots:
     def test_far_statistics(self):
         # roots near beta/|mean_log| and 1/|mean_log|; beyond ~1e150 a*b
         # overflows and the iteration reports that it did not converge
-        assert beta_shape_roots([-1e-100], 2.0)[0] == pytest.approx(2e100, rel=1e-12)
-        assert beta_shape_roots([-1e300], 0.5)[0] == pytest.approx(1e-300, rel=1e-12)
+        assert beta_shape_roots([-1e-100], 2.0)[0] == pytest.approx(2e100, rel=1e-12, abs=0.0)
+        assert beta_shape_roots([-1e300], 0.5)[0] == pytest.approx(1e-300, rel=1e-12, abs=0.0)
         with pytest.raises(ConvergenceError):
             beta_shape_roots([-1e-300], 2.0)
+
+    def test_root_that_underflows_to_zero_is_a_float_range_error(self):
+        # the start 1/|mean_log| is subnormal, and halving takes it to 0
+        with pytest.raises(FloatRangeError, match="beta_shape_roots"):
+            beta_shape_roots([-1.797e308], 0.5)
+        with pytest.raises(FloatRangeError):
+            beta_shape_roots([-0.5, -1.797e308], 0.5)
 
     @pytest.mark.parametrize(
         "bad", [[0.0], [-0.5, 0.1], [-math.inf], [math.nan], [[-0.5]]]

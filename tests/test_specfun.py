@@ -28,9 +28,9 @@ ACCURACY_GRID = [10.0 ** (-3 + 9 * k / 40) for k in range(41)]
 
 class TestPolygamma:
     def test_known_identities(self):
-        assert polygamma(1, 0.5) == pytest.approx(math.pi**2 / 2, rel=1e-12)
-        assert polygamma(3, 0.5) == pytest.approx(math.pi**4, rel=1e-12)
-        assert polygamma(0, 1.0) == pytest.approx(-EULER_GAMMA, rel=1e-12)
+        assert polygamma(1, 0.5) == pytest.approx(math.pi**2 / 2, rel=1e-12, abs=0.0)
+        assert polygamma(3, 0.5) == pytest.approx(math.pi**4, rel=1e-12, abs=0.0)
+        assert polygamma(0, 1.0) == pytest.approx(-EULER_GAMMA, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_accuracy_against_mpmath(self, order):
@@ -38,7 +38,7 @@ class TestPolygamma:
             for x in ACCURACY_GRID + [1e5, 1e6]:
                 ref = float(mp.digamma(x)) if order == 0 else float(mp.polygamma(order, x))
                 got = polygamma(order, x)
-                assert got == pytest.approx(ref, rel=1e-12), (order, x)
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (order, x)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_direct_series_oracle_agrees(self, order):
@@ -57,7 +57,7 @@ class TestPolygamma:
             for m in (1, 2, 3):
                 expected = (-1.0) ** m * math.factorial(m) / x ** (m + 1)
                 got = polygamma(m, x + 1) - polygamma(m, x)
-                assert got == pytest.approx(expected, rel=1e-10), (m, x)
+                assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (m, x)
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_positive_and_strictly_decreasing(self, order):
@@ -120,7 +120,7 @@ class TestNormalQuantile:
         with mp.workdps(50):
             for p in (1e-12, 1e-100, 1e-300):
                 x = std_normal_quantile(p)
-                assert float(mp.ncdf(x)) == pytest.approx(p, rel=1e-11)
+                assert float(mp.ncdf(x)) == pytest.approx(p, rel=1e-11, abs=0.0)
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_roundtrip(self, x):
@@ -249,4 +249,4 @@ class TestNormalExpectation:
         assert info.value.details["achieved_error"] > 1e-8
 
     def test_pdf_normalised(self):
-        assert _normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14)
+        assert _normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14, abs=0.0)

@@ -51,7 +51,7 @@ class TestTestFunction:
     def test_default_h_norms(self):
         h = inv_quadratic_test_function()
         assert h.sup_norm == 0.5
-        assert h.lip_norm == pytest.approx(0.22963966338592295, rel=1e-14)
+        assert h.lip_norm == pytest.approx(0.22963966338592295, rel=1e-14, abs=0.0)
         assert h.sup_norm + h.lip_norm <= 1.0  # inside the bounded-Lipschitz class
         # numerical check that the declared norms actually dominate h
         xs = [k / 500.0 - 5.0 for k in range(5001)]
@@ -224,8 +224,8 @@ class TestMleBoundGeneral:
 class TestKolmogorovConversion:
     def test_reference_points(self):
         assert kolmogorov_from_bw(0.0) == 0.0
-        assert kolmogorov_from_bw(0.25) == pytest.approx(1.0, rel=1e-15)
-        assert kolmogorov_from_bw(0.0625) == pytest.approx(0.5, rel=1e-15)
+        assert kolmogorov_from_bw(0.25) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert kolmogorov_from_bw(0.0625) == pytest.approx(0.5, rel=1e-15, abs=0.0)
 
     @given(
         b1=st.floats(min_value=0.0, max_value=1e6),
@@ -299,7 +299,7 @@ class TestDirectSumBound:
 
     def test_reference_values(self):
         assert self.direct(1.0, 2.41456, 100) == pytest.approx(0.441456, abs=1e-9)
-        assert self.direct(1.0, 0.0, 4) == pytest.approx(1.0, rel=1e-15)
+        assert self.direct(1.0, 0.0, 4) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_poisson_holder_route(self):
         # sigma = sqrt(theta0), third moment bounded by (3 theta0 + 1)^(3/4) theta0^(3/4)
