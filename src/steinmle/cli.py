@@ -23,9 +23,8 @@ import sys
 from . import __version__, registry
 from ._validate import master_seed
 from .errors import ConvergenceError, DomainError, FloatRangeError, SteinMLEError
-from .expfam import exp_noncanonical_ingredients
 from .msebound import BetaParams
-from .steincore import inv_quadratic_test_function, kolmogorov_from_bw, score_bound
+from .steincore import TERM_SCORE, inv_quadratic_test_function, kolmogorov_from_bw
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -188,9 +187,11 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
     norms; the poisson and beta closed forms absorb the norms at the class
     ceiling (sup <= 1, Lipschitz <= 1) and ignore the h options.  The
     Kolmogorov distance does not depend on h, so its bound converts the
-    unit-weight total whatever the h options.  --epsilon applies to the
-    exponential models only and --c to poisson only; given to another
-    model, either is a validation error.
+    unit-weight total whatever the h options, against the normal the
+    model targets: 2 sqrt(total) for N(0, 1), and for poisson's N(0, theta0)
+    the larger of that and sqrt(2 C total), C = (2 pi theta0)^(-1/2).
+    --epsilon applies to the exponential models only and --c to poisson
+    only; given to another model, either is a validation error.
     """
     entry = registry.get_model(model, beta=beta)
     c = "auto" if c is None else c
@@ -198,7 +199,7 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
     unit = breakdown
     if entry.uses_h_weights and (h_sup, h_lip) != (1.0, 1.0):
         unit = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0), epsilon=epsilon, c=c)
-    b_k = kolmogorov_from_bw(unit.total)
+    b_k = kolmogorov_from_bw(unit.total, entry.target_sigma(theta0))
     payload = {
         "schema": "steinmle/bound/v1",
         "model": model,
@@ -216,12 +217,6 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
         for label, value in (*breakdown.terms, ("total", breakdown.total), ("kolmogorov", b_k))
     ]
     return payload, csv_rows, text
-
-
-def _direct_bound_column(n: int) -> float:
-    """Table 2's extra column: the normalised-sum bound weighted by the h norms."""
-    ing = exp_noncanonical_ingredients(2.0, n)
-    return score_bound(ing, _TABLE_H.weights).total
 
 
 @_verb("table", ("which", dict(type=int, choices=(1, 2, 3), metavar="WHICH")),
@@ -245,21 +240,9 @@ def cmd_table(which, trials, seed, workers):
             workers=workers,
         )
     else:
-        cfgs = [
-            mc.SimulationConfig(
-                model=spec["model"],
-                theta0=spec["theta0"],
-                n=n,
-                trials=trials,
-                seed=seed,
-                test_function=_TABLE_H,
-                workers=workers,
-            )
-            for n in spec["ns"]
-        ]
-        # the rows share h and theta0, so they share E h(Z)
-        expected_h = mc.expected_h(cfgs[0])
-        reports = [mc.run_simulation(cfg, expected_h=expected_h) for cfg in cfgs]
+        cfg = mc.SimulationConfig(spec["model"], spec["theta0"], spec["ns"][0], trials, seed,
+                                  test_function=_TABLE_H, workers=workers)
+        reports = mc.run_rows(cfg, spec["ns"])
     payload = {
         "schema": "steinmle/table/v1",
         "table": which,
@@ -273,7 +256,8 @@ def cmd_table(which, trials, seed, workers):
         for rep in reports
     )
     if which == 2:
-        direct = [_direct_bound_column(rep.n) for rep in reports]
+        # the normalised-sum bound weighted by the h norms: the distance bound's score term
+        direct = [dict(rep.bound_terms.terms)[TERM_SCORE] for rep in reports]
         for row, value in zip(payload["rows"], direct):
             row["direct_bound"] = value
         csv_rows = (row + (cell,) for row, cell in zip(csv_rows, ["direct_bound", *map(repr, direct)]))

@@ -7,6 +7,7 @@ from .harness import (
     active_backend,
     ci_coverage,
     run_mse_sweep,
+    run_rows,
     run_simulation,
 )
 
@@ -17,5 +18,6 @@ __all__ = [
     "active_backend",
     "ci_coverage",
     "run_mse_sweep",
+    "run_rows",
     "run_simulation",
 ]

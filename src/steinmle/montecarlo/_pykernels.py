@@ -70,12 +70,24 @@ _WORD = 2**64 - 1
 
 
 class _Stream(threading.local):
-    """A thread's one Philox and the Generator on it, re-keyed by every
-    ``make_generator`` call in that thread, so threads share no stream."""
+    """A thread's one Philox, the Generator on it and the state dict that
+    ``make_generator`` fills in place to re-key it, so threads share no
+    stream.  The words are lists: the state setter reads them one by one,
+    and Python ints cost it a third of what numpy scalars do."""
 
     def __init__(self):
         self.bit_generator = Philox(0)
         self.generator = Generator(self.bit_generator)
+        self.counter = [0, 0, 0, 0]
+        self.key = [0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self.counter, "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 _STREAM = _Stream()
@@ -88,22 +100,15 @@ def make_generator(seed: int, trial: int) -> Generator:
     ``trial`` times (0 <= trial < 2^128) starts at counter ``trial << 128``.
     The key (0 <= seed < 2^128) and the counter are set, as 64-bit words
     with the low word first, on the calling thread's one Philox, and its
-    buffer is emptied.  That costs a fifth of building a new Philox, whose
-    seeding draws OS entropy that the key then overrides.  The returned
-    generator is therefore valid only until the thread's next call.
+    buffer is emptied.  That costs a fraction of building a new Philox,
+    whose seeding draws OS entropy that the key then overrides.  The
+    returned generator is therefore valid only until the thread's next call.
     """
-    _STREAM.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, trial & _WORD, trial >> 64], dtype=np.uint64),
-            "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return _STREAM.generator
+    stream = _STREAM
+    stream.counter[2], stream.counter[3] = trial & _WORD, trial >> 64
+    stream.key[0], stream.key[1] = seed & _WORD, seed >> 64
+    stream.bit_generator.state = stream.state  # copied into the Philox, buffer included
+    return stream.generator
 
 
 def block_trials(n: int) -> int:

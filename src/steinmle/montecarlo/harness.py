@@ -19,13 +19,18 @@ summaries are reduced with exactly-rounded summation (fsum), which is
 permutation-invariant.  Identical config therefore yields byte-identical
 serialised reports at any worker count.
 
-Batching: a row's statistics map to its estimates in one ``mle_from_stat``
-call, and its standardised estimates go through h in one call of
-``TestFunction.evaluator`` on the whole float64 row.  Work that rows share
-is done once: ``run_simulation`` takes E h as ``expected_h`` (``table 1|2``
-computes it once for its five rows), and ``run_mse_sweep`` solves the Beta
-shape root for consecutive rows in one call.  Neither changes a value: the
-estimators and the shape root act on each trial alone, and h elementwise.
+Batching: one row engine, ``run_rows``, runs every distance and MSE row;
+``run_simulation`` is its one-row case, ``run_mse_sweep`` its Beta MSE case,
+and ``table 1|2`` run their five rows in one call.  It checks the rows and
+computes their bounds and E h once, then draws each row with its own
+``trial_stats`` call, so no stream changes.  Consecutive rows, up to
+max(trials, 16384) trials in all, are mapped to their estimates in one
+``mle_from_stat`` call, standardised with one per-row scale vector, and go
+through h in one ``TestFunction.evaluator`` call; the squared errors and the
+deviations are formed once for the group, and each row takes its three
+fsums over its own slice.  None of this changes a value: the estimators
+and the Beta shape root act on each trial alone, h and the arithmetic
+elementwise.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "CoverageResult",
-    "expected_h",
+    "run_rows",
     "run_simulation",
     "run_mse_sweep",
     "ci_coverage",
@@ -73,9 +78,9 @@ REPORT_CSV_COLUMNS = (
 )
 
 
-# A sweep solves the shape root for at most this many trials a call (one row
-# if a row holds more), so the root's block of terms grows no larger than that
-# of one such row: (m x trials) for an integer shape m <= 16, and the series
+# The row engine maps at most this many trials a call (one row if a row holds
+# more), so the Beta shape root's block of terms grows no larger than that of
+# one such row: (m x trials) for an integer shape m <= 16, and the series
 # path's (16 x trials) shift block for any other shape.
 _ROOT_LANES = 16384
 
@@ -172,7 +177,7 @@ def active_backend() -> str:
 
 
 def _h_row(h: TestFunction, standardized: np.ndarray) -> np.ndarray:
-    """h at every standardised estimate of a row, in one evaluator call."""
+    """h at every standardised estimate of a group of rows, in one evaluator call."""
     contract = "TestFunction.evaluator must act elementwise on a float64 array"
     try:
         values = np.asarray(h.evaluator(standardized), dtype=float)
@@ -187,36 +192,106 @@ def _h_row(h: TestFunction, standardized: np.ndarray) -> np.ndarray:
     return values
 
 
-def _summarise(h_values: np.ndarray, theta_hats: np.ndarray, theta0: float, trials: int):
-    """Mean of h, empirical MSE, and the standard error of the mean of h.
+def run_rows(
+    cfg: SimulationConfig,
+    n_values: Sequence[int] | None = None,
+    *,
+    first_trials: Sequence[int] | None = None,
+    target: str = "distance",
+) -> list:
+    """The experiment of ``cfg`` at each n of ``n_values`` (default ``cfg.n``
+    alone): one report a row, in order.
 
-    Every sum is an fsum, so no result depends on the order of the trials.
-    fsum reads each float64 array through a memoryview, which hands it the
-    same floats as ``.tolist()`` without building the list.  The standard
-    error takes two passes (the mean, then the squared deviations from it)
-    and is None for a single trial.
+    Row k draws trials [first_trials[k], first_trials[k] + trials) of the
+    seed (default: every row from trial 0, as ``run_simulation`` draws one
+    row).  ``target`` "distance" attaches the model's distance bound, as
+    ``run_simulation`` describes it; "mse" attaches the Beta MSE bound.
+    Every bound is computed before any row is drawn, so a refused n draws
+    nothing.  Rows share E h and, for "mse", the Beta ingredients.  See the
+    module docstring for the batching, which changes no row's values.
     """
-    mean_h = math.fsum(memoryview(h_values)) / trials
-    empirical_mse = math.fsum(memoryview((theta_hats - theta0) ** 2)) / trials
-    se = None
-    if trials > 1:
-        deviations = h_values - mean_h
-        variance = math.fsum(memoryview(deviations * deviations)) / (trials - 1)
-        se = math.sqrt(variance) / math.sqrt(trials)
-    return mean_h, empirical_mse, se
-
-
-def expected_h(cfg: SimulationConfig) -> float:
-    """E h(sigma Z), Z ~ N(0, 1), for the config's test function and the
-    normal its standardised estimator targets: what a row's mean of h is
-    compared with.  Rows with the same h, model and theta0 share it."""
     entry = registry.get_model(cfg.model, beta=cfg.beta)
-    return normal_expectation(cfg.test_function, scale=entry.target_sigma(cfg.theta0))
+    theta0, h, trials = cfg.theta0, cfg.test_function, cfg.trials
+    n_list = [cfg.n] if n_values is None else [integer(n, "n") for n in n_values]
+    if not n_list:
+        raise DomainError("n_values must be nonempty")
+    firsts = [0] * len(n_list)
+    if first_trials is not None:
+        firsts = [integer(t, "first trial", ge=0) for t in first_trials]
+    if len(firsts) != len(n_list):
+        raise DomainError(f"{len(n_list)} n values but {len(firsts)} first trials")
+    if target not in ("distance", "mse") or (target == "mse" and cfg.model != "beta"):
+        raise DomainError(f"target must be 'distance', or 'mse' for the beta model, got {target!r}")
+    if target == "mse":
+        ing = beta_ingredients(BetaParams(theta0, cfg.beta))
+        try:
+            bounds = [BoundBreakdown(terms=(("mse_bound", _beta_mse_bound(ing, n)),)) for n in n_list]
+        except DomainError:  # D1 <= 0: name the minimal n and the n below it
+            floor_n = minimal_n(ing)
+            bad = [n for n in n_list if n < floor_n]
+            if not bad:
+                raise
+            raise DomainError(
+                f"n below minimal n = {floor_n}: {len(bad)} of the n values, the smallest {min(bad)}"
+            ) from None
+        scales = [math.sqrt(n * ing.fisher_info) for n in n_list]  # entry.standardize_scale, from ing
+    else:
+        bounds = [
+            entry.distance_bound(theta0, n, h_weights=h.weights, epsilon=cfg.epsilon, c=cfg.c)
+            for n in n_list
+        ]
+        scales = [entry.standardize_scale(theta0, n) for n in n_list]
+    expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
+    scale_col = np.array(scales)[:, None]  # a row's scale, broadcast over its trials
+    reports = []
+    rows_per_call = max(trials, _ROOT_LANES) // trials
+    for first in range(0, len(n_list), rows_per_call):
+        rows = range(first, min(first + rows_per_call, len(n_list)))
+        stats = [
+            _pykernels.trial_stats(
+                cfg.model, theta0, cfg.beta, n_list[r], cfg.seed, firsts[r], firsts[r] + trials,
+                cfg.workers,
+            )
+            for r in rows
+        ]
+        # No estimator reads n, so one call maps rows of different n; a
+        # group is a (rows, trials) array, and h sees it flat.
+        hats = entry.mle_from_stat(np.concatenate(stats), n_list[first])
+        errors = (hats - theta0).reshape(len(rows), trials)
+        standardized = (scale_col[rows.start : rows.stop] * errors).ravel()
+        h_values = _h_row(h, standardized).reshape(errors.shape)
+        squares = errors**2
+        # Each row's three sums are fsums over its own row (read through a
+        # memoryview: the floats of ``.tolist()``, without the list), so no
+        # result depends on the trial order or on the rows beside it.
+        means = [math.fsum(memoryview(row)) / trials for row in h_values]
+        if trials > 1:  # the standard error's second pass: deviations from each row's mean
+            deviations = h_values - np.array(means)[:, None]
+            deviations *= deviations
+        for k, r in enumerate(rows):
+            se = None
+            if trials > 1:
+                se = math.sqrt(math.fsum(memoryview(deviations[k])) / (trials - 1)) / math.sqrt(trials)
+            reports.append(
+                SimulationReport(
+                    model=cfg.model,
+                    theta0=theta0,
+                    n=n_list[r],
+                    trials=trials,
+                    seed=cfg.seed,
+                    empirical_distance=abs(means[k] - expected_h),
+                    empirical_mse=math.fsum(memoryview(squares[k])) / trials,
+                    bound_total=bounds[r].total,
+                    bound_terms=bounds[r],
+                    standard_error=se,
+                    expected_h=expected_h,
+                    target=target,
+                )
+            )
+    return reports
 
 
-def run_simulation(
-    cfg: SimulationConfig, *, expected_h: float | None = None
-) -> SimulationReport:
+def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     """Run one distance experiment and attach the model's bound.
 
     The bound is h-weighted for the exponential models (their assembler
@@ -224,41 +299,9 @@ def run_simulation(
     closed forms absorb the norms at the class ceiling and dominate any h in
     the bounded-Lipschitz class.  Raises the underlying validation error if
     the bound is undefined at (theta0, n), e.g. a Beta sample size below the
-    minimal admissible n.  ``expected_h``, when given, must be
-    ``expected_h(cfg)``, computed once for rows that share it; None computes
-    it here.
+    minimal admissible n.
     """
-    entry = registry.get_model(cfg.model, beta=cfg.beta)
-    theta0 = cfg.theta0
-    h = cfg.test_function
-    bound = entry.distance_bound(
-        theta0, cfg.n, h_weights=h.weights, epsilon=cfg.epsilon, c=cfg.c
-    )
-
-    stats = _pykernels.trial_stats(
-        cfg.model, theta0, cfg.beta, cfg.n, cfg.seed, 0, cfg.trials, cfg.workers
-    )
-    theta_hats = entry.mle_from_stat(stats, cfg.n)
-    standardized = entry.standardize_scale(theta0, cfg.n) * (theta_hats - theta0)
-    h_values = _h_row(h, standardized)
-    if expected_h is None:
-        expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
-    mean_h, empirical_mse, se = _summarise(h_values, theta_hats, theta0, cfg.trials)
-    empirical_distance = abs(mean_h - expected_h)
-    return SimulationReport(
-        model=cfg.model,
-        theta0=theta0,
-        n=cfg.n,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        empirical_distance=empirical_distance,
-        empirical_mse=empirical_mse,
-        bound_total=bound.total,
-        bound_terms=bound,
-        standard_error=se,
-        expected_h=expected_h,
-        target="distance",
-    )
+    return run_rows(cfg)[0]
 
 
 def run_mse_sweep(
@@ -270,67 +313,19 @@ def run_mse_sweep(
 ) -> list:
     """Empirical MSE against its bound over a range of Beta sample sizes.
 
-    Every n must be at least the minimal admissible size.  Row r uses trial
-    streams [r * trials, (r+1) * trials) off the master seed, so rows are
-    independent and any row subset is reproducible in isolation.  The rows
-    share E h(Z) and the Beta ingredients.  Consecutive rows, up to
-    max(trials, 16384) trials in all, are drawn and then mapped to their
-    estimates in one ``mle_from_stat`` call: the shape root
-    (``msebound.beta_shape_roots``, an exact finite-sum score for an integer
-    shape up to 16) solves each trial on its own, so each row gets the
-    estimates it would get alone.
+    Every n must be at least the minimal admissible size; a smaller one is
+    refused before any row is drawn.  Row r uses trial streams
+    [r * trials, (r+1) * trials) off the master seed, so rows are
+    independent and any row subset is reproducible in isolation.
     """
-    entry = registry.get_model("beta", beta=params.beta)
     n_list = [integer(n, "n") for n in n_values]
     if not n_list:
         raise DomainError("n_values must be nonempty")
-    ing = beta_ingredients(params)
-    floor_n = minimal_n(ing)
-    bad = [n for n in n_list if n < floor_n]
-    if bad:
-        raise DomainError(
-            f"n below minimal n = {floor_n}: {len(bad)} of the n values, the smallest {min(bad)}"
-        )
-    trials, workers = integer(trials, "trials"), integer(workers, "workers")
-    seed = master_seed(seed)
-    h = inv_quadratic_test_function()
-    expected_h = normal_expectation(h, scale=1.0)
-    reports = []
-    rows_per_call = max(trials, _ROOT_LANES) // trials
-    for first in range(0, len(n_list), rows_per_call):
-        group = n_list[first : first + rows_per_call]
-        stats = [
-            _pykernels.trial_stats(
-                "beta", params.theta0, params.beta, n, seed, row * trials, (row + 1) * trials,
-                workers,
-            )
-            for row, n in enumerate(group, start=first)
-        ]
-        # The Beta estimator reads only the mean log-observation, never n.
-        group_hats = entry.mle_from_stat(np.concatenate(stats), group[0])
-        for k, n in enumerate(group):
-            theta_hats = group_hats[k * trials : (k + 1) * trials]
-            scale = math.sqrt(n * ing.fisher_info)  # entry.standardize_scale, from ing
-            h_values = _h_row(h, scale * (theta_hats - params.theta0))
-            mean_h, empirical_mse, se = _summarise(h_values, theta_hats, params.theta0, trials)
-            mse_bound = _beta_mse_bound(ing, n)
-            reports.append(
-                SimulationReport(
-                    model="beta",
-                    theta0=params.theta0,
-                    n=n,
-                    trials=trials,
-                    seed=seed,
-                    empirical_distance=abs(mean_h - expected_h),
-                    empirical_mse=empirical_mse,
-                    bound_total=mse_bound,
-                    bound_terms=BoundBreakdown(terms=(("mse_bound", mse_bound),)),
-                    standard_error=se,
-                    expected_h=expected_h,
-                    target="mse",
-                )
-            )
-    return reports
+    cfg = SimulationConfig(
+        "beta", params.theta0, n_list[0], trials, seed, beta=params.beta, workers=workers
+    )
+    firsts = [r * cfg.trials for r in range(len(n_list))]
+    return run_rows(cfg, n_list, first_trials=firsts, target="mse")
 
 
 class CoverageResult(Value):

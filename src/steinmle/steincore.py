@@ -258,9 +258,22 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     )
 
 
-def kolmogorov_from_bw(bw_bound: float) -> float:
-    """Kolmogorov-distance bound from a bounded-Wasserstein bound: 2*sqrt(b)."""
-    return 2.0 * math.sqrt(real(bw_bound, "bounded Wasserstein bound", ge=0.0, inf=True))
+def kolmogorov_from_bw(bw_bound: float, sigma: float = 1.0) -> float:
+    """Kolmogorov-distance bound from a bounded-Wasserstein bound b against
+    N(0, sigma^2): max(2 sqrt(b), sqrt(2 C b)), C = 1/(sigma sqrt(2 pi)).
+
+    Smoothing the indicator of (-inf, x] linearly over a width e <= 1 gives
+    d_K <= b/e + C e/2, C bounding the target's density (Ross, Fundamentals
+    of Stein's method, 2011, Prop. 1.2): sqrt(2 C b) at the best e when
+    b <= C/2, else less than 2b at e = 1, at most 2 sqrt(b) for b <= 1 (and
+    d_K <= 1).  For sigma = 1, C < 2 and the bound is 2 sqrt(b).
+    """
+    b = real(bw_bound, "bounded Wasserstein bound", ge=0.0, inf=True)
+    smoothed = 2.0 * math.sqrt(b)
+    if sigma == 1.0 or b == 0.0:  # a zero b is a zero bound, also against sigma = 0
+        return smoothed
+    density = 1.0 / (real(sigma, "sigma", gt=0.0) * math.sqrt(2.0 * math.pi))
+    return max(smoothed, math.sqrt(2.0 * density * b))
 
 
 def _ci_offsets(n: int, fisher_info: float, alpha: float, b_k: float):

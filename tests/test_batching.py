@@ -1,23 +1,28 @@
 """Rows run as a batch give the values each row gives alone.
 
-The harness evaluates h on a whole row at once, solves the Beta shape root
-for several sweep rows in one call, and computes ``ci_coverage``'s interval
-offsets once a run.  Each test here keeps the per-trial or per-row
-computation as its reference and requires identical results.
+The harness's row engine maps several rows to their estimates in one call,
+evaluates h on them at once and reduces each row over its own slice, and
+``ci_coverage`` computes its interval offsets once a run.  Each test here
+keeps the per-trial or per-row computation as its reference and requires
+identical results.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from oracles import per_trial_coverage
 
-from steinmle import msebound
+from steinmle import cli, msebound
 from steinmle.errors import DomainError
 from steinmle.montecarlo import SimulationConfig, ci_coverage, harness, run_mse_sweep, run_simulation
 from steinmle.montecarlo import _pykernels
 from steinmle.msebound import BetaParams, beta_b3, beta_ingredients, minimal_n
 from steinmle.registry import get_model
+from steinmle.specfun import normal_expectation
 from steinmle.steincore import TestFunction, inv_quadratic_test_function
 
 
@@ -110,13 +115,46 @@ class TestSweepBatch:
             assert rep.bound_terms.terms == (("mse_bound", b3 * b3 / n),)
 
 
-class TestExpectedH:
-    @pytest.mark.parametrize("model,theta0", [("exp-canonical", 1.0), ("poisson", 5.0)])
-    def test_given_expectation_gives_the_same_report(self, model, theta0):
-        cfg = SimulationConfig(model=model, theta0=theta0, n=20, trials=50, seed=4)
-        shared = harness.expected_h(cfg)
-        assert run_simulation(cfg, expected_h=shared) == run_simulation(cfg)
-        assert run_simulation(cfg).expected_h == shared
+def _table_rows(which, trials, seed):
+    """The JSON rows of ``steinmle table WHICH``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["table", str(which), "--trials", str(trials), "--seed", str(seed),
+                  "--format", "json"])
+    return json.loads(out.getvalue())["rows"]
+
+
+class TestTableBatch:
+    @pytest.mark.parametrize("trials", [1, 2, 50])  # one trial: no standard error
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_each_row_equals_a_lone_simulation(self, which, trials):
+        spec = cli._TABLE_SPECS[which]
+        rows = _table_rows(which, trials, seed=3)
+        assert [row["n"] for row in rows] == spec["ns"]
+        for row in rows:
+            row.pop("direct_bound", None)
+            cfg = SimulationConfig(spec["model"], spec["theta0"], row["n"], trials, 3,
+                                   test_function=inv_quadratic_test_function())
+            assert json.dumps(row) == json.dumps(run_simulation(cfg).to_dict())
+
+    @pytest.mark.parametrize("cap", [1, 100, 16384])
+    def test_grouping_does_not_change_a_table_row(self, monkeypatch, cap):
+        # 50-trial rows: cap 1 maps one row a call, 100 two rows, 16384 all five
+        reference = _table_rows(1, 50, seed=4)
+        monkeypatch.setattr(harness, "_ROOT_LANES", cap)
+        assert _table_rows(1, 50, seed=4) == reference
+
+    def test_one_estimator_call_and_one_expectation_for_a_table(self, monkeypatch):
+        calls, scales = [], []
+        entry_cls = type(get_model("exp-canonical"))
+        original = entry_cls.mle_from_stat
+        monkeypatch.setattr(entry_cls, "mle_from_stat",
+                            lambda self, stat, n: calls.append(n) or original(self, stat, n))
+        monkeypatch.setattr(harness, "normal_expectation",
+                            lambda h, scale: scales.append(scale) or normal_expectation(h, scale=scale))
+        rows = _table_rows(1, 50, seed=1)
+        assert len(calls) == 1 and scales == [1.0]
+        assert {row["expected_h"] for row in rows} == {normal_expectation(cli._TABLE_H, scale=1.0)}
 
 
 class TestEvaluatorContract:

@@ -16,7 +16,8 @@ import steinmle
 from steinmle import boundary, cli, registry
 from steinmle.cli import main
 from steinmle.registry import get_model
-from steinmle.steincore import kolmogorov_from_bw
+from steinmle.expfam import exp_noncanonical_ingredients
+from steinmle.steincore import kolmogorov_from_bw, score_bound
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
@@ -118,6 +119,22 @@ class TestBoundCommand:
         for sup, lip in [("0.5", "0.2296401"), ("0.01", "0.01"), ("1", "0.1"), ("2", "3")]:
             weighted = _json_out(runner.invoke(main, base + ["--h-sup", sup, "--h-lip", lip]))
             assert weighted["kolmogorov_bound"] == unit["kolmogorov_bound"]
+
+    @pytest.mark.parametrize("theta0", ["1e-6", "1e-3", "0.04", "1"])
+    @pytest.mark.parametrize("n", ["1000", "1000000000000000"])
+    def test_poisson_kolmogorov_bound_uses_the_target_density(self, runner, theta0, n):
+        # the Poisson route targets N(0, theta0), whose density is bounded by
+        # C = (2 pi theta0)^(-1/2), not by the unit normal's
+        args = ["bound", "--model", "poisson", "--theta0", theta0, "--n", n, "--format", "json"]
+        payload = _json_out(runner.invoke(main, args))
+        b, c = payload["breakdown"]["total"], (2.0 * math.pi * float(theta0)) ** -0.5
+        expected = max(2.0 * math.sqrt(b), math.sqrt(2.0 * c * b))
+        assert payload["kolmogorov_bound"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert payload["kolmogorov_bound"] >= math.sqrt(2.0 * c * b) * (1.0 - 1e-15)
+
+    def test_poisson_kolmogorov_bound_at_theta0_zero(self, runner):
+        args = ["bound", "--model", "poisson", "--theta0", "0", "--n", "50", "--format", "json"]
+        assert _json_out(runner.invoke(main, args))["kolmogorov_bound"] == 0.0
 
     @pytest.mark.parametrize(
         "model,flag",
@@ -264,6 +281,19 @@ class TestTableCommand:
         general = [row["bound_total"] for row in rows]
         for got, want in zip(general, [11.888, 3.401, 1.058, 0.333, 0.105]):
             assert got == pytest.approx(want, abs=5e-3)
+
+    def test_table2_direct_column_is_the_score_bound(self, runner):
+        # the column is the score term of each row's distance bound: the
+        # normalised-sum bound, bit for bit, at the table's n and elsewhere
+        weights = cli._TABLE_H.weights
+        rows = _json_out(runner.invoke(main, ["table", "2", "--trials", "2", "--format", "json"]))["rows"]
+        for row in rows:
+            ing = exp_noncanonical_ingredients(2.0, row["n"])
+            assert row["direct_bound"] == score_bound(ing, weights).total
+        for n in (3, 7, 10**6):
+            bound = get_model("exp-noncanonical").distance_bound(2.0, n, h_weights=weights)
+            score = score_bound(exp_noncanonical_ingredients(2.0, n), weights).total
+            assert dict(bound.terms)["score"] == score
 
     def test_table3_bound_column(self, runner):
         result = runner.invoke(

@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 
 from steinmle.errors import DegenerateSampleError, DomainError, UnknownModelError
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
-from steinmle.montecarlo import _pykernels
+from steinmle.montecarlo import _pykernels, harness
 from steinmle.msebound import BetaParams, beta_ingredients, minimal_n
 from steinmle.registry import MODEL_NAMES, get_model
 from steinmle.specfun import polygamma
@@ -561,6 +561,43 @@ class TestMseSweep:
     def test_rejects_below_minimal(self):
         with pytest.raises(DomainError, match="minimal n"):
             run_mse_sweep(BetaParams(1.5, 1.0), [7000], trials=10, seed=0)
+
+    def test_a_refused_n_draws_nothing(self, monkeypatch):
+        # every row's bound is computed before any row is drawn
+        drawn = []
+        monkeypatch.setattr(_pykernels, "trial_stats", lambda *a: drawn.append(a))
+        for n_values in ([7000], [7500, 7000], [7500, 7700, 7459]):
+            with pytest.raises(DomainError, match="minimal n = 7460"):
+                run_mse_sweep(BetaParams(1.5, 1.0), n_values, trials=10, seed=0)
+        assert drawn == []
+
+    @pytest.mark.parametrize("theta0", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    def test_refuses_exactly_the_n_below_minimal_n(self, monkeypatch, theta0, beta):
+        # the refusal comes from the bound (D1 <= 0); it must fall exactly
+        # where minimal_n puts the edge, and minimal_n only words it
+        floor = minimal_n(beta_ingredients(BetaParams(theta0, beta)))
+        monkeypatch.setattr(_pykernels, "trial_stats", lambda *a: np.full(a[6] - a[5], -0.5))
+        for n in (1, floor - 2, floor - 1, floor, floor + 1, floor + 2):
+            if n < floor:
+                message = f"n below minimal n = {floor}: 1 of the n values, the smallest {n}"
+                with pytest.raises(DomainError, match=f"^{message}$"):
+                    run_mse_sweep(BetaParams(theta0, beta), [n], trials=2, seed=0)
+            else:
+                assert run_mse_sweep(BetaParams(theta0, beta), [n], trials=2, seed=0)[0].n == n
+
+    def test_row_engine_checks_its_row_layout(self):
+        cfg = SimulationConfig("beta", 1.5, 7500, trials=3)
+        with pytest.raises(DomainError, match="2 n values but 1 first trials"):
+            harness.run_rows(cfg, [7500, 7600], first_trials=[0])
+        with pytest.raises(DomainError, match="first trial must be an integer >= 0"):
+            harness.run_rows(cfg, [7500], first_trials=[-1])
+        with pytest.raises(DomainError, match="n_values must be nonempty"):
+            harness.run_rows(cfg, [])
+        with pytest.raises(DomainError, match="target must be"):
+            harness.run_rows(cfg, target="variance")
+        with pytest.raises(DomainError, match="target must be"):
+            harness.run_rows(SimulationConfig("poisson", 5.0, 20, trials=3), target="mse")
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_workers_validated(self, workers):

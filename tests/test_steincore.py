@@ -243,6 +243,34 @@ class TestKolmogorovConversion:
         with pytest.raises(DomainError):
             kolmogorov_from_bw(-0.1)
 
+    @given(b=st.floats(min_value=0.0, max_value=1e300))
+    def test_unit_normal_target_is_two_root_b(self, b):
+        assert kolmogorov_from_bw(b, 1.0) == kolmogorov_from_bw(b) == 2.0 * math.sqrt(b)
+
+    @pytest.mark.parametrize("theta0", [1e-6, 1e-3, 0.04, 1.0])
+    @pytest.mark.parametrize("b", [1e-12, 1e-6, 1e-3, 0.106, 0.5, 3.0])
+    def test_density_bound_form(self, theta0, b):
+        # against N(0, theta0): max(2 sqrt(b), sqrt(2 C b)), C = (2 pi theta0)^(-1/2)
+        root_2cb = math.sqrt(2.0 * b / math.sqrt(2.0 * math.pi * theta0))
+        got = kolmogorov_from_bw(b, math.sqrt(theta0))
+        assert got == pytest.approx(max(2.0 * math.sqrt(b), root_2cb), rel=1e-15, abs=0.0)
+        # sqrt(2 C b) takes over exactly when C > 2, i.e. theta0 < 1/(8 pi)
+        assert (root_2cb > 2.0 * math.sqrt(b)) == (theta0 < 1.0 / (8.0 * math.pi))
+
+    def test_shifted_narrow_normal_breaks_only_the_unit_form(self):
+        # N(delta, s^2) against N(0, s^2), s^2 = 1e-3: a unit-Lipschitz h moves
+        # by at most delta, so d_bW <= delta, while d_K = 2 Phi(delta / 2s) - 1
+        sigma, delta = math.sqrt(1e-3), 0.106
+        d_k = math.erf(delta / (2.0 * sigma * math.sqrt(2.0)))
+        assert d_k == pytest.approx(0.906, abs=1e-3)
+        assert kolmogorov_from_bw(delta) < d_k
+        assert kolmogorov_from_bw(delta, sigma) >= d_k
+
+    def test_point_mass_target(self):
+        assert kolmogorov_from_bw(0.0, 0.0) == 0.0
+        with pytest.raises(DomainError, match="sigma"):
+            kolmogorov_from_bw(0.1, 0.0)
+
 
 class TestConservativeCI:
     """The interval theta_hat - offsets, from ``_ci_offsets``: the one copy
