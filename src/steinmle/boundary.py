@@ -20,6 +20,7 @@ theta0 = 0 case.  The paper works no other boundary model.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._validate import Value, integer, real
@@ -55,16 +56,21 @@ class PerturbationSpec(Value):
     """An interval [a, b] (endpoints may be infinite) with constant c and n.
 
     For two finite endpoints the admissibility constraint is
-    0 < c < n(b-a)/2, which keeps the perturbed endpoints inside (a, b).
+    0 < c < n(b-a)/2, which keeps the perturbed endpoints inside (a, b).  A
+    width b - a, or an n, beyond the float range is a FloatRangeError.
     """
 
+    @functools.partial(float_range, name="PerturbationSpec")
     def __init__(self, a: float, b: float, c: float, n: int):
         a, b = real(a, "a", inf=True), real(b, "b", inf=True)
         if not a < b:
             raise DomainError(f"interval endpoints must satisfy a < b, got [{a!r}, {b!r}]")
         n, c = integer(n, "n"), real(c, "c", gt=0.0)
-        if math.isfinite(a) and math.isfinite(b) and not c < n * (b - a) / 2.0:
-            raise DomainError(f"c must satisfy 0 < c < n(b-a)/2 = {n * (b - a) / 2.0!r}, got {c!r}")
+        if math.isfinite(a) and math.isfinite(b):
+            if math.isinf(b - a):
+                raise OverflowError  # float_range reports it as FloatRangeError
+            if not c < n * (b - a) / 2.0:
+                raise DomainError(f"c must satisfy 0 < c < n(b-a)/2 = {n * (b - a) / 2.0!r}, got {c!r}")
         vars(self).update(a=a, b=b, c=c, n=n)
 
     @property
@@ -79,25 +85,30 @@ class PerturbationSpec(Value):
         return "unbounded"
 
 
+@float_range
 def perturb(spec: PerturbationSpec, x: float) -> float:
     """The inward affine map applied to a data value or to the parameter.
 
     Finite interval: q(a) = a + c/n, q(b) = b - c/n, affine in between.
     Half-lines shift by +-c/n toward the interior; a doubly-infinite
-    interval needs no perturbation (identity).
+    interval needs no perturbation (identity).  x is a finite real; a q(x)
+    beyond the float range is a FloatRangeError.
     """
-    x = real(x, "x", inf=True)
+    x = real(x, "x")
     if not (spec.a <= x <= spec.b):
         raise DomainError(f"x={x!r} outside the interval [{spec.a!r}, {spec.b!r}]")
     step = spec.c / spec.n
     kind = spec.kind
+    q = x
     if kind == "finite":
-        return x + step - 2.0 * step * (x - spec.a) / (spec.b - spec.a)
-    if kind == "left-closed":
-        return x + step
-    if kind == "right-closed":
-        return x - step
-    return x
+        q = x + step - 2.0 * step * (x - spec.a) / (spec.b - spec.a)
+    elif kind == "left-closed":
+        q = x + step
+    elif kind == "right-closed":
+        q = x - step
+    if not math.isfinite(q):
+        raise OverflowError  # float_range reports it as FloatRangeError
+    return q
 
 
 def _poisson_score(theta0: float, n: int) -> float:

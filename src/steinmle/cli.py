@@ -175,6 +175,29 @@ def _report_rows(mc, reports):
         yield rep.csv_row()
 
 
+def _report_table(mc, table, reports, direct=None):
+    """A table of reports as (JSON payload named ``table``, CSV rows, text
+    columns).  MSE rows print their bound to four digits under
+    ``empirical_mse``, distance rows to three under ``empirical``; ``direct``
+    adds table 2's normalised-sum bound column, one value a row."""
+    mse = reports[0].target == "mse"
+    rows = [rep.to_dict() for rep in reports]
+    csv_rows = _report_rows(mc, reports)
+    headers = ["n", "empirical_mse" if mse else "empirical", "bound", "error"]
+    text_rows = (
+        [str(rep.n), f"{rep.empirical:.4g}", f"{rep.bound_total:.{4 if mse else 3}f}", f"{rep.error:.4g}"]
+        for rep in reports
+    )
+    if direct is not None:
+        for row, value in zip(rows, direct):
+            row["direct_bound"] = value
+        csv_rows = (row + (cell,) for row, cell in zip(csv_rows, ["direct_bound", *map(repr, direct)]))
+        headers.append("direct_bound")
+        text_rows = (row + [f"{value:.3f}"] for row, value in zip(text_rows, direct))
+    payload = {"schema": "steinmle/table/v1", "table": table, "rows": rows}
+    return payload, csv_rows, _columns(headers, text_rows)
+
+
 @_verb("bound", "--model", "--theta0", "--n",
        ("--h-sup", dict(type=float, default=1.0,
                         help="sup-norm weight of the test function (default %(default)s)")),
@@ -232,38 +255,15 @@ def cmd_table(which, trials, seed, workers):
     spec = _TABLE_SPECS[which]
     seed = _seed(seed)
     if which == 3:
-        reports = mc.run_mse_sweep(
-            BetaParams(spec["theta0"], spec["beta"]),
-            spec["ns"],
-            trials=trials,
-            seed=seed,
-            workers=workers,
-        )
+        params = BetaParams(spec["theta0"], spec["beta"])
+        reports = mc.run_mse_sweep(params, spec["ns"], trials=trials, seed=seed, workers=workers)
     else:
         cfg = mc.SimulationConfig(spec["model"], spec["theta0"], spec["ns"][0], trials, seed,
                                   test_function=_TABLE_H, workers=workers)
         reports = mc.run_rows(cfg, spec["ns"])
-    payload = {
-        "schema": "steinmle/table/v1",
-        "table": which,
-        "rows": [rep.to_dict() for rep in reports],
-    }
-    csv_rows = _report_rows(mc, reports)
-    digits = 4 if which == 3 else 3
-    headers = ["n", "empirical_mse" if which == 3 else "empirical", "bound", "error"]
-    text_rows = (
-        [str(rep.n), f"{rep.empirical:.4g}", f"{rep.bound_total:.{digits}f}", f"{rep.error:.4g}"]
-        for rep in reports
-    )
-    if which == 2:
-        # the normalised-sum bound weighted by the h norms: the distance bound's score term
-        direct = [dict(rep.bound_terms.terms)[TERM_SCORE] for rep in reports]
-        for row, value in zip(payload["rows"], direct):
-            row["direct_bound"] = value
-        csv_rows = (row + (cell,) for row, cell in zip(csv_rows, ["direct_bound", *map(repr, direct)]))
-        headers.append("direct_bound")
-        text_rows = (row + [f"{value:.3f}"] for row, value in zip(text_rows, direct))
-    return payload, csv_rows, _columns(headers, text_rows)
+    # table 2's normalised-sum bound weighted by the h norms: the distance bound's score term
+    direct = [dict(rep.bound_terms.terms)[TERM_SCORE] for rep in reports] if which == 2 else None
+    return _report_table(mc, which, reports, direct)
 
 
 @_verb("simulate", "--model", "--theta0", "--n", "--trials", "--seed", "--beta", "--epsilon", "--c",
@@ -344,16 +344,7 @@ def cmd_mse_sweep(theta0, beta, n_from, n_to, n_step, trials, seed, workers):
     reports = mc.run_mse_sweep(
         BetaParams(theta0, beta), ns, trials=trials, seed=_seed(seed), workers=workers
     )
-    payload = {
-        "schema": "steinmle/table/v1",
-        "table": "mse-sweep",
-        "rows": [r.to_dict() for r in reports],
-    }
-    text_rows = (
-        [str(r.n), f"{r.empirical_mse:.4g}", f"{r.bound_total:.4f}", f"{r.error:.4g}"]
-        for r in reports
-    )
-    return payload, _report_rows(mc, reports), _columns(["n", "empirical_mse", "bound", "error"], text_rows)
+    return _report_table(mc, "mse-sweep", reports)
 
 
 @_verb("constants", "--model", "--theta0",

@@ -66,6 +66,9 @@ _PIECES_MAX = 2**16
 # Observations per raw-sample block, when n allows more than one trial.
 BLOCK_OBS = 2**16
 
+# The most trials a row can hold: one float64 each, in one array.
+_TRIALS_MAX = np.iinfo(np.intp).max // 8
+
 _WORD = 2**64 - 1
 
 
@@ -209,12 +212,18 @@ def trial_stats(
 
     Closed-form statistics come from the stream at trial_start; raw-sample
     blocks each from the stream at their first trial (see the module
-    docstring), in order or over min(workers, blocks, CPUs) processes alike.
-    Estimators are derived from the statistic by the caller.
+    docstring), in order or over min(workers, blocks, CPUs) processes alike,
+    each into its slice of the row's one array.  Estimators are derived from
+    the statistic by the caller.  Before any draw, trial_stop > 2^128 is a
+    DomainError and a count no float64 array can hold a MemoryError.
     """
     count = trial_stop - trial_start
     if count < 0:
         raise DomainError("trial_stop must be >= trial_start")
+    if trial_stop > 2**128:  # past the last stream, trial 2^128 - 1
+        raise DomainError(f"trial_stop must be <= 2**128, the number of trial streams, got {trial_stop}")
+    if count > _TRIALS_MAX:
+        raise MemoryError(f"{count} trials exceed the {_TRIALS_MAX} float64 values one array can hold")
     if not raw_sampled(model, beta, n):
         return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
     if n > BLOCK_OBS * _PIECES_MAX:
@@ -222,6 +231,7 @@ def trial_stats(
             f"beta: with known shape {beta!r} a trial draws n raw observations, and "
             f"n = {n} exceeds the sampler's range {BLOCK_OBS * _PIECES_MAX}"
         )
+    stats = np.empty(count)  # before any block, so a count beyond memory draws nothing
     firsts = range(trial_start, trial_stop, block_trials(n))
     block = functools.partial(_raw_block, theta0, beta, n, seed, trial_stop)
     procs = min(workers, len(firsts), os.cpu_count() or 1)
@@ -232,5 +242,7 @@ def trial_stats(
         with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = list(pool.map(block, firsts, chunksize=max(1, len(firsts) // (procs * 4))))
     else:
-        parts = list(map(block, firsts))
-    return np.concatenate(parts) if parts else np.empty(0)
+        parts = map(block, firsts)
+    for first, part in zip(firsts, parts):
+        stats[first - trial_start : first - trial_start + len(part)] = part
+    return stats

@@ -330,8 +330,8 @@ def run_mse_sweep(
 
 class CoverageResult(Value):
     """Outcome of ``ci_coverage``: the fraction of intervals that covered
-    theta0, the Kolmogorov bound b_k that widened them, and whether b_k >=
-    alpha/2 made every interval the whole line."""
+    theta0, the Kolmogorov bound b_k that widened them, and whether every
+    interval was the whole line."""
 
     def __init__(self, coverage: float, trials: int, b_k: float, degenerate: bool, alpha: float):
         vars(self).update(
@@ -353,9 +353,11 @@ def ci_coverage(
     """Fraction of conservative intervals containing the true parameter.
 
     B_K is the Kolmogorov conversion of the model's whole-class distance
-    bound.  Degenerate (whole-line) intervals count as covering.  Only
-    models standardised toward the unit normal are supported; the Poisson
-    boundary route targets N(0, theta0) and is rejected.
+    bound; the request is checked as ``SimulationConfig`` checks it.
+    ``degenerate`` means that ``_ci_offsets`` gave the whole line: then no
+    trial is drawn, and every interval covers.  Only models standardised
+    toward the unit normal are supported; the Poisson boundary route
+    targets N(0, theta0) and is rejected.
     """
     entry = registry.get_model(model, beta=beta)
     if not entry.supports_ci:
@@ -363,22 +365,17 @@ def ci_coverage(
             f"{model}: the conservative interval construction requires the "
             "unit-normal standardisation; the boundary route targets N(0, theta0)"
         )
-    theta0 = real(theta0, "theta0", **entry.theta0_limit)
-    n, trials, workers = integer(n, "n"), integer(trials, "trials"), integer(workers, "workers")
-    seed = master_seed(seed)
-    bound = entry.distance_bound(theta0, n, h_weights=(1.0, 1.0))
-    b_k = kolmogorov_from_bw(bound.total)
+    cfg = SimulationConfig(model, theta0, n, trials, seed, beta=beta, workers=workers)
+    theta0, n, trials = cfg.theta0, cfg.n, cfg.trials
+    b_k = kolmogorov_from_bw(entry.distance_bound(theta0, n, h_weights=(1.0, 1.0)).total)
     offsets = _ci_offsets(n, entry.fisher_info(theta0), alpha, b_k)  # checks alpha
     alpha = float(alpha)
-    if b_k >= alpha / 2.0:
+    if offsets is None:
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
-    stats = _pykernels.trial_stats(model, theta0, beta, n, seed, 0, trials, workers)
+    stats = _pykernels.trial_stats(model, theta0, cfg.beta, n, cfg.seed, 0, trials, cfg.workers)
     theta_hats = entry.mle_from_stat(stats, n)
-    if offsets is None:  # the whole line
-        covered = trials
-    else:
-        lower, upper = theta_hats - offsets[0], theta_hats - offsets[1]
-        covered = int(np.count_nonzero((lower <= theta0) & (theta0 <= upper)))
+    lower, upper = theta_hats - offsets[0], theta_hats - offsets[1]
+    covered = int(np.count_nonzero((lower <= theta0) & (theta0 <= upper)))
     return CoverageResult(
         coverage=covered / trials, trials=trials, b_k=b_k, degenerate=False, alpha=alpha
     )

@@ -280,8 +280,9 @@ def _ci_offsets(n: int, fisher_info: float, alpha: float, b_k: float):
     """(PhiInv(1 - alpha/2 + b_k), PhiInv(alpha/2 - b_k)) / sqrt(n i): the
     conservative 100(1-alpha)% interval, the normal quantiles widened by the
     Kolmogorov bound b_k, is theta_hat minus each, in that order.  None when
-    b_k >= alpha/2 and the interval degenerates to the whole line.  They do
-    not depend on theta_hat, so a row of trials needs them once."""
+    a quantile's argument leaves (0, 1) (b_k >= alpha/2, or 1 - alpha/2 + b_k
+    rounding to 1) and the interval is the whole line.  They do not depend
+    on theta_hat, so a row of trials needs them once."""
     alpha = real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha!r}")

@@ -413,6 +413,15 @@ class TestCiCommand:
         )
         assert result.exit_code == 2
 
+    def test_quantile_rounding_onto_one_is_degenerate(self, runner):
+        # b_k falls a few ulps below alpha/2, so the lower quantile's argument
+        # is positive but 1 - alpha/2 + b_k rounds to 1: the whole line
+        args = ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000",
+                "--alpha", "0.25065130648591133", "--format", "json"]
+        payload = _json_out(runner.invoke(main, args))
+        assert payload["b_k"] < payload["alpha"] / 2.0
+        assert payload["degenerate"] is True and payload["coverage"] == 1.0
+
     @pytest.mark.parametrize(
         "args",
         [

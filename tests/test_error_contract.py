@@ -18,7 +18,7 @@ from conftest import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinmle.boundary import PerturbationSpec, poisson_bound
+from steinmle.boundary import PerturbationSpec, perturb, poisson_bound
 from steinmle.cli import main
 from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
@@ -162,6 +162,21 @@ def test_bool_and_str_are_not_numbers(case):
         REJECTED[case]()
 
 
+# The perturbation map and its spec where a value leaves the float range: a
+# shift past the largest float, a width b - a beyond it, and an n beyond it.
+PERTURB_OUT_OF_RANGE = {
+    "shift-overflows": lambda: perturb(PerturbationSpec(0, math.inf, 1.797e308, 1), 1.797e308),
+    "width-overflows": lambda: perturb(PerturbationSpec(-1.797e308, 1.797e308, 1.0, 1), 0.0),
+    "n-beyond-float": lambda: PerturbationSpec(0.0, 1.0, 0.1, 10**400),
+}
+
+
+@pytest.mark.parametrize("case", PERTURB_OUT_OF_RANGE)
+def test_perturbation_beyond_the_float_range_is_a_float_range_error(case):
+    with pytest.raises(FloatRangeError):
+        PERTURB_OUT_OF_RANGE[case]()
+
+
 # -- the CLI ----------------------------------------------------------------
 
 
@@ -189,8 +204,7 @@ def test_exp_canonical_fourth_moment_at_large_n_exits_0():
 
 
 # Sizes whose first array, or the sweep's list of n, cannot be allocated: each
-# fails at once.  (Non-integer-shape Beta and --workers > 1 draw block by
-# block, so at such sizes they would fill memory first; they are not run.)
+# fails at once.
 _HUGE = str(10**18)
 TOO_LARGE = {
     "simulate": ["simulate", "--model", "exp-canonical", "--theta0", "1", "--n", "10",
@@ -214,6 +228,31 @@ def test_size_too_large_to_allocate_exits_3(case, fmt):
         assert err["message"]
     else:
         assert result.stderr.startswith("error: ") and result.stderr.strip() != "error:"
+
+
+# A trial count beyond one float64 array (2^60 and up) is refused before any
+# draw; 10^18 is below that but beyond any memory, and a raw-sampled row
+# allocates its array before its first block.  No count here can be allocated.
+_TRIAL_COUNT_ARGS = {
+    "simulate-poisson": ["simulate", "--model", "poisson", "--theta0", "5", "--n", "5"],
+    "simulate-beta-2.5": ["simulate", "--model", "beta", "--theta0", "1.5", "--beta", "2.5",
+                          "--n", "14816"],
+    "table-1": ["table", "1"],
+    "ci": ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000", "--alpha", "0.9"],
+    "mse-sweep-beta-2.5": ["mse-sweep", "--beta", "2.5", "--n-from", "14816", "--n-to", "14816"],
+}
+
+
+@pytest.mark.parametrize("trials", [10**18, 2**60, 2**63, 10**20])
+@pytest.mark.parametrize("case", _TRIAL_COUNT_ARGS)
+def test_trial_count_beyond_one_array_exits_3(case, trials):
+    start = time.perf_counter()
+    args = _TRIAL_COUNT_ARGS[case] + ["--trials", str(trials), "--format", "json"]
+    result = CliRunner().invoke(main, args)
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code == 3, result.output
+    err = json.loads(result.stderr)
+    assert err["error"] == "MemoryError" and err["message"]
 
 
 def test_sweep_below_minimal_n_names_the_first_and_the_count():

@@ -599,6 +599,13 @@ class TestMseSweep:
         with pytest.raises(DomainError, match="target must be"):
             harness.run_rows(SimulationConfig("poisson", 5.0, 20, trials=3), target="mse")
 
+    def test_trial_range_ends_at_the_last_stream(self):
+        # trials have streams 0 to 2^128 - 1: a row may end at 2^128, not past it
+        cfg = SimulationConfig("poisson", 5.0, 5, trials=2)
+        assert harness.run_rows(cfg, [5], first_trials=[2**128 - 2])[0].trials == 2
+        with pytest.raises(DomainError, match=r"trial_stop must be <= 2\*\*128"):
+            harness.run_rows(cfg, [5], first_trials=[2**128 - 1])
+
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_workers_validated(self, workers):
         with pytest.raises(DomainError, match="workers must be an integer >= 1"):
