@@ -5,7 +5,7 @@ discrete models, implicit-MLE MSE bounds) plus a seeded Monte Carlo harness
 that checks the bounds against empirical estimator behaviour.
 """
 
-from .boundary import PerturbationSpec, perturb, poisson_bound
+from .boundary import poisson_bound
 from .errors import (
     ConvergenceError,
     DegenerateSampleError,
@@ -64,8 +64,6 @@ __all__ = [
     "exp_canonical_ingredients",
     "exp_noncanonical_ingredients",
     # boundary perturbation
-    "PerturbationSpec",
-    "perturb",
     "poisson_bound",
     # implicit-MLE MSE bounds
     "ImplicitModelIngredients",

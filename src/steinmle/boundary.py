@@ -1,4 +1,4 @@
-"""Perturbation machinery for MLEs that can sit on a boundary.
+"""The perturbed distance bound for an MLE that can sit on a boundary.
 
 Discrete models whose parameter space is a closed or half-closed interval
 (Poisson with mean in [0, inf) being the worked example) break the interior
@@ -9,27 +9,29 @@ and the information number may degenerate there.  The fix is an affine map
 
 that pulls both the parameter and the data inward by c/n, applied before the
 usual score expansion.  Among affine maps with q(a) = a + c/n and
-q(b) = b - c/n it is the unique one, and it minimises sup |q(x) - x|.
+q(b) = b - c/n it is the unique one, and it minimises sup |q(x) - x|.  On a
+half-line [a, inf) it is the shift q(x) = x + c/n.
 
-The resulting six-part distance bound for sqrt(n)(theta_hat - theta0)
-against N(0, 1/i(theta0)) is assembled once, in closed form, for the
-Poisson mean: ``poisson_bound``, with the perturbation constant c minimised
-by ``minimize_poisson_c`` and the exact zero bound in the degenerate
+For the Poisson mean (a = 0) that shift is all the map contributes: the
+perturbed parameter is theta0 + c/n, and both estimators are means, so they
+differ by exactly c/n.  The map therefore enters the closed form only
+through those two quantities and is not a function here.  The resulting
+six-part distance bound for sqrt(n)(theta_hat - theta0) against
+N(0, 1/i(theta0)) is assembled once, for the Poisson mean:
+``poisson_bound``, with the perturbation constant c minimised by
+``minimize_poisson_c`` and the exact zero bound in the degenerate
 theta0 = 0 case.  The paper works no other boundary model.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
-from ._validate import Value, integer, real
-from .errors import DomainError, float_range
+from ._validate import integer, real
+from .errors import float_range
 from .steincore import TERM_MARKOV, BoundBreakdown, _score_term
 
 __all__ = [
-    "PerturbationSpec",
-    "perturb",
     "poisson_bound",
     "minimize_poisson_c",
 ]
@@ -50,65 +52,6 @@ _LABELS = (
 )
 # Golden-section stopping width of the c search.
 _C_TOL = 1e-10
-
-
-class PerturbationSpec(Value):
-    """An interval [a, b] (endpoints may be infinite) with constant c and n.
-
-    For two finite endpoints the admissibility constraint is
-    0 < c < n(b-a)/2, which keeps the perturbed endpoints inside (a, b).  A
-    width b - a, or an n, beyond the float range is a FloatRangeError.
-    """
-
-    @functools.partial(float_range, name="PerturbationSpec")
-    def __init__(self, a: float, b: float, c: float, n: int):
-        a, b = real(a, "a", inf=True), real(b, "b", inf=True)
-        if not a < b:
-            raise DomainError(f"interval endpoints must satisfy a < b, got [{a!r}, {b!r}]")
-        n, c = integer(n, "n"), real(c, "c", gt=0.0)
-        if math.isfinite(a) and math.isfinite(b):
-            if math.isinf(b - a):
-                raise OverflowError  # float_range reports it as FloatRangeError
-            if not c < n * (b - a) / 2.0:
-                raise DomainError(f"c must satisfy 0 < c < n(b-a)/2 = {n * (b - a) / 2.0!r}, got {c!r}")
-        vars(self).update(a=a, b=b, c=c, n=n)
-
-    @property
-    def kind(self) -> str:
-        left, right = math.isfinite(self.a), math.isfinite(self.b)
-        if left and right:
-            return "finite"
-        if left:
-            return "left-closed"  # [a, inf): push right by c/n
-        if right:
-            return "right-closed"  # (-inf, b]: push left by c/n
-        return "unbounded"
-
-
-@float_range
-def perturb(spec: PerturbationSpec, x: float) -> float:
-    """The inward affine map applied to a data value or to the parameter.
-
-    Finite interval: q(a) = a + c/n, q(b) = b - c/n, affine in between.
-    Half-lines shift by +-c/n toward the interior; a doubly-infinite
-    interval needs no perturbation (identity).  x is a finite real; a q(x)
-    beyond the float range is a FloatRangeError.
-    """
-    x = real(x, "x")
-    if not (spec.a <= x <= spec.b):
-        raise DomainError(f"x={x!r} outside the interval [{spec.a!r}, {spec.b!r}]")
-    step = spec.c / spec.n
-    kind = spec.kind
-    q = x
-    if kind == "finite":
-        q = x + step - 2.0 * step * (x - spec.a) / (spec.b - spec.a)
-    elif kind == "left-closed":
-        q = x + step
-    elif kind == "right-closed":
-        q = x - step
-    if not math.isfinite(q):
-        raise OverflowError  # float_range reports it as FloatRangeError
-    return q
 
 
 def _poisson_score(theta0: float, n: int) -> float:

@@ -10,9 +10,11 @@ verb computes its result and returns it in all three formats: a JSON
 payload, CSV rows and text lines; ``_emit`` prints the chosen one.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (a size too
-large to allocate included).  With ``--format json`` errors are emitted as
-JSON objects on stderr.  The default seed comes from the STEINMLE_SEED
-environment variable when set.
+large to allocate included), and 141 when stdout is closed before the
+output is written (as by ``| head -1``): the code a shell gives a process
+killed by SIGPIPE, here with no traceback.  With ``--format json`` errors
+are emitted as JSON objects on stderr.  The default seed comes from the
+STEINMLE_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .steincore import TERM_SCORE, inv_quadratic_test_function, kolmogorov_from_
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # The options more than one verb takes, by flag.
 _SHARED = {
@@ -392,14 +395,25 @@ def main(args=None, prog_name=None, standalone_mode=True):
     """Run the verb named by ``args`` (default ``sys.argv[1:]``).
 
     A usage error exits 2, as a validation error does; a numerical failure
-    exits 3 (see ``_guard``).  ``prog_name``, ``standalone_mode`` and
-    ``main.main`` accept the calls of a click command,
-    ``main.main(args=..., prog_name=..., standalone_mode=...)``, and change
-    nothing: the program is always named steinmle, and every error exits.
+    exits 3 (see ``_guard``); a closed stdout exits 141, pointed at devnull
+    so that the interpreter's last flush fails no more.  ``prog_name``,
+    ``standalone_mode`` and ``main.main`` accept the calls of a click
+    command, ``main.main(args=..., prog_name=..., standalone_mode=...)``, and
+    change nothing: the program is always named steinmle, and every error
+    exits.
     """
-    options = vars(_parse(sys.argv[1:] if args is None else list(args)))
-    body, fmt = options.pop("body"), options.pop("fmt")
-    _guard(fmt, lambda: _emit(fmt, *body(**options)))
+    try:
+        options = vars(_parse(sys.argv[1:] if args is None else list(args)))
+        body, fmt = options.pop("body"), options.pop("fmt")
+        _guard(fmt, lambda: _emit(fmt, *body(**options)))
+        sys.stdout.flush()  # here, so that a closed pipe fails inside the try
+    except BrokenPipeError:
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(EXIT_BROKEN_PIPE)
 
 
 main.main = main

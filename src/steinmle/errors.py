@@ -32,8 +32,8 @@ class DegenerateSampleError(SteinMLEError, ValueError):
 class ConvergenceError(SteinMLEError, RuntimeError):
     """An iterative numerical routine failed to reach its tolerance.
 
-    Carries enough state (`details`) to diagnose: bracket endpoints for root
-    finders, achieved error estimates for quadrature.
+    Carries enough state (`details`) to diagnose, such as the lanes of a
+    root finder that did not converge.
     """
 
     def __init__(self, message, **details):

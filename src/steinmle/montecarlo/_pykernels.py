@@ -198,6 +198,19 @@ def sample_stats(
     raise UnknownModelError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
+def check_trials(trial_start: int, trial_stop: int) -> int:
+    """The count of trials [trial_start, trial_stop): trial_stop > 2^128 is a
+    DomainError and a count no float64 array can hold a MemoryError."""
+    count = trial_stop - trial_start
+    if count < 0:
+        raise DomainError("trial_stop must be >= trial_start")
+    if trial_stop > 2**128:  # past the last stream, trial 2^128 - 1
+        raise DomainError(f"trial_stop must be <= 2**128, the number of trial streams, got {trial_stop}")
+    if count > _TRIALS_MAX:
+        raise MemoryError(f"{count} trials exceed the {_TRIALS_MAX} float64 values one array can hold")
+    return count
+
+
 def trial_stats(
     model: str,
     theta0: float,
@@ -214,16 +227,9 @@ def trial_stats(
     blocks each from the stream at their first trial (see the module
     docstring), in order or over min(workers, blocks, CPUs) processes alike,
     each into its slice of the row's one array.  Estimators are derived from
-    the statistic by the caller.  Before any draw, trial_stop > 2^128 is a
-    DomainError and a count no float64 array can hold a MemoryError.
+    the statistic by the caller.  ``check_trials`` checks the range first.
     """
-    count = trial_stop - trial_start
-    if count < 0:
-        raise DomainError("trial_stop must be >= trial_start")
-    if trial_stop > 2**128:  # past the last stream, trial 2^128 - 1
-        raise DomainError(f"trial_stop must be <= 2**128, the number of trial streams, got {trial_stop}")
-    if count > _TRIALS_MAX:
-        raise MemoryError(f"{count} trials exceed the {_TRIALS_MAX} float64 values one array can hold")
+    count = check_trials(trial_start, trial_stop)
     if not raw_sampled(model, beta, n):
         return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
     if n > BLOCK_OBS * _PIECES_MAX:

@@ -4,8 +4,8 @@ Protocol for the distance experiments: draw ``trials`` independent samples
 of size n, evaluate the estimator on each, standardise (by
 sqrt(n i(theta0)) toward Z, or by sqrt(n) toward N(0, theta0) on the
 boundary route), push the standardised values through the test function h,
-and compare the trial mean of h with the Gaussian expectation of h (exact
-for the default h, by quadrature for any other).  The reported "empirical
+and compare the trial mean of h with the exact Gaussian expectation that h
+carries (``specfun.normal_expectation``).  The reported "empirical
 distance" is that h-specific discrepancy; it is a lower proxy of the
 class-supremum distance that the attached bound controls, never an estimate
 of the supremum itself.
@@ -206,9 +206,10 @@ def run_rows(
     seed (default: every row from trial 0, as ``run_simulation`` draws one
     row).  ``target`` "distance" attaches the model's distance bound, as
     ``run_simulation`` describes it; "mse" attaches the Beta MSE bound.
-    Every bound is computed before any row is drawn, so a refused n draws
-    nothing.  Rows share E h and, for "mse", the Beta ingredients.  See the
-    module docstring for the batching, which changes no row's values.
+    Every bound, and E h, is computed before any row is drawn, so a refused
+    n, or an h without its exact E h, draws nothing.  Rows share E h and,
+    for "mse", the Beta ingredients.  See the module docstring for the
+    batching, which changes no row's values.
     """
     entry = registry.get_model(cfg.model, beta=cfg.beta)
     theta0, h, trials = cfg.theta0, cfg.test_function, cfg.trials
@@ -355,9 +356,10 @@ def ci_coverage(
     B_K is the Kolmogorov conversion of the model's whole-class distance
     bound; the request is checked as ``SimulationConfig`` checks it.
     ``degenerate`` means that ``_ci_offsets`` gave the whole line: then no
-    trial is drawn, and every interval covers.  Only models standardised
-    toward the unit normal are supported; the Poisson boundary route
-    targets N(0, theta0) and is rejected.
+    trial is drawn, and every interval covers.  The trial count is refused
+    as ``_pykernels.trial_stats`` refuses it, degenerate or not.  Only
+    models standardised toward the unit normal are supported; the Poisson
+    boundary route targets N(0, theta0) and is rejected.
     """
     entry = registry.get_model(model, beta=beta)
     if not entry.supports_ci:
@@ -370,6 +372,7 @@ def ci_coverage(
     b_k = kolmogorov_from_bw(entry.distance_bound(theta0, n, h_weights=(1.0, 1.0)).total)
     offsets = _ci_offsets(n, entry.fisher_info(theta0), alpha, b_k)  # checks alpha
     alpha = float(alpha)
+    _pykernels.check_trials(0, trials)
     if offsets is None:
         return CoverageResult(coverage=1.0, trials=trials, b_k=b_k, degenerate=True, alpha=alpha)
     stats = _pykernels.trial_stats(model, theta0, cfg.beta, n, cfg.seed, 0, trials, cfg.workers)

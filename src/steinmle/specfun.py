@@ -14,9 +14,9 @@ argument from one pass.
 
 The normal quantile and Gaussian expectations live here too.  The quantile
 is the standard library's ``statistics.NormalDist``.  A Gaussian expectation
-is exact where the test function carries its closed form (the harness
-default h(x) = 1/(x^2 + 2) does, through ``inv_quadratic_expectation``) and
-adaptive quadrature otherwise.
+comes from the closed form that the test function carries: the harness
+default h(x) = 1/(x^2 + 2) carries ``inv_quadratic_expectation``, and an h
+that carries none is refused.
 
 All functions are pure and reentrant; there is no shared state.
 """
@@ -27,7 +27,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 from ._validate import real
-from .errors import ConvergenceError, DomainError, float_range
+from .errors import DomainError, float_range
 
 __all__ = [
     "polygamma",
@@ -51,55 +51,6 @@ _BERNOULLI = (
     -174611.0 / 330.0,
 )
 _ASYMPTOTIC_CUT = 16.0
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Gaussian mass outside [-12, 12] is below 1e-32: truncating Gaussian
-# expectations there is negligible against the 1e-8 quadrature budget.
-_QUAD_HALF_WIDTH = 12.0
-_QUAD_ABS_TOL = 1e-8
-# Adaptive bisection stops at an error estimate of 1e-10 * max(1, |value|)
-# or at this many intervals, whichever comes first.
-_QUAD_TARGET = 1e-10
-_QUAD_MAX_INTERVALS = 300
-
-# The 21-point Gauss-Kronrod rule of QUADPACK's qk21 (Piessens et al., 1983)
-# on [-1, 1]: nonnegative Kronrod abscissae, largest first, ending at the
-# centre.  Odd positions are the nodes of the 10-point Gauss rule.
-_GK21_NODES = (
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-    0.000000000000000000000000000000000,
-)
-_GK21_KRONROD_WEIGHTS = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-# Weights of the 10-point Gauss rule at _GK21_NODES[1], [3], ..., [9].
-_G10_WEIGHTS = (
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
 
 
 def _asymptotic_coeffs(m):
@@ -174,10 +125,6 @@ def polygamma(order, x):
     return value
 
 
-def _normal_pdf(x):
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
 def std_normal_quantile(p):
     """The standard normal quantile: the inverse distribution function on (0, 1).
 
@@ -191,51 +138,6 @@ def std_normal_quantile(p):
     from statistics import NormalDist  # here, so that the bound verbs never load it
 
     return NormalDist().inv_cdf(p)
-
-
-def _gauss_kronrod_21(f, a, b):
-    """K21 estimate of the integral of f over [a, b], and |K21 - G10|."""
-    centre = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    kronrod = _GK21_KRONROD_WEIGHTS[10] * f(centre)
-    gauss = 0.0
-    for j in range(10):
-        dx = half * _GK21_NODES[j]
-        pair = f(centre - dx) + f(centre + dx)
-        kronrod += _GK21_KRONROD_WEIGHTS[j] * pair
-        if j % 2:
-            gauss += _G10_WEIGHTS[j // 2] * pair
-    return kronrod * half, abs((kronrod - gauss) * half)
-
-
-def _adaptive_gauss_kronrod(f, breakpoints):
-    """Integral of f over [breakpoints[0], breakpoints[-1]] and its error estimate.
-
-    Bisects the interval with the largest error estimate until the summed
-    estimate meets the target, reaches the interval limit, or stops being
-    finite; the caller judges the returned estimate against its budget.
-    """
-    import heapq  # here: only a test function without an exact E h(Z) gets here
-
-    heap = []  # (-error, a, b, value): the worst interval on top
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        value, error = _gauss_kronrod_21(f, a, b)
-        heap.append((-error, a, b, value))
-    heapq.heapify(heap)
-    while True:
-        value = math.fsum(item[3] for item in heap)
-        error = math.fsum(-item[0] for item in heap)
-        if (
-            not (math.isfinite(value) and math.isfinite(error))
-            or error <= _QUAD_TARGET * max(1.0, abs(value))
-            or len(heap) >= _QUAD_MAX_INTERVALS
-        ):
-            return value, error
-        _, a, b, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            part, part_error = _gauss_kronrod_21(f, lo, hi)
-            heapq.heappush(heap, (-part_error, lo, hi, part))
 
 
 # sqrt(pi)/2 to 60 digits, more than any precision used below.
@@ -292,38 +194,18 @@ def inv_quadratic_expectation(scale):
 
 
 def normal_expectation(h, scale=1.0):
-    """E[h(scale * Z)] for Z ~ N(0,1): exact where h carries it, else quadrature.
+    """E[h(scale * Z)] for Z ~ N(0,1), from the closed form that h carries.
 
-    `h` may be a bare callable or any object with an ``evaluator`` attribute
-    (the TestFunction type).  `scale` >= 0 selects the target N(0, scale^2);
-    scale 0 is point mass at 0 and returns h(0) exactly.  An h whose
-    ``gaussian_expectation`` is set (a callable of the scale) returns its
-    value.  Otherwise the integral over [-12, 0] and [0, 12] is refined by
-    bisection with the 21-point Gauss-Kronrod rule, raising
-    ConvergenceError, with the achieved estimate, when the Gauss-Kronrod
-    error estimate exceeds the 1e-8 budget or when the value or the estimate
-    is not finite (h returned NaN or inf).
+    `h` is a TestFunction (or any object with its ``evaluator`` and
+    ``gaussian_expectation`` attributes) whose ``gaussian_expectation``, a
+    callable of the scale, gives the exact value; an h without one, a bare
+    callable included, is a DomainError.  `scale` >= 0 selects the target
+    N(0, scale^2); scale 0 is point mass at 0 and returns h(0) exactly.
     """
-    evaluator = getattr(h, "evaluator", h)
-    if not callable(evaluator):
-        raise DomainError("h must be callable or carry a callable 'evaluator'")
+    exact = getattr(h, "gaussian_expectation", None)
+    if exact is None:
+        raise DomainError("h must carry its exact E h(scale Z) as gaussian_expectation")
     scale = real(scale, "scale", ge=0.0)
     if scale == 0.0:
-        return evaluator(0.0)
-    exact = getattr(h, "gaussian_expectation", None)
-    if exact is not None:
-        return exact(scale)
-
-    def integrand(t):
-        return evaluator(scale * t) * _normal_pdf(t)
-
-    value, abserr = _adaptive_gauss_kronrod(
-        integrand, (-_QUAD_HALF_WIDTH, 0.0, _QUAD_HALF_WIDTH)
-    )
-    if not (math.isfinite(value) and abserr <= _QUAD_ABS_TOL):
-        raise ConvergenceError(
-            f"Gaussian expectation quadrature did not reach the {_QUAD_ABS_TOL:g} "
-            f"budget (value {value!r}, achieved error estimate {abserr:.3e})",
-            achieved_error=abserr,
-        )
-    return value
+        return h.evaluator(0.0)
+    return exact(scale)

@@ -59,15 +59,16 @@ class TestFunction(Value):
     ``sup_norm + lip_norm <= 1`` puts h inside the bounded-Lipschitz class
     over which the bounded Wasserstein distance takes its supremum; the
     harness relies on that containment when comparing h-discrepancies to
-    whole-class bounds.  ``gaussian_expectation``, when set, maps a scale
-    s > 0 to the exact E h(s Z), Z ~ N(0,1); ``normal_expectation`` then
-    returns it instead of integrating.
+    whole-class bounds.  ``gaussian_expectation`` maps a scale s > 0 to the
+    exact E h(s Z), Z ~ N(0,1), which ``normal_expectation`` returns.  The
+    harness needs it: a run with an h that leaves it None is a DomainError
+    before any trial is drawn.
 
     ``evaluator`` acts elementwise: a float gives a float, and a float64
     array gives the array of the values at its elements, of the same shape
     (arithmetic on numpy arrays does both).  The harness evaluates each row
     of trials in one call and raises DomainError for an evaluator that
-    cannot; quadrature calls it on floats.
+    cannot.
     """
 
     __test__ = False  # keep pytest collection away from the Test* name

@@ -218,6 +218,14 @@ def per_trial_coverage(theta_hats, theta0, n, fisher_info, alpha, b_k):
     return covered / len(theta_hats)
 
 
+def inward_map(a, b, c, n, x):
+    """The perturbation map of ``steinmle.boundary``'s docstring on a finite
+    interval [a, b]: q(x) = x + c/n - (2c/n)(x - a)/(b - a), the affine map
+    with q(a) = a + c/n and q(b) = b - c/n, for 0 < c < n(b - a)/2."""
+    step = c / n
+    return x + step - 2.0 * step * (x - a) / (b - a)
+
+
 def half_line_perturbed_bound(n, c, score, fisher, gap, star):
     """The paper's six-term distance bound for sqrt(n)(theta_hat - theta0)
     against N(0, 1/i(theta0)), for a parameter on a half-line perturbed

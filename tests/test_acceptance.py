@@ -11,9 +11,11 @@ per-criterion lines:
 import math
 import os
 import time
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
 
 import numpy as np
-from oracles import conditioned_mean
+import pytest
+from oracles import conditioned_mean, inward_map
 
 import steinmle as sm
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
@@ -85,6 +87,46 @@ def test_criterion_3_table3_bounds_and_minimal_n():
     elapsed = time.perf_counter() - t0
     _report(3, "table-3 MSE bound column + minimal n", violations, f"({elapsed * 1e3:.1f} ms)")
     assert elapsed < 10.0
+
+
+# Every published bound cell of tables 1 and 2, as printed, with the rule
+# that gives it from the computed bound at its number of decimals: rounding
+# for 13 cells, truncation for table 1 at n = 100 (0.33657) and table 2 at
+# n = 10 (11.88852).  The 1e-3 and 5e-3 gates above stay beside this check.
+_RULES = {"round": ROUND_HALF_EVEN, "truncate": ROUND_DOWN}
+_CELLS = [
+    *[("1", "bound", n, cell, "truncate" if n == 100 else "round")
+      for n, cell in zip(TABLE_NS, ["1.955", "0.336", "0.094", "0.029", "0.009"])],
+    *[("2", "bound", n, cell, "truncate" if n == 10 else "round")
+      for n, cell in zip(TABLE_NS, ["11.888", "3.401", "1.058", "0.333", "0.105"])],
+    *[("2", "direct", n, cell, "round")
+      for n, cell in zip(TABLE_NS, ["0.321", "0.101", "0.032", "0.010", "0.003"])],
+]
+
+
+@pytest.mark.parametrize("table,column,n,cell,rule", _CELLS,
+                         ids=[f"table{t}-{c}-n{n}" for t, c, n, _, _ in _CELLS])
+def test_published_bound_cell_within_one_unit_under_its_rule(table, column, n, cell, rule):
+    ing = (sm.exp_canonical_ingredients(1.0, n) if table == "1"
+           else sm.exp_noncanonical_ingredients(2.0, n))
+    assemble = sm.score_bound if column == "direct" else sm.mle_bound_general
+    got = Decimal(assemble(ing, TABLE_WEIGHTS).total)
+    published = Decimal(cell)
+    assert abs(got - published) <= Decimal(1).scaleb(published.as_tuple().exponent)  # one unit
+    assert got.quantize(published, rounding=_RULES[rule]) == published
+    if rule == "truncate":  # named so because rounding does not give the cell
+        assert got.quantize(published, rounding=ROUND_HALF_EVEN) != published
+
+
+@pytest.mark.parametrize("n,published", list(zip(BETA_NS, TABLE3_BOUNDS)))
+def test_table3_published_column_is_the_bound_minus_the_exact_mse(n, published):
+    # The beta = 1 MLE is n/S with S ~ Gamma(n, rate theta0), so its MSE is
+    # theta0^2 (n + 2)/((n - 1)(n - 2)).  Bound minus that MSE matches each
+    # published cell to one unit of its last digit; the bound alone does not.
+    bound = sm.beta_b3(BetaParams(1.5, 1.0), n) ** 2 / n
+    exact_mse = 1.5**2 * (n + 2) / ((n - 1) * (n - 2))
+    assert abs(bound - exact_mse - published) <= 1e-4
+    assert abs(bound - published) > 1e-4
 
 
 def test_criterion_4_gaussian_expectation():
@@ -183,13 +225,13 @@ def test_criterion_6_property_suites():
         violations.append("order-3 polygamma half-integer identity")
 
     # perturbation interiority and sup gap
-    spec = sm.PerturbationSpec(a=0.0, b=1.0, c=2.0, n=10)
+    spec = dict(a=0.0, b=1.0, c=2.0, n=10)
     for t in np.linspace(0.0, 1.0, 21):
-        q = sm.perturb(spec, float(t))
+        q = inward_map(**spec, x=float(t))
         if not (0.0 < q < 1.0):
             violations.append(f"perturbation not interior at x={t}")
-    gap_a = abs(sm.perturb(spec, 0.0) - 0.0)
-    gap_b = abs(sm.perturb(spec, 1.0) - 1.0)
+    gap_a = abs(inward_map(**spec, x=0.0) - 0.0)
+    gap_b = abs(inward_map(**spec, x=1.0) - 1.0)
     if abs(gap_a - 0.2) > 1e-12 or abs(gap_b - 0.2) > 1e-12:
         violations.append("sup perturbation gap is not c/n at the endpoints")
 

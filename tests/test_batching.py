@@ -18,11 +18,18 @@ from oracles import per_trial_coverage
 
 from steinmle import cli, msebound
 from steinmle.errors import DomainError
-from steinmle.montecarlo import SimulationConfig, ci_coverage, harness, run_mse_sweep, run_simulation
+from steinmle.montecarlo import (
+    SimulationConfig,
+    ci_coverage,
+    harness,
+    run_mse_sweep,
+    run_rows,
+    run_simulation,
+)
 from steinmle.montecarlo import _pykernels
 from steinmle.msebound import BetaParams, beta_b3, beta_ingredients, minimal_n
 from steinmle.registry import get_model
-from steinmle.specfun import normal_expectation
+from steinmle.specfun import inv_quadratic_expectation, normal_expectation
 from steinmle.steincore import TestFunction, inv_quadratic_test_function
 
 
@@ -203,10 +210,24 @@ class TestEvaluatorContract:
         ids=["math", "branch", "constant"],
     )
     def test_scalar_only_evaluator_is_a_domain_error(self, evaluator):
-        h = TestFunction(evaluator=evaluator, sup_norm=0.5, lip_norm=0.25)
+        # it carries an exact E h, so the run reaches the evaluator
+        h = TestFunction(evaluator=evaluator, sup_norm=0.5, lip_norm=0.25,
+                         gaussian_expectation=inv_quadratic_expectation)
         cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=10, trials=20, test_function=h)
         with pytest.raises(DomainError, match="elementwise on a float64 array"):
             run_simulation(cfg)
+
+    @pytest.mark.parametrize("model,theta0", [("exp-canonical", 1.0), ("poisson", 0.0)])
+    def test_h_without_exact_expectation_draws_nothing(self, monkeypatch, model, theta0):
+        # refused before any row is drawn, also at the point-mass target of poisson at 0
+        drawn = []
+        monkeypatch.setattr(_pykernels, "trial_stats", lambda *args: drawn.append(args))
+        h = TestFunction(evaluator=inv_quadratic_test_function().evaluator, sup_norm=0.5,
+                         lip_norm=0.25)
+        cfg = SimulationConfig(model=model, theta0=theta0, n=10, trials=20, test_function=h)
+        with pytest.raises(DomainError, match="gaussian_expectation"):
+            run_rows(cfg, [10, 20])
+        assert drawn == []
 
 
 def _per_trial_coverage(model, theta0, n, alpha, trials, seed, beta=1.0, workers=1):

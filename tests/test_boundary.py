@@ -1,19 +1,15 @@
-"""Perturbation map, and the Poisson closed form against the paper's general
-six-term perturbed bound."""
+"""The Poisson closed form against the paper's general six-term perturbed
+bound."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from oracles import poisson_perturbed_terms
 
-from steinmle.boundary import PerturbationSpec, minimize_poisson_c, perturb, poisson_bound
+from steinmle.boundary import minimize_poisson_c, poisson_bound
 from steinmle.errors import DomainError
-
-INF = math.inf
 
 POISSON_LABELS = (
     "param_shift",
@@ -23,110 +19,6 @@ POISSON_LABELS = (
     "markov_tail",
     "perturbed_taylor",
 )
-
-
-class TestPerturbationSpec:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PerturbationSpec(a=1.0, b=0.0, c=0.1, n=10)
-        with pytest.raises(DomainError):
-            PerturbationSpec(a=0.0, b=1.0, c=0.0, n=10)
-        with pytest.raises(DomainError):
-            PerturbationSpec(a=0.0, b=1.0, c=5.0, n=10)  # c >= n(b-a)/2
-        with pytest.raises(DomainError):
-            PerturbationSpec(a=0.0, b=1.0, c=0.1, n=0)
-
-    def test_kinds(self):
-        assert PerturbationSpec(0.0, 1.0, 0.1, 10).kind == "finite"
-        assert PerturbationSpec(0.0, INF, 1.0, 10).kind == "left-closed"
-        assert PerturbationSpec(-INF, 0.0, 1.0, 10).kind == "right-closed"
-        assert PerturbationSpec(-INF, INF, 1.0, 10).kind == "unbounded"
-
-
-class TestPerturbMap:
-    def test_endpoint_values(self):
-        spec = PerturbationSpec(a=0.0, b=1.0, c=1.0, n=10)
-        assert perturb(spec, 0.0) == pytest.approx(0.1)
-        assert perturb(spec, 1.0) == pytest.approx(0.9)
-
-    def test_half_line_shift(self):
-        spec = PerturbationSpec(a=0.0, b=INF, c=2.0, n=100)
-        assert perturb(spec, 3.0) == pytest.approx(3.02)
-        left = PerturbationSpec(a=-INF, b=0.0, c=2.0, n=100)
-        assert perturb(left, -3.0) == pytest.approx(-3.02)
-
-    def test_unbounded_identity(self):
-        spec = PerturbationSpec(a=-INF, b=INF, c=1.0, n=10)
-        assert perturb(spec, 5.5) == 5.5
-
-    def test_outside_interval_rejected(self):
-        spec = PerturbationSpec(a=0.0, b=1.0, c=1.0, n=10)
-        with pytest.raises(DomainError):
-            perturb(spec, -0.5)
-        with pytest.raises(DomainError):
-            perturb(spec, 1.5)
-
-    @given(
-        a=st.floats(min_value=-50, max_value=50),
-        width=st.floats(min_value=1e-3, max_value=100),
-        c_frac=st.floats(min_value=1e-6, max_value=0.999),
-        n=st.integers(min_value=1, max_value=10**6),
-        t=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_interiority_order_and_sup_gap(self, a, width, c_frac, n, t):
-        b = a + width
-        c = c_frac * n * width / 2.0
-        assume(c > 0.0)
-        spec = PerturbationSpec(a=a, b=b, c=c, n=n)
-        x = a + t * width
-        qx = perturb(spec, x)
-        step = c / n
-        # maps into the open interval
-        assert a < qx < b
-        # order preserving: positive slope 1 - 2c/(n(b-a))
-        assert 1.0 - 2.0 * step / width > 0.0
-        # the gap is affine in x and attains its sup c/n exactly at the
-        # endpoints; allow rounding at the scale of the interval magnitude
-        slack = 1e-12 * max(1.0, abs(a), abs(b))
-        gap = abs(qx - x)
-        assert gap <= step + slack
-        assert abs(perturb(spec, a) - a) == pytest.approx(step, rel=1e-9, abs=slack)
-        assert abs(perturb(spec, b) - b) == pytest.approx(step, rel=1e-9, abs=slack)
-
-    @given(
-        a=st.floats(min_value=-10, max_value=10),
-        width=st.floats(min_value=0.1, max_value=20),
-        n=st.integers(min_value=2, max_value=1000),
-    )
-    def test_unique_affine_map(self, a, width, n):
-        # the implemented map is the affine q with q(a)=a+c/n, q(b)=b-c/n:
-        # slope and intercept are pinned by those two conditions
-        b = a + width
-        c = 0.3 * n * width / 2.0
-        spec = PerturbationSpec(a=a, b=b, c=c, n=n)
-        step = c / n
-        slope = 1.0 - 2.0 * step / width
-        for t in (0.0, 0.25, 0.5, 1.0):
-            x = a + t * width
-            expected = (a + step) + slope * (x - a)
-            assert perturb(spec, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-class TestPerturbedTheta:
-    """The map moves the parameter as it moves the data."""
-
-    def test_boundary_pushed_inward(self):
-        spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=10)
-        assert perturb(spec, 0.0) == pytest.approx(0.1)
-
-    def test_midpoint_fixed(self):
-        for c in (0.1, 1.0, 4.9):
-            spec = PerturbationSpec(a=0.0, b=1.0, c=c, n=10)
-            assert perturb(spec, 0.5) == pytest.approx(0.5)
-
-    def test_half_line_interior_point(self):
-        spec = PerturbationSpec(a=0.0, b=INF, c=2.0, n=100)
-        assert perturb(spec, 1.5) == pytest.approx(1.52)
 
 
 class TestAgainstGeneralPerturbedBound:
@@ -260,11 +152,7 @@ class TestIntegerTypesForN:
         n = int_type(100)
         assert poisson_bound(1.0, n).total == poisson_bound(1.0, 100).total
         assert poisson_bound(1.0, n, 2.0).total == poisson_bound(1.0, 100, 2.0).total
-        spec = PerturbationSpec(a=0.0, b=INF, c=1.0, n=n)
-        assert type(spec.n) is int and spec.n == 100
 
     def test_bool_rejected(self):
         with pytest.raises(DomainError):
             poisson_bound(1.0, True)
-        with pytest.raises(DomainError):
-            PerturbationSpec(a=0.0, b=INF, c=0.5, n=True)

@@ -5,11 +5,14 @@ A value that leaves the float range raises ``FloatRangeError``, which is a
 scalar is a number like any other and gives what the plain-Python call gives;
 ``bool`` and ``str`` are not numbers and raise ``DomainError`` (exit 2).  The
 CLI answers every input with exit 0, 2 or 3 and, with ``--format json``, a
-``steinmle/error/v1`` object for each error.
+``steinmle/error/v1`` object for each error; a closed stdout exits 141.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -18,7 +21,8 @@ from conftest import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinmle.boundary import PerturbationSpec, perturb, poisson_bound
+import steinmle
+from steinmle.boundary import poisson_bound
 from steinmle.cli import main
 from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
@@ -31,7 +35,12 @@ from steinmle.specfun import (
     polygamma,
     std_normal_quantile,
 )
-from steinmle.steincore import BoundIngredients, TestFunction, _ci_offsets
+from steinmle.steincore import (
+    BoundIngredients,
+    TestFunction,
+    _ci_offsets,
+    inv_quadratic_test_function,
+)
 
 
 @pytest.mark.parametrize("fn", [poisson_bound, exp_canonical_ingredients,
@@ -103,20 +112,18 @@ def test_numpy_scalar_audit_is_the_plain_json(model):
 
 def test_dataclasses_store_plain_floats():
     f32 = np.float32
-    spec = vars(PerturbationSpec(f32(0.0), f32(1.0), f32(0.5), np.int64(10))).copy()
     ing = vars(BoundIngredients(f32(1.0), np.int64(10), *map(f32, (1, 2, 0.5, 1, 4, 0, 0.5)))).copy()
-    assert type(spec.pop("n")) is int and type(ing.pop("n")) is int
+    assert type(ing.pop("n")) is int
     del ing["sup_third_is_deterministic"]
     h = TestFunction(abs, f32(0.5), 1)
     values = [
         *vars(BetaParams(f32(1.5), f32(2.0))).values(),
-        *spec.values(),
         *vars(ImplicitModelIngredients(*map(f32, (1, 2, 0, 3, 1, 1, 0.5)))).values(),
         *ing.values(),
         h.sup_norm,
         h.lip_norm,
     ]
-    assert len(values) == 22 and all(type(v) is float for v in values)
+    assert len(values) == 19 and all(type(v) is float for v in values)
     cfg = SimulationConfig("beta", f32(1.5), 12000, beta=f32(2.0), epsilon=f32(0.5), c=f32(2.0))
     assert all(type(v) is float for v in (cfg.theta0, cfg.beta, cfg.epsilon, cfg.c))
     # so a config equals the one built from the equal Python floats
@@ -130,7 +137,6 @@ REJECTED = {
     "theta0-True-beta": lambda: BetaParams(True, 2.0),
     "theta0-True-registry": lambda: get_model("exp-noncanonical").distance_bound(True, 10),
     "c-True-poisson": lambda: poisson_bound(5.0, 20, c=True),
-    "c-True-spec": lambda: PerturbationSpec(0.0, 1.0, True, 10),
     "epsilon-True-exp": lambda: exp_canonical_ingredients(2.0, 10, True),
     "epsilon-True-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), True),
     "epsilon-True-noncanonical": lambda: exp_noncanonical_ingredients(2.0, 10, True),
@@ -142,15 +148,13 @@ REJECTED = {
     "trials-True-coverage":
         lambda: ci_coverage("exp-canonical", 1.0, 10**7, 0.5, trials=True, seed=3),
     "quantile-str": lambda: std_normal_quantile("0.5"),
-    "scale-True-expectation": lambda: normal_expectation(abs, True),
+    "scale-True-expectation": lambda: normal_expectation(inv_quadratic_test_function(), True),
     "beta-True": lambda: BetaParams(1.5, True),
     "beta-True-registry": lambda: get_model("beta", beta=True),
     "beta-str-poisson-registry": lambda: get_model("poisson", beta="2"),
     "polygamma-True": lambda: polygamma(1, True),
     "epsilon-str-exp": lambda: exp_canonical_ingredients(1.0, 10, "0.5"),
     "epsilon-str-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), "0.5"),
-    "endpoint-str-a": lambda: PerturbationSpec("0.5", 1.0, 0.5, 10),
-    "endpoint-str-b": lambda: PerturbationSpec(0.0, "0.5", 0.5, 10),
     "expfam-theta0-str": lambda: exp_noncanonical_ingredients("1", 10),
     "theta0-str-config": lambda: SimulationConfig(model="poisson", theta0="abc", n=10),
 }
@@ -160,21 +164,6 @@ REJECTED = {
 def test_bool_and_str_are_not_numbers(case):
     with pytest.raises(DomainError):
         REJECTED[case]()
-
-
-# The perturbation map and its spec where a value leaves the float range: a
-# shift past the largest float, a width b - a beyond it, and an n beyond it.
-PERTURB_OUT_OF_RANGE = {
-    "shift-overflows": lambda: perturb(PerturbationSpec(0, math.inf, 1.797e308, 1), 1.797e308),
-    "width-overflows": lambda: perturb(PerturbationSpec(-1.797e308, 1.797e308, 1.0, 1), 0.0),
-    "n-beyond-float": lambda: PerturbationSpec(0.0, 1.0, 0.1, 10**400),
-}
-
-
-@pytest.mark.parametrize("case", PERTURB_OUT_OF_RANGE)
-def test_perturbation_beyond_the_float_range_is_a_float_range_error(case):
-    with pytest.raises(FloatRangeError):
-        PERTURB_OUT_OF_RANGE[case]()
 
 
 # -- the CLI ----------------------------------------------------------------
@@ -253,6 +242,32 @@ def test_trial_count_beyond_one_array_exits_3(case, trials):
     assert result.exit_code == 3, result.output
     err = json.loads(result.stderr)
     assert err["error"] == "MemoryError" and err["message"]
+
+
+# ci refuses the count whether or not its interval is degenerate (the whole
+# line, when nothing is drawn): the first interval here is, the second not.
+_CI_ARGS = {
+    "degenerate": ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "1000",
+                   "--alpha", "0.05"],
+    "drawn": ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000",
+              "--alpha", "0.9"],
+}
+
+
+@pytest.mark.parametrize("trials", [2**60, 2**63, 10**20])
+@pytest.mark.parametrize("case", _CI_ARGS)
+def test_ci_trial_count_beyond_one_array_exits_3_degenerate_or_not(case, trials):
+    result = CliRunner().invoke(main, _CI_ARGS[case] + ["--trials", str(trials), "--format", "json"])
+    assert result.exit_code == 3, result.output
+    err = json.loads(result.stderr)
+    assert err["error"] == "MemoryError" and err["message"]
+
+
+def test_degenerate_ci_at_ten_trials_exits_0():
+    result = CliRunner().invoke(main, _CI_ARGS["degenerate"] + ["--trials", "10", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.stdout)
+    assert out["degenerate"] is True and out["coverage"] == 1.0 and out["trials"] == 10
 
 
 def test_sweep_below_minimal_n_names_the_first_and_the_count():
@@ -404,3 +419,26 @@ def test_mse_sweep_keeps_the_exit_code_contract(theta0, beta, start, steps, n_st
     args = ["mse-sweep", f"--n-from={n_from}", f"--n-to={n_to}", f"--n-step={n_step}",
             "--trials=2"] + _options(theta0=theta0, beta=beta)
     _invoke(args, fmt)
+
+
+# A reader that has gone before the output is written (as ``| head -1`` can
+# leave it) gets no traceback: the CLI exits 141, the shell's code for a
+# process killed by SIGPIPE.
+_CLOSED_PIPE_ARGS = {
+    "bound": ["bound", "--model", "poisson", "--theta0", "5", "--n", "50"],
+    "table-1": ["table", "1", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("case", _CLOSED_PIPE_ARGS)
+def test_closed_stdout_exits_141_without_a_traceback(case):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(steinmle.__file__)))
+    try:
+        result = subprocess.run([sys.executable, "-m", "steinmle.cli", *_CLOSED_PIPE_ARGS[case]],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""

@@ -1,4 +1,4 @@
-"""The nine value types: construction, repr, equality, hashing, immutability,
+"""The eight value types: construction, repr, equality, hashing, immutability,
 pickling, what ``vars()`` holds and the order their fields are checked in.
 
 Each type is pinned by one fixed instance, built once by position and once
@@ -12,7 +12,6 @@ import re
 
 import pytest
 
-from steinmle.boundary import PerturbationSpec
 from steinmle.errors import DomainError
 from steinmle.montecarlo import CoverageResult, SimulationConfig, SimulationReport
 from steinmle.montecarlo._pykernels import BACKEND_NAME, RNG_ALGORITHM
@@ -45,10 +44,6 @@ CASES = {
     BoundBreakdown: (
         dict(terms=(("a", 0.25), ("b", 0.5)), total=0.75),
         "BoundBreakdown(terms=(('a', 0.25), ('b', 0.5)), total=0.75)",
-    ),
-    PerturbationSpec: (
-        dict(a=0.0, b=math.inf, c=0.5, n=10),
-        "PerturbationSpec(a=0.0, b=inf, c=0.5, n=10)",
     ),
     ImplicitModelIngredients: (
         dict(
@@ -147,7 +142,6 @@ CHANGED = {
     TestFunction: ("lip_norm", 0.125),
     BoundIngredients: ("sup_third_is_deterministic", False),
     BoundBreakdown: ("terms", (("a", 0.25),)),
-    PerturbationSpec: ("c", 0.75),
     ImplicitModelIngredients: ("epsilon", 0.25),
     BetaParams: ("beta", 3.0),
     SimulationConfig: ("seed", 4),
@@ -246,17 +240,6 @@ ALL_INVALID = {
         [
             ("terms", (("a", 0.5), ("c", math.nan)), "breakdown term 'b' is negative: -1.0"),
             ("terms", (("a", 0.5),), "breakdown term 'c' is NaN"),
-        ],
-    ),
-    PerturbationSpec: (
-        dict(a=math.nan, b=math.nan, c=0.0, n=0),
-        [
-            ("a", 1.0, "a must be a real, got nan"),
-            ("b", 0.0, "b must be a real, got nan"),
-            ("b", 2.0, "interval endpoints must satisfy a < b, got [1.0, 0.0]"),
-            ("n", 10, "n must be an integer >= 1, got 0"),
-            ("c", 6.0, "c must be a finite real > 0, got 0.0"),
-            ("c", 0.5, "c must satisfy 0 < c < n(b-a)/2 = 5.0, got 6.0"),
         ],
     ),
     ImplicitModelIngredients: (
