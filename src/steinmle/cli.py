@@ -353,7 +353,12 @@ def cmd_mse_sweep(theta0, beta, n_from, n_to, n_step, trials, seed, workers):
 @_verb("constants", "--model", "--theta0",
        ("--n", dict(type=int, help="sample size for n-dependent quantities")), "--beta", "--epsilon")
 def cmd_constants(model, theta0, n, beta, epsilon):
-    """Audit dump of a model's bound ingredients/constants."""
+    """Audit dump of a model's bound ingredients/constants.
+
+    The exp-canonical fourth estimator moment does not exist below n = 5,
+    and the deterministic Taylor route never uses it: it prints as null in
+    JSON and None in text and CSV.
+    """
     entry = registry.get_model(model, beta=beta)
     if n is None and model != "beta":
         raise DomainError(f"{model}: --n is required for the audit")

@@ -47,6 +47,16 @@ class FloatRangeError(SteinMLEError, ArithmeticError):
     difference that must be positive cancelled to zero."""
 
 
+def range_error(name, exc) -> FloatRangeError:
+    """The FloatRangeError, naming ``name``, for an OverflowError or a
+    ZeroDivisionError ``exc``."""
+    what = "overflowed" if isinstance(exc, OverflowError) else "underflowed to 0"
+    return FloatRangeError(
+        f"{name}: an intermediate value {what}; the input lies outside "
+        "the float range of this computation"
+    )
+
+
 def float_range(fn, name=None):
     """Raise FloatRangeError, naming ``name`` (by default ``fn``'s own), where
     ``fn`` meets OverflowError or ZeroDivisionError."""
@@ -57,11 +67,6 @@ def float_range(fn, name=None):
         try:
             return fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
-            what = "overflowed" if isinstance(exc, OverflowError) else "underflowed to 0"
-            raise FloatRangeError(
-                f"{name}: an intermediate value {what}; the input lies outside "
-                "the float range of this computation"
-            ) from exc
+            raise range_error(name, exc) from exc
 
     return guarded
-

@@ -10,8 +10,12 @@ one observation is k'(theta) (T(x) - D(theta)) with D = A'/k', so
 The exponential distribution enters twice, with T(x) = -x: parametrised by
 its rate (the canonical case, k(theta) = theta, estimator 1/sample-mean) and
 by its mean (non-canonical, k(theta) = 1/theta, estimator the sample mean).
-Each builder states both formulas in closed form; everything downstream of
-the moments is assembled by ``steincore``.
+Each model's formulas are written once, in its formula helper
+(``_canonical_fields``, ``_noncanonical_fields``): it checks theta0, n and
+epsilon and returns ``BoundIngredients``' arguments.  The public builders
+wrap them in ``BoundIngredients``; the one-pass bound route of
+``registry.Model.distance_bound`` hands them to ``steincore`` unbuilt.
+Everything downstream of the moments is assembled by ``steincore``.
 
 The constant ``EXP_THIRD_ABS_BOUND`` (2.41456) is a slightly rounded-up
 bound on theta^3 * E|1/theta - X|^3 for X ~ Exp(theta); the exact value is
@@ -20,6 +24,7 @@ bound on theta^3 * E|1/theta - X|^3 for X ~ Exp(theta); the exact value is
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._validate import ball_radius, integer, real
@@ -35,7 +40,41 @@ __all__ = [
 EXP_THIRD_ABS_BOUND = 2.41456
 
 
-@float_range
+def _inputs(theta0, n, epsilon):
+    """theta0, n and the ball radius, checked: the inputs both models take."""
+    theta0 = real(theta0, "theta0", gt=0.0)
+    eps = ball_radius(epsilon, theta0)
+    return theta0, integer(n, "n"), eps
+
+
+# The formula helpers' float-range errors name the public builder, whichever
+# caller meets them: the builder, or the one-pass route of
+# ``registry.Model.distance_bound``.  Each returns ``BoundIngredients``'
+# arguments in order, computed from checked inputs but not checked themselves.
+@functools.partial(float_range, name="exp_canonical_ingredients")
+def _canonical_fields(theta0, n, epsilon) -> tuple:
+    theta0, n, eps = _inputs(theta0, n, epsilon)
+    if n < 3:
+        raise DomainError(f"canonical exponential MSE requires n >= 3, got {n}")
+    mse = (n + 2) * theta0**2 / ((n - 1) * (n - 2))
+    if n >= 5:
+        # E(1/mean - theta0)^4 in closed form; the ratio of integers rounds once.
+        fourth = theta0**4 * ((3 * n * n + 46 * n + 24) / ((n - 1) * (n - 2) * (n - 3) * (n - 4)))
+    else:
+        fourth = math.inf
+    # r2 is 0: canonical, so l'' == -n i(theta0) identically.
+    return (theta0, n, 1.0 / theta0**2, EXP_THIRD_ABS_BOUND / theta0**3, mse, fourth,
+            2.0 * n / (theta0 - eps) ** 3, 0.0, eps, True)
+
+
+@functools.partial(float_range, name="exp_noncanonical_ingredients")
+def _noncanonical_fields(theta0, n, epsilon) -> tuple:
+    theta0, n, eps = _inputs(theta0, n, epsilon)
+    return (theta0, n, 1.0 / theta0**2, EXP_THIRD_ABS_BOUND / theta0**3, theta0**2 / n,
+            (3.0 * theta0**4 / n**2) * (2.0 / n + 1.0),
+            4.0 * n * (2.0 * theta0 + eps) / (theta0 - eps) ** 4, 2.0 / theta0, eps, False)
+
+
 def exp_canonical_ingredients(
     theta0: float, n: int, epsilon: float | None = None
 ) -> BoundIngredients:
@@ -47,32 +86,9 @@ def exp_canonical_ingredients(
     route applies.  The fourth estimator moment is finite only for n >= 5;
     it is unused on the deterministic route and stored as +inf below that.
     """
-    theta0 = real(theta0, "theta0", gt=0.0)
-    eps = ball_radius(epsilon, theta0)
-    n = integer(n, "n")
-    if n < 3:
-        raise DomainError(f"canonical exponential MSE requires n >= 3, got {n}")
-    mse = (n + 2) * theta0**2 / ((n - 1) * (n - 2))
-    if n >= 5:
-        # E(1/mean - theta0)^4 in closed form; the ratio of integers rounds once.
-        fourth = theta0**4 * ((3 * n * n + 46 * n + 24) / ((n - 1) * (n - 2) * (n - 3) * (n - 4)))
-    else:
-        fourth = math.inf
-    return BoundIngredients(
-        theta0=theta0,
-        n=n,
-        fisher_info=1.0 / theta0**2,
-        third_abs_score_moment=EXP_THIRD_ABS_BOUND / theta0**3,
-        mse=mse,
-        fourth_mle_moment=fourth,
-        sup_third_deriv=2.0 * n / (theta0 - eps) ** 3,
-        r2_conditional_bound=0.0,  # canonical: l'' == -n i(theta0) identically
-        epsilon=eps,
-        sup_third_is_deterministic=True,
-    )
+    return BoundIngredients(*_canonical_fields(theta0, n, epsilon))
 
 
-@float_range
 def exp_noncanonical_ingredients(
     theta0: float, n: int, epsilon: float | None = None
 ) -> BoundIngredients:
@@ -84,18 +100,4 @@ def exp_noncanonical_ingredients(
     4n(2 theta0 + eps)/(theta0 - eps)^4, which is sample-dependent, so the
     Cauchy-Schwarz Taylor route is used.
     """
-    theta0 = real(theta0, "theta0", gt=0.0)
-    eps = ball_radius(epsilon, theta0)
-    n = integer(n, "n")
-    return BoundIngredients(
-        theta0=theta0,
-        n=n,
-        fisher_info=1.0 / theta0**2,
-        third_abs_score_moment=EXP_THIRD_ABS_BOUND / theta0**3,
-        mse=theta0**2 / n,
-        fourth_mle_moment=(3.0 * theta0**4 / n**2) * (2.0 / n + 1.0),
-        sup_third_deriv=4.0 * n * (2.0 * theta0 + eps) / (theta0 - eps) ** 4,
-        r2_conditional_bound=2.0 / theta0,
-        epsilon=eps,
-        sup_third_is_deterministic=False,
-    )
+    return BoundIngredients(*_noncanonical_fields(theta0, n, epsilon))

@@ -14,6 +14,14 @@ sqrt(n * i(theta0)) (theta_hat - theta0) with the unit normal, while the
 boundary-perturbed Poisson compares sqrt(n) (theta_hat - theta0) with
 N(0, theta0).
 
+The exponential route makes one checked pass: ``expfam``'s formula helper
+for the model checks theta0, n and epsilon and computes the ingredient
+floats, and ``steincore._mle_bound_fields`` tests them once, checks the h
+weights and assembles the four terms into one ``BoundBreakdown``.  It builds
+no ``BoundIngredients`` and calls neither ``exp_*_ingredients`` nor
+``mle_bound_general``, yet gives their terms bit for bit and their errors,
+which still name those functions.
+
 The bound builders are looked up on their modules at call time, never kept
 in a table, so that a wrapper installed on a module attribute sees every
 call.
@@ -26,7 +34,7 @@ import math
 from . import boundary, expfam, msebound
 from ._validate import integer, real
 from .errors import DegenerateSampleError, DomainError, UnknownModelError
-from .steincore import BoundBreakdown, mle_bound_general
+from .steincore import BoundBreakdown, BoundIngredients, _mle_bound_fields
 
 __all__ = ["MODEL_NAMES", "get_model", "Model"]
 
@@ -125,7 +133,7 @@ class Model:
             self._reject_unused(epsilon, c)
             return msebound.beta_distance_bound(msebound.BetaParams(theta0, self.beta), n)
         self._reject_unused(c=c)
-        return mle_bound_general(self._exp_ingredients(theta0, n, epsilon), h_weights)
+        return _mle_bound_fields(self._exp_fields(theta0, n, epsilon), h_weights)
 
     def mse_bound(self, theta0: float, n: int):
         """The estimator's MSE bound where one exists (Beta only); None otherwise."""
@@ -149,12 +157,17 @@ class Model:
                 out["n"] = n = integer(n, "n")
                 out["B3"] = msebound._beta_b3(ing, n)
             return out
-        return {"model": self.name, "ingredients": self._exp_ingredients(theta0, n, epsilon).to_dict()}
+        ing = BoundIngredients(*self._exp_fields(theta0, n, epsilon)).to_dict()
+        if self.name == "exp-canonical" and ing["n"] < 5:
+            ing["fourth_mle_moment"] = None  # E(1/mean - theta0)^4 does not exist
+        return {"model": self.name, "ingredients": ing}
 
-    def _exp_ingredients(self, theta0, n, epsilon):
+    def _exp_fields(self, theta0, n, epsilon):
+        """``BoundIngredients``' arguments for an exponential model, from
+        ``expfam``'s formula helper for it."""
         if self.name == "exp-canonical":
-            return expfam.exp_canonical_ingredients(theta0, n, epsilon)
-        return expfam.exp_noncanonical_ingredients(theta0, n, epsilon)
+            return expfam._canonical_fields(theta0, n, epsilon)
+        return expfam._noncanonical_fields(theta0, n, epsilon)
 
     def _reject_unused(self, epsilon=None, c="auto"):
         """Refuse a value other than the default for an option the model ignores."""

@@ -11,7 +11,11 @@ around the estimator.  Model-specific moments enter through
 :class:`BoundIngredients`; the assemblers are pure arithmetic so every model
 shares one audited code path.  The score term (2 + E|xi|^3 / i^{3/2})/sqrt(n)
 is written once, in ``_score_term``, which the boundary-perturbed and
-implicit-MLE bounds call too.
+implicit-MLE bounds call too.  The four-term assembly is written once, in
+``_mle_breakdown``: ``mle_bound_general`` calls it on a ``BoundIngredients``,
+and the exponential route of ``registry.Model.distance_bound`` calls it
+through ``_mle_bound_fields`` on the floats an ingredient builder computed,
+where one test of those floats stands in for the ingredients' checks.
 
 Conventions
 -----------
@@ -34,7 +38,7 @@ import math
 from collections.abc import Callable
 
 from ._validate import Value, integer, real
-from .errors import DomainError, FloatRangeError, float_range
+from .errors import DomainError, FloatRangeError, float_range, range_error
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
 __all__ = [
@@ -51,6 +55,8 @@ TERM_SCORE = "score"
 TERM_MARKOV = "markov_tail"
 TERM_R2 = "r2"
 TERM_TAYLOR = "taylor_remainder"
+
+_INF = math.inf
 
 
 class TestFunction(Value):
@@ -157,12 +163,16 @@ class BoundIngredients(Value):
     def taylor_factor(self) -> float:
         """sup_third_deriv * MSE when the sup bound is sample-free, else
         sup_third_deriv * sqrt(fourth moment) (the Cauchy-Schwarz route)."""
-        if self.sup_third_is_deterministic:
-            return self.sup_third_deriv * self.mse
-        return self.sup_third_deriv * math.sqrt(self.fourth_mle_moment)
+        return _taylor_factor(
+            self.sup_third_deriv, self.mse, self.fourth_mle_moment, self.sup_third_is_deterministic
+        )
 
     def to_dict(self):
         return dict(self._field_items())
+
+
+def _taylor_factor(sup3: float, mse: float, fourth: float, deterministic: bool) -> float:
+    return sup3 * mse if deterministic else sup3 * math.sqrt(fourth)
 
 
 class BoundBreakdown(Value):
@@ -172,26 +182,20 @@ class BoundBreakdown(Value):
     permuting terms cannot change it; a ``total`` passed in is ignored.  A
     NaN or negative term is a DomainError; an infinite term, or a total that
     overflows, is a FloatRangeError, so no bound is ever reported as inf.
+    One fsum and one test of the total and the least term check the terms;
+    the error is worded, term by term, only when that test fails.
     """
 
     def __init__(self, terms: tuple[tuple[str, float], ...], total: float | None = None):
-        terms = tuple((str(label), float(value)) for label, value in terms)
-        for label, value in terms:
-            if math.isnan(value):
-                raise DomainError(f"breakdown term {label!r} is NaN")
-            if value < 0.0:
-                raise DomainError(f"breakdown term {label!r} is negative: {value!r}")
-            if value == math.inf:
-                raise FloatRangeError(
-                    f"breakdown term {label!r} overflowed to inf; the input lies outside "
-                    "the float range of this bound"
-                )
+        terms = tuple([(str(label), float(value)) for label, value in terms])
+        values = [value for _, value in terms]
         try:
-            total = math.fsum(v for _, v in terms)
-        except OverflowError:
-            raise FloatRangeError(
-                "the bound total overflowed; the input lies outside the float range of this bound"
-            ) from None
+            total = math.fsum(values)
+        except (OverflowError, ValueError):  # finite terms overflowing, or inf - inf
+            total = math.nan
+        # NaN or inf in a term makes the total NaN or inf; a negative term can hide in it.
+        if not (0.0 <= total < _INF and (not values or min(values) >= 0.0)):
+            _refuse(terms)
         vars(self).update(terms=terms, total=total)
 
     def to_dict(self):
@@ -204,6 +208,24 @@ class BoundBreakdown(Value):
         rows = [(lab, repr(val)) for lab, val in self.terms]
         rows.append(("total", repr(self.total)))
         return rows
+
+
+def _refuse(terms):
+    """Raise the error for the first NaN, negative or infinite term, else for
+    a total that overflows."""
+    for label, value in terms:
+        if math.isnan(value):
+            raise DomainError(f"breakdown term {label!r} is NaN")
+        if value < 0.0:
+            raise DomainError(f"breakdown term {label!r} is negative: {value!r}")
+        if value == math.inf:
+            raise FloatRangeError(
+                f"breakdown term {label!r} overflowed to inf; the input lies outside "
+                "the float range of this bound"
+            )
+    raise FloatRangeError(
+        "the bound total overflowed; the input lies outside the float range of this bound"
+    )
 
 
 def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
@@ -235,7 +257,6 @@ def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     return BoundBreakdown(terms=((TERM_SCORE, value),))
 
 
-@float_range
 def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     """Four-term distance bound for sqrt(n * i(theta0)) (theta_hat - theta0).
 
@@ -243,20 +264,44 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     conditional R2 term; and the Taylor remainder term, which scales
     ``BoundIngredients.taylor_factor``.
     """
-    sup, lip = _weights(h_weights)
-    root_ni = math.sqrt(ing.n * ing.fisher_info)
-    t_score = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
-    t_markov = 2.0 * sup * ing.mse / ing.epsilon**2
-    t_r2 = lip / root_ni * ing.r2_conditional_bound
-    t_taylor = lip / root_ni * 0.5 * ing.taylor_factor
-    return BoundBreakdown(
-        terms=(
-            (TERM_SCORE, t_score),
-            (TERM_MARKOV, t_markov),
-            (TERM_R2, t_r2),
-            (TERM_TAYLOR, t_taylor),
-        )
+    return _mle_breakdown(
+        ing.n, ing.fisher_info, ing.third_abs_score_moment, ing.mse, ing.taylor_factor,
+        ing.r2_conditional_bound, ing.epsilon, h_weights,
     )
+
+
+def _mle_bound_fields(fields: tuple, h_weights) -> BoundBreakdown:
+    """``mle_bound_general(BoundIngredients(*fields), h_weights)`` in one
+    pass, the same terms bit for bit and the same errors, for ``fields`` that
+    an ingredient builder computed from checked inputs (theta0, n and
+    epsilon valid).  One test of the computed floats stands in for the
+    ingredients' checks; a ``BoundIngredients`` is built only when it fails,
+    to raise the error that names the field."""
+    _, n, fisher, third, mse, fourth, sup3, r2, eps, deterministic = fields
+    if not (
+        0.0 < fisher < _INF and 0.0 < eps < _INF
+        and third >= 0.0 and mse >= 0.0 and fourth >= 0.0 and sup3 >= 0.0 and r2 >= 0.0
+    ):
+        BoundIngredients(*fields)
+    taylor = _taylor_factor(sup3, mse, fourth, deterministic)
+    return _mle_breakdown(n, fisher, third, mse, taylor, r2, eps, h_weights)
+
+
+def _mle_breakdown(n, fisher, third, mse, taylor, r2, eps, h_weights) -> BoundBreakdown:
+    """The four terms of ``mle_bound_general`` from its ingredient floats: the
+    one copy of the assembly, with its float-range errors named for it."""
+    sup, lip = _weights(h_weights)
+    try:
+        root_ni = math.sqrt(n * fisher)
+        terms = (
+            (TERM_SCORE, lip * _score_term(third, fisher, n)),
+            (TERM_MARKOV, 2.0 * sup * mse / eps**2),
+            (TERM_R2, lip / root_ni * r2),
+            (TERM_TAYLOR, lip / root_ni * 0.5 * taylor),
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise range_error("mle_bound_general", exc) from exc
+    return BoundBreakdown(terms)
 
 
 def kolmogorov_from_bw(bw_bound: float, sigma: float = 1.0) -> float:

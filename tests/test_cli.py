@@ -16,7 +16,7 @@ import steinmle
 from steinmle import boundary, cli, registry
 from steinmle.cli import main
 from steinmle.registry import get_model
-from steinmle.expfam import exp_noncanonical_ingredients
+from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
 from steinmle.steincore import kolmogorov_from_bw, score_bound
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
@@ -578,6 +578,29 @@ class TestConstantsCommand:
     def test_missing_n_is_validation_error(self, runner):
         result = runner.invoke(main, ["constants", "--model", "exp-canonical", "--theta0", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_canonical_fourth_moment_below_n5_is_null(self, runner, n):
+        # E(1/mean - theta0)^4 does not exist below n = 5: null in JSON, None
+        # in text and CSV, exit 0 in all three; the ingredients keep +inf.
+        args = ["constants", "--model", "exp-canonical", "--theta0", "1", "--n", str(n)]
+        result = runner.invoke(main, args + ["--format", "json"])
+        assert result.exit_code == 0, result.output
+        ing = _strict_json(result.stdout)["ingredients"]
+        assert ing["fourth_mle_moment"] is None and ing["n"] == n
+        text = runner.invoke(main, args)
+        assert text.exit_code == 0 and "ingredients.fourth_mle_moment = None" in text.stdout
+        csv = runner.invoke(main, args + ["--format", "csv"])
+        assert csv.exit_code == 0 and "ingredients.fourth_mle_moment,None" in csv.stdout
+        assert get_model("exp-canonical").audit(1.0, n)["ingredients"]["fourth_mle_moment"] is None
+        assert exp_canonical_ingredients(1.0, n).to_dict()["fourth_mle_moment"] == math.inf
+
+    def test_canonical_fourth_moment_from_n5_is_a_number(self, runner):
+        result = runner.invoke(
+            main, ["constants", "--model", "exp-canonical", "--theta0", "1", "--n", "5", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert _strict_json(result.stdout)["ingredients"]["fourth_mle_moment"] == 13.708333333333334
 
 
 def _parse_outcome(parse, argv):

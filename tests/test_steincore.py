@@ -118,6 +118,51 @@ class TestBoundBreakdown:
         with pytest.raises(FloatRangeError, match="total"):
             BoundBreakdown(terms=(("a", 1e308), ("b", 1e308)))
 
+    def test_empty_terms_total_zero(self):
+        bd = BoundBreakdown(terms=())
+        assert bd.terms == () and bd.total == 0.0
+
+    def test_negative_zero_term_is_accepted(self):
+        bd = BoundBreakdown(terms=(("a", -0.0), ("b", 0.5)))
+        assert math.copysign(1.0, bd.terms[0][1]) == -1.0 and bd.total == 0.5
+        assert BoundBreakdown(terms=(("a", -0.0),)).total == 0.0
+
+    @pytest.mark.parametrize(
+        "terms,error,message",
+        [
+            ((("a", math.nan),), DomainError, "breakdown term 'a' is NaN"),
+            # a negative term that the total hides
+            ((("a", 1.0), ("b", -0.5)), DomainError, "breakdown term 'b' is negative: -0.5"),
+            ((("a", -5e-324), ("b", 1.0)), DomainError, "breakdown term 'a' is negative: -5e-324"),
+            ((("a", -math.inf),), DomainError, "breakdown term 'a' is negative: -inf"),
+            ((("a", 0.1), ("b", math.inf)), FloatRangeError,
+             "breakdown term 'b' overflowed to inf; the input lies outside the float range of this bound"),
+            # fsum refuses inf - inf; the first bad term is named
+            ((("a", math.inf), ("b", -math.inf)), FloatRangeError,
+             "breakdown term 'a' overflowed to inf; the input lies outside the float range of this bound"),
+            # the first bad term in order, whatever its kind
+            ((("a", math.nan), ("b", -1.0)), DomainError, "breakdown term 'a' is NaN"),
+            ((("a", -1.0), ("b", math.nan)), DomainError, "breakdown term 'a' is negative: -1.0"),
+            # a bad term is named before a total that overflows
+            ((("a", 1e308), ("b", 1e308), ("c", math.nan)), DomainError, "breakdown term 'c' is NaN"),
+            ((("a", 1e308), ("b", 1e308)), FloatRangeError,
+             "the bound total overflowed; the input lies outside the float range of this bound"),
+        ],
+        ids=["nan", "hidden-negative", "negative-subnormal", "minus-inf", "inf", "inf-minus-inf",
+             "nan-first", "negative-first", "nan-and-overflow", "total-overflow"],
+    )
+    def test_bad_terms_raise_the_worded_error(self, terms, error, message):
+        with pytest.raises(error) as excinfo:
+            BoundBreakdown(terms=terms)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    def test_numbers_are_stored_as_plain_floats(self):
+        terms = ((np.str_("a"), np.float32(0.5)), ("b", 2), ("c", np.float64(0.25)), ("d", np.int64(1)))
+        bd = BoundBreakdown(terms=terms)
+        assert bd.terms == (("a", 0.5), ("b", 2.0), ("c", 0.25), ("d", 1.0))
+        assert all(type(label) is str and type(value) is float for label, value in bd.terms)
+        assert type(bd.total) is float and bd.total == 3.75
+
     def test_json_round_trip(self):
         bd = BoundBreakdown(terms=(("score", 0.25), ("markov_tail", 0.5)))
         parsed = json.loads(json.dumps(bd.to_dict()))
