@@ -10,6 +10,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSampleError,
     DomainError,
+    FloatRangeError,
     SteinMLEError,
     UnknownModelError,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "UnknownModelError",
     "DegenerateSampleError",
     "ConvergenceError",
+    "FloatRangeError",
     # special functions
     "polygamma",
     "std_normal_quantile",

@@ -116,7 +116,9 @@ def minimize_poisson_c(theta0: float, n: int) -> float:
     x2 = a + invphi * (b - a)
     f1 = _poisson_total(theta0, n, x1, t_score)
     f2 = _poisson_total(theta0, n, x2, t_score)
-    while b - a > _C_TOL:
+    # Adjacent floats a < b admit no point between them, and the bracket
+    # would stay as it is for ever: that ends the search too.
+    while b - a > _C_TOL and math.nextafter(a, b) != b:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

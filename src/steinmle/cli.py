@@ -26,7 +26,7 @@ from . import __version__, registry
 from ._validate import master_seed
 from .errors import ConvergenceError, DomainError, FloatRangeError, SteinMLEError
 from .msebound import BetaParams
-from .steincore import TERM_SCORE, inv_quadratic_test_function, kolmogorov_from_bw
+from .steincore import TERM_SCORE, kolmogorov_from_bw
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -44,9 +44,6 @@ _SHARED = {
     "--seed": dict(type=int, help="master seed (default: STEINMLE_SEED or 0)"),
     "--workers": dict(type=int, default=1, help="default %(default)s"),
 }
-
-# The empirical protocol's test function: sup norm 1/2, Lipschitz 3*sqrt(1.5)/16.
-_TABLE_H = inv_quadratic_test_function()
 
 _TABLE_SPECS = {
     1: {"model": "exp-canonical", "theta0": 1.0, "ns": [10, 100, 1000, 10000, 100000]},
@@ -262,7 +259,7 @@ def cmd_table(which, trials, seed, workers):
         reports = mc.run_mse_sweep(params, spec["ns"], trials=trials, seed=seed, workers=workers)
     else:
         cfg = mc.SimulationConfig(spec["model"], spec["theta0"], spec["ns"][0], trials, seed,
-                                  test_function=_TABLE_H, workers=workers)
+                                  workers=workers)
         reports = mc.run_rows(cfg, spec["ns"])
     # table 2's normalised-sum bound weighted by the h norms: the distance bound's score term
     direct = [dict(rep.bound_terms.terms)[TERM_SCORE] for rep in reports] if which == 2 else None

@@ -8,16 +8,15 @@ law, each trial draws it directly:
 * exp-canonical (rate theta0): the mean is Gamma(n, scale 1/theta0) / n;
 * exp-noncanonical (mean theta0): the mean is Gamma(n, scale theta0) / n;
 * poisson: the mean is Poisson(n theta0) / n;
-* beta with integer known shape m <= n: Beta(theta0, m) has the law of
+* beta with integer known shape m: Beta(theta0, m) has the law of
   prod_{k<m} Beta(theta0 + k, 1), and -log Beta(c, 1) ~ Exp(rate c), so the
   mean log is -sum_{k<m} Gamma(n, scale 1/(theta0 + k)) / n (m = 1 is the
   exponential case).
 
-Beta with a non-integer known shape has no such law, and one above n costs
-more through it than raw sampling does.  Those trials draw raw samples with
-``Generator.beta`` in blocks of ``block_trials(n)`` whole trials, which hold
-at most ``BLOCK_OBS`` observations when n allows; ``trial_stats`` refuses a
-trial of more than 2^16 such pieces (n > 2^32).
+Beta with a non-integer known shape has no such law.  Its trials draw raw
+samples with ``Generator.beta`` in blocks of ``block_trials(n)`` whole
+trials, which hold at most ``BLOCK_OBS`` observations when n allows;
+``trial_stats`` refuses a trial of more than 2^16 such pieces (n > 2^32).
 
 Stream layout.  A call covering trials [trial_start, trial_stop) draws its
 closed-form statistics in order from one stream: Philox4x64 keyed by the
@@ -119,12 +118,12 @@ def block_trials(n: int) -> int:
     return max(1, BLOCK_OBS // n)
 
 
-def raw_sampled(model: str, beta: float, n: int) -> bool:
-    """Whether the model's statistic is computed from raw samples, in blocks.
-
-    The integer-shape law draws beta gammas a trial, raw sampling n betas.
-    """
-    return model == "beta" and not (float(beta).is_integer() and 0 < beta <= n)
+def raw_sampled(model: str, beta: float) -> bool:
+    """Whether the model's statistic is computed from raw samples, in blocks:
+    the Beta model's, for a non-integer known shape.  (An integer shape draws
+    beta gammas a trial, fewer than raw sampling's n betas wherever a row's
+    bound holds: the Beta minimal n exceeds beta.)"""
+    return model == "beta" and not float(beta).is_integer()
 
 
 def _poisson(lam: float, size: int, rng: Generator) -> np.ndarray:
@@ -186,9 +185,9 @@ def sample_stats(
     if model == "poisson":
         return _poisson(n * theta0, count, rng) / n
     if model == "beta":
-        if raw_sampled(model, beta, n):
+        if raw_sampled(model, beta):
             raise DomainError(
-                f"beta: known shape {beta!r} at n = {n} has no closed-form law; "
+                f"beta: known shape {beta!r} has no closed-form law; "
                 "trial_stats draws it from raw samples"
             )
         total = 0.0
@@ -230,7 +229,7 @@ def trial_stats(
     the statistic by the caller.  ``check_trials`` checks the range first.
     """
     count = check_trials(trial_start, trial_stop)
-    if not raw_sampled(model, beta, n):
+    if not raw_sampled(model, beta):
         return sample_stats(model, theta0, beta, n, count, make_generator(seed, trial_start))
     if n > BLOCK_OBS * _PIECES_MAX:
         raise DomainError(

@@ -12,8 +12,7 @@ of the supremum itself.
 
 Reproducibility: a row's statistics come from one ``_pykernels.trial_stats``
 call, from one Philox stream keyed by the seed; the Beta model with a
-non-integer known shape, or one above n, draws raw samples in blocks with a
-stream each.  No stream depends on the worker count, which is checked here;
+non-integer known shape draws raw samples in blocks with a stream each.  No stream depends on the worker count, which is checked here;
 ``trial_stats`` caps the pool at the row's blocks and the CPUs.  Trial
 summaries are reduced with exactly-rounded summation (fsum), which is
 permutation-invariant.  Identical config therefore yields byte-identical

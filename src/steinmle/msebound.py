@@ -15,7 +15,9 @@ in sqrt(n) with one positive root, so ``minimal_n`` inverts the condition in
 closed form, with no search.  The Beta distribution with one unknown shape
 is the worked instance: its score involves only digammas, its
 log-likelihood second derivative is deterministic (Var l'' = 0), and every
-constant reduces to polygamma values at theta0 and theta0 + beta.
+constant reduces to polygamma values at theta0 and theta0 + beta.  One
+builder, ``beta_ingredients``, makes its ingredients, at the paper's
+eps = theta0/2; every Beta bound, constant and audit starts from it.
 
 Numerical note: the root A1, and with it the Beta constant B3 = sqrt(n) A1,
 divides by D1, a difference of nearly-equal terms (~0.0019 at theta0=1.5,
@@ -34,7 +36,7 @@ import functools
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-from ._validate import Value, ball_radius, integer, real
+from ._validate import Value, integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
 from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
 from .steincore import (
@@ -240,13 +242,19 @@ def _beta_fisher_b1(theta0: float, beta: float):
     return psi1 - psi1_beta, b1
 
 
-# Its float-range errors name the public builder, whichever caller meets them.
-@functools.partial(float_range, name="beta_ingredients")
-def _beta_ingredients_b1(p: BetaParams, epsilon: float | None = None):
-    """``beta_ingredients(p, epsilon)`` and B1, from one polygamma shift pass
-    at each argument."""
+@float_range
+def beta_ingredients(p: BetaParams) -> ImplicitModelIngredients:
+    """Implicit-model ingredients for Beta(theta0, beta), beta known.
+
+    fisher = psi_1(theta0) - psi_1(theta0 + beta) (positive: psi_1 strictly
+    decreases); the third score moment enters through the Holder bound
+    B1^(3/4) with B1 the fourth-moment bound built from polygammas of orders
+    1 and 3; Var l'' = 0 because l'' is a polygamma difference free of the
+    data; the third-derivative constant at eps = theta0/2 is
+    B2 = 96 beta/theta0^4 + 6.6 beta.  Support [0, 1] gives unit sup norms.
+    """
     theta0, beta = p.theta0, p.beta
-    eps = ball_radius(epsilon, theta0)
+    eps = theta0 / 2.0
     fisher, b1 = _beta_fisher_b1(theta0, beta)
     if not fisher > 0.0:
         # psi_1 strictly decreases, so only rounding makes the difference <= 0:
@@ -257,44 +265,15 @@ def _beta_ingredients_b1(p: BetaParams, epsilon: float | None = None):
         )
     # sup |l'''| <= 6 beta / (theta0 - eps)^4 + 6.6 beta  per observation
     # (the 6.6 absorbs the zeta(4) tail of the order-3 polygamma series).
-    c1 = 6.0 * beta / (theta0 - eps) ** 4 + 6.6 * beta
-    ing = ImplicitModelIngredients(
+    return ImplicitModelIngredients(
         fisher_info=fisher,
         third_abs_score_moment=b1**0.75,
         var_l2=0.0,
-        c1_const=c1,
+        c1_const=6.0 * beta / (theta0 - eps) ** 4 + 6.6 * beta,
         sup_x_norm=1.0,
         sup_x2_norm=1.0,
         epsilon=eps,
     )
-    return ing, b1
-
-
-def beta_ingredients(
-    p: BetaParams, epsilon: float | None = None
-) -> ImplicitModelIngredients:
-    """Implicit-model ingredients for Beta(theta0, beta), beta known.
-
-    fisher = psi_1(theta0) - psi_1(theta0 + beta) (positive: psi_1 strictly
-    decreases); the third score moment enters through the Holder bound
-    B1^(3/4) with B1 the fourth-moment bound built from polygammas of orders
-    1 and 3; Var l'' = 0 because l'' is a polygamma difference free of the
-    data; the third-derivative constant at eps = theta0/2 is
-    B2 = 96 beta/theta0^4 + 6.6 beta.  Support [0, 1] gives unit sup norms.
-    """
-    return _beta_ingredients_b1(p, epsilon)[0]
-
-
-def _beta_constants(p: BetaParams):
-    """The ingredients and ``beta_b_constants``, from one polygamma shift
-    pass at each argument."""
-    ing, b1 = _beta_ingredients_b1(p)
-    return ing, {
-        "B1": b1,
-        "B2": ing.c1_const,
-        "D_psi1": ing.fisher_info,
-        "minimal_n": minimal_n(ing),
-    }
 
 
 def beta_b_constants(p: BetaParams) -> dict:
@@ -303,7 +282,13 @@ def beta_b_constants(p: BetaParams) -> dict:
     B1 (fourth-moment bound), B2 (third-derivative constant at eps =
     theta0/2), D_psi1 (the information), and the minimal admissible n.
     """
-    return _beta_constants(p)[1]
+    ing = beta_ingredients(p)
+    return {
+        "B1": _beta_fisher_b1(p.theta0, p.beta)[1],
+        "B2": ing.c1_const,
+        "D_psi1": ing.fisher_info,
+        "minimal_n": minimal_n(ing),
+    }
 
 
 @float_range

@@ -22,6 +22,10 @@ no ``BoundIngredients`` and calls neither ``exp_*_ingredients`` nor
 ``mle_bound_general``, yet gives their terms bit for bit and their errors,
 which still name those functions.
 
+Every method returns a documented value or raises a ``SteinMLEError``: an
+information number, a scale or an audited ingredient beyond the float range
+is a ``FloatRangeError``, as the bounds' own overflows are.
+
 The bound builders are looked up on their modules at call time, never kept
 in a table, so that a wrapper installed on a module attribute sees every
 call.
@@ -33,12 +37,29 @@ import math
 
 from . import boundary, expfam, msebound
 from ._validate import integer, real
-from .errors import DegenerateSampleError, DomainError, UnknownModelError
+from .errors import DegenerateSampleError, DomainError, FloatRangeError, UnknownModelError, float_range
 from .steincore import BoundBreakdown, BoundIngredients, _mle_bound_fields
 
 __all__ = ["MODEL_NAMES", "get_model", "Model"]
 
 MODEL_NAMES = ("exp-canonical", "exp-noncanonical", "poisson", "beta")
+
+
+def _finite(name: str, value):
+    """``value``, unless it overflowed to inf: that is the FloatRangeError
+    naming it as ``name``."""
+    if value == math.inf:
+        raise FloatRangeError(
+            f"{name} overflowed to inf; the input lies outside the float range of this computation"
+        )
+    return value
+
+
+def _finite_fields(fields: dict) -> dict:
+    """An audit's fields, checked with ``_finite`` in order."""
+    for key, value in fields.items():
+        _finite(f"audit: field {key!r}", value)
+    return fields
 
 
 def _anywhere(mask) -> bool:
@@ -74,20 +95,26 @@ class Model:
         """theta0's lower limit, as keywords of ``_validate.real``."""
         return {"ge": 0.0} if self.name == "poisson" else {"gt": 0.0}
 
+    @float_range
     def fisher_info(self, theta0: float) -> float:
+        """The expected information of one observation at theta0."""
         if self.name == "poisson":
             theta0 = real(theta0, "theta0", ge=0.0)
             if theta0 == 0.0:
                 raise DomainError("poisson: the information number degenerates at theta0 = 0")
-            return 1.0 / theta0
+            return _finite("fisher_info: the information", 1.0 / theta0)
         if self.name == "beta":
             return msebound.beta_ingredients(msebound.BetaParams(theta0, self.beta)).fisher_info
-        return 1.0 / real(theta0, "theta0", gt=0.0) ** 2
+        return _finite("fisher_info: the information", 1.0 / real(theta0, "theta0", gt=0.0) ** 2)
 
+    @float_range
     def standardize_scale(self, theta0: float, n: int) -> float:
+        """sqrt(n i(theta0)), or sqrt(n) on the boundary route."""
+        n = integer(n, "n")
         if self.name == "poisson":
+            real(theta0, "theta0", ge=0.0)
             return math.sqrt(n)
-        return math.sqrt(n * self.fisher_info(theta0))
+        return _finite("standardize_scale: the scale", math.sqrt(n * self.fisher_info(theta0)))
 
     def target_sigma(self, theta0: float) -> float:
         """Standard deviation of the normal the standardised estimator targets."""
@@ -135,6 +162,7 @@ class Model:
         self._reject_unused(c=c)
         return _mle_bound_fields(self._exp_fields(theta0, n, epsilon), h_weights)
 
+    @float_range
     def mse_bound(self, theta0: float, n: int):
         """The estimator's MSE bound where one exists (Beta only); None otherwise."""
         if self.name != "beta":
@@ -143,6 +171,12 @@ class Model:
         return msebound._beta_mse_bound(msebound.beta_ingredients(p), n)
 
     def audit(self, theta0: float, n: int, epsilon: float | None = None) -> dict:
+        """The model's bound ingredients or constants, as plain JSON values.
+
+        An ingredient that overflowed to inf is a FloatRangeError naming the
+        first such field; the exp-canonical fourth moment, which does not
+        exist below n = 5, is None there.
+        """
         if self.name == "poisson":
             theta0, n = real(theta0, "theta0", ge=0.0), integer(n, "n")
             bd = self.distance_bound(theta0, n, epsilon=epsilon)
@@ -151,16 +185,15 @@ class Model:
             self._reject_unused(epsilon)
             p = msebound.BetaParams(theta0, self.beta)
             out = {"model": self.name, "theta0": p.theta0, "beta": self.beta}
-            ing, constants = msebound._beta_constants(p)
-            out.update(constants)
+            out.update(msebound.beta_b_constants(p))
             if n is not None:
                 out["n"] = n = integer(n, "n")
-                out["B3"] = msebound._beta_b3(ing, n)
-            return out
+                out["B3"] = msebound._beta_b3(msebound.beta_ingredients(p), n)
+            return _finite_fields(out)
         ing = BoundIngredients(*self._exp_fields(theta0, n, epsilon)).to_dict()
         if self.name == "exp-canonical" and ing["n"] < 5:
             ing["fourth_mle_moment"] = None  # E(1/mean - theta0)^4 does not exist
-        return {"model": self.name, "ingredients": ing}
+        return {"model": self.name, "ingredients": _finite_fields(ing)}
 
     def _exp_fields(self, theta0, n, epsilon):
         """``BoundIngredients``' arguments for an exponential model, from

@@ -12,10 +12,10 @@ around the estimator.  Model-specific moments enter through
 shares one audited code path.  The score term (2 + E|xi|^3 / i^{3/2})/sqrt(n)
 is written once, in ``_score_term``, which the boundary-perturbed and
 implicit-MLE bounds call too.  The four-term assembly is written once, in
-``_mle_breakdown``: ``mle_bound_general`` calls it on a ``BoundIngredients``,
-and the exponential route of ``registry.Model.distance_bound`` calls it
-through ``_mle_bound_fields`` on the floats an ingredient builder computed,
-where one test of those floats stands in for the ingredients' checks.
+``_mle_bound_fields``, which checks the ingredient floats and sums the terms:
+``mle_bound_general`` hands it a ``BoundIngredients``' fields, and the
+exponential route of ``registry.Model.distance_bound`` the floats an
+ingredient builder computed, with no ``BoundIngredients`` built.
 
 Conventions
 -----------
@@ -264,32 +264,22 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     conditional R2 term; and the Taylor remainder term, which scales
     ``BoundIngredients.taylor_factor``.
     """
-    return _mle_breakdown(
-        ing.n, ing.fisher_info, ing.third_abs_score_moment, ing.mse, ing.taylor_factor,
-        ing.r2_conditional_bound, ing.epsilon, h_weights,
-    )
+    return _mle_bound_fields(tuple(vars(ing).values()), h_weights)
 
 
 def _mle_bound_fields(fields: tuple, h_weights) -> BoundBreakdown:
-    """``mle_bound_general(BoundIngredients(*fields), h_weights)`` in one
-    pass, the same terms bit for bit and the same errors, for ``fields`` that
-    an ingredient builder computed from checked inputs (theta0, n and
-    epsilon valid).  One test of the computed floats stands in for the
-    ingredients' checks; a ``BoundIngredients`` is built only when it fails,
-    to raise the error that names the field."""
+    """The four terms of ``mle_bound_general`` from ``BoundIngredients``'
+    arguments in order: the one copy of the assembly, with its float-range
+    errors named for it.  The fields need theta0, n and epsilon checked, as
+    an ingredient builder checks them; one test of the other floats stands
+    in for the ingredients' checks, and a ``BoundIngredients`` is built only
+    when it fails, to raise the error that names the field."""
     _, n, fisher, third, mse, fourth, sup3, r2, eps, deterministic = fields
     if not (
         0.0 < fisher < _INF and 0.0 < eps < _INF
         and third >= 0.0 and mse >= 0.0 and fourth >= 0.0 and sup3 >= 0.0 and r2 >= 0.0
     ):
         BoundIngredients(*fields)
-    taylor = _taylor_factor(sup3, mse, fourth, deterministic)
-    return _mle_breakdown(n, fisher, third, mse, taylor, r2, eps, h_weights)
-
-
-def _mle_breakdown(n, fisher, third, mse, taylor, r2, eps, h_weights) -> BoundBreakdown:
-    """The four terms of ``mle_bound_general`` from its ingredient floats: the
-    one copy of the assembly, with its float-range errors named for it."""
     sup, lip = _weights(h_weights)
     try:
         root_ni = math.sqrt(n * fisher)
@@ -297,7 +287,7 @@ def _mle_breakdown(n, fisher, third, mse, taylor, r2, eps, h_weights) -> BoundBr
             (TERM_SCORE, lip * _score_term(third, fisher, n)),
             (TERM_MARKOV, 2.0 * sup * mse / eps**2),
             (TERM_R2, lip / root_ni * r2),
-            (TERM_TAYLOR, lip / root_ni * 0.5 * taylor),
+            (TERM_TAYLOR, lip / root_ni * 0.5 * _taylor_factor(sup3, mse, fourth, deterministic)),
         )
     except (OverflowError, ZeroDivisionError) as exc:
         raise range_error("mle_bound_general", exc) from exc

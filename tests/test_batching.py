@@ -161,7 +161,7 @@ class TestTableBatch:
                             lambda h, scale: scales.append(scale) or normal_expectation(h, scale=scale))
         rows = _table_rows(1, 50, seed=1)
         assert len(calls) == 1 and scales == [1.0]
-        assert {row["expected_h"] for row in rows} == {normal_expectation(cli._TABLE_H, scale=1.0)}
+        assert {row["expected_h"] for row in rows} == {normal_expectation(inv_quadratic_test_function(), scale=1.0)}
 
 
 class TestEvaluatorContract:

@@ -17,7 +17,7 @@ from steinmle import boundary, cli, registry
 from steinmle.cli import main
 from steinmle.registry import get_model
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
-from steinmle.steincore import kolmogorov_from_bw, score_bound
+from steinmle.steincore import inv_quadratic_test_function, kolmogorov_from_bw, score_bound
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
@@ -285,7 +285,7 @@ class TestTableCommand:
     def test_table2_direct_column_is_the_score_bound(self, runner):
         # the column is the score term of each row's distance bound: the
         # normalised-sum bound, bit for bit, at the table's n and elsewhere
-        weights = cli._TABLE_H.weights
+        weights = inv_quadratic_test_function().weights
         rows = _json_out(runner.invoke(main, ["table", "2", "--trials", "2", "--format", "json"]))["rows"]
         for row in rows:
             ing = exp_noncanonical_ingredients(2.0, row["n"])

@@ -18,10 +18,11 @@ import time
 import numpy as np
 import pytest
 from conftest import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import steinmle
+from steinmle import errors
 from steinmle.boundary import poisson_bound
 from steinmle.cli import main
 from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
@@ -63,6 +64,97 @@ def test_registry_bounds_raise_only_package_errors(model, theta0, n):
         get_model(model).distance_bound(theta0, n)
     except SteinMLEError:
         pass
+
+
+@pytest.mark.parametrize("model", ["exp-canonical", "exp-noncanonical"])
+@pytest.mark.parametrize("theta0", [1e200, 1e-200, 1e-160])
+def test_information_beyond_the_float_range_is_a_package_error(model, theta0):
+    # theta0^2 overflows, underflows to 0, or is subnormal with an infinite reciprocal
+    entry = get_model(model)
+    with pytest.raises(FloatRangeError, match="^fisher_info"):
+        entry.fisher_info(theta0)
+    with pytest.raises(FloatRangeError, match="^fisher_info"):
+        entry.standardize_scale(theta0, 10)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_scale_beyond_the_float_range_is_a_package_error(model):
+    with pytest.raises(FloatRangeError, match="^standardize_scale"):
+        get_model(model).standardize_scale(1.0, 10**400)
+
+
+def test_every_error_class_is_exported():
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert classes <= set(steinmle.__all__)
+    assert all(getattr(steinmle, name) is getattr(errors, name) for name in classes)
+
+
+# Positive magnitudes log-uniform from the subnormals to 1e308, the edges, and
+# what is not a positive real: zero, negatives, NaN, inf, bool and str.
+_MAGNITUDES = st.builds(lambda e: 10.0**e, st.floats(-323.5, 308.0))
+_ARGS = st.one_of(
+    _MAGNITUDES,
+    _MAGNITUDES.map(np.float64),
+    st.builds(lambda e: np.float32(10.0**e), st.floats(-45.0, 38.5)),
+    st.sampled_from([5e-324, 1.797e308, 0.0, -1.0, math.nan, math.inf, True, "1.5"]),
+)
+# Sizes up to 10^400, beyond the float range, and what is not a size.
+_SIZES = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(lambda e: 10**e + 1, st.integers(6, 400)),
+    st.integers(1, 10**6).map(np.int64),
+    st.sampled_from([0, -3, True, "10", 10.0]),
+)
+_OPTION = {"exp-canonical": "epsilon", "exp-noncanonical": "epsilon", "poisson": "c"}
+
+
+def _package_outcome(call):
+    """What ``call`` returns, or None where it raises a SteinMLEError."""
+    try:
+        return call()
+    except SteinMLEError:
+        return None
+
+
+def _assert_finite_leaves(value, where):
+    """Every float in ``value`` (a number, or nested dicts and lists) is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _assert_finite_leaves(item, where)
+    elif isinstance(value, float):
+        assert math.isfinite(value), where
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@given(theta0=_ARGS, n=_SIZES, weights=st.tuples(_ARGS, _ARGS), option=st.none() | _ARGS,
+       beta=st.sampled_from([1.0, 2.0, 2.5]))
+@example(theta0=1.1e77, n=10, weights=(1.0, 1.0), option=None, beta=1.0)
+@example(theta0=1e-105, n=10, weights=(1.0, 1.0), option=None, beta=1.0)
+@example(theta0=1e200, n=10, weights=(1.0, 1.0), option=None, beta=1.0)
+@example(theta0=1.0, n=10**400, weights=(1.0, 1.0), option=None, beta=1.0)
+def test_registry_methods_return_finite_values_or_package_errors(
+    model, theta0, n, weights, option, beta
+):
+    # each Model method returns a finite value (an audit: finite leaves, or the
+    # documented None) or raises a SteinMLEError, whatever its arguments
+    entry = get_model(model, beta=beta)
+    options = {_OPTION[model]: option} if model in _OPTION and option is not None else {}
+    bound = _package_outcome(lambda: entry.distance_bound(theta0, n, weights, **options))
+    if bound is not None:
+        _assert_finite_leaves(bound.to_dict(), ("distance_bound", bound))
+    epsilon = options.get("epsilon")
+    audit = _package_outcome(lambda: entry.audit(theta0, n, epsilon))
+    if audit is not None:
+        _assert_finite_leaves(audit, ("audit", audit))
+    mse = _package_outcome(lambda: entry.mse_bound(theta0, n))
+    assert (mse is None) if model != "beta" else (mse is None or math.isfinite(mse))
+    for method, args in [("fisher_info", (theta0,)), ("standardize_scale", (theta0, n)),
+                         ("target_sigma", (theta0,))]:
+        value = _package_outcome(lambda: getattr(entry, method)(*args))
+        assert value is None or math.isfinite(value), (method, value)
 
 
 # Each case calls one entry point with its real arguments passed through
@@ -138,7 +230,6 @@ REJECTED = {
     "theta0-True-registry": lambda: get_model("exp-noncanonical").distance_bound(True, 10),
     "c-True-poisson": lambda: poisson_bound(5.0, 20, c=True),
     "epsilon-True-exp": lambda: exp_canonical_ingredients(2.0, 10, True),
-    "epsilon-True-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), True),
     "epsilon-True-noncanonical": lambda: exp_noncanonical_ingredients(2.0, 10, True),
     "epsilon-inf-exp": lambda: exp_canonical_ingredients(2.0, 10, math.inf),
     "n-True-exp": lambda: exp_canonical_ingredients(1.0, True),
@@ -154,7 +245,6 @@ REJECTED = {
     "beta-str-poisson-registry": lambda: get_model("poisson", beta="2"),
     "polygamma-True": lambda: polygamma(1, True),
     "epsilon-str-exp": lambda: exp_canonical_ingredients(1.0, 10, "0.5"),
-    "epsilon-str-beta": lambda: beta_ingredients(BetaParams(1.5, 2.0), "0.5"),
     "expfam-theta0-str": lambda: exp_noncanonical_ingredients("1", 10),
     "theta0-str-config": lambda: SimulationConfig(model="poisson", theta0="abc", n=10),
 }
@@ -190,6 +280,25 @@ def test_exp_canonical_fourth_moment_at_large_n_exits_0():
     result = CliRunner().invoke(main, args + ["--format", "json"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["breakdown"]["total"] > 0.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("model,theta0,field", [
+    ("exp-noncanonical", "1.1e77", "fourth_mle_moment"),
+    ("exp-canonical", "1e-105", "third_abs_score_moment"),
+])
+def test_constants_ingredient_overflow_exits_3_in_every_format(model, theta0, field, fmt):
+    # an ingredient that overflows to inf is refused by the audit itself, with
+    # one message whatever the format, as the bound at the same inputs is
+    args = ["constants", "--model", model, "--theta0", theta0, "--n", "10", "--format", fmt]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    message = json.loads(result.stderr)["message"] if fmt == "json" else result.stderr
+    assert message.removeprefix("error: ").rstrip("\n") == (
+        f"audit: field {field!r} overflowed to inf; the input lies outside the float range "
+        "of this computation"
+    )
 
 
 # Sizes whose first array, or the sweep's list of n, cannot be allocated: each

@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import bracketed_beta_root, conditioned_mean
 from scipy.special import betaincinv
 from scipy.stats import ks_2samp
@@ -206,7 +208,7 @@ class TestStatisticLaws:
         # the mean log of n Beta(a, b) draws has mean psi(a) - psi(a + b)
         # and variance (psi1(a) - psi1(a + b)) / n
         theta0, n, trials = 1.5, 7, 20000
-        assert not _pykernels.raw_sampled("beta", beta, n)
+        assert not _pykernels.raw_sampled("beta", beta)
         stats = _pykernels.sample_stats(
             "beta", theta0, beta, n, trials, _pykernels.make_generator(5, 0)
         )
@@ -215,15 +217,20 @@ class TestStatisticLaws:
         assert abs(float(stats.mean()) - mean) < 5.0 * math.sqrt(var / trials)
         assert abs(float(stats.var(ddof=1)) - var) < 5.0 * _se_var(stats)
 
-    def test_integer_shape_above_n_draws_raw_samples(self):
-        assert _pykernels.raw_sampled("beta", 4.0, 3)
-        _assert_matches_raw_statistic("beta", 1.5, 4.0, 3)
+    @given(theta0=st.builds(lambda e: 10.0**e, st.floats(-3.0, 6.0)), m=st.integers(1, 10**6))
+    @example(theta0=1e-3, m=10**6)
+    @example(theta0=1e6, m=10**6)
+    def test_integer_shape_lies_below_the_minimal_n(self, theta0, m):
+        # raw_sampled keys on the shape alone: a row's bound needs n at least
+        # the minimal n, so an integer shape m draws its m gammas a trial, never
+        # more than the n raw observations
+        assert minimal_n(beta_ingredients(BetaParams(theta0, m))) > m
 
     def test_raw_trial_larger_than_a_block(self):
         # a Beta(1.5, 2.5) trial above BLOCK_OBS observations is drawn in pieces;
         # its mean log has mean psi(a) - psi(a + b), variance psi1(a) - psi1(a + b) over n
         n, trials = _pykernels.BLOCK_OBS + 1000, 3
-        assert _pykernels.raw_sampled("beta", 2.5, n)
+        assert _pykernels.raw_sampled("beta", 2.5)
         stats = _pykernels.trial_stats("beta", 1.5, 2.5, n, 8, 0, trials)
         mean = polygamma(0, 1.5) - polygamma(0, 4.0)
         se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 4.0)) / n / trials)
@@ -291,10 +298,10 @@ class TestRawBlockPool:
         _pykernels.trial_stats("exp-canonical", 1.0, 1.0, 5, 9, 0, 10**5, 10**6)
         assert sizes == []
 
-    @pytest.mark.parametrize("beta,n", [(2.5, 50), (4.0, 3)])
+    @pytest.mark.parametrize("beta,n", [(2.5, 50)])
     def test_sample_stats_refuses_a_raw_sampled_config(self, beta, n):
         # int(2.5) is 2: without the check this would draw the Beta(theta0, 2) law
-        assert _pykernels.raw_sampled("beta", beta, n)
+        assert _pykernels.raw_sampled("beta", beta)
         with pytest.raises(DomainError, match="raw samples"):
             _pykernels.sample_stats("beta", 1.5, beta, n, 10, _pykernels.make_generator(0, 0))
 
@@ -385,7 +392,7 @@ class TestDeterminism:
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
         # (n=22000) trials; two workers split each row at those blocks
-        assert _pykernels.raw_sampled("beta", 2.5, 14816)
+        assert _pykernels.raw_sampled("beta", 2.5)
         csv = [
             [
                 rep.csv_row()

@@ -99,12 +99,8 @@ class TestBetaIngredients:
         assert ing.var_l2 == 0.0
         assert ing.sup_x_norm == 1.0 and ing.sup_x2_norm == 1.0
 
-    def test_epsilon_default_and_override(self):
+    def test_epsilon_is_half_theta0(self):
         assert beta_ingredients(P).epsilon == pytest.approx(0.75)
-        ing = beta_ingredients(P, epsilon=0.5)
-        assert ing.c1_const == pytest.approx(6.0 / 1.0**4 + 6.6)
-        with pytest.raises(DomainError):
-            beta_ingredients(P, epsilon=2.0)
 
     @given(
         theta0=st.floats(min_value=0.05, max_value=50.0),
@@ -342,22 +338,6 @@ class TestBetaDistanceBound:
         assert math.sqrt(n) * beta_distance_bound(P, n).total == pytest.approx(
             limit, rel=1e-4
         )
-
-
-def test_beta_audit_takes_one_polygamma_pass_per_argument(monkeypatch):
-    # psi_1 and psi_3 at theta0 and at theta0 + beta, shared by the
-    # ingredients, the constants and B3
-    calls = []
-
-    def counted(x, orders):
-        calls.append(x)
-        return polygammas(x, orders)
-
-    polygammas = msebound._polygammas
-    monkeypatch.setattr(msebound, "_polygammas", counted)
-    audit = get_model("beta", beta=2.0).audit(1.5, 12000)
-    assert calls == [1.5, 3.5]
-    assert audit["B3"] == beta_b3(BetaParams(1.5, 2.0), 12000)
 
 
 def _beta_mle(xs, beta):
