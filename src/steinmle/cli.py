@@ -419,7 +419,6 @@ def main(args=None, prog_name=None, standalone_mode=True):
 
 
 main.main = main
-main.name = "steinmle"
 
 
 if __name__ == "__main__":

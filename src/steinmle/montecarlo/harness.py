@@ -12,24 +12,24 @@ of the supremum itself.
 
 Reproducibility: a row's statistics come from one ``_pykernels.trial_stats``
 call, from one Philox stream keyed by the seed; the Beta model with a
-non-integer known shape draws raw samples in blocks with a stream each.  No stream depends on the worker count, which is checked here;
-``trial_stats`` caps the pool at the row's blocks and the CPUs.  Trial
-summaries are reduced with exactly-rounded summation (fsum), which is
-permutation-invariant.  Identical config therefore yields byte-identical
-serialised reports at any worker count.
+non-integer known shape draws raw samples in blocks with a stream each.  No
+stream depends on the worker count, which is checked here; ``trial_stats``
+caps the pool at the row's blocks and the CPUs.  Trial summaries are reduced
+with exactly-rounded summation (fsum), which is permutation-invariant.
+Identical config therefore yields byte-identical serialised reports at any
+worker count.
 
 Batching: one row engine, ``run_rows``, runs every distance and MSE row;
 ``run_simulation`` is its one-row case, ``run_mse_sweep`` its Beta MSE case,
 and ``table 1|2`` run their five rows in one call.  It checks the rows and
 computes their bounds and E h once, then draws each row with its own
-``trial_stats`` call, so no stream changes.  Consecutive rows, up to
-max(trials, 16384) trials in all, are mapped to their estimates in one
-``mle_from_stat`` call, standardised with one per-row scale vector, and go
-through h in one ``TestFunction.evaluator`` call; the squared errors and the
-deviations are formed once for the group, and each row takes its three
-fsums over its own slice.  None of this changes a value: the estimators
-and the Beta shape root act on each trial alone, h and the arithmetic
-elementwise.
+``trial_stats`` call, so no stream changes.  Only the estimator call is
+grouped: consecutive rows, up to max(trials, 16384) trials in all, are
+mapped to their estimates in one ``mle_from_stat`` call, which spares the
+Beta shape root a Newton run a row.  Each row then takes its own slice of
+the estimates and reduces it alone: its standardisation, its h call, and
+the fsums of its mean, standard error and MSE.  None of this changes a
+value: the estimators and the Beta shape root act on each trial alone.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def active_backend() -> str:
 
 
 def _h_row(h: TestFunction, standardized: np.ndarray) -> np.ndarray:
-    """h at every standardised estimate of a group of rows, in one evaluator call."""
+    """h at every standardised estimate of one row, in one evaluator call."""
     contract = "TestFunction.evaluator must act elementwise on a float64 array"
     try:
         values = np.asarray(h.evaluator(standardized), dtype=float)
@@ -242,7 +242,6 @@ def run_rows(
         ]
         scales = [entry.standardize_scale(theta0, n) for n in n_list]
     expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
-    scale_col = np.array(scales)[:, None]  # a row's scale, broadcast over its trials
     reports = []
     rows_per_call = max(trials, _ROOT_LANES) // trials
     for first in range(0, len(n_list), rows_per_call):
@@ -254,24 +253,19 @@ def run_rows(
             )
             for r in rows
         ]
-        # No estimator reads n, so one call maps rows of different n; a
-        # group is a (rows, trials) array, and h sees it flat.
+        # No estimator reads n, so one call maps rows of different n; each
+        # row then takes its own slice of the estimates.
         hats = entry.mle_from_stat(np.concatenate(stats), n_list[first])
-        errors = (hats - theta0).reshape(len(rows), trials)
-        standardized = (scale_col[rows.start : rows.stop] * errors).ravel()
-        h_values = _h_row(h, standardized).reshape(errors.shape)
-        squares = errors**2
-        # Each row's three sums are fsums over its own row (read through a
-        # memoryview: the floats of ``.tolist()``, without the list), so no
-        # result depends on the trial order or on the rows beside it.
-        means = [math.fsum(memoryview(row)) / trials for row in h_values]
-        if trials > 1:  # the standard error's second pass: deviations from each row's mean
-            deviations = h_values - np.array(means)[:, None]
-            deviations *= deviations
-        for k, r in enumerate(rows):
+        for r, errors in zip(rows, (hats - theta0).reshape(len(rows), trials)):
+            h_values = _h_row(h, scales[r] * errors)
+            # fsums (read through a memoryview: the floats of ``.tolist()``,
+            # without the list), so no result depends on the trial order.
+            mean = math.fsum(memoryview(h_values)) / trials
             se = None
-            if trials > 1:
-                se = math.sqrt(math.fsum(memoryview(deviations[k])) / (trials - 1)) / math.sqrt(trials)
+            if trials > 1:  # the standard error's second pass: deviations from the mean
+                deviations = h_values - mean
+                deviations *= deviations
+                se = math.sqrt(math.fsum(memoryview(deviations)) / (trials - 1)) / math.sqrt(trials)
             reports.append(
                 SimulationReport(
                     model=cfg.model,
@@ -279,8 +273,8 @@ def run_rows(
                     n=n_list[r],
                     trials=trials,
                     seed=cfg.seed,
-                    empirical_distance=abs(means[k] - expected_h),
-                    empirical_mse=math.fsum(memoryview(squares[k])) / trials,
+                    empirical_distance=abs(mean - expected_h),
+                    empirical_mse=math.fsum(memoryview(errors**2)) / trials,
                     bound_total=bounds[r].total,
                     bound_terms=bounds[r],
                     standard_error=se,

@@ -96,9 +96,6 @@ class ImplicitModelIngredients(Value):
         """The n-free parts of the 50-digit D1/A1 pass, built on first use."""
         return _NFreeParts(self)
 
-    def to_dict(self):
-        return dict(self._field_items())  # without the cached ``_decimals``
-
 
 class BetaParams(Value):
     """Beta(theta0, beta) with the first shape unknown and beta known."""
@@ -151,12 +148,17 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     FloatRangeError.
     """
     n = integer(n, "n")
-    p = ing._decimals
     with localcontext(_EXTENDED):
-        value = float(_d1_dec(p, n)[3])
-    if not math.isfinite(value):
-        raise FloatRangeError(f"d1: D1 lies beyond the float range at n = {n}")
-    return value
+        return _rounded("d1: D1", _d1_dec(ing._decimals, n)[3], n)
+
+
+def _rounded(name: str, value, n: int) -> float:
+    """A 50-digit ``value`` rounded to float: the FloatRangeError naming it
+    as ``name`` if that lies beyond the float range."""
+    rounded = float(value)
+    if not math.isfinite(rounded):
+        raise FloatRangeError(f"{name} lies beyond the float range at n = {n}")
+    return rounded
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
@@ -201,12 +203,14 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
 
     Requires d1 > 0 (n at least ``minimal_n``); below that the quadratic
     inequality has no positive solution and a DomainError names the minimal
-    sample size.  Solved in 50-digit ``decimal`` and rounded once.
+    sample size.  Solved in 50-digit ``decimal`` and rounded once; an A1
+    beyond the float range is a FloatRangeError.
     """
     n = integer(n, "n")
-    return float(_a1_dec(ing, n)[0])
+    return _rounded("mse_upper_bound_a1: A1", _a1_dec(ing, n)[0], n)
 
 
+@float_range
 def implicit_distance_bound(
     ing: ImplicitModelIngredients, n: int, a1: float
 ) -> BoundBreakdown:
@@ -304,7 +308,7 @@ def beta_b3(p: BetaParams, n: int) -> float:
 
 
 def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
-    return float(_a1_dec(ing, n)[1])
+    return _rounded("beta_b3: B3", _a1_dec(ing, n)[1], n)
 
 
 def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:

@@ -34,6 +34,7 @@ call.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import boundary, expfam, msebound
 from ._validate import integer, real
@@ -62,9 +63,23 @@ def _finite_fields(fields: dict) -> dict:
     return fields
 
 
-def _anywhere(mask) -> bool:
-    """Whether a comparison holds: for a scalar, or at any element of an array."""
-    return bool(mask.any()) if hasattr(mask, "any") else bool(mask)
+def _everywhere(mask) -> bool:
+    """Whether a comparison holds: for a scalar, or at every element of an array."""
+    return bool(mask.all()) if hasattr(mask, "all") else bool(mask)
+
+
+def _statistic(stat):
+    """A statistic as the estimators take it: a float64 array as it is, and
+    anything else checked as a real number, to a finite float."""
+    if not getattr(stat, "ndim", 0):
+        return real(stat, "statistic")
+    if stat.dtype != "float64":
+        raise DomainError(f"statistic must be a real number or a float64 array, got {stat!r}")
+    return stat
+
+
+# The largest float whose reciprocal overflows: 1/x is finite for x above it.
+_INV_MAX = 1.0 / sys.float_info.max
 
 
 class Model:
@@ -118,32 +133,37 @@ class Model:
 
     def target_sigma(self, theta0: float) -> float:
         """Standard deviation of the normal the standardised estimator targets."""
-        if self.name == "poisson":
-            return math.sqrt(real(theta0, "theta0", ge=0.0))
-        return 1.0
+        theta0 = real(theta0, "theta0", **self.theta0_limit)
+        return math.sqrt(theta0) if self.name == "poisson" else 1.0
 
     def mle_from_stat(self, stat, n: int):
-        """Estimates from per-trial statistics: a float for a float, and an
-        array for a float64 array (a row of trials, mapped in one call).
+        """Estimates from per-trial statistics: a float for a real number, and
+        an array for a float64 array (a row of trials, mapped in one call).
 
         The statistic is the sample mean, or the mean log-observation for
         the Beta model.  The Beta estimate is -1/mean_log for beta = 1 and
         otherwise the Newton root of ``msebound.beta_shape_roots``, whose
-        score is an exact finite sum for an integer beta up to 16.
+        score is an exact finite sum for an integer beta up to 16.  A
+        statistic that is neither a finite real number nor a float64 array
+        is a DomainError; the identity estimators return an array's elements
+        unchecked.  A statistic that admits no finite estimate is a
+        DegenerateSampleError: an exp-canonical mean, or minus a Beta mean
+        log-observation, at or below 1/DBL_MAX, whose reciprocal overflows
+        (zero included).  No estimator reads n; it is checked as a size.
         """
+        stat = _statistic(stat)
+        integer(n, "n")
         if self.name == "exp-canonical":
-            if _anywhere(stat == 0.0):
-                raise DegenerateSampleError("exp-canonical estimator needs a nonzero sample mean")
+            if not _everywhere(stat > _INV_MAX):
+                raise DegenerateSampleError("exp-canonical estimator needs a sample mean above 1/DBL_MAX")
             return 1.0 / stat
         if self.name != "beta":
             return stat
-        if _anywhere(stat >= 0.0):
-            raise DegenerateSampleError("beta estimator needs a negative mean log-observation")
+        if not _everywhere(stat < -_INV_MAX):
+            raise DegenerateSampleError("beta estimator needs a mean log-observation below -1/DBL_MAX")
         if self.beta == 1.0:
             return -1.0 / stat
-        import numpy as np  # here, so that the bound verbs never load numpy
-
-        if np.ndim(stat) == 0:
+        if type(stat) is float:
             return float(msebound.beta_shape_roots([stat], self.beta)[0])
         return msebound.beta_shape_roots(stat, self.beta)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-from ._validate import real
+from ._validate import integer, real
 from .errors import DomainError, float_range
 
 __all__ = [
@@ -117,7 +117,8 @@ def polygamma(order, x):
     downstream are cancellation-sensitive.  An x so small that a shift
     increment overflows raises FloatRangeError, at every order.
     """
-    if order not in (0, 1, 2, 3):
+    order = integer(order, "polygamma order", ge=0)
+    if order > 3:
         raise DomainError(f"polygamma order must be an integer in [0, 3], got {order!r}")
     value = _polygammas(real(x, "polygamma argument", gt=0.0), (order,))[0]
     if math.isinf(value):

@@ -135,7 +135,10 @@ class BoundIngredients(Value):
     and fourth central moments of the estimator; r2_conditional_bound bounds
     the conditional mean of |(theta_hat - theta0)(l'' + n i)| given the
     estimator is epsilon-close; sup_third_deriv bounds the sup of |l'''| on
-    the epsilon-neighbourhood (full n-dependent form).
+    the epsilon-neighbourhood (full n-dependent form).  These five moment
+    bounds may be inf: a moment that does not exist (the exp-canonical
+    fourth moment below n = 5), or one that overflowed in an ingredient
+    builder.  An assembler refuses a bound made infinite by one.
     """
 
     def __init__(
@@ -159,20 +162,8 @@ class BoundIngredients(Value):
             epsilon=eps, sup_third_is_deterministic=sup_third_is_deterministic,
         )
 
-    @property
-    def taylor_factor(self) -> float:
-        """sup_third_deriv * MSE when the sup bound is sample-free, else
-        sup_third_deriv * sqrt(fourth moment) (the Cauchy-Schwarz route)."""
-        return _taylor_factor(
-            self.sup_third_deriv, self.mse, self.fourth_mle_moment, self.sup_third_is_deterministic
-        )
-
     def to_dict(self):
         return dict(self._field_items())
-
-
-def _taylor_factor(sup3: float, mse: float, fourth: float, deterministic: bool) -> float:
-    return sup3 * mse if deterministic else sup3 * math.sqrt(fourth)
 
 
 class BoundBreakdown(Value):
@@ -183,11 +174,23 @@ class BoundBreakdown(Value):
     NaN or negative term is a DomainError; an infinite term, or a total that
     overflows, is a FloatRangeError, so no bound is ever reported as inf.
     One fsum and one test of the total and the least term check the terms;
-    the error is worded, term by term, only when that test fails.
+    the error is worded, term by term, only when that test fails.  A value
+    that is not a float is checked as ``_validate.real`` checks a number (so
+    bool and str are a DomainError), and terms that are not (label, value)
+    pairs are a DomainError.
     """
 
     def __init__(self, terms: tuple[tuple[str, float], ...], total: float | None = None):
-        terms = tuple([(str(label), float(value)) for label, value in terms])
+        try:
+            terms = tuple([
+                (str(label), value if type(value) is float
+                 else real(value, f"breakdown term {label!r}", inf=True))
+                for label, value in terms
+            ])
+        except DomainError:
+            raise
+        except (TypeError, ValueError):
+            raise DomainError(f"breakdown terms must be (label, value) pairs, got {terms!r}") from None
         values = [value for _, value in terms]
         try:
             total = math.fsum(values)
@@ -262,7 +265,8 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
 
     Terms: the score bound; a Markov tail term 2*sup*MSE/eps^2; the
     conditional R2 term; and the Taylor remainder term, which scales
-    ``BoundIngredients.taylor_factor``.
+    sup_third_deriv * MSE when the sup bound holds for every sample, else
+    sup_third_deriv * sqrt(fourth moment) (the Cauchy-Schwarz route).
     """
     return _mle_bound_fields(tuple(vars(ing).values()), h_weights)
 
@@ -287,7 +291,7 @@ def _mle_bound_fields(fields: tuple, h_weights) -> BoundBreakdown:
             (TERM_SCORE, lip * _score_term(third, fisher, n)),
             (TERM_MARKOV, 2.0 * sup * mse / eps**2),
             (TERM_R2, lip / root_ni * r2),
-            (TERM_TAYLOR, lip / root_ni * 0.5 * _taylor_factor(sup3, mse, fourth, deterministic)),
+            (TERM_TAYLOR, lip / root_ni * 0.5 * (sup3 * mse if deterministic else sup3 * math.sqrt(fourth))),
         )
     except (OverflowError, ZeroDivisionError) as exc:
         raise range_error("mle_bound_general", exc) from exc
@@ -302,14 +306,25 @@ def kolmogorov_from_bw(bw_bound: float, sigma: float = 1.0) -> float:
     d_K <= b/e + C e/2, C bounding the target's density (Ross, Fundamentals
     of Stein's method, 2011, Prop. 1.2): sqrt(2 C b) at the best e when
     b <= C/2, else less than 2b at e = 1, at most 2 sqrt(b) for b <= 1 (and
-    d_K <= 1).  For sigma = 1, C < 2 and the bound is 2 sqrt(b).
+    d_K <= 1).  For sigma = 1, C < 2 and the bound is 2 sqrt(b).  b must be
+    finite, and sigma positive unless b = 0; a sigma so small that
+    sqrt(2 C b) overflows is a FloatRangeError.
     """
-    b = real(bw_bound, "bounded Wasserstein bound", ge=0.0, inf=True)
+    b = real(bw_bound, "bounded Wasserstein bound", ge=0.0)
     smoothed = 2.0 * math.sqrt(b)
-    if sigma == 1.0 or b == 0.0:  # a zero b is a zero bound, also against sigma = 0
+    if type(sigma) is float and sigma == 1.0:  # the unit-normal targets
         return smoothed
-    density = 1.0 / (real(sigma, "sigma", gt=0.0) * math.sqrt(2.0 * math.pi))
-    return max(smoothed, math.sqrt(2.0 * density * b))
+    sigma = real(sigma, "sigma", gt=0.0 if b else None, ge=0.0)
+    if b == 0.0:  # a zero b is a zero bound, also against sigma = 0
+        return smoothed
+    density = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    value = max(smoothed, math.sqrt(2.0 * density * b))
+    if value == _INF:
+        raise FloatRangeError(
+            "kolmogorov_from_bw: sqrt(2 C b) overflowed; the input lies outside "
+            "the float range of this conversion"
+        )
+    return value
 
 
 def _ci_offsets(n: int, fisher_info: float, alpha: float, b_k: float):

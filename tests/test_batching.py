@@ -1,7 +1,7 @@
 """Rows run as a batch give the values each row gives alone.
 
-The harness's row engine maps several rows to their estimates in one call,
-evaluates h on them at once and reduces each row over its own slice, and
+The harness's row engine maps several rows to their estimates in one call
+and then standardises, evaluates h on and reduces each row's slice alone, and
 ``ci_coverage`` computes its interval offsets once a run.  Each test here
 keeps the per-trial or per-row computation as its reference and requires
 identical results.

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import steinmle
 from steinmle import errors
+from steinmle._validate import real
 from steinmle.boundary import poisson_bound
 from steinmle.cli import main
 from steinmle.errors import DomainError, FloatRangeError, SteinMLEError
@@ -130,13 +131,15 @@ def _assert_finite_leaves(value, where):
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
 @given(theta0=_ARGS, n=_SIZES, weights=st.tuples(_ARGS, _ARGS), option=st.none() | _ARGS,
-       beta=st.sampled_from([1.0, 2.0, 2.5]))
-@example(theta0=1.1e77, n=10, weights=(1.0, 1.0), option=None, beta=1.0)
-@example(theta0=1e-105, n=10, weights=(1.0, 1.0), option=None, beta=1.0)
-@example(theta0=1e200, n=10, weights=(1.0, 1.0), option=None, beta=1.0)
-@example(theta0=1.0, n=10**400, weights=(1.0, 1.0), option=None, beta=1.0)
+       beta=st.sampled_from([1.0, 2.0, 2.5]), stat=_ARGS | _MAGNITUDES.map(lambda x: -x))
+@example(theta0=1.1e77, n=10, weights=(1.0, 1.0), option=None, beta=1.0, stat=5e-324)
+@example(theta0=1e-105, n=10, weights=(1.0, 1.0), option=None, beta=1.0, stat=-5e-324)
+@example(theta0=1e200, n=10, weights=(1.0, 1.0), option=None, beta=1.0, stat="abc")
+@example(theta0=1.0, n=10**400, weights=(1.0, 1.0), option=None, beta=1.0, stat=math.nan)
+@example(theta0="abc", n=10, weights=(1.0, 1.0), option=None, beta=1.0, stat=0.5)
+@example(theta0=-1.0, n=10, weights=(1.0, 1.0), option=None, beta=1.0, stat=-0.5)
 def test_registry_methods_return_finite_values_or_package_errors(
-    model, theta0, n, weights, option, beta
+    model, theta0, n, weights, option, beta, stat
 ):
     # each Model method returns a finite value (an audit: finite leaves, or the
     # documented None) or raises a SteinMLEError, whatever its arguments
@@ -152,9 +155,12 @@ def test_registry_methods_return_finite_values_or_package_errors(
     mse = _package_outcome(lambda: entry.mse_bound(theta0, n))
     assert (mse is None) if model != "beta" else (mse is None or math.isfinite(mse))
     for method, args in [("fisher_info", (theta0,)), ("standardize_scale", (theta0, n)),
-                         ("target_sigma", (theta0,))]:
+                         ("target_sigma", (theta0,)), ("mle_from_stat", (stat, n))]:
         value = _package_outcome(lambda: getattr(entry, method)(*args))
         assert value is None or math.isfinite(value), (method, value)
+    # target_sigma checks theta0 as fisher_info does, on every route
+    if _package_outcome(lambda: entry.target_sigma(theta0)) is not None:
+        assert _package_outcome(lambda: real(theta0, "theta0", **entry.theta0_limit)) is not None
 
 
 # Each case calls one entry point with its real arguments passed through
