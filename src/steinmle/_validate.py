@@ -6,8 +6,9 @@ included) and returns a plain float; ``integer`` takes any
 ``numbers.Integral`` and returns a plain int, and ``master_seed`` an integer
 in the range of the trial streams' key.  All refuse ``bool``, which is a
 flag passed in the wrong place rather than the number 1, and anything that
-is not a number, such as the string ``"0.5"``.  A refusal is a DomainError
-whose message starts with the parameter's name.  ``ball_radius`` checks the
+is not a number, such as the string ``"0.5"``.  ``instance`` checks that a
+value-type parameter holds its type.  A refusal is a DomainError whose
+message starts with the parameter's name.  ``ball_radius`` checks the
 epsilon that every model on Theta = (0, inf) takes; other ranges particular
 to one model are checked where the model is.
 
@@ -66,6 +67,14 @@ def master_seed(x, name="seed") -> int:
     if v >= 2**128:
         raise DomainError(f"{name} must be an integer < 2**128, got {x!r}")
     return v
+
+
+def instance(x, cls, name):
+    """x, if it is a ``cls``: anything else is a DomainError naming the
+    parameter, before reading a field of it could raise another error."""
+    if not isinstance(x, cls):
+        raise DomainError(f"{name} must be of type {cls.__name__}, got {x!r}")
+    return x
 
 
 def ball_radius(epsilon, theta0: float) -> float:

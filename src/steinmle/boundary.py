@@ -20,7 +20,9 @@ six-part distance bound for sqrt(n)(theta_hat - theta0) against
 N(0, 1/i(theta0)) is assembled once, for the Poisson mean:
 ``poisson_bound``, with the perturbation constant c minimised by
 ``minimize_poisson_c`` and the exact zero bound in the degenerate
-theta0 = 0 case.  The paper works no other boundary model.
+theta0 = 0 case.  The paper works no other boundary model.  The c search
+and ``poisson_bound`` read one formula, ``_poisson_values``, whose floats
+``poisson_bound`` labels once, at the chosen c.
 """
 
 from __future__ import annotations
@@ -36,19 +38,14 @@ __all__ = [
     "minimize_poisson_c",
 ]
 
-TERM_PARAM_SHIFT = "param_shift"
-TERM_MLE_GAP = "mle_gap"
-TERM_SCORE_MISMATCH = "score_mismatch"
-TERM_PERTURBED_SCORE = "perturbed_score"
-TERM_PERTURBED_TAYLOR = "perturbed_taylor"
 # The six terms in the order every Poisson breakdown lists them.
 _LABELS = (
-    TERM_PARAM_SHIFT,
-    TERM_MLE_GAP,
-    TERM_SCORE_MISMATCH,
-    TERM_PERTURBED_SCORE,
+    "param_shift",
+    "mle_gap",
+    "score_mismatch",
+    "perturbed_score",
     TERM_MARKOV,
-    TERM_PERTURBED_TAYLOR,
+    "perturbed_taylor",
 )
 # Golden-section stopping width of the c search.
 _C_TOL = 1e-10
@@ -61,9 +58,10 @@ def _poisson_score(theta0: float, n: int) -> float:
     return _score_term((3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75, 1.0, n)
 
 
-def _poisson_terms(theta0: float, n: int, c: float, t_score: float):
-    """The closed-form Poisson term values at perturbation constant c, with
-    the perturbed-score term t_score from ``_poisson_score``.
+def _poisson_values(theta0: float, n: int, c: float, t_score: float) -> tuple:
+    """The closed-form Poisson term values at perturbation constant c, in
+    ``_LABELS`` order, with the perturbed-score term t_score from
+    ``_poisson_score``.
 
     Mapping to the six-label schema: the combined 2c/sqrt(n) cost splits
     into the parameter shift c/sqrt(n) and the estimator gap
@@ -75,24 +73,15 @@ def _poisson_terms(theta0: float, n: int, c: float, t_score: float):
     root_n = math.sqrt(n)
     tp = theta0 + c / n  # perturbed parameter
     t_shift = c / root_n
-    t_gap = c / root_n
-    t_mismatch = 0.0
     t_markov = 8.0 * theta0 / (n * tp * tp)
     t_taylor = theta0 / (root_n * tp) + 12.0 / (root_n * tp) * math.sqrt(
         theta0 / n + 3.0 * theta0**2
     )
-    return (
-        (TERM_PARAM_SHIFT, t_shift),
-        (TERM_MLE_GAP, t_gap),
-        (TERM_SCORE_MISMATCH, t_mismatch),
-        (TERM_PERTURBED_SCORE, t_score),
-        (TERM_MARKOV, t_markov),
-        (TERM_PERTURBED_TAYLOR, t_taylor),
-    )
+    return (t_shift, t_shift, 0.0, t_score, t_markov, t_taylor)
 
 
 def _poisson_total(theta0: float, n: int, c: float, t_score: float) -> float:
-    return math.fsum(v for _, v in _poisson_terms(theta0, n, c, t_score))
+    return math.fsum(_poisson_values(theta0, n, c, t_score))
 
 
 def minimize_poisson_c(theta0: float, n: int) -> float:
@@ -101,7 +90,8 @@ def minimize_poisson_c(theta0: float, n: int) -> float:
     The total is strictly convex in c: with u = theta0 + c/n > 0, the shift
     and gap terms are linear in c, the Markov term is a multiple of 1/u^2 and
     the Taylor term of 1/u, both convex, and the score terms do not depend
-    on c.  So the golden section brackets the one minimum.  The 61-point
+    on c.  So the golden section brackets the one minimum.  Each c is priced
+    by ``_poisson_values``, the formula ``poisson_bound`` labels.  The 61-point
     log-grid scan after it, which keeps the better of the two, stays until
     the benchmark can take a faster c search without reading it as a memory
     regression; then the closed-form root of the stationarity cubic can
@@ -155,4 +145,5 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
         c_val = minimize_poisson_c(theta0, n)
     else:
         c_val = real(c, "c", gt=0.0)
-    return BoundBreakdown(terms=_poisson_terms(theta0, n, c_val, _poisson_score(theta0, n)))
+    values = _poisson_values(theta0, n, c_val, _poisson_score(theta0, n))
+    return BoundBreakdown(terms=tuple(zip(_LABELS, values)))

@@ -207,8 +207,10 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
     """Term-by-term distance bound and its Kolmogorov conversion.
 
     The exponential models weight each term by the given test-function
-    norms; the poisson and beta closed forms absorb the norms at the class
-    ceiling (sup <= 1, Lipschitz <= 1) and ignore the h options.  The
+    norms.  The poisson and beta closed forms are unit-weight totals: they
+    cover every h with sup norm <= 1 and Lipschitz constant <= 1, the class
+    of the h_weights convention in steinmle.steincore, so they do not read
+    the h options, and a weight above 1 is a validation error.  The
     Kolmogorov distance does not depend on h, so its bound converts the
     unit-weight total whatever the h options, against the normal the
     model targets: 2 sqrt(total) for N(0, 1), and for poisson's N(0, theta0)
@@ -304,7 +306,12 @@ def cmd_simulate(model, theta0, n, trials, seed, beta, epsilon, c, workers):
        ("--alpha", dict(type=float, default=0.05, help="default %(default)s")),
        "--trials", "--seed", "--beta", "--workers")
 def cmd_ci(model, theta0, n, alpha, trials, seed, beta, workers):
-    """Coverage of the conservative (Kolmogorov-widened) confidence interval."""
+    """Coverage of the conservative (Kolmogorov-widened) confidence interval.
+
+    Where b_k >= alpha/2 the interval is the whole line (degenerate): no
+    trial is drawn, the coverage 1.0 is exact, and --trials is refused only
+    from 2^60, so a count that simulate could not allocate still runs.
+    """
     res = _harness().ci_coverage(
         model, theta0, n, alpha, trials, seed=_seed(seed), beta=beta, workers=workers
     )

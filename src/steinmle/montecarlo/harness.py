@@ -290,10 +290,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
 
     The bound is h-weighted for the exponential models (their assembler
     takes the norms of the configured test function); the Poisson and Beta
-    closed forms absorb the norms at the class ceiling and dominate any h in
-    the bounded-Lipschitz class.  Raises the underlying validation error if
-    the bound is undefined at (theta0, n), e.g. a Beta sample size below the
-    minimal admissible n.
+    closed forms are unit-weight totals (``steincore``'s h_weights
+    convention), which refuse an h with a norm above 1.  Raises the
+    underlying validation error if the bound is undefined at (theta0, n),
+    e.g. a Beta sample size below the minimal admissible n.
     """
     return run_rows(cfg)[0]
 
@@ -350,7 +350,8 @@ def ci_coverage(
     bound; the request is checked as ``SimulationConfig`` checks it.
     ``degenerate`` means that ``_ci_offsets`` gave the whole line: then no
     trial is drawn, and every interval covers.  The trial count is refused
-    as ``_pykernels.trial_stats`` refuses it, degenerate or not.  Only
+    as ``_pykernels.check_trials`` refuses it, degenerate or not, so a
+    degenerate run takes a count below 2^60 that no memory could hold.  Only
     models standardised toward the unit normal are supported; the Poisson
     boundary route targets N(0, theta0) and is rejected.
     """

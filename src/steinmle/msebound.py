@@ -36,7 +36,7 @@ import functools
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-from ._validate import Value, integer, real
+from ._validate import Value, instance, integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
 from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
 from .steincore import (
@@ -147,6 +147,7 @@ def d1(ing: ImplicitModelIngredients, n: int) -> float:
     signal, no exception is raised for it.  A D1 beyond the float range is a
     FloatRangeError.
     """
+    instance(ing, ImplicitModelIngredients, "ing")
     n = integer(n, "n")
     with localcontext(_EXTENDED):
         return _rounded("d1: D1", _d1_dec(ing._decimals, n)[3], n)
@@ -170,7 +171,7 @@ def minimal_n(ing: ImplicitModelIngredients) -> int:
     ingredients.  One 50-digit D1 step each way absorbs the rounding of s*^2
     (an exact root, where D1 = 0, is excluded).
     """
-    p = ing._decimals
+    p = instance(ing, ImplicitModelIngredients, "ing")._decimals
     with localcontext(_EXTENDED):
         a = p.two_x2 / (p.i * p.eps2)
         b = p.x_c1 / (p.i * p.root_i)
@@ -206,6 +207,7 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     sample size.  Solved in 50-digit ``decimal`` and rounded once; an A1
     beyond the float range is a FloatRangeError.
     """
+    instance(ing, ImplicitModelIngredients, "ing")
     n = integer(n, "n")
     return _rounded("mse_upper_bound_a1: A1", _a1_dec(ing, n)[0], n)
 
@@ -220,6 +222,7 @@ def implicit_distance_bound(
     remainder sqrt(n) C1 A1^2 / (2 sqrt(i)); and the R2 term
     sqrt(Var l'') A1 / sqrt(i) (zero whenever l'' is deterministic).
     """
+    instance(ing, ImplicitModelIngredients, "ing")
     n = integer(n, "n")
     a1 = real(a1, "a1", ge=0.0)
     t_score = _score_term(ing.third_abs_score_moment, ing.fisher_info, n)
@@ -257,7 +260,7 @@ def beta_ingredients(p: BetaParams) -> ImplicitModelIngredients:
     data; the third-derivative constant at eps = theta0/2 is
     B2 = 96 beta/theta0^4 + 6.6 beta.  Support [0, 1] gives unit sup norms.
     """
-    theta0, beta = p.theta0, p.beta
+    theta0, beta = instance(p, BetaParams, "p").theta0, p.beta
     eps = theta0 / 2.0
     fisher, b1 = _beta_fisher_b1(theta0, beta)
     if not fisher > 0.0:
@@ -303,6 +306,7 @@ def beta_b3(p: BetaParams, n: int) -> float:
     precision: the denominator subtracts nearly-equal quantities.  Rejects n
     below the minimal admissible size (nonpositive denominator).
     """
+    instance(p, BetaParams, "p")
     n = integer(n, "n")
     return _beta_b3(beta_ingredients(p), n)
 
@@ -325,6 +329,7 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     (8/(n theta0^2)) B3^2; Taylor remainder B2 B3^2/(2 sqrt(n) sqrt(D_psi1)).
     The R2 term is identically zero (Var l'' = 0) and is reported as such.
     """
+    instance(p, BetaParams, "p")
     n = integer(n, "n")
     ing = beta_ingredients(p)
     return implicit_distance_bound(ing, n, _beta_b3(ing, n) / math.sqrt(n))

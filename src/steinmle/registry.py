@@ -39,7 +39,7 @@ import sys
 from . import boundary, expfam, msebound
 from ._validate import integer, real
 from .errors import DegenerateSampleError, DomainError, FloatRangeError, UnknownModelError, float_range
-from .steincore import BoundBreakdown, BoundIngredients, _mle_bound_fields
+from .steincore import BoundBreakdown, BoundIngredients, _mle_bound_fields, _weights
 
 __all__ = ["MODEL_NAMES", "get_model", "Model"]
 
@@ -102,7 +102,8 @@ class Model:
     @property
     def uses_h_weights(self) -> bool:
         """Whether ``distance_bound`` reads its ``h_weights``: the poisson and
-        beta closed forms hold for the whole unit class and ignore them."""
+        beta closed forms are unit-weight totals (see ``steincore``'s h_weights
+        convention), which take weights up to 1 unread and refuse more."""
         return self.name not in ("poisson", "beta")
 
     @property
@@ -170,14 +171,14 @@ class Model:
     def distance_bound(
         self, theta0: float, n: int, h_weights=(1.0, 1.0), epsilon: float | None = None, c="auto"
     ) -> BoundBreakdown:
-        # The Poisson and Beta closed forms already absorb the test-function
-        # norms at their class ceiling (sup <= 1, Lipschitz <= 1), so they
-        # dominate the h-discrepancy for any h in the class.
+        # The Poisson and Beta closed forms are unit-weight totals: they bound
+        # the h-discrepancy for every h in the class of steincore's h_weights
+        # convention, so for weights up to 1, and a larger weight is refused.
         if self.name == "poisson":
-            self._reject_unused(epsilon=epsilon)
+            self._reject_unused(epsilon=epsilon, h_weights=h_weights)
             return boundary.poisson_bound(theta0, n, c)
         if self.name == "beta":
-            self._reject_unused(epsilon, c)
+            self._reject_unused(epsilon, c, h_weights)
             return msebound.beta_distance_bound(msebound.BetaParams(theta0, self.beta), n)
         self._reject_unused(c=c)
         return _mle_bound_fields(self._exp_fields(theta0, n, epsilon), h_weights)
@@ -222,8 +223,14 @@ class Model:
             return expfam._canonical_fields(theta0, n, epsilon)
         return expfam._noncanonical_fields(theta0, n, epsilon)
 
-    def _reject_unused(self, epsilon=None, c="auto"):
-        """Refuse a value other than the default for an option the model ignores."""
+    def _reject_unused(self, epsilon=None, c="auto", h_weights=None):
+        """Refuse a value other than the default for an option the model
+        ignores, and ``h_weights`` above 1 where the route ignores them."""
+        if h_weights is not None and max(_weights(h_weights)) > 1.0:
+            raise DomainError(
+                f"{self.name}: the closed form is the unit-weight total, which covers "
+                f"h weights up to 1 only, got {h_weights!r}"
+            )
         if epsilon is not None:
             raise DomainError(f"{self.name}: the model takes no epsilon, got {epsilon!r}")
         if c != "auto":

@@ -19,11 +19,13 @@ ingredient builder computed, with no ``BoundIngredients`` built.
 
 Conventions
 -----------
-* ``h_weights = (sup_norm, lip_norm)`` weights each term by the norm of the
-  test function it multiplies.  ``(1, 1)`` gives the bound for the whole
-  bounded-Lipschitz class (sup + Lipschitz norm <= 1), which is the bounded
-  Wasserstein bound; the simulation harness passes the norms of its concrete
-  test function instead.
+* ``h_weights = (sup_norm, lip_norm)`` weights each term, a nonnegative
+  multiple of one norm, by that norm of the test function.  So every
+  unit-weight total, at ``(1, 1)``, the poisson and beta closed forms
+  included, bounds the h-discrepancy for each h with sup norm <= 1 and
+  Lipschitz constant <= 1, a class that contains the bounded-Lipschitz ball
+  (sup + Lipschitz norm <= 1) of the bounded Wasserstein distance.  The
+  harness passes the norms of its concrete test function instead.
 * ``sup_third_deriv`` stores the full n-dependent bound on the third
   log-likelihood derivative (e.g. 16n/theta0^3); assemblers never inject
   additional n factors.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from ._validate import Value, integer, real
+from ._validate import Value, instance, integer, real
 from .errors import DomainError, FloatRangeError, float_range, range_error
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
@@ -62,10 +64,9 @@ _INF = math.inf
 class TestFunction(Value):
     """A test function h with its sup norm and Lipschitz constant.
 
-    ``sup_norm + lip_norm <= 1`` puts h inside the bounded-Lipschitz class
-    over which the bounded Wasserstein distance takes its supremum; the
-    harness relies on that containment when comparing h-discrepancies to
-    whole-class bounds.  ``gaussian_expectation`` maps a scale s > 0 to the
+    Norms of at most 1 put h inside the class that unit-weight totals cover
+    (see the h_weights convention above); the harness relies on that
+    containment when comparing h-discrepancies to whole-class bounds.  ``gaussian_expectation`` maps a scale s > 0 to the
     exact E h(s Z), Z ~ N(0,1), which ``normal_expectation`` returns.  The
     harness needs it: a run with an h that leaves it None is a DomainError
     before any trial is drawn.
@@ -255,6 +256,7 @@ def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     when the estimator already is a normalised i.i.d. sum it bounds the
     estimator's distance directly, with no Taylor expansion.
     """
+    instance(ing, BoundIngredients, "ing")
     sup, lip = _weights(h_weights)
     value = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     return BoundBreakdown(terms=((TERM_SCORE, value),))
@@ -268,7 +270,7 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     sup_third_deriv * MSE when the sup bound holds for every sample, else
     sup_third_deriv * sqrt(fourth moment) (the Cauchy-Schwarz route).
     """
-    return _mle_bound_fields(tuple(vars(ing).values()), h_weights)
+    return _mle_bound_fields(tuple(vars(instance(ing, BoundIngredients, "ing")).values()), h_weights)
 
 
 def _mle_bound_fields(fields: tuple, h_weights) -> BoundBreakdown:

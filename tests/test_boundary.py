@@ -8,7 +8,7 @@ import pytest
 
 from oracles import poisson_perturbed_terms
 
-from steinmle.boundary import minimize_poisson_c, poisson_bound
+from steinmle.boundary import _poisson_score, _poisson_total, minimize_poisson_c, poisson_bound
 from steinmle.errors import DomainError
 
 POISSON_LABELS = (
@@ -112,6 +112,20 @@ class TestAutoC:
             terms = poisson_perturbed_terms(theta0, n, grid)
             totals = sum(np.broadcast_to(term, grid.shape) for term in terms)
             assert poisson_bound(theta0, n).total <= totals.min() * (1.0 + 1e-12), n
+
+    @pytest.mark.parametrize("theta0", [1e-6, 1e-3, 0.04, 1.0, 60.0])
+    @pytest.mark.parametrize("n", [1, 5, 50, 10**6])
+    def test_search_and_breakdown_share_one_formula(self, theta0, n):
+        # the total the search minimises is the total the breakdown reports,
+        # bit for bit, at both ends of the searched range and at its result
+        hi = n * theta0
+        c_auto = minimize_poisson_c(theta0, n)
+        searched = _poisson_total(theta0, n, c_auto, _poisson_score(theta0, n))
+        assert poisson_bound(theta0, n).total == searched
+        for c in (min(1e-12, hi / 2.0), hi, c_auto):
+            assert _poisson_total(theta0, n, c, _poisson_score(theta0, n)) == poisson_bound(
+                theta0, n, c=c
+            ).total, c
 
 
 class TestPoissonDirectBound:

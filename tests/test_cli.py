@@ -116,7 +116,10 @@ class TestBoundCommand:
         base = ["bound", "--model", model, "--theta0", theta0, "--n", n, "--format", "json"]
         unit = _json_out(runner.invoke(main, base))
         assert unit["kolmogorov_bound"] == kolmogorov_from_bw(unit["breakdown"]["total"])
-        for sup, lip in [("0.5", "0.2296401"), ("0.01", "0.01"), ("1", "0.1"), ("2", "3")]:
+        pairs = [("0.5", "0.2296401"), ("0.01", "0.01"), ("1", "0.1")]
+        if get_model(model).uses_h_weights:  # poisson and beta refuse a weight above 1
+            pairs.append(("2", "3"))
+        for sup, lip in pairs:
             weighted = _json_out(runner.invoke(main, base + ["--h-sup", sup, "--h-lip", lip]))
             assert weighted["kolmogorov_bound"] == unit["kolmogorov_bound"]
 
@@ -186,6 +189,20 @@ class TestBoundCommand:
                 assert _json_out(weighted) == dict(_json_out(unit), h_sup=0.5)
             else:
                 assert weighted.stdout == unit.stdout
+
+    @pytest.mark.parametrize("model,args", [("poisson", ["--theta0", "5", "--n", "50"]),
+                                            ("beta", ["--theta0", "1.5", "--n", "7500"])])
+    @pytest.mark.parametrize("weights", [["--h-sup", "2", "--h-lip", "2"], ["--h-lip", "1.0000000000000002"],
+                                         ["--h-sup", "1.5", "--h-lip", "0.5"]])
+    def test_weight_free_route_refuses_a_weight_above_one(self, runner, model, args, weights):
+        # the unit-weight total covers weights up to 1 only, so it is not
+        # printed beside a larger weight
+        result = runner.invoke(main, ["bound", "--model", model, *args, *weights, "--format", "json"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        error = _strict_json(result.stderr)
+        assert error["error"] == "DomainError"
+        assert "h weights up to 1 only" in error["message"]
 
     def test_poisson_zero_total(self, runner):
         result = runner.invoke(
@@ -421,6 +438,20 @@ class TestCiCommand:
         payload = _json_out(runner.invoke(main, args))
         assert payload["b_k"] < payload["alpha"] / 2.0
         assert payload["degenerate"] is True and payload["coverage"] == 1.0
+
+    def test_degenerate_interval_draws_nothing_at_any_drawable_count(self, runner):
+        # the whole line covers by construction: no trial is drawn, so 10^18
+        # trials, which simulate could not allocate, give the exact coverage
+        # 1.0 at once, and only 2^60 and up is refused, as for every verb
+        base = ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "1000",
+                "--alpha", "0.05", "--format", "json", "--trials"]
+        payload = _json_out(runner.invoke(main, base + [str(10**18)]))
+        assert payload["degenerate"] is True and payload["coverage"] == 1.0
+        assert payload["trials"] == 10**18
+        result = runner.invoke(main, base + [str(2**60)])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["error"] == "MemoryError"
+        assert "no trial is drawn" in " ".join(cli.cmd_ci.__doc__.split())
 
     @pytest.mark.parametrize(
         "args",

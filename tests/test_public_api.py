@@ -6,7 +6,8 @@ real number (magnitudes of either sign from the subnormals to 1e308, numpy
 floating scalars, the edges, NaN, infinities, bool and str), a size (n up to
 10^400, numpy integers, zero, negatives, bool, str and a float), and for a
 value-type parameter a value built from positive magnitudes (its
-constructor is covered with real-number arguments of every kind).  Every
+constructor is covered with real-number arguments of every kind) or a value
+of the wrong type: a number, a str, None, a tuple or another value type.  Every
 call returns a finite documented value or raises a ``SteinMLEError``, within
 a time bound.  The one documented non-finite value is a ``BoundIngredients``
 moment bound, which may be inf: one passed in as inf, one that overflowed in
@@ -53,6 +54,8 @@ _IMPLICIT = st.builds(
     _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE,
 )
 _BETA_PARAMS = st.builds(steinmle.BetaParams, _POSITIVE, _POSITIVE)
+# What a value-type parameter may be given in its place.
+_NOT_VALUES = st.sampled_from([5, 1.5, "x", None, (1.0, 2.0), steinmle.TestFunction(abs, 0.5, 0.5)])
 _WEIGHTS = st.tuples(REALS, REALS) | st.sampled_from([(1.0,), "ab", 5, None])
 _H = st.sampled_from([
     steinmle.inv_quadratic_test_function(),
@@ -81,22 +84,22 @@ SIGNATURES = {
     "inv_quadratic_test_function": st.just(()),
     "BoundIngredients": st.tuples(REALS, SIZES, *[REALS] * 7, st.booleans()),
     "BoundBreakdown": st.tuples(_TERMS, REALS),
-    "score_bound": st.tuples(_BOUND_INGREDIENTS, _WEIGHTS),
-    "mle_bound_general": st.tuples(_BOUND_INGREDIENTS, _WEIGHTS),
+    "score_bound": st.tuples(_BOUND_INGREDIENTS | _NOT_VALUES, _WEIGHTS),
+    "mle_bound_general": st.tuples(_BOUND_INGREDIENTS | _NOT_VALUES, _WEIGHTS),
     "kolmogorov_from_bw": st.tuples(REALS, REALS),
     "exp_canonical_ingredients": st.tuples(REALS, SIZES, st.none() | REALS),
     "exp_noncanonical_ingredients": st.tuples(REALS, SIZES, st.none() | REALS),
     "poisson_bound": st.tuples(REALS, SIZES, REALS | st.just("auto")),
     "ImplicitModelIngredients": st.tuples(*[REALS] * 7),
     "BetaParams": st.tuples(REALS, REALS),
-    "d1": st.tuples(_IMPLICIT, SIZES),
-    "minimal_n": st.tuples(_IMPLICIT),
-    "mse_upper_bound_a1": st.tuples(_IMPLICIT, SIZES),
-    "implicit_distance_bound": st.tuples(_IMPLICIT, SIZES, REALS),
-    "beta_ingredients": st.tuples(_BETA_PARAMS),
-    "beta_b_constants": st.tuples(_BETA_PARAMS),
-    "beta_b3": st.tuples(_BETA_PARAMS, SIZES),
-    "beta_distance_bound": st.tuples(_BETA_PARAMS, SIZES),
+    "d1": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES),
+    "minimal_n": st.tuples(_IMPLICIT | _NOT_VALUES),
+    "mse_upper_bound_a1": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES),
+    "implicit_distance_bound": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES, REALS),
+    "beta_ingredients": st.tuples(_BETA_PARAMS | _NOT_VALUES),
+    "beta_b_constants": st.tuples(_BETA_PARAMS | _NOT_VALUES),
+    "beta_b3": st.tuples(_BETA_PARAMS | _NOT_VALUES, SIZES),
+    "beta_distance_bound": st.tuples(_BETA_PARAMS | _NOT_VALUES, SIZES),
     "get_model": st.tuples(st.sampled_from([*steinmle.MODEL_NAMES, "weibull", None]), REALS),
 }
 
@@ -178,6 +181,29 @@ KNOWN = {
     "breakdown-bad-str-term": ("BoundBreakdown", ((("a", "x"),),)),
     "breakdown-not-pairs": ("BoundBreakdown", (5,)),
 }
+
+
+# Value-type parameters given another type, which once raised a bare
+# AttributeError or TypeError: (name, args, the parameter's name).
+WRONG_VALUE_TYPES = {
+    "score_bound": ((5,), "ing"),
+    "mle_bound_general": (("x",), "ing"),
+    "d1": ((5, 10), "ing"),
+    "minimal_n": ((5,), "ing"),
+    "mse_upper_bound_a1": ((5, 10), "ing"),
+    "implicit_distance_bound": ((5, 10, 0.1), "ing"),
+    "beta_ingredients": ((steinmle.ImplicitModelIngredients(1, 1, 0, 1, 1, 1, 0.5),), "p"),
+    "beta_b_constants": ((None,), "p"),
+    "beta_b3": ((None, 10), "p"),
+    "beta_distance_bound": ((5, 10), "p"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_VALUE_TYPES))
+def test_a_wrong_value_type_is_a_domain_error_naming_the_parameter(name):
+    args, param = WRONG_VALUE_TYPES[name]
+    with pytest.raises(steinmle.DomainError, match=f"^{param} must be of type "):
+        getattr(steinmle, name)(*args)
 
 
 @pytest.mark.parametrize("case", KNOWN)
