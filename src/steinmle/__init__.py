@@ -19,10 +19,8 @@ from .msebound import (
     BetaParams,
     ImplicitModelIngredients,
     beta_b3,
-    beta_b_constants,
     beta_distance_bound,
     beta_ingredients,
-    d1,
     implicit_distance_bound,
     minimal_n,
     mse_upper_bound_a1,
@@ -70,12 +68,10 @@ __all__ = [
     # implicit-MLE MSE bounds
     "ImplicitModelIngredients",
     "BetaParams",
-    "d1",
     "minimal_n",
     "mse_upper_bound_a1",
     "implicit_distance_bound",
     "beta_ingredients",
-    "beta_b_constants",
     "beta_b3",
     "beta_distance_bound",
     # registry

@@ -3,8 +3,9 @@
 When the estimator has no closed form, its MSE still appears inside its own
 distance bound.  Specialising the bound to the quadratic test function turns
 that circularity into a quadratic inequality in root-MSE; ``mse_upper_bound_a1``
-returns its positive root A1, which is then a legitimate ingredient for the
-distance bound assembled by ``implicit_distance_bound``.
+returns its positive root A1.  ``implicit_distance_bound`` computes A1 inside
+and assembles the distance bound from it, so it refuses n below ``minimal_n``,
+where no A1 exists, with a DomainError naming the minimal n.
 
 Positivity of the leading quadratic coefficient
 
@@ -51,12 +52,10 @@ from .steincore import (
 __all__ = [
     "ImplicitModelIngredients",
     "BetaParams",
-    "d1",
     "minimal_n",
     "mse_upper_bound_a1",
     "implicit_distance_bound",
     "beta_ingredients",
-    "beta_b_constants",
     "beta_b3",
     "beta_distance_bound",
     "beta_shape_roots",
@@ -140,19 +139,6 @@ def _d1_dec(p: _NFreeParts, n: int):
     return nn, root_n, ni, 1 - p.two_x2 / (ni * p.eps2) - p.x_c1 / (root_n * p.i * p.root_i)
 
 
-def d1(ing: ImplicitModelIngredients, n: int) -> float:
-    """Leading coefficient of the root-MSE quadratic; positive iff solvable.
-
-    May be <= 0 below the minimal sample size; the sign is the caller's
-    signal, no exception is raised for it.  A D1 beyond the float range is a
-    FloatRangeError.
-    """
-    instance(ing, ImplicitModelIngredients, "ing")
-    n = integer(n, "n")
-    with localcontext(_EXTENDED):
-        return _rounded("d1: D1", _d1_dec(ing._decimals, n)[3], n)
-
-
 def _rounded(name: str, value, n: int) -> float:
     """A 50-digit ``value`` rounded to float: the FloatRangeError naming it
     as ``name`` if that lies beyond the float range."""
@@ -202,7 +188,7 @@ def _a1_dec(ing: ImplicitModelIngredients, n: int):
 def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     """A1, the positive root of the root-MSE quadratic: bounds sqrt(MSE).
 
-    Requires d1 > 0 (n at least ``minimal_n``); below that the quadratic
+    Requires D1 > 0 (n at least ``minimal_n``); below that the quadratic
     inequality has no positive solution and a DomainError names the minimal
     sample size.  Solved in 50-digit ``decimal`` and rounded once; an A1
     beyond the float range is a FloatRangeError.
@@ -213,10 +199,10 @@ def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
 
 
 @float_range
-def implicit_distance_bound(
-    ing: ImplicitModelIngredients, n: int, a1: float
-) -> BoundBreakdown:
-    """Distance bound fed by the MSE bound A1 instead of the exact MSE.
+def implicit_distance_bound(ing: ImplicitModelIngredients, n: int) -> BoundBreakdown:
+    """Distance bound fed by the MSE bound A1 = B3/sqrt(n) instead of the exact
+    MSE, B3 = sqrt(n) A1 coming from ``mse_upper_bound_a1``'s 50-digit pass
+    rounded once: n below ``minimal_n`` is a DomainError naming the minimal n.
 
     Terms: the score bound; the Markov tail 2 A1^2/eps^2; the Taylor
     remainder sqrt(n) C1 A1^2 / (2 sqrt(i)); and the R2 term
@@ -224,7 +210,7 @@ def implicit_distance_bound(
     """
     instance(ing, ImplicitModelIngredients, "ing")
     n = integer(n, "n")
-    a1 = real(a1, "a1", ge=0.0)
+    a1 = _rounded("implicit_distance_bound: B3", _a1_dec(ing, n)[1], n) / math.sqrt(n)
     t_score = _score_term(ing.third_abs_score_moment, ing.fisher_info, n)
     t_markov = 2.0 * a1**2 / ing.epsilon**2
     t_taylor = math.sqrt(n) * ing.c1_const * a1**2 / (2.0 * math.sqrt(ing.fisher_info))
@@ -283,21 +269,6 @@ def beta_ingredients(p: BetaParams) -> ImplicitModelIngredients:
     )
 
 
-def beta_b_constants(p: BetaParams) -> dict:
-    """Audit dictionary of the Beta combination constants.
-
-    B1 (fourth-moment bound), B2 (third-derivative constant at eps =
-    theta0/2), D_psi1 (the information), and the minimal admissible n.
-    """
-    ing = beta_ingredients(p)
-    return {
-        "B1": _beta_fisher_b1(p.theta0, p.beta)[1],
-        "B2": ing.c1_const,
-        "D_psi1": ing.fisher_info,
-        "minimal_n": minimal_n(ing),
-    }
-
-
 @float_range
 def beta_b3(p: BetaParams, n: int) -> float:
     """The scaled root-MSE bound B3 = sqrt(n) * A1 for the Beta model.
@@ -331,8 +302,7 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     """
     instance(p, BetaParams, "p")
     n = integer(n, "n")
-    ing = beta_ingredients(p)
-    return implicit_distance_bound(ing, n, _beta_b3(ing, n) / math.sqrt(n))
+    return implicit_distance_bound(beta_ingredients(p), n)
 
 
 # Shift steps that take any theta > 0 to the asymptotic cut; a lane needing

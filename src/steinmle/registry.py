@@ -205,11 +205,13 @@ class Model:
         if self.name == "beta":
             self._reject_unused(epsilon)
             p = msebound.BetaParams(theta0, self.beta)
-            out = {"model": self.name, "theta0": p.theta0, "beta": self.beta}
-            out.update(msebound.beta_b_constants(p))
+            ing = msebound.beta_ingredients(p)
+            out = {"model": self.name, "theta0": p.theta0, "beta": self.beta,
+                   "B1": msebound._beta_fisher_b1(p.theta0, p.beta)[1], "B2": ing.c1_const,
+                   "D_psi1": ing.fisher_info, "minimal_n": msebound.minimal_n(ing)}
             if n is not None:
                 out["n"] = n = integer(n, "n")
-                out["B3"] = msebound._beta_b3(msebound.beta_ingredients(p), n)
+                out["B3"] = msebound._beta_b3(ing, n)
             return _finite_fields(out)
         ing = BoundIngredients(*self._exp_fields(theta0, n, epsilon)).to_dict()
         if self.name == "exp-canonical" and ing["n"] < 5:

@@ -8,12 +8,12 @@ loop the package replaced, against which the new code must agree bit for bit.
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
 from steinmle.errors import ConvergenceError
 from steinmle.montecarlo import _pykernels
-from steinmle.msebound import d1
 from steinmle.registry import get_model
 from steinmle.specfun import _ASYMPTOTIC_CUT, _BERNOULLI, polygamma, std_normal_quantile
 
@@ -183,18 +183,29 @@ def conditioned_mean(model, theta0, n, f, eps, trials, seed):
     return math.fsum(f_in) / count, math.fsum(f_all) / trials, math.hypot(lhs_se, rhs_se), count
 
 
+def decimal_d1(ing, n):
+    """The leading coefficient of the root-MSE quadratic, as a 60-digit
+    Decimal: D1 = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i^{3/2}),
+    written as (n - a - b sqrt(n))/n with the n-free a and b, the grouping
+    that ``msebound.minimal_n``'s docstring solves, not the package's."""
+    with localcontext(Context(prec=60)):
+        i, nn = Decimal(ing.fisher_info), Decimal(n)
+        a = 2 * Decimal(ing.sup_x2_norm) / (i * Decimal(ing.epsilon) ** 2)
+        b = Decimal(ing.sup_x_norm) * Decimal(ing.c1_const) / (i * i.sqrt())
+        return (nn - a - b * nn.sqrt()) / nn
+
+
 def bisected_minimal_n(ing):
     """Smallest n >= 1 with D1 > 0, by doubling and then bisection on the
-    sign of the 50-digit D1 (``msebound.d1`` rounds it to float, which keeps
-    its sign): D1 increases in n, so the sign changes once."""
-    if d1(ing, 1) > 0.0:
+    sign of ``decimal_d1``: D1 increases in n, so the sign changes once."""
+    if decimal_d1(ing, 1) > 0:
         return 1
-    lo, hi = 1, 2  # d1(lo) <= 0 throughout; d1(hi) > 0 once doubling stops
-    while d1(ing, hi) <= 0.0:
+    lo, hi = 1, 2  # D1(lo) <= 0 throughout; D1(hi) > 0 once doubling stops
+    while decimal_d1(ing, hi) <= 0:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if d1(ing, mid) > 0.0:
+        if decimal_d1(ing, mid) > 0:
             hi = mid
         else:
             lo = mid

@@ -15,11 +15,11 @@ from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 import pytest
-from oracles import conditioned_mean, inward_map
+from oracles import conditioned_mean, decimal_d1, inward_map
 
 import steinmle as sm
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
-from steinmle.msebound import BetaParams, beta_ingredients, d1, mse_upper_bound_a1
+from steinmle.msebound import BetaParams, beta_ingredients, mse_upper_bound_a1
 
 SEED = int(os.environ.get("STEINMLE_ACCEPTANCE_SEED", "1729"))
 TABLE_WEIGHTS = (0.5, 3.0 * math.sqrt(1.5) / 16.0)
@@ -266,7 +266,7 @@ def test_criterion_6_property_suites():
     ing = beta_ingredients(BetaParams(1.5, 1.0))
     for n in (7500, 8300):
         a1 = mse_upper_bound_a1(ing, n)
-        dd = d1(ing, n)
+        dd = float(decimal_d1(ing, n))
         c_const = (
             1.0 + 2.0 / math.sqrt(n) * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)
         ) / (n * ing.fisher_info)

@@ -417,6 +417,14 @@ class TestRunSimulation:
             assert rep.empirical_distance <= rep.bound_total
             assert rep.error == rep.bound_total - rep.empirical_distance
 
+    @pytest.mark.parametrize("theta0", [0.5, 5.0])
+    def test_poisson_row_lies_within_its_noise_of_the_normal_limit(self, theta0):
+        # At n = 50 the exact |E h(sqrt(n)(mean - theta0)) - E h(N(0, theta0))|
+        # lies below the noise of 10^4 trials, so the row reads a few SE (2.3
+        # and 1.7 here); a standardisation at sqrt(n theta0) reads 60-75 SE.
+        rep = run_simulation(SimulationConfig("poisson", theta0, 50, trials=10**4, seed=0))
+        assert rep.empirical_distance <= 5.0 * rep.standard_error
+
     def test_single_trial_reports_no_standard_error(self):
         cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=20, trials=1, seed=0)
         rep = run_simulation(cfg)
@@ -653,6 +661,18 @@ class TestCiCoverage:
         assert res.b_k < 0.25
         assert res.coverage >= 1.0 - 0.5
         assert res.coverage >= 0.9  # widened quantiles push far past 50%
+
+    @pytest.mark.parametrize(
+        "model,theta0,n", [("exp-canonical", 1.0, 10**10), ("exp-noncanonical", 2.0, 10**12)]
+    )
+    def test_informative_interval_at_alpha_005(self, model, theta0, n):
+        # b_k < alpha/2 = 0.025 only from n ~ 6.3e9 (exp-canonical) and 8.6e11
+        # (exp-noncanonical) on; below, the interval is the whole line
+        res = ci_coverage(model, theta0, n, 0.05, 10**4, seed=0)
+        assert not res.degenerate
+        assert res.b_k < 0.025
+        se = math.sqrt(res.coverage * (1.0 - res.coverage) / res.trials)
+        assert res.coverage >= 1.0 - 0.05 - 3.0 * se
 
     def test_poisson_rejected(self):
         with pytest.raises(DomainError, match="N\\(0, theta0\\)"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import beta_score, bisected_minimal_n, bracketed_beta_root
+from oracles import beta_score, bisected_minimal_n, bracketed_beta_root, decimal_d1
 from scipy.special import gammaln
 
 from steinmle import msebound
@@ -23,17 +23,17 @@ from steinmle.msebound import (
     BetaParams,
     ImplicitModelIngredients,
     beta_b3,
-    beta_b_constants,
     beta_distance_bound,
     beta_ingredients,
     beta_shape_roots,
-    d1,
     implicit_distance_bound,
     minimal_n,
     mse_upper_bound_a1,
 )
 
 P = BetaParams(1.5, 1.0)
+# B1, B2, D_psi1 and minimal_n of P, as ``constants --model beta`` prints them
+CONSTS = get_model("beta").audit(1.5, None)
 
 # (B3/sqrt(n))^2 from the 50-digit oracle; published values round to
 # 0.2517, 0.0416, 0.0223, 0.0151, 0.0112 (within 5e-4)
@@ -75,11 +75,22 @@ class TestBetaIngredients:
         assert ing.fisher_info == pytest.approx(1.0 / 1.5**2, rel=1e-12, abs=0.0)
 
     def test_b_constants(self):
-        consts = beta_b_constants(P)
+        consts = CONSTS
         assert consts["B2"] == pytest.approx(25.562962962962963, rel=1e-12, abs=0.0)
         assert consts["B1"] == pytest.approx(39.807316257217488, rel=1e-9, abs=0.0)
         assert consts["D_psi1"] == pytest.approx(4.0 / 9.0, rel=1e-12, abs=0.0)
         assert consts["minimal_n"] == 7460
+
+    def test_audit_builds_the_ingredients_once(self, monkeypatch):
+        # two shift passes for the ingredients, two more for B1
+        calls = []
+        polygammas = msebound._polygammas
+        monkeypatch.setattr(msebound, "_polygammas", lambda *a: calls.append(a) or polygammas(*a))
+        audit = get_model("beta").audit(1.5, 7460)
+        assert len(calls) == 4
+        assert list(audit) == ["model", "theta0", "beta", "B1", "B2", "D_psi1", "minimal_n",
+                               "n", "B3"]
+        assert audit["B3"] == beta_b3(P, 7460)
 
     def test_b1_against_independent_polygamma(self):
         with mp.workdps(40):
@@ -92,7 +103,7 @@ class TestBetaIngredients:
                     + 3 * mp.polygamma(1, mp.mpf("2.5")) ** 2
                 )
             )
-        assert beta_b_constants(P)["B1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert CONSTS["B1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_var_l2_zero_and_unit_sup_norms(self):
         ing = beta_ingredients(P)
@@ -111,23 +122,6 @@ class TestBetaIngredients:
         assert ing.fisher_info > 0.0
 
 
-class TestD1:
-    def test_limit_is_one(self):
-        assert d1(beta_ingredients(P), 10**14) == pytest.approx(1.0, abs=1e-5)
-
-    def test_sign_change_at_minimal_n(self):
-        ing = beta_ingredients(P)
-        assert d1(ing, 7460) > 0.0
-        assert d1(ing, 7459) <= 0.0
-        assert d1(ing, 7000) <= 0.0
-
-    def test_beyond_the_float_range_is_a_float_range_error(self):
-        # D1 ~ -2e312 in 50 digits, which rounds to -inf in float
-        ing = ImplicitModelIngredients(1e-300, 1e6, 6e4, 1.5, 1e17, 1e6, 1e300)
-        with pytest.raises(FloatRangeError, match="d1"):
-            d1(ing, 1)
-
-
 class TestMinimalN:
     def test_beta_reference(self):
         assert minimal_n(beta_ingredients(P)) == 7460
@@ -142,12 +136,12 @@ class TestMinimalN:
         n_quarter = minimal_n(_synthetic_ingredients(epsilon=0.2))
         assert n_quarter > n_half
 
-    def test_consistent_with_d1(self):
+    def test_sign_change_of_an_independent_d1(self):
         for ing in (beta_ingredients(P), _synthetic_ingredients()):
             m = minimal_n(ing)
-            assert d1(ing, m) > 0.0
+            assert decimal_d1(ing, m) > 0
             if m > 1:
-                assert d1(ing, m - 1) <= 0.0
+                assert decimal_d1(ing, m - 1) <= 0
 
     def test_equals_bisection_over_random_ingredients(self):
         # Every field log-uniform, so ||x^2|| and ||x||^2 almost never agree;
@@ -167,7 +161,7 @@ class TestMinimalN:
     def test_exact_root_is_excluded(self):
         # i = ||x|| = C1 = ||x^2|| = eps = 1: D1 = 1 - 2/n - 1/sqrt(n) is 0 at n = 4
         ing = ImplicitModelIngredients(1, 1, 0, 1, 1, 1, 1)
-        assert d1(ing, 4) == 0.0
+        assert decimal_d1(ing, 4) == 0
         assert minimal_n(ing) == 5
         mse_upper_bound_a1(ing, 5)
         with pytest.raises(DomainError, match="minimal n = 5 "):
@@ -175,7 +169,7 @@ class TestMinimalN:
 
     def test_one_when_d1_is_positive_at_one(self):
         ing = _synthetic_ingredients(c1_const=1e-3, sup_x2_norm=1e-3, epsilon=1.0)
-        assert d1(ing, 1) > 0.0
+        assert decimal_d1(ing, 1) > 0
         assert minimal_n(ing) == 1 == bisected_minimal_n(ing)
 
     @staticmethod
@@ -207,7 +201,7 @@ class TestA1:
     def test_reduces_when_var_l2_zero(self):
         ing = beta_ingredients(P)
         n = 7500
-        dd = d1(ing, n)
+        dd = float(decimal_d1(ing, n))
         expected = (
             1.0
             / (2.0 * dd)
@@ -247,7 +241,7 @@ class TestA1:
         # plugging A1 back into the quadratic D1 x^2 - b x - c leaves a
         # relative residual below 1e-9
         a1 = mse_upper_bound_a1(ing, n)
-        dd = d1(ing, n)
+        dd = float(decimal_d1(ing, n))
         b_lin = 2.0 * ing.sup_x_norm * math.sqrt(ing.var_l2) / (n * ing.fisher_info**1.5)
         c_const = (
             1.0
@@ -260,25 +254,46 @@ class TestA1:
         assert abs(residual) <= 1e-9 * max(dd * a1 * a1, c_const)
 
 
-class TestImplicitDistanceBound:
-    def test_reduces_to_score_term(self):
-        ing = beta_ingredients(P)
-        bd = implicit_distance_bound(ing, 8000, 0.0)
-        terms = dict(bd.terms)
-        assert terms["markov_tail"] == 0.0
-        assert terms["taylor_remainder"] == 0.0
-        assert terms["r2"] == 0.0
-        assert bd.total == terms["score"]
+def _assembled(ing, n, a1):
+    """The four terms of the implicit distance bound at A1 = a1, written out."""
+    root_i = math.sqrt(ing.fisher_info)
+    return (
+        ("score", (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5) / math.sqrt(n)),
+        ("markov_tail", 2.0 * a1**2 / ing.epsilon**2),
+        ("taylor_remainder", math.sqrt(n) * ing.c1_const * a1**2 / (2.0 * root_i)),
+        ("r2", math.sqrt(ing.var_l2) * a1 / root_i),
+    )
 
-    def test_monotone_in_a1(self):
-        ing = beta_ingredients(P)
-        totals = [implicit_distance_bound(ing, 8000, a).total for a in (0.0, 0.1, 0.5, 1.0)]
-        assert all(x < y for x, y in zip(totals, totals[1:]))
+
+class TestImplicitDistanceBound:
+    def test_refuses_n_below_the_minimal_n(self):
+        # A1 has no positive root there, so no number would bound anything
+        with pytest.raises(DomainError, match="minimal n = 7460 "):
+            implicit_distance_bound(beta_ingredients(P), 400)
+        with pytest.raises(DomainError, match="minimal n = 7460 "):
+            implicit_distance_bound(beta_ingredients(P), 7459)
 
     def test_var_l2_feeds_r2_term(self):
         ing = _synthetic_ingredients(var_l2=0.25)
-        bd = implicit_distance_bound(ing, 400, 0.2)
-        assert dict(bd.terms)["r2"] == pytest.approx(0.5 * 0.2 / math.sqrt(ing.fisher_info))
+        a1 = mse_upper_bound_a1(ing, 400)
+        bd = implicit_distance_bound(ing, 400)
+        assert dict(bd.terms)["r2"] == pytest.approx(0.5 * a1 / math.sqrt(ing.fisher_info))
+        assert dict(implicit_distance_bound(_synthetic_ingredients(), 400).terms)["r2"] == 0.0
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+    def test_is_the_beta_bound_bit_for_bit(self, theta0, beta):
+        # the bound-grid Beta lattice: every n from the minimal n on, at A1 =
+        # beta_b3/sqrt(n), the one float division the Beta bound has always made
+        p = BetaParams(theta0, beta)
+        ing = beta_ingredients(p)
+        floor = minimal_n(ing)
+        for n in (floor, floor + 1, floor + 10, floor + 300, floor + 10000, floor + 150000):
+            bd = implicit_distance_bound(ing, n)
+            assert bd == beta_distance_bound(p, n)
+            assert bd.terms == _assembled(ing, n, beta_b3(p, n) / math.sqrt(n))
+        with pytest.raises(DomainError, match=f"minimal n = {floor} "):
+            implicit_distance_bound(ing, floor - 1)
 
 
 class TestBetaB3:
@@ -313,8 +328,7 @@ class TestBetaDistanceBound:
 
     def test_matches_closed_form_combination(self):
         # the displayed three-term closed form, assembled independently here
-        consts = beta_b_constants(P)
-        dpsi, b1, b2 = consts["D_psi1"], consts["B1"], consts["B2"]
+        dpsi, b1, b2 = CONSTS["D_psi1"], CONSTS["B1"], CONSTS["B2"]
         for n in (7500, 8300, 100000):
             b3 = beta_b3(P, n)
             expected = (
@@ -331,8 +345,7 @@ class TestBetaDistanceBound:
 
     def test_scaled_limit(self):
         # sqrt(n) * total -> (2 + B1^(3/4)/D^(3/2)) + B2/(2 D^(3/2))
-        consts = beta_b_constants(P)
-        dpsi, b1, b2 = consts["D_psi1"], consts["B1"], consts["B2"]
+        dpsi, b1, b2 = CONSTS["D_psi1"], CONSTS["B1"], CONSTS["B2"]
         limit = (2.0 + b1**0.75 / dpsi**1.5) + b2 / (2.0 * dpsi**1.5)
         n = 10**12
         assert math.sqrt(n) * beta_distance_bound(P, n).total == pytest.approx(
@@ -505,22 +518,17 @@ class TestIntegerTypesForN:
         ing = beta_ingredients(P)
         n = int_type(7500)
         assert beta_b3(P, n) == beta_b3(P, 7500)
-        assert d1(ing, n) == d1(ing, 7500)
         assert mse_upper_bound_a1(ing, n) == mse_upper_bound_a1(ing, 7500)
         assert beta_distance_bound(P, n).total == beta_distance_bound(P, 7500).total
-        assert (
-            implicit_distance_bound(ing, n, 0.01).total
-            == implicit_distance_bound(ing, 7500, 0.01).total
-        )
+        assert implicit_distance_bound(ing, n) == implicit_distance_bound(ing, 7500)
 
     def test_bool_rejected(self):
         ing = beta_ingredients(P)
         for call in (
             lambda: beta_b3(P, True),
             lambda: beta_distance_bound(P, True),
-            lambda: d1(ing, True),
             lambda: mse_upper_bound_a1(ing, True),
-            lambda: implicit_distance_bound(ing, True, 0.01),
+            lambda: implicit_distance_bound(ing, True),
         ):
             with pytest.raises(DomainError):
                 call()
@@ -561,6 +569,6 @@ def test_decimal_combination_equals_mpmath(theta0, beta):
         n = floor + offset
         want_d1, want_b3, want_a1, want_floor = _mpmath_reference(ing, n)
         assert floor == want_floor
-        assert d1(ing, n) == want_d1
+        assert want_d1 > 0.0
         assert beta_b3(p, n) == want_b3
         assert mse_upper_bound_a1(ing, n) == want_a1

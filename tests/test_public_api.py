@@ -92,12 +92,10 @@ SIGNATURES = {
     "poisson_bound": st.tuples(REALS, SIZES, REALS | st.just("auto")),
     "ImplicitModelIngredients": st.tuples(*[REALS] * 7),
     "BetaParams": st.tuples(REALS, REALS),
-    "d1": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES),
     "minimal_n": st.tuples(_IMPLICIT | _NOT_VALUES),
     "mse_upper_bound_a1": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES),
-    "implicit_distance_bound": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES, REALS),
+    "implicit_distance_bound": st.tuples(_IMPLICIT | _NOT_VALUES, SIZES),
     "beta_ingredients": st.tuples(_BETA_PARAMS | _NOT_VALUES),
-    "beta_b_constants": st.tuples(_BETA_PARAMS | _NOT_VALUES),
     "beta_b3": st.tuples(_BETA_PARAMS | _NOT_VALUES, SIZES),
     "beta_distance_bound": st.tuples(_BETA_PARAMS | _NOT_VALUES, SIZES),
     "get_model": st.tuples(st.sampled_from([*steinmle.MODEL_NAMES, "weibull", None]), REALS),
@@ -161,7 +159,8 @@ def test_public_callable_returns_a_finite_value_or_a_package_error(name, data):
 
 _IMPLICIT_OVERFLOW = (1e-10, 1e-150, 1.7e308, 5e-324, 1e150, 1e-10, 1e300)
 
-# Calls that once returned a bool's value, inf or a bare Python error.
+# Calls that once returned a bool's value, inf, a bound below the minimal n
+# or a bare Python error.
 KNOWN = {
     "polygamma-bool-order": ("polygamma", (True, 1.5)),
     "polygamma-float-order": ("polygamma", (1.0, 0.5)),
@@ -170,8 +169,10 @@ KNOWN = {
     "kolmogorov-str-sigma-at-zero": ("kolmogorov_from_bw", (0.0, "x")),
     "kolmogorov-inf": ("kolmogorov_from_bw", (math.inf,)),
     "implicit-bound-overflow": (
-        "implicit_distance_bound",
-        (steinmle.ImplicitModelIngredients(1, 1, 0, 1, 1, 1, 0.5), 10, 1e200),
+        "implicit_distance_bound", (steinmle.ImplicitModelIngredients(*_IMPLICIT_OVERFLOW), 10)
+    ),
+    "implicit-bound-below-minimal-n": (
+        "implicit_distance_bound", (steinmle.beta_ingredients(steinmle.BetaParams(1.5, 1.0)), 400)
     ),
     "a1-overflow": (
         "mse_upper_bound_a1", (steinmle.ImplicitModelIngredients(*_IMPLICIT_OVERFLOW), 10)
@@ -188,12 +189,10 @@ KNOWN = {
 WRONG_VALUE_TYPES = {
     "score_bound": ((5,), "ing"),
     "mle_bound_general": (("x",), "ing"),
-    "d1": ((5, 10), "ing"),
     "minimal_n": ((5,), "ing"),
     "mse_upper_bound_a1": ((5, 10), "ing"),
-    "implicit_distance_bound": ((5, 10, 0.1), "ing"),
+    "implicit_distance_bound": ((5, 10), "ing"),
     "beta_ingredients": ((steinmle.ImplicitModelIngredients(1, 1, 0, 1, 1, 1, 0.5),), "p"),
-    "beta_b_constants": ((None,), "p"),
     "beta_b3": ((None, 10), "p"),
     "beta_distance_bound": ((5, 10), "p"),
 }
@@ -214,7 +213,7 @@ def test_known_contract_cases(case):
 
 @pytest.mark.parametrize("case", ["polygamma-bool-order", "kolmogorov-bool-sigma",
                                   "kolmogorov-str-sigma-at-zero", "breakdown-str-term",
-                                  "breakdown-bool-term"])
+                                  "breakdown-bool-term", "implicit-bound-below-minimal-n"])
 def test_known_cases_that_returned_a_value_now_raise(case):
     name, args = KNOWN[case]
     with pytest.raises(steinmle.DomainError):

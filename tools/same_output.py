@@ -1,0 +1,63 @@
+"""Check that this checkout's `src/` and another source tree give the same
+command-line output.
+
+    python3 tools/same_output.py OTHER_SRC     # e.g. ../steinmle-main/src
+
+It runs every case of ``check_interpreters.CASES`` (the ``bound`` and
+``constants`` verbs for all four models, one validation error and one
+numerical failure) plus one small ``table``, ``simulate``, ``mse-sweep`` and
+``ci`` case, each in text, csv and json, once against each tree, with the
+running interpreter in isolated mode (``-I``: no user site, no PYTHONPATH).
+Stdout, stderr and the exit code of every run must be byte-identical between
+the two trees; any difference exits 1.  A behaviour-preserving change is one
+that passes this against its parent's ``src/``.  Standard library only; the
+simulation verbs need numpy in the running interpreter.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+from check_interpreters import CASES, RUNNER, SRC
+
+SIMULATION_CASES = [
+    ["table", "1", "--trials", "200"],
+    ["simulate", "--model", "poisson", "--theta0", "5", "--n", "20", "--trials", "200"],
+    ["mse-sweep", "--beta", "2", "--n-from", "11848", "--n-to", "11848", "--trials", "20"],
+    ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000000",
+     "--alpha", "0.05", "--trials", "1000"],
+]
+FORMATS = ("text", "csv", "json")
+
+
+def _run(src, case):
+    done = subprocess.run([sys.executable, "-I", "-c", RUNNER, src, *case],
+                          capture_output=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv):
+    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "steinmle")):
+        print("usage: same_output.py OTHER_SRC  (a directory holding the steinmle package)",
+              file=sys.stderr)
+        return 2
+    other = os.path.abspath(argv[0])
+    print(f"this   {SRC}\nother  {other}")
+    runs = [case + ["--format", fmt] for case in CASES + SIMULATION_CASES for fmt in FORMATS]
+    failed = 0
+    for case in runs:
+        ours, theirs = _run(SRC, case), _run(other, case)
+        status = "same" if ours == theirs else "DIFFERENT"
+        print(f"{status:9}  exit {ours[0]}  {' '.join(case)}")
+        if ours != theirs:
+            failed += 1
+            for name, (code, out, err) in (("this", ours), ("other", theirs)):
+                print(f"    {name}: exit {code}, {out[:200]!r} {err[:200]!r}")
+    print(f"{len(runs) - failed} of {len(runs)} runs byte-identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
