@@ -22,7 +22,10 @@ N(0, 1/i(theta0)) is assembled once, for the Poisson mean:
 ``minimize_poisson_c`` and the exact zero bound in the degenerate
 theta0 = 0 case.  The paper works no other boundary model.  The c search
 and ``poisson_bound`` read one formula, ``_poisson_values``, whose floats
-``poisson_bound`` labels once, at the chosen c.
+``poisson_bound`` labels once, at the chosen c.  Its c-free parts (sqrt(n),
+the perturbed-score term and the root sqrt(theta0/n + 3 theta0^2) of the
+Taylor term) come from ``_poisson_parts``, once per search and once per
+breakdown, not once per trial c.
 """
 
 from __future__ import annotations
@@ -51,17 +54,18 @@ _LABELS = (
 _C_TOL = 1e-10
 
 
-def _poisson_score(theta0: float, n: int) -> float:
-    """The perturbed-score term of the Poisson bound, which does not depend on c."""
+def _poisson_parts(theta0: float, n: int) -> tuple:
+    """The c-free parts of the Poisson bound: sqrt(n), the perturbed-score
+    term and sqrt(theta0/n + 3 theta0^2), the root in the Taylor term."""
     # Holder: E|X - theta0|^3 <= (theta0 + 3 theta0^2)^(3/4), passed already
     # divided by theta0^(3/2), so against a unit variance.
-    return _score_term((3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75, 1.0, n)
+    t_score = _score_term((3.0 * theta0 + 1.0) ** 0.75 / theta0**0.75, 1.0, n)
+    return (math.sqrt(n), t_score, math.sqrt(theta0 / n + 3.0 * theta0**2))
 
 
-def _poisson_values(theta0: float, n: int, c: float, t_score: float) -> tuple:
+def _poisson_values(theta0: float, n: int, c: float, parts: tuple) -> tuple:
     """The closed-form Poisson term values at perturbation constant c, in
-    ``_LABELS`` order, with the perturbed-score term t_score from
-    ``_poisson_score``.
+    ``_LABELS`` order, from the c-free parts of ``_poisson_parts``.
 
     Mapping to the six-label schema: the combined 2c/sqrt(n) cost splits
     into the parameter shift c/sqrt(n) and the estimator gap
@@ -70,18 +74,16 @@ def _poisson_values(theta0: float, n: int, c: float, t_score: float) -> tuple:
     the Taylor term carries both the R2 part theta0/(sqrt(n) theta0*) and
     the third-derivative part 12 sqrt(theta0/n + 3 theta0^2)/(sqrt(n) theta0*).
     """
-    root_n = math.sqrt(n)
+    root_n, t_score, root_taylor = parts
     tp = theta0 + c / n  # perturbed parameter
     t_shift = c / root_n
     t_markov = 8.0 * theta0 / (n * tp * tp)
-    t_taylor = theta0 / (root_n * tp) + 12.0 / (root_n * tp) * math.sqrt(
-        theta0 / n + 3.0 * theta0**2
-    )
+    t_taylor = theta0 / (root_n * tp) + 12.0 / (root_n * tp) * root_taylor
     return (t_shift, t_shift, 0.0, t_score, t_markov, t_taylor)
 
 
-def _poisson_total(theta0: float, n: int, c: float, t_score: float) -> float:
-    return math.fsum(_poisson_values(theta0, n, c, t_score))
+def _poisson_total(theta0: float, n: int, c: float, parts: tuple) -> float:
+    return math.fsum(_poisson_values(theta0, n, c, parts))
 
 
 def minimize_poisson_c(theta0: float, n: int) -> float:
@@ -91,38 +93,43 @@ def minimize_poisson_c(theta0: float, n: int) -> float:
     and gap terms are linear in c, the Markov term is a multiple of 1/u^2 and
     the Taylor term of 1/u, both convex, and the score terms do not depend
     on c.  So the golden section brackets the one minimum.  Each c is priced
-    by ``_poisson_values``, the formula ``poisson_bound`` labels.  The 61-point
-    log-grid scan after it, which keeps the better of the two, stays until
-    the benchmark can take a faster c search without reading it as a memory
-    regression; then the closed-form root of the stationarity cubic can
-    replace both.
+    by ``_poisson_values``, the formula ``poisson_bound`` labels, from the
+    c-free parts that ``_poisson_parts`` computes once per call; the scan
+    takes the logs of its two bracket ends once too.  A call prices 108 to
+    151 trial values of c.  The 61-point log-grid scan after the golden
+    section, which keeps the better of the two, stays until the benchmark
+    can take a faster c search without reading it as a memory regression:
+    its child keeps every pass's timings, so a faster pass means more passes
+    and a higher peak RSS.  Then the closed-form root of the stationarity
+    cubic can replace both loops.
     """
-    t_score = _poisson_score(theta0, n)
+    parts = _poisson_parts(theta0, n)
     hi = n * theta0
     lo = min(1e-12, hi / 2.0)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1 = _poisson_total(theta0, n, x1, t_score)
-    f2 = _poisson_total(theta0, n, x2, t_score)
+    f1 = _poisson_total(theta0, n, x1, parts)
+    f2 = _poisson_total(theta0, n, x2, parts)
     # Adjacent floats a < b admit no point between them, and the bracket
     # would stay as it is for ever: that ends the search too.
     while b - a > _C_TOL and math.nextafter(a, b) != b:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = _poisson_total(theta0, n, x1, t_score)
+            f1 = _poisson_total(theta0, n, x1, parts)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = _poisson_total(theta0, n, x2, t_score)
+            f2 = _poisson_total(theta0, n, x2, parts)
     c_golden = 0.5 * (a + b)
-    best_c, best_val = c_golden, _poisson_total(theta0, n, c_golden, t_score)
+    best_c, best_val = c_golden, _poisson_total(theta0, n, c_golden, parts)
     # Safety net: coarse log-grid scan.
+    log_lo, log_hi = math.log10(lo), math.log10(hi)
     for k in range(61):
-        c_grid = 10.0 ** (math.log10(lo) + k * (math.log10(hi) - math.log10(lo)) / 60.0)
-        val = _poisson_total(theta0, n, c_grid, t_score)
+        c_grid = 10.0 ** (log_lo + k * (log_hi - log_lo) / 60.0)
+        val = _poisson_total(theta0, n, c_grid, parts)
         if val < best_val:
             best_c, best_val = c_grid, val
     return best_c
@@ -145,5 +152,5 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
         c_val = minimize_poisson_c(theta0, n)
     else:
         c_val = real(c, "c", gt=0.0)
-    values = _poisson_values(theta0, n, c_val, _poisson_score(theta0, n))
+    values = _poisson_values(theta0, n, c_val, _poisson_parts(theta0, n))
     return BoundBreakdown(terms=tuple(zip(_LABELS, values)))

@@ -7,16 +7,22 @@ copy each.  Beta and Poisson values must match bit for bit; exponential
 values within 1e-15 relative, because the recorded score terms multiplied
 the weight in before dividing by sqrt(n), which rounds differently.  ``snapshots/constants-*.json`` are
 the ``constants --format json`` outputs, byte for byte.
+``snapshots/poisson-c.json`` holds ``float.hex`` of the searched Poisson c
+and of the Poisson total at it, which must match exactly.
 
-Run this file as a script to re-record both.
+Run this file as a script with no argument to re-record all three, or as
+``python tests/test_bound_snapshots.py poisson-c`` to re-record only the
+Poisson c snapshot; any other argument is refused and records nothing.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import CliRunner
 
+from steinmle.boundary import minimize_poisson_c, poisson_bound
 from steinmle.cli import main
 from steinmle.expfam import exp_noncanonical_ingredients
 from steinmle.registry import get_model
@@ -24,6 +30,7 @@ from steinmle.steincore import inv_quadratic_test_function, score_bound
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 BOUNDS = SNAPSHOTS / "bounds.json"
+POISSON_C = SNAPSHOTS / "poisson-c.json"
 EXP_RTOL = 1e-15
 
 TABLE_NS = [10, 100, 1000, 10000, 100000]
@@ -64,6 +71,34 @@ def _grid():
                 for kind in ("distance", "mse"):
                     out.append((kind, "beta", theta0, n, beta, UNIT_WEIGHTS, None, "auto"))
     return out
+
+
+def _poisson_c_grid():
+    """The Poisson (theta0, n) points whose searched c is pinned: the
+    bound-grid benchmark's Poisson lattice, the small-n benchmark's nine
+    points, and small means at n = 1, 5 and 10^6."""
+    lattice = [
+        (10.0 ** (k / 2), int(round(10.0 ** (j / 2))))
+        for k in range(-4, 5)
+        for j in range(2, 13)
+    ]
+    small_n = [(theta0, n) for theta0 in (0.5, 5.0, 60.0) for n in (5, 20, 50)]
+    small_mean = [(theta0, n) for theta0 in (1e-6, 1e-3, 0.04) for n in (1, 5, 10**6)]
+    return lattice + small_n + small_mean
+
+
+def _poisson_c_entry(theta0, n):
+    return {
+        "theta0": theta0,
+        "n": n,
+        "c": minimize_poisson_c(theta0, n).hex(),
+        "total": poisson_bound(theta0, n).total.hex(),
+    }
+
+
+def _record_poisson_c():
+    entries = [_poisson_c_entry(theta0, n) for theta0, n in _poisson_c_grid()]
+    POISSON_C.write_text(json.dumps(entries, indent=1) + "\n")
 
 
 def _evaluate(kind, model, theta0, n, beta, weights, epsilon, c):
@@ -142,6 +177,15 @@ def test_bound_matches_snapshot(entry):
     assert _same(entry["model"], got["total"], entry["total"])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    json.loads(POISSON_C.read_text()),
+    ids=lambda entry: f"{entry['theta0']!r}-{entry['n']}",
+)
+def test_poisson_c_matches_snapshot(entry):
+    assert _poisson_c_entry(entry["theta0"], entry["n"]) == entry
+
+
 @pytest.mark.parametrize("model", sorted(CONSTANTS_ARGS))
 def test_constants_json_matches_snapshot(model):
     result = CliRunner().invoke(
@@ -152,4 +196,10 @@ def test_constants_json_matches_snapshot(model):
 
 
 if __name__ == "__main__":
-    _record()
+    if sys.argv[1:] == []:
+        _record()
+        _record_poisson_c()
+    elif sys.argv[1:] == ["poisson-c"]:
+        _record_poisson_c()
+    else:
+        sys.exit(f"usage: {sys.argv[0]} [poisson-c]; unknown arguments {sys.argv[1:]!r}")

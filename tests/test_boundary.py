@@ -8,7 +8,7 @@ import pytest
 
 from oracles import poisson_perturbed_terms
 
-from steinmle.boundary import _poisson_score, _poisson_total, minimize_poisson_c, poisson_bound
+from steinmle.boundary import _poisson_parts, _poisson_total, minimize_poisson_c, poisson_bound
 from steinmle.errors import DomainError
 
 POISSON_LABELS = (
@@ -119,13 +119,12 @@ class TestAutoC:
         # the total the search minimises is the total the breakdown reports,
         # bit for bit, at both ends of the searched range and at its result
         hi = n * theta0
+        parts = _poisson_parts(theta0, n)
         c_auto = minimize_poisson_c(theta0, n)
-        searched = _poisson_total(theta0, n, c_auto, _poisson_score(theta0, n))
+        searched = _poisson_total(theta0, n, c_auto, parts)
         assert poisson_bound(theta0, n).total == searched
         for c in (min(1e-12, hi / 2.0), hi, c_auto):
-            assert _poisson_total(theta0, n, c, _poisson_score(theta0, n)) == poisson_bound(
-                theta0, n, c=c
-            ).total, c
+            assert _poisson_total(theta0, n, c, parts) == poisson_bound(theta0, n, c=c).total, c
 
 
 class TestPoissonDirectBound:

@@ -36,6 +36,10 @@ CASES = [
     ["bound", "--model", "poisson", "--theta0", "5", "--n", "50"],
     ["bound", "--model", "poisson", "--theta0", "0.04", "--n", "5", "--c", "0.5"],
     ["bound", "--model", "poisson", "--theta0", "1e-06", "--n", "1000000"],
+    # the longest c search on the benchmark's Poisson lattice (151 trial
+    # values of c), and the degenerate zero bound
+    ["bound", "--model", "poisson", "--theta0", "100", "--n", "1000000"],
+    ["bound", "--model", "poisson", "--theta0", "0", "--n", "5"],
     ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "10"],
     ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "100000",
      "--h-sup", "0.5", "--h-lip", "0.2296397"],
