@@ -42,7 +42,7 @@ import numpy as np
 from .. import registry
 from .._validate import Value, integer, master_seed, real
 from ..errors import DomainError, SteinMLEError
-from ..msebound import BetaParams, _beta_mse_bound, beta_ingredients, minimal_n
+from ..msebound import BetaParams
 from ..specfun import normal_expectation
 from ..steincore import (
     BoundBreakdown,
@@ -205,10 +205,10 @@ def run_rows(
     seed (default: every row from trial 0, as ``run_simulation`` draws one
     row).  ``target`` "distance" attaches the model's distance bound, as
     ``run_simulation`` describes it; "mse" attaches the Beta MSE bound.
-    Every bound, and E h, is computed before any row is drawn, so a refused
-    n, or an h without its exact E h, draws nothing.  Rows share E h and,
-    for "mse", the Beta ingredients.  See the module docstring for the
-    batching, which changes no row's values.
+    Every bound and scale (from the registry's model, whose Beta rows share
+    one ingredients build) and E h are computed before any row is drawn, so
+    a refused n or scale, or an h without its exact E h, draws nothing.  See
+    the module docstring for the batching, which changes no row's values.
     """
     entry = registry.get_model(cfg.model, beta=cfg.beta)
     theta0, h, trials = cfg.theta0, cfg.test_function, cfg.trials
@@ -223,24 +223,21 @@ def run_rows(
     if target not in ("distance", "mse") or (target == "mse" and cfg.model != "beta"):
         raise DomainError(f"target must be 'distance', or 'mse' for the beta model, got {target!r}")
     if target == "mse":
-        ing = beta_ingredients(BetaParams(theta0, cfg.beta))
         try:
-            bounds = [BoundBreakdown(terms=(("mse_bound", _beta_mse_bound(ing, n)),)) for n in n_list]
+            bounds = [BoundBreakdown(terms=(("mse_bound", entry.mse_bound(theta0, n)),)) for n in n_list]
         except DomainError:  # D1 <= 0: name the minimal n and the n below it
-            floor_n = minimal_n(ing)
+            floor_n = entry.audit(theta0, None)["minimal_n"]
             bad = [n for n in n_list if n < floor_n]
             if not bad:
                 raise
-            raise DomainError(
-                f"n below minimal n = {floor_n}: {len(bad)} of the n values, the smallest {min(bad)}"
-            ) from None
-        scales = [math.sqrt(n * ing.fisher_info) for n in n_list]  # entry.standardize_scale, from ing
+            raise DomainError(f"n below minimal n = {floor_n}: {len(bad)} of the n values, "
+                              f"the smallest {min(bad)}") from None
     else:
         bounds = [
             entry.distance_bound(theta0, n, h_weights=h.weights, epsilon=cfg.epsilon, c=cfg.c)
             for n in n_list
         ]
-        scales = [entry.standardize_scale(theta0, n) for n in n_list]
+    scales = [entry.standardize_scale(theta0, n) for n in n_list]
     expected_h = normal_expectation(h, scale=entry.target_sigma(theta0))
     reports = []
     rows_per_call = max(trials, _ROOT_LANES) // trials

@@ -28,7 +28,8 @@ are computed once, in extended precision (stdlib ``decimal``, 50 digits),
 before rounding once to float.  That caps the assembly error near 1e-13, far
 inside the +-5e-4 acceptance band for the tabulated values.  The parts of D1,
 A1 and B3 that do not depend on n are converted and combined once per
-ingredients set, so a sweep over n builds them once.
+ingredients set, which ``registry.Model`` shares between every bound and
+scale of one request (a sweep, a ``simulate`` row, a ``ci``).
 """
 
 from __future__ import annotations
@@ -214,6 +215,8 @@ def implicit_distance_bound(ing: ImplicitModelIngredients, n: int) -> BoundBreak
     t_score = _score_term(ing.third_abs_score_moment, ing.fisher_info, n)
     t_markov = 2.0 * a1**2 / ing.epsilon**2
     t_taylor = math.sqrt(n) * ing.c1_const * a1**2 / (2.0 * math.sqrt(ing.fisher_info))
+    if t_taylor != t_taylor:  # sqrt(n) C1 overflowed to inf and A1^2 underflowed to 0
+        raise OverflowError  # the FloatRangeError naming this function
     t_r2 = math.sqrt(ing.var_l2) * a1 / math.sqrt(ing.fisher_info)
     return BoundBreakdown(
         terms=(
@@ -271,11 +274,9 @@ def beta_ingredients(p: BetaParams) -> ImplicitModelIngredients:
 
 @float_range
 def beta_b3(p: BetaParams, n: int) -> float:
-    """The scaled root-MSE bound B3 = sqrt(n) * A1 for the Beta model.
-
-    (B3/sqrt(n))^2 bounds the estimator MSE.  Combined in extended
-    precision: the denominator subtracts nearly-equal quantities.  Rejects n
-    below the minimal admissible size (nonpositive denominator).
+    """The scaled root-MSE bound B3 = sqrt(n) A1 for the Beta model, from
+    the 50-digit pass rounded once: (B3/sqrt(n))^2 bounds the estimator MSE.
+    Rejects n below the minimal admissible size (nonpositive denominator).
     """
     instance(p, BetaParams, "p")
     n = integer(n, "n")
@@ -284,12 +285,6 @@ def beta_b3(p: BetaParams, n: int) -> float:
 
 def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
     return _rounded("beta_b3: B3", _a1_dec(ing, n)[1], n)
-
-
-def _beta_mse_bound(ing: ImplicitModelIngredients, n: int) -> float:
-    """The Beta estimator's MSE bound (B3/sqrt(n))^2 = B3^2/n."""
-    b3 = _beta_b3(ing, integer(n, "n"))
-    return b3 * b3 / n
 
 
 @float_range

@@ -7,12 +7,7 @@ distance experiments, the attached bound, and a JSON-serialisable audit of
 the ingredient values.  Each method branches on the paper's route for the
 model: the interior exponential-family bound (``exp-canonical``,
 ``exp-noncanonical``), the boundary perturbation (``poisson``) or the
-implicit-MLE bound (``beta``).
-
-Standardisation targets differ by route: the interior models compare
-sqrt(n * i(theta0)) (theta_hat - theta0) with the unit normal, while the
-boundary-perturbed Poisson compares sqrt(n) (theta_hat - theta0) with
-N(0, theta0).
+implicit-MLE bound (``beta``), whose ingredients one request builds once.
 
 The exponential route makes one checked pass: ``expfam``'s formula helper
 for the model checks theta0, n and epsilon and computes the ingredient
@@ -85,13 +80,14 @@ _INV_MAX = 1.0 / sys.float_info.max
 class Model:
     """One registered model; ``beta`` is the Beta model's known second shape."""
 
-    __slots__ = ("name", "beta")
+    __slots__ = ("name", "beta", "_beta_memo")
 
     def __init__(self, name: str, beta: float = 1.0):
         if name not in MODEL_NAMES:
             raise UnknownModelError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
         self.name = name
         self.beta = real(beta, "beta", gt=0.0)
+        self._beta_memo = None  # (theta0, ingredients) of the last Beta build
 
     @property
     def supports_ci(self) -> bool:
@@ -120,7 +116,7 @@ class Model:
                 raise DomainError("poisson: the information number degenerates at theta0 = 0")
             return _finite("fisher_info: the information", 1.0 / theta0)
         if self.name == "beta":
-            return msebound.beta_ingredients(msebound.BetaParams(theta0, self.beta)).fisher_info
+            return self._beta_ingredients(real(theta0, "theta0", gt=0.0)).fisher_info
         return _finite("fisher_info: the information", 1.0 / real(theta0, "theta0", gt=0.0) ** 2)
 
     @float_range
@@ -179,17 +175,19 @@ class Model:
             return boundary.poisson_bound(theta0, n, c)
         if self.name == "beta":
             self._reject_unused(epsilon, c, h_weights)
-            return msebound.beta_distance_bound(msebound.BetaParams(theta0, self.beta), n)
+            theta0, n = real(theta0, "theta0", gt=0.0), integer(n, "n")
+            return msebound.implicit_distance_bound(self._beta_ingredients(theta0), n)
         self._reject_unused(c=c)
         return _mle_bound_fields(self._exp_fields(theta0, n, epsilon), h_weights)
 
     @float_range
     def mse_bound(self, theta0: float, n: int):
-        """The estimator's MSE bound where one exists (Beta only); None otherwise."""
+        """The MSE bound (B3/sqrt(n))^2 where one exists (Beta only); None otherwise."""
         if self.name != "beta":
             return None
-        p = msebound.BetaParams(theta0, self.beta)
-        return msebound._beta_mse_bound(msebound.beta_ingredients(p), n)
+        theta0, n = real(theta0, "theta0", gt=0.0), integer(n, "n")
+        b3 = msebound._beta_b3(self._beta_ingredients(theta0), n)
+        return b3 * b3 / n
 
     def audit(self, theta0: float, n: int, epsilon: float | None = None) -> dict:
         """The model's bound ingredients or constants, as plain JSON values.
@@ -204,10 +202,10 @@ class Model:
             return {"model": self.name, "theta0": theta0, "n": n, "bound": bd.to_dict()}
         if self.name == "beta":
             self._reject_unused(epsilon)
-            p = msebound.BetaParams(theta0, self.beta)
-            ing = msebound.beta_ingredients(p)
-            out = {"model": self.name, "theta0": p.theta0, "beta": self.beta,
-                   "B1": msebound._beta_fisher_b1(p.theta0, p.beta)[1], "B2": ing.c1_const,
+            theta0 = real(theta0, "theta0", gt=0.0)
+            ing = self._beta_ingredients(theta0)
+            out = {"model": self.name, "theta0": theta0, "beta": self.beta,
+                   "B1": msebound._beta_fisher_b1(theta0, self.beta)[1], "B2": ing.c1_const,
                    "D_psi1": ing.fisher_info, "minimal_n": msebound.minimal_n(ing)}
             if n is not None:
                 out["n"] = n = integer(n, "n")
@@ -217,6 +215,16 @@ class Model:
         if self.name == "exp-canonical" and ing["n"] < 5:
             ing["fourth_mle_moment"] = None  # E(1/mean - theta0)^4 does not exist
         return {"model": self.name, "ingredients": _finite_fields(ing)}
+
+    def _beta_ingredients(self, theta0: float) -> msebound.ImplicitModelIngredients:
+        """``msebound.beta_ingredients`` at a checked float theta0, kept for the
+        next call: the (theta0, ingredients) pair is read once and replaced
+        whole, so threads sharing the model at different theta0 get their own."""
+        memo = self._beta_memo
+        if memo is None or memo[0] != theta0:
+            ing = msebound.beta_ingredients(msebound.BetaParams(theta0, self.beta))
+            memo = self._beta_memo = (theta0, ing)
+        return memo[1]
 
     def _exp_fields(self, theta0, n, epsilon):
         """``BoundIngredients``' arguments for an exponential model, from

@@ -166,6 +166,17 @@ class TestBoundCommand:
         assert result.stdout == ""
         assert result.stderr.startswith("error: breakdown term ")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_beta_taylor_term_inf_times_zero_exits_3(self, runner, fmt):
+        # sqrt(n) C1 overflows while A1^2 underflows: a numerical failure
+        # naming the bound, not a NaN term refused as a validation error
+        args = ["bound", "--model", "beta", "--theta0", "1e-70", "--n", str(10**200),
+                "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert "implicit_distance_bound: an intermediate value overflowed" in result.stderr
+
     @pytest.mark.parametrize("model,args", [("poisson", ["--theta0", "5", "--n", "50"]),
                                             ("beta", ["--theta0", "1.5", "--n", "7500"])])
     def test_weight_free_route_computes_one_bound(self, runner, monkeypatch, model, args):
@@ -504,6 +515,27 @@ class TestMseSweepCommand:
             ["mse-sweep", "--n-from", "7000", "--n-to", "7000", "--trials", "5"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_overflowed_scale_exits_3_before_any_draw(self, runner, monkeypatch, fmt):
+        # sqrt(n i) overflows at theta0 1e-70, n 10^170: refused as the
+        # distance rows' scale is, with no draw and no RuntimeWarning
+        import warnings
+
+        from steinmle.montecarlo import _pykernels
+
+        drawn, trial_stats = [], _pykernels.trial_stats
+        monkeypatch.setattr(_pykernels, "trial_stats", lambda *a: drawn.append(a) or trial_stats(*a))
+        n = str(10**170)
+        args = ["mse-sweep", "--theta0", "1e-70", "--beta", "1", "--n-from", n, "--n-to", n,
+                "--trials", "2", "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert "standardize_scale: the scale overflowed to inf" in result.stderr
+        assert drawn == []
 
     def test_integer_shape_identical_across_worker_counts(self, runner):
         base = ["mse-sweep", "--theta0", "1.5", "--beta", "2", "--n-from", "11848",

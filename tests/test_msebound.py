@@ -6,6 +6,7 @@ mpmath's own polygamma (a different algorithm from the package's evaluator).
 
 import math
 import random
+import threading
 import time
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from oracles import beta_score, bisected_minimal_n, bracketed_beta_root, decimal
 from scipy.special import gammaln
 
 from steinmle import msebound
+from steinmle.cli import main
 from steinmle.errors import ConvergenceError, DegenerateSampleError, DomainError, FloatRangeError
 from steinmle.registry import get_model
 from steinmle.msebound import (
@@ -120,6 +122,94 @@ class TestBetaIngredients:
     def test_fisher_positive(self, theta0, beta):
         ing = beta_ingredients(BetaParams(theta0, beta))
         assert ing.fisher_info > 0.0
+
+
+class TestOneBuildARequest:
+    """``registry.Model`` builds the Beta ingredients once for every bound,
+    scale and information number that one request asks at one theta0."""
+
+    @pytest.mark.parametrize(
+        "args,passes",
+        [
+            (["simulate", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "2"], 2),
+            (["ci", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "2"], 2),
+            (["table", "3", "--trials", "2"], 2),
+            (["mse-sweep", "--n-from", "7500", "--n-to", "7700", "--n-step", "100",
+              "--trials", "2"], 2),
+            # two shift passes for the ingredients, two more for B1
+            (["constants", "--model", "beta", "--theta0", "1.5", "--n", "7460"], 4),
+        ],
+        ids=["simulate", "ci", "table-3", "mse-sweep", "constants"],
+    )
+    def test_polygamma_passes_of_a_verb(self, runner, monkeypatch, args, passes):
+        calls = []
+        polygammas = msebound._polygammas
+        monkeypatch.setattr(msebound, "_polygammas", lambda *a: calls.append(a) or polygammas(*a))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == passes
+
+    def test_threads_sharing_a_model_at_two_theta0_get_their_own_values(self, monkeypatch):
+        # Thread a's build at theta0 1.5 is held until thread b has asked
+        # everything at 2.0; b asks again right after a's build is kept, and a
+        # after that.  Each must get what a model of its own gives.
+        n = {1.5: 7500, 2.0: 10200}
+
+        def values(entry, theta0):
+            return (entry.distance_bound(theta0, n[theta0]), entry.mse_bound(theta0, n[theta0]),
+                    entry.standardize_scale(theta0, n[theta0]), entry.fisher_info(theta0))
+
+        alone = {theta0: values(get_model("beta"), theta0) for theta0 in n}
+        build, shared, got = msebound.beta_ingredients, get_model("beta"), {}
+        a_building, b_asked, a_built, b_asked_again = (threading.Event() for _ in range(4))
+
+        def held_build(p):
+            if threading.current_thread().name == "a" and not a_building.is_set():
+                a_building.set()
+                b_asked.wait(10)
+            return build(p)
+
+        def a():
+            first = shared.fisher_info(1.5)
+            a_built.set()
+            b_asked_again.wait(10)
+            got[1.5] = (first, values(shared, 1.5))
+
+        def b():
+            a_building.wait(10)
+            first = values(shared, 2.0)
+            b_asked.set()
+            a_built.wait(10)
+            got[2.0] = (first, values(shared, 2.0))
+            b_asked_again.set()
+
+        monkeypatch.setattr(msebound, "beta_ingredients", held_build)
+        threads = [threading.Thread(target=a, name="a"), threading.Thread(target=b, name="b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == {1.5: (alone[1.5][3], alone[1.5]), 2.0: (alone[2.0], alone[2.0])}
+
+    @pytest.mark.parametrize(
+        "bad,like",
+        [(True, 1.0), ("1.5", 1.5), (np.array([1.5]), 1.5), (np.array([[1.0]]), 1.0)],
+        ids=["bool", "str", "array", "2d-array"],
+    )
+    def test_a_reused_model_still_checks_theta0(self, bad, like):
+        # the kept theta0 equals ``bad`` as a number: the check comes first
+        entry = get_model("beta")
+        calls = [
+            entry.fisher_info,
+            lambda theta0: entry.standardize_scale(theta0, 10543),
+            lambda theta0: entry.distance_bound(theta0, 10543),
+            lambda theta0: entry.mse_bound(theta0, 10543),
+            lambda theta0: entry.audit(theta0, 10543),
+        ]
+        for call in calls:
+            call(like)
+            with pytest.raises(DomainError, match="^theta0 must be a finite real > 0"):
+                call(bad)
 
 
 class TestMinimalN:
@@ -272,6 +362,13 @@ class TestImplicitDistanceBound:
             implicit_distance_bound(beta_ingredients(P), 400)
         with pytest.raises(DomainError, match="minimal n = 7460 "):
             implicit_distance_bound(beta_ingredients(P), 7459)
+
+    def test_taylor_term_inf_times_zero_is_a_float_range_error(self):
+        # sqrt(n) C1 overflows to inf while A1^2 underflows to 0: no bound,
+        # rather than a NaN term refused as a validation error
+        ing = beta_ingredients(BetaParams(1e-70, 1.0))
+        with pytest.raises(FloatRangeError, match="^implicit_distance_bound: "):
+            implicit_distance_bound(ing, 10**200)
 
     def test_var_l2_feeds_r2_term(self):
         ing = _synthetic_ingredients(var_l2=0.25)

@@ -5,9 +5,11 @@ command-line output.
 
 It runs every case of ``check_interpreters.CASES`` (the ``bound`` and
 ``constants`` verbs for all four models, one validation error and one
-numerical failure) plus one small ``table``, ``simulate``, ``mse-sweep`` and
-``ci`` case, each in text, csv and json, once against each tree, with the
-running interpreter in isolated mode (``-I``: no user site, no PYTHONPATH).
+numerical failure) plus small ``table``, ``simulate``, ``mse-sweep`` and
+``ci`` cases (the Beta ones among them: ``table 3``, a ``simulate`` row, a
+``ci`` and a sweep refused below the minimal n), each in text, csv and json,
+once against each tree, with the running interpreter in isolated mode
+(``-I``: no user site, no PYTHONPATH).
 Stdout, stderr and the exit code of every run must be byte-identical between
 the two trees; any difference exits 1.  A behaviour-preserving change is one
 that passes this against its parent's ``src/``.  Standard library only; the
@@ -28,6 +30,13 @@ SIMULATION_CASES = [
     ["mse-sweep", "--beta", "2", "--n-from", "11848", "--n-to", "11848", "--trials", "20"],
     ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000000",
      "--alpha", "0.05", "--trials", "1000"],
+    # the Beta bounds and scales the row engine and ci take from the registry
+    ["table", "3", "--trials", "20"],
+    ["simulate", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "200"],
+    ["ci", "--model", "beta", "--theta0", "1.5", "--n", "1000000000000",
+     "--alpha", "0.5", "--trials", "200"],
+    # two n below the minimal n 7460: refused (exit 2) before any draw
+    ["mse-sweep", "--n-from", "7000", "--n-to", "7600", "--n-step", "300", "--trials", "5"],
 ]
 FORMATS = ("text", "csv", "json")
 
