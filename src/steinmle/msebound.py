@@ -4,8 +4,8 @@ When the estimator has no closed form, its MSE still appears inside its own
 distance bound.  Specialising the bound to the quadratic test function turns
 that circularity into a quadratic inequality in root-MSE; ``mse_upper_bound_a1``
 returns its positive root A1.  ``implicit_distance_bound`` computes A1 inside
-and assembles the distance bound from it, so it refuses n below ``minimal_n``,
-where no A1 exists, with a DomainError naming the minimal n.
+and hands it to the general four-term assembly, so it refuses n below
+``minimal_n``, where no A1 exists, with a DomainError naming the minimal n.
 
 Positivity of the leading quadratic coefficient
 
@@ -20,35 +20,22 @@ constant reduces to polygamma values at theta0 and theta0 + beta.  One
 builder, ``beta_ingredients``, makes its ingredients, at the paper's
 eps = theta0/2; every Beta bound, constant and audit starts from it.
 
-Numerical note: the root A1, and with it the Beta constant B3 = sqrt(n) A1,
-divides by D1, a difference of nearly-equal terms (~0.0019 at theta0=1.5,
-n=7500), so the constants are produced by the high-accuracy polygamma path
-(psi_1 and psi_3 at each argument from one shared shift pass) and D1 and A1
-are computed once, in extended precision (stdlib ``decimal``, 50 digits),
-before rounding once to float.  That caps the assembly error near 1e-13, far
-inside the +-5e-4 acceptance band for the tabulated values.  The parts of D1,
-A1 and B3 that do not depend on n are converted and combined once per
-ingredients set, which ``registry.Model`` shares between every bound and
-scale of one request (a sweep, a ``simulate`` row, a ``ci``).
+Numerical note: D1 nearly cancels (~0.0019 at theta0=1.5, n=7500), so
+``_root_parts`` finds the root of n D1 exactly, in integers, once per
+ingredients set, which ``registry.Model`` shares within a request; the
+float pass at each n (``_b3_squared``) then adds only positive terms, and
+rounds B3^2 up by the margin its error analysis needs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 from ._validate import Value, instance, integer, real
-from .errors import ConvergenceError, DomainError, FloatRangeError, float_range
+from .errors import ConvergenceError, DomainError, FloatRangeError, float_range, range_error
 from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
-from .steincore import (
-    TERM_MARKOV,
-    TERM_R2,
-    TERM_SCORE,
-    TERM_TAYLOR,
-    BoundBreakdown,
-    _score_term,
-)
+from .steincore import BoundBreakdown, _mle_bound_fields
 
 __all__ = [
     "ImplicitModelIngredients",
@@ -61,10 +48,6 @@ __all__ = [
     "beta_distance_bound",
     "beta_shape_roots",
 ]
-
-# Decimal(float) is exact and + - * / sqrt round correctly, so each result is
-# the float nearest a 50-digit value, whatever the caller's decimal context.
-_EXTENDED = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
 class ImplicitModelIngredients(Value):
@@ -92,9 +75,9 @@ class ImplicitModelIngredients(Value):
         )
 
     @functools.cached_property
-    def _decimals(self):
-        """The n-free parts of the 50-digit D1/A1 pass, built on first use."""
-        return _NFreeParts(self)
+    def _root(self):
+        """``_root_parts``, built on first use."""
+        return _root_parts(self)
 
 
 class BetaParams(Value):
@@ -105,127 +88,146 @@ class BetaParams(Value):
         vars(self).update(theta0=real(theta0, "theta0", gt=0.0), beta=real(beta, "beta", gt=0.0))
 
 
-class _NFreeParts:
-    """Every ingredient field as a 50-digit Decimal, converted once, and the
-    combinations of them that D1, A1 and B3 use at every n."""
-
-    def __init__(self, ing: ImplicitModelIngredients):
-        with localcontext(_EXTENDED):
-            i = Decimal(ing.fisher_info)
-            x = Decimal(ing.sup_x_norm)
-            var = Decimal(ing.var_l2)
-            self.i = i
-            self.root_i = i.sqrt()
-            self.i32 = i * self.root_i
-            self.i3 = i**3
-            self.two_x2 = 2 * Decimal(ing.sup_x2_norm)
-            self.eps2 = Decimal(ing.epsilon) ** 2
-            self.x_c1 = x * Decimal(ing.c1_const)
-            self.two_x = 2 * x
-            self.lin = self.two_x * var.sqrt()
-            self.rad = 4 * x**2 * var
-            self.skew = 2 + Decimal(ing.third_abs_score_moment) / self.i32
+def _scaled_isqrt(num: int, den: int = 1):
+    """(r, k) with r = floor(sqrt(num/den) 2^k) >= 2^64, for positive integers."""
+    k = max(0, (132 + den.bit_length() - num.bit_length()) // 2)
+    return math.isqrt((num << 2 * k) // den), k
 
 
-def _d1_dec(p: _NFreeParts, n: int):
-    """n, sqrt(n), n i and D1 to 50 digits, in the caller's ``_EXTENDED``
-    context.
+def _root_parts(ing: ImplicitModelIngredients):
+    """(m, g, |s-|, b, 1/i, w/i, v): the minimal n and the n-free floats of
+    ``_b3_squared`` (w and v as there), from one exact integer computation.
 
-    D1 = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i sqrt(i)), grouped
-    as written: (n i) eps^2 and (sqrt(n) i) sqrt(i) are rounded in that order.
+    a = 2 ||x^2|| / (i eps^2) = A/D and b^2 = ||x||^2 C1^2 / i^3 = B/D are
+    exact rationals of the fields.  In s = sqrt(n), n D1 = s^2 - b s - a has
+    roots s+ > 0 > s-, s+^2 = (2A + B + sqrt(R)) / (2D) with R = B (B + 4A),
+    so m = floor(s+^2) + 1 = (2A + B + isqrt(R)) // (2D) + 1 exactly, and
+    g = m - s+^2 = (c^2 - R) / (2D (c + sqrt(R))), c = 2Dm - 2A - B, lies in
+    (0, 1]; s-^2 = a^2 / s+^2.  g, b, w/i, v and 1/i are correctly rounded
+    quotients of integers (square roots to 64 bits), within 1.01 units of
+    2^-53; |s-|, a float square root of one, within 1.51.  Where a float
+    overflows, all are inf, which ``_b3_squared`` refuses.
     """
-    nn = Decimal(n)
-    root_n = nn.sqrt()
-    ni = nn * p.i
-    return nn, root_n, ni, 1 - p.two_x2 / (ni * p.eps2) - p.x_c1 / (root_n * p.i * p.root_i)
+    (i_n, i_d), (x_n, x_d), (x2_n, x2_d), (e_n, e_d), (c_n, c_d), (t_n, t_d), (v_n, v_d) = (
+        field.as_integer_ratio()
+        for field in (ing.fisher_info, ing.sup_x_norm, ing.sup_x2_norm, ing.epsilon,
+                      ing.c1_const, ing.third_abs_score_moment, ing.var_l2)
+    )
+    # a = 2 x2_n i_d e_d^2 / (i_n q_a) and b^2 = (x_n c_n)^2 i_d^3 / (i_n q_b)
+    q_a = x2_d * e_n * e_n
+    q_b = (x_d * c_d * i_n) ** 2
+    big_a = 2 * x2_n * i_d * e_d * e_d * q_b
+    big_b = (x_n * c_n) ** 2 * i_d**3 * q_a
+    den = i_n * q_a * q_b
+    rad = big_b * (big_b + 4 * big_a)
+    root, k = _scaled_isqrt(rad)  # sqrt(R) 2^k
+    num = 2 * big_a + big_b
+    m = (num + (root >> k)) // (2 * den) + 1
+    c = 2 * den * m - num
+    try:
+        g = ((c * c - rad) << k) / (2 * den * ((c << k) + root))
+        s_minus = math.sqrt((2 * big_a * big_a << k) / (den * ((num << k) + root)))
+        i3_n, i3_d = i_n**3, i_d**3
+        root, k = _scaled_isqrt(i3_d, i3_n)  # i^{-3/2} 2^k
+        b = x_n * c_n * root / (x_d * c_d << k)
+        w_over_i = x_n * ((t_d << k + 2) + 2 * t_n * root) * i_d / (x_d * t_d * i_n << k)
+        v = 0.0
+        if v_n:
+            root, k = _scaled_isqrt(v_n * i3_d, v_d * i3_n)  # sqrt(Var l'') i^{-3/2} 2^k
+            v = x_n * root / (x_d << k)
+    except OverflowError:
+        return (m,) + (math.inf,) * 6
+    return m, g, s_minus, b, 1.0 / ing.fisher_info, w_over_i, v
 
 
-def _rounded(name: str, value, n: int) -> float:
-    """A 50-digit ``value`` rounded to float: the FloatRangeError naming it
-    as ``name`` if that lies beyond the float range."""
-    rounded = float(value)
-    if not math.isfinite(rounded):
-        raise FloatRangeError(f"{name} lies beyond the float range at n = {n}")
-    return rounded
+# B3^2 is rounded up by 1 + M u, M = 20, or 40 when Var l'' > 0 (u = 2^-53).
+_MARGIN, _MARGIN_VAR = 1.0 + 20 * 2.0**-53, 1.0 + 40 * 2.0**-53
+_TINY = 2.0**-1022  # the least normal float
+
+
+def _b3_squared(ing: ImplicitModelIngredients, n: int, name: str):
+    """(B3^2 rounded up, float(n)) for n >= ``minimal_n``, else the DomainError
+    naming it; a FloatRangeError naming ``name`` where n or B3^2 leaves the
+    float range.  w = 2 ||x|| (2 + E|l'|^3 / i^{3/2}), v = ||x|| sqrt(Var l'')
+    / i^{3/2}.  With s = sqrt(n), d = (n - m) + g and s+ = |s-| + b,
+    1/D1 = h = (n / d) (1 + b / (s + |s-|)) and q / i = 1/i + (w/i) / s; B3^2 =
+    (q / i) h if Var l'' = 0, else B3 = x + sqrt(x^2 + (q / i) h), x = v h / s.
+
+    Error analysis, to first order in u, each operation rounding by at most
+    u.  A sum of nonnegative terms errs by u plus its terms' errors weighted
+    by their shares, and s >= s+ >= |s-| caps some shares at 1/2.  s errs by
+    ds = u (1.5 u beyond 2^53, where float(n) rounds by dn = u); n / d by
+    2.505 u (4.005 u beyond 2^53: at n = m, d = g, and above it g weighs at
+    most 1/2); 1 + b / (s + |s-|) by 2.8825 u + ds/2 (b / (s + |s-|) <= 1);
+    q / i by 3.01 u + ds; the two products by 2 u.  So (q / i) h errs by at
+    most E = 11.9 u, or 14.15 u beyond 2^53.  With Var l'' > 0, x errs by
+    13.15 u and B3 by 16.15 u, so B3^2 by E = 33.3 u.  Times 1 + M u, and
+    rounded, B3^2 is at least (M - 1 - E) u above its exact value, so B3,
+    B3^2 / n (A1^2) and A1 round to or above theirs while E + dn <= M - 4
+    (15.15 <= 16, 34.3 <= 36); it is at most (E + M + 1) u above, which puts
+    B3 within 2.1e-15 relative when Var l'' = 0.
+    """
+    m, g, s_minus, b, inv_i, w_over_i, v = ing._root
+    if n < m:
+        raise DomainError(f"n below minimal n = {m} (quadratic coefficient D1 <= 0)")
+    try:
+        nf = float(n)
+        s = math.sqrt(nf)
+        h = nf / (float(n - m) + g) * (1.0 + b / (s + s_minus))
+        q_i = inv_i + w_over_i / s
+        if v:
+            x = v / s * h
+            b3 = x + math.sqrt(x * x + q_i * h)
+            b3sq = b3 * b3 * _MARGIN_VAR
+        else:
+            b3sq = q_i * h * _MARGIN
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise range_error(name, exc) from exc
+    if not (q_i >= _TINY and b3sq < math.inf):  # NaN too, from inf / inf
+        raise FloatRangeError(f"{name}: B3 lies beyond the float range at n = {n}")
+    return b3sq, nf
 
 
 def minimal_n(ing: ImplicitModelIngredients) -> int:
-    """Smallest integer sample size with D1 > 0 in 50 digits.
-
-    With s = sqrt(n), n D1 = s^2 - b s - a for a = 2 ||x^2|| / (i eps^2) and
-    b = ||x|| C1 / i^{3/2}, so D1 > 0 exactly above the positive root
-    s* = (b + sqrt(b^2 + 4a)) / 2: the answer is floor(s*^2) + 1, for any
-    ingredients.  One 50-digit D1 step each way absorbs the rounding of s*^2
-    (an exact root, where D1 = 0, is excluded).
-    """
-    p = instance(ing, ImplicitModelIngredients, "ing")._decimals
-    with localcontext(_EXTENDED):
-        a = p.two_x2 / (p.i * p.eps2)
-        b = p.x_c1 / (p.i * p.root_i)
-        n = int(((b + (b * b + 4 * a).sqrt()) / 2) ** 2) + 1
-        if _d1_dec(p, n)[3] <= 0:
-            return n + 1
-        if n > 1 and _d1_dec(p, n - 1)[3] > 0:
-            return n - 1
-        return n
+    """Smallest integer sample size with D1 > 0, exactly: n D1 = s^2 - b s - a
+    in s = sqrt(n), so D1 > 0 exactly above its positive root s+, and the
+    answer is floor(s+^2) + 1, for any ingredients (``_root_parts``)."""
+    return instance(ing, ImplicitModelIngredients, "ing")._root[0]
 
 
-def _a1_dec(ing: ImplicitModelIngredients, n: int):
-    """A1 and B3 = sqrt(n) A1, both to 50 digits, in one pass: DomainError,
-    naming the minimal n, if D1 <= 0."""
-    p = ing._decimals
-    with localcontext(_EXTENDED):
-        nn, root_n, ni, dd = _d1_dec(p, n)
-        if dd <= 0:
-            raise DomainError(
-                f"n below minimal n = {minimal_n(ing)} (quadratic coefficient D1 <= 0)"
-            )
-        lin = p.lin / (nn * p.i32)
-        rad = p.rad / (nn**2 * p.i3) + (4 * dd / ni) * (1 + (p.two_x / root_n) * p.skew)
-        a1 = (lin + rad.sqrt()) / (2 * dd)
-        return a1, root_n * a1
-
-
+@float_range
 def mse_upper_bound_a1(ing: ImplicitModelIngredients, n: int) -> float:
     """A1, the positive root of the root-MSE quadratic: bounds sqrt(MSE).
 
-    Requires D1 > 0 (n at least ``minimal_n``); below that the quadratic
-    inequality has no positive solution and a DomainError names the minimal
-    sample size.  Solved in 50-digit ``decimal`` and rounded once; an A1
-    beyond the float range is a FloatRangeError.
+    Requires D1 > 0 (n at least ``minimal_n``); below that a DomainError names
+    the minimal sample size.  Rounded up (``_b3_squared``), never below the
+    exact root; an A1 beyond the float range is a FloatRangeError.
     """
     instance(ing, ImplicitModelIngredients, "ing")
     n = integer(n, "n")
-    return _rounded("mse_upper_bound_a1: A1", _a1_dec(ing, n)[0], n)
+    b3sq, nf = _b3_squared(ing, n, "mse_upper_bound_a1")
+    return math.sqrt(b3sq / nf)
 
 
 @float_range
 def implicit_distance_bound(ing: ImplicitModelIngredients, n: int) -> BoundBreakdown:
-    """Distance bound fed by the MSE bound A1 = B3/sqrt(n) instead of the exact
-    MSE, B3 = sqrt(n) A1 coming from ``mse_upper_bound_a1``'s 50-digit pass
-    rounded once: n below ``minimal_n`` is a DomainError naming the minimal n.
-
-    Terms: the score bound; the Markov tail 2 A1^2/eps^2; the Taylor
-    remainder sqrt(n) C1 A1^2 / (2 sqrt(i)); and the R2 term
-    sqrt(Var l'') A1 / sqrt(i) (zero whenever l'' is deterministic).
+    """Distance bound fed by the MSE bound A1 = B3/sqrt(n), rounded up as
+    ``mse_upper_bound_a1`` rounds it, instead of the exact MSE: n below
+    ``minimal_n`` is a DomainError naming the minimal n.  The general
+    four-term assembly at MSE A1^2, sup |l'''| <= n C1 (deterministic) and
+    R2 bound sqrt(n Var l'') A1: the score bound, the Markov tail
+    2 A1^2/eps^2, the Taylor remainder sqrt(n) C1 A1^2 / (2 sqrt(i)) and the
+    R2 term sqrt(Var l'') A1 / sqrt(i), zero when l'' is deterministic.
     """
     instance(ing, ImplicitModelIngredients, "ing")
     n = integer(n, "n")
-    a1 = _rounded("implicit_distance_bound: B3", _a1_dec(ing, n)[1], n) / math.sqrt(n)
-    t_score = _score_term(ing.third_abs_score_moment, ing.fisher_info, n)
-    t_markov = 2.0 * a1**2 / ing.epsilon**2
-    t_taylor = math.sqrt(n) * ing.c1_const * a1**2 / (2.0 * math.sqrt(ing.fisher_info))
-    if t_taylor != t_taylor:  # sqrt(n) C1 overflowed to inf and A1^2 underflowed to 0
+    b3sq, nf = _b3_squared(ing, n, "implicit_distance_bound")
+    sup3 = nf * ing.c1_const
+    if sup3 == math.inf or nf * ing.fisher_info == math.inf:  # Taylor term inf * 0, or lost
         raise OverflowError  # the FloatRangeError naming this function
-    t_r2 = math.sqrt(ing.var_l2) * a1 / math.sqrt(ing.fisher_info)
-    return BoundBreakdown(
-        terms=(
-            (TERM_SCORE, t_score),
-            (TERM_MARKOV, t_markov),
-            (TERM_TAYLOR, t_taylor),
-            (TERM_R2, t_r2),
-        )
-    )
+    fields = (0.0, n, ing.fisher_info, ing.third_abs_score_moment, b3sq / nf, 0.0, sup3,
+              math.sqrt(ing.var_l2) * math.sqrt(b3sq), ing.epsilon, True)
+    return _mle_bound_fields(fields, (1.0, 1.0), taylor_first=True)
 
 
 def _beta_fisher_b1(theta0: float, beta: float):
@@ -274,17 +276,13 @@ def beta_ingredients(p: BetaParams) -> ImplicitModelIngredients:
 
 @float_range
 def beta_b3(p: BetaParams, n: int) -> float:
-    """The scaled root-MSE bound B3 = sqrt(n) A1 for the Beta model, from
-    the 50-digit pass rounded once: (B3/sqrt(n))^2 bounds the estimator MSE.
+    """The scaled root-MSE bound B3 = sqrt(n) A1 for the Beta model, rounded
+    up (see ``_b3_squared``): (B3/sqrt(n))^2 bounds the estimator MSE.
     Rejects n below the minimal admissible size (nonpositive denominator).
     """
     instance(p, BetaParams, "p")
     n = integer(n, "n")
-    return _beta_b3(beta_ingredients(p), n)
-
-
-def _beta_b3(ing: ImplicitModelIngredients, n: int) -> float:
-    return _rounded("beta_b3: B3", _a1_dec(ing, n)[1], n)
+    return math.sqrt(_b3_squared(beta_ingredients(p), n, "beta_b3")[0])
 
 
 @float_range

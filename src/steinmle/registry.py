@@ -186,8 +186,8 @@ class Model:
         if self.name != "beta":
             return None
         theta0, n = real(theta0, "theta0", gt=0.0), integer(n, "n")
-        b3 = msebound._beta_b3(self._beta_ingredients(theta0), n)
-        return b3 * b3 / n
+        b3sq, nf = msebound._b3_squared(self._beta_ingredients(theta0), n, "mse_bound")
+        return b3sq / nf
 
     def audit(self, theta0: float, n: int, epsilon: float | None = None) -> dict:
         """The model's bound ingredients or constants, as plain JSON values.
@@ -209,7 +209,7 @@ class Model:
                    "D_psi1": ing.fisher_info, "minimal_n": msebound.minimal_n(ing)}
             if n is not None:
                 out["n"] = n = integer(n, "n")
-                out["B3"] = msebound._beta_b3(ing, n)
+                out["B3"] = math.sqrt(msebound._b3_squared(ing, n, "beta_b3")[0])
             return _finite_fields(out)
         ing = BoundIngredients(*self._exp_fields(theta0, n, epsilon)).to_dict()
         if self.name == "exp-canonical" and ing["n"] < 5:

@@ -14,8 +14,8 @@ is written once, in ``_score_term``, which the boundary-perturbed and
 implicit-MLE bounds call too.  The four-term assembly is written once, in
 ``_mle_bound_fields``, which checks the ingredient floats and sums the terms:
 ``mle_bound_general`` hands it a ``BoundIngredients``' fields, and the
-exponential route of ``registry.Model.distance_bound`` the floats an
-ingredient builder computed, with no ``BoundIngredients`` built.
+exponential route of ``registry.Model.distance_bound`` and the implicit-MLE
+bound hand it floats they computed, with no ``BoundIngredients`` built.
 
 Conventions
 -----------
@@ -273,13 +273,14 @@ def mle_bound_general(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreak
     return _mle_bound_fields(tuple(vars(instance(ing, BoundIngredients, "ing")).values()), h_weights)
 
 
-def _mle_bound_fields(fields: tuple, h_weights) -> BoundBreakdown:
+def _mle_bound_fields(fields: tuple, h_weights, taylor_first: bool = False) -> BoundBreakdown:
     """The four terms of ``mle_bound_general`` from ``BoundIngredients``'
     arguments in order: the one copy of the assembly, with its float-range
     errors named for it.  The fields need theta0, n and epsilon checked, as
     an ingredient builder checks them; one test of the other floats stands
     in for the ingredients' checks, and a ``BoundIngredients`` is built only
-    when it fails, to raise the error that names the field."""
+    when it fails, to raise the error that names the field.  ``taylor_first``
+    puts the Taylor term before the R2 term, the implicit-MLE bound's order."""
     _, n, fisher, third, mse, fourth, sup3, r2, eps, deterministic = fields
     if not (
         0.0 < fisher < _INF and 0.0 < eps < _INF
@@ -297,7 +298,7 @@ def _mle_bound_fields(fields: tuple, h_weights) -> BoundBreakdown:
         )
     except (OverflowError, ZeroDivisionError) as exc:
         raise range_error("mle_bound_general", exc) from exc
-    return BoundBreakdown(terms)
+    return BoundBreakdown(terms[:2] + (terms[3], terms[2]) if taylor_first else terms)
 
 
 def kolmogorov_from_bw(bw_bound: float, sigma: float = 1.0) -> float:

@@ -195,6 +195,46 @@ def decimal_d1(ing, n):
         return (nn - a - b * nn.sqrt()) / nn
 
 
+# The 50-digit context of the implicit-MLE oracle below.
+_FIFTY = Context(prec=50)
+
+
+def decimal_b3_a1(ing, n):
+    """B3 = sqrt(n) A1 and A1, the positive root of the root-MSE quadratic
+    D1 A1^2 - lin A1 - c = 0, as 50-digit Decimals: the pass the package
+    computed them by before its exact integer root and float pass.
+
+        D1  = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i^{3/2}),
+        lin = 2 ||x|| sqrt(Var l'') / (n i^{3/2}),
+        c   = (1 + (2 ||x|| / sqrt(n)) (2 + E|l'|^3 / i^{3/2})) / (n i).
+
+    Requires D1 > 0 (n at least the minimal n)."""
+    with localcontext(_FIFTY):
+        i, nn = Decimal(ing.fisher_info), Decimal(n)
+        x, var = Decimal(ing.sup_x_norm), Decimal(ing.var_l2)
+        root_n, i32 = nn.sqrt(), i * i.sqrt()
+        d1 = (1 - 2 * Decimal(ing.sup_x2_norm) / (nn * i * Decimal(ing.epsilon) ** 2)
+              - x * Decimal(ing.c1_const) / (root_n * i32))
+        assert d1 > 0, "n below the minimal n"
+        lin = 2 * x * var.sqrt() / (nn * i32)
+        c = (1 + 2 * x / root_n * (2 + Decimal(ing.third_abs_score_moment) / i32)) / (nn * i)
+        a1 = (lin + (lin * lin + 4 * d1 * c).sqrt()) / (2 * d1)
+        return root_n * a1, a1
+
+
+def decimal_implicit_total(ing, n, score):
+    """The implicit distance bound's total at the 50-digit A1: ``score`` (the
+    score term, which does not involve A1) plus the Markov, Taylor and R2
+    terms 2 A1^2 / eps^2, sqrt(n) C1 A1^2 / (2 sqrt(i)) and
+    sqrt(Var l'') A1 / sqrt(i), summed in 50 digits."""
+    _, a1 = decimal_b3_a1(ing, n)
+    with localcontext(_FIFTY):
+        root_i = Decimal(ing.fisher_info).sqrt()
+        return (Decimal(score) + 2 * a1 * a1 / Decimal(ing.epsilon) ** 2
+                + Decimal(n).sqrt() * Decimal(ing.c1_const) * a1 * a1 / (2 * root_i)
+                + Decimal(ing.var_l2).sqrt() * a1 / root_i)
+
+
 def bisected_minimal_n(ing):
     """Smallest n >= 1 with D1 > 0, by doubling and then bisection on the
     sign of ``decimal_d1``: D1 increases in n, so the sign changes once."""

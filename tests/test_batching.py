@@ -105,21 +105,22 @@ class TestSweepBatch:
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
     def test_row_bounds_equal_b3_squared_over_n(self, monkeypatch, beta):
-        # the n-free 50-digit parts are built once a sweep, and each row's
-        # bound is still B3^2/n as beta_b3 gives it for that n alone
+        # the exact n-free root is built once a sweep, and each row's bound
+        # is still the MSE bound a model gives for that n alone, B3^2/n
         params = BetaParams(1.5, beta)
         floor = minimal_n(beta_ingredients(params))
         n_values = [floor, floor + 1, floor + 999, 3 * floor]
         built = []
-        original = msebound._NFreeParts
-        monkeypatch.setattr(msebound, "_NFreeParts", lambda ing: built.append(ing) or original(ing))
+        original = msebound._root_parts
+        monkeypatch.setattr(msebound, "_root_parts", lambda ing: built.append(ing) or original(ing))
         reports = run_mse_sweep(params, n_values, trials=3, seed=4)
         assert len(built) == 1
         monkeypatch.undo()
         for rep, n in zip(reports, n_values):
-            b3 = beta_b3(params, n)
-            assert rep.bound_total == b3 * b3 / n
-            assert rep.bound_terms.terms == (("mse_bound", b3 * b3 / n),)
+            bound = get_model("beta", beta=beta).mse_bound(1.5, n)
+            assert bound == pytest.approx(beta_b3(params, n) ** 2 / n, rel=5e-16, abs=0.0)
+            assert rep.bound_total == bound
+            assert rep.bound_terms.terms == (("mse_bound", bound),)
 
 
 def _table_rows(which, trials, seed):

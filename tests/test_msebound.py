@@ -8,19 +8,28 @@ import math
 import random
 import threading
 import time
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import beta_score, bisected_minimal_n, bracketed_beta_root, decimal_d1
+from oracles import (
+    beta_score,
+    bisected_minimal_n,
+    bracketed_beta_root,
+    decimal_b3_a1,
+    decimal_d1,
+    decimal_implicit_total,
+)
 from scipy.special import gammaln
 
 from steinmle import msebound
 from steinmle.cli import main
 from steinmle.errors import ConvergenceError, DegenerateSampleError, DomainError, FloatRangeError
 from steinmle.registry import get_model
+from steinmle.steincore import BoundIngredients, mle_bound_general
 from steinmle.msebound import (
     BetaParams,
     ImplicitModelIngredients,
@@ -106,6 +115,21 @@ class TestBetaIngredients:
                 )
             )
         assert CONSTS["B1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 1000.0])
+    @pytest.mark.parametrize("theta0", [1e-3, 0.1, 1.5, 30.0, 1e3])
+    def test_constants_bound_what_they_bound(self, theta0, beta):
+        # B2 = C1 >= sup |l'''| over the eps-ball: l''' = psi_2(theta + beta) -
+        # psi_2(theta) falls in theta, so the sup sits at theta0 - eps = theta0/2;
+        # B1 >= E score^4 = kappa_4 + 3 kappa_2^2, the cumulants of log X
+        audit = get_model("beta", beta=beta).audit(theta0, None)
+        with mp.workdps(30):
+            t, b = mp.mpf(theta0), mp.mpf(beta)
+            sup3 = mp.polygamma(2, t / 2 + b) - mp.polygamma(2, t / 2)
+            kappa2 = mp.polygamma(1, t) - mp.polygamma(1, t + b)
+            fourth = mp.polygamma(3, t) - mp.polygamma(3, t + b) + 3 * kappa2**2
+            assert audit["B2"] >= sup3
+            assert audit["B1"] >= fourth
 
     def test_var_l2_zero_and_unit_sup_norms(self):
         ing = beta_ingredients(P)
@@ -380,15 +404,26 @@ class TestImplicitDistanceBound:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
     def test_is_the_beta_bound_bit_for_bit(self, theta0, beta):
-        # the bound-grid Beta lattice: every n from the minimal n on, at A1 =
-        # beta_b3/sqrt(n), the one float division the Beta bound has always made
+        # the bound-grid Beta lattice: every n from the minimal n on, the
+        # general four-term assembly at MSE = the model's MSE bound (A1^2) and
+        # sup |l'''| <= n C1 on the deterministic route, Taylor before R2
         p = BetaParams(theta0, beta)
         ing = beta_ingredients(p)
+        entry = get_model("beta", beta=beta)
         floor = minimal_n(ing)
         for n in (floor, floor + 1, floor + 10, floor + 300, floor + 10000, floor + 150000):
             bd = implicit_distance_bound(ing, n)
             assert bd == beta_distance_bound(p, n)
-            assert bd.terms == _assembled(ing, n, beta_b3(p, n) / math.sqrt(n))
+            general = mle_bound_general(BoundIngredients(
+                theta0, n, ing.fisher_info, ing.third_abs_score_moment, entry.mse_bound(theta0, n),
+                0.0, n * ing.c1_const, 0.0, ing.epsilon, sup_third_is_deterministic=True,
+            ))
+            score, markov, r2, taylor = general.terms
+            assert bd.terms == (score, markov, taylor, r2)
+            written = _assembled(ing, n, mse_upper_bound_a1(ing, n))
+            assert [label for label, _ in bd.terms] == [label for label, _ in written]
+            for (_, got), (_, want) in zip(bd.terms, written):
+                assert got == pytest.approx(want, rel=2e-15, abs=0.0)
         with pytest.raises(DomainError, match=f"minimal n = {floor} "):
             implicit_distance_bound(ing, floor - 1)
 
@@ -634,8 +669,8 @@ class TestIntegerTypesForN:
 def _mpmath_reference(ing, n):
     """D1, B3 and A1 at n, and the minimal n, in mpmath at 50 digits.
 
-    The same formulas as the package, in a different extended-precision
-    arithmetic (binary, ~169 bits, against the package's 50-digit decimal).
+    The same formulas as the 50-digit decimal oracle, in a different
+    extended-precision arithmetic (binary, ~169 bits); B3 and A1 stay mpf.
     """
     with mp.workdps(50):
         nn, i = mp.mpf(n), mp.mpf(ing.fisher_info)
@@ -652,13 +687,14 @@ def _mpmath_reference(ing, n):
         a1 = (lin + mp.sqrt(rad)) / (2 * dd)
         ce = c1 * eps
         floor = mp.ceil(x**2 * (ce + mp.sqrt(ce**2 + 8 * i**2)) ** 2 / (4 * i**3 * eps**2))
-        return float(dd), float(b3), float(a1), int(floor)
+        return float(dd), b3, a1, int(floor)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
 def test_decimal_combination_equals_mpmath(theta0, beta):
-    # the bound-grid Beta lattice: every float must be the same bit for bit
+    # the bound-grid Beta lattice: B3 and A1 at or above the 50-digit values,
+    # and at most 2e-15 above them
     p = BetaParams(theta0, beta)
     ing = beta_ingredients(p)
     floor = minimal_n(ing)
@@ -667,5 +703,60 @@ def test_decimal_combination_equals_mpmath(theta0, beta):
         want_d1, want_b3, want_a1, want_floor = _mpmath_reference(ing, n)
         assert floor == want_floor
         assert want_d1 > 0.0
-        assert beta_b3(p, n) == want_b3
-        assert mse_upper_bound_a1(ing, n) == want_a1
+        with mp.workdps(50):
+            for got, want in ((beta_b3(p, n), want_b3), (mse_upper_bound_a1(ing, n), want_a1)):
+                assert want <= got <= want * (1 + mp.mpf("2e-15"))
+
+
+# (theta0, beta) pairs from 1e-3 to 1e5 and from 0.01 to 1000: 54 pairs
+_ORACLE_PAIRS = [(theta0, beta) for theta0 in (1e-3, 1e-2, 0.1, 0.5, 1.5, 4.0, 30.0, 1e3, 1e5)
+                 for beta in (0.01, 0.3, 1.0, 2.5, 40.0, 1000.0)]
+
+
+def _oracle_ns(floor):
+    """n from the minimal n to 10^8 times it, and one n beyond 2^53."""
+    return (floor, floor + 1, floor + 3, floor + 1000, 2 * floor, 1000 * floor + 7,
+            10**8 * floor, 3 * 2**53 + floor)
+
+
+def _assert_above_within(pairs):
+    """Each (got, 50-digit want, relative tolerance): want <= got <= want (1 + tol)."""
+    for got, want, tol in pairs:
+        assert want <= Decimal(got) <= want * (1 + Decimal(tol)), (got, want)
+
+
+def _oracle_total(ing, n, bd):
+    """The 50-digit total at the bound's own score term, rounded to float as
+    every total is: a total is fsummed from its terms, so it is at or above
+    this whenever its terms sum to at least the 50-digit value."""
+    return Decimal(float(decimal_implicit_total(ing, n, dict(bd.terms)["score"])))
+
+
+class TestAgainstTheDecimalOracle:
+    """B3, A1 and the distance bound's total against the 50-digit pass of
+    ``oracles.decimal_b3_a1``: never below it.  B3 and A1 carry the rounding
+    margin once, within 2e-15 relative; the total's Markov and Taylor terms
+    carry it twice, through A1^2, and its fsum rounds to nearest."""
+
+    @pytest.mark.parametrize("theta0,beta", _ORACLE_PAIRS)
+    def test_beta_pair(self, theta0, beta):
+        p = BetaParams(theta0, beta)
+        ing = beta_ingredients(p)
+        floor = minimal_n(ing)
+        assert floor == bisected_minimal_n(ing)
+        for n in _oracle_ns(floor):
+            b3, a1 = decimal_b3_a1(ing, n)
+            bd = implicit_distance_bound(ing, n)
+            total = _oracle_total(ing, n, bd)
+            _assert_above_within([(beta_b3(p, n), b3, "2e-15"),
+                                  (mse_upper_bound_a1(ing, n), a1, "2e-15"),
+                                  (bd.total, total, "4.5e-15")])
+
+    def test_var_l2_above_zero(self):
+        # the x + sqrt(x^2 + ...) route, with its wider margin
+        ing = _synthetic_ingredients(var_l2=0.7)
+        for n in _oracle_ns(minimal_n(ing)):
+            _, a1 = decimal_b3_a1(ing, n)
+            bd = implicit_distance_bound(ing, n)
+            _assert_above_within([(mse_upper_bound_a1(ing, n), a1, "4.5e-15"),
+                                  (bd.total, _oracle_total(ing, n, bd), "9e-15")])

@@ -191,19 +191,19 @@ def test_vars_holds_exactly_the_fields(cls):
     assert vars(obj) == _fields(cls)
 
 
-def test_implicit_ingredients_cache_their_decimals_on_first_use():
+def test_implicit_ingredients_cache_their_root_on_first_use():
     ing = _by_keyword(ImplicitModelIngredients)
     fields = list(_fields(ImplicitModelIngredients))
     assert list(vars(ing)) == fields
     n = minimal_n(ing)
-    assert list(vars(ing)) == [*fields, "_decimals"]
-    decimals = vars(ing)["_decimals"]
-    assert minimal_n(ing) == n and ing._decimals is decimals
+    assert list(vars(ing)) == [*fields, "_root"]
+    root = vars(ing)["_root"]
+    assert minimal_n(ing) == n and ing._root is root
     # the cache is no field: repr, equality and hash ignore it
     fresh = _by_keyword(ImplicitModelIngredients)
     assert ing == fresh and hash(ing) == hash(fresh) and repr(ing) == repr(fresh)
     twin = pickle.loads(pickle.dumps(ing))
-    assert list(vars(twin)) == [*fields, "_decimals"] and minimal_n(twin) == n
+    assert list(vars(twin)) == [*fields, "_root"] and minimal_n(twin) == n
 
 
 # Every field invalid at once, then the fields in the order the constructor

@@ -51,6 +51,10 @@ CASES = [
     ["constants", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10"],
     ["constants", "--model", "beta", "--theta0", "1.5", "--n", "7460"],
     ["constants", "--model", "beta", "--theta0", "0.5", "--beta", "4"],
+    # n at the minimal n, where D1 rests on g = m - s+^2 alone, and a minimal
+    # n (9,215,954,615,054,287) above 2^53
+    ["bound", "--model", "beta", "--theta0", "1.5", "--n", "7460"],
+    ["constants", "--model", "beta", "--theta0", "0.001", "--beta", "1000"],
     # a validation error (exit 2) and a numerical failure (exit 3)
     ["bound", "--model", "poisson", "--theta0", "5", "--n", "50", "--h-sup", "2"],
     ["constants", "--model", "exp-noncanonical", "--theta0", "1.1e77", "--n", "10"],

@@ -12,15 +12,21 @@ once against each tree, with the running interpreter in isolated mode
 (``-I``: no user site, no PYTHONPATH).
 Stdout, stderr and the exit code of every run must be byte-identical between
 the two trees; any difference exits 1.  A behaviour-preserving change is one
-that passes this against its parent's ``src/``.  Standard library only; the
-simulation verbs need numpy in the running interpreter.
+that passes this against its parent's ``src/``.  For a run that differs, it
+also prints whether the two differ only in numeric tokens (same exit code,
+same text between the numbers) and the largest relative difference among
+those tokens, so that a change meant to move values by a few ulps can show
+that it moves nothing else.  Standard library only; the simulation verbs need
+numpy in the running interpreter.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 
 from check_interpreters import CASES, RUNNER, SRC
 
@@ -39,12 +45,26 @@ SIMULATION_CASES = [
     ["mse-sweep", "--n-from", "7000", "--n-to", "7600", "--n-step", "300", "--trials", "5"],
 ]
 FORMATS = ("text", "csv", "json")
+# A number as the verbs print it: an integer, or a float's repr or format.
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _run(src, case):
     done = subprocess.run([sys.executable, "-I", "-c", RUNNER, src, *case],
                           capture_output=True, timeout=300)
     return done.returncode, done.stdout, done.stderr
+
+
+def numeric_difference(ours, theirs):
+    """(whether two runs differ only in numeric tokens, the largest relative
+    difference |x - y| / max(|x|, |y|) among their numeric tokens)."""
+    texts = [run[1] + b"\0" + run[2] for run in (ours, theirs)]
+    skeletons = [NUMBER.sub(b"#", text) for text in texts]
+    numbers = [[Decimal(token.decode()) for token in NUMBER.findall(text)] for text in texts]
+    only = ours[0] == theirs[0] and skeletons[0] == skeletons[1]
+    largest = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(*numbers) if x != y),
+                  default=Decimal(0))
+    return only, largest
 
 
 def main(argv):
@@ -62,6 +82,9 @@ def main(argv):
         print(f"{status:9}  exit {ours[0]}  {' '.join(case)}")
         if ours != theirs:
             failed += 1
+            only, largest = numeric_difference(ours, theirs)
+            print(f"    numeric tokens only: {'yes' if only else 'no'}; largest relative "
+                  f"difference among them: {float(largest):.3g}")
             for name, (code, out, err) in (("this", ours), ("other", theirs)):
                 print(f"    {name}: exit {code}, {out[:200]!r} {err[:200]!r}")
     print(f"{len(runs) - failed} of {len(runs)} runs byte-identical")
