@@ -21,11 +21,12 @@ N(0, 1/i(theta0)) is assembled once, for the Poisson mean:
 ``poisson_bound``, with the perturbation constant c minimised by
 ``minimize_poisson_c`` and the exact zero bound in the degenerate
 theta0 = 0 case.  The paper works no other boundary model.  The c search
-and ``poisson_bound`` read one formula, ``_poisson_values``, whose floats
-``poisson_bound`` labels once, at the chosen c.  Its c-free parts (sqrt(n),
-the perturbed-score term and the root sqrt(theta0/n + 3 theta0^2) of the
-Taylor term) come from ``_poisson_parts``, once per search and once per
-breakdown, not once per trial c.
+(a golden section, then the two ends of its bracket, since the total is
+convex in c) and ``poisson_bound`` read one formula, ``_poisson_values``,
+whose floats ``poisson_bound`` labels once, at the chosen c.  Its c-free
+parts (sqrt(n), the perturbed-score term and the root sqrt(theta0/n +
+3 theta0^2) of the Taylor term) come from ``_poisson_parts``, once per
+search and once per breakdown, not once per trial c.
 """
 
 from __future__ import annotations
@@ -92,16 +93,14 @@ def minimize_poisson_c(theta0: float, n: int) -> float:
     The total is strictly convex in c: with u = theta0 + c/n > 0, the shift
     and gap terms are linear in c, the Markov term is a multiple of 1/u^2 and
     the Taylor term of 1/u, both convex, and the score terms do not depend
-    on c.  So the golden section brackets the one minimum.  Each c is priced
-    by ``_poisson_values``, the formula ``poisson_bound`` labels, from the
-    c-free parts that ``_poisson_parts`` computes once per call; the scan
-    takes the logs of its two bracket ends once too.  A call prices 108 to
-    151 trial values of c.  The 61-point log-grid scan after the golden
-    section, which keeps the better of the two, stays until the benchmark
-    can take a faster c search without reading it as a memory regression:
-    its child keeps every pass's timings, so a faster pass means more passes
-    and a higher peak RSS.  Then the closed-form root of the stationarity
-    cubic can replace both loops.
+    on c.  So the golden section brackets the one minimum on [lo, hi] =
+    [min(1e-12, n*theta0/2), n*theta0], and only an end of that bracket can
+    beat the section's limit: the limit, lo and hi are priced in turn, a
+    later one kept only if strictly lower.  Each c is priced by
+    ``_poisson_values``, the formula ``poisson_bound`` labels, from the
+    c-free parts that ``_poisson_parts`` computes once per call.  The
+    closed-form root of the stationarity cubic waits for the benchmark to
+    stop reading a faster search as a peak-RSS regression (ROADMAP item 1).
     """
     parts = _poisson_parts(theta0, n)
     hi = n * theta0
@@ -125,13 +124,11 @@ def minimize_poisson_c(theta0: float, n: int) -> float:
             f2 = _poisson_total(theta0, n, x2, parts)
     c_golden = 0.5 * (a + b)
     best_c, best_val = c_golden, _poisson_total(theta0, n, c_golden, parts)
-    # Safety net: coarse log-grid scan.
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    for k in range(61):
-        c_grid = 10.0 ** (log_lo + k * (log_hi - log_lo) / 60.0)
-        val = _poisson_total(theta0, n, c_grid, parts)
+    # A convex total beats the limit, if at all, at an end of the bracket.
+    for c_end in (lo, hi):
+        val = _poisson_total(theta0, n, c_end, parts)
         if val < best_val:
-            best_c, best_val = c_grid, val
+            best_c, best_val = c_end, val
     return best_c
 
 

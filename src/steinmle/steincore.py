@@ -290,6 +290,8 @@ def _mle_bound_fields(fields: tuple, h_weights, taylor_first: bool = False) -> B
     sup, lip = _weights(h_weights)
     try:
         root_ni = math.sqrt(n * fisher)
+        if root_ni == _INF:  # an overflowed n i would zero the R2 and Taylor terms
+            raise OverflowError
         terms = (
             (TERM_SCORE, lip * _score_term(third, fisher, n)),
             (TERM_MARKOV, 2.0 * sup * mse / eps**2),

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import poisson_perturbed_terms
+from test_bound_snapshots import _poisson_c_grid
 
+from steinmle import boundary
 from steinmle.boundary import _poisson_parts, _poisson_total, minimize_poisson_c, poisson_bound
 from steinmle.errors import DomainError
 
@@ -125,6 +127,29 @@ class TestAutoC:
         assert poisson_bound(theta0, n).total == searched
         for c in (min(1e-12, hi / 2.0), hi, c_auto):
             assert _poisson_total(theta0, n, c, parts) == poisson_bound(theta0, n, c=c).total, c
+
+    def test_searched_c_stays_in_range(self):
+        # over the pinned Poisson points, c lies in [min(1e-12, n theta0/2), n theta0]
+        for theta0, n in _poisson_c_grid():
+            hi = n * theta0
+            assert min(1e-12, hi / 2.0) <= minimize_poisson_c(theta0, n) <= hi, (theta0, n)
+
+    def test_search_prices_at_most_92_trial_values(self, monkeypatch):
+        # the golden section and the two bracket ends, counted at the pinned
+        # Poisson points; a scan added back would price dozens more
+        priced = []
+
+        def counted(theta0, n, c, parts):
+            priced.append(c)
+            return _poisson_total(theta0, n, c, parts)
+
+        monkeypatch.setattr(boundary, "_poisson_total", counted)
+        most = 0
+        for theta0, n in _poisson_c_grid():
+            priced.clear()
+            minimize_poisson_c(theta0, n)
+            most = max(most, len(priced))
+        assert most <= 92
 
 
 class TestPoissonDirectBound:

@@ -223,6 +223,18 @@ class TestMleBoundGeneral:
         with pytest.raises(FloatRangeError, match="markov_tail"):
             mle_bound_general(_ingredients(mse=math.inf), (1.0, 1.0))
 
+    def test_overflowed_n_times_information_is_a_float_range_error(self):
+        # n i = 1e310 overflows, and 1/sqrt(n i) would zero the R2 and Taylor
+        # terms, a bound below the exact one; n = 10**298 still fits
+        fields = dict(fisher_info=1e10, third_abs_score_moment=1.0, mse=1e-300,
+                      fourth_mle_moment=1.0, sup_third_deriv=1e300, r2_conditional_bound=1e160,
+                      epsilon=1.0)
+        with pytest.raises(FloatRangeError, match="^mle_bound_general: .* overflowed"):
+            mle_bound_general(_ingredients(n=10**300, **fields), (1.0, 1.0))
+        terms = dict(mle_bound_general(_ingredients(n=10**298, **fields), (1.0, 1.0)).terms)
+        assert terms["r2"] == 1e6
+        assert terms["taylor_remainder"] == 5e145
+
     @given(
         sup=st.floats(min_value=0.0, max_value=3.0),
         lip=st.floats(min_value=0.0, max_value=3.0),

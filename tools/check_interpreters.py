@@ -36,10 +36,14 @@ CASES = [
     ["bound", "--model", "poisson", "--theta0", "5", "--n", "50"],
     ["bound", "--model", "poisson", "--theta0", "0.04", "--n", "5", "--c", "0.5"],
     ["bound", "--model", "poisson", "--theta0", "1e-06", "--n", "1000000"],
-    # the longest c search on the benchmark's Poisson lattice (151 trial
+    # the longest c search on the benchmark's Poisson lattice (92 trial
     # values of c), and the degenerate zero bound
     ["bound", "--model", "poisson", "--theta0", "100", "--n", "1000000"],
     ["bound", "--model", "poisson", "--theta0", "0", "--n", "5"],
+    # optima at the upper end c = n theta0, which a search must return
+    # exactly, not a float above it or below it
+    ["bound", "--model", "poisson", "--theta0", "0.01", "--n", "32"],
+    ["bound", "--model", "poisson", "--theta0", "0.5", "--n", "5"],
     ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "10"],
     ["bound", "--model", "exp-canonical", "--theta0", "1", "--n", "100000",
      "--h-sup", "0.5", "--h-lip", "0.2296397"],
