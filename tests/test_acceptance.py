@@ -15,7 +15,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 import pytest
-from oracles import conditioned_mean, decimal_d1, inward_map
+from oracles import beta_two_grid_mle, conditioned_mean, decimal_d1, inward_map
 
 import steinmle as sm
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
@@ -251,15 +251,9 @@ def test_criterion_6_property_suites():
     if abs(theta_hat - closed) > 1e-10 * closed:
         violations.append("beta MLE disagrees with the closed form at beta = 1")
     xs2 = rng.beta(1.2, 2.0, size=300)
-    from scipy.special import gammaln
-
-    grid = np.linspace(1e-4, 50.0, 10**6)
-    loglik = len(xs2) * (gammaln(grid + 2.0) - gammaln(grid)) + (grid - 1.0) * float(
-        np.log(xs2).sum()
-    )
-    best = float(grid[int(np.argmax(loglik))])
+    best, spacing = beta_two_grid_mle(xs2)
     theta_hat = sm.get_model("beta", beta=2.0).mle_from_stat(math.fsum(np.log(xs2)) / len(xs2), len(xs2))
-    if abs(theta_hat - best) > float(grid[1] - grid[0]):
+    if abs(theta_hat - best) > spacing:
         violations.append("beta MLE disagrees with the grid-search oracle at beta = 2")
 
     # A1 solves its quadratic to 1e-9 relative

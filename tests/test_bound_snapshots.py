@@ -2,11 +2,10 @@
 
 ``snapshots/bounds.json`` holds every term and total of ``distance_bound``
 for the four models over a grid of settings, the Beta MSE bound and table
-2's direct column, recorded before the bound formulas were merged into one
-copy each.  Beta and Poisson values must match bit for bit; exponential
-values within 1e-15 relative, because the recorded score terms multiplied
-the weight in before dividing by sqrt(n), which rounds differently.  ``snapshots/constants-*.json`` are
-the ``constants --format json`` outputs, byte for byte.
+2's direct column.  Beta and Poisson values must match bit for bit;
+exponential values within 1e-15 relative, room for the last-digit moves of
+a reordered score term.  ``snapshots/constants-*.json`` are the
+``constants --format json`` outputs, byte for byte.
 ``snapshots/poisson-c.json`` holds ``float.hex`` of the searched Poisson c
 and of the Poisson total at it, which must match exactly.
 

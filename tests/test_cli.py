@@ -59,12 +59,15 @@ def test_version_from_a_source_checkout():
         ["simulate", "--model", "poisson", "--theta0", "5", "--n", "20", "--trials", "50",
          "--format", "json"],
         ["mse-sweep", "--n-from", "7460", "--n-to", "7461", "--trials", "5", "--format", "json"],
+        ["mse-sweep", "--beta", "3", "--n-from", "18222", "--n-to", "18222", "--trials", "5",
+         "--format", "json"],
+        ["simulate", "--model", "exp-canonical", "--theta0", "1", "--n", "10", "--trials", "1"],
     ],
-    ids=["table", "simulate", "mse-sweep"],
+    ids=["table", "simulate", "mse-sweep", "mse-sweep-beta-3", "simulate-one-trial-text"],
 )
 def test_verbs_computing_gaussian_expectations_run_without_scipy(args):
     # a None entry in sys.modules makes every import of that module fail;
-    # mpmath, like scipy, is a test-only dependency
+    # mpmath is a test-only dependency, and scipy only the benchmark's
     src = os.path.dirname(os.path.dirname(steinmle.__file__))
     code = (
         "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
@@ -75,7 +78,10 @@ def test_verbs_computing_gaussian_expectations_run_without_scipy(args):
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    json.loads(out.stdout)
+    if args[-1] == "json":
+        json.loads(out.stdout)
+    else:  # one trial has no standard error
+        assert "standard_error    n/a\n" in out.stdout
 
 
 class TestBoundCommand:
@@ -574,11 +580,15 @@ def test_unit_shape_beta_output_matches_snapshot(runner, name, args, fmt):
         ("sweep-beta2.5.json", ["mse-sweep", "--theta0", "1.5", "--beta", "2.5", "--n-from",
                                 "14816", "--n-to", "15816", "--n-step", "1000", "--trials",
                                 "20", "--seed", "7", "--format", "json"]),
+        ("sweep-beta2.5.json", ["mse-sweep", "--theta0", "1.5", "--beta", "2.5", "--n-from",
+                                "14816", "--n-to", "15816", "--n-step", "1000", "--trials",
+                                "20", "--seed", "7", "--format", "json", "--workers", "2"]),
     ],
 )
 def test_batched_rows_output_matches_snapshot(runner, snapshot, args):
     # recorded with every row run on its own: one E h(Z), one shape root and
-    # one h call per row; sharing them across rows changes no byte
+    # one h call per row; sharing them across rows changes no byte, and nor
+    # does splitting the raw-sample blocks over two workers
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert result.stdout_bytes == (SNAPSHOTS / snapshot).read_bytes()

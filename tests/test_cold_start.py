@@ -3,9 +3,10 @@
 ``bound`` and ``constants`` must not load numpy, mpmath or ``statistics``
 (the normal quantile's module, which only ``ci`` needs), only JSON output
 may load ``json``, neither the package's import nor ``bound`` may load
-``dataclasses``, no verb may load mpmath or scipy, and every third-party
+``dataclasses``, no verb may load mpmath or scipy (neither is a dependency,
+but an environment that runs the benchmark has both), and every third-party
 module a verb loads must be a declared runtime dependency.  The test process
-has long since imported all of them, so one fresh interpreter makes the bare
+may have imported any of them already, so one fresh interpreter makes the bare
 imports and one runs each verb, every invocation of that verb in turn.  Each
 reports, after every step, which of the watched modules are loaded, and at
 its end each step's exit code and output and the third-party modules it

@@ -5,14 +5,13 @@ import math
 import statistics
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import bracketed_beta_root, conditioned_mean
-from scipy.special import betaincinv
-from scipy.stats import ks_2samp
+from oracles import bracketed_beta_root, conditioned_mean, kolmogorov_q, ks_two_sample
 
 from steinmle.errors import DegenerateSampleError, DomainError, UnknownModelError
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
@@ -121,13 +120,13 @@ class TestSamplers:
         assert float(x.min()) > 0.0 and float(x.max()) < 1.0
 
     def test_gamma_ratio_matches_inverse_cdf_sampler(self):
-        # same law as inverting the Beta cdf directly: two-sample KS below
-        # the 1% critical value at 1e5 draws a side
+        # same law as inverting the Beta(1.5, 1) cdf x^1.5 directly: two-sample
+        # KS below the 1% critical value at 1e5 draws a side
         n = 10**5
         ours = _draw("beta", 1.5, n, 21, beta=1.0)
         rng = np.random.Generator(np.random.Philox(key=99))
-        reference = betaincinv(1.5, 1.0, rng.random(n))
-        stat = ks_2samp(ours, reference).statistic
+        reference = rng.random(n) ** (1.0 / 1.5)
+        stat = ks_two_sample(ours, reference)[0]
         critical_1pct = 1.628 * math.sqrt(2.0 / n)
         assert stat < critical_1pct
 
@@ -178,11 +177,36 @@ def _assert_matches_raw_statistic(model, theta0, beta, n, trials=4000):
     direct = _pykernels.trial_stats(model, theta0, beta, n, 31, 0, trials)
     x = _pykernels.draw(model, theta0, beta, trials * n, _pykernels.make_generator(31, 1))
     raw = (np.log(x) if model == "beta" else x).reshape(trials, n).mean(axis=1)
-    assert ks_2samp(direct, raw).pvalue > 1e-3
+    assert ks_two_sample(direct, raw)[1] > 1e-3
     se_mean = math.sqrt((direct.var(ddof=1) + raw.var(ddof=1)) / trials)
     assert abs(float(direct.mean() - raw.mean())) < 5.0 * se_mean
     se_var = math.hypot(_se_var(direct), _se_var(raw))
     assert abs(float(direct.var(ddof=1) - raw.var(ddof=1))) < 5.0 * se_var
+
+
+class TestKsOracle:
+    """The two-sample KS test that the statistic laws are checked with."""
+
+    @pytest.mark.parametrize("lam,q", [(1.3581, 0.05), (1.6276, 0.01)])
+    def test_tail_matches_the_smirnov_table(self, lam, q):
+        # the published two-sided critical values of the limit of sqrt(m) D
+        assert abs(kolmogorov_q(lam) - q) < 1e-4
+
+    def test_statistic_is_the_largest_gap_with_ties(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 6, 40), rng.integers(0, 8, 30)
+        gaps = [
+            abs(Fraction(int((a <= x).sum()), len(a)) - Fraction(int((b <= x).sum()), len(b)))
+            for x in np.concatenate([a, b])
+        ]
+        assert ks_two_sample(a, b)[0] == float(max(gaps))
+
+    def test_a_wrong_law_is_refused(self):
+        # exp-canonical's statistic at theta0 = 1 is Gamma(n)/n, not Gamma(n + 1)/n
+        n, trials = 5, 4000
+        direct = _pykernels.trial_stats("exp-canonical", 1.0, 1.0, n, 31, 0, trials)
+        wrong = np.random.default_rng(31).standard_gamma(n + 1, trials) / n
+        assert ks_two_sample(direct, wrong)[1] < 1e-3
 
 
 class TestStatisticLaws:

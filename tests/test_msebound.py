@@ -17,13 +17,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
     beta_score,
+    beta_two_grid_mle,
     bisected_minimal_n,
     bracketed_beta_root,
     decimal_b3_a1,
     decimal_d1,
     decimal_implicit_total,
 )
-from scipy.special import gammaln
 
 from steinmle import msebound
 from steinmle.cli import main
@@ -514,17 +514,7 @@ class TestBetaMle:
     def test_grid_search_oracle_beta_two(self):
         rng = np.random.default_rng(23)
         xs = rng.beta(0.9, 2.0, size=200)
-        n = len(xs)
-        sum_log = float(np.log(xs).sum())
-        sum_log1m = float(np.log1p(-xs).sum())
-        grid = np.linspace(1e-4, 50.0, 10**6)
-        loglik = (
-            n * (gammaln(grid + 2.0) - gammaln(grid))
-            + (grid - 1.0) * sum_log
-            + (2.0 - 1.0) * sum_log1m
-        )
-        best = float(grid[int(np.argmax(loglik))])
-        spacing = float(grid[1] - grid[0])
+        best, spacing = beta_two_grid_mle(xs)
         assert abs(_beta_mle(xs, 2.0) - best) <= spacing
 
     def test_domain_errors(self):

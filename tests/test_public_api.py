@@ -12,7 +12,7 @@ call returns a finite documented value or raises a ``SteinMLEError``, within
 a time bound.  The one documented non-finite value is a ``BoundIngredients``
 moment bound, which may be inf: one passed in as inf, one that overflowed in
 an ingredient builder, or the exp-canonical fourth estimator moment below
-n = 5.  Only numpy, not scipy or mpmath, is needed.
+n = 5.  Only numpy, not mpmath, is needed.
 """
 
 import math

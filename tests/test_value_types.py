@@ -2,7 +2,7 @@
 pickling, what ``vars()`` holds and the order their fields are checked in.
 
 Each type is pinned by one fixed instance, built once by position and once
-by keyword.  None of this needs scipy or mpmath.
+by keyword.  None of this needs mpmath.
 """
 
 import copy
