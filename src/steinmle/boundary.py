@@ -137,9 +137,9 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     """Distance bound for sqrt(n)(mean - theta0) against N(0, theta0).
 
     theta0 = 0 is the degenerate case: the estimator is identically zero and
-    the distance is exactly zero.  For theta0 > 0 the five-part closed form
-    applies at perturbation constant c; ``c="auto"`` picks the c minimising
-    the total numerically.
+    the distance is exactly zero.  For theta0 > 0 the six-term closed form
+    (its ``score_mismatch`` term identically 0) applies at perturbation
+    constant c; ``c="auto"`` picks the c minimising the total numerically.
     """
     theta0 = real(theta0, "theta0", ge=0.0)
     n = integer(n, "n")

@@ -40,7 +40,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .. import registry
-from .._validate import Value, integer, master_seed, real
+from .._validate import Value, instance, integer, master_seed, real
 from ..errors import DomainError, SteinMLEError
 from ..msebound import BetaParams
 from ..specfun import normal_expectation
@@ -106,10 +106,11 @@ class SimulationConfig(Value):
         theta0 = real(theta0, "theta0", **entry.theta0_limit)
         vars(self).update(
             model=model, theta0=theta0, n=n, trials=trials, seed=seed,
-            test_function=inv_quadratic_test_function() if test_function is None else test_function,
+            test_function=inv_quadratic_test_function() if test_function is None
+            else instance(test_function, TestFunction, "test_function"),
             beta=entry.beta,
             epsilon=None if epsilon is None else real(epsilon, "epsilon", gt=0.0),
-            c=c if c == "auto" else real(c, "c", gt=0.0), workers=workers,
+            c=c if isinstance(c, str) and c == "auto" else real(c, "c", gt=0.0), workers=workers,
         )
 
 
@@ -191,6 +192,15 @@ def _h_row(h: TestFunction, standardized: np.ndarray) -> np.ndarray:
     return values
 
 
+def _integers(values, name: str, item: str, ge: int = 1) -> list:
+    """``values``, a sequence or a 1-d array, as a list of ints, each checked
+    as ``integer`` checks ``item``; anything else is a DomainError naming it."""
+    sequence = isinstance(values, (Sequence, np.ndarray)) and not isinstance(values, str)
+    if not sequence or getattr(values, "ndim", 1) != 1:
+        raise DomainError(f"{name} must be a sequence of integers, got {values!r}")
+    return [integer(value, item, ge=ge) for value in values]
+
+
 def run_rows(
     cfg: SimulationConfig,
     n_values: Sequence[int] | None = None,
@@ -210,14 +220,14 @@ def run_rows(
     a refused n or scale, or an h without its exact E h, draws nothing.  See
     the module docstring for the batching, which changes no row's values.
     """
-    entry = registry.get_model(cfg.model, beta=cfg.beta)
+    entry = registry.get_model(instance(cfg, SimulationConfig, "cfg").model, beta=cfg.beta)
     theta0, h, trials = cfg.theta0, cfg.test_function, cfg.trials
-    n_list = [cfg.n] if n_values is None else [integer(n, "n") for n in n_values]
+    n_list = [cfg.n] if n_values is None else _integers(n_values, "n_values", "n")
     if not n_list:
         raise DomainError("n_values must be nonempty")
     firsts = [0] * len(n_list)
     if first_trials is not None:
-        firsts = [integer(t, "first trial", ge=0) for t in first_trials]
+        firsts = _integers(first_trials, "first_trials", "first trial", ge=0)
     if len(firsts) != len(n_list):
         raise DomainError(f"{len(n_list)} n values but {len(firsts)} first trials")
     if target not in ("distance", "mse") or (target == "mse" and cfg.model != "beta"):
@@ -309,7 +319,8 @@ def run_mse_sweep(
     [r * trials, (r+1) * trials) off the master seed, so rows are
     independent and any row subset is reproducible in isolation.
     """
-    n_list = [integer(n, "n") for n in n_values]
+    instance(params, BetaParams, "params")
+    n_list = _integers(n_values, "n_values", "n")
     if not n_list:
         raise DomainError("n_values must be nonempty")
     cfg = SimulationConfig(

@@ -180,17 +180,3 @@ class TestPoissonDirectBound:
         assert self.direct(0.0, 10) == 0.0
         with pytest.raises(DomainError):
             self.direct(-1.0, 10)
-
-
-class TestIntegerTypesForN:
-    """numpy integers are integers: every n check takes them, bool it rejects."""
-
-    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
-    def test_numpy_integers_give_the_plain_int_result(self, int_type):
-        n = int_type(100)
-        assert poisson_bound(1.0, n).total == poisson_bound(1.0, 100).total
-        assert poisson_bound(1.0, n, 2.0).total == poisson_bound(1.0, 100, 2.0).total
-
-    def test_bool_rejected(self):
-        with pytest.raises(DomainError):
-            poisson_bound(1.0, True)

@@ -10,12 +10,12 @@ with the same message.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_contract import CUBE_SUBNORMAL, REALS, SIZES, SQUARE_OVERFLOWS, WEIGHTS, outcome
 
 from steinmle.errors import FloatRangeError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
@@ -32,70 +32,21 @@ GRID_THETA = [10.0 ** (k / 2) for k in range(-4, 5)]
 GRID_N = [int(round(10.0 ** (j / 2))) for j in range(2, 13)]
 GRID_WEIGHTS = [(1.0, 1.0), (0.5, 3.0 * math.sqrt(1.5) / 16.0), (0.25, 0.5), (1.0, 0.1)]
 
-_SQUARE_OVERFLOWS = math.sqrt(sys.float_info.max)  # ~1.34e154: theta0**2 overflows above it
-_CUBE_SUBNORMAL = sys.float_info.min ** (1.0 / 3.0)  # ~2.8e-103: theta0**3 is subnormal below it
-
-
-def _outcome(call):
-    """The terms as (label, float.hex) pairs and the total, or the exception's
-    type and message."""
-    try:
-        bd = call()
-    except Exception as exc:  # the type and message are what is compared
-        return type(exc), str(exc)
-    return tuple((label, value.hex()) for label, value in bd.terms), bd.total.hex()
-
 
 def _both_routes(model, theta0, n, epsilon, weights):
-    one_pass = _outcome(
+    """Each route's breakdown or package error, as its repr: the terms' floats
+    bit for bit, or the error's type and message."""
+    one_pass = outcome(
         lambda: get_model(model).distance_bound(theta0, n, h_weights=weights, epsilon=epsilon)
     )
-    built = _outcome(lambda: mle_bound_general(BUILDERS[model](theta0, n, epsilon), weights))
-    return one_pass, built
+    built = outcome(lambda: mle_bound_general(BUILDERS[model](theta0, n, epsilon), weights))
+    return repr(one_pass), repr(built)
 
 
 # Each draw is ordinary about as often as it is extreme, so that both the
 # bound and the errors are reached.
 _ORDINARY = st.floats(0.01, 100.0)
-_MAGNITUDES = st.one_of(
-    st.floats(min_value=5e-324, max_value=sys.float_info.min),  # subnormals
-    st.builds(lambda e: 10.0**e, st.floats(-300.0, 300.0)),
-    st.builds(lambda f: _SQUARE_OVERFLOWS * f, st.floats(0.999, 1.001)),
-    st.builds(lambda f: _CUBE_SUBNORMAL * f, st.floats(0.2, 5.0)),
-    st.floats(1e-163, 1e-154),  # theta0**2 subnormal, 1/theta0**2 inf, theta0**3 zero
-    st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308, _SQUARE_OVERFLOWS,
-                     math.nextafter(_SQUARE_OVERFLOWS, math.inf), 1e-103, _CUBE_SUBNORMAL]),
-)
-_NOT_NUMBERS = st.sampled_from([True, False, "1", "0.5", None, math.nan, math.inf, -math.inf,
-                                -1.0, 0.0, -0.0, 10**400])
-_THETA0 = st.one_of(
-    _ORDINARY,
-    _ORDINARY.map(np.float64),
-    st.builds(lambda e: 10.0**e, st.floats(-20.0, 20.0)),
-    _MAGNITUDES,
-    _MAGNITUDES.map(np.float64),
-    _MAGNITUDES.map(np.longdouble),
-    st.sampled_from([np.int64(3), np.uint16(2), 2, np.float32(1.5)]),
-    _NOT_NUMBERS,
-)
-_N = st.one_of(
-    st.sampled_from([1, 2, 3, 4, 5, 2**53 + 1, 2**63, 10**400]),
-    st.integers(3, 1000),
-    st.sampled_from([np.int64(10), np.uint16(7), np.int8(4)]),
-    st.integers(1, 10**7),
-    st.sampled_from([True, "10", 0, -3, 2.0]),
-)
-_WEIGHT = st.one_of(
-    st.floats(0.0, 10.0),
-    st.floats(0.0, 1e308),
-    st.sampled_from([1e308, 1.7976931348623157e308, 5e-324, 0.0, -0.0, 1.0, 0.2296401]),
-    st.floats(0.0, 10.0).map(np.float64),
-    _NOT_NUMBERS,
-)
-_WEIGHTS = st.one_of(
-    st.tuples(_WEIGHT, _WEIGHT),
-    st.sampled_from([(1.0,), (1.0, 1.0, 1.0), "ab", None, 1.0, [0.5, 0.25]]),
-)
+_THETA0 = st.one_of(_ORDINARY, _ORDINARY.map(np.float64), REALS)
 
 
 @st.composite
@@ -103,7 +54,7 @@ def _epsilon(draw, theta0):
     """None, a radius near theta0 (inside the ball or just past its edge), or
     a value that is not a radius."""
     if isinstance(theta0, (bool, str)) or theta0 is None or type(theta0) is int and theta0 > 2**1024:
-        return draw(st.none() | _NOT_NUMBERS)
+        return draw(st.none() | REALS)
     t = float(theta0)
     near = [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf), t / 2.0, t * 0.999999]
     return draw(st.one_of(
@@ -112,14 +63,14 @@ def _epsilon(draw, theta0):
         st.floats(0.001, 0.999).map(lambda f: t * f),
         st.sampled_from(near),
         st.sampled_from(near).map(np.float64),
-        _NOT_NUMBERS,
+        REALS,
     ))
 
 
 @st.composite
 def _inputs(draw):
     theta0 = draw(_THETA0)
-    return theta0, draw(_N), draw(_epsilon(theta0)), draw(_WEIGHTS)
+    return theta0, draw(SIZES), draw(_epsilon(theta0)), draw(WEIGHTS)
 
 
 @pytest.mark.parametrize("model", sorted(BUILDERS))
@@ -140,13 +91,14 @@ def test_one_pass_route_equals_the_ingredient_route(model, args):
         (1e-160, 10, None, (1.0, 1.0)),  # the information is inf, theta0**3 underflows
         (1e-105, 10, None, (1.0, 1.0)),  # the third moment is inf
         (1e-105, 10, None, (0.0, 0.0)),  # inf times a zero weight: a NaN term
-        (_SQUARE_OVERFLOWS, 10, None, (1.0, 1.0)),
+        (SQUARE_OVERFLOWS, 10, None, (1.0, 1.0)),
         (1e-103, 10, None, (1.0, 1.0)),
         (1.0, 10**400, None, (1.0, 1.0)),  # n beyond the float range
         (1.0, 2**63, None, (1.0, 1.0)),
         (2.0, 10, 2.0, (1.0, 1.0)),  # epsilon on the ball's edge
         (2.0, 10, None, (1e308, 1.0)),
         (2.0, 10, None, (np.float64(0.5), True)),
+        (CUBE_SUBNORMAL, 10, None, (1.0, 1.0)),
     ],
 )
 def test_pinned_edges_agree(model, theta0, n, epsilon, weights):
@@ -173,9 +125,9 @@ _BAD_FIELD = st.sampled_from(_BAD_VALUES)
 
 def _field_outcomes(theta0, n, values, deterministic, weights):
     fields = (theta0, n, *values, deterministic)
-    one_pass = _outcome(lambda: _mle_bound_fields(fields, weights))
-    built = _outcome(lambda: mle_bound_general(BoundIngredients(*fields), weights))
-    return one_pass, built
+    one_pass = outcome(lambda: _mle_bound_fields(fields, weights))
+    built = outcome(lambda: mle_bound_general(BoundIngredients(*fields), weights))
+    return repr(one_pass), repr(built)
 
 
 def test_each_field_out_of_range_raises_what_the_ingredients_raise():

@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 from oracles import expfam_fisher_info, expfam_third_score_moment
 
@@ -282,22 +281,3 @@ class TestDescriptors:
         # sample means 0.5 and 2.0
         assert get_model("exp-canonical").mle_from_stat(0.5, 2) == pytest.approx(2.0)
         assert get_model("exp-noncanonical").mle_from_stat(2.0, 2) == pytest.approx(2.0)
-
-
-class TestIntegerTypesForN:
-    """numpy integers are integers for the ingredient builders; bool is refused."""
-
-    BUILDERS = [exp_canonical_ingredients, exp_noncanonical_ingredients]
-
-    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
-    @pytest.mark.parametrize("build", BUILDERS)
-    def test_numpy_integers_give_the_plain_int_ingredients(self, build, int_type):
-        ing = build(1.0, int_type(10))
-        assert type(ing.n) is int
-        assert ing == build(1.0, 10)
-        json.dumps(ing.to_dict())
-
-    @pytest.mark.parametrize("build", BUILDERS)
-    def test_bool_rejected(self, build):
-        with pytest.raises(DomainError):
-            build(1.0, True)

@@ -632,30 +632,6 @@ class TestIngredientValidation:
             _synthetic_ingredients(epsilon=-0.1)
 
 
-class TestIntegerTypesForN:
-    """numpy integers are integers: every n check takes them, bool it rejects."""
-
-    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
-    def test_numpy_integers_give_the_plain_int_result(self, int_type):
-        ing = beta_ingredients(P)
-        n = int_type(7500)
-        assert beta_b3(P, n) == beta_b3(P, 7500)
-        assert mse_upper_bound_a1(ing, n) == mse_upper_bound_a1(ing, 7500)
-        assert beta_distance_bound(P, n).total == beta_distance_bound(P, 7500).total
-        assert implicit_distance_bound(ing, n) == implicit_distance_bound(ing, 7500)
-
-    def test_bool_rejected(self):
-        ing = beta_ingredients(P)
-        for call in (
-            lambda: beta_b3(P, True),
-            lambda: beta_distance_bound(P, True),
-            lambda: mse_upper_bound_a1(ing, True),
-            lambda: implicit_distance_bound(ing, True),
-        ):
-            with pytest.raises(DomainError):
-                call()
-
-
 def _mpmath_reference(ing, n):
     """D1, B3 and A1 at n, and the minimal n, in mpmath at 50 digits.
 

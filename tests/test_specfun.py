@@ -4,6 +4,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -201,10 +202,14 @@ class TestNormalExpectation:
         assert normal_expectation(marker, scale=3.0) == 3.0
         assert normal_expectation(marker, scale=0.0) == 1.0  # point mass: h(0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "1"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, "1", True])
     def test_exact_expectation_domain(self, bad):
         with pytest.raises(DomainError):
             inv_quadratic_expectation(bad)
+
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.longdouble])
+    def test_exact_expectation_takes_numpy_scalars(self, scalar):
+        assert repr(inv_quadratic_expectation(scalar(0.5))) == repr(inv_quadratic_expectation(0.5))
 
     def test_gaussian_expectation_must_be_callable(self):
         with pytest.raises(DomainError):

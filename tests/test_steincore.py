@@ -86,17 +86,6 @@ class TestBoundIngredients:
         d = _ingredients().to_dict()
         assert json.loads(json.dumps(d)) == d
 
-    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
-    def test_numpy_integer_n_stored_as_int(self, int_type):
-        ing = _ingredients(n=int_type(100))
-        assert type(ing.n) is int
-        assert ing == _ingredients()
-        json.dumps(ing.to_dict())
-
-    def test_bool_n_rejected(self):
-        with pytest.raises(DomainError):
-            _ingredients(n=True)
-
 
 class TestBoundBreakdown:
     def test_total_is_exact_sum(self):
