@@ -634,7 +634,7 @@ def test_construction_repr_and_fields(name):
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
-def test_equality_hash_and_copies_by_fields(name):
+def test_equality_and_hash_by_fields(name):
     row = ROWS[name]
     fields = row.fields
     a, b = row.fn(*fields.values()), row.fn(**fields)
@@ -645,9 +645,17 @@ def test_equality_hash_and_copies_by_fields(name):
     field, value = row.changed
     changed = row.fn(**dict(fields, **{field: value}))
     assert changed != a and getattr(changed, field) == value
-    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
-        assert type(twin) is row.fn and twin == a and hash(twin) == hash(a)
-        assert vars(twin) == vars(a) and repr(twin) == repr(a)
+
+
+@pytest.mark.parametrize("copier", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy,
+                                    copy.copy], ids=["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_copies_are_equal(name, copier):
+    row = ROWS[name]
+    a = row.fn(**row.fields)
+    twin = copier(a)
+    assert type(twin) is row.fn and twin == a and hash(twin) == hash(a)
+    assert vars(twin) == vars(a) and repr(twin) == repr(a)
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
@@ -892,30 +900,30 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", CLI_ERRORS)
-def test_cli_exit_code_error_and_message(case):
+def test_cli_exit_code_error_and_message(case, fmt):
     args, code, error, fragment = CLI_ERRORS[case]
-    for fmt in FORMATS:
-        start = time.perf_counter()
-        result = CliRunner().invoke(main, args + ["--format", fmt], env=CLI_ENV.get(case))
-        assert time.perf_counter() - start < TIME_BOUND_S, fmt
-        assert result.exit_code == code, (fmt, result.output)
-        if code == 0:
-            assert result.stdout and result.stderr == "", fmt
-            if fmt == "json":
-                _strict_json(result.stdout)
-            continue
-        assert result.stdout == "", fmt
-        if error is None:
-            message = result.stderr
-        elif fmt == "json":
-            err = json.loads(result.stderr)
-            assert (err["schema"], err["error"]) == ("steinmle/error/v1", error)
-            message = err["message"]
-        else:
-            assert result.stderr.startswith("error: "), fmt
-            message = result.stderr.removeprefix("error: ")
-        assert fragment in message and message.strip(), (fmt, message)
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, args + ["--format", fmt], env=CLI_ENV.get(case))
+    assert time.perf_counter() - start < TIME_BOUND_S
+    assert result.exit_code == code, result.output
+    if code == 0:
+        assert result.stdout and result.stderr == ""
+        if fmt == "json":
+            _strict_json(result.stdout)
+        return
+    assert result.stdout == ""
+    if error is None:
+        message = result.stderr
+    elif fmt == "json":
+        err = json.loads(result.stderr)
+        assert (err["schema"], err["error"]) == ("steinmle/error/v1", error)
+        message = err["message"]
+    else:
+        assert result.stderr.startswith("error: ")
+        message = result.stderr.removeprefix("error: ")
+    assert fragment in message and message.strip(), message
 
 
 def _keeps_the_exit_code_contract(args, fmt):
