@@ -8,9 +8,10 @@ in the range of the trial streams' key.  All refuse ``bool``, which is a
 flag passed in the wrong place rather than the number 1, and anything that
 is not a number, such as the string ``"0.5"``.  ``instance`` checks that a
 value-type parameter holds its type.  A refusal is a DomainError whose
-message starts with the parameter's name.  ``ball_radius`` checks the
-epsilon that every model on Theta = (0, inf) takes; other ranges particular
-to one model are checked where the model is.
+message starts with the parameter's name.  A bound request's options have
+one check each: ``ball_radius`` the epsilon of every model on Theta =
+(0, inf), ``perturbation`` the Poisson c and ``weights`` the h weights.
+theta0's range, particular to a model, is checked where the model is.
 
 No check imports numpy, so the bound verbs start without it.  For the
 same reason the value types are plain classes on ``Value``, not dataclasses:
@@ -84,6 +85,23 @@ def ball_radius(epsilon, theta0: float) -> float:
     if not eps < theta0:
         raise DomainError(f"epsilon must lie in (0, theta0) = (0, {theta0!r}), got {eps!r}")
     return eps
+
+
+def perturbation(c):
+    """c as the Poisson bound takes it: "auto" (the minimising c) or a finite
+    real > 0, as a float; any other string, None, bool or array is refused."""
+    if isinstance(c, str) and c == "auto":
+        return "auto"
+    return real(c, "c", gt=0.0)
+
+
+def weights(h_weights) -> tuple:
+    """h_weights, a tuple or list (sup_norm, lip_norm) of nonnegative finite
+    reals, as floats.  None is refused on every route, as an array is: the
+    unit weights are passed as (1.0, 1.0), every default."""
+    if not (isinstance(h_weights, (tuple, list)) and len(h_weights) == 2):
+        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}")
+    return real(h_weights[0], "sup weight", ge=0.0), real(h_weights[1], "lip weight", ge=0.0)
 
 
 class Value:

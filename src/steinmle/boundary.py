@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from ._validate import integer, real
+from ._validate import integer, perturbation, real
 from .errors import float_range
 from .steincore import TERM_MARKOV, BoundBreakdown, _score_term
 
@@ -137,17 +137,15 @@ def poisson_bound(theta0: float, n: int, c="auto") -> BoundBreakdown:
     """Distance bound for sqrt(n)(mean - theta0) against N(0, theta0).
 
     theta0 = 0 is the degenerate case: the estimator is identically zero and
-    the distance is exactly zero.  For theta0 > 0 the six-term closed form
-    (its ``score_mismatch`` term identically 0) applies at perturbation
-    constant c; ``c="auto"`` picks the c minimising the total numerically.
+    the distance is exactly zero, at any valid c.  For theta0 > 0 the
+    six-term closed form (its ``score_mismatch`` term identically 0) applies
+    at perturbation constant c; ``c="auto"`` picks the c minimising the total
+    numerically.
     """
-    theta0 = real(theta0, "theta0", ge=0.0)
-    n = integer(n, "n")
+    theta0, n, c = real(theta0, "theta0", ge=0.0), integer(n, "n"), perturbation(c)
     if theta0 == 0.0:
         return BoundBreakdown(terms=tuple((label, 0.0) for label in _LABELS))
     if c == "auto":
-        c_val = minimize_poisson_c(theta0, n)
-    else:
-        c_val = real(c, "c", gt=0.0)
-    values = _poisson_values(theta0, n, c_val, _poisson_parts(theta0, n))
+        c = minimize_poisson_c(theta0, n)
+    values = _poisson_values(theta0, n, c, _poisson_parts(theta0, n))
     return BoundBreakdown(terms=tuple(zip(_LABELS, values)))

@@ -273,17 +273,8 @@ def cmd_table(which, trials, seed, workers):
 def cmd_simulate(model, theta0, n, trials, seed, beta, epsilon, c, workers):
     """Empirical h-discrepancy and MSE for one configuration, with its bound."""
     mc = _harness()
-    cfg = mc.SimulationConfig(
-        model=model,
-        theta0=theta0,
-        n=n,
-        trials=trials,
-        seed=_seed(seed),
-        beta=beta,
-        epsilon=epsilon,
-        c="auto" if c is None else c,
-        workers=workers,
-    )
+    cfg = mc.SimulationConfig(model, theta0, n, trials, _seed(seed), beta=beta, epsilon=epsilon,
+                              c="auto" if c is None else c, workers=workers)
     rep = mc.run_simulation(cfg)
     se = "n/a" if rep.standard_error is None else f"{rep.standard_error:.3g}"
     text = [

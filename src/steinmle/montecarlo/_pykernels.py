@@ -52,9 +52,10 @@ BACKEND_NAME = "python"
 
 RNG_ALGORITHM = "philox4x64:jumped-per-row-and-per-raw-block"
 
-# Raw Beta draws of exactly 0.0 (Generator.beta returns them for a small
-# first shape) would make the log-observation -inf; they are clamped here.
-_TINY_X = 2.0**-64
+# A raw Beta draw of exactly 0.0 (Generator.beta returns them for a small
+# first shape, where an intermediate underflows) would make its log -inf:
+# such a draw, and no other, is replaced by the least positive float.
+_TINY_X = 5e-324
 
 # Largest Poisson mean drawn in one piece; numpy refuses means above ~9.2e18.
 _POISSON_LAM_MAX = 2.0**62
@@ -153,7 +154,9 @@ def draw(model: str, theta0: float, beta: float, n: int, rng: Generator) -> np.n
     if model == "poisson":
         return _poisson(theta0, n, rng)
     if model == "beta":
-        return np.maximum(rng.beta(theta0, beta, n), _TINY_X)
+        x = rng.beta(theta0, beta, n)
+        x[x == 0.0] = _TINY_X
+        return x
     raise UnknownModelError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 

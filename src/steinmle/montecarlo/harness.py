@@ -40,7 +40,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .. import registry
-from .._validate import Value, instance, integer, master_seed, real
+from .._validate import Value, instance, integer, master_seed, perturbation, real
 from ..errors import DomainError, SteinMLEError
 from ..msebound import BetaParams
 from ..specfun import normal_expectation
@@ -110,7 +110,7 @@ class SimulationConfig(Value):
             else instance(test_function, TestFunction, "test_function"),
             beta=entry.beta,
             epsilon=None if epsilon is None else real(epsilon, "epsilon", gt=0.0),
-            c=c if isinstance(c, str) and c == "auto" else real(c, "c", gt=0.0), workers=workers,
+            c=perturbation(c), workers=workers,
         )
 
 

@@ -280,9 +280,7 @@ def beta_b3(p: BetaParams, n: int) -> float:
     up (see ``_b3_squared``): (B3/sqrt(n))^2 bounds the estimator MSE.
     Rejects n below the minimal admissible size (nonpositive denominator).
     """
-    instance(p, BetaParams, "p")
-    n = integer(n, "n")
-    return math.sqrt(_b3_squared(beta_ingredients(p), n, "beta_b3")[0])
+    return math.sqrt(_b3_squared(beta_ingredients(p), integer(n, "n"), "beta_b3")[0])
 
 
 @float_range
@@ -293,8 +291,6 @@ def beta_distance_bound(p: BetaParams, n: int) -> BoundBreakdown:
     (8/(n theta0^2)) B3^2; Taylor remainder B2 B3^2/(2 sqrt(n) sqrt(D_psi1)).
     The R2 term is identically zero (Var l'' = 0) and is reported as such.
     """
-    instance(p, BetaParams, "p")
-    n = integer(n, "n")
     return implicit_distance_bound(beta_ingredients(p), n)
 
 

@@ -9,13 +9,10 @@ model: the interior exponential-family bound (``exp-canonical``,
 ``exp-noncanonical``), the boundary perturbation (``poisson``) or the
 implicit-MLE bound (``beta``), whose ingredients one request builds once.
 
-The exponential route makes one checked pass: ``expfam``'s formula helper
-for the model checks theta0, n and epsilon and computes the ingredient
-floats, and ``steincore._mle_bound_fields`` tests them once, checks the h
-weights and assembles the four terms into one ``BoundBreakdown``.  It builds
-no ``BoundIngredients`` and calls neither ``exp_*_ingredients`` nor
-``mle_bound_general``, yet gives their terms bit for bit and their errors,
-which still name those functions.
+Each parameter has one check: theta0 against ``theta0_limit`` or in the
+route's bound builder (``expfam``'s formula helper on the exponential route,
+which builds no ``BoundIngredients``), and c and h_weights with
+``_validate.perturbation`` and ``_validate.weights``.
 
 Every method returns a documented value or raises a ``SteinMLEError``: an
 information number, a scale or an audited ingredient beyond the float range
@@ -32,9 +29,9 @@ import math
 import sys
 
 from . import boundary, expfam, msebound
-from ._validate import integer, real
+from ._validate import integer, perturbation, real, weights
 from .errors import DegenerateSampleError, DomainError, FloatRangeError, UnknownModelError, float_range
-from .steincore import BoundBreakdown, BoundIngredients, _mle_bound_fields, _weights
+from .steincore import BoundBreakdown, BoundIngredients, _mle_bound_fields
 
 __all__ = ["MODEL_NAMES", "get_model", "Model"]
 
@@ -97,9 +94,7 @@ class Model:
 
     @property
     def uses_h_weights(self) -> bool:
-        """Whether ``distance_bound`` reads its ``h_weights``: the poisson and
-        beta closed forms are unit-weight totals (see ``steincore``'s h_weights
-        convention), which take weights up to 1 unread and refuse more."""
+        """Whether ``distance_bound`` reads its ``h_weights`` (see there)."""
         return self.name not in ("poisson", "beta")
 
     @property
@@ -107,30 +102,33 @@ class Model:
         """theta0's lower limit, as keywords of ``_validate.real``."""
         return {"ge": 0.0} if self.name == "poisson" else {"gt": 0.0}
 
+    def _theta0(self, theta0) -> float:  # the one check of theta0 in this class
+        return real(theta0, "theta0", **self.theta0_limit)
+
     @float_range
     def fisher_info(self, theta0: float) -> float:
         """The expected information of one observation at theta0."""
+        theta0 = self._theta0(theta0)
         if self.name == "poisson":
-            theta0 = real(theta0, "theta0", ge=0.0)
             if theta0 == 0.0:
                 raise DomainError("poisson: the information number degenerates at theta0 = 0")
             return _finite("fisher_info: the information", 1.0 / theta0)
         if self.name == "beta":
-            return self._beta_ingredients(real(theta0, "theta0", gt=0.0)).fisher_info
-        return _finite("fisher_info: the information", 1.0 / real(theta0, "theta0", gt=0.0) ** 2)
+            return self._beta_ingredients(theta0).fisher_info
+        return _finite("fisher_info: the information", 1.0 / theta0**2)
 
     @float_range
     def standardize_scale(self, theta0: float, n: int) -> float:
         """sqrt(n i(theta0)), or sqrt(n) on the boundary route."""
         n = integer(n, "n")
         if self.name == "poisson":
-            real(theta0, "theta0", ge=0.0)
+            self._theta0(theta0)
             return math.sqrt(n)
         return _finite("standardize_scale: the scale", math.sqrt(n * self.fisher_info(theta0)))
 
     def target_sigma(self, theta0: float) -> float:
         """Standard deviation of the normal the standardised estimator targets."""
-        theta0 = real(theta0, "theta0", **self.theta0_limit)
+        theta0 = self._theta0(theta0)
         return math.sqrt(theta0) if self.name == "poisson" else 1.0
 
     def mle_from_stat(self, stat, n: int):
@@ -167,16 +165,24 @@ class Model:
     def distance_bound(
         self, theta0: float, n: int, h_weights=(1.0, 1.0), epsilon: float | None = None, c="auto"
     ) -> BoundBreakdown:
-        # The Poisson and Beta closed forms are unit-weight totals: they bound
-        # the h-discrepancy for every h in the class of steincore's h_weights
-        # convention, so for weights up to 1, and a larger weight is refused.
+        """The model's distance bound at (theta0, n), term by term.  The
+        exponential routes weight the terms by ``h_weights`` and take
+        ``epsilon``, the ball radius (theta0/2 if None); poisson takes ``c``
+        ("auto" minimises the total).  Every route refuses an epsilon other
+        than None, or a c other than "auto", that it does not read; the
+        poisson and beta closed forms, unit-weight totals (``steincore``'s
+        h_weights convention), leave h weights up to 1 unread and refuse more."""
+        if not self.uses_h_weights and max(weights(h_weights)) > 1.0:
+            raise DomainError(
+                f"{self.name}: the closed form is the unit-weight total, which covers "
+                f"h weights up to 1 only, got {h_weights!r}"
+            )
         if self.name == "poisson":
-            self._reject_unused(epsilon=epsilon, h_weights=h_weights)
+            self._reject_unused(epsilon)
             return boundary.poisson_bound(theta0, n, c)
         if self.name == "beta":
-            self._reject_unused(epsilon, c, h_weights)
-            theta0, n = real(theta0, "theta0", gt=0.0), integer(n, "n")
-            return msebound.implicit_distance_bound(self._beta_ingredients(theta0), n)
+            self._reject_unused(epsilon, c)
+            return msebound.implicit_distance_bound(self._beta_ingredients(self._theta0(theta0)), n)
         self._reject_unused(c=c)
         return _mle_bound_fields(self._exp_fields(theta0, n, epsilon), h_weights)
 
@@ -185,7 +191,7 @@ class Model:
         """The MSE bound (B3/sqrt(n))^2 where one exists (Beta only); None otherwise."""
         if self.name != "beta":
             return None
-        theta0, n = real(theta0, "theta0", gt=0.0), integer(n, "n")
+        theta0, n = self._theta0(theta0), integer(n, "n")
         b3sq, nf = msebound._b3_squared(self._beta_ingredients(theta0), n, "mse_bound")
         return b3sq / nf
 
@@ -197,12 +203,12 @@ class Model:
         exist below n = 5, is None there.
         """
         if self.name == "poisson":
-            theta0, n = real(theta0, "theta0", ge=0.0), integer(n, "n")
+            theta0, n = self._theta0(theta0), integer(n, "n")
             bd = self.distance_bound(theta0, n, epsilon=epsilon)
             return {"model": self.name, "theta0": theta0, "n": n, "bound": bd.to_dict()}
         if self.name == "beta":
             self._reject_unused(epsilon)
-            theta0 = real(theta0, "theta0", gt=0.0)
+            theta0 = self._theta0(theta0)
             ing = self._beta_ingredients(theta0)
             out = {"model": self.name, "theta0": theta0, "beta": self.beta,
                    "B1": msebound._beta_fisher_b1(theta0, self.beta)[1], "B2": ing.c1_const,
@@ -233,17 +239,11 @@ class Model:
             return expfam._canonical_fields(theta0, n, epsilon)
         return expfam._noncanonical_fields(theta0, n, epsilon)
 
-    def _reject_unused(self, epsilon=None, c="auto", h_weights=None):
-        """Refuse a value other than the default for an option the model
-        ignores, and ``h_weights`` above 1 where the route ignores them."""
-        if h_weights is not None and max(_weights(h_weights)) > 1.0:
-            raise DomainError(
-                f"{self.name}: the closed form is the unit-weight total, which covers "
-                f"h weights up to 1 only, got {h_weights!r}"
-            )
+    def _reject_unused(self, epsilon=None, c="auto"):
+        """Refuse a value other than the default for an option the model ignores."""
         if epsilon is not None:
             raise DomainError(f"{self.name}: the model takes no epsilon, got {epsilon!r}")
-        if c != "auto":
+        if perturbation(c) != "auto":
             raise DomainError(f"{self.name}: c applies to the poisson model only, got {c!r}")
 
 

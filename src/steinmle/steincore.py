@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from ._validate import Value, instance, integer, real
+from ._validate import Value, instance, integer, real, weights
 from .errors import DomainError, FloatRangeError, float_range, range_error
 from .specfun import inv_quadratic_expectation, std_normal_quantile
 
@@ -238,15 +238,6 @@ def _score_term(third_abs_moment: float, variance: float, n: int) -> float:
     return (2.0 + third_abs_moment / variance**1.5) / math.sqrt(n)
 
 
-def _weights(h_weights) -> tuple:
-    """The (sup_norm, lip_norm) pair of a bound's ``h_weights``, checked."""
-    try:
-        sup, lip = h_weights
-    except (TypeError, ValueError):
-        raise DomainError(f"h_weights must be a (sup_norm, lip_norm) pair, got {h_weights!r}") from None
-    return real(sup, "sup weight", ge=0.0), real(lip, "lip weight", ge=0.0)
-
-
 @float_range
 def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     """Distance bound for the standardised score statistic.
@@ -257,7 +248,7 @@ def score_bound(ing: BoundIngredients, h_weights=(1.0, 1.0)) -> BoundBreakdown:
     estimator's distance directly, with no Taylor expansion.
     """
     instance(ing, BoundIngredients, "ing")
-    sup, lip = _weights(h_weights)
+    sup, lip = weights(h_weights)
     value = lip * _score_term(ing.third_abs_score_moment, ing.fisher_info, ing.n)
     return BoundBreakdown(terms=((TERM_SCORE, value),))
 
@@ -287,7 +278,7 @@ def _mle_bound_fields(fields: tuple, h_weights, taylor_first: bool = False) -> B
         and third >= 0.0 and mse >= 0.0 and fourth >= 0.0 and sup3 >= 0.0 and r2 >= 0.0
     ):
         BoundIngredients(*fields)
-    sup, lip = _weights(h_weights)
+    sup, lip = weights(h_weights)
     try:
         root_ni = math.sqrt(n * fisher)
         if root_ni == _INF:  # an overflowed n i would zero the R2 and Taylor terms

@@ -157,9 +157,12 @@ def _value_kind(built, other):
 
 
 _B = BetaParams(1.5, 2.0)
+# Neither a number nor a pair: a 0-d array, a 1-d array and None.
+_ARRAYS_AND_NONE = (np.array(1.0), np.array([1.0, 2.0]), None)
 REAL = Kind(REALS, (True, "1.5"), _FLOAT_TYPES)
 EPSILON = Kind(st.none() | REALS, (True, "1.5", math.inf), _FLOAT_TYPES)
-C = Kind(st.just("auto") | REALS, (True, "1.5"), _FLOAT_TYPES)
+C = Kind(st.just("auto") | REALS, (True, "1.5", "AUTO", *_ARRAYS_AND_NONE), _FLOAT_TYPES,
+         pattern="^c must be")
 ALPHA = Kind(REALS | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
              (True, "0.5", 0.0, 1.2), _FLOAT_TYPES)
 SHAPE = Kind(_SHAPES | st.sampled_from([0.0, -1.0, math.nan, True, "2"]), (True, "2.0"),
@@ -169,7 +172,7 @@ ORDER = Kind(st.integers(-1, 5) | SIZES, (True, "1", 1.0), _INT_TYPES)
 COUNT = Kind(COUNTS, (True, "2", 2.5, 0, -5), _INT_TYPES)
 SEED = Kind(SEEDS, (True, "3", 1.5, -1, np.int64(-1), 2**128), _INT_TYPES)
 MODEL = Kind(st.sampled_from([*MODEL_NAMES, "weibull", None]), ("weibull", None))
-PAIR = Kind(WEIGHTS, ((1.0,), 5, (1.0, 1.0, 1.0)), pattern="^h_weights must be")
+PAIR = Kind(WEIGHTS, ((1.0,), 5, (1.0, 1.0, 1.0), *_ARRAYS_AND_NONE), pattern="^h_weights must be")
 FLAG = Kind(st.booleans())
 TEXT = Kind(st.text(max_size=3))
 IGNORED = Kind(REALS)
@@ -533,6 +536,18 @@ def test_a_numpy_scalar_gives_the_plain_result(name):
                     assert _shown(row.call(args)) == want, (name, i, scalar)
 
 
+@pytest.mark.parametrize("name", [name for name in CONTRACT
+                                  if ("h_weights", PAIR) in ROWS[name].params])
+def test_float32_weights_give_the_plain_result(name):
+    # PAIR has no numpy_types, since ``_as`` converts only plain numbers
+    row = ROWS[name]
+    i = row.params.index(("h_weights", PAIR))
+    for plain in row.plains:
+        with_pair = [plain[:i] + (pair,) + plain[i + 1:]
+                     for pair in [(0.5, 0.25), (np.float32(0.5), np.float32(0.25))]]
+        assert _shown(row.call(with_pair[1])) == _shown(row.call(with_pair[0])), name
+
+
 # Drawn calls run after the checks above: a numpy scalar let through them can
 # stall the Poisson c search, which those checks report as a failure first.
 @pytest.mark.parametrize("name", CONTRACT)
@@ -761,6 +776,10 @@ CLI_ERRORS = {
                             _USAGE),
     "usage-unknown-verb": (["weibull"], 2, None, _USAGE),
     "usage-no-verb": ([], 2, None, _USAGE),
+    # c is checked before the zero bound at theta0 = 0
+    "bound-poisson-theta0-0-negative-c": (
+        ["bound", "--model", "poisson", "--theta0", "0", "--n", "10", "--c", "-3"], 2, "DomainError",
+        "c must be a finite real > 0, got -3.0"),
     "bound-negative-theta0": (["bound", "--model", "exp-canonical", "--theta0", "-1", "--n", "10"],
                               2, "DomainError", "theta0 must be a finite real > 0, got -1.0"),
     "bound-beta-below-minimal-n": (["bound", "--model", "beta", "--theta0", "1.5", "--n", "7000"],

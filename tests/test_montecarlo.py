@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import bracketed_beta_root, conditioned_mean, kolmogorov_q, ks_two_sample
+from oracles import bracketed_beta_root, conditioned_mean, kolmogorov_q, ks_two_sample, polygamma_series
 
 from steinmle.errors import DegenerateSampleError, DomainError, UnknownModelError
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
@@ -258,6 +258,22 @@ class TestStatisticLaws:
         stats = _pykernels.trial_stats("beta", 1.5, 2.5, n, 8, 0, trials)
         mean = polygamma(0, 1.5) - polygamma(0, 4.0)
         se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 4.0)) / n / trials)
+        assert abs(float(stats.mean()) - mean) < 5.0 * se
+
+    # The raw block from theta0 = 1.5 down to shapes where Generator.beta
+    # returns many draws below 2^-64 (P = 0.01 at (0.1, 0.5), 0.4 at
+    # (0.02, 0.5)), and a few exact zeros: 10^6 draws at a small theta0,
+    # enough to see a bias of 0.1 at theta0 = 0.1 as 11 SE.
+    @pytest.mark.parametrize("beta", [0.5, 2.5])
+    @pytest.mark.parametrize("theta0,n,trials", [(0.02, 1000, 1000), (0.05, 1000, 1000),
+                                                 (0.1, 1000, 1000), (1.5, 100, 200)])
+    def test_raw_block_mean_log_is_exact_across_shapes(self, theta0, beta, n, trials):
+        # mean psi(a) - psi(a + b) and variance (psi1(a) - psi1(a + b)) / n a
+        # trial, from the series oracle rather than the package's polygamma
+        assert _pykernels.raw_sampled("beta", beta)
+        stats = _pykernels.trial_stats("beta", theta0, beta, n, 11, 0, trials)
+        mean = polygamma_series(0, theta0) - polygamma_series(0, theta0 + beta)
+        se = math.sqrt((polygamma_series(1, theta0) - polygamma_series(1, theta0 + beta)) / n / trials)
         assert abs(float(stats.mean()) - mean) < 5.0 * se
 
 

@@ -165,6 +165,17 @@ FAULTS = [
           "except OverflowError as exc:\n            raise range_error(name, exc)"),
     Fault("master_seed drops its 2^128 cap", _VALIDATE,
           "    if v >= 2**128:\n", "    if False:\n"),
+    Fault("perturbation accepts an array", _VALIDATE,
+          '    return real(c, "c", gt=0.0)\n',
+          '    return c if hasattr(c, "ndim") else real(c, "c", gt=0.0)\n'),
+    Fault("weights accepts None as the unit pair", _VALIDATE,
+          "    if not (isinstance(h_weights, (tuple, list)) and len(h_weights) == 2):\n",
+          "    if h_weights is None:\n        return 1.0, 1.0\n"
+          "    if not (isinstance(h_weights, (tuple, list)) and len(h_weights) == 2):\n"),
+    # The raw Beta clamp that lifted every draw below 2^-64, not only exact zeros.
+    Fault("raw Beta draws clamped at 2^-64", _KERNELS,
+          "        x[x == 0.0] = _TINY_X\n        return x\n",
+          "        return np.maximum(x, 2.0**-64)\n"),
 ]
 
 
