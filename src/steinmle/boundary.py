@@ -96,12 +96,13 @@ def minimize_poisson_c(theta0: float, n: int) -> float:
     on c.  So the golden section brackets the one minimum on [lo, hi] =
     [min(1e-12, n*theta0/2), n*theta0], and only an end of that bracket can
     beat the section's limit: the limit, lo and hi are priced in turn, a
-    later one kept only if strictly lower.  Each c is priced by
+    later one kept only if strictly lower.  Each c is priced in double by
     ``_poisson_values``, the formula ``poisson_bound`` labels, from the
     c-free parts that ``_poisson_parts`` computes once per call.  The
     closed-form root of the stationarity cubic waits for the benchmark to
     stop reading a faster search as a peak-RSS regression (ROADMAP item 1).
     """
+    theta0, n = real(theta0, "theta0", gt=0.0), integer(n, "n")
     parts = _poisson_parts(theta0, n)
     hi = n * theta0
     lo = min(1e-12, hi / 2.0)

@@ -40,7 +40,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .. import registry
-from .._validate import Value, instance, integer, master_seed, perturbation, real
+from .._validate import Value, ball_radius, instance, integer, master_seed, perturbation, real
 from ..errors import DomainError, SteinMLEError
 from ..msebound import BetaParams
 from ..specfun import normal_expectation
@@ -88,7 +88,7 @@ class SimulationConfig(Value):
     """One distance experiment: model, true parameter, sizes, seed, h.
 
     ``test_function`` None is the default h, ``inv_quadratic_test_function()``.
-    """
+    An epsilon or c that the model's bound would refuse is refused here."""
 
     def __init__(
         self, model: str, theta0: float, n: int, trials: int = 10000, seed: int = 0,
@@ -104,14 +104,12 @@ class SimulationConfig(Value):
         seed = master_seed(seed)
         entry = registry.get_model(model, beta)
         theta0 = real(theta0, "theta0", **entry.theta0_limit)
-        vars(self).update(
-            model=model, theta0=theta0, n=n, trials=trials, seed=seed,
-            test_function=inv_quadratic_test_function() if test_function is None
-            else instance(test_function, TestFunction, "test_function"),
-            beta=entry.beta,
-            epsilon=None if epsilon is None else real(epsilon, "epsilon", gt=0.0),
-            c=perturbation(c), workers=workers,
-        )
+        h = inv_quadratic_test_function() if test_function is None else instance(
+            test_function, TestFunction, "test_function")
+        epsilon, c = None if epsilon is None else ball_radius(epsilon, theta0), perturbation(c)
+        entry._reject_unused(None if model.startswith("exp") else epsilon, "auto" if model == "poisson" else c)
+        vars(self).update(model=model, theta0=theta0, n=n, trials=trials, seed=seed,
+                          test_function=h, beta=entry.beta, epsilon=epsilon, c=c, workers=workers)
 
 
 class SimulationReport(Value):

@@ -35,7 +35,7 @@ import math
 from ._validate import Value, instance, integer, real
 from .errors import ConvergenceError, DomainError, FloatRangeError, float_range, range_error
 from .specfun import _ASYMPTOTIC_COEFFS, _ASYMPTOTIC_CUT, _polygammas
-from .steincore import BoundBreakdown, _mle_bound_fields
+from .steincore import _UNIT_WEIGHTS, BoundBreakdown, _mle_bound_fields
 
 __all__ = [
     "ImplicitModelIngredients",
@@ -227,7 +227,7 @@ def implicit_distance_bound(ing: ImplicitModelIngredients, n: int) -> BoundBreak
         raise OverflowError  # the FloatRangeError naming this function
     fields = (0.0, n, ing.fisher_info, ing.third_abs_score_moment, b3sq / nf, 0.0, sup3,
               math.sqrt(ing.var_l2) * math.sqrt(b3sq), ing.epsilon, True)
-    return _mle_bound_fields(fields, (1.0, 1.0), taylor_first=True)
+    return _mle_bound_fields(fields, _UNIT_WEIGHTS, taylor_first=True)
 
 
 def _beta_fisher_b1(theta0: float, beta: float):

@@ -59,6 +59,7 @@ TERM_R2 = "r2"
 TERM_TAYLOR = "taylor_remainder"
 
 _INF = math.inf
+_UNIT_WEIGHTS = (1.0, 1.0)  # valid h weights, which ``_mle_bound_fields`` does not check again
 
 
 class TestFunction(Value):
@@ -270,15 +271,15 @@ def _mle_bound_fields(fields: tuple, h_weights, taylor_first: bool = False) -> B
     errors named for it.  The fields need theta0, n and epsilon checked, as
     an ingredient builder checks them; one test of the other floats stands
     in for the ingredients' checks, and a ``BoundIngredients`` is built only
-    when it fails, to raise the error that names the field.  ``taylor_first``
-    puts the Taylor term before the R2 term, the implicit-MLE bound's order."""
+    when it fails, to raise the error that names the field; then h_weights,
+    unless ``_UNIT_WEIGHTS``.  ``taylor_first`` puts Taylor before R2."""
     _, n, fisher, third, mse, fourth, sup3, r2, eps, deterministic = fields
     if not (
         0.0 < fisher < _INF and 0.0 < eps < _INF
         and third >= 0.0 and mse >= 0.0 and fourth >= 0.0 and sup3 >= 0.0 and r2 >= 0.0
     ):
         BoundIngredients(*fields)
-    sup, lip = weights(h_weights)
+    sup, lip = h_weights if h_weights is _UNIT_WEIGHTS else weights(h_weights)
     try:
         root_ni = math.sqrt(n * fisher)
         if root_ni == _INF:  # an overflowed n i would zero the R2 and Taylor terms

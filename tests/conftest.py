@@ -72,3 +72,10 @@ class CliRunner:
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def mp():
+    """mpmath, for the checks against it: they skip where it is not
+    installed, and no other test imports it."""
+    return pytest.importorskip("mpmath")

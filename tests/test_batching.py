@@ -94,15 +94,6 @@ class TestSweepBatch:
             assert (rep.empirical_distance, rep.empirical_mse, rep.standard_error) == (
                 abs(mean_h - rep.expected_h), mse, se)
 
-    def test_one_estimator_call_for_a_small_sweep(self, monkeypatch):
-        calls = []
-        entry_cls = type(get_model("beta"))
-        original = entry_cls.mle_from_stat
-        monkeypatch.setattr(entry_cls, "mle_from_stat",
-                            lambda self, stat, n: calls.append(n) or original(self, stat, n))
-        run_mse_sweep(BetaParams(1.5, 1.0), [7500, 7700, 7900, 8100, 8300], trials=5, seed=1)
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
     def test_row_bounds_equal_b3_squared_over_n(self, monkeypatch, beta):
         # the exact n-free root is built once a sweep, and each row's bound

@@ -2,6 +2,9 @@
 bound."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from test_bound_snapshots import _poisson_c_grid
 
 from steinmle import boundary
 from steinmle.boundary import _poisson_parts, _poisson_total, minimize_poisson_c, poisson_bound
-from steinmle.errors import DomainError
 
 POISSON_LABELS = (
     "param_shift",
@@ -63,47 +65,8 @@ class TestPoissonBound:
         got = math.sqrt(1e10) * poisson_bound(1.0, 10**10, 1.0).total
         assert got == pytest.approx(limit, abs=1e-3)
 
-    def test_order_root_n(self):
-        scaled = [
-            math.sqrt(n) * poisson_bound(2.0, n, 0.5).total
-            for n in (10, 10**2, 10**4, 10**6, 10**8)
-        ]
-        assert max(scaled) < 50.0
-        assert abs(scaled[-1] - scaled[-2]) < 1e-2
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            poisson_bound(-1.0, 10)
-        with pytest.raises(DomainError):
-            poisson_bound(1.0, 0)
-        with pytest.raises(DomainError):
-            poisson_bound(1.0, 10, 0.0)
-        with pytest.raises(DomainError):
-            poisson_bound(1.0, 10, -2.0)
-
 
 class TestAutoC:
-    @pytest.mark.parametrize("theta0,n", [(1.0, 100), (0.01, 4), (5.0, 37), (0.3, 1000)])
-    def test_auto_beats_fixed_choices(self, theta0, n):
-        auto_total = poisson_bound(theta0, n, "auto").total
-        for c in (0.1, 1.0, 10.0):
-            if c < n * theta0:
-                assert auto_total <= poisson_bound(theta0, n, c).total + 1e-12
-
-    @pytest.mark.parametrize("theta0,n", [(1.0, 100), (0.01, 4), (2.5, 50)])
-    def test_auto_beats_log_grid(self, theta0, n):
-        auto_total = poisson_bound(theta0, n, "auto").total
-        lo, hi = 1e-6, n * theta0
-        for k in range(50):
-            c = 10.0 ** (math.log10(lo) + k * (math.log10(hi) - math.log10(lo)) / 49.0)
-            assert auto_total <= poisson_bound(theta0, n, c).total + 1e-10
-
-    def test_interior_optimum_found(self):
-        # small mean and tiny n put the optimum in the interior of (0, n*theta0]
-        c_star = minimize_poisson_c(0.01, 4)
-        total_star = poisson_bound(0.01, 4, c_star).total
-        assert total_star < poisson_bound(0.01, 4, 1e-9).total
-
     @pytest.mark.parametrize("theta0", [1e-9, 1e-6, 1e-3, 0.01, 0.3, 1.0, 5.0, 60.0, 1e3, 1e6])
     def test_auto_matches_dense_scan(self, theta0):
         # the minimum over 20,001 log-spaced c in [min(1e-12, n theta0/2), n theta0],
@@ -128,6 +91,16 @@ class TestAutoC:
         for c in (min(1e-12, hi / 2.0), hi, c_auto):
             assert _poisson_total(theta0, n, c, parts) == poisson_bound(theta0, n, c=c).total, c
 
+    def test_float32_theta0_searches_in_double(self):
+        # a float32 theta0 once kept the golden-section bracket in float32,
+        # which never narrowed to the tolerance: the search did not return
+        src = os.path.dirname(os.path.dirname(boundary.__file__))
+        code = ("import numpy as np; from steinmle.boundary import minimize_poisson_c; "
+                "print(minimize_poisson_c(np.float32(1.0), 10).hex())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        assert out.stdout == minimize_poisson_c(1.0, 10).hex() + "\n", out.stderr
+
     def test_searched_c_stays_in_range(self):
         # over the pinned Poisson points, c lies in [min(1e-12, n theta0/2), n theta0]
         for theta0, n in _poisson_c_grid():
@@ -150,33 +123,3 @@ class TestAutoC:
             minimize_poisson_c(theta0, n)
             most = max(most, len(priced))
         assert most <= 92
-
-
-class TestPoissonDirectBound:
-    """The normalised-sum bound (2 + (3 theta0 + 1)^(3/4) / theta0^(3/4))/sqrt(n)
-    for the Poisson mean: the perturbed-score term of ``poisson_bound``."""
-
-    @staticmethod
-    def direct(theta0, n, c="auto"):
-        return dict(poisson_bound(theta0, n, c).terms)["perturbed_score"]
-
-    def test_reference_values(self):
-        assert self.direct(1.0, 100) == pytest.approx(0.4828427125, abs=1e-9)
-        third = (2.0 + 2.0**0.75 * 3.0**0.75) / math.sqrt(25)
-        assert self.direct(1.0 / 3.0, 25) == pytest.approx(third, rel=1e-12, abs=0.0)
-
-    def test_dominated_by_perturbed_bound(self):
-        for theta0 in (0.2, 1.0, 4.0):
-            for n in (5, 50, 500, 5000):
-                direct = self.direct(theta0, n)
-                assert direct <= poisson_bound(theta0, n, "auto").total
-                for c in (0.5, 2.0):
-                    if c < n * theta0:
-                        assert self.direct(theta0, n, c) == direct
-                        assert direct <= poisson_bound(theta0, n, c).total
-
-    def test_validation(self):
-        # theta0 = 0 is the degenerate case, where the term is exactly zero
-        assert self.direct(0.0, 10) == 0.0
-        with pytest.raises(DomainError):
-            self.direct(-1.0, 10)

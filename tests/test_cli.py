@@ -52,66 +52,7 @@ def test_version_from_a_source_checkout():
     assert out.stderr == ""
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["table", "1", "--trials", "10", "--format", "json"],
-        ["simulate", "--model", "poisson", "--theta0", "5", "--n", "20", "--trials", "50",
-         "--format", "json"],
-        ["mse-sweep", "--n-from", "7460", "--n-to", "7461", "--trials", "5", "--format", "json"],
-        ["mse-sweep", "--beta", "3", "--n-from", "18222", "--n-to", "18222", "--trials", "5",
-         "--format", "json"],
-        ["simulate", "--model", "exp-canonical", "--theta0", "1", "--n", "10", "--trials", "1"],
-    ],
-    ids=["table", "simulate", "mse-sweep", "mse-sweep-beta-3", "simulate-one-trial-text"],
-)
-def test_verbs_computing_gaussian_expectations_run_without_scipy(args):
-    # a None entry in sys.modules makes every import of that module fail;
-    # mpmath is a test-only dependency, and scipy only the benchmark's
-    src = os.path.dirname(os.path.dirname(steinmle.__file__))
-    code = (
-        "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; "
-        "from steinmle.cli import main; main()"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    if args[-1] == "json":
-        json.loads(out.stdout)
-    else:  # one trial has no standard error
-        assert "standard_error    n/a\n" in out.stdout
-
-
 class TestBoundCommand:
-    def test_table1_last_row(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "bound",
-                "--model",
-                "exp-canonical",
-                "--theta0",
-                "1",
-                "--n",
-                "100000",
-                "--h-sup",
-                "0.5",
-                "--h-lip",
-                "0.2296401",
-                "--format",
-                "json",
-            ],
-        )
-        assert result.exit_code == 0
-        payload = _json_out(result)
-        assert payload["schema"] == "steinmle/bound/v1"
-        assert payload["breakdown"]["total"] == pytest.approx(0.009, abs=1e-3)
-        # the Kolmogorov bound converts the unit-weight total, not the weighted one
-        unit = get_model("exp-canonical").distance_bound(1.0, 100000, h_weights=(1.0, 1.0))
-        assert payload["kolmogorov_bound"] == pytest.approx(2.0 * unit.total**0.5, rel=1e-12, abs=0.0)
-
     @pytest.mark.parametrize(
         "model,theta0,n",
         [("exp-canonical", "1", "100000"), ("exp-noncanonical", "2", "1000"),
@@ -121,6 +62,7 @@ class TestBoundCommand:
         # the Kolmogorov distance involves no h, so neither may its bound
         base = ["bound", "--model", model, "--theta0", theta0, "--n", n, "--format", "json"]
         unit = _json_out(runner.invoke(main, base))
+        assert unit["schema"] == "steinmle/bound/v1"
         assert unit["kolmogorov_bound"] == kolmogorov_from_bw(unit["breakdown"]["total"])
         pairs = [("0.5", "0.2296401"), ("0.01", "0.01"), ("1", "0.1")]
         if get_model(model).uses_h_weights:  # poisson and beta refuse a weight above 1
@@ -128,6 +70,8 @@ class TestBoundCommand:
         for sup, lip in pairs:
             weighted = _json_out(runner.invoke(main, base + ["--h-sup", sup, "--h-lip", lip]))
             assert weighted["kolmogorov_bound"] == unit["kolmogorov_bound"]
+            bound = get_model(model).distance_bound(float(theta0), int(n), (float(sup), float(lip)))
+            assert weighted["breakdown"] == bound.to_dict()
 
     @pytest.mark.parametrize("theta0", ["1e-6", "1e-3", "0.04", "1"])
     @pytest.mark.parametrize("n", ["1000", "1000000000000000"])
@@ -168,14 +112,6 @@ class TestBoundCommand:
                 assert _json_out(weighted) == dict(_json_out(unit), h_sup=0.5)
             else:
                 assert weighted.stdout == unit.stdout
-
-    def test_poisson_zero_total(self, runner):
-        result = runner.invoke(
-            main,
-            ["bound", "--model", "poisson", "--theta0", "0", "--n", "50", "--format", "json"],
-        )
-        assert result.exit_code == 0
-        assert _json_out(result)["breakdown"]["total"] == 0.0
 
     def test_text_format(self, runner):
         # a term a line, the labels padded to the longest, six significant digits
@@ -234,30 +170,6 @@ def test_in_process_calls_keep_no_output_alive():
 
 
 class TestTableCommand:
-    def test_table1_bound_column(self, runner):
-        result = runner.invoke(
-            main, ["table", "1", "--trials", "40", "--seed", "1", "--format", "json"]
-        )
-        assert result.exit_code == 0
-        rows = _json_out(result)["rows"]
-        bounds = [row["bound_total"] for row in rows]
-        targets = [1.955, 0.336, 0.094, 0.029, 0.009]
-        for got, want in zip(bounds, targets):
-            assert got == pytest.approx(want, abs=1e-3)
-
-    def test_table2_direct_column(self, runner):
-        result = runner.invoke(
-            main, ["table", "2", "--trials", "40", "--seed", "1", "--format", "json"]
-        )
-        assert result.exit_code == 0
-        rows = _json_out(result)["rows"]
-        direct = [row["direct_bound"] for row in rows]
-        for got, want in zip(direct, [0.321, 0.101, 0.032, 0.010, 0.003]):
-            assert got == pytest.approx(want, abs=1e-3)
-        general = [row["bound_total"] for row in rows]
-        for got, want in zip(general, [11.888, 3.401, 1.058, 0.333, 0.105]):
-            assert got == pytest.approx(want, abs=5e-3)
-
     def test_table2_direct_column_is_the_score_bound(self, runner):
         # the column is the score term of each row's distance bound: the
         # normalised-sum bound, bit for bit, at the table's n and elsewhere
@@ -271,16 +183,6 @@ class TestTableCommand:
             score = score_bound(exp_noncanonical_ingredients(2.0, n), weights).total
             assert dict(bound.terms)["score"] == score
 
-    def test_table3_bound_column(self, runner):
-        result = runner.invoke(
-            main, ["table", "3", "--trials", "25", "--seed", "1", "--format", "json"]
-        )
-        assert result.exit_code == 0
-        rows = _json_out(result)["rows"]
-        for row, want in zip(rows, [0.2517, 0.0416, 0.0223, 0.0151, 0.0112]):
-            assert row["bound_total"] == pytest.approx(want, abs=5e-4)
-            assert row["target"] == "mse"
-
     def test_table_text_rendering(self, runner):
         result = runner.invoke(main, ["table", "1", "--trials", "25", "--seed", "1"])
         assert result.exit_code == 0
@@ -288,44 +190,12 @@ class TestTableCommand:
         assert lines[0].split() == ["n", "empirical", "bound", "error"]
         assert "1.955" in lines[1]
 
-    def test_table_csv_schema(self, runner):
-        result = runner.invoke(
-            main, ["table", "1", "--trials", "25", "--seed", "1", "--format", "csv"]
-        )
-        header = result.output.splitlines()[0]
-        assert header == "model,theta0,n,trials,seed,empirical_distance,empirical_mse,bound_total,error"
-
-    def test_table_csv_reproducible(self, runner):
-        args = ["table", "2", "--trials", "30", "--seed", "11", "--format", "csv"]
-        out1 = runner.invoke(main, args).output
-        out2 = runner.invoke(main, args).output
-        assert out1 == out2
-
 
 class TestSimulateCommand:
-    def test_dominance_row(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "simulate",
-                "--model",
-                "exp-canonical",
-                "--theta0",
-                "1",
-                "--n",
-                "10",
-                "--trials",
-                "2000",
-                "--seed",
-                "42",
-                "--format",
-                "json",
-            ],
-        )
-        assert result.exit_code == 0
-        payload = _json_out(result)
-        assert payload["empirical_distance"] <= payload["bound_total"]
-        assert payload["bound_total"] == pytest.approx(1.955, abs=1e-3)
+    def test_one_trial_has_no_standard_error(self, runner):
+        args = ["simulate", "--model", "exp-canonical", "--theta0", "1", "--n", "10", "--trials", "1"]
+        assert "standard_error    n/a\n" in runner.invoke(main, args).stdout
+
 
     def test_env_seed_used(self, runner):
         args = [
@@ -349,31 +219,6 @@ class TestSimulateCommand:
 
 
 class TestCiCommand:
-    def test_conservative_coverage(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "ci",
-                "--model",
-                "exp-noncanonical",
-                "--theta0",
-                "2",
-                "--n",
-                "1000",
-                "--alpha",
-                "0.05",
-                "--trials",
-                "100",
-                "--seed",
-                "7",
-                "--format",
-                "json",
-            ],
-        )
-        assert result.exit_code == 0
-        payload = _json_out(result)
-        assert payload["coverage"] >= 0.95
-
     def test_quantile_rounding_onto_one_is_degenerate(self, runner):
         # b_k falls a few ulps below alpha/2, so the lower quantile's argument
         # is positive but 1 - alpha/2 + b_k rounds to 1: the whole line
@@ -399,34 +244,6 @@ class TestCiCommand:
 
 
 class TestMseSweepCommand:
-    def test_rows(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "mse-sweep",
-                "--theta0",
-                "1.5",
-                "--beta",
-                "1",
-                "--n-from",
-                "7500",
-                "--n-to",
-                "7700",
-                "--n-step",
-                "200",
-                "--trials",
-                "40",
-                "--seed",
-                "2",
-                "--format",
-                "json",
-            ],
-        )
-        assert result.exit_code == 0
-        rows = _json_out(result)["rows"]
-        assert [row["n"] for row in rows] == [7500, 7700]
-        assert rows[0]["bound_total"] == pytest.approx(0.252048, abs=1e-4)
-
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_overflowed_scale_exits_3_before_any_draw(self, runner, monkeypatch, fmt):
         # sqrt(n i) overflows at theta0 1e-70, n 10^170: refused as the
@@ -522,37 +339,6 @@ def test_gaussian_expectation_computed_once_per_invocation(runner, monkeypatch, 
 
 
 class TestConstantsCommand:
-    def test_beta_constants(self, runner):
-        result = runner.invoke(
-            main,
-            ["constants", "--model", "beta", "--theta0", "1.5", "--beta", "1", "--format", "json"],
-        )
-        assert result.exit_code == 0
-        payload = _json_out(result)
-        assert payload["schema"] == "steinmle/constants/v1"
-        assert payload["minimal_n"] == 7460
-        assert payload["B2"] == pytest.approx(25.56296296, abs=1e-6)
-
-    def test_exp_ingredient_audit(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "constants",
-                "--model",
-                "exp-canonical",
-                "--theta0",
-                "1",
-                "--n",
-                "10",
-                "--format",
-                "json",
-            ],
-        )
-        assert result.exit_code == 0
-        ing = _json_out(result)["ingredients"]
-        assert ing["mse"] == pytest.approx(12.0 / 72.0, rel=1e-12, abs=0.0)
-        assert ing["sup_third_is_deterministic"] is True
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_canonical_fourth_moment_below_n5_is_null(self, runner, n):
         # E(1/mean - theta0)^4 does not exist below n = 5: null in JSON, None
@@ -568,13 +354,6 @@ class TestConstantsCommand:
         assert csv.exit_code == 0 and "ingredients.fourth_mle_moment,None" in csv.stdout
         assert get_model("exp-canonical").audit(1.0, n)["ingredients"]["fourth_mle_moment"] is None
         assert exp_canonical_ingredients(1.0, n).to_dict()["fourth_mle_moment"] == math.inf
-
-    def test_canonical_fourth_moment_from_n5_is_a_number(self, runner):
-        result = runner.invoke(
-            main, ["constants", "--model", "exp-canonical", "--theta0", "1", "--n", "5", "--format", "json"]
-        )
-        assert result.exit_code == 0
-        assert _strict_json(result.stdout)["ingredients"]["fourth_mle_moment"] == 13.708333333333334
 
 
 def _parse_outcome(parse, argv):
@@ -647,47 +426,8 @@ class TestValidation:
             _guard("text", boom)
         assert excinfo.value.code == 3
 
-    def test_poisson_constants_audit(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "constants",
-                "--model",
-                "poisson",
-                "--theta0",
-                "1",
-                "--n",
-                "100",
-                "--format",
-                "json",
-            ],
-        )
-        assert result.exit_code == 0
-        payload = _json_out(result)
-        assert payload["bound"]["total"] > 0.0
-
     def test_table_workers_flag_reproducible(self, runner):
         base = ["table", "3", "--trials", "20", "--seed", "4", "--format", "csv"]
         out1 = runner.invoke(main, base + ["--workers", "1"]).output
         out2 = runner.invoke(main, base + ["--workers", "2"]).output
         assert out1 == out2
-
-    def test_mse_sweep_csv_header(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "mse-sweep",
-                "--n-from",
-                "7500",
-                "--n-to",
-                "7500",
-                "--trials",
-                "10",
-                "--format",
-                "csv",
-            ],
-        )
-        assert result.exit_code == 0
-        assert result.output.splitlines()[0] == (
-            "model,theta0,n,trials,seed,empirical_distance,empirical_mse,bound_total,error"
-        )

@@ -131,9 +131,14 @@ _BOUND_INGREDIENTS = st.builds(BoundIngredients, _POSITIVE, st.integers(1, 10**6
                                *[_MOMENTS] * 5, _POSITIVE, st.booleans())
 _IMPLICIT = st.builds(ImplicitModelIngredients, _POSITIVE, _POSITIVE, _POSITIVE | st.just(0.0),
                       *[_POSITIVE] * 4)
-_CONFIG = st.builds(SimulationConfig, st.sampled_from(MODEL_NAMES), _POSITIVE, _SIZE,
-                    st.integers(1, 3), st.integers(0, 2**128 - 1), st.none() | _H, _SHAPES,
-                    st.none() | _POSITIVE, st.just("auto") | _POSITIVE)
+# A config takes an epsilon in (0, theta0) on the exponential routes only, and
+# a c other than "auto" on the poisson route only.
+_CONFIG_REST = (_SIZE, st.integers(1, 3), st.integers(0, 2**128 - 1), st.none() | _H, _SHAPES)
+_CONFIG = (st.builds(SimulationConfig, st.sampled_from(MODEL_NAMES), _POSITIVE, *_CONFIG_REST)
+           | st.builds(SimulationConfig, st.sampled_from(MODEL_NAMES[:2]), st.just(2.0), *_CONFIG_REST,
+                       st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+           | st.builds(SimulationConfig, st.just("poisson"), _POSITIVE, *_CONFIG_REST, st.none(),
+                       _POSITIVE))
 
 _FLOAT_TYPES = (np.float16, np.float32, np.float64, np.longdouble)
 _INT_TYPES = (np.int8, np.int64, np.uint16)
@@ -161,13 +166,13 @@ _B = BetaParams(1.5, 2.0)
 _ARRAYS_AND_NONE = (np.array(1.0), np.array([1.0, 2.0]), None)
 REAL = Kind(REALS, (True, "1.5"), _FLOAT_TYPES)
 EPSILON = Kind(st.none() | REALS, (True, "1.5", math.inf), _FLOAT_TYPES)
-C = Kind(st.just("auto") | REALS, (True, "1.5", "AUTO", *_ARRAYS_AND_NONE), _FLOAT_TYPES,
+C = Kind(st.just("auto") | REALS, (True, "1.5", "AUTO", 0.0, -2.0, *_ARRAYS_AND_NONE), _FLOAT_TYPES,
          pattern="^c must be")
 ALPHA = Kind(REALS | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
              (True, "0.5", 0.0, 1.2), _FLOAT_TYPES)
 SHAPE = Kind(_SHAPES | st.sampled_from([0.0, -1.0, math.nan, True, "2"]), (True, "2.0"),
              _FLOAT_TYPES)
-SIZE = Kind(SIZES, (True, "10", 10.0), _INT_TYPES)
+SIZE = Kind(SIZES, (True, "10", 10.0, 0), _INT_TYPES)
 ORDER = Kind(st.integers(-1, 5) | SIZES, (True, "1", 1.0), _INT_TYPES)
 COUNT = Kind(COUNTS, (True, "2", 2.5, 0, -5), _INT_TYPES)
 SEED = Kind(SEEDS, (True, "3", 1.5, -1, np.int64(-1), 2**128), _INT_TYPES)
@@ -348,7 +353,8 @@ ROWS = {
          ("test_function", H_OR_NONE), ("beta", REAL), ("epsilon", EPSILON), ("c", C),
          ("workers", COUNT)],
         ("poisson", 5.0, 20, 10, 3, _H_ABS, 1.0, None, 2.5, 2),
-        ("beta", 1.5, 12000, 10, 0, None, 2.0, 0.5, 2.0, 1),
+        ("beta", 1.5, 12000, 10, 0, None, 2.0, None, "auto", 1),
+        ("exp-canonical", 1.5, 20, 10, 0, None, 1.0, 0.5, "auto", 1),
         shown=f"SimulationConfig(model='poisson', theta0=5.0, n=20, trials=10, seed=3, "
               f"test_function={_H_REPR}, beta=1.0, epsilon=None, c=2.5, workers=2)",
         changed=("seed", 4),
@@ -411,6 +417,8 @@ ROWS = {
     "Model.distance_bound": Row(
         [("self", ENTRY), *_THETA0_N, ("h_weights", PAIR), ("epsilon", EPSILON), ("c", C)],
         *[(*entry, (1.0, 1.0), None, "auto") for entry in _ENTRIES],
+        (get_model("exp-canonical"), 1.5, 100, (1.0, 1.0), 0.5, "auto"),
+        (get_model("poisson"), 1.5, 100, (1.0, 1.0), None, 2.0),
     ),
     "Model.mse_bound": Row([("self", ENTRY), *_THETA0_N], _ENTRIES[-1]),  # None off the Beta model
     "Model.audit": Row([("self", ENTRY), *_THETA0_N, ("epsilon", EPSILON)],
@@ -595,6 +603,27 @@ LIBRARY_ERRORS = {
         DomainError, "minimal n = 7460"),
     "config-c-array": (functools.partial(SimulationConfig, "poisson", 1.0, 10,
                                          c=np.array([1.0, 2.0])), DomainError, "^c must be"),
+    # a config that no run can use is refused as it is built
+    "config-epsilon-beyond-theta0": (
+        functools.partial(SimulationConfig, "exp-canonical", 1.0, 10, epsilon=2.0), DomainError,
+        re.escape("epsilon must lie in (0, theta0) = (0, 1.0), got 2.0")),
+    # an option the model does not read, refused by its bound and by a config
+    **{f"{kind}-{model}-{key}": (functools.partial(call(model), 1.5, 7460, **{key: 0.1}), DomainError,
+                                 f"^{model}: " + ("c applies" if key == "c" else "the model takes no"))
+       for model, key in [("exp-canonical", "c"), ("exp-noncanonical", "c"), ("poisson", "epsilon"),
+                          ("beta", "epsilon"), ("beta", "c")]
+       for kind, call in [("bound", lambda m: get_model(m).distance_bound),
+                          ("config", lambda m: functools.partial(SimulationConfig, m))]},
+    "simulate-beta-below-minimal-n": (functools.partial(montecarlo.run_simulation, SimulationConfig(
+        "beta", 1.5, 100, trials=10)), DomainError, "minimal n = 7460"),
+    "ingredients-nan-mse": (functools.partial(BoundIngredients, 1.0, 10, 2.0, 3.0, math.nan, 0.0625,
+                                              4.0, 0.5, 0.5), DomainError, "^mse must be a real >= 0"),
+    **{f"{fn.__name__}-negative-theta0": (functools.partial(fn, -1.0, 10), DomainError, "^theta0 must be")
+       for fn in (steinmle.poisson_bound, steinmle.exp_canonical_ingredients,
+                  steinmle.exp_noncanonical_ingredients)},
+    "beta-model-shape-0": (functools.partial(get_model, "beta", 0.0), DomainError, "^beta must be"),
+    "exp-canonical-n-below-3": (functools.partial(steinmle.exp_canonical_ingredients, 1.0, 2),
+                                DomainError, "MSE requires n >= 3, got 2"),
     # theta0^2 overflows, underflows to 0, or is subnormal with an infinite reciprocal
     **{f"{method}-{model}-{theta0:g}": (
         functools.partial(getattr(get_model(model), method), *args), FloatRangeError, "^fisher_info")

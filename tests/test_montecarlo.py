@@ -136,11 +136,6 @@ class TestSamplers:
         b = _pykernels.draw("exp-canonical", 1.0, 1.0, 100, rng)
         assert not np.array_equal(a, b)
 
-    def test_seed_input_reproducible(self):
-        assert np.array_equal(
-            _draw("exp-canonical", 1.0, 50, 42), _draw("exp-canonical", 1.0, 50, 42)
-        )
-
     def test_unknown_model(self):
         with pytest.raises(UnknownModelError):
             _draw("weibull", 1.0, 10, 0)
@@ -371,9 +366,11 @@ class TestMleOp:
             bracketed_beta_root(len(xs), float(np.log(xs).sum()), 2.0), rel=1e-10
         )
 
-    def test_degenerate_samples(self):
+    @pytest.mark.parametrize("model,beta,stat", [("exp-canonical", 1.0, 0.0), ("beta", 1.0, 0.0),
+                                                 ("beta", 1.0, 0.5), ("beta", 2.0, 0.0), ("beta", 2.0, 0.5)])
+    def test_degenerate_samples(self, model, beta, stat):
         with pytest.raises(DegenerateSampleError):
-            get_model("exp-canonical").mle_from_stat(0.0, 2)
+            get_model(model, beta=beta).mle_from_stat(stat, 3)
 
     @pytest.mark.parametrize(
         "model,beta,sign",
@@ -405,13 +402,6 @@ class TestMleOp:
 
 
 class TestDeterminism:
-    def test_identical_config_identical_report(self):
-        cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=9)
-        r1, r2 = run_simulation(cfg), run_simulation(cfg)
-        assert r1.empirical_distance == r2.empirical_distance
-        assert r1.empirical_mse == r2.empirical_mse
-        assert r1.bound_total == r2.bound_total
-
     def test_seed_changes_empirical(self):
         base = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=1)
         other = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=2)
@@ -419,15 +409,6 @@ class TestDeterminism:
             run_simulation(base).empirical_distance
             != run_simulation(other).empirical_distance
         )
-
-    def test_csv_identical_across_worker_counts(self):
-        reps = []
-        for workers in (1, 2):
-            cfg = SimulationConfig(
-                model="exp-noncanonical", theta0=2.0, n=200, trials=400, seed=5, workers=workers
-            )
-            reps.append(run_simulation(cfg).csv_row())
-        assert reps[0] == reps[1]
 
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
@@ -444,19 +425,8 @@ class TestDeterminism:
         ]
         assert csv[0] == csv[1]
 
-    def test_csv_identical_across_runs(self):
-        cfg = SimulationConfig(model="poisson", theta0=2.0, n=150, trials=200, seed=17)
-        assert run_simulation(cfg).csv_row() == run_simulation(cfg).csv_row()
-
 
 class TestRunSimulation:
-    def test_dominance_small_rows(self):
-        for model, theta0, n in [("exp-canonical", 1.0, 10), ("exp-noncanonical", 2.0, 100)]:
-            cfg = SimulationConfig(model=model, theta0=theta0, n=n, trials=2000, seed=123)
-            rep = run_simulation(cfg)
-            assert rep.empirical_distance <= rep.bound_total
-            assert rep.error == rep.bound_total - rep.empirical_distance
-
     @pytest.mark.parametrize("theta0", [0.5, 5.0])
     def test_poisson_row_lies_within_its_noise_of_the_normal_limit(self, theta0):
         # At n = 50 the exact |E h(sqrt(n)(mean - theta0)) - E h(N(0, theta0))|
@@ -501,11 +471,6 @@ class TestRunSimulation:
         rep = run_simulation(cfg)
         assert rep.empirical_distance <= rep.bound_total
 
-    def test_beta_below_minimal_n_rejected(self):
-        cfg = SimulationConfig(model="beta", theta0=1.5, n=100, trials=10, seed=0)
-        with pytest.raises(DomainError, match="minimal n"):
-            run_simulation(cfg)
-
     def test_beta_distance_row_at_valid_n(self):
         cfg = SimulationConfig(model="beta", theta0=1.5, n=7500, trials=30, seed=19)
         rep = run_simulation(cfg)
@@ -526,28 +491,6 @@ class TestRunSimulation:
         assert abs(var - 1.0) < 5.0 * math.sqrt(2.0 / trials)
         rep = run_simulation(cfg)
         assert rep.empirical_distance <= rep.bound_total
-
-    def test_report_json_schema(self):
-        cfg = SimulationConfig(model="exp-canonical", theta0=1.0, n=30, trials=50, seed=4)
-        payload = run_simulation(cfg).to_dict()
-        assert payload["schema"] == "steinmle/simulation-report/v1"
-        for key in (
-            "model",
-            "theta0",
-            "n",
-            "trials",
-            "seed",
-            "empirical_distance",
-            "empirical_mse",
-            "bound_total",
-            "bound_terms",
-            "standard_error",
-            "error",
-            "rng_algorithm",
-            "backend",
-        ):
-            assert key in payload
-        json.dumps(payload)  # fully serialisable
 
 
 class TestMseSweep:
@@ -571,10 +514,6 @@ class TestMseSweep:
             z = entry.standardize_scale(1.5, n) * (theta_hats - 1.5)
             mean_h = math.fsum(1.0 / (v * v + 2.0) for v in z.tolist()) / 20
             assert rep.empirical_distance == abs(mean_h - rep.expected_h)
-
-    def test_rejects_below_minimal(self):
-        with pytest.raises(DomainError, match="minimal n"):
-            run_mse_sweep(BetaParams(1.5, 1.0), [7000], trials=10, seed=0)
 
     def test_a_refused_n_draws_nothing(self, monkeypatch):
         # every row's bound is computed before any row is drawn
@@ -643,12 +582,6 @@ class TestMseSweep:
 
 
 class TestCiCoverage:
-    def test_degenerate_interval_full_coverage(self):
-        res = ci_coverage("exp-canonical", 1.0, 1000, 0.05, trials=50, seed=0)
-        assert res.degenerate
-        assert res.coverage == 1.0
-        assert res.b_k >= 0.025
-
     def test_nondegenerate_coverage_exceeds_target(self):
         res = ci_coverage("exp-canonical", 1.0, 10**6, 0.5, trials=200, seed=77)
         assert not res.degenerate
@@ -669,46 +602,7 @@ class TestCiCoverage:
         assert res.coverage >= 1.0 - 0.05 - 3.0 * se
 
 
-class TestUnusedOptionsRejected:
-    """Each model refuses a non-default value for an option it does not use."""
-
-    @pytest.mark.parametrize(
-        "model, option",
-        [
-            ("exp-canonical", {"c": 1.0}),
-            ("exp-noncanonical", {"c": 1.0}),
-            ("poisson", {"epsilon": 0.1}),
-            ("beta", {"epsilon": 0.1}),
-            ("beta", {"c": 1.0}),
-        ],
-    )
-    def test_distance_bound(self, model, option):
-        with pytest.raises(DomainError, match=next(iter(option))):
-            get_model(model).distance_bound(1.5, 7460, **option)
-
-    @pytest.mark.parametrize("model", ["poisson", "beta"])
-    def test_audit(self, model):
-        with pytest.raises(DomainError, match="epsilon"):
-            get_model(model).audit(1.5, 7460, 0.1)
-
-    def test_defaults_and_used_options_accepted(self):
-        for model in ("exp-canonical", "exp-noncanonical", "poisson", "beta"):
-            get_model(model).distance_bound(1.5, 7460, epsilon=None, c="auto")
-        get_model("exp-canonical").distance_bound(1.5, 100, epsilon=0.5)
-        get_model("poisson").distance_bound(1.5, 100, c=2.0)
-
-    def test_simulation_config(self):
-        cfg = SimulationConfig(model="beta", theta0=1.5, n=7460, trials=2, epsilon=0.1)
-        with pytest.raises(DomainError, match="epsilon"):
-            run_simulation(cfg)
-
-
 class TestConditionalExpectationCheck:
-    def test_increasing_function_inequality(self):
-        lhs, rhs, se, count = conditioned_mean("exp-canonical", 1.0, 50, lambda m: m * m, 0.15, 4000, 2)
-        assert lhs <= rhs + 3.0 * se
-        assert 0 < count < 4000
-
     def test_constant_function_equal(self):
         lhs, rhs, _, _ = conditioned_mean("exp-canonical", 1.0, 40, lambda m: 2.5, 0.2, 500, 3)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)

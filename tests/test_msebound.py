@@ -10,14 +10,9 @@ import threading
 import time
 from decimal import Decimal
 
-import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from oracles import (
-    beta_score,
-    beta_two_grid_mle,
     bisected_minimal_n,
     bracketed_beta_root,
     decimal_b3_a1,
@@ -27,7 +22,7 @@ from oracles import (
 
 from steinmle import msebound
 from steinmle.cli import main
-from steinmle.errors import ConvergenceError, DegenerateSampleError, DomainError, FloatRangeError
+from steinmle.errors import ConvergenceError, DomainError, FloatRangeError
 from steinmle.registry import get_model
 from steinmle.steincore import BoundIngredients, mle_bound_general
 from steinmle.msebound import (
@@ -71,20 +66,7 @@ def _synthetic_ingredients(**overrides):
     return ImplicitModelIngredients(**base)
 
 
-class TestBetaParams:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            BetaParams(0.0, 1.0)
-        with pytest.raises(DomainError):
-            BetaParams(1.0, -1.0)
-
-
 class TestBetaIngredients:
-    def test_fisher_is_polygamma_difference(self):
-        ing = beta_ingredients(P)
-        # beta = 1 identity: psi_1(t) - psi_1(t+1) = 1/t^2 exactly
-        assert ing.fisher_info == pytest.approx(1.0 / 1.5**2, rel=1e-12, abs=0.0)
-
     def test_b_constants(self):
         consts = CONSTS
         assert consts["B2"] == pytest.approx(25.562962962962963, rel=1e-12, abs=0.0)
@@ -103,7 +85,7 @@ class TestBetaIngredients:
                                "n", "B3"]
         assert audit["B3"] == beta_b3(P, 7460)
 
-    def test_b1_against_independent_polygamma(self):
+    def test_b1_against_independent_polygamma(self, mp):
         with mp.workdps(40):
             ref = float(
                 8
@@ -118,7 +100,7 @@ class TestBetaIngredients:
 
     @pytest.mark.parametrize("beta", [0.01, 1.0, 1000.0])
     @pytest.mark.parametrize("theta0", [1e-3, 0.1, 1.5, 30.0, 1e3])
-    def test_constants_bound_what_they_bound(self, theta0, beta):
+    def test_constants_bound_what_they_bound(self, theta0, beta, mp):
         # B2 = C1 >= sup |l'''| over the eps-ball: l''' = psi_2(theta + beta) -
         # psi_2(theta) falls in theta, so the sup sits at theta0 - eps = theta0/2;
         # B1 >= E score^4 = kappa_4 + 3 kappa_2^2, the cumulants of log X
@@ -130,22 +112,6 @@ class TestBetaIngredients:
             fourth = mp.polygamma(3, t) - mp.polygamma(3, t + b) + 3 * kappa2**2
             assert audit["B2"] >= sup3
             assert audit["B1"] >= fourth
-
-    def test_var_l2_zero_and_unit_sup_norms(self):
-        ing = beta_ingredients(P)
-        assert ing.var_l2 == 0.0
-        assert ing.sup_x_norm == 1.0 and ing.sup_x2_norm == 1.0
-
-    def test_epsilon_is_half_theta0(self):
-        assert beta_ingredients(P).epsilon == pytest.approx(0.75)
-
-    @given(
-        theta0=st.floats(min_value=0.05, max_value=50.0),
-        beta=st.floats(min_value=0.05, max_value=50.0),
-    )
-    def test_fisher_positive(self, theta0, beta):
-        ing = beta_ingredients(BetaParams(theta0, beta))
-        assert ing.fisher_info > 0.0
 
 
 class TestOneBuildARequest:
@@ -237,26 +203,6 @@ class TestOneBuildARequest:
 
 
 class TestMinimalN:
-    def test_beta_reference(self):
-        assert minimal_n(beta_ingredients(P)) == 7460
-
-    def test_zero_c1_limit(self):
-        ing = _synthetic_ingredients(c1_const=1e-12)
-        expected = math.ceil(2.0 / (ing.fisher_info * ing.epsilon**2))
-        assert abs(minimal_n(ing) - expected) <= 1
-
-    def test_monotone_in_epsilon(self):
-        n_half = minimal_n(_synthetic_ingredients(epsilon=0.4))
-        n_quarter = minimal_n(_synthetic_ingredients(epsilon=0.2))
-        assert n_quarter > n_half
-
-    def test_sign_change_of_an_independent_d1(self):
-        for ing in (beta_ingredients(P), _synthetic_ingredients()):
-            m = minimal_n(ing)
-            assert decimal_d1(ing, m) > 0
-            if m > 1:
-                assert decimal_d1(ing, m - 1) <= 0
-
     def test_equals_bisection_over_random_ingredients(self):
         # Every field log-uniform, so ||x^2|| and ||x||^2 almost never agree;
         # epsilon down to 1e-4 puts the minimal n up to ~1e19.
@@ -312,36 +258,6 @@ class TestMinimalN:
 
 
 class TestA1:
-    def test_reduces_when_var_l2_zero(self):
-        ing = beta_ingredients(P)
-        n = 7500
-        dd = float(decimal_d1(ing, n))
-        expected = (
-            1.0
-            / (2.0 * dd)
-            * math.sqrt(
-                4.0
-                * dd
-                / (n * ing.fisher_info)
-                * (
-                    1.0
-                    + 2.0
-                    / math.sqrt(n)
-                    * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)
-                )
-            )
-        )
-        assert mse_upper_bound_a1(ing, n) == pytest.approx(expected, rel=1e-10, abs=0.0)
-
-    @pytest.mark.parametrize("n,ref", sorted(B3SQ_OVER_N.items()))
-    def test_squared_matches_frozen_table(self, n, ref):
-        a1 = mse_upper_bound_a1(beta_ingredients(P), n)
-        assert a1 * a1 == pytest.approx(ref, rel=1e-9, abs=0.0)
-
-    def test_rejects_below_minimal_n(self):
-        with pytest.raises(DomainError, match="minimal n"):
-            mse_upper_bound_a1(beta_ingredients(P), 7000)
-
     @pytest.mark.parametrize(
         "ing,n",
         [
@@ -380,20 +296,6 @@ def _assembled(ing, n, a1):
 
 
 class TestImplicitDistanceBound:
-    def test_refuses_n_below_the_minimal_n(self):
-        # A1 has no positive root there, so no number would bound anything
-        with pytest.raises(DomainError, match="minimal n = 7460 "):
-            implicit_distance_bound(beta_ingredients(P), 400)
-        with pytest.raises(DomainError, match="minimal n = 7460 "):
-            implicit_distance_bound(beta_ingredients(P), 7459)
-
-    def test_taylor_term_inf_times_zero_is_a_float_range_error(self):
-        # sqrt(n) C1 overflows to inf while A1^2 underflows to 0: no bound,
-        # rather than a NaN term refused as a validation error
-        ing = beta_ingredients(BetaParams(1e-70, 1.0))
-        with pytest.raises(FloatRangeError, match="^implicit_distance_bound: "):
-            implicit_distance_bound(ing, 10**200)
-
     def test_var_l2_feeds_r2_term(self):
         ing = _synthetic_ingredients(var_l2=0.25)
         a1 = mse_upper_bound_a1(ing, 400)
@@ -426,6 +328,8 @@ class TestImplicitDistanceBound:
                 assert got == pytest.approx(want, rel=2e-15, abs=0.0)
         with pytest.raises(DomainError, match=f"minimal n = {floor} "):
             implicit_distance_bound(ing, floor - 1)
+        with pytest.raises(DomainError, match=f"minimal n = {floor} "):
+            beta_b3(p, floor - 1)
 
 
 class TestBetaB3:
@@ -437,16 +341,6 @@ class TestBetaB3:
         published = {7500: 0.2517, 7700: 0.0416, 7900: 0.0223, 8100: 0.0151, 8300: 0.0112}
         assert b3 * b3 / n == pytest.approx(published[n], abs=5e-4)
 
-    def test_rejects_below_minimal(self):
-        with pytest.raises(DomainError, match="minimal n = 7460"):
-            beta_b3(P, 7459)
-
-    def test_agrees_with_a1(self):
-        for n in (7500, 8300, 20000):
-            assert beta_b3(P, n) == pytest.approx(
-                math.sqrt(n) * mse_upper_bound_a1(beta_ingredients(P), n), rel=1e-10
-            )
-
 
 class TestBetaDistanceBound:
     def test_term_structure_at_7500(self):
@@ -457,18 +351,6 @@ class TestBetaDistanceBound:
         assert terms["taylor_remainder"] == pytest.approx(418.49186501, abs=1e-4)
         assert terms["r2"] == 0.0
         assert bd.total == pytest.approx(420.02874251, abs=1e-4)
-
-    def test_matches_closed_form_combination(self):
-        # the displayed three-term closed form, assembled independently here
-        dpsi, b1, b2 = CONSTS["D_psi1"], CONSTS["B1"], CONSTS["B2"]
-        for n in (7500, 8300, 100000):
-            b3 = beta_b3(P, n)
-            expected = (
-                (2.0 + b1**0.75 / dpsi**1.5) / math.sqrt(n)
-                + 8.0 * b3**2 / (n * 1.5**2)
-                + b2 * b3**2 / (2.0 * math.sqrt(n) * math.sqrt(dpsi))
-            )
-            assert beta_distance_bound(P, n).total == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_strictly_decreasing_in_n(self):
         ns = [7460, 7500, 7700, 8000, 8459, 10**4, 10**5, 10**6]
@@ -483,48 +365,6 @@ class TestBetaDistanceBound:
         assert math.sqrt(n) * beta_distance_bound(P, n).total == pytest.approx(
             limit, rel=1e-4
         )
-
-
-def _beta_mle(xs, beta):
-    """The registered Beta estimator at the sample's mean log-observation."""
-    return get_model("beta", beta=beta).mle_from_stat(math.fsum(np.log(xs)) / len(xs), len(xs))
-
-
-class TestBetaMle:
-    def test_closed_form_beta_one(self):
-        rng = np.random.default_rng(7)
-        xs = rng.beta(1.5, 1.0, size=400)
-        theta = _beta_mle(xs, 1.0)
-        closed = -len(xs) / math.fsum(math.log(v) for v in xs)
-        assert theta == pytest.approx(closed, rel=1e-10, abs=0.0)
-
-    def test_constant_sample_identity(self):
-        theta_star = 2.7
-        xs = [math.exp(-1.0 / theta_star)] * 25
-        assert _beta_mle(xs, 1.0) == pytest.approx(theta_star, rel=1e-10, abs=0.0)
-
-    def test_score_residual_beta_two(self):
-        rng = np.random.default_rng(11)
-        xs = rng.beta(1.3, 2.0, size=300)
-        theta = _beta_mle(xs, 2.0)
-        n = len(xs)
-        sum_log = math.fsum(math.log(v) for v in xs)
-        assert abs(beta_score(theta, 2.0, n, sum_log)) < 1e-9 * n
-
-    def test_grid_search_oracle_beta_two(self):
-        rng = np.random.default_rng(23)
-        xs = rng.beta(0.9, 2.0, size=200)
-        best, spacing = beta_two_grid_mle(xs)
-        assert abs(_beta_mle(xs, 2.0) - best) <= spacing
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            get_model("beta", beta=0.0)
-        for beta in (1.0, 2.0):
-            model = get_model("beta", beta=beta)
-            for mean_log in (0.0, 0.5):
-                with pytest.raises(DegenerateSampleError):
-                    model.mle_from_stat(mean_log, 3)
 
 
 def _mean_logs(theta0, beta, n, trials, seed=1):
@@ -555,7 +395,7 @@ class TestBetaShapeRoots:
     @pytest.mark.parametrize(
         "theta0,beta", [(1.5, 0.1), (8.0, 0.1), (400.0, 0.1), (400.0, 0.5), (0.05, 17.0)]
     )
-    def test_within_a_few_ulps_of_the_exact_root(self, theta0, beta):
+    def test_within_a_few_ulps_of_the_exact_root(self, theta0, beta, mp):
         # where cancellation in psi(theta + beta) - psi(theta) put the scalar
         # root up to ~5e-10 off
         stats = _mean_logs(theta0, beta, 5, 10)
@@ -567,7 +407,7 @@ class TestBetaShapeRoots:
             assert root == pytest.approx(float(exact), rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 16.0])
-    def test_integer_shape_within_4e16_of_the_exact_root(self, beta):
+    def test_integer_shape_within_4e16_of_the_exact_root(self, beta, mp):
         # the exact root of sum_{k<beta} 1/(theta + k) = -mean_log: 40-digit
         # Newton from the float root, which squares a ~1e-16 error each step
         stats = np.concatenate(
@@ -622,17 +462,7 @@ class TestBetaShapeRoots:
         assert beta_shape_roots([], 2.0).size == 0
 
 
-class TestIngredientValidation:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            _synthetic_ingredients(fisher_info=0.0)
-        with pytest.raises(DomainError):
-            _synthetic_ingredients(var_l2=-1.0)
-        with pytest.raises(DomainError):
-            _synthetic_ingredients(epsilon=-0.1)
-
-
-def _mpmath_reference(ing, n):
+def _mpmath_reference(ing, n, mp):
     """D1, B3 and A1 at n, and the minimal n, in mpmath at 50 digits.
 
     The same formulas as the 50-digit decimal oracle, in a different
@@ -658,7 +488,7 @@ def _mpmath_reference(ing, n):
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
-def test_decimal_combination_equals_mpmath(theta0, beta):
+def test_decimal_combination_equals_mpmath(theta0, beta, mp):
     # the bound-grid Beta lattice: B3 and A1 at or above the 50-digit values,
     # and at most 2e-15 above them
     p = BetaParams(theta0, beta)
@@ -666,7 +496,7 @@ def test_decimal_combination_equals_mpmath(theta0, beta):
     floor = minimal_n(ing)
     for offset in (0, 1, 10, 300):
         n = floor + offset
-        want_d1, want_b3, want_a1, want_floor = _mpmath_reference(ing, n)
+        want_d1, want_b3, want_a1, want_floor = _mpmath_reference(ing, n, mp)
         assert floor == want_floor
         assert want_d1 > 0.0
         with mp.workdps(50):

@@ -176,6 +176,8 @@ FAULTS = [
     Fault("raw Beta draws clamped at 2^-64", _KERNELS,
           "        x[x == 0.0] = _TINY_X\n        return x\n",
           "        return np.maximum(x, 2.0**-64)\n"),
+    Fault("ci intervals open at their edges", _HARNESS,
+          "(lower <= theta0) & (theta0 <= upper)", "(lower < theta0) & (theta0 < upper)"),
 ]
 
 
