@@ -68,15 +68,15 @@ class TestPoissonBound:
 
 class TestAutoC:
     @pytest.mark.parametrize("theta0", [1e-9, 1e-6, 1e-3, 0.01, 0.3, 1.0, 5.0, 60.0, 1e3, 1e6])
-    def test_auto_matches_dense_scan(self, theta0):
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 1000, 10**6, 10**12])
+    def test_auto_matches_dense_scan(self, theta0, n):
         # the minimum over 20,001 log-spaced c in [min(1e-12, n theta0/2), n theta0],
         # each total from the general formula; the auto c is never worse
-        for n in (1, 2, 5, 20, 100, 1000, 10**6, 10**12):
-            hi = n * theta0
-            grid = np.logspace(math.log10(min(1e-12, hi / 2.0)), math.log10(hi), 20001)
-            terms = poisson_perturbed_terms(theta0, n, grid)
-            totals = sum(np.broadcast_to(term, grid.shape) for term in terms)
-            assert poisson_bound(theta0, n).total <= totals.min() * (1.0 + 1e-12), n
+        hi = n * theta0
+        grid = np.logspace(math.log10(min(1e-12, hi / 2.0)), math.log10(hi), 20001)
+        terms = poisson_perturbed_terms(theta0, n, grid)
+        totals = sum(np.broadcast_to(term, grid.shape) for term in terms)
+        assert poisson_bound(theta0, n).total <= totals.min() * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("theta0", [1e-6, 1e-3, 0.04, 1.0, 60.0])
     @pytest.mark.parametrize("n", [1, 5, 50, 10**6])

@@ -31,32 +31,32 @@ class TestGenericOps:
     canonical k(theta) = theta has k' = 1, the mean parametrisation
     k(theta) = 1/theta has k' = -1/theta^2."""
 
-    def test_fisher_info_canonical(self):
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
+    def test_fisher_info_canonical(self, theta0):
         # Var T = 1/theta^2 at rate theta
-        for theta0 in (0.5, 1.0, 2.0):
-            want = expfam_fisher_info(1.0, 1.0 / theta0**2)
-            assert exp_canonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = expfam_fisher_info(1.0, 1.0 / theta0**2)
+        assert exp_canonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_fisher_info_noncanonical(self):
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
+    def test_fisher_info_noncanonical(self, theta0):
         # k'(2) = -1/4, Var(-X) = 4 at mean 2: fisher = 1/16 * 4 = 1/4
         assert expfam_fisher_info(-0.25, 4.0) == pytest.approx(0.25)
-        for theta0 in (0.5, 1.0, 2.0):
-            want = expfam_fisher_info(-1.0 / theta0**2, theta0**2)
-            assert exp_noncanonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = expfam_fisher_info(-1.0 / theta0**2, theta0**2)
+        assert exp_noncanonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_third_moment_canonical(self):
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
+    def test_third_moment_canonical(self, theta0):
         # E|T - D|^3 = E|X - 1/theta|^3 <= EXP_THIRD_ABS_BOUND / theta^3
-        for theta0 in (0.5, 1.0, 2.0):
-            want = expfam_third_score_moment(1.0, EXP_THIRD_ABS_BOUND / theta0**3)
-            got = exp_canonical_ingredients(theta0, 10).third_abs_score_moment
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = expfam_third_score_moment(1.0, EXP_THIRD_ABS_BOUND / theta0**3)
+        got = exp_canonical_ingredients(theta0, 10).third_abs_score_moment
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_third_moment_noncanonical(self):
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
+    def test_third_moment_noncanonical(self, theta0):
         # E|T - D|^3 = E|X - theta|^3 <= EXP_THIRD_ABS_BOUND * theta^3 at mean theta
-        for theta0 in (0.5, 1.0, 2.0):
-            want = expfam_third_score_moment(-1.0 / theta0**2, EXP_THIRD_ABS_BOUND * theta0**3)
-            got = exp_noncanonical_ingredients(theta0, 10).third_abs_score_moment
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = expfam_third_score_moment(-1.0 / theta0**2, EXP_THIRD_ABS_BOUND * theta0**3)
+        got = exp_noncanonical_ingredients(theta0, 10).third_abs_score_moment
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestThirdMomentConstant:
@@ -187,16 +187,16 @@ class TestModelLevelInvariants:
             ref = totals[0]
             assert all(abs(t - ref) <= 1e-12 * ref for t in totals)
 
-    def test_noncanonical_dominates_canonical(self):
-        for n in [3, 4, 5, 10, 50, 10**3, 10**6]:
-            can = mle_bound_general(exp_canonical_ingredients(1.0, n), (1.0, 1.0)).total
-            non = mle_bound_general(exp_noncanonical_ingredients(1.0, n), (1.0, 1.0)).total
-            assert non > can
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 50, 10**3, 10**6])
+    def test_noncanonical_dominates_canonical(self, n):
+        can = mle_bound_general(exp_canonical_ingredients(1.0, n), (1.0, 1.0)).total
+        non = mle_bound_general(exp_noncanonical_ingredients(1.0, n), (1.0, 1.0)).total
+        assert non > can
 
-    def test_direct_sum_bound_dominated_by_general(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 10**4, 10**6])
+    def test_direct_sum_bound_dominated_by_general(self, n):
         # the sample mean is a normalised sum: its direct bound is the score bound
-        for n in [1, 2, 3, 10, 100, 10**4, 10**6]:
-            ing = exp_noncanonical_ingredients(3.0, n)
-            direct = score_bound(ing, (1.0, 1.0)).total
-            assert direct == pytest.approx((2.0 + 2.41456) / math.sqrt(n), rel=1e-15, abs=0.0)
-            assert direct <= mle_bound_general(ing, (1.0, 1.0)).total
+        ing = exp_noncanonical_ingredients(3.0, n)
+        direct = score_bound(ing, (1.0, 1.0)).total
+        assert direct == pytest.approx((2.0 + 2.41456) / math.sqrt(n), rel=1e-15, abs=0.0)
+        assert direct <= mle_bound_general(ing, (1.0, 1.0)).total
