@@ -107,7 +107,7 @@ class SimulationConfig(Value):
         h = inv_quadratic_test_function() if test_function is None else instance(
             test_function, TestFunction, "test_function")
         epsilon, c = None if epsilon is None else ball_radius(epsilon, theta0), perturbation(c)
-        entry._reject_unused(None if model.startswith("exp") else epsilon, "auto" if model == "poisson" else c)
+        entry._reject_unused(epsilon, c)
         vars(self).update(model=model, theta0=theta0, n=n, trials=trials, seed=seed,
                           test_function=h, beta=entry.beta, epsilon=epsilon, c=c, workers=workers)
 

@@ -177,13 +177,11 @@ class Model:
                 f"{self.name}: the closed form is the unit-weight total, which covers "
                 f"h weights up to 1 only, got {h_weights!r}"
             )
+        self._reject_unused(epsilon, c)
         if self.name == "poisson":
-            self._reject_unused(epsilon)
             return boundary.poisson_bound(theta0, n, c)
         if self.name == "beta":
-            self._reject_unused(epsilon, c)
             return msebound.implicit_distance_bound(self._beta_ingredients(self._theta0(theta0)), n)
-        self._reject_unused(c=c)
         return _mle_bound_fields(self._exp_fields(theta0, n, epsilon), h_weights)
 
     @float_range
@@ -240,10 +238,11 @@ class Model:
         return expfam._noncanonical_fields(theta0, n, epsilon)
 
     def _reject_unused(self, epsilon=None, c="auto"):
-        """Refuse a value other than the default for an option the model ignores."""
-        if epsilon is not None:
+        """Refuse an option the model's route ignores: an epsilon off the exponential
+        routes, and a c other than "auto" off the poisson route, which checks c itself."""
+        if epsilon is not None and self.name in ("poisson", "beta"):
             raise DomainError(f"{self.name}: the model takes no epsilon, got {epsilon!r}")
-        if perturbation(c) != "auto":
+        if self.name != "poisson" and perturbation(c) != "auto":
             raise DomainError(f"{self.name}: c applies to the poisson model only, got {c!r}")
 
 

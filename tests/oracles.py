@@ -228,33 +228,37 @@ def conditioned_mean(model, theta0, n, f, eps, trials, seed):
     return math.fsum(f_in) / count, math.fsum(f_all) / trials, math.hypot(lhs_se, rhs_se), count
 
 
+def _digits(n):
+    """The decimal context of the oracles below at n: 50 digits, and one more
+    for each digit of n.  Near the minimal n, D1 is about 1/n of its terms,
+    so forming it cancels about that many digits."""
+    return localcontext(Context(prec=50 + len(str(n))))
+
+
 def decimal_d1(ing, n):
-    """The leading coefficient of the root-MSE quadratic, as a 60-digit
-    Decimal: D1 = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i^{3/2}),
+    """The leading coefficient of the root-MSE quadratic, as a Decimal of
+    ``_digits(n)``: D1 = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i^{3/2}),
     written as (n - a - b sqrt(n))/n with the n-free a and b, the grouping
     that ``msebound.minimal_n``'s docstring solves, not the package's."""
-    with localcontext(Context(prec=60)):
+    with _digits(n):
         i, nn = Decimal(ing.fisher_info), Decimal(n)
         a = 2 * Decimal(ing.sup_x2_norm) / (i * Decimal(ing.epsilon) ** 2)
         b = Decimal(ing.sup_x_norm) * Decimal(ing.c1_const) / (i * i.sqrt())
         return (nn - a - b * nn.sqrt()) / nn
 
 
-# The 50-digit context of the implicit-MLE oracle below.
-_FIFTY = Context(prec=50)
-
-
 def decimal_b3_a1(ing, n):
     """B3 = sqrt(n) A1 and A1, the positive root of the root-MSE quadratic
-    D1 A1^2 - lin A1 - c = 0, as 50-digit Decimals: the pass the package
-    computed them by before its exact integer root and float pass.
+    D1 A1^2 - lin A1 - c = 0, as Decimals of ``_digits(n)``: the pass the
+    package computed them by, at 50 digits, before its exact integer root and
+    float pass.
 
         D1  = 1 - 2 ||x^2|| / (n i eps^2) - ||x|| C1 / (sqrt(n) i^{3/2}),
         lin = 2 ||x|| sqrt(Var l'') / (n i^{3/2}),
         c   = (1 + (2 ||x|| / sqrt(n)) (2 + E|l'|^3 / i^{3/2})) / (n i).
 
     Requires D1 > 0 (n at least the minimal n)."""
-    with localcontext(_FIFTY):
+    with _digits(n):
         i, nn = Decimal(ing.fisher_info), Decimal(n)
         x, var = Decimal(ing.sup_x_norm), Decimal(ing.var_l2)
         root_n, i32 = nn.sqrt(), i * i.sqrt()
@@ -268,12 +272,12 @@ def decimal_b3_a1(ing, n):
 
 
 def decimal_implicit_total(ing, n, score):
-    """The implicit distance bound's total at the 50-digit A1: ``score`` (the
+    """The implicit distance bound's total at the oracle's A1: ``score`` (the
     score term, which does not involve A1) plus the Markov, Taylor and R2
     terms 2 A1^2 / eps^2, sqrt(n) C1 A1^2 / (2 sqrt(i)) and
-    sqrt(Var l'') A1 / sqrt(i), summed in 50 digits."""
+    sqrt(Var l'') A1 / sqrt(i), summed at ``_digits(n)``."""
     _, a1 = decimal_b3_a1(ing, n)
-    with localcontext(_FIFTY):
+    with _digits(n):
         root_i = Decimal(ing.fisher_info).sqrt()
         return (Decimal(score) + 2 * a1 * a1 / Decimal(ing.epsilon) ** 2
                 + Decimal(n).sqrt() * Decimal(ing.c1_const) * a1 * a1 / (2 * root_i)

@@ -197,27 +197,6 @@ class TestSimulateCommand:
         assert "standard_error    n/a\n" in runner.invoke(main, args).stdout
 
 
-    def test_env_seed_used(self, runner):
-        args = [
-            "simulate",
-            "--model",
-            "exp-canonical",
-            "--theta0",
-            "1",
-            "--n",
-            "20",
-            "--trials",
-            "50",
-            "--format",
-            "json",
-        ]
-        with_env = runner.invoke(main, args, env={"STEINMLE_SEED": "31"})
-        explicit = runner.invoke(main, args + ["--seed", "31"])
-        assert with_env.exit_code == explicit.exit_code == 0
-        assert _json_out(with_env)["empirical_distance"] == _json_out(explicit)["empirical_distance"]
-        assert _json_out(with_env)["seed"] == 31
-
-
 class TestCiCommand:
     def test_quantile_rounding_onto_one_is_degenerate(self, runner):
         # b_k falls a few ulps below alpha/2, so the lower quantile's argument
@@ -425,9 +404,3 @@ class TestValidation:
         with pytest.raises(SystemExit) as excinfo:
             _guard("text", boom)
         assert excinfo.value.code == 3
-
-    def test_table_workers_flag_reproducible(self, runner):
-        base = ["table", "3", "--trials", "20", "--seed", "4", "--format", "csv"]
-        out1 = runner.invoke(main, base + ["--workers", "1"]).output
-        out2 = runner.invoke(main, base + ["--workers", "2"]).output
-        assert out1 == out2

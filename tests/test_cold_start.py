@@ -1,17 +1,17 @@
 """Cold start: what a fresh interpreter loads for each verb.
 
-``bound`` and ``constants`` must not load numpy, mpmath or ``statistics``
-(the normal quantile's module, which only ``ci`` needs), only JSON output
-may load ``json``, neither the package's import nor ``bound`` may load
-``dataclasses``, no verb may load mpmath or scipy (neither is a dependency,
-but an environment that runs the benchmark has both), and every third-party
-module a verb loads must be a declared runtime dependency.  The test process
-may have imported any of them already, so one fresh interpreter makes the bare
-imports and one runs each verb, every invocation of that verb in turn.  Each
-reports, after every step, which of the watched modules are loaded, and at
-its end each step's exit code and output and the third-party modules it
-loaded, as JSON.  Loaded modules only accumulate, so a module absent after
-a step was absent after every step before it.
+``bound`` and ``constants`` load no numpy, mpmath or ``statistics`` (the
+normal quantile's module, which only ``ci`` needs); only JSON output loads
+``json``; neither the package's import nor ``bound`` loads ``dataclasses``;
+the simulation verbs at one worker load no ``concurrent.futures``; and every
+third-party module a verb loads is a declared runtime dependency.
+
+Three fresh interpreters run the steps: the bare imports; every ``bound``
+and ``constants`` invocation, with numpy and mpmath blocked; and the other
+verbs.  Each reports its exit code, output and watched modules after every
+step.  ``ROWS`` holds the expectations as (interpreter, step, module,
+loaded).  Loaded modules only accumulate, so a module read as not loaded was
+loaded by no step before, and one read as loaded was not loaded the step before.
 """
 
 import functools
@@ -43,28 +43,57 @@ CI_STATISTICS = ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "1000
                  "--alpha", "0.9", "--trials", "2"]
 ONE_WORKER = ["--workers", "1"]
 BLOCKED = ["numpy", "mpmath"]
+SIMULATION_VERBS = ("table", "simulate", "mse-sweep")
+WATCHED = ("numpy", "mpmath", "scipy", "json", "statistics", "dataclasses", "concurrent.futures")
 
 
 def _model_args(verb, model, n="7460"):
     return [verb, "--model", model, "--theta0", "1.5", "--n", n]
 
 
+def _json(args):
+    return args + ["--format", "json"]
+
+
+BOUND_TEXT = [_model_args("bound", m) for m in MODEL_NAMES]  # beta's is VERB_ARGS["bound"]
+CONSTANTS_TEXT = [_model_args("constants", m) for m in MODEL_NAMES]
+BOUND_CSV = VERB_ARGS["bound"] + ["--format", "csv"]
+# Every JSON step of the blocked interpreter, beta's bound first.
+JSON_STEPS = ([_json(VERB_ARGS["bound"])]
+              + [_json(_model_args("bound", m)) for m in MODEL_NAMES if m != "beta"]
+              + [_json(VERB_ARGS["constants"]), _json(_model_args("constants", "poisson", "100"))])
+
 # Each interpreter: the modules it blocks (a None entry in sys.modules makes
 # every import of that module fail), and its steps, a module name to import
-# or a command line to run.  JSON output comes after every other step.
+# or a command line to run.
 INTERPRETERS = {
     "import": ([], ["steinmle", "steinmle.cli"]),
-    "bound": (BLOCKED, [VERB_ARGS["bound"]]
-              + [_model_args("bound", m) for m in MODEL_NAMES if m != "beta"]
-              + [VERB_ARGS["bound"] + ["--format", "csv"]]
-              + [_model_args("bound", m) + ["--format", "json"] for m in MODEL_NAMES]),
-    "constants": (BLOCKED, [_model_args("constants", m) for m in MODEL_NAMES]
-                  + [VERB_ARGS["constants"] + ["--format", "json"],
-                     _model_args("constants", "poisson", "100") + ["--format", "json"]]),
-    "ci": ([], [VERB_ARGS["ci"], CI_STATISTICS]),
-    **{verb: ([], [VERB_ARGS[verb] + ONE_WORKER, VERB_ARGS[verb]])
-       for verb in ("table", "simulate", "mse-sweep")},
+    "bound": (BLOCKED, BOUND_TEXT + CONSTANTS_TEXT + [BOUND_CSV] + JSON_STEPS),
+    "simulation": ([], [VERB_ARGS[verb] + ONE_WORKER for verb in SIMULATION_VERBS]
+                   + [VERB_ARGS[verb] for verb in SIMULATION_VERBS]
+                   + [VERB_ARGS["ci"], CI_STATISTICS]),
 }
+
+ROWS = [
+    # the package's import loads no numpy, mpmath or scipy, nor the
+    # dataclasses that took longer to import than the rest of the package
+    *[("import", step, module, False) for step in ("steinmle", "steinmle.cli")
+      for module in ("numpy", "mpmath", "scipy", "dataclasses")],
+    ("import", "steinmle.cli", "json", False),
+    ("import", "steinmle.cli", "statistics", False),
+    ("bound", VERB_ARGS["bound"], "dataclasses", False),
+    *[("bound", step, "statistics", False) for step in BOUND_TEXT + CONSTANTS_TEXT],
+    # json is imported by the emitters for --format json alone
+    ("bound", VERB_ARGS["bound"], "json", False),
+    ("bound", BOUND_CSV, "json", False),
+    ("bound", _json(VERB_ARGS["bound"]), "json", True),
+    # concurrent.futures loads multiprocessing; only raw-sample blocks spread
+    # over several workers use it
+    *[("simulation", VERB_ARGS[verb] + ONE_WORKER, "concurrent.futures", False)
+      for verb in SIMULATION_VERBS],
+    # the statistics check above is live: the verb that needs the quantile loads it
+    ("simulation", CI_STATISTICS, "statistics", True),
+]
 
 # Runs the steps given after the first argument (the blocked modules, comma
 # separated, or "-"), each introduced by "--then", and prints its report.
@@ -72,7 +101,7 @@ INTERPRETERS = {
 PROBE = """
 import contextlib, io, sys
 before = set(sys.modules)
-blocked, *rest = sys.argv[1:]
+blocked, watched, *rest = sys.argv[1:]
 for name in blocked.split(",") if blocked != "-" else ():
     sys.modules[name] = None
 steps, words = [], []
@@ -94,12 +123,11 @@ for step in steps:
                 main(step, standalone_mode=False)
         except SystemExit as exc:
             code = exc.code
-    tops = {m.split(".")[0] for m, module in sys.modules.items() if module is not None}
+    loaded = {m for m, module in sys.modules.items() if module is not None}
     report.append({
         "label": " ".join(step), "exit": code, "stdout": out.getvalue(),
-        "loaded": {m: m in tops for m in ("numpy", "mpmath", "scipy", "json", "statistics")},
-        "dataclasses": "dataclasses" in set(sys.modules) - before,
-        "process_pool": "concurrent.futures" in sys.modules,
+        "loaded": {m: m in (loaded - before if m == "dataclasses" else loaded)
+                   for m in watched.split(",")},
     })
 loaded = {m.split(".")[0] for m in set(sys.modules) - before}
 loaded -= set(sys.stdlib_module_names) | {"steinmle"}
@@ -109,11 +137,15 @@ print(json.dumps({"steps": report, "third_party": sorted(
 """
 
 
+def _label(step):
+    return f"import {step}" if isinstance(step, str) else " ".join(step)
+
+
 @functools.cache
 def _report(name):
     """The report of interpreter ``name``, started once for every test."""
     blocked, steps = INTERPRETERS[name]
-    args = [",".join(blocked) or "-"]
+    args = [",".join(blocked) or "-", ",".join(WATCHED)]
     for step in steps:
         args += ["--then", *(["import", step] if isinstance(step, str) else step)]
     out = subprocess.run(
@@ -124,107 +156,62 @@ def _report(name):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
-
-
-def _step(name, step):
-    """The report of one step of interpreter ``name``: a module or a command line."""
-    label = f"import {step}" if isinstance(step, str) else " ".join(step)
-    return next(s for s in _report(name)["steps"] if s["label"] == label)
+    report = json.loads(out.stdout)
+    assert [s["label"] for s in report["steps"]] == [_label(step) for step in steps]
+    return report
 
 
 def _canonical(name):
     return re.sub(r"[-_.]+", "-", name).lower()
 
 
-@pytest.mark.parametrize("module", ["steinmle", "steinmle.cli"])
-def test_import_loads_no_numpy_mpmath_or_scipy(module):
-    loaded = _step("import", module)["loaded"]
-    assert [m for m in ("mpmath", "numpy", "scipy") if loaded[m]] == []
+@functools.cache
+def _declared():
+    """The distributions in pyproject.toml's ``[project] dependencies``, read
+    without tomllib, which Python 3.10 lacks: the quoted strings of the one
+    array assigned to ``dependencies``."""
+    with open(PYPROJECT) as fh:
+        array = re.search(r'^dependencies\s*=\s*\[((?:"[^"]*"|[^]"])*)\]', fh.read(), re.M).group(1)
+    deps = re.findall(r'"([^"]*)"', array)
+    if sys.version_info >= (3, 11):  # the list tomllib reads
+        import tomllib
+
+        with open(PYPROJECT, "rb") as fh:
+            assert deps == tomllib.load(fh)["project"]["dependencies"]
+    return {_canonical(re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]) for dep in deps}
 
 
-@pytest.mark.parametrize(
-    "name,step",
-    [("import", "steinmle"), ("import", "steinmle.cli"), ("bound", VERB_ARGS["bound"])],
-    ids=["import", "import-cli", "bound-beta"],
-)
-def test_no_dataclasses_loaded(name, step):
-    # the value types are plain classes: importing dataclasses, with the
-    # inspect it loads, took longer than the rest of the package
-    assert _step(name, step)["dataclasses"] is False
+def _steps(name, step):
+    """The reports of interpreter ``name``'s steps, up to ``step``."""
+    steps = _report(name)["steps"]
+    return steps[: [s["label"] for s in steps].index(_label(step)) + 1]
 
 
-@pytest.mark.parametrize(
-    "name,args",
-    [("bound", _model_args("bound", m)) for m in MODEL_NAMES]
-    + [
-        ("constants", VERB_ARGS["constants"]),
-        ("constants", _model_args("constants", "poisson", "100")),
-    ],
-    ids=[f"bound-{m}" for m in MODEL_NAMES] + ["constants-beta", "constants-poisson"],
-)
-def test_bound_verbs_run_without_numpy_or_mpmath(name, args):
-    # both interpreters block numpy and mpmath
-    assert INTERPRETERS[name][0] == BLOCKED
-    step = _step(name, args + ["--format", "json"])
-    assert step["exit"] == 0, step
-    json.loads(step["stdout"])
-
-
-@pytest.mark.parametrize(
-    "name,step,loaded",
-    [("import", "steinmle.cli", False), ("bound", VERB_ARGS["bound"], False),
-     ("bound", VERB_ARGS["bound"] + ["--format", "csv"], False),
-     ("bound", VERB_ARGS["bound"] + ["--format", "json"], True)],
-    ids=["import", "bound-text", "bound-csv", "bound-json"],
-)
-def test_only_json_output_loads_json(name, step, loaded):
-    # json is imported by the emitters for --format json alone
-    assert _step(name, step)["loaded"]["json"] is loaded
-
-
-@pytest.mark.parametrize(
-    "name,step",
-    [("import", "steinmle.cli")]
-    + [("bound", _model_args("bound", m)) for m in MODEL_NAMES]
-    + [("constants", _model_args("constants", m)) for m in MODEL_NAMES],
-    ids=["import"] + [f"bound-{m}" for m in MODEL_NAMES] + [f"constants-{m}" for m in MODEL_NAMES],
-)
-def test_cli_import_and_bound_verbs_load_no_statistics(name, step):
-    report = _step(name, step)
+@pytest.mark.parametrize("name,step,module,loaded", ROWS,
+                         ids=[f"{r[0]}-{_label(r[1])}-{r[2]}" for r in ROWS])
+def test_step_loads_what_its_row_says(name, step, module, loaded):
+    *before, report = _steps(name, step)
     assert report["exit"] == 0, report
-    assert report["loaded"]["statistics"] is False
+    assert report["loaded"][module] is loaded
+    if loaded:
+        assert before and before[-1]["loaded"][module] is False
 
 
-def test_ci_loads_statistics():
-    # the check above is live: the verb that needs the quantile does load it
-    report = _step("ci", CI_STATISTICS)
+@pytest.mark.parametrize("step", JSON_STEPS, ids=_label)
+def test_bound_verbs_print_json_without_numpy_or_mpmath(step):
+    assert INTERPRETERS["bound"][0] == BLOCKED
+    report = _steps("bound", step)[-1]
     assert report["exit"] == 0, report
-    assert report["loaded"]["statistics"] is True
+    json.loads(report["stdout"])
 
 
-@pytest.mark.parametrize("verb", ["table", "simulate", "mse-sweep"])
-def test_simulation_verbs_at_one_worker_load_no_process_pool(verb):
-    # concurrent.futures loads multiprocessing; only raw-sample blocks spread
-    # over several workers use it.  This is the interpreter's first step.
-    assert INTERPRETERS[verb][1][0] == VERB_ARGS[verb] + ONE_WORKER
-    report = _step(verb, VERB_ARGS[verb] + ONE_WORKER)
-    assert report["exit"] == 0, report
-    assert report["process_pool"] is False
-
-
-@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
-def test_verb_loads_only_declared_dependencies(verb):
-    tomllib = pytest.importorskip("tomllib")
-    with open(PYPROJECT, "rb") as fh:
-        declared = {
-            _canonical(re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0])
-            for dep in tomllib.load(fh)["project"]["dependencies"]
-        }
+@pytest.mark.parametrize("name", sorted(INTERPRETERS))
+def test_steps_load_only_declared_dependencies(name):
     # Modules without a file (Cython's runtime modules, __mp_main__) are
     # made at run time, not imported from any distribution.
-    assert _step(verb, VERB_ARGS[verb])["exit"] == 0
+    report = _report(name)
+    assert [s for s in report["steps"] if s["exit"] != 0] == []
     distributions = importlib.metadata.packages_distributions()
-    for module in _report(verb)["third_party"]:
+    for module in report["third_party"]:
         owners = {_canonical(d) for d in distributions.get(module, [module])}
-        assert owners & declared, f"{verb} loads {module} ({sorted(owners)}), not a dependency"
+        assert owners & _declared(), f"{name} loads {module} ({sorted(owners)}), not a dependency"

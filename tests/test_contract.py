@@ -164,18 +164,22 @@ def _value_kind(built, other):
 _B = BetaParams(1.5, 2.0)
 # Neither a number nor a pair: a 0-d array, a 1-d array and None.
 _ARRAYS_AND_NONE = (np.array(1.0), np.array([1.0, 2.0]), None)
-REAL = Kind(REALS, (True, "1.5"), _FLOAT_TYPES)
-EPSILON = Kind(st.none() | REALS, (True, "1.5", math.inf), _FLOAT_TYPES)
+REAL = Kind(REALS, (True, "1.5", *_ARRAYS_AND_NONE), _FLOAT_TYPES)
+EPSILON = Kind(st.none() | REALS, (True, "1.5", math.inf, *_ARRAYS_AND_NONE[:2]), _FLOAT_TYPES)
 C = Kind(st.just("auto") | REALS, (True, "1.5", "AUTO", 0.0, -2.0, *_ARRAYS_AND_NONE), _FLOAT_TYPES,
          pattern="^c must be")
 ALPHA = Kind(REALS | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-             (True, "0.5", 0.0, 1.2), _FLOAT_TYPES)
-SHAPE = Kind(_SHAPES | st.sampled_from([0.0, -1.0, math.nan, True, "2"]), (True, "2.0"),
-             _FLOAT_TYPES)
-SIZE = Kind(SIZES, (True, "10", 10.0, 0), _INT_TYPES)
-ORDER = Kind(st.integers(-1, 5) | SIZES, (True, "1", 1.0), _INT_TYPES)
-COUNT = Kind(COUNTS, (True, "2", 2.5, 0, -5), _INT_TYPES)
-SEED = Kind(SEEDS, (True, "3", 1.5, -1, np.int64(-1), 2**128), _INT_TYPES)
+             (True, "0.5", 0.0, 1.2, *_ARRAYS_AND_NONE), _FLOAT_TYPES)
+SHAPE = Kind(_SHAPES | st.sampled_from([0.0, -1.0, math.nan, True, "2"]),
+             (True, "2.0", *_ARRAYS_AND_NONE), _FLOAT_TYPES)
+SIZE = Kind(SIZES, (True, "10", 10.0, 0, *_ARRAYS_AND_NONE), _INT_TYPES)
+ORDER = Kind(st.integers(-1, 5) | SIZES, (True, "1", 1.0, *_ARRAYS_AND_NONE), _INT_TYPES)
+COUNT = Kind(COUNTS, (True, "2", 2.5, 0, -5, *_ARRAYS_AND_NONE), _INT_TYPES)
+SEED = Kind(SEEDS, (True, "3", 1.5, -1, np.int64(-1), 2**128, *_ARRAYS_AND_NONE), _INT_TYPES)
+# Model.audit's n, None for the Beta model's audit without an n, and
+# Model.mle_from_stat's statistic, a real number or a float64 row.
+AUDIT_N = Kind(SIZES, tuple(v for v in SIZE.refused if v is not None), _INT_TYPES)
+STATISTIC = Kind(REALS, (True, "1.5", _ARRAYS_AND_NONE[0], np.array([1, 2]), None), _FLOAT_TYPES)
 MODEL = Kind(st.sampled_from([*MODEL_NAMES, "weibull", None]), ("weibull", None))
 PAIR = Kind(WEIGHTS, ((1.0,), 5, (1.0, 1.0, 1.0), *_ARRAYS_AND_NONE), pattern="^h_weights must be")
 FLAG = Kind(st.booleans())
@@ -421,12 +425,12 @@ ROWS = {
         (get_model("poisson"), 1.5, 100, (1.0, 1.0), None, 2.0),
     ),
     "Model.mse_bound": Row([("self", ENTRY), *_THETA0_N], _ENTRIES[-1]),  # None off the Beta model
-    "Model.audit": Row([("self", ENTRY), *_THETA0_N, ("epsilon", EPSILON)],
+    "Model.audit": Row([("self", ENTRY), ("theta0", REAL), ("n", AUDIT_N), ("epsilon", EPSILON)],
                        *[(*entry, None) for entry in _ENTRIES]),
     "Model.fisher_info": Row([("self", ENTRY), ("theta0", REAL)], *[e[:2] for e in _ENTRIES]),
     "Model.standardize_scale": Row([("self", ENTRY), *_THETA0_N], *_ENTRIES),
     "Model.target_sigma": Row([("self", ENTRY), ("theta0", REAL)], *[e[:2] for e in _ENTRIES]),
-    "Model.mle_from_stat": Row([("self", ENTRY), ("statistic", REAL), ("n", SIZE)],
+    "Model.mle_from_stat": Row([("self", ENTRY), ("statistic", STATISTIC), ("n", SIZE)],
                                *[(e[0], _STATS[e[0].name], 3) for e in _ENTRIES]),
 }
 for _name, _row in ROWS.items():  # a row calls the public name it is keyed by

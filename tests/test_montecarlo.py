@@ -1,5 +1,6 @@
 """Harness behaviour: determinism, parity, sampler correctness, coverage."""
 
+import functools
 import json
 import math
 import statistics
@@ -18,7 +19,6 @@ from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, ru
 from steinmle.montecarlo import _pykernels, harness
 from steinmle.msebound import BetaParams, beta_ingredients, minimal_n
 from steinmle.registry import MODEL_NAMES, get_model
-from steinmle.specfun import polygamma
 
 
 def _draw(model, theta0, n, seed, beta=1.0):
@@ -33,15 +33,6 @@ def _se_var(x):
 
 
 class TestSamplers:
-    def test_exp_canonical_law_of_large_numbers(self):
-        x = _draw("exp-canonical", 1.0, 10**6, 7)
-        assert abs(float(x.mean()) - 1.0) < 4.0 / math.sqrt(10**6)
-        assert float(x.min()) > 0.0
-
-    def test_exp_noncanonical_mean(self):
-        x = _draw("exp-noncanonical", 2.0, 10**6, 7)
-        assert abs(float(x.mean()) - 2.0) < 4.0 * 2.0 / math.sqrt(10**6)
-
     @pytest.mark.parametrize("trial", [0, 1, 7, 12345, 2**64 + 5])
     def test_trial_stream_is_the_jumped_stream(self, trial):
         for seed in (0, 11, 2**100):
@@ -99,26 +90,6 @@ class TestSamplers:
         x = _draw("poisson", 0.0, 500, 3)
         assert np.all(x == 0.0)
 
-    def test_poisson_inversion_moments(self):
-        x = _draw("poisson", 3.5, 4 * 10**5, 11)
-        se = math.sqrt(3.5 / len(x))
-        assert abs(float(x.mean()) - 3.5) < 5 * se
-        assert np.all(x == np.floor(x)) and np.all(x >= 0.0)
-
-    def test_poisson_rejection_moments(self):
-        # mean above the inversion cut exercises the transformed-rejection path
-        x = _draw("poisson", 45.0, 10**5, 13)
-        se = math.sqrt(45.0 / len(x))
-        assert abs(float(x.mean()) - 45.0) < 5 * se
-        assert np.all(x == np.floor(x))
-
-    def test_beta_mean(self):
-        x = _draw("beta", 1.5, 10**6, 5, beta=1.0)
-        # Beta(1.5, 1) has mean 0.6, variance 1.5/(2.5^2*3.5)
-        se = math.sqrt(1.5 / (2.5**2 * 3.5) / len(x))
-        assert abs(float(x.mean()) - 0.6) < 4 * se
-        assert float(x.min()) > 0.0 and float(x.max()) < 1.0
-
     def test_gamma_ratio_matches_inverse_cdf_sampler(self):
         # same law as inverting the Beta(1.5, 1) cdf x^1.5 directly: two-sample
         # KS below the 1% critical value at 1e5 draws a side
@@ -141,15 +112,6 @@ class TestSamplers:
             _draw("weibull", 1.0, 10, 0)
         with pytest.raises(UnknownModelError, match="exp-canonical"):
             _pykernels.trial_stats("weibull", 1.0, 1.0, 10, 0, 0, 5)
-
-    def test_beta_small_shape_draws_stay_positive(self):
-        # Generator.beta(0.01, b) returns exact zeros (about 6 in 10^4);
-        # they are clamped so the log-observation stays finite
-        for beta in (1.0, 2.0):
-            x = _draw("beta", 0.01, 10**5, 3, beta=beta)
-            assert float(x.min()) > 0.0
-        stats = _pykernels.trial_stats("beta", 0.01, 2.0, 50, 3, 0, 2000)
-        assert np.all(np.isfinite(stats))
 
     def test_poisson_mean_beyond_numpy_range(self):
         # n * theta0 = 1e20 is past numpy's Poisson limit (~9.2e18); the sum
@@ -204,6 +166,42 @@ class TestKsOracle:
         assert ks_two_sample(direct, wrong)[1] < 1e-3
 
 
+# The law table: every sampling path on a log grid of theta0 (the Poisson
+# sampler's inversion below mean 10 and PTRS from 10 on, both) and of the Beta
+# shape (raw and integer).  A row is (path, model, theta0, beta, n, count):
+# "draw" takes count raw observations from ``draw``, "stats" count per-trial
+# statistics from ``sample_stats``, and "raw" count Beta trials from the
+# raw-sample blocks of ``trial_stats`` (the last row's trials each span more
+# than a block).  10^6 Beta draws go to theta0 <= 0.1 alone, where
+# Generator.beta puts many draws below 2^-64 and a few at exactly 0.
+LAW_SEED = 16
+THETA0S = (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)
+SHAPES = (0.1, 1.0, 2.5, 50.0)
+LAWS = [
+    *[(path, model, t, 1.0, n, 10**4) for model in MODEL_NAMES[:3] for t in THETA0S
+      for path, n in (("draw", 1), ("stats", 5))],
+    *[("draw", "beta", t, b, 1, 10**4) for t in THETA0S for b in SHAPES],
+    *[("raw" if _pykernels.raw_sampled("beta", b) else "stats", "beta", t, b,
+       *((1000, 1000) if t <= 0.1 else (10, 2000))) for t in THETA0S for b in SHAPES],
+    ("raw", "beta", 1e-2, 2.5, _pykernels.BLOCK_OBS + 1000, 16),
+]
+
+
+@functools.cache
+def _exact_law(model, theta0, beta):
+    """Mean and variance of one observation, or of its log for the Beta model:
+    psi(theta0) - psi(theta0 + beta) and psi1(theta0) - psi1(theta0 + beta),
+    from the series oracle rather than the package's polygamma."""
+    if model == "exp-canonical":
+        return 1.0 / theta0, 1.0 / theta0**2
+    if model == "exp-noncanonical":
+        return theta0, theta0**2
+    if model == "poisson":
+        return theta0, theta0
+    return (polygamma_series(0, theta0) - polygamma_series(0, theta0 + beta),
+            polygamma_series(1, theta0) - polygamma_series(1, theta0 + beta))
+
+
 class TestStatisticLaws:
     """Each per-trial statistic sampler against the statistic of raw draws."""
 
@@ -222,19 +220,26 @@ class TestStatisticLaws:
     def test_matches_raw_sample_statistic(self, model, theta0, beta, n):
         _assert_matches_raw_statistic(model, theta0, beta, n)
 
-    @pytest.mark.parametrize("beta", [2.0, 4.0])
-    def test_integer_shape_law_has_the_exact_moments(self, beta):
-        # the mean log of n Beta(a, b) draws has mean psi(a) - psi(a + b)
-        # and variance (psi1(a) - psi1(a + b)) / n
-        theta0, n, trials = 1.5, 7, 20000
-        assert not _pykernels.raw_sampled("beta", beta)
-        stats = _pykernels.sample_stats(
-            "beta", theta0, beta, n, trials, _pykernels.make_generator(5, 0)
-        )
-        mean = polygamma(0, theta0) - polygamma(0, theta0 + beta)
-        var = (polygamma(1, theta0) - polygamma(1, theta0 + beta)) / n
-        assert abs(float(stats.mean()) - mean) < 5.0 * math.sqrt(var / trials)
-        assert abs(float(stats.var(ddof=1)) - var) < 5.0 * _se_var(stats)
+    @pytest.mark.parametrize("path,model,theta0,beta,n,count", LAWS,
+                             ids=[f"{r[0]}-{r[1]}-{r[2]:g}-{r[3]:g}-n{r[4]}" for r in LAWS])
+    def test_every_sampling_path_has_the_exact_moments(self, path, model, theta0, beta, n, count):
+        # the mean to 5 SE, and the variance (over n for a trial's statistic)
+        # to 5 SE of the sample variance
+        if path == "draw":
+            x = _pykernels.draw(model, theta0, beta, count, _pykernels.make_generator(LAW_SEED, 0))
+            assert np.all(x == np.floor(x)) if model == "poisson" else float(x.min()) > 0.0
+            # a Beta draw rounds to 1.0 where 1 - X lies below half an ulp
+            assert model != "beta" or float(x.max()) <= 1.0
+            stats = np.log(x) if model == "beta" else x
+        elif path == "stats":
+            stats = _pykernels.sample_stats(model, theta0, beta, n, count,
+                                            _pykernels.make_generator(LAW_SEED, 0))
+        else:
+            assert _pykernels.raw_sampled(model, beta)
+            stats = _pykernels.trial_stats(model, theta0, beta, n, LAW_SEED, 0, count)
+        mean, var = _exact_law(model, theta0, beta)
+        assert abs(float(stats.mean()) - mean) < 5.0 * math.sqrt(var / n / count)
+        assert abs(float(stats.var(ddof=1)) - var / n) < 5.0 * _se_var(stats)
 
     @given(theta0=st.builds(lambda e: 10.0**e, st.floats(-3.0, 6.0)), m=st.integers(1, 10**6))
     @example(theta0=1e-3, m=10**6)
@@ -244,33 +249,6 @@ class TestStatisticLaws:
         # the minimal n, so an integer shape m draws its m gammas a trial, never
         # more than the n raw observations
         assert minimal_n(beta_ingredients(BetaParams(theta0, m))) > m
-
-    def test_raw_trial_larger_than_a_block(self):
-        # a Beta(1.5, 2.5) trial above BLOCK_OBS observations is drawn in pieces;
-        # its mean log has mean psi(a) - psi(a + b), variance psi1(a) - psi1(a + b) over n
-        n, trials = _pykernels.BLOCK_OBS + 1000, 3
-        assert _pykernels.raw_sampled("beta", 2.5)
-        stats = _pykernels.trial_stats("beta", 1.5, 2.5, n, 8, 0, trials)
-        mean = polygamma(0, 1.5) - polygamma(0, 4.0)
-        se = math.sqrt((polygamma(1, 1.5) - polygamma(1, 4.0)) / n / trials)
-        assert abs(float(stats.mean()) - mean) < 5.0 * se
-
-    # The raw block from theta0 = 1.5 down to shapes where Generator.beta
-    # returns many draws below 2^-64 (P = 0.01 at (0.1, 0.5), 0.4 at
-    # (0.02, 0.5)), and a few exact zeros: 10^6 draws at a small theta0,
-    # enough to see a bias of 0.1 at theta0 = 0.1 as 11 SE.
-    @pytest.mark.parametrize("beta", [0.5, 2.5])
-    @pytest.mark.parametrize("theta0,n,trials", [(0.02, 1000, 1000), (0.05, 1000, 1000),
-                                                 (0.1, 1000, 1000), (1.5, 100, 200)])
-    def test_raw_block_mean_log_is_exact_across_shapes(self, theta0, beta, n, trials):
-        # mean psi(a) - psi(a + b) and variance (psi1(a) - psi1(a + b)) / n a
-        # trial, from the series oracle rather than the package's polygamma
-        assert _pykernels.raw_sampled("beta", beta)
-        stats = _pykernels.trial_stats("beta", theta0, beta, n, 11, 0, trials)
-        mean = polygamma_series(0, theta0) - polygamma_series(0, theta0 + beta)
-        se = math.sqrt((polygamma_series(1, theta0) - polygamma_series(1, theta0 + beta)) / n / trials)
-        assert abs(float(stats.mean()) - mean) < 5.0 * se
-
 
 class _RecordingPool:
     """A stand-in for ProcessPoolExecutor that records each pool's size and

@@ -257,33 +257,6 @@ class TestMinimalN:
         assert self._fastest(below) < 1e-3
 
 
-class TestA1:
-    @pytest.mark.parametrize(
-        "ing,n",
-        [
-            (beta_ingredients(P), 7500),
-            (beta_ingredients(P), 8300),
-            (_synthetic_ingredients(), 500),
-            (_synthetic_ingredients(var_l2=0.7), 500),
-        ],
-    )
-    def test_a1_is_the_positive_root(self, ing, n):
-        # plugging A1 back into the quadratic D1 x^2 - b x - c leaves a
-        # relative residual below 1e-9
-        a1 = mse_upper_bound_a1(ing, n)
-        dd = float(decimal_d1(ing, n))
-        b_lin = 2.0 * ing.sup_x_norm * math.sqrt(ing.var_l2) / (n * ing.fisher_info**1.5)
-        c_const = (
-            1.0
-            + 2.0
-            * ing.sup_x_norm
-            / math.sqrt(n)
-            * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)
-        ) / (n * ing.fisher_info)
-        residual = dd * a1 * a1 - b_lin * a1 - c_const
-        assert abs(residual) <= 1e-9 * max(dd * a1 * a1, c_const)
-
-
 def _assembled(ing, n, a1):
     """The four terms of the implicit distance bound at A1 = a1, written out."""
     root_i = math.sqrt(ing.fisher_info)
@@ -296,13 +269,6 @@ def _assembled(ing, n, a1):
 
 
 class TestImplicitDistanceBound:
-    def test_var_l2_feeds_r2_term(self):
-        ing = _synthetic_ingredients(var_l2=0.25)
-        a1 = mse_upper_bound_a1(ing, 400)
-        bd = implicit_distance_bound(ing, 400)
-        assert dict(bd.terms)["r2"] == pytest.approx(0.5 * a1 / math.sqrt(ing.fisher_info))
-        assert dict(implicit_distance_bound(_synthetic_ingredients(), 400).terms)["r2"] == 0.0
-
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
     def test_is_the_beta_bound_bit_for_bit(self, theta0, beta):
@@ -462,51 +428,14 @@ class TestBetaShapeRoots:
         assert beta_shape_roots([], 2.0).size == 0
 
 
-def _mpmath_reference(ing, n, mp):
-    """D1, B3 and A1 at n, and the minimal n, in mpmath at 50 digits.
-
-    The same formulas as the 50-digit decimal oracle, in a different
-    extended-precision arithmetic (binary, ~169 bits); B3 and A1 stay mpf.
-    """
-    with mp.workdps(50):
-        nn, i = mp.mpf(n), mp.mpf(ing.fisher_info)
-        eps, c1 = mp.mpf(ing.epsilon), mp.mpf(ing.c1_const)
-        x, x2, var = mp.mpf(ing.sup_x_norm), mp.mpf(ing.sup_x2_norm), mp.mpf(ing.var_l2)
-        third = mp.mpf(ing.third_abs_score_moment)
-        i32 = i ** mp.mpf("1.5")
-        dd = 1 - 2 * x2 / (nn * i * eps**2) - x * c1 / (mp.sqrt(nn) * i32)
-        b3 = mp.sqrt((4 + (8 / mp.sqrt(nn)) * (2 + third / i32)) * dd) / (2 * mp.sqrt(i) * dd)
-        lin = 2 * x * mp.sqrt(var) / (nn * i32)
-        rad = 4 * x**2 * var / (nn**2 * i**3) + (4 * dd / (nn * i)) * (
-            1 + (2 * x / mp.sqrt(nn)) * (2 + third / i32)
-        )
-        a1 = (lin + mp.sqrt(rad)) / (2 * dd)
-        ce = c1 * eps
-        floor = mp.ceil(x**2 * (ce + mp.sqrt(ce**2 + 8 * i**2)) ** 2 / (4 * i**3 * eps**2))
-        return float(dd), b3, a1, int(floor)
-
-
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
-@pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
-def test_decimal_combination_equals_mpmath(theta0, beta, mp):
-    # the bound-grid Beta lattice: B3 and A1 at or above the 50-digit values,
-    # and at most 2e-15 above them
-    p = BetaParams(theta0, beta)
-    ing = beta_ingredients(p)
-    floor = minimal_n(ing)
-    for offset in (0, 1, 10, 300):
-        n = floor + offset
-        want_d1, want_b3, want_a1, want_floor = _mpmath_reference(ing, n, mp)
-        assert floor == want_floor
-        assert want_d1 > 0.0
-        with mp.workdps(50):
-            for got, want in ((beta_b3(p, n), want_b3), (mse_upper_bound_a1(ing, n), want_a1)):
-                assert want <= got <= want * (1 + mp.mpf("2e-15"))
-
-
-# (theta0, beta) pairs from 1e-3 to 1e5 and from 0.01 to 1000: 54 pairs
-_ORACLE_PAIRS = [(theta0, beta) for theta0 in (1e-3, 1e-2, 0.1, 0.5, 1.5, 4.0, 30.0, 1e3, 1e5)
-                 for beta in (0.01, 0.3, 1.0, 2.5, 40.0, 1000.0)]
+# (theta0, beta) pairs from 1e-3 to 1e5 and from 0.01 to 1000 (54 pairs), then
+# the bound-grid Beta lattice, theta0 from 0.5 to 8 and beta from 0.5 to 4 (30
+# pairs more)
+_ORACLE_PAIRS = list(dict.fromkeys(
+    [(theta0, beta) for theta0 in (1e-3, 1e-2, 0.1, 0.5, 1.5, 4.0, 30.0, 1e3, 1e5)
+     for beta in (0.01, 0.3, 1.0, 2.5, 40.0, 1000.0)]
+    + [(theta0, beta) for theta0 in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+       for beta in (0.5, 1.0, 2.0, 4.0)]))
 
 
 def _oracle_ns(floor):
@@ -548,11 +477,17 @@ class TestAgainstTheDecimalOracle:
                                   (mse_upper_bound_a1(ing, n), a1, "2e-15"),
                                   (bd.total, total, "4.5e-15")])
 
-    def test_var_l2_above_zero(self):
+    @pytest.mark.parametrize("ing,a1_tol,total_tol", [
         # the x + sqrt(x^2 + ...) route, with its wider margin
-        ing = _synthetic_ingredients(var_l2=0.7)
-        for n in _oracle_ns(minimal_n(ing)):
+        (_synthetic_ingredients(var_l2=0.7), "4.5e-15", "9e-15"),
+        # a minimal n near 2e36, where forming D1 cancels 37 digits
+        (ImplicitModelIngredients(1, 1, 0, 1, 1, 1, 1e-18), "2e-15", "4.5e-15"),
+    ], ids=["var_l2_above_zero", "minimal_n_of_37_digits"])
+    def test_synthetic_ingredients(self, ing, a1_tol, total_tol):
+        floor = minimal_n(ing)
+        assert floor == bisected_minimal_n(ing)
+        for n in _oracle_ns(floor):
             _, a1 = decimal_b3_a1(ing, n)
             bd = implicit_distance_bound(ing, n)
-            _assert_above_within([(mse_upper_bound_a1(ing, n), a1, "4.5e-15"),
-                                  (bd.total, _oracle_total(ing, n, bd), "9e-15")])
+            _assert_above_within([(mse_upper_bound_a1(ing, n), a1, a1_tol),
+                                  (bd.total, _oracle_total(ing, n, bd), total_tol)])

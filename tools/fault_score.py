@@ -178,6 +178,9 @@ FAULTS = [
           "        return np.maximum(x, 2.0**-64)\n"),
     Fault("ci intervals open at their edges", _HARNESS,
           "(lower <= theta0) & (theta0 <= upper)", "(lower < theta0) & (theta0 < upper)"),
+    # A swap that only a theta0 other than 1 shows.
+    Fault("raw exp-canonical draw at scale theta0", _KERNELS,
+          "return rng.exponential(1.0 / theta0, n)", "return rng.exponential(theta0, n)"),
 ]
 
 
