@@ -113,6 +113,15 @@ class TestSamplers:
         with pytest.raises(UnknownModelError, match="exp-canonical"):
             _pykernels.trial_stats("weibull", 1.0, 1.0, 10, 0, 0, 5)
 
+    def test_beta_small_shape_draws_stay_positive(self):
+        # Generator.beta(0.01, b) returns exact zeros (about 6 in 10^4);
+        # they are clamped so the log-observation stays finite
+        for beta in (1.0, 2.0):
+            x = _draw("beta", 0.01, 10**5, 3, beta=beta)
+            assert float(x.min()) > 0.0
+        stats = _pykernels.trial_stats("beta", 0.01, 2.0, 50, 3, 0, 2000)
+        assert np.all(np.isfinite(stats))
+
     def test_poisson_mean_beyond_numpy_range(self):
         # n * theta0 = 1e20 is past numpy's Poisson limit (~9.2e18); the sum
         # is drawn in independent pieces
@@ -228,11 +237,12 @@ class TestStatisticLaws:
         # to 5 SE of the sample variance
         if path == "draw":
             x = _pykernels.draw(model, theta0, beta, count, _pykernels.make_generator(LAW_SEED, 0))
-            # the support: the integers >= 0 for Poisson, (0, 1] for Beta (a
-            # draw rounds to 1.0 where 1 - X lies below half an ulp), else x > 0
+            # the support: the integers >= 0 for Poisson, (0, 1) for Beta, else
+            # x > 0; at beta = 0.1 only, 1 - X lies below half an ulp in 23 to
+            # 505 of the 10^4 draws, which round to exactly 1.0
             assert float(x.min()) >= 0.0 and (model != "poisson" or np.all(x == np.floor(x)))
             assert model == "poisson" or float(x.min()) > 0.0
-            assert model != "beta" or float(x.max()) <= 1.0
+            assert model != "beta" or (x.max() <= 1.0 if beta == 0.1 else x.max() < 1.0)
             stats = np.log(x) if model == "beta" else x
         elif path == "stats":
             stats = _pykernels.sample_stats(model, theta0, beta, n, count,
