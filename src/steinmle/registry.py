@@ -1,6 +1,6 @@
 """Model registry: the four worked models keyed by stable names.
 
-``get_model`` returns one ``Model`` for each name: what the Monte Carlo
+``get_model`` builds a new ``Model`` on every call: what the Monte Carlo
 harness and the CLI need to treat a model uniformly.  That is the estimator
 from the per-trial sufficient statistic, the standardisation used for the
 distance experiments, the attached bound, and a JSON-serialisable audit of
@@ -8,6 +8,9 @@ the ingredient values.  Each method branches on the paper's route for the
 model: the interior exponential-family bound (``exp-canonical``,
 ``exp-noncanonical``), the boundary perturbation (``poisson``) or the
 implicit-MLE bound (``beta``), whose ingredients one request builds once.
+A ``Model`` keeps the Beta ingredients of its last theta0 for as long as
+the object lives, so a caller looping over n should keep the model: a
+fresh one rebuilds them, about twenty times the cost of a kept model's bound.
 
 Each parameter has one check: theta0 against ``theta0_limit`` or in the
 route's bound builder (``expfam``'s formula helper on the exponential route,
@@ -247,5 +250,8 @@ class Model:
 
 
 def get_model(name: str, beta: float = 1.0) -> Model:
-    """The registered model of that name; ``beta`` is the Beta model's known shape."""
+    """A new ``Model`` of that name; ``beta`` is the Beta model's known shape.
+
+    Each call builds a fresh object with an empty Beta ingredients memo, so a
+    caller that asks several bounds at one theta0 should keep the model."""
     return Model(name, beta)

@@ -140,16 +140,6 @@ class TestScoreBound:
 
 
 class TestMleBoundGeneral:
-    def test_canonical_unit_weights_terms(self):
-        bd = mle_bound_general(exp_canonical_ingredients(1.0, 10), (1.0, 1.0))
-        terms = dict(bd.terms)
-        assert tuple(terms) == ("score", "markov_tail", "r2", "taylor_remainder")
-        assert terms["score"] == pytest.approx(1.3960064468, abs=1e-9)
-        assert terms["markov_tail"] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert terms["r2"] == 0.0
-        assert terms["taylor_remainder"] == pytest.approx(4.2163702136, abs=1e-9)
-        assert bd.total == pytest.approx(6.9457, abs=1e-4)
-
     def test_non_finite_ingredients_raise_float_range_error(self):
         with pytest.raises(FloatRangeError, match="markov_tail"):
             mle_bound_general(_ingredients(mse=math.inf), (1.0, 1.0))
@@ -192,12 +182,6 @@ class TestMleBoundGeneral:
         ns = list(range(n_lo, 60)) + [100, 1000, 10**4, 10**5, 10**6]
         totals = [mle_bound_general(maker(1.0, n), (1.0, 1.0)).total for n in ns]
         assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
-
-    def test_root_n_rate_limit(self):
-        # sqrt(n) * total -> 4.41456 + 8 for the reciprocal-mean model
-        n = 10**8
-        total = mle_bound_general(exp_canonical_ingredients(1.0, n), (1.0, 1.0)).total
-        assert math.sqrt(n) * total == pytest.approx(12.41456, abs=1e-2)
 
 
 class TestKolmogorovConversion:
