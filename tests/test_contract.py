@@ -923,12 +923,15 @@ CLI_ERRORS = {
     # sizes whose first array, or the sweep's list of n, cannot be allocated
     **{f"{name}-too-large-to-allocate": (args, 3, "MemoryError", "") for name, args in [
         ("simulate", ["simulate", *_EXP, "--n", "10", "--trials", str(10**18)]),
+        ("table-1", ["table", "1", "--trials", str(10**18)]),
+        ("ci", _DRAWN_CI + ["--trials", str(10**18)]),
         ("mse-sweep", ["mse-sweep", "--n-from", "1", "--n-to", str(10**18)])]},
     **{f"{name}-trials-{trials}": (args + ["--trials", str(trials)], 3, "MemoryError", "")
        for name, args in _TRIAL_COUNT_ARGS.items() for trials in (10**18, 2**60, 2**63, 10**20)},
-    # ci refuses the count also where its interval is the whole line
-    **{f"ci-degenerate-trials-{trials}": (_DEGENERATE_CI + ["--trials", str(trials)], 3,
-                                          "MemoryError", "") for trials in (2**60, 2**63, 10**20)},
+    # ci refuses the count whether or not its interval is the whole line
+    **{f"ci-{name}-trials-{trials}": (args + ["--trials", str(trials)], 3, "MemoryError", "")
+       for name, args in [("degenerate", _DEGENERATE_CI), ("drawn", _DRAWN_CI)]
+       for trials in (2**60, 2**63, 10**20)},
     # successes next to the refusals
     "ci-degenerate-at-ten-trials": (_DEGENERATE_CI + ["--trials", "10"], 0, None, ""),
     # the fourth central moment of 1/mean does not cancel below 0 at a tiny

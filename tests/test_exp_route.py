@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_contract import CUBE_SUBNORMAL, SQUARE_OVERFLOWS, outcome
 
+from steinmle.errors import FloatRangeError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
 from steinmle.registry import get_model
 from steinmle.steincore import BoundIngredients, _mle_bound_fields, mle_bound_general
@@ -126,3 +127,18 @@ def test_field_test_raises_what_the_ingredients_raise(theta0, n, values, bad, de
         values[index] = value
     one_pass, built = _field_outcomes(theta0, n, values, deterministic, weights)
     assert one_pass == built
+
+
+@pytest.mark.parametrize(
+    "model,theta0,n,epsilon,message",
+    [
+        ("exp-canonical", 1e300, 10, None, "exp_canonical_ingredients: an intermediate value overflowed"),
+        ("exp-noncanonical", 1e-300, 10, None,
+         "exp_noncanonical_ingredients: an intermediate value underflowed to 0"),
+        ("exp-noncanonical", 1.0, 10, 1e-200, "mle_bound_general: an intermediate value underflowed to 0"),
+    ],
+)
+def test_float_range_errors_name_the_public_function(model, theta0, n, epsilon, message):
+    with pytest.raises(FloatRangeError) as excinfo:
+        get_model(model).distance_bound(theta0, n, epsilon=epsilon)
+    assert str(excinfo.value).startswith(message)

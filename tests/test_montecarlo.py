@@ -393,6 +393,14 @@ class TestMleOp:
 
 
 class TestDeterminism:
+    def test_seed_changes_empirical(self):
+        base = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=1)
+        other = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=2)
+        assert (
+            run_simulation(base).empirical_distance
+            != run_simulation(other).empirical_distance
+        )
+
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
         # (n=22000) trials; two workers split each row at those blocks

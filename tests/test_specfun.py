@@ -45,6 +45,12 @@ class TestPolygamma:
                 polygamma_series(order, x), rel=1e-9
             ), (order, x)
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_positive_and_strictly_decreasing(self, order):
+        values = [polygamma(order, x) for x in ACCURACY_GRID]
+        assert all(v > 0.0 for v in values)
+        assert all(a > b for a, b in zip(values, values[1:]))
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_coefficient_table_equals_the_loop_products(self, order):
         assert list(_ASYMPTOTIC_COEFFS[order]) == scalar_asymptotic_coeffs(order)
@@ -81,6 +87,12 @@ class TestPolygamma:
 
 
 class TestNormalQuantile:
+    def test_median(self):
+        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+
+    def test_reference_value(self):
+        assert std_normal_quantile(0.975) == pytest.approx(1.9599639845400545, abs=1e-10)
+
     @given(st.floats(min_value=1e-6, max_value=0.5))
     def test_antisymmetry(self, p):
         # Below p ~ 1e-6 the double representation of 1 - p itself moves the

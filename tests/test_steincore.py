@@ -183,6 +183,12 @@ class TestMleBoundGeneral:
         totals = [mle_bound_general(maker(1.0, n), (1.0, 1.0)).total for n in ns]
         assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
 
+    def test_root_n_rate_limit(self):
+        # sqrt(n) * total -> 4.41456 + 8 for the reciprocal-mean model
+        n = 10**8
+        total = mle_bound_general(exp_canonical_ingredients(1.0, n), (1.0, 1.0)).total
+        assert math.sqrt(n) * total == pytest.approx(12.41456, abs=1e-2)
+
 
 class TestKolmogorovConversion:
     @given(
