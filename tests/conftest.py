@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 from unittest import mock
 
@@ -67,6 +68,15 @@ class CliRunner:
             except Exception as exc:
                 exit_code, exception = 1, exc
         return Result(exit_code, exception, out.getvalue(), err.getvalue(), both.getvalue())
+
+
+def strict_json(text):
+    """``text`` parsed as strict JSON, which has no Infinity or NaN."""
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the JSON output, which strict JSON cannot carry")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import strict_json
 
 import steinmle
 from steinmle import boundary, cli, registry
@@ -34,15 +35,6 @@ def _run_cli(args):
 
 def _json_out(result):
     return json.loads(result.output)
-
-
-def _strict_json(text):
-    """``text`` parsed as strict JSON, which has no Infinity or NaN."""
-
-    def refuse(constant):
-        raise ValueError(f"{constant} is not strict JSON")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 def test_version_from_a_source_checkout():
@@ -127,20 +119,8 @@ class TestBoundCommand:
         )
 
     def test_csv_format(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "bound",
-                "--model",
-                "exp-noncanonical",
-                "--theta0",
-                "2",
-                "--n",
-                "10",
-                "--format",
-                "csv",
-            ],
-        )
+        args = ["bound", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10", "--format", "csv"]
+        result = runner.invoke(main, args)
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0] == "label,value"
@@ -304,14 +284,9 @@ def test_batched_rows_output_matches_snapshot(runner, snapshot, args):
 def test_gaussian_expectation_computed_once_per_invocation(runner, monkeypatch, args, count):
     from steinmle.montecarlo import harness
 
-    calls = []
-    original = harness.normal_expectation
-
-    def counted(*a, **k):
-        calls.append(a)
-        return original(*a, **k)
-
-    monkeypatch.setattr(harness, "normal_expectation", counted)
+    calls, original = [], harness.normal_expectation
+    monkeypatch.setattr(harness, "normal_expectation",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
     result = runner.invoke(main, args + ["--trials", "5"])
     assert result.exit_code == 0, result.output
     assert len(calls) == count
@@ -325,7 +300,7 @@ class TestConstantsCommand:
         args = ["constants", "--model", "exp-canonical", "--theta0", "1", "--n", str(n)]
         result = runner.invoke(main, args + ["--format", "json"])
         assert result.exit_code == 0, result.output
-        ing = _strict_json(result.stdout)["ingredients"]
+        ing = strict_json(result.stdout)["ingredients"]
         assert ing["fourth_mle_moment"] is None and ing["n"] == n
         text = runner.invoke(main, args)
         assert text.exit_code == 0 and "ingredients.fourth_mle_moment = None" in text.stdout

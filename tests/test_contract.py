@@ -44,7 +44,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import CliRunner
+from conftest import CliRunner, strict_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -945,13 +945,6 @@ CLI_ENV = {
 }
 
 
-def _strict_json(text):
-    def refuse(constant):
-        raise AssertionError(f"{constant} in the JSON output, which strict JSON cannot carry")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", CLI_ERRORS)
 def test_cli_exit_code_error_and_message(case, fmt):
@@ -963,7 +956,7 @@ def test_cli_exit_code_error_and_message(case, fmt):
     if code == 0:
         assert result.stdout and result.stderr == ""
         if fmt == "json":
-            _strict_json(result.stdout)
+            strict_json(result.stdout)
         return
     assert result.stdout == ""
     if error is None:
@@ -985,7 +978,7 @@ def _keeps_the_exit_code_contract(args, fmt):
     if fmt == "json" and result.exit_code:
         assert json.loads(result.stderr)["schema"] == "steinmle/error/v1"
     elif fmt == "json":
-        _strict_json(result.stdout)
+        strict_json(result.stdout)
 
 
 def _options(**values):

@@ -61,12 +61,12 @@ def _both_routes(model, theta0, n, epsilon, weights):
         (1e-103, 10, None, (1.0, 1.0)),
         (1.0, 10**400, None, (1.0, 1.0)),  # n beyond the float range
         (1.0, 2**63, None, (1.0, 1.0)),
-        (2.0, 10, 0.5, (1.0, 1.0)),  # a valid epsilon, forwarded by the registry
         (2.0, 10, 2.0, (1.0, 1.0)),  # epsilon on the ball's edge
-        (1.0, 10, 1e-200, (1.0, 1.0)),  # epsilon**2 underflows to 0: mle_bound_general is named
         (2.0, 10, None, (1e308, 1.0)),
         (2.0, 10, None, (np.float64(0.5), True)),
         (CUBE_SUBNORMAL, 10, None, (1.0, 1.0)),
+        (2.0, 10, 0.5, (1.0, 1.0)),  # a valid epsilon, forwarded by the registry
+        (1.0, 10, 1e-200, (1.0, 1.0)),  # epsilon**2 underflows to 0: mle_bound_general is named
     ],
 )
 def test_pinned_edges_agree(model, theta0, n, epsilon, weights):

@@ -394,26 +394,15 @@ class TestMleOp:
 
 class TestDeterminism:
     def test_seed_changes_empirical(self):
-        base = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=1)
-        other = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=2)
-        assert (
-            run_simulation(base).empirical_distance
-            != run_simulation(other).empirical_distance
-        )
+        base, other = (SimulationConfig("exp-canonical", 1.0, 100, trials=300, seed=s) for s in (1, 2))
+        assert run_simulation(base).empirical_distance != run_simulation(other).empirical_distance
 
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
         # (n=22000) trials; two workers split each row at those blocks
         assert _pykernels.raw_sampled("beta", 2.5)
-        csv = [
-            [
-                rep.csv_row()
-                for rep in run_mse_sweep(
-                    BetaParams(1.5, 2.5), [14816, 22000], trials=12, seed=5, workers=w
-                )
-            ]
-            for w in (1, 2)
-        ]
+        csv = [[rep.csv_row() for rep in run_mse_sweep(BetaParams(1.5, 2.5), [14816, 22000], trials=12,
+                                                       seed=5, workers=w)] for w in (1, 2)]
         assert csv[0] == csv[1]
 
 
@@ -561,10 +550,7 @@ class TestMseSweep:
         # spot-check the dominance across the admissible window, including
         # both edges (the bound blows up toward the minimal n, so the edge
         # rows dominate by a wide margin)
-        reports = run_mse_sweep(
-            BetaParams(1.5, 1.0), [7460, 7800, 8459], trials=150, seed=6
-        )
-        for rep in reports:
+        for rep in run_mse_sweep(BetaParams(1.5, 1.0), [7460, 7800, 8459], trials=150, seed=6):
             assert rep.empirical_mse <= rep.bound_total
 
 
@@ -576,19 +562,17 @@ class TestCiCoverage:
         assert res.coverage >= 1.0 - 0.5
         assert res.coverage >= 0.9  # widened quantiles push far past 50%
 
-    # b_k < alpha/2 = 0.025 only from these n on (bisected over ``_ci_offsets``);
+    # b_k < alpha/2 = 0.025 only from n = 6,312,910,854 (exp-canonical) and
+    # 860,930,215,631 (exp-noncanonical) on, bisected over ``_ci_offsets``;
     # below, the interval is the whole line
-    INFORMATIVE_FROM = {"exp-canonical": 6_312_910_854, "exp-noncanonical": 860_930_215_631}
-
-    @pytest.mark.parametrize(
-        "model,theta0,n",
-        [("exp-canonical", 1.0, 10**10), ("exp-noncanonical", 2.0, 10**12),
-         ("exp-canonical", 1.0, 6_300_000_000), ("exp-canonical", 1.0, 6_320_000_000),
-         ("exp-noncanonical", 2.0, 860_000_000_000), ("exp-noncanonical", 2.0, 861_000_000_000)],
-    )
-    def test_informative_interval_at_alpha_005(self, model, theta0, n):
+    @pytest.mark.parametrize("model,theta0,n,informative", [
+        pytest.param("exp-canonical", 1.0, 10**10, True, id="exp-canonical-1.0-10000000000"),
+        pytest.param("exp-noncanonical", 2.0, 10**12, True, id="exp-noncanonical-2.0-1000000000000"),
+        ("exp-canonical", 1.0, 6_300_000_000, False), ("exp-canonical", 1.0, 6_320_000_000, True),
+        ("exp-noncanonical", 2.0, 860_000_000_000, False),
+        ("exp-noncanonical", 2.0, 861_000_000_000, True)])
+    def test_informative_interval_at_alpha_005(self, model, theta0, n, informative):
         res = ci_coverage(model, theta0, n, 0.05, 10**4, seed=0)
-        informative = n >= self.INFORMATIVE_FROM[model]
         assert (res.degenerate, res.b_k < 0.025) == (not informative, informative)
         se = math.sqrt(res.coverage * (1.0 - res.coverage) / res.trials)
         assert res.coverage >= 1.0 - 0.05 - 3.0 * se

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import EULER_GAMMA, polygamma_series, scalar_asymptotic_coeffs, scalar_polygamma
 
+from steinmle import specfun
 from steinmle.errors import DomainError, FloatRangeError
 from steinmle.specfun import (
     _ASYMPTOTIC_COEFFS,
@@ -44,6 +45,15 @@ class TestPolygamma:
             assert polygamma(order, x) == pytest.approx(
                 polygamma_series(order, x), rel=1e-9
             ), (order, x)
+
+    def test_recurrence_on_log_grid(self):
+        # psi(x+1) - psi(x) = 1/x; psi_m(x+1) - psi_m(x) = (-1)^m m!/x^(m+1)
+        for x in [10.0 ** (-2 + 6 * k / 30) for k in range(31)]:
+            assert polygamma(0, x + 1) - polygamma(0, x) == pytest.approx(1.0 / x, rel=1e-10)
+            for m in (1, 2, 3):
+                expected = (-1.0) ** m * math.factorial(m) / x ** (m + 1)
+                got = polygamma(m, x + 1) - polygamma(m, x)
+                assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (m, x)
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_positive_and_strictly_decreasing(self, order):
@@ -168,6 +178,12 @@ class TestNormalExpectation:
             if normal_expectation(h, scale=s) != reference(s)
         ]
         assert wrong == []
+
+    def test_fraction_gives_the_series_value_where_the_cut_moved(self, monkeypatch):
+        fraction = [inv_quadratic_expectation(s) for s in self.MOVED_SCALES]
+        monkeypatch.setattr(specfun, "_SERIES_CUT", 6.0)
+        series = [inv_quadratic_expectation(s) for s in self.MOVED_SCALES]
+        assert fraction == series
 
     def test_exact_expectation_is_used_only_when_carried(self):
         marker = TestFunction(
