@@ -119,8 +119,20 @@ class TestBoundCommand:
         )
 
     def test_csv_format(self, runner):
-        args = ["bound", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10", "--format", "csv"]
-        result = runner.invoke(main, args)
+        result = runner.invoke(
+            main,
+            [
+                "bound",
+                "--model",
+                "exp-noncanonical",
+                "--theta0",
+                "2",
+                "--n",
+                "10",
+                "--format",
+                "csv",
+            ],
+        )
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0] == "label,value"
@@ -284,9 +296,14 @@ def test_batched_rows_output_matches_snapshot(runner, snapshot, args):
 def test_gaussian_expectation_computed_once_per_invocation(runner, monkeypatch, args, count):
     from steinmle.montecarlo import harness
 
-    calls, original = [], harness.normal_expectation
-    monkeypatch.setattr(harness, "normal_expectation",
-                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    calls = []
+    original = harness.normal_expectation
+
+    def counted(*a, **k):
+        calls.append(a)
+        return original(*a, **k)
+
+    monkeypatch.setattr(harness, "normal_expectation", counted)
     result = runner.invoke(main, args + ["--trials", "5"])
     assert result.exit_code == 0, result.output
     assert len(calls) == count

@@ -7,7 +7,11 @@ import pytest
 from oracles import expfam_fisher_info, expfam_third_score_moment
 
 from steinmle.errors import DomainError
-from steinmle.expfam import EXP_THIRD_ABS_BOUND, exp_canonical_ingredients, exp_noncanonical_ingredients
+from steinmle.expfam import (
+    EXP_THIRD_ABS_BOUND,
+    exp_canonical_ingredients,
+    exp_noncanonical_ingredients,
+)
 from steinmle.steincore import mle_bound_general, score_bound
 
 
@@ -15,8 +19,11 @@ def exp_third_abs_central(theta0, mp):
     """Quadrature oracle for E|1/theta - X|^3, X ~ Exp(theta)."""
     with mp.workdps(30):
         theta = mp.mpf(theta0)
-        return float(mp.quad(lambda x: abs(1 / theta - x) ** 3 * theta * mp.e ** (-theta * x),
-                             [0, 1 / theta, mp.inf]))
+        val = mp.quad(
+            lambda x: abs(1 / theta - x) ** 3 * theta * mp.e ** (-theta * x),
+            [0, 1 / theta, mp.inf],
+        )
+        return float(val)
 
 
 class TestGenericOps:
@@ -86,8 +93,16 @@ class TestCanonicalIngredients:
         n, theta0 = 6, 1.3
         with mp.workdps(30):
             lam = n * theta0
-            ref = float(mp.quad(lambda t: (1 / t - theta0) ** 2 * t ** (n - 1) * mp.e ** (-lam * t)
-                                * lam**n / mp.gamma(n), [0, 1 / theta0, mp.inf]))
+            ref = float(
+                mp.quad(
+                    lambda t: (1 / t - theta0) ** 2
+                    * t ** (n - 1)
+                    * mp.e ** (-lam * t)
+                    * lam**n
+                    / mp.gamma(n),
+                    [0, 1 / theta0, mp.inf],
+                )
+            )
         assert exp_canonical_ingredients(theta0, n).mse == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n", [5, 10, 1000, 10**6, 10**18])
@@ -119,9 +134,19 @@ class TestNonCanonicalIngredients:
         n, theta0 = 7, 2.0
         with mp.workdps(30):
             lam = n / mp.mpf(theta0)
-            ref = float(mp.quad(lambda t: (t - theta0) ** 4 * t ** (n - 1) * mp.e ** (-lam * t)
-                                * lam**n / mp.gamma(n), [0, theta0, mp.inf]))
-        assert exp_noncanonical_ingredients(theta0, n).fourth_mle_moment == pytest.approx(ref, rel=1e-9)
+            ref = float(
+                mp.quad(
+                    lambda t: (t - theta0) ** 4
+                    * t ** (n - 1)
+                    * mp.e ** (-lam * t)
+                    * lam**n
+                    / mp.gamma(n),
+                    [0, theta0, mp.inf],
+                )
+            )
+        assert exp_noncanonical_ingredients(theta0, n).fourth_mle_moment == pytest.approx(
+            ref, rel=1e-9
+        )
 
 
 class TestClosedFormTotals:
@@ -129,8 +154,11 @@ class TestClosedFormTotals:
     def test_canonical_unit_weight_closed_form(self, n):
         # 4.41456/sqrt(n) + 8(n+2)/((n-1)(n-2)) + 8 sqrt(n) (n+2)/((n-1)(n-2))
         got = mle_bound_general(exp_canonical_ingredients(1.0, n), (1.0, 1.0)).total
-        expected = (4.41456 / math.sqrt(n) + 8.0 * (n + 2) / ((n - 1) * (n - 2))
-                    + 8.0 * math.sqrt(n) * (n + 2) / ((n - 1) * (n - 2)))
+        expected = (
+            4.41456 / math.sqrt(n)
+            + 8.0 * (n + 2) / ((n - 1) * (n - 2))
+            + 8.0 * math.sqrt(n) * (n + 2) / ((n - 1) * (n - 2))
+        )
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 10, 100, 10**4])
@@ -139,8 +167,12 @@ class TestClosedFormTotals:
         # 4.41456/sqrt(n) + 8/n + 2/sqrt(n) + 80 sqrt(3(2/n + 1))/sqrt(n),
         # independent of theta0
         got = mle_bound_general(exp_noncanonical_ingredients(theta0, n), (1.0, 1.0)).total
-        expected = (4.41456 / math.sqrt(n) + 8.0 / n + 2.0 / math.sqrt(n)
-                    + 80.0 * math.sqrt(3.0 * (2.0 / n + 1.0)) / math.sqrt(n))
+        expected = (
+            4.41456 / math.sqrt(n)
+            + 8.0 / n
+            + 2.0 / math.sqrt(n)
+            + 80.0 * math.sqrt(3.0 * (2.0 / n + 1.0)) / math.sqrt(n)
+        )
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -148,7 +180,10 @@ class TestModelLevelInvariants:
     @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 3.0 * math.sqrt(1.5) / 16.0)])
     def test_theta0_invariance(self, weights):
         for maker in (exp_canonical_ingredients, exp_noncanonical_ingredients):
-            totals = [mle_bound_general(maker(theta0, 50), weights).total for theta0 in (0.1, 1.0, 7.0)]
+            totals = [
+                mle_bound_general(maker(theta0, 50), weights).total
+                for theta0 in (0.1, 1.0, 7.0)
+            ]
             ref = totals[0]
             assert all(abs(t - ref) <= 1e-12 * ref for t in totals)
 

@@ -394,15 +394,26 @@ class TestMleOp:
 
 class TestDeterminism:
     def test_seed_changes_empirical(self):
-        base, other = (SimulationConfig("exp-canonical", 1.0, 100, trials=300, seed=s) for s in (1, 2))
-        assert run_simulation(base).empirical_distance != run_simulation(other).empirical_distance
+        base = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=1)
+        other = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=2)
+        assert (
+            run_simulation(base).empirical_distance
+            != run_simulation(other).empirical_distance
+        )
 
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
         # (n=22000) trials; two workers split each row at those blocks
         assert _pykernels.raw_sampled("beta", 2.5)
-        csv = [[rep.csv_row() for rep in run_mse_sweep(BetaParams(1.5, 2.5), [14816, 22000], trials=12,
-                                                       seed=5, workers=w)] for w in (1, 2)]
+        csv = [
+            [
+                rep.csv_row()
+                for rep in run_mse_sweep(
+                    BetaParams(1.5, 2.5), [14816, 22000], trials=12, seed=5, workers=w
+                )
+            ]
+            for w in (1, 2)
+        ]
         assert csv[0] == csv[1]
 
 
@@ -550,7 +561,10 @@ class TestMseSweep:
         # spot-check the dominance across the admissible window, including
         # both edges (the bound blows up toward the minimal n, so the edge
         # rows dominate by a wide margin)
-        for rep in run_mse_sweep(BetaParams(1.5, 1.0), [7460, 7800, 8459], trials=150, seed=6):
+        reports = run_mse_sweep(
+            BetaParams(1.5, 1.0), [7460, 7800, 8459], trials=150, seed=6
+        )
+        for rep in reports:
             assert rep.empirical_mse <= rep.bound_total
 
 

@@ -12,17 +12,30 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from oracles import (bisected_minimal_n, bracketed_beta_root, decimal_b3_a1, decimal_d1,
-                     decimal_implicit_total)
+from oracles import (
+    bisected_minimal_n,
+    bracketed_beta_root,
+    decimal_b3_a1,
+    decimal_d1,
+    decimal_implicit_total,
+)
 
 from steinmle import msebound
 from steinmle.cli import main
 from steinmle.errors import ConvergenceError, DomainError, FloatRangeError
 from steinmle.registry import get_model
 from steinmle.steincore import BoundIngredients, mle_bound_general
-from steinmle.msebound import (BetaParams, ImplicitModelIngredients, beta_b3, beta_distance_bound,
-                               beta_ingredients, beta_shape_roots, implicit_distance_bound, minimal_n,
-                               mse_upper_bound_a1)
+from steinmle.msebound import (
+    BetaParams,
+    ImplicitModelIngredients,
+    beta_b3,
+    beta_distance_bound,
+    beta_ingredients,
+    beta_shape_roots,
+    implicit_distance_bound,
+    minimal_n,
+    mse_upper_bound_a1,
+)
 
 P = BetaParams(1.5, 1.0)
 # B1, B2, D_psi1 and minimal_n of P, as ``constants --model beta`` prints them
@@ -40,8 +53,15 @@ B3SQ_OVER_N = {
 
 
 def _synthetic_ingredients(**overrides):
-    base = dict(fisher_info=0.8, third_abs_score_moment=2.0, var_l2=0.0, c1_const=5.0, sup_x_norm=1.0,
-                sup_x2_norm=1.0, epsilon=0.4)
+    base = dict(
+        fisher_info=0.8,
+        third_abs_score_moment=2.0,
+        var_l2=0.0,
+        c1_const=5.0,
+        sup_x_norm=1.0,
+        sup_x2_norm=1.0,
+        epsilon=0.4,
+    )
     base.update(overrides)
     return ImplicitModelIngredients(**base)
 
@@ -56,10 +76,11 @@ def polygamma_calls(monkeypatch):
 
 class TestBetaIngredients:
     def test_b_constants(self):
-        assert CONSTS["B2"] == pytest.approx(25.562962962962963, rel=1e-12, abs=0.0)
-        assert CONSTS["B1"] == pytest.approx(39.807316257217488, rel=1e-9, abs=0.0)
-        assert CONSTS["D_psi1"] == pytest.approx(4.0 / 9.0, rel=1e-12, abs=0.0)
-        assert CONSTS["minimal_n"] == 7460
+        consts = CONSTS
+        assert consts["B2"] == pytest.approx(25.562962962962963, rel=1e-12, abs=0.0)
+        assert consts["B1"] == pytest.approx(39.807316257217488, rel=1e-9, abs=0.0)
+        assert consts["D_psi1"] == pytest.approx(4.0 / 9.0, rel=1e-12, abs=0.0)
+        assert consts["minimal_n"] == 7460
 
     def test_audit_builds_the_ingredients_once(self, polygamma_calls):
         # two shift passes for the ingredients, two more for B1
@@ -71,9 +92,15 @@ class TestBetaIngredients:
 
     def test_b1_against_independent_polygamma(self, mp):
         with mp.workdps(40):
-            a, b = mp.mpf("1.5"), mp.mpf("2.5")
-            ref = float(8 * (mp.polygamma(3, a) + mp.polygamma(3, b) + 3 * mp.polygamma(1, a) ** 2
-                             + 3 * mp.polygamma(1, b) ** 2))
+            ref = float(
+                8
+                * (
+                    mp.polygamma(3, mp.mpf("1.5"))
+                    + mp.polygamma(3, mp.mpf("2.5"))
+                    + 3 * mp.polygamma(1, mp.mpf("1.5")) ** 2
+                    + 3 * mp.polygamma(1, mp.mpf("2.5")) ** 2
+                )
+            )
         assert CONSTS["B1"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.01, 1.0, 1000.0])
@@ -96,14 +123,19 @@ class TestOneBuildARequest:
     """``registry.Model`` builds the Beta ingredients once for every bound,
     scale and information number that one request asks at one theta0."""
 
-    @pytest.mark.parametrize("args,passes", [
-        (["simulate", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "2"], 2),
-        (["ci", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "2"], 2),
-        (["table", "3", "--trials", "2"], 2),
-        (["mse-sweep", "--n-from", "7500", "--n-to", "7700", "--n-step", "100", "--trials", "2"], 2),
-        # two shift passes for the ingredients, two more for B1
-        (["constants", "--model", "beta", "--theta0", "1.5", "--n", "7460"], 4),
-    ], ids=["simulate", "ci", "table-3", "mse-sweep", "constants"])
+    @pytest.mark.parametrize(
+        "args,passes",
+        [
+            (["simulate", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "2"], 2),
+            (["ci", "--model", "beta", "--theta0", "1.5", "--n", "7500", "--trials", "2"], 2),
+            (["table", "3", "--trials", "2"], 2),
+            (["mse-sweep", "--n-from", "7500", "--n-to", "7700", "--n-step", "100",
+              "--trials", "2"], 2),
+            # two shift passes for the ingredients, two more for B1
+            (["constants", "--model", "beta", "--theta0", "1.5", "--n", "7460"], 4),
+        ],
+        ids=["simulate", "ci", "table-3", "mse-sweep", "constants"],
+    )
     def test_polygamma_passes_of_a_verb(self, runner, polygamma_calls, args, passes):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
@@ -228,17 +260,28 @@ class TestMinimalN:
 
 
 class TestA1:
-    @pytest.mark.parametrize("ing,n", [(beta_ingredients(P), 7500), (beta_ingredients(P), 8300),
-                                       (_synthetic_ingredients(), 500),
-                                       (_synthetic_ingredients(var_l2=0.7), 500)])
+    @pytest.mark.parametrize(
+        "ing,n",
+        [
+            (beta_ingredients(P), 7500),
+            (beta_ingredients(P), 8300),
+            (_synthetic_ingredients(), 500),
+            (_synthetic_ingredients(var_l2=0.7), 500),
+        ],
+    )
     def test_a1_is_the_positive_root(self, ing, n):
         # plugging A1 back into the quadratic D1 x^2 - b x - c leaves a
         # relative residual below 1e-9
         a1 = mse_upper_bound_a1(ing, n)
         dd = float(decimal_d1(ing, n))
         b_lin = 2.0 * ing.sup_x_norm * math.sqrt(ing.var_l2) / (n * ing.fisher_info**1.5)
-        c_const = (1.0 + 2.0 * ing.sup_x_norm / math.sqrt(n)
-                   * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)) / (n * ing.fisher_info)
+        c_const = (
+            1.0
+            + 2.0
+            * ing.sup_x_norm
+            / math.sqrt(n)
+            * (2.0 + ing.third_abs_score_moment / ing.fisher_info**1.5)
+        ) / (n * ing.fisher_info)
         residual = dd * a1 * a1 - b_lin * a1 - c_const
         assert abs(residual) <= 1e-9 * max(dd * a1 * a1, c_const)
 
@@ -322,7 +365,9 @@ class TestBetaDistanceBound:
         dpsi, b1, b2 = CONSTS["D_psi1"], CONSTS["B1"], CONSTS["B2"]
         limit = (2.0 + b1**0.75 / dpsi**1.5) + b2 / (2.0 * dpsi**1.5)
         n = 10**12
-        assert math.sqrt(n) * beta_distance_bound(P, n).total == pytest.approx(limit, rel=1e-4)
+        assert math.sqrt(n) * beta_distance_bound(P, n).total == pytest.approx(
+            limit, rel=1e-4
+        )
 
 
 def _mean_logs(theta0, beta, n, trials, seed=1):
@@ -350,23 +395,27 @@ class TestBetaShapeRoots:
         assert row.tolist() == [beta_shape_roots([s], beta)[0] for s in stats.tolist()]
         assert beta_shape_roots(stats[::-1], beta).tolist() == row[::-1].tolist()
 
-    @pytest.mark.parametrize("theta0,beta",
-                             [(1.5, 0.1), (8.0, 0.1), (400.0, 0.1), (400.0, 0.5), (0.05, 17.0)])
+    @pytest.mark.parametrize(
+        "theta0,beta", [(1.5, 0.1), (8.0, 0.1), (400.0, 0.1), (400.0, 0.5), (0.05, 17.0)]
+    )
     def test_within_a_few_ulps_of_the_exact_root(self, theta0, beta, mp):
         # where cancellation in psi(theta + beta) - psi(theta) put the scalar
         # root up to ~5e-10 off
         stats = _mean_logs(theta0, beta, 5, 10)
         for stat, root in zip(stats.tolist(), beta_shape_roots(stats, beta).tolist()):
             with mp.workdps(40):
-                exact = mp.findroot(lambda t: mp.digamma(t + beta) - mp.digamma(t) + mp.mpf(stat), root)
+                exact = mp.findroot(
+                    lambda t: mp.digamma(t + beta) - mp.digamma(t) + mp.mpf(stat), root
+                )
             assert root == pytest.approx(float(exact), rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 16.0])
     def test_integer_shape_within_4e16_of_the_exact_root(self, beta, mp):
         # the exact root of sum_{k<beta} 1/(theta + k) = -mean_log: 40-digit
         # Newton from the float root, which squares a ~1e-16 error each step
-        stats = np.concatenate([_mean_logs(t, beta, n, 50) for t in (0.05, 0.3, 1.5, 8.0, 40.0)
-                                for n in (5, 20)])
+        stats = np.concatenate(
+            [_mean_logs(t, beta, n, 50) for t in (0.05, 0.3, 1.5, 8.0, 40.0) for n in (5, 20)]
+        )
         ks = range(int(beta))
         with mp.workdps(40):
             for stat, root in zip(stats.tolist(), beta_shape_roots(stats, beta).tolist()):
@@ -378,8 +427,9 @@ class TestBetaShapeRoots:
 
     @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0, 16.0])
     def test_integer_shape_start_is_at_most_the_root(self, beta):
-        stats = np.concatenate([_mean_logs(t, beta, n, 20) for t in (0.05, 1.5, 40.0, 400.0)
-                                for n in (5, 12000)])
+        stats = np.concatenate(
+            [_mean_logs(t, beta, n, 20) for t in (0.05, 1.5, 40.0, 400.0) for n in (5, 12000)]
+        )
         start = msebound._finite_sum_start(-stats, beta)
         assert np.all(start <= beta_shape_roots(stats, beta))
         # never below -1/mean_log, where the series path starts
@@ -404,7 +454,9 @@ class TestBetaShapeRoots:
         with pytest.raises(FloatRangeError):
             beta_shape_roots([-0.5, -1.797e308], 0.5)
 
-    @pytest.mark.parametrize("bad", [[0.0], [-0.5, 0.1], [-math.inf], [math.nan], [[-0.5]]])
+    @pytest.mark.parametrize(
+        "bad", [[0.0], [-0.5, 0.1], [-math.inf], [math.nan], [[-0.5]]]
+    )
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             beta_shape_roots(bad, 2.0)

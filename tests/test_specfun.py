@@ -48,8 +48,11 @@ class TestPolygamma:
 
     def test_recurrence_on_log_grid(self):
         # psi(x+1) - psi(x) = 1/x; psi_m(x+1) - psi_m(x) = (-1)^m m!/x^(m+1)
-        for x in [10.0 ** (-2 + 6 * k / 30) for k in range(31)]:
-            assert polygamma(0, x + 1) - polygamma(0, x) == pytest.approx(1.0 / x, rel=1e-10)
+        grid = [10.0 ** (-2 + 6 * k / 30) for k in range(31)]
+        for x in grid:
+            assert polygamma(0, x + 1) - polygamma(0, x) == pytest.approx(
+                1.0 / x, rel=1e-10
+            )
             for m in (1, 2, 3):
                 expected = (-1.0) ** m * math.factorial(m) / x ** (m + 1)
                 got = polygamma(m, x + 1) - polygamma(m, x)

@@ -17,15 +17,30 @@ from steinmle.errors import DomainError, FloatRangeError
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
 from steinmle.montecarlo import _pykernels, ci_coverage
 from steinmle.registry import get_model
-from steinmle.steincore import (BoundBreakdown, BoundIngredients, _ci_offsets,
-                                inv_quadratic_test_function, kolmogorov_from_bw, mle_bound_general,
-                                score_bound)
+from steinmle.steincore import (
+    BoundBreakdown,
+    BoundIngredients,
+    _ci_offsets,
+    inv_quadratic_test_function,
+    kolmogorov_from_bw,
+    mle_bound_general,
+    score_bound,
+)
 
 
 def _ingredients(**overrides):
-    base = dict(theta0=1.0, n=100, fisher_info=1.0, third_abs_score_moment=2.41456, mse=0.01,
-                fourth_mle_moment=0.0003, sup_third_deriv=1600.0, r2_conditional_bound=0.0,
-                epsilon=0.5, sup_third_is_deterministic=False)
+    base = dict(
+        theta0=1.0,
+        n=100,
+        fisher_info=1.0,
+        third_abs_score_moment=2.41456,
+        mse=0.01,
+        fourth_mle_moment=0.0003,
+        sup_third_deriv=1600.0,
+        r2_conditional_bound=0.0,
+        epsilon=0.5,
+        sup_third_is_deterministic=False,
+    )
     base.update(overrides)
     return BoundIngredients(**base)
 
@@ -40,7 +55,9 @@ class TestTestFunction:
         xs = [k / 500.0 - 5.0 for k in range(5001)]
         values = [h.evaluator(x) for x in xs]
         assert max(abs(v) for v in values) <= h.sup_norm + 1e-12
-        slopes = [abs(values[i + 1] - values[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+        slopes = [
+            abs(values[i + 1] - values[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)
+        ]
         assert max(slopes) <= h.lip_norm + 1e-6
 
 
@@ -98,8 +115,13 @@ class TestBoundBreakdown:
     def test_json_round_trip(self):
         bd = BoundBreakdown(terms=(("score", 0.25), ("markov_tail", 0.5)))
         parsed = json.loads(json.dumps(bd.to_dict()))
-        assert parsed == {"terms": [{"label": "score", "value": 0.25},
-                                    {"label": "markov_tail", "value": 0.5}], "total": 0.75}
+        assert parsed == {
+            "terms": [
+                {"label": "score", "value": 0.25},
+                {"label": "markov_tail", "value": 0.5},
+            ],
+            "total": 0.75,
+        }
 
     def test_csv_rows(self):
         bd = BoundBreakdown(terms=(("score", 0.25),))
@@ -108,10 +130,13 @@ class TestBoundBreakdown:
 
 class TestScoreBound:
     def test_zero_weights(self):
-        assert score_bound(exp_canonical_ingredients(1.0, 100), (0.0, 0.0)).total == 0.0
+        ing = exp_canonical_ingredients(1.0, 100)
+        assert score_bound(ing, (0.0, 0.0)).total == 0.0
 
     def test_single_term_labelled_score(self):
-        assert tuple(dict(score_bound(exp_canonical_ingredients(1.0, 10)).terms)) == ("score",)
+        ing = exp_canonical_ingredients(1.0, 10)
+        bd = score_bound(ing)
+        assert tuple(dict(bd.terms)) == ("score",)
 
 
 class TestMleBoundGeneral:
@@ -131,17 +156,26 @@ class TestMleBoundGeneral:
         assert terms["r2"] == 1e6
         assert terms["taylor_remainder"] == 5e145
 
-    @given(sup=st.floats(0.0, 3.0), lip=st.floats(0.0, 3.0), scale=st.floats(0.1, 7.0))
+    @given(
+        sup=st.floats(min_value=0.0, max_value=3.0),
+        lip=st.floats(min_value=0.0, max_value=3.0),
+        scale=st.floats(min_value=0.1, max_value=7.0),
+    )
     def test_weight_linearity(self, sup, lip, scale):
         ing = exp_noncanonical_ingredients(2.0, 25)
         base = dict(mle_bound_general(ing, (sup, lip)).terms)
         scaled_sup = dict(mle_bound_general(ing, (scale * sup, lip)).terms)
         scaled_lip = dict(mle_bound_general(ing, (sup, scale * lip)).terms)
         # markov term scales with the sup weight, the rest with the lip weight
-        for label in ("score", "r2", "taylor_remainder", "markov_tail"):
-            moved, fixed = (scaled_sup, scaled_lip) if label == "markov_tail" else (scaled_lip, scaled_sup)
-            assert fixed[label] == base[label]
-            assert moved[label] == pytest.approx(scale * base[label], rel=1e-12, abs=1e-300)
+        assert scaled_sup["markov_tail"] == pytest.approx(
+            scale * base["markov_tail"], rel=1e-12, abs=1e-300
+        )
+        for label in ("score", "r2", "taylor_remainder"):
+            assert scaled_sup[label] == base[label]
+            assert scaled_lip[label] == pytest.approx(
+                scale * base[label], rel=1e-12, abs=1e-300
+            )
+        assert scaled_lip["markov_tail"] == base["markov_tail"]
 
     @pytest.mark.parametrize("maker,n_lo", [(exp_canonical_ingredients, 3), (exp_noncanonical_ingredients, 1)])
     def test_total_non_increasing_in_n(self, maker, n_lo):
@@ -157,12 +191,17 @@ class TestMleBoundGeneral:
 
 
 class TestKolmogorovConversion:
-    @given(b1=st.floats(0.0, 1e6), b2=st.floats(0.0, 1e6))
+    @given(
+        b1=st.floats(min_value=0.0, max_value=1e6),
+        b2=st.floats(min_value=0.0, max_value=1e6),
+    )
     def test_monotone_and_concave(self, b1, b2):
         lo, hi = sorted((b1, b2))
         assert kolmogorov_from_bw(lo) <= kolmogorov_from_bw(hi)
         mid = 0.5 * (lo + hi)
-        assert kolmogorov_from_bw(mid) >= 0.5 * (kolmogorov_from_bw(lo) + kolmogorov_from_bw(hi)) - 1e-12
+        assert kolmogorov_from_bw(mid) >= 0.5 * (
+            kolmogorov_from_bw(lo) + kolmogorov_from_bw(hi)
+        ) - 1e-12
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
