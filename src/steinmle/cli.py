@@ -244,9 +244,8 @@ def cmd_bound(model, theta0, n, h_sup, h_lip, epsilon, c, beta):
     return payload, csv_rows, text
 
 
-@_verb("table", ("which", dict(type=int, choices=(1, 2, 3), metavar="WHICH")),
-       "--trials", "--seed", "--workers")
-def cmd_table(which, trials, seed, workers):
+@_verb("table", ("which", dict(type=int, choices=(1, 2, 3), metavar="WHICH")), "--trials", "--seed")
+def cmd_table(which, trials, seed):
     """Reproduce benchmark table WHICH (1, 2 or 3).
 
     Bound columns are deterministic; empirical columns are seeded Monte
@@ -255,13 +254,11 @@ def cmd_table(which, trials, seed, workers):
     """
     mc = _harness()
     spec = _TABLE_SPECS[which]
-    seed = _seed(seed)
     if which == 3:
         params = BetaParams(spec["theta0"], spec["beta"])
-        reports = mc.run_mse_sweep(params, spec["ns"], trials=trials, seed=seed, workers=workers)
+        reports = mc.run_mse_sweep(params, spec["ns"], trials=trials, seed=_seed(seed))
     else:
-        cfg = mc.SimulationConfig(spec["model"], spec["theta0"], spec["ns"][0], trials, seed,
-                                  workers=workers)
+        cfg = mc.SimulationConfig(spec["model"], spec["theta0"], spec["ns"][0], trials, _seed(seed))
         reports = mc.run_rows(cfg, spec["ns"])
     # table 2's normalised-sum bound weighted by the h norms: the distance bound's score term
     direct = [dict(rep.bound_terms.terms)[TERM_SCORE] for rep in reports] if which == 2 else None

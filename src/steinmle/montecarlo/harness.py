@@ -121,17 +121,19 @@ class SimulationReport(Value):
     empirical value.
     """
 
+    rng_algorithm, backend = RNG_ALGORITHM, BACKEND_NAME  # alike for every report
+
     def __init__(
         self, model: str, theta0: float, n: int, trials: int, seed: int,
         empirical_distance: float, empirical_mse: float, bound_total: float,
         bound_terms: BoundBreakdown, standard_error: float | None, expected_h: float,
-        target: str = "distance", rng_algorithm: str = RNG_ALGORITHM, backend: str = BACKEND_NAME,
+        target: str = "distance",
     ):
         vars(self).update(
             model=model, theta0=theta0, n=n, trials=trials, seed=seed,
             empirical_distance=empirical_distance, empirical_mse=empirical_mse,
             bound_total=bound_total, bound_terms=bound_terms, standard_error=standard_error,
-            expected_h=expected_h, target=target, rng_algorithm=rng_algorithm, backend=backend,
+            expected_h=expected_h, target=target,
         )
 
     @property

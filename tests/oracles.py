@@ -100,11 +100,6 @@ def scalar_asymptotic_coeffs(order):
     return coeffs
 
 
-def beta_score(theta, beta, n, sum_log):
-    """Shape score at theta: n (psi(theta + beta) - psi(theta)) + sum log x."""
-    return n * (polygamma(0, theta + beta) - polygamma(0, theta)) + sum_log
-
-
 def beta_two_grid_mle(xs):
     """Beta(theta, 2) shape MLE by a search over 10^6 grid points on
     [1e-4, 50], and the grid spacing.
@@ -159,7 +154,7 @@ def bracketed_beta_root(n, sum_log, beta, rel_tol=1e-12):
     """
 
     def score(theta):
-        return beta_score(theta, beta, n, sum_log)
+        return n * (polygamma(0, theta + beta) - polygamma(0, theta)) + sum_log
 
     lo, hi = 1e-8, 1e8
     f_lo, f_hi = score(lo), score(hi)

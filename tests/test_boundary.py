@@ -42,11 +42,6 @@ class TestAgainstGeneralPerturbedBound:
 
 
 class TestPoissonBound:
-    def test_degenerate_parameter_is_exactly_zero(self):
-        bd = poisson_bound(0.0, 50)
-        assert bd.total == 0.0
-        assert tuple(dict(bd.terms)) == POISSON_LABELS
-
     def test_reference_value(self):
         # independent 50-digit evaluation of the five-term closed form
         bd = poisson_bound(1.0, 100, 1.0)

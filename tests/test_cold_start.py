@@ -41,7 +41,8 @@ VERB_ARGS = {
 }
 CI_STATISTICS = ["ci", "--model", "exp-canonical", "--theta0", "1", "--n", "10000000",
                  "--alpha", "0.9", "--trials", "2"]
-ONE_WORKER = ["--workers", "1"]
+# table takes no --workers: each of its tables draws a closed-form law
+ONE_WORKER = {"table": [], "simulate": ["--workers", "1"], "mse-sweep": ["--workers", "1"]}
 BLOCKED = ["numpy", "mpmath"]
 SIMULATION_VERBS = ("table", "simulate", "mse-sweep")
 WATCHED = ("numpy", "mpmath", "scipy", "json", "statistics", "dataclasses", "concurrent.futures")
@@ -69,8 +70,8 @@ JSON_STEPS = ([_json(VERB_ARGS["bound"])]
 INTERPRETERS = {
     "import": ([], ["steinmle", "steinmle.cli"]),
     "bound": (BLOCKED, BOUND_TEXT + CONSTANTS_TEXT + [BOUND_CSV] + JSON_STEPS),
-    "simulation": ([], [VERB_ARGS[verb] + ONE_WORKER for verb in SIMULATION_VERBS]
-                   + [VERB_ARGS[verb] for verb in SIMULATION_VERBS]
+    "simulation": ([], [VERB_ARGS[verb] + ONE_WORKER[verb] for verb in SIMULATION_VERBS]
+                   + [VERB_ARGS[verb] for verb in SIMULATION_VERBS if ONE_WORKER[verb]]
                    + [VERB_ARGS["ci"], CI_STATISTICS]),
 }
 
@@ -89,7 +90,7 @@ ROWS = [
     ("bound", _json(VERB_ARGS["bound"]), "json", True),
     # concurrent.futures loads multiprocessing; only raw-sample blocks spread
     # over several workers use it
-    *[("simulation", VERB_ARGS[verb] + ONE_WORKER, "concurrent.futures", False)
+    *[("simulation", VERB_ARGS[verb] + ONE_WORKER[verb], "concurrent.futures", False)
       for verb in SIMULATION_VERBS],
     # the statistics check above is live: the verb that needs the quantile loads it
     ("simulation", CI_STATISTICS, "statistics", True),

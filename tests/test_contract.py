@@ -399,14 +399,12 @@ ROWS = {
     "active_backend": Row([], ()),
     "SimulationReport": Row(
         _output("model", "theta0", "n", "trials", "seed", "empirical_distance", "empirical_mse",
-                "bound_total", "bound_terms", "standard_error", "expected_h", "target",
-                "rng_algorithm", "backend"),
-        ("poisson", 5.0, 20, 10, 0, 0.1, 0.2, 0.75, BoundBreakdown(_TERMS), None, 0.4, "mse", "r",
-         "b"),
+                "bound_total", "bound_terms", "standard_error", "expected_h", "target"),
+        ("poisson", 5.0, 20, 10, 0, 0.1, 0.2, 0.75, BoundBreakdown(_TERMS), None, 0.4, "mse"),
         shown="SimulationReport(model='poisson', theta0=5.0, n=20, trials=10, seed=0, "
               "empirical_distance=0.1, empirical_mse=0.2, bound_total=0.75, "
               "bound_terms=BoundBreakdown(terms=(('a', 0.25), ('b', 0.5)), total=0.75), "
-              "standard_error=None, expected_h=0.4, target='mse', rng_algorithm='r', backend='b')",
+              "standard_error=None, expected_h=0.4, target='mse')",
         changed=("standard_error", 0.01),
         output=True,
     ),
@@ -803,6 +801,7 @@ CLI_ERRORS = {
                             _USAGE),
     "usage-missing-option": (["bound", "--model", "poisson", "--theta0", "1"], 2, None, _USAGE),
     "usage-table-4": (["table", "4"], 2, None, _USAGE),
+    "usage-table-takes-no-workers": (["table", "3", "--workers", "2"], 2, None, _USAGE),
     "usage-abbreviated-option": (["bound", "--mod", "poisson", "--theta0", "1", "--n", "10"], 2,
                                  None, _USAGE),
     "usage-non-integer-n": (["bound", "--model", "poisson", "--theta0", "1", "--n", "1.5"], 2, None,
@@ -877,7 +876,7 @@ CLI_ERRORS = {
                           "--n-to", str(2**32 + 1), "--trials", "1"])]},
     **{f"{name}-workers-{workers}": (args + ["--workers", workers], 2, "DomainError",
                                      f"workers must be an integer >= 1, got {workers}")
-       for name, args in [("simulate", _RAW_SIMULATE + ["--trials", "12"]), ("table-3", ["table", "3"]),
+       for name, args in [("simulate", _RAW_SIMULATE + ["--trials", "12"]),
                           ("ci", _DRAWN_CI + ["--trials", "10"]),
                           ("mse-sweep", _RAW_SWEEP + ["--trials", "12"])]
        for workers in ("0", "-3")},
@@ -923,15 +922,13 @@ CLI_ERRORS = {
     # sizes whose first array, or the sweep's list of n, cannot be allocated
     **{f"{name}-too-large-to-allocate": (args, 3, "MemoryError", "") for name, args in [
         ("simulate", ["simulate", *_EXP, "--n", "10", "--trials", str(10**18)]),
-        ("table-1", ["table", "1", "--trials", str(10**18)]),
-        ("ci", _DRAWN_CI + ["--trials", str(10**18)]),
         ("mse-sweep", ["mse-sweep", "--n-from", "1", "--n-to", str(10**18)])]},
     **{f"{name}-trials-{trials}": (args + ["--trials", str(trials)], 3, "MemoryError", "")
        for name, args in _TRIAL_COUNT_ARGS.items() for trials in (10**18, 2**60, 2**63, 10**20)},
     # ci refuses the count whether or not its interval is the whole line
-    **{f"ci-{name}-trials-{trials}": (args + ["--trials", str(trials)], 3, "MemoryError", "")
-       for name, args in [("degenerate", _DEGENERATE_CI), ("drawn", _DRAWN_CI)]
-       for trials in (2**60, 2**63, 10**20)},
+    # (the drawn one is the ci row of _TRIAL_COUNT_ARGS)
+    **{f"ci-degenerate-trials-{trials}": (_DEGENERATE_CI + ["--trials", str(trials)], 3,
+                                          "MemoryError", "") for trials in (2**60, 2**63, 10**20)},
     # successes next to the refusals
     "ci-degenerate-at-ten-trials": (_DEGENERATE_CI + ["--trials", "10"], 0, None, ""),
     # the fourth central moment of 1/mean does not cancel below 0 at a tiny

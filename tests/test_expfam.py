@@ -32,31 +32,22 @@ class TestGenericOps:
     k(theta) = 1/theta has k' = -1/theta^2."""
 
     @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
-    def test_fisher_info_canonical(self, theta0):
+    @pytest.mark.parametrize("build,field,generic", [
         # Var T = 1/theta^2 at rate theta
-        want = expfam_fisher_info(1.0, 1.0 / theta0**2)
-        assert exp_canonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
-    def test_fisher_info_noncanonical(self, theta0):
-        # k'(2) = -1/4, Var(-X) = 4 at mean 2: fisher = 1/16 * 4 = 1/4
-        assert expfam_fisher_info(-0.25, 4.0) == pytest.approx(0.25)
-        want = expfam_fisher_info(-1.0 / theta0**2, theta0**2)
-        assert exp_noncanonical_ingredients(theta0, 10).fisher_info == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
-    def test_third_moment_canonical(self, theta0):
+        (exp_canonical_ingredients, "fisher_info", lambda t: expfam_fisher_info(1.0, 1.0 / t**2)),
+        # Var(-X) = theta^2 at mean theta; at theta 2, fisher = 1/16 * 4 = 1/4
+        (exp_noncanonical_ingredients, "fisher_info", lambda t: expfam_fisher_info(-1.0 / t**2, t**2)),
         # E|T - D|^3 = E|X - 1/theta|^3 <= EXP_THIRD_ABS_BOUND / theta^3
-        want = expfam_third_score_moment(1.0, EXP_THIRD_ABS_BOUND / theta0**3)
-        got = exp_canonical_ingredients(theta0, 10).third_abs_score_moment
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0])
-    def test_third_moment_noncanonical(self, theta0):
+        (exp_canonical_ingredients, "third_abs_score_moment",
+         lambda t: expfam_third_score_moment(1.0, EXP_THIRD_ABS_BOUND / t**3)),
         # E|T - D|^3 = E|X - theta|^3 <= EXP_THIRD_ABS_BOUND * theta^3 at mean theta
-        want = expfam_third_score_moment(-1.0 / theta0**2, EXP_THIRD_ABS_BOUND * theta0**3)
-        got = exp_noncanonical_ingredients(theta0, 10).third_abs_score_moment
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        (exp_noncanonical_ingredients, "third_abs_score_moment",
+         lambda t: expfam_third_score_moment(-1.0 / t**2, EXP_THIRD_ABS_BOUND * t**3)),
+    ], ids=["fisher_info_canonical", "fisher_info_noncanonical", "third_moment_canonical",
+            "third_moment_noncanonical"])
+    def test_field_equals_the_generic_formula(self, build, field, generic, theta0):
+        got = getattr(build(theta0, 10), field)
+        assert got == pytest.approx(generic(theta0), rel=1e-14, abs=0.0)
 
 
 class TestThirdMomentConstant:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import bracketed_beta_root, conditioned_mean, kolmogorov_q, ks_two_sample, polygamma_series
+from test_batching import _per_trial_row
 
 from steinmle.errors import DegenerateSampleError, DomainError, UnknownModelError
 from steinmle.montecarlo import SimulationConfig, ci_coverage, run_mse_sweep, run_simulation
@@ -393,14 +394,6 @@ class TestMleOp:
 
 
 class TestDeterminism:
-    def test_seed_changes_empirical(self):
-        base = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=1)
-        other = SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=2)
-        assert (
-            run_simulation(base).empirical_distance
-            != run_simulation(other).empirical_distance
-        )
-
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
         # (n=22000) trials; two workers split each row at those blocks
@@ -485,14 +478,6 @@ class TestRunSimulation:
 
 
 class TestMseSweep:
-    def test_single_row(self):
-        reports = run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=200, seed=42)
-        rep = reports[0]
-        assert rep.target == "mse"
-        assert rep.bound_total == pytest.approx(0.2520483938871623, rel=1e-9, abs=0.0)
-        assert rep.empirical_mse <= rep.bound_total
-        assert rep.error == rep.bound_total - rep.empirical_mse
-
     @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
     def test_rows_carry_the_registry_bound_and_scale(self, beta):
         n_values = [minimal_n(beta_ingredients(BetaParams(1.5, beta))) + k for k in (0, 700)]
@@ -500,10 +485,7 @@ class TestMseSweep:
         entry = get_model("beta", beta=beta)
         for row, (rep, n) in enumerate(zip(reports, n_values)):
             assert rep.bound_total == entry.mse_bound(1.5, n)
-            stats = _pykernels.trial_stats("beta", 1.5, beta, n, 3, 20 * row, 20 * (row + 1))
-            theta_hats = entry.mle_from_stat(stats, n)
-            z = entry.standardize_scale(1.5, n) * (theta_hats - 1.5)
-            mean_h = math.fsum(1.0 / (v * v + 2.0) for v in z.tolist()) / 20
+            mean_h, _, _ = _per_trial_row(BetaParams(1.5, beta), n, 20, 3, row)
             assert rep.empirical_distance == abs(mean_h - rep.expected_h)
 
     def test_a_refused_n_draws_nothing(self, monkeypatch):

@@ -81,14 +81,9 @@ class TestPolygamma:
             assert [polygamma(m, x) for m in range(4)] == expected, x
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            polygamma(1, 0.0)
-        with pytest.raises(DomainError):
-            polygamma(1, -3.0)
-        with pytest.raises(DomainError):
-            polygamma(4, 1.0)
-        with pytest.raises(DomainError):
-            polygamma(1.5, 1.0)
+        for order, x in [(1, 0.0), (1, -3.0), (4, 1.0), (1.5, 1.0)]:
+            with pytest.raises(DomainError):
+                polygamma(order, x)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("x", [5e-324, 1e-310])
@@ -100,11 +95,9 @@ class TestPolygamma:
 
 
 class TestNormalQuantile:
-    def test_median(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_reference_value(self):
-        assert std_normal_quantile(0.975) == pytest.approx(1.9599639845400545, abs=1e-10)
+    @pytest.mark.parametrize("p,x,tol", [(0.5, 0.0, 1e-12), (0.975, 1.9599639845400545, 1e-10)])
+    def test_reference_values(self, p, x, tol):
+        assert std_normal_quantile(p) == pytest.approx(x, abs=tol)
 
     @given(st.floats(min_value=1e-6, max_value=0.5))
     def test_antisymmetry(self, p):
