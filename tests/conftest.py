@@ -2,10 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import hypothesis
 import pytest
+
+import steinmle
+
+# The source tree whose package the tests import, for fresh interpreters too.
+SRC = os.path.dirname(os.path.dirname(steinmle.__file__))
 
 hypothesis.settings.register_profile(
     "steinmle", max_examples=60, deadline=None, derandomize=True
@@ -79,6 +86,12 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def run_python(*args, timeout=120, **kwargs):
+    """``python *args`` in a fresh interpreter that imports the package from ``SRC``."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=timeout, **kwargs)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -89,3 +102,17 @@ def mp():
     """mpmath, for the checks against it: they skip where it is not
     installed, and no other test imports it."""
     return pytest.importorskip("mpmath")
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(owner, name)`` wraps ``owner.name`` for the test and returns the
+    list it keeps of each call's arguments, positional then keyword values."""
+
+    def wrap(owner, name):
+        calls, original = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a + tuple(k.values()))
+                            or original(*a, **k))
+        return calls
+
+    return wrap

@@ -73,37 +73,27 @@ class TestSweepBatch:
         monkeypatch.setattr(harness, "_ROOT_LANES", cap)
         assert [r.to_dict() for r in run_mse_sweep(params, n_values, trials=9, seed=2)] == reference
 
-    def test_rows_beyond_the_lane_cap_are_split(self, monkeypatch):
+    def test_rows_beyond_the_lane_cap_are_split(self, spy):
         # 6000 trials a row: two rows fit in 16384 lanes, so three rows take
         # two solves; every row still equals its per-trial reference
         params = BetaParams(1.5, 2.0)
-        calls = []
-        entry_cls = type(get_model("beta", beta=2.0))
-        original = entry_cls.mle_from_stat
-
-        def counted(self, stat, n):
-            calls.append(np.size(stat))
-            return original(self, stat, n)
-
-        monkeypatch.setattr(entry_cls, "mle_from_stat", counted)
+        calls = spy(type(get_model("beta", beta=2.0)), "mle_from_stat")
         n_values = [11848, 12848, 13848]
         reports = run_mse_sweep(params, n_values, trials=6000, seed=8)
-        assert calls == [12000, 6000]
+        assert [np.size(stat) for _, stat, _ in calls] == [12000, 6000]
         for row, (rep, n) in enumerate(zip(reports, n_values)):
             mean_h, mse, se = _per_trial_row(params, n, 6000, 8, row)
             assert (rep.empirical_distance, rep.empirical_mse, rep.standard_error) == (
                 abs(mean_h - rep.expected_h), mse, se)
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
-    def test_row_bounds_equal_b3_squared_over_n(self, monkeypatch, beta):
+    def test_row_bounds_equal_b3_squared_over_n(self, monkeypatch, spy, beta):
         # the exact n-free root is built once a sweep, and each row's bound
         # is still the MSE bound a model gives for that n alone, B3^2/n
         params = BetaParams(1.5, beta)
         floor = minimal_n(beta_ingredients(params))
         n_values = [floor, floor + 1, floor + 999, 3 * floor]
-        built = []
-        original = msebound._root_parts
-        monkeypatch.setattr(msebound, "_root_parts", lambda ing: built.append(ing) or original(ing))
+        built = spy(msebound, "_root_parts")
         reports = run_mse_sweep(params, n_values, trials=3, seed=4)
         assert len(built) == 1
         monkeypatch.undo()
@@ -143,16 +133,11 @@ class TestTableBatch:
         monkeypatch.setattr(harness, "_ROOT_LANES", cap)
         assert _table_rows(1, 50, seed=4) == reference
 
-    def test_one_estimator_call_and_one_expectation_for_a_table(self, monkeypatch):
-        calls, scales = [], []
-        entry_cls = type(get_model("exp-canonical"))
-        original = entry_cls.mle_from_stat
-        monkeypatch.setattr(entry_cls, "mle_from_stat",
-                            lambda self, stat, n: calls.append(n) or original(self, stat, n))
-        monkeypatch.setattr(harness, "normal_expectation",
-                            lambda h, scale: scales.append(scale) or normal_expectation(h, scale=scale))
+    def test_one_estimator_call_and_one_expectation_for_a_table(self, spy):
+        calls = spy(type(get_model("exp-canonical")), "mle_from_stat")
+        scales = spy(harness, "normal_expectation")
         rows = _table_rows(1, 50, seed=1)
-        assert len(calls) == 1 and scales == [1.0]
+        assert len(calls) == 1 and [scale for _, scale in scales] == [1.0]
         assert {row["expected_h"] for row in rows} == {normal_expectation(inv_quadratic_test_function(), scale=1.0)}
 
 

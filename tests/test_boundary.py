@@ -2,13 +2,10 @@
 bound."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-
+from conftest import run_python
 from oracles import poisson_perturbed_terms
 from test_bound_snapshots import _poisson_c_grid
 
@@ -42,6 +39,11 @@ class TestAgainstGeneralPerturbedBound:
 
 
 class TestPoissonBound:
+    def test_degenerate_parameter_is_exactly_zero(self):
+        bd = poisson_bound(0.0, 50)
+        assert bd.total == 0.0
+        assert tuple(dict(bd.terms)) == POISSON_LABELS
+
     def test_reference_value(self):
         # independent 50-digit evaluation of the five-term closed form
         bd = poisson_bound(1.0, 100, 1.0)
@@ -89,11 +91,9 @@ class TestAutoC:
     def test_float32_theta0_searches_in_double(self):
         # a float32 theta0 once kept the golden-section bracket in float32,
         # which never narrowed to the tolerance: the search did not return
-        src = os.path.dirname(os.path.dirname(boundary.__file__))
         code = ("import numpy as np; from steinmle.boundary import minimize_poisson_c; "
                 "print(minimize_poisson_c(np.float32(1.0), 10).hex())")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        out = run_python("-c", code, capture_output=True, text=True, timeout=30)
         assert out.stdout == minimize_poisson_c(1.0, 10).hex() + "\n", out.stderr
 
     def test_searched_c_stays_in_range(self):
@@ -102,16 +102,10 @@ class TestAutoC:
             hi = n * theta0
             assert min(1e-12, hi / 2.0) <= minimize_poisson_c(theta0, n) <= hi, (theta0, n)
 
-    def test_search_prices_at_most_92_trial_values(self, monkeypatch):
+    def test_search_prices_at_most_92_trial_values(self, spy):
         # the golden section and the two bracket ends, counted at the pinned
         # Poisson points; a scan added back would price dozens more
-        priced = []
-
-        def counted(theta0, n, c, parts):
-            priced.append(c)
-            return _poisson_total(theta0, n, c, parts)
-
-        monkeypatch.setattr(boundary, "_poisson_total", counted)
+        priced = spy(boundary, "_poisson_total")
         most = 0
         for theta0, n in _poisson_c_grid():
             priced.clear()

@@ -4,33 +4,22 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
-from conftest import strict_json
+from conftest import run_python, strict_json
 
 import steinmle
 from steinmle import boundary, cli, registry
 from steinmle.cli import main
 from steinmle.registry import get_model
 from steinmle.expfam import exp_canonical_ingredients, exp_noncanonical_ingredients
+from steinmle.montecarlo import _pykernels, harness
 from steinmle.steincore import inv_quadratic_test_function, kolmogorov_from_bw, score_bound
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
-
-
-def _run_cli(args):
-    """The CLI in a fresh interpreter, as a user runs it."""
-    src = os.path.dirname(os.path.dirname(steinmle.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-m", "steinmle.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
 
 
 def _json_out(result):
@@ -38,7 +27,8 @@ def _json_out(result):
 
 
 def test_version_from_a_source_checkout():
-    out = _run_cli(["--version"])
+    # the CLI in a fresh interpreter, as a user runs it
+    out = run_python("-m", "steinmle.cli", "--version", capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"steinmle, version {steinmle.__version__}\n"
     assert out.stderr == ""
@@ -83,15 +73,10 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("model,args", [("poisson", ["--theta0", "5", "--n", "50"]),
                                             ("beta", ["--theta0", "1.5", "--n", "7500"])])
-    def test_weight_free_route_computes_one_bound(self, runner, monkeypatch, model, args):
+    def test_weight_free_route_computes_one_bound(self, runner, spy, model, args):
         # poisson and beta ignore the h weights, so the unit-weight total that
         # the Kolmogorov bound converts is the bound already computed
-        calls, searches = [], []
-        bound, search = registry.Model.distance_bound, boundary.minimize_poisson_c
-        monkeypatch.setattr(registry.Model, "distance_bound",
-                            lambda *a, **k: calls.append(a) or bound(*a, **k))
-        monkeypatch.setattr(boundary, "minimize_poisson_c",
-                            lambda *a: searches.append(a) or search(*a))
+        calls, searches = spy(registry.Model, "distance_bound"), spy(boundary, "minimize_poisson_c")
         base = ["bound", "--model", model, *args]
         for fmt in ("text", "csv", "json"):
             unit = runner.invoke(main, base + ["--format", fmt])
@@ -216,15 +201,10 @@ class TestCiCommand:
 
 class TestMseSweepCommand:
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_overflowed_scale_exits_3_before_any_draw(self, runner, monkeypatch, fmt):
+    def test_overflowed_scale_exits_3_before_any_draw(self, runner, spy, fmt):
         # sqrt(n i) overflows at theta0 1e-70, n 10^170: refused as the
         # distance rows' scale is, with no draw and no RuntimeWarning
-        import warnings
-
-        from steinmle.montecarlo import _pykernels
-
-        drawn, trial_stats = [], _pykernels.trial_stats
-        monkeypatch.setattr(_pykernels, "trial_stats", lambda *a: drawn.append(a) or trial_stats(*a))
+        drawn = spy(_pykernels, "trial_stats")
         n = str(10**170)
         args = ["mse-sweep", "--theta0", "1e-70", "--beta", "1", "--n-from", n, "--n-to", n,
                 "--trials", "2", "--format", fmt]
@@ -293,17 +273,8 @@ def test_batched_rows_output_matches_snapshot(runner, snapshot, args):
      (["mse-sweep", "--n-from", "7460", "--n-to", "7470", "--n-step", "5"], 1)],
     ids=["table-1", "table-2", "table-3", "mse-sweep"],
 )
-def test_gaussian_expectation_computed_once_per_invocation(runner, monkeypatch, args, count):
-    from steinmle.montecarlo import harness
-
-    calls = []
-    original = harness.normal_expectation
-
-    def counted(*a, **k):
-        calls.append(a)
-        return original(*a, **k)
-
-    monkeypatch.setattr(harness, "normal_expectation", counted)
+def test_gaussian_expectation_computed_once_per_invocation(runner, spy, args, count):
+    calls = spy(harness, "normal_expectation")
     result = runner.invoke(main, args + ["--trials", "5"])
     assert result.exit_code == 0, result.output
     assert len(calls) == count

@@ -19,15 +19,12 @@ import importlib.metadata
 import json
 import os
 import re
-import subprocess
-import sys
 
 import pytest
+from conftest import SRC, run_python
 
-import steinmle
 from steinmle.registry import MODEL_NAMES
 
-SRC = os.path.dirname(os.path.dirname(steinmle.__file__))
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 
 # One tiny invocation of each verb.
@@ -149,13 +146,7 @@ def _report(name):
     args = [",".join(blocked) or "-", ",".join(WATCHED)]
     for step in steps:
         args += ["--then", *(["import", step] if isinstance(step, str) else step)]
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
-        timeout=120,
-    )
+    out = run_python("-c", PROBE, *args, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert [s["label"] for s in report["steps"]] == [_label(step) for step in steps]

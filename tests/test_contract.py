@@ -44,7 +44,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import CliRunner, strict_json
+from conftest import CliRunner, run_python, strict_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -801,7 +801,9 @@ CLI_ERRORS = {
                             _USAGE),
     "usage-missing-option": (["bound", "--model", "poisson", "--theta0", "1"], 2, None, _USAGE),
     "usage-table-4": (["table", "4"], 2, None, _USAGE),
-    "usage-table-takes-no-workers": (["table", "3", "--workers", "2"], 2, None, _USAGE),
+    # table takes no --workers: each of its tables draws a closed-form law
+    **{f"table-3-workers-{workers}": (["table", "3", "--workers", workers], 2, None, _USAGE)
+       for workers in ("0", "-3")},
     "usage-abbreviated-option": (["bound", "--mod", "poisson", "--theta0", "1", "--n", "10"], 2,
                                  None, _USAGE),
     "usage-non-integer-n": (["bound", "--model", "poisson", "--theta0", "1", "--n", "1.5"], 2, None,
@@ -922,13 +924,15 @@ CLI_ERRORS = {
     # sizes whose first array, or the sweep's list of n, cannot be allocated
     **{f"{name}-too-large-to-allocate": (args, 3, "MemoryError", "") for name, args in [
         ("simulate", ["simulate", *_EXP, "--n", "10", "--trials", str(10**18)]),
+        ("table-1", ["table", "1", "--trials", str(10**18)]),
+        ("ci", _DRAWN_CI + ["--trials", str(10**18)]),
         ("mse-sweep", ["mse-sweep", "--n-from", "1", "--n-to", str(10**18)])]},
     **{f"{name}-trials-{trials}": (args + ["--trials", str(trials)], 3, "MemoryError", "")
        for name, args in _TRIAL_COUNT_ARGS.items() for trials in (10**18, 2**60, 2**63, 10**20)},
     # ci refuses the count whether or not its interval is the whole line
-    # (the drawn one is the ci row of _TRIAL_COUNT_ARGS)
-    **{f"ci-degenerate-trials-{trials}": (_DEGENERATE_CI + ["--trials", str(trials)], 3,
-                                          "MemoryError", "") for trials in (2**60, 2**63, 10**20)},
+    **{f"ci-{name}-trials-{trials}": (args + ["--trials", str(trials)], 3, "MemoryError", "")
+       for name, args in [("degenerate", _DEGENERATE_CI), ("drawn", _DRAWN_CI)]
+       for trials in (2**60, 2**63, 10**20)},
     # successes next to the refusals
     "ci-degenerate-at-ten-trials": (_DEGENERATE_CI + ["--trials", "10"], 0, None, ""),
     # the fourth central moment of 1/mean does not cancel below 0 at a tiny
@@ -1061,10 +1065,8 @@ def test_mse_sweep_keeps_the_exit_code_contract(theta0, beta, start, steps, n_st
 def test_closed_stdout_exits_141_without_a_traceback(args):
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child writes
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(steinmle.__file__)))
     try:
-        result = subprocess.run([sys.executable, "-m", "steinmle.cli", *args],
-                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        result = run_python("-m", "steinmle.cli", *args, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert result.returncode == 141

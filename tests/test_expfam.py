@@ -26,6 +26,14 @@ def exp_third_abs_central(theta0, mp):
         return float(val)
 
 
+def mean_law_quadrature(f, n, lam, mid, mp):
+    """Quadrature oracle for E f(T), T ~ Gamma(n, rate lam): the law of the
+    sample mean, split at ``mid``."""
+    with mp.workdps(30):
+        density = lambda t: t ** (n - 1) * mp.e ** (-lam * t) * lam**n / mp.gamma(n)  # noqa: E731
+        return float(mp.quad(lambda t: f(t) * density(t), [0, mid, mp.inf]))
+
+
 class TestGenericOps:
     """Both builders against the generic formulas with T(x) = -x: the
     canonical k(theta) = theta has k' = 1, the mean parametrisation
@@ -82,18 +90,7 @@ class TestCanonicalIngredients:
     def test_mse_against_quadrature(self, mp):
         # estimator 1/mean has mean-Gamma distribution; integrate directly
         n, theta0 = 6, 1.3
-        with mp.workdps(30):
-            lam = n * theta0
-            ref = float(
-                mp.quad(
-                    lambda t: (1 / t - theta0) ** 2
-                    * t ** (n - 1)
-                    * mp.e ** (-lam * t)
-                    * lam**n
-                    / mp.gamma(n),
-                    [0, 1 / theta0, mp.inf],
-                )
-            )
+        ref = mean_law_quadrature(lambda t: (1 / t - theta0) ** 2, n, n * theta0, 1 / theta0, mp)
         assert exp_canonical_ingredients(theta0, n).mse == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n", [5, 10, 1000, 10**6, 10**18])
@@ -123,18 +120,7 @@ class TestNonCanonicalIngredients:
 
     def test_fourth_moment_against_quadrature(self, mp):
         n, theta0 = 7, 2.0
-        with mp.workdps(30):
-            lam = n / mp.mpf(theta0)
-            ref = float(
-                mp.quad(
-                    lambda t: (t - theta0) ** 4
-                    * t ** (n - 1)
-                    * mp.e ** (-lam * t)
-                    * lam**n
-                    / mp.gamma(n),
-                    [0, theta0, mp.inf],
-                )
-            )
+        ref = mean_law_quadrature(lambda t: (t - theta0) ** 4, n, n / mp.mpf(theta0), theta0, mp)
         assert exp_noncanonical_ingredients(theta0, n).fourth_mle_moment == pytest.approx(
             ref, rel=1e-9
         )

@@ -394,6 +394,11 @@ class TestMleOp:
 
 
 class TestDeterminism:
+    def test_seed_changes_empirical(self):
+        base, other = (SimulationConfig(model="exp-canonical", theta0=1.0, n=100, trials=300, seed=seed)
+                       for seed in (1, 2))
+        assert run_simulation(base).empirical_distance != run_simulation(other).empirical_distance
+
     def test_raw_block_sweep_identical_across_worker_counts(self):
         # Beta(1.5, 2.5) draws raw samples in blocks of 4 (n=14816) and 2
         # (n=22000) trials; two workers split each row at those blocks
@@ -478,6 +483,13 @@ class TestRunSimulation:
 
 
 class TestMseSweep:
+    def test_single_row(self):
+        (rep,) = run_mse_sweep(BetaParams(1.5, 1.0), [7500], trials=200, seed=42)
+        assert rep.target == "mse"
+        assert rep.bound_total == pytest.approx(0.2520483938871623, rel=1e-9, abs=0.0)
+        assert rep.empirical_mse <= rep.bound_total
+        assert rep.error == rep.bound_total - rep.empirical_mse
+
     @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
     def test_rows_carry_the_registry_bound_and_scale(self, beta):
         n_values = [minimal_n(beta_ingredients(BetaParams(1.5, beta))) + k for k in (0, 700)]

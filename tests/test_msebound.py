@@ -67,11 +67,9 @@ def _synthetic_ingredients(**overrides):
 
 
 @pytest.fixture
-def polygamma_calls(monkeypatch):
+def polygamma_calls(spy):
     """The arguments of every shared shift pass ``msebound`` makes."""
-    calls, polygammas = [], msebound._polygammas
-    monkeypatch.setattr(msebound, "_polygammas", lambda *a: calls.append(a) or polygammas(*a))
-    return calls
+    return spy(msebound, "_polygammas")
 
 
 class TestBetaIngredients:
@@ -258,6 +256,20 @@ class TestMinimalN:
         assert self._fastest(below) < 1e-3
 
 
+class TestA1:
+    @pytest.mark.parametrize("ing,n", [(beta_ingredients(P), 7500), (beta_ingredients(P), 8300),
+                                       (_synthetic_ingredients(), 500),
+                                       (_synthetic_ingredients(var_l2=0.7), 500)])
+    def test_a1_is_the_positive_root(self, ing, n):
+        # plugging A1 back into the quadratic D1 x^2 - b x - c leaves a
+        # relative residual below 1e-9
+        a1, dd, s, i = mse_upper_bound_a1(ing, n), float(decimal_d1(ing, n)), ing.sup_x_norm, ing.fisher_info
+        b_lin = 2.0 * s * math.sqrt(ing.var_l2) / (n * i**1.5)
+        c_const = (1.0 + 2.0 * s / math.sqrt(n) * (2.0 + ing.third_abs_score_moment / i**1.5)) / (n * i)
+        residual = dd * a1 * a1 - b_lin * a1 - c_const
+        assert abs(residual) <= 1e-9 * max(dd * a1 * a1, c_const)
+
+
 def _assert_written_out(bd, ing, n):
     """The implicit distance bound ``bd`` at n has the four terms at A1 written
     out, in order, each within 2e-15."""
@@ -274,6 +286,13 @@ def _assert_written_out(bd, ing, n):
 
 
 class TestImplicitDistanceBound:
+    def test_var_l2_feeds_r2_term(self):
+        ing = _synthetic_ingredients(var_l2=0.25)
+        a1 = mse_upper_bound_a1(ing, 400)
+        bd = implicit_distance_bound(ing, 400)
+        assert dict(bd.terms)["r2"] == pytest.approx(0.5 * a1 / math.sqrt(ing.fisher_info))
+        assert dict(implicit_distance_bound(_synthetic_ingredients(), 400).terms)["r2"] == 0.0
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("theta0", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
     def test_is_the_beta_bound_bit_for_bit(self, theta0, beta):

@@ -133,6 +133,11 @@ class TestScoreBound:
         ing = exp_canonical_ingredients(1.0, 100)
         assert score_bound(ing, (0.0, 0.0)).total == 0.0
 
+    def test_single_term_labelled_score(self):
+        ing = exp_canonical_ingredients(1.0, 10)
+        bd = score_bound(ing)
+        assert tuple(dict(bd.terms)) == ("score",)
+
 
 class TestMleBoundGeneral:
     def test_non_finite_ingredients_raise_float_range_error(self):
@@ -177,6 +182,12 @@ class TestMleBoundGeneral:
         ns = list(range(n_lo, 60)) + [100, 1000, 10**4, 10**5, 10**6]
         totals = [mle_bound_general(maker(1.0, n), (1.0, 1.0)).total for n in ns]
         assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
+
+    def test_root_n_rate_limit(self):
+        # sqrt(n) * total -> 4.41456 + 8 for the reciprocal-mean model
+        n = 10**8
+        total = mle_bound_general(exp_canonical_ingredients(1.0, n), (1.0, 1.0)).total
+        assert math.sqrt(n) * total == pytest.approx(12.41456, abs=1e-2)
 
 
 class TestKolmogorovConversion:
